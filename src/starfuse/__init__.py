@@ -33,9 +33,9 @@ from .network import (
     fusion_decide,
     fusion_log_odds,
     local_error_probs,
-    perceived_fusion_risk,
     perceived_local_probs,
     perceived_log_ratios,
+    pinned_fusion_errors,
     update_belief,
     update_belief_count,
 )

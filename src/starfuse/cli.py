@@ -7,12 +7,14 @@ computation is deterministic, so rerunning a command with identical flags
 produces byte-identical files. ``--threads`` is accepted on every command
 and never changes numeric output.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-domain flag under
+Exit codes: 0 success, 2 validation error, 3 numerical-domain failure: a
+non-finite risk from ``risk`` (no CSV is written), or a flag escalated by
 ``--strict``.
 """
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -120,6 +122,10 @@ def cmd_risk(args) -> int:
     q_local = _parse_floats(args.q)
     template = NetworkTemplate(args.pi0, _costs(args), _model(args), len(q_local))
     report = exact_risk(template.config(args.q0, q_local))
+    if not math.isfinite(report.r0):
+        print(f"error: risk is not finite (R0={report.r0!r}); the Gaussian tails "
+              f"underflowed at sigma={args.sigma!r}", file=sys.stderr)
+        return EXIT_DOMAIN
     print(f"R0={report.r0:.4f}")
     print(f"p_fa0={report.p_fa0:.10g} p_md0={report.p_md0:.10g}")
     for k, belief, threshold in report.per_count:

@@ -134,10 +134,18 @@ def perceived_log_ratios(config: NetworkConfig):
     return float(lp00 - lp01), float(lp10 - lp11)
 
 
-def _decision_one_rates(model: ObservationModel, costs: CostPair, beliefs):
-    """P(decide 1 | H=0) and P(decide 1 | H=1) for a threshold test at each belief."""
-    lam = np.array([threshold_from_belief(model, costs, q) for q in beliefs])
-    return gaussian_q(lam / model.sigma), gaussian_q((lam - 1.0) / model.sigma)
+def _decision_one_rates(model: ObservationModel, costs: CostPair, beliefs) -> np.ndarray:
+    """(2, N) array: P(decide 1 | H=0) in row 0 and P(decide 1 | H=1) in row 1
+    for a threshold test at each belief.
+
+    Beliefs arrive validated (``NetworkConfig`` rejects degenerate ones), so
+    only the uniform clamp is applied before the log-odds.
+    """
+    lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
+    clamped = [min(max(q, lo), hi) for q in beliefs]
+    ell = np.array([math.log(q) - math.log1p(-q) for q in clamped])
+    lam = threshold_from_log_odds(model, costs, ell)
+    return gaussian_q(np.stack((lam, lam - 1.0)) / model.sigma)
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -189,18 +197,38 @@ def fusion_decide(config: NetworkConfig, decisions, y0: float) -> int:
 
 def count_distribution(config: NetworkConfig) -> CountDistribution:
     """Poisson-binomial pmf of the number of local 1-decisions under each
-    hypothesis, via the O(N^2) convolution recurrence."""
-    t0, t1 = _decision_one_rates(config.model, config.costs, config.q_local)
-    return CountDistribution(_poisson_binomial_pmf(t0), _poisson_binomial_pmf(t1))
+    hypothesis.
+
+    One convolution pass folds the agents in one at a time for both
+    hypotheses together; agent ``i`` touches only the ``i + 2`` counts that
+    can be nonzero so far, so the cost is O(N^2) with a small constant. Each
+    step is the convex combination pmf[c] * (1 - p) + pmf[c - 1] * p.
+    """
+    pmf = _poisson_binomial_pmf(_decision_one_rates(config.model, config.costs, config.q_local))
+    return CountDistribution(pmf[0], pmf[1])
 
 
-def _poisson_binomial_pmf(ps) -> np.ndarray:
-    ps = np.asarray(ps, dtype=float)
-    pmf = np.zeros(len(ps) + 1)
-    pmf[0] = 1.0
-    for p in ps:
-        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
-        pmf[0] *= 1.0 - p
+def _rate_columns(rates: np.ndarray):
+    """Per-agent (2, 1) columns of the (2, N) decide-1 ``rates`` and of their
+    complements, each stacked into an (N, 2, 1) array."""
+    return rates.T[:, :, None], (1.0 - rates).T[:, :, None]
+
+
+def _add_agent(pmf: np.ndarray, p: np.ndarray, q: np.ndarray, i: int) -> None:
+    """Fold one more agent, with decide-1 rates ``p`` and ``q = 1 - p`` as
+    (2, 1) columns, into ``pmf``, which holds the (2, N + 1) count pmfs of
+    the ``i`` agents before it. In place; entries past ``i + 1`` stay zero."""
+    moved = pmf[:, :i + 1] * p
+    pmf[:, :i + 1] *= q
+    pmf[:, 1:i + 2] += moved
+
+
+def _poisson_binomial_pmf(rates: np.ndarray) -> np.ndarray:
+    """Count pmfs, one row per row of the (2, N) ``rates``."""
+    pmf = np.zeros((2, rates.shape[1] + 1))
+    pmf[:, 0] = 1.0
+    for i, (p, q) in enumerate(zip(*_rate_columns(rates))):
+        _add_agent(pmf, p, q, i)
     return pmf
 
 
@@ -256,33 +284,54 @@ def exact_risk_bruteforce(config: NetworkConfig) -> float:
     return total
 
 
+def pinned_fusion_errors(config: NetworkConfig):
+    """Fusion (false-alarm, missed-detection) probabilities with each local
+    agent's decision pinned, for every agent at once.
+
+    Returns ``(fa, md)``, each of shape (2, N): entry ``[d, j - 1]`` mixes
+    the fusion error over the other agents' count distribution with agent
+    ``j``'s decision pinned to ``d``.
+
+    Leave-one-out by prefix and suffix: a backward pass folds the agents
+    after ``j`` into the expected fusion error per count of ones among agents
+    ``1..j``, and a forward pass builds the count pmf of the agents before
+    ``j`` and mixes the two. Both passes are convex-combination recurrences,
+    so nothing is divided out (unlike deconvolving agent ``j`` from the full
+    pmf, which is unstable; Hong 2013), and all N agents cost O(N^2)
+    together.
+    """
+    n = config.n_local
+    p_cols, q_cols = _rate_columns(_decision_one_rates(config.model, config.costs, config.q_local))
+    fa, md, _, _ = _fusion_count_errors(config, np.arange(n + 1), n)
+    # after[j][h, c]: expected fusion error (FA under H0, MD under H1) given
+    # c ones among agents 1..j+1, mixed over the agents after j+1.
+    after = [None] * n
+    after[n - 1] = np.stack((fa, md))
+    for j in range(n - 1, 0, -1):
+        g = after[j]
+        after[j - 1] = g[:, :-1] * q_cols[j] + g[:, 1:] * p_cols[j]
+    out = np.empty((2, 2, n))
+    before = np.zeros((2, n + 1))
+    before[:, 0] = 1.0
+    for j in range(n):
+        prefix = before[:, :j + 1]
+        g = after[j]
+        out[:, 0, j] = np.einsum("hc,hc->h", prefix, g[:, :-1])
+        out[:, 1, j] = np.einsum("hc,hc->h", prefix, g[:, 1:])
+        _add_agent(before, p_cols[j], q_cols[j], j)
+    return out[0], out[1]
+
+
 def conditional_fusion_errors(config: NetworkConfig, j: int, pinned: int):
     """Fusion (false-alarm, missed-detection) probability with local agent
     ``j``'s decision pinned to ``pinned``; mixes over the remaining agents'
-    count distribution."""
+    count distribution.
+
+    One entry of ``pinned_fusion_errors``, so it costs O(N^2); callers that
+    need every agent should call that directly.
+    """
     _check_local_index(config, j)
     if pinned not in (0, 1):
         raise ValueError("pinned decision must be 0 or 1")
-    n = config.n_local
-    others = [q for idx, q in enumerate(config.q_local, start=1) if idx != j]
-    t0, t1 = _decision_one_rates(config.model, config.costs, others)
-    pmf0 = _poisson_binomial_pmf(t0)
-    pmf1 = _poisson_binomial_pmf(t1)
-    counts = np.arange(n) + pinned
-    fa, md, _, _ = _fusion_count_errors(config, counts, n)
-    return float(pmf0 @ fa), float(pmf1 @ md)
-
-
-def perceived_fusion_risk(config: NetworkConfig) -> float:
-    """Risk the fusion agent believes it incurs, evaluating everything under
-    its own belief. Diagnostic only; nothing in the package optimizes it."""
-    lam0 = threshold_from_belief(config.model, config.costs, config.q0)
-    s = config.model.sigma
-    t0 = gaussian_q(lam0 / s)
-    t1 = gaussian_q((lam0 - 1.0) / s)
-    n = config.n_local
-    pmf0 = _poisson_binomial_pmf([t0] * n)
-    pmf1 = _poisson_binomial_pmf([t1] * n)
-    fa, md, _, _ = _fusion_count_errors(config, np.arange(n + 1), n)
-    return config.costs.c_fa * config.q0 * float(pmf0 @ fa) \
-        + config.costs.c_md * (1.0 - config.q0) * float(pmf1 @ md)
+    fa, md = pinned_fusion_errors(config)
+    return float(fa[pinned, j - 1]), float(md[pinned, j - 1])

@@ -15,8 +15,8 @@ import numpy as np
 from .network import (
     NetworkConfig,
     NetworkTemplate,
-    conditional_fusion_errors,
     exact_risk,
+    pinned_fusion_errors,
 )
 from .observation import BELIEF_EPS, from_log_odds, gaussian_q, log_odds
 
@@ -377,10 +377,17 @@ def _finish(template, q, sweeps, converged, trace):
     )
 
 
-def _pinned_differences(config: NetworkConfig, j: int):
-    fa1, md1 = conditional_fusion_errors(config, j, 1)
-    fa0, md0 = conditional_fusion_errors(config, j, 0)
-    return fa1 - fa0, md0 - md1
+def _pinned_differences(config: NetworkConfig):
+    """Per-agent bracketed differences of the stationarity balance: the rise
+    in fusion false alarms and the fall in fusion misses when each agent's
+    decision flips from 0 to 1, as two length-N arrays."""
+    fa, md = pinned_fusion_errors(config)
+    return fa[1] - fa[0], md[0] - md[1]
+
+
+def _check_agent(config: NetworkConfig, j: int) -> None:
+    if not 1 <= j <= config.n_local:
+        raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")
 
 
 def exact_coordinate_update(config: NetworkConfig, j: int):
@@ -393,9 +400,15 @@ def exact_coordinate_update(config: NetworkConfig, j: int):
 
     Returns ``(belief, degenerate)``. ``degenerate`` is True when pinning the
     agent's decision cannot move the fusion outcome (a non-positive
-    bracketed difference); the belief is then returned unchanged.
+    bracketed difference); the belief is then returned unchanged. Raises
+    ``ValueError`` when a bracketed difference is not finite (the fusion
+    error probabilities underflowed), since no belief would be meaningful.
     """
-    d_fa, d_md = _pinned_differences(config, j)
+    _check_agent(config, j)
+    d_fa, d_md = (float(d[j - 1]) for d in _pinned_differences(config))
+    if not (math.isfinite(d_fa) and math.isfinite(d_md)):
+        raise ValueError(f"pinned fusion error differences for agent {j} are not finite "
+                         f"({d_fa!r}, {d_md!r})")
     if d_fa <= 0.0 or d_md <= 0.0:
         return config.q_local[j - 1], True
     ell = log_odds(config.pi0) + math.log(d_fa) - math.log(d_md)
@@ -407,17 +420,19 @@ def stationarity_residual(config: NetworkConfig) -> float:
     """Largest per-agent violation of the stationarity balance, in log-odds.
 
     Zero at any interior stationary point; ``inf`` when some bracketed
-    error-probability difference is non-positive (degenerate pinning).
+    error-probability difference is non-positive (degenerate pinning);
+    ``nan`` when some difference is not finite. Every agent's pinned fusion
+    errors come from one ``pinned_fusion_errors`` call, so the whole
+    residual costs O(N^2).
     """
-    worst = 0.0
-    for j in range(1, config.n_local + 1):
-        d_fa, d_md = _pinned_differences(config, j)
-        if d_fa <= 0.0 or d_md <= 0.0:
-            return math.inf
-        residual = abs(log_odds(config.q_local[j - 1]) - log_odds(config.pi0)
-                       - (math.log(d_fa) - math.log(d_md)))
-        worst = max(worst, residual)
-    return worst
+    d_fa, d_md = _pinned_differences(config)
+    if not (np.isfinite(d_fa).all() and np.isfinite(d_md).all()):
+        return math.nan
+    if (d_fa <= 0.0).any() or (d_md <= 0.0).any():
+        return math.inf
+    prior = log_odds(config.pi0)
+    return max(abs(log_odds(q) - prior - (math.log(a) - math.log(b)))
+               for q, a, b in zip(config.q_local, d_fa, d_md))
 
 
 def monotone_rhs_check(config: NetworkConfig, j: int, i: int, grid=None) -> bool:
@@ -429,8 +444,8 @@ def monotone_rhs_check(config: NetworkConfig, j: int, i: int, grid=None) -> bool
     """
     if i == j:
         raise ValueError("indices i and j must differ")
-    if not 1 <= i <= config.n_local:
-        raise IndexError(f"local agent index {i} out of range 1..{config.n_local}")
+    _check_agent(config, i)
+    _check_agent(config, j)
     if grid is None:
         grid = np.round(np.arange(0.05, 0.951, 0.05), 10)
     values = []
@@ -438,7 +453,7 @@ def monotone_rhs_check(config: NetworkConfig, j: int, i: int, grid=None) -> bool
         q_local = list(config.q_local)
         q_local[i - 1] = float(qi)
         probe = dataclasses.replace(config, q_local=tuple(q_local))
-        d_fa, d_md = _pinned_differences(probe, j)
+        d_fa, d_md = (float(d[j - 1]) for d in _pinned_differences(probe))
         if d_fa <= 0.0 or d_md <= 0.0:
             return False
         values.append(math.log(d_fa) - math.log(d_md))

@@ -52,6 +52,16 @@ class TestRiskCommand:
                 "--q", "0.3960,0.3960", "--csv", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_risk_exits_domain(self, capsys, tmp_path):
+        path = tmp_path / "risk.csv"
+        code, out, err = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.7",
+                                 "--q", "0.4,0.4", "--sigma", "0.01", "--csv", str(path))
+        assert code == 3
+        assert "not finite" in err
+        assert "R0=" not in out
+        assert not path.exists()
+
     def test_threads_flag_does_not_change_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5",

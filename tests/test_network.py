@@ -15,15 +15,53 @@ from starfuse import (
     exact_risk,
     exact_risk_bruteforce,
     fusion_decide,
+    fusion_log_odds,
     gaussian_q,
     local_error_probs,
-    perceived_fusion_risk,
     perceived_local_probs,
+    pinned_fusion_errors,
     threshold_from_belief,
+    threshold_from_log_odds,
     update_belief,
     update_belief_count,
 )
 from conftest import random_config
+
+
+def _reference_pmfs(rates):
+    """Count pmf by the plain one-agent-at-a-time convolution over a full
+    length-(N + 1) vector; the reference the optimized kernels must match."""
+    pmf = np.zeros(len(rates) + 1)
+    pmf[0] = 1.0
+    for p in rates:
+        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
+        pmf[0] *= 1.0 - p
+    return pmf
+
+
+def _reference_rates(cfg, beliefs):
+    """Per-agent decide-1 rates under H0 and H1, one scalar threshold each."""
+    lam = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in beliefs])
+    return gaussian_q(lam / cfg.model.sigma), gaussian_q((lam - 1.0) / cfg.model.sigma)
+
+
+def _reference_fusion_errors(cfg, n):
+    """Fusion (false-alarm, missed-detection) probability after each count
+    0..n of local ones among ``n`` decisions."""
+    ell = np.array([fusion_log_odds(cfg, k, n) for k in range(n + 1)])
+    lam = threshold_from_log_odds(cfg.model, cfg.costs, ell)
+    s = cfg.model.sigma
+    return gaussian_q(lam / s), gaussian_q(-(lam - 1.0) / s)
+
+
+def _reference_pinned(cfg, j, pinned):
+    """Pinned fusion errors by rebuilding the count pmf without agent ``j``."""
+    n = cfg.n_local
+    others = cfg.q_local[:j - 1] + cfg.q_local[j:]
+    t0, t1 = _reference_rates(cfg, others)
+    fa, md = _reference_fusion_errors(cfg, n)
+    counts = np.arange(n) + pinned
+    return float(_reference_pmfs(t0) @ fa[counts]), float(_reference_pmfs(t1) @ md[counts])
 
 
 def _config(pi0=0.3, q0=0.5, q_local=(0.5, 0.5), sigma=1.0, c_fa=1.0, c_md=1.0):
@@ -173,6 +211,28 @@ class TestCountDistribution:
             assert np.all(pmf >= 0)
             assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 123, 300])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_bit_identical_to_per_agent_loop(self, n, tied):
+        rng = np.random.default_rng(1000 * n + tied)
+        template = NetworkTemplate(0.35, CostPair(1.3, 0.8), ObservationModel(sigma=1.7), n)
+        if tied:
+            cfg = template.tied(0.45, 0.62)
+        else:
+            cfg = template.config(0.45, rng.uniform(0.02, 0.98, n))
+        cd = count_distribution(cfg)
+        t0, t1 = _reference_rates(cfg, cfg.q_local)
+        pmf0, pmf1 = _reference_pmfs(t0), _reference_pmfs(t1)
+        assert np.array_equal(cd.pmf_h0, pmf0)
+        assert np.array_equal(cd.pmf_h1, pmf1)
+        fa, md = _reference_fusion_errors(cfg, n)
+        p_fa0, p_md0 = float(pmf0 @ fa), float(pmf1 @ md)
+        report = exact_risk(cfg)
+        assert report.p_fa0 == p_fa0
+        assert report.p_md0 == p_md0
+        assert report.r0 == (cfg.costs.c_fa * cfg.pi0 * p_fa0
+                             + cfg.costs.c_md * (1.0 - cfg.pi0) * p_md0)
+
 
 class TestExactRisk:
     def test_truthful_beliefs_benchmark(self, benchmark_template):
@@ -239,12 +299,49 @@ class TestConditionalFusionErrors:
         for _ in range(10):
             cfg = random_config(rng, n_max=5)
             report = exact_risk(cfg)
-            j = 1
-            p_fa_j, p_md_j = local_error_probs(cfg, j)
-            fa1, md1 = conditional_fusion_errors(cfg, j, 1)
-            fa0, md0 = conditional_fusion_errors(cfg, j, 0)
-            assert p_fa_j * fa1 + (1.0 - p_fa_j) * fa0 == pytest.approx(report.p_fa0, abs=1e-13)
-            assert (1.0 - p_md_j) * md1 + p_md_j * md0 == pytest.approx(report.p_md0, abs=1e-13)
+            for j in range(1, cfg.n_local + 1):
+                p_fa_j, p_md_j = local_error_probs(cfg, j)
+                fa1, md1 = conditional_fusion_errors(cfg, j, 1)
+                fa0, md0 = conditional_fusion_errors(cfg, j, 0)
+                assert (p_fa_j * fa1 + (1.0 - p_fa_j) * fa0
+                        == pytest.approx(report.p_fa0, abs=1e-13))
+                assert (1.0 - p_md_j) * md1 + p_md_j * md0 == pytest.approx(report.p_md0, abs=1e-13)
+
+    def test_index_and_pin_validation(self):
+        cfg = _config(q_local=(0.4, 0.6))
+        with pytest.raises(IndexError):
+            conditional_fusion_errors(cfg, 0, 1)
+        with pytest.raises(IndexError):
+            conditional_fusion_errors(cfg, 3, 1)
+        with pytest.raises(ValueError):
+            conditional_fusion_errors(cfg, 1, 2)
+
+
+class TestPinnedFusionErrors:
+    def test_shape_and_entries_match_conditional(self):
+        cfg = _config(q0=0.6, q_local=(0.3, 0.5, 0.8))
+        fa, md = pinned_fusion_errors(cfg)
+        assert fa.shape == md.shape == (2, 3)
+        for j in (1, 2, 3):
+            for pinned in (0, 1):
+                assert conditional_fusion_errors(cfg, j, pinned) == (fa[pinned, j - 1],
+                                                                     md[pinned, j - 1])
+
+    @given(st.integers(1, 40), st.floats(0.05, 20.0), st.floats(0.02, 0.98),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_leave_one_out_rebuild(self, n, sigma, q0, data):
+        beliefs = data.draw(st.lists(st.floats(0.02, 0.98), min_size=n, max_size=n))
+        pi0 = data.draw(st.floats(0.05, 0.95))
+        cfg = _config(pi0=pi0, q0=q0, q_local=beliefs, sigma=sigma)
+        ref = np.array([[_reference_pinned(cfg, j, pinned) for j in range(1, n + 1)]
+                        for pinned in (0, 1)])
+        # Where the fusion log-ratios underflow (large sigma with an extreme
+        # q0) both sides are nan; agreement then means nan in the same places.
+        fa, md = pinned_fusion_errors(cfg)
+        np.testing.assert_allclose(fa, ref[:, :, 0], rtol=0.0, atol=1e-13, equal_nan=True)
+        np.testing.assert_allclose(md, ref[:, :, 1], rtol=0.0, atol=1e-13, equal_nan=True)
 
 
 class TestConfigValidation:
@@ -270,8 +367,3 @@ class TestConfigValidation:
         assert cfg.q_local == (0.4, 0.4, 0.4)
         with pytest.raises(ValueError):
             template.config(0.6, (0.4, 0.4))
-
-    def test_perceived_risk_diagnostic_in_range(self):
-        cfg = _config(q0=0.7, q_local=(0.4, 0.4))
-        value = perceived_fusion_risk(cfg)
-        assert 0.0 <= value <= max(cfg.costs.c_fa, cfg.costs.c_md)

@@ -7,11 +7,13 @@ from starfuse import (
     CostPair,
     NetworkConfig,
     NetworkTemplate,
+    ObservationModel,
     OptimizerSettings,
     exact_coordinate_update,
     exact_risk,
     golden_section,
     grid_search,
+    log_odds,
     monotone_rhs_check,
     pbpo,
     pbpo_exact,
@@ -19,6 +21,12 @@ from starfuse import (
 )
 from starfuse.optimize import _batch_risk, minimize_fusion_belief
 from conftest import random_config
+
+
+def _underflow_config():
+    """At sigma=0.01 the fusion error probabilities underflow to nan."""
+    template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=0.01), 3)
+    return template.config(0.7, (0.4, 0.45, 0.5))
 
 
 class TestGridSearch:
@@ -179,6 +187,17 @@ class TestExactCoordinateUpdate:
         risks = [exact_risk(template.config(0.55, (q,))).r0 for q in grid]
         assert value == pytest.approx(grid[int(np.argmin(risks))], abs=1e-3)
 
+    def test_index_bounds(self, benchmark_template):
+        cfg = benchmark_template.tied(0.6, 0.4)
+        for j in (0, 3):
+            with pytest.raises(IndexError):
+                exact_coordinate_update(cfg, j)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_differences_raise(self):
+        with pytest.raises(ValueError, match="not finite"):
+            exact_coordinate_update(_underflow_config(), 1)
+
 
 class TestStationarity:
     def test_grid_optimum_nearly_stationary(self, benchmark_optimum):
@@ -194,6 +213,21 @@ class TestStationarity:
         q0, q1, _ = benchmark_optimum.beliefs
         cfg = benchmark_template.config(q0, (q1 + 0.05, q1))
         assert stationarity_residual(cfg) > 1e-3
+
+    def test_residual_is_largest_coordinate_update_gap(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            cfg = random_config(rng, n_max=8)
+            gaps = []
+            for j in range(1, cfg.n_local + 1):
+                value, degenerate = exact_coordinate_update(cfg, j)
+                assert not degenerate
+                gaps.append(abs(log_odds(cfg.q_local[j - 1]) - log_odds(value)))
+            assert stationarity_residual(cfg) == pytest.approx(max(gaps), abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_differences_give_nan(self):
+        assert np.isnan(stationarity_residual(_underflow_config()))
 
 
 class TestMonotoneRhs:
