@@ -23,6 +23,7 @@ from .observation import (
     gaussian_q,
     threshold_from_belief,
 )
+from .optimize import golden_section
 
 
 class PhaseRegion(enum.Enum):
@@ -155,27 +156,12 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None,
     values = exponent_curve(model, grid)
     i = int(np.argmin(values))
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-
     def g_min(lam):
         s_best = _ternary_min_s(lambda ss: exponent_objective(model, np.array([lam]), ss), 1)
         return float(exponent_objective(model, np.array([lam]), s_best)[0])
 
-    c = b - (b - a) * inv_phi
-    d = a + (b - a) * inv_phi
-    fc, fd = g_min(c), g_min(d)
-    while abs(b - a) > refine_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * inv_phi
-            fc = g_min(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * inv_phi
-            fd = g_min(d)
-    lam_star = 0.5 * (a + b)
+    lam_star = golden_section(g_min, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                              refine_tol)
     s_star = float(_ternary_min_s(lambda ss: exponent_objective(model, np.array([lam_star]), ss), 1)[0])
     beta_star = -float(exponent_objective(model, lam_star, s_star))
     fa = float(gaussian_q(lam_star / model.sigma))

@@ -4,6 +4,11 @@ Three routes to the minimum: exhaustive multi-resolution grid search (the
 global oracle), cyclic fixed-step coordinate descent, and an exact-coordinate
 variant that solves each local agent's stationarity condition directly and
 line-searches the fusion belief.
+
+Two risk kernels serve them: ``_batch_risk`` evaluates many belief rows with
+numpy (grids and bracketing scans), and ``_risk_evaluator`` builds, once per
+descent run or line search, a pure-Python scalar evaluator that memoizes
+per-belief tails, for the loops that move one belief at a time.
 """
 
 import dataclasses
@@ -120,18 +125,30 @@ def _batch_risk_chunk(template: NetworkTemplate, beliefs: np.ndarray) -> np.ndar
     return costs.c_fa * template.pi0 * p_fa0 + costs.c_md * (1.0 - template.pi0) * p_md0
 
 
-def _risk_of(template: NetworkTemplate, beliefs) -> float:
-    """Scalar exact risk on a pure-Python fast path.
+def _risk_evaluator(template: NetworkTemplate):
+    """Scalar exact risk of belief tuples for one optimizer run.
 
-    The descent loops call this tens of thousands of times with tiny
-    networks, where numpy array overhead would dominate; agrees with
-    ``exact_risk`` to machine precision.
+    Returns ``risk(beliefs)`` with the fusion belief first. The descent loops
+    call it tens of thousands of times with tiny networks, where numpy array
+    overhead would dominate, and between two calls usually only one belief
+    moves. So the closure memoizes, keyed by the exact float value of a
+    belief, each local belief's decide-1 tails and each fusion belief's
+    per-count fusion error probabilities; the count DP and the final mix are
+    recomputed on every call. Agrees with ``exact_risk`` to machine precision.
+
+    Raises ``ValueError`` naming the fusion belief and sigma when a Gaussian
+    tail of the fusion threshold underflows to 0, since the fusion
+    log-likelihood ratios are then undefined.
     """
     model, costs = template.model, template.costs
     s = model.sigma
     v = model.variance_proxy
     logc = costs.log_ratio
     n = template.n_local
+    weight_fa = costs.c_fa * template.pi0
+    weight_md = costs.c_md * (1.0 - template.pi0)
+    local_tails = {}
+    fusion_errors = {}
 
     def lodds(q):
         q = min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
@@ -140,29 +157,56 @@ def _risk_of(template: NetworkTemplate, beliefs) -> float:
     def q_tail(x):
         return 0.5 * math.erfc(x / _SQRT2)
 
-    pmf0 = [1.0] + [0.0] * n
-    pmf1 = [1.0] + [0.0] * n
-    for i in range(n):
-        lam = 0.5 + v * (logc + lodds(beliefs[1 + i]))
-        t0 = q_tail(lam / s)
-        t1 = q_tail((lam - 1.0) / s)
-        for k in range(i + 1, 0, -1):
-            pmf0[k] = pmf0[k] * (1.0 - t0) + pmf0[k - 1] * t0
-            pmf1[k] = pmf1[k] * (1.0 - t1) + pmf1[k - 1] * t1
-        pmf0[0] *= 1.0 - t0
-        pmf1[0] *= 1.0 - t1
+    def tails_of(q):
+        lam = 0.5 + v * (logc + lodds(q))
+        return q_tail(lam / s), q_tail((lam - 1.0) / s)
 
-    ell0 = lodds(beliefs[0])
-    lam_f = 0.5 + v * (logc + ell0)
-    l_zero = math.log(q_tail(-lam_f / s)) - math.log(q_tail(-(lam_f - 1.0) / s))
-    l_one = math.log(q_tail(lam_f / s)) - math.log(q_tail((lam_f - 1.0) / s))
-    p_fa0 = 0.0
-    p_md0 = 0.0
-    for k in range(n + 1):
-        lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
-        p_fa0 += pmf0[k] * q_tail(lam / s)
-        p_md0 += pmf1[k] * q_tail(-(lam - 1.0) / s)
-    return costs.c_fa * template.pi0 * p_fa0 + costs.c_md * (1.0 - template.pi0) * p_md0
+    def errors_of(q0):
+        ell0 = lodds(q0)
+        lam_f = 0.5 + v * (logc + ell0)
+        tails = (q_tail(-lam_f / s), q_tail(-(lam_f - 1.0) / s),
+                 q_tail(lam_f / s), q_tail((lam_f - 1.0) / s))
+        if min(tails) == 0.0:
+            raise ValueError(f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of its "
+                             f"threshold {lam_f!r} underflows to 0, so the fusion "
+                             f"log-likelihood ratios are undefined")
+        l_zero = math.log(tails[0]) - math.log(tails[1])
+        l_one = math.log(tails[2]) - math.log(tails[3])
+        fa, md = [], []
+        for k in range(n + 1):
+            lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
+            fa.append(q_tail(lam / s))
+            md.append(q_tail(-(lam - 1.0) / s))
+        return fa, md
+
+    def risk(beliefs) -> float:
+        pmf0 = [1.0] + [0.0] * n
+        pmf1 = [1.0] + [0.0] * n
+        for i in range(n):
+            q = beliefs[1 + i]
+            t = local_tails.get(q)
+            if t is None:
+                t = local_tails[q] = tails_of(q)
+            t0, t1 = t
+            for k in range(i + 1, 0, -1):
+                pmf0[k] = pmf0[k] * (1.0 - t0) + pmf0[k - 1] * t0
+                pmf1[k] = pmf1[k] * (1.0 - t1) + pmf1[k - 1] * t1
+            pmf0[0] *= 1.0 - t0
+            pmf1[0] *= 1.0 - t1
+
+        q0 = beliefs[0]
+        errors = fusion_errors.get(q0)
+        if errors is None:
+            errors = fusion_errors[q0] = errors_of(q0)
+        fa, md = errors
+        p_fa0 = 0.0
+        p_md0 = 0.0
+        for k in range(n + 1):
+            p_fa0 += pmf0[k] * fa[k]
+            p_md0 += pmf1[k] * md[k]
+        return weight_fa * p_fa0 + weight_md * p_md0
+
+    return risk
 
 
 def _axis(lo: float, hi: float, res: float) -> np.ndarray:
@@ -266,7 +310,8 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    return golden_section(lambda q0: _risk_of(template, (q0,) + q_local), lo, hi, tol)
+    risk = _risk_evaluator(template)
+    return golden_section(lambda q0: risk((q0,) + q_local), lo, hi, tol)
 
 
 def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
@@ -280,6 +325,12 @@ def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
     the quantized floor. Stops when the tuple's 2-norm change over a sweep is
     at most ``eps``, or after ``max_iters`` sweeps (reported via
     ``converged=False``, not an exception).
+
+    Each run evaluates the risk through one ``_risk_evaluator``, so a probe
+    recomputes only the tails of beliefs it has not seen in that run.
+    Raises ``ValueError`` naming the fusion belief and sigma when the fusion
+    belief reaches a value (typically the clamp edge) where a Gaussian tail
+    of its threshold underflows.
 
     With ``init=None`` the best of ``settings.restarts`` runs from seeded
     uniform-random initializations is returned.
@@ -317,20 +368,20 @@ def _pbpo_run(template, settings, init):
         raise ValueError(f"init must have {template.n_local + 1} beliefs")
     step = settings.step
     lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
-    q = np.array(init, dtype=float)
-    risk = _risk_of(template, q)
+    risk_of = _risk_evaluator(template)
+    q = [float(x) for x in init]
+    risk = risk_of(q)
     trace = [tuple(q) + (risk,)]
     converged = False
     sweeps = 0
     for sweeps in range(1, settings.max_iters + 1):
-        previous = q.copy()
+        previous = q  # moves rebind q to a new list, never mutate it
         for i in range(len(q)):
-            up = q.copy()
-            up[i] = min(q[i] + step, hi)
-            down = q.copy()
-            down[i] = max(q[i] - step, lo)
-            r_up = _risk_of(template, up)
-            r_down = _risk_of(template, down)
+            qi = q[i]
+            up = q[:i] + [min(qi + step, hi)] + q[i + 1:]
+            down = q[:i] + [max(qi - step, lo)] + q[i + 1:]
+            r_up = risk_of(up)
+            r_down = risk_of(down)
             if min(r_up, r_down) < risk:
                 if r_up < r_down:
                     q, risk = up, r_up
@@ -339,7 +390,7 @@ def _pbpo_run(template, settings, init):
         trace.append(tuple(q) + (risk,))
         if trace[-1][-1] > trace[-2][-1] + 1e-15:
             raise AssertionError("risk increased across a sweep")
-        if float(np.linalg.norm(q - previous)) <= settings.eps:
+        if float(np.linalg.norm(np.subtract(q, previous))) <= settings.eps:
             converged = True
             break
     return _finish(template, q, sweeps, converged, trace)
@@ -348,18 +399,19 @@ def _pbpo_run(template, settings, init):
 def _pbpo_exact_run(template, settings, init):
     if len(init) != template.n_local + 1:
         raise ValueError(f"init must have {template.n_local + 1} beliefs")
-    q = np.array(init, dtype=float)
-    trace = [tuple(q) + (_risk_of(template, q),)]
+    risk_of = _risk_evaluator(template)
+    q = [float(x) for x in init]
+    trace = [tuple(q) + (risk_of(q),)]
     converged = False
     sweeps = 0
     for sweeps in range(1, settings.max_iters + 1):
-        previous = q.copy()
+        previous = list(q)
         q[0] = minimize_fusion_belief(template, q[1:], tol=settings.eps / 10.0)
         for j in range(1, len(q)):
             config = template.config(q[0], q[1:])
             q[j], _ = exact_coordinate_update(config, j)
-        trace.append(tuple(q) + (_risk_of(template, q),))
-        if float(np.linalg.norm(q - previous)) <= settings.eps:
+        trace.append(tuple(q) + (risk_of(q),))
+        if float(np.linalg.norm(np.subtract(q, previous))) <= settings.eps:
             converged = True
             break
     return _finish(template, q, sweeps, converged, trace)

@@ -17,6 +17,7 @@ from starfuse import (
     s_star_comparison,
 )
 from starfuse import NetworkTemplate
+from starfuse.asymptotics import _ternary_min_s
 
 
 class TestClassifyPhase:
@@ -144,6 +145,44 @@ class TestOptimalExponent:
         for lam in rng.uniform(-2.0, 3.0, size=20):
             values = [exponent_objective(std_model, lam, s) for s in s_grid]
             assert np.min(np.diff(values, n=2)) >= -1e-12
+
+
+def _old_loop_exponent(model, grid_step=1e-3, refine_tol=1e-9):
+    """(lambda_star, beta_star) from the golden-section loop ``optimal_exponent``
+    carried inline before it used ``optimize.golden_section``."""
+    s = model.sigma
+    grid = np.round(np.arange(-3.0 * s, 1.0 + 3.0 * s + grid_step / 2.0, grid_step), 12)
+    i = int(np.argmin(exponent_curve(model, grid)))
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+
+    def g_min(lam):
+        s_best = _ternary_min_s(lambda ss: exponent_objective(model, np.array([lam]), ss), 1)
+        return float(exponent_objective(model, np.array([lam]), s_best)[0])
+
+    c = b - (b - a) * inv_phi
+    d = a + (b - a) * inv_phi
+    fc, fd = g_min(c), g_min(d)
+    while abs(b - a) > refine_tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * inv_phi
+            fc = g_min(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * inv_phi
+            fd = g_min(d)
+    lam_star = 0.5 * (a + b)
+    s_star = float(_ternary_min_s(lambda ss: exponent_objective(model, np.array([lam_star]), ss), 1)[0])
+    return float(lam_star), max(-float(exponent_objective(model, lam_star, s_star)), 0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_optimal_exponent_matches_inline_golden_loop(sigma):
+    model = ObservationModel(sigma=sigma)
+    report = optimal_exponent(model)
+    assert (report.lambda_star, report.beta_star) == _old_loop_exponent(model)
 
 
 class TestSStarComparison:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -114,10 +115,21 @@ class TestPbpoCommand:
         risks = [float(r["risk"]) for r in rows]
         assert all(b <= a + 1e-15 for a, b in zip(risks, risks[1:]))
         assert risks[-1] == pytest.approx(0.1918, abs=5e-4)
+        # The CSV bytes written before the scalar risk was memoized per run.
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a3130ae498785b135cb7a03de86f8ef98d3eeb981abc129d0c6f8dd84625f0f1")
 
     def test_init_length_validated(self, capsys):
         code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--init", "0.5,0.5")
         assert code == 2
+
+    def test_clamp_edge_underflow_names_belief(self, capsys):
+        code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.841939142899648",
+                               "--cfa", "1.9518892848869696", "--cmd", "0.5220594574480539",
+                               "--sigma", "1.7954601353683637", "--n-local", "2", "--init",
+                               "0.9330755360597098,0.9114891616498672,0.1838876110092481")
+        assert code == 2
+        assert "fusion belief 0.999999999" in err and "underflows" in err
 
 
 class TestPrelecCommand:

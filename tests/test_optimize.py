@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ from starfuse import (
     pbpo_exact,
     stationarity_residual,
 )
-from starfuse.optimize import _batch_risk, minimize_fusion_belief
+from starfuse.optimize import _batch_risk, _risk_evaluator, minimize_fusion_belief
 from conftest import random_config
+
+# A pbpo instance (inside sigma in [0.05, 20]) whose fusion belief walks to
+# the clamp edge, where a Gaussian tail of the fusion threshold underflows.
+CLAMP_EDGE_TEMPLATE = NetworkTemplate(
+    0.841939142899648, CostPair(1.9518892848869696, 0.5220594574480539),
+    ObservationModel(sigma=1.7954601353683637), 2)
+CLAMP_EDGE_INIT = (0.9330755360597098, 0.9114891616498672, 0.1838876110092481)
 
 
 def _underflow_config():
@@ -103,6 +111,110 @@ class TestGridSearch:
             assert pi0 < result.beliefs[1] < 0.5
 
 
+def _uncached_risk(template, beliefs):
+    """Reference scalar risk: the evaluator's arithmetic with nothing memoized."""
+    model, costs = template.model, template.costs
+    s = model.sigma
+    v = model.variance_proxy
+    logc = costs.log_ratio
+    n = template.n_local
+
+    def lodds(q):
+        q = min(max(q, 1e-9), 1.0 - 1e-9)
+        return math.log(q) - math.log1p(-q)
+
+    def q_tail(x):
+        return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+    pmf0 = [1.0] + [0.0] * n
+    pmf1 = [1.0] + [0.0] * n
+    for i in range(n):
+        lam = 0.5 + v * (logc + lodds(beliefs[1 + i]))
+        t0 = q_tail(lam / s)
+        t1 = q_tail((lam - 1.0) / s)
+        for k in range(i + 1, 0, -1):
+            pmf0[k] = pmf0[k] * (1.0 - t0) + pmf0[k - 1] * t0
+            pmf1[k] = pmf1[k] * (1.0 - t1) + pmf1[k - 1] * t1
+        pmf0[0] *= 1.0 - t0
+        pmf1[0] *= 1.0 - t1
+
+    ell0 = lodds(beliefs[0])
+    lam_f = 0.5 + v * (logc + ell0)
+    l_zero = math.log(q_tail(-lam_f / s)) - math.log(q_tail(-(lam_f - 1.0) / s))
+    l_one = math.log(q_tail(lam_f / s)) - math.log(q_tail((lam_f - 1.0) / s))
+    p_fa0 = 0.0
+    p_md0 = 0.0
+    for k in range(n + 1):
+        lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
+        p_fa0 += pmf0[k] * q_tail(lam / s)
+        p_md0 += pmf1[k] * q_tail(-(lam - 1.0) / s)
+    return costs.c_fa * template.pi0 * p_fa0 + costs.c_md * (1.0 - template.pi0) * p_md0
+
+
+def _random_template(rng):
+    return NetworkTemplate(
+        pi0=float(rng.uniform(0.05, 0.95)),
+        costs=CostPair(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))),
+        model=ObservationModel(sigma=float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))),
+        n_local=int(rng.integers(1, 13)),
+    )
+
+
+class TestRiskEvaluator:
+    def test_equals_uncached_reference(self):
+        rng = np.random.default_rng(61)
+        raised = 0
+        for _ in range(60):
+            template = _random_template(rng)
+            risk = _risk_evaluator(template)
+            # A small pool of beliefs, so most evaluations hit the memo.
+            pool = rng.uniform(0.02, 0.98, size=6)
+            for _ in range(20):
+                beliefs = [float(q) for q in rng.choice(pool, size=template.n_local + 1)]
+                try:
+                    expected = _uncached_risk(template, beliefs)
+                except ValueError:
+                    raised += 1
+                    with pytest.raises(ValueError, match="underflows"):
+                        risk(beliefs)
+                    continue
+                assert risk(beliefs) == expected
+        assert raised < 60 * 20 // 2
+
+    def test_agrees_with_exact_risk(self):
+        rng = np.random.default_rng(67)
+        checked = 0
+        for _ in range(80):
+            template = _random_template(rng)
+            beliefs = [float(q) for q in rng.uniform(0.02, 0.98, size=template.n_local + 1)]
+            try:
+                value = _risk_evaluator(template)(beliefs)
+            except ValueError:
+                continue
+            expected = exact_risk(template.config(beliefs[0], beliefs[1:])).r0
+            assert value == pytest.approx(expected, rel=1e-13, abs=1e-13)
+            checked += 1
+        assert checked >= 40
+
+    def test_memo_does_not_drift(self, benchmark_template):
+        rng = np.random.default_rng(71)
+        pool = rng.uniform(0.05, 0.95, size=8)
+        risk = _risk_evaluator(benchmark_template)
+        for _ in range(1000):
+            risk([float(q) for q in rng.choice(pool, size=3)])
+        probe = [float(pool[0]), float(pool[3]), float(pool[5])]
+        assert risk(probe) == _risk_evaluator(benchmark_template)(probe)
+
+    def test_clamp_edge_underflow_is_named(self):
+        with pytest.raises(ValueError, match=r"fusion belief 0\.999999999 at "
+                                             r"sigma=1\.7954601353683637.*underflows"):
+            pbpo(CLAMP_EDGE_TEMPLATE, OptimizerSettings(), init=CLAMP_EDGE_INIT)
+
+    def test_clamp_edge_underflow_in_multi_start(self):
+        with pytest.raises(ValueError, match="underflows"):
+            pbpo(CLAMP_EDGE_TEMPLATE, OptimizerSettings(), init=None)
+
+
 class TestPbpo:
     def test_benchmark_reproduction(self, benchmark_template):
         settings = OptimizerSettings(step=5e-4, eps=1e-4, max_iters=2000)
@@ -112,6 +224,11 @@ class TestPbpo:
         assert result.beliefs[1] == pytest.approx(0.3960, abs=1e-3)
         assert result.beliefs[2] == pytest.approx(0.3960, abs=1e-3)
         assert result.risk == pytest.approx(0.1918, abs=5e-4)
+        # The exact trajectory end, unchanged by memoizing the scalar risk.
+        assert result.iterations == 475
+        assert repr(result.beliefs) == "(0.7369999999999739, 0.3959999999999999, 0.3959999999999999)"
+        assert result.trace[-1] == (0.7369999999999739, 0.3959999999999999, 0.3959999999999999,
+                                    0.19178510233679485)
 
     def test_risk_trace_non_increasing(self, benchmark_template):
         settings = OptimizerSettings(step=5e-4, eps=1e-4, max_iters=2000)
