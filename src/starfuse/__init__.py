@@ -12,6 +12,7 @@ from .asymptotics import (
     exponent_curve,
     exponent_objective,
     optimal_exponent,
+    phase_map,
     s_star_comparison,
 )
 from .montecarlo import (

@@ -7,6 +7,14 @@ decided by two per-decision odds factors, partitioning the belief plane into
 three regions (the fourth sign combination is infeasible). Convergence to
 the regional limit is exponential, and the best achievable exponent is the
 Chernoff information of the local decision channel at the best threshold.
+
+``classify_phase`` classifies one belief pair. ``phase_map`` classifies a
+grid: the local rates depend on the local belief only and the fusion odds
+factors on the fusion belief only, so it computes each once per axis value
+and applies the one sign rule to all pairs by broadcasting, with the same
+floating-point operations as the scalar call. The exponent searches compute
+the four Gaussian log tails once per threshold and run the ternary search
+over the mixing weight on the cheap log-sum-exp mix alone.
 """
 
 import enum
@@ -47,6 +55,52 @@ class PhaseClassification:
     log_g1: float
 
 
+# Regions by the index ``_region_of`` gives a sign pattern.
+_REGIONS = np.array([PhaseRegion.RISK_VANISHES, PhaseRegion.FALSE_ALARM_FLOOR,
+                     PhaseRegion.MISSED_DETECTION_FLOOR, PhaseRegion.BOUNDARY], dtype=object)
+
+
+def _region_of(g0, g1, boundary_tol):
+    """Region of the sign pattern of the region exponents (g0, g1).
+
+    Written with operators only, so it takes Python floats (one call of
+    ``classify_phase``, at no numpy call overhead) and broadcast arrays
+    (``phase_map``, elementwise) alike. A pattern that fits no region,
+    g0 < 0 < g1 or a nan, gets index 4, past the end of ``_REGIONS``.
+    """
+    vanishes = (g0 > 0.0) & (g1 < 0.0)
+    false_alarm_floor = (g0 < 0.0) & (g1 < 0.0)
+    missed_detection_floor = (g0 > 0.0) & (g1 > 0.0)
+    index = 4 - 4 * vanishes - 3 * false_alarm_floor - 2 * missed_detection_floor
+    # Near a sign change the point is BOUNDARY (index 3), whatever its pattern.
+    on_boundary = (abs(g0) <= boundary_tol) | (abs(g1) <= boundary_tol)
+    index = index + (3 - index) * on_boundary
+    try:
+        return _REGIONS[index]
+    except IndexError:
+        # g0 < 0 < g1 needs z2 >= 1, which the ROC ordering rules out.
+        raise AssertionError("infeasible sign pattern: increasing count evidence") from None
+
+
+def _check_prior(pi0: float) -> None:
+    if not 0.0 < pi0 < 1.0:
+        raise ValueError(f"pi0={pi0!r} is degenerate: must lie strictly inside (0, 1)")
+
+
+def _local_rates(model: ObservationModel, costs: CostPair, q1: float):
+    """(t0, t1): true per-agent rates of deciding 1 under H0 and H1 at local belief q1."""
+    lam1 = threshold_from_belief(model, costs, q1)
+    return gaussian_q(lam1 / model.sigma), gaussian_q((lam1 - 1.0) / model.sigma)
+
+
+def _fusion_log_factors(model: ObservationModel, costs: CostPair, q0: float):
+    """(log z1, log z2): the fusion agent's perceived per-decision log odds
+    factors at fusion belief q0."""
+    lam0 = threshold_from_belief(model, costs, q0)
+    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam0)
+    return float(lp00 - lp01), float((lp01 - lp00) + (lp10 - lp11))
+
+
 def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: float,
                    pi0: float | None = None, boundary_tol: float = 1e-12) -> PhaseClassification:
     """Classify which limit the fusion risk approaches for beliefs (q0, q1).
@@ -58,54 +112,59 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
     forced into a region. ``limit_risk`` is filled when the true prior is
     supplied (None on a boundary).
     """
-    lam1 = threshold_from_belief(model, costs, q1)
-    t0 = gaussian_q(lam1 / model.sigma)
-    t1 = gaussian_q((lam1 - 1.0) / model.sigma)
-
-    lam0 = threshold_from_belief(model, costs, q0)
-    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam0)
-    log_z1 = float(lp00 - lp01)
-    log_z2 = float((lp01 - lp00) + (lp10 - lp11))
+    t0, t1 = _local_rates(model, costs, q1)
+    log_z1, log_z2 = _fusion_log_factors(model, costs, q0)
     g0 = log_z1 + t0 * log_z2
     g1 = log_z1 + t1 * log_z2
-
-    if abs(g0) <= boundary_tol or abs(g1) <= boundary_tol:
-        region = PhaseRegion.BOUNDARY
-    elif g0 > 0.0 and g1 < 0.0:
-        region = PhaseRegion.RISK_VANISHES
-    elif g0 < 0.0 and g1 < 0.0:
-        region = PhaseRegion.FALSE_ALARM_FLOOR
-    elif g0 > 0.0 and g1 > 0.0:
-        region = PhaseRegion.MISSED_DETECTION_FLOOR
-    else:
-        # g0 < 0 < g1 needs z2 >= 1, which the ROC ordering rules out.
-        raise AssertionError("infeasible sign pattern: increasing count evidence")
+    region = _region_of(g0, g1, boundary_tol)
 
     limit_risk = None
     if pi0 is not None and region is not PhaseRegion.BOUNDARY:
-        if not 0.0 < pi0 < 1.0:
-            raise ValueError(f"pi0={pi0!r} is degenerate: must lie strictly inside (0, 1)")
+        _check_prior(pi0)
         limit_risk = {
             PhaseRegion.RISK_VANISHES: 0.0,
             PhaseRegion.FALSE_ALARM_FLOOR: costs.c_fa * pi0,
             PhaseRegion.MISSED_DETECTION_FLOOR: costs.c_md * (1.0 - pi0),
         }[region]
     return PhaseClassification(
-        z1=math.exp(log_z1), z2=math.exp(log_z2), t0=float(t0), t1=float(t1),
+        z1=math.exp(log_z1), z2=math.exp(log_z2), t0=t0, t1=t1,
         region=region, limit_risk=limit_risk, log_g0=g0, log_g1=g1,
     )
+
+
+def phase_map(model: ObservationModel, costs: CostPair, q0_axis, q1_axis) -> np.ndarray:
+    """Regions of every belief pair on a grid: an object array whose entry
+    [i, j] is ``classify_phase(model, costs, q0_axis[i], q1_axis[j]).region``.
+
+    The local rates depend on q1 only and the fusion log factors on q0 only,
+    so each is computed once per axis value, by the same scalar arithmetic as
+    ``classify_phase``; the region exponents of all pairs then take one
+    broadcast multiply and add each, so every region equals the scalar
+    classification bit for bit.
+    """
+    rates = np.array([_local_rates(model, costs, float(q1)) for q1 in q1_axis]).reshape(-1, 2)
+    log_z = np.array([_fusion_log_factors(model, costs, float(q0)) for q0 in q0_axis]).reshape(-1, 2)
+    t0, t1 = rates[:, 0], rates[:, 1]
+    log_z1, log_z2 = log_z[:, :1], log_z[:, 1:]
+    return _region_of(log_z1 + t0 * log_z2, log_z1 + t1 * log_z2, 1e-12)
 
 
 def exponent_objective(model: ObservationModel, lam, s):
     """log of the s-mixed overlap of the local decision channel at threshold
     ``lam``: log(a**(1-s) (1-b)**s + (1-a)**(1-s) b**s) with a = P(0|0),
     b = P(1|1). Convex in ``s``; its negated minimum is the exponent."""
-    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam)
+    out = _mix(decision_one_log_tails(model, lam), s)
+    return float(out) if out.ndim == 0 else out
+
+
+def _mix(tails, s):
+    """The exponent objective at mixing weight ``s`` from the four decision
+    log tails of ``decision_one_log_tails``."""
+    lp10, lp11, lp00, lp01 = tails
     s = np.asarray(s, dtype=float)
     term_zero = (1.0 - s) * lp00 + s * lp01
     term_one = (1.0 - s) * lp10 + s * lp11
-    out = np.logaddexp(term_zero, term_one)
-    return float(out) if out.ndim == 0 else out
+    return np.logaddexp(term_zero, term_one)
 
 
 def _ternary_min_s(f, m: int, iters: int = 120):
@@ -121,11 +180,18 @@ def _ternary_min_s(f, m: int, iters: int = 120):
     return 0.5 * (lo + hi)
 
 
+def _min_over_s(model: ObservationModel, lam: np.ndarray):
+    """(minimizing s, minimum) of the exponent objective for each threshold
+    of the 1-D array ``lam``. The tails do not depend on s, so they are
+    computed once and the ternary search runs on the mix alone."""
+    tails = decision_one_log_tails(model, lam)
+    s_best = _ternary_min_s(lambda s: _mix(tails, s), lam.shape[0])
+    return s_best, _mix(tails, s_best)
+
+
 def exponent_curve(model: ObservationModel, lam_values):
     """min over s of the exponent objective, for each threshold in ``lam_values``."""
-    lam = np.atleast_1d(np.asarray(lam_values, dtype=float))
-    s_best = _ternary_min_s(lambda s: exponent_objective(model, lam, s), lam.shape[0])
-    values = exponent_objective(model, lam, s_best)
+    values = _min_over_s(model, np.atleast_1d(np.asarray(lam_values, dtype=float)))[1]
     return float(values[0]) if np.ndim(lam_values) == 0 else values
 
 
@@ -156,13 +222,9 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None,
     values = exponent_curve(model, grid)
     i = int(np.argmin(values))
 
-    def g_min(lam):
-        s_best = _ternary_min_s(lambda ss: exponent_objective(model, np.array([lam]), ss), 1)
-        return float(exponent_objective(model, np.array([lam]), s_best)[0])
-
-    lam_star = golden_section(g_min, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
-                              refine_tol)
-    s_star = float(_ternary_min_s(lambda ss: exponent_objective(model, np.array([lam_star]), ss), 1)[0])
+    lam_star = golden_section(lambda lam: float(_min_over_s(model, np.array([lam]))[1][0]),
+                              grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], refine_tol)
+    s_star = float(_min_over_s(model, np.array([lam_star]))[0][0])
     beta_star = -float(exponent_objective(model, lam_star, s_star))
     fa = float(gaussian_q(lam_star / model.sigma))
     md = 1.0 - float(gaussian_q((lam_star - 1.0) / model.sigma))
@@ -187,15 +249,7 @@ def chernoff_bernoulli(p1: float, p2: float, iters: int = 120) -> float:
     def h(s):
         return np.logaddexp(s * l1 + (1.0 - s) * l2, s * l1c + (1.0 - s) * l2c)
 
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if h(m1) <= h(m2):
-            hi = m2
-        else:
-            lo = m1
-    return max(0.0, -float(h(0.5 * (lo + hi))))
+    return max(0.0, -float(h(_ternary_min_s(h, 1, iters))[0]))
 
 
 @dataclass(frozen=True)
@@ -209,7 +263,7 @@ class SStarComparison:
 
 
 def s_star_comparison(model: ObservationModel, lam: float) -> SStarComparison:
-    numeric = float(_ternary_min_s(lambda ss: exponent_objective(model, np.array([lam]), ss), 1)[0])
+    numeric = float(_min_over_s(model, np.array([lam]))[0][0])
 
     a = float(gaussian_q(-lam / model.sigma))           # P(decide 0 | H=0)
     b = float(gaussian_q((lam - 1.0) / model.sigma))    # P(decide 1 | H=1)

@@ -22,9 +22,11 @@ import numpy as np
 
 from .asymptotics import (
     PhaseRegion,
+    _check_prior,
     classify_phase,
     exponent_curve,
     optimal_exponent,
+    phase_map,
 )
 from .montecarlo import SimulationSpec, estimate_exponent, simulate
 from .network import NetworkTemplate, exact_risk
@@ -257,11 +259,11 @@ def cmd_phase(args) -> int:
     costs, model = _costs(args), _model(args)
     if args.grid is not None:
         axis = _parse_range(f"{args.grid}:{1.0 - args.grid}:{args.grid}")
-        rows = []
-        for q0 in axis:
-            for q1 in axis:
-                cls = classify_phase(model, costs, float(q0), float(q1), pi0=args.pi0)
-                rows.append((q0, q1, cls.region.value))
+        if args.pi0 is not None:
+            _check_prior(args.pi0)
+        regions = phase_map(model, costs, axis, axis)
+        rows = [(q0, q1, region.value)
+                for q0, row in zip(axis, regions) for q1, region in zip(axis, row)]
         counts = {}
         for _, _, region in rows:
             counts[region] = counts.get(region, 0) + 1

@@ -14,6 +14,7 @@ from starfuse import (
     exponent_objective,
     gaussian_q,
     optimal_exponent,
+    phase_map,
     s_star_comparison,
 )
 from starfuse import NetworkTemplate
@@ -54,7 +55,8 @@ class TestClassifyPhase:
                                  float(rng.uniform(0.01, 0.99)),
                                  float(rng.uniform(0.01, 0.99)))
             assert cls.z2 < 1.0
-            assert cls.region is not PhaseRegion.BOUNDARY or True
+            on_boundary = min(abs(cls.log_g0), abs(cls.log_g1)) <= 1e-12
+            assert (cls.region is PhaseRegion.BOUNDARY) == on_boundary
             # vanishing under H=0 evidence implies vanishing under H=1 evidence
             if cls.log_g0 < 0:
                 assert cls.log_g1 < 0
@@ -91,7 +93,61 @@ class TestClassifyPhase:
             assert gaps[-1] <= 0.02
 
 
+class TestPhaseMap:
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("costs", [CostPair(), CostPair(0.6, 1.7)])
+    def test_equals_classify_phase_everywhere(self, sigma, costs):
+        model = ObservationModel(sigma=sigma)
+        # At sigma=20 a fusion belief outside about [0.31, 0.86] underflows a log tail.
+        q0_axis = np.round(np.arange(0.35, 0.86, 0.025), 10)
+        q1_axis = np.round(np.arange(0.05, 0.96, 0.05), 10)
+        regions = phase_map(model, costs, q0_axis, q1_axis)
+        assert regions.shape == (len(q0_axis), len(q1_axis))
+        for i, q0 in enumerate(q0_axis):
+            for j, q1 in enumerate(q1_axis):
+                cls = classify_phase(model, costs, float(q0), float(q1), pi0=0.3)
+                assert regions[i, j] is cls.region
+
+    def test_boundary_point_on_the_grid(self, std_model, equal_costs):
+        q0_axis = [0.3, 0.6247676238784021, 0.9]
+        q1_axis = [0.2, 0.5, 0.7]
+        regions = phase_map(std_model, equal_costs, q0_axis, q1_axis)
+        assert regions[1, 1] is PhaseRegion.BOUNDARY
+        for i, q0 in enumerate(q0_axis):
+            for j, q1 in enumerate(q1_axis):
+                assert regions[i, j] is classify_phase(std_model, equal_costs, q0, q1).region
+
+
+def _old_loop_chernoff(p1, p2, iters=120):
+    """``chernoff_bernoulli`` as a scalar ternary loop, before it called
+    ``_ternary_min_s``."""
+    l1, l1c = math.log(p1), math.log1p(-p1)
+    l2, l2c = math.log(p2), math.log1p(-p2)
+
+    def h(s):
+        return np.logaddexp(s * l1 + (1.0 - s) * l2, s * l1c + (1.0 - s) * l2c)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if h(m1) <= h(m2):
+            hi = m2
+        else:
+            lo = m1
+    return max(0.0, -float(h(0.5 * (lo + hi))))
+
+
 class TestChernoffBernoulli:
+    def test_equals_scalar_ternary_loop(self):
+        rng = np.random.default_rng(71)
+        pairs = [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(60)]
+        pairs += [(p, p) for p in rng.uniform(0.0, 1.0, 10)]
+        edges = [1e-300, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0**-53]
+        pairs += [(a, b) for a in edges for b in edges]
+        for p1, p2 in pairs:
+            assert chernoff_bernoulli(p1, p2) == _old_loop_chernoff(p1, p2)
+
     def test_identical_distributions(self):
         assert chernoff_bernoulli(0.37, 0.37) == 0.0
 
@@ -183,6 +239,25 @@ def test_optimal_exponent_matches_inline_golden_loop(sigma):
     model = ObservationModel(sigma=sigma)
     report = optimal_exponent(model)
     assert (report.lambda_star, report.beta_star) == _old_loop_exponent(model)
+
+
+def _per_step_tails_min(model, lam):
+    """(minimizing s, minimum) per threshold with the Gaussian tails computed
+    afresh on every ternary step, as before the tails were hoisted."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    s_best = _ternary_min_s(lambda s: exponent_objective(model, lam, s), lam.shape[0])
+    return s_best, exponent_objective(model, lam, s_best)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_hoisted_tails_match_per_step_tails(sigma):
+    model = ObservationModel(sigma=sigma)
+    lam = np.round(np.arange(-3.0 * sigma, 1.0 + 3.0 * sigma, 0.01), 12)
+    assert np.array_equal(exponent_curve(model, lam), _per_step_tails_min(model, lam)[1])
+    for one in (lam[0], -0.37, 0.5, 0.8, 1.9):
+        s_best, value = _per_step_tails_min(model, one)
+        assert exponent_curve(model, one) == float(value[0])
+        assert s_star_comparison(model, one).numeric == float(s_best[0])
 
 
 class TestSStarComparison:

@@ -194,6 +194,25 @@ class TestPhaseCommand:
         regions = {r["region"] for r in rows}
         assert "Case1" in regions
 
+    def test_region_map_bytes_pinned(self, capsys, tmp_path):
+        path = tmp_path / "map.csv"
+        code, out, _ = run_cli(capsys, "phase", "--grid", "0.01", "--pi0", "0.3",
+                               "--sigma", "1.7", "--cfa", "0.6", "--csv", str(path))
+        assert code == 0
+        assert out == "map: 9801 points Case1=587 Case2=4614 Case3=4596 boundary=4\n"
+        # The CSV bytes written when each point was one classify_phase call.
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "18bfe00cfcec57ef68c0b2abed425632a6e8aad965076a51652c71ec39053de4")
+
+    @pytest.mark.parametrize("pi0", ["0.0", "1.0", "-0.2", "1.5"])
+    def test_region_map_degenerate_prior_writes_nothing(self, capsys, tmp_path, pi0):
+        path = tmp_path / "map.csv"
+        code, _, err = run_cli(capsys, "phase", "--grid", "0.05", "--pi0", pi0,
+                               "--csv", str(path))
+        assert code == 2
+        assert "pi0" in err
+        assert not path.exists()
+
 
 class TestExponentCommand:
     def test_headline_values(self, capsys):
@@ -211,6 +230,18 @@ class TestExponentCommand:
         assert len(rows) == 11
         values = [float(r["g_min"]) for r in rows]
         assert min(values) == pytest.approx(-0.0793, abs=1e-3)
+
+    def test_csv_bytes_pinned(self, capsys, tmp_path):
+        report, curve = tmp_path / "exponent.csv", tmp_path / "curve.csv"
+        code, out, _ = run_cli(capsys, "exponent", "--sigma", "1.3", "--cfa", "2",
+                               "--csv", str(report), "--curve-csv", str(curve))
+        assert code == 0
+        assert out == "lambda_star=0.5000 s_star=0.5000 beta_star=0.0470 q_star=0.3333\n"
+        # The CSV bytes written when the ternary search recomputed the tails per step.
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "34182ecdbf21786128c1bda5ea11a30fc77280c6747c12729b2ba59f4bd63876")
+        assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
+            "f505e2537ea2f7811fe29062c8143bb45c37fbd9b55af20c47b47bfef0fba020")
 
     def test_estimate_mode(self, capsys):
         code, out, _ = run_cli(capsys, "exponent", "--estimate", "--pi0", "0.3",
