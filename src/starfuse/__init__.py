@@ -6,14 +6,12 @@ from .asymptotics import (
     ExponentReport,
     PhaseClassification,
     PhaseRegion,
-    SStarComparison,
     chernoff_bernoulli,
     classify_phase,
     exponent_curve,
     exponent_objective,
     optimal_exponent,
     phase_map,
-    s_star_comparison,
 )
 from .montecarlo import (
     ExponentFit,
@@ -27,6 +25,7 @@ from .network import (
     NetworkConfig,
     NetworkTemplate,
     RiskReport,
+    batch_risk,
     conditional_fusion_errors,
     count_distribution,
     exact_risk,
@@ -34,7 +33,6 @@ from .network import (
     fusion_decide,
     fusion_log_odds,
     local_error_probs,
-    perceived_local_probs,
     perceived_log_ratios,
     pinned_fusion_errors,
     update_belief,
@@ -61,7 +59,6 @@ from .optimize import (
     golden_section,
     grid_search,
     minimize_fusion_belief,
-    monotone_rhs_check,
     optimal_belief_sweep,
     pbpo,
     pbpo_exact,

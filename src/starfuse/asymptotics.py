@@ -27,6 +27,7 @@ from .observation import (
     CostPair,
     ObservationModel,
     belief_from_threshold,
+    check_prior,
     decision_one_log_tails,
     gaussian_q,
     threshold_from_belief,
@@ -55,12 +56,19 @@ class PhaseClassification:
     log_g1: float
 
 
+# Points whose region exponent g0 or g1 lies within this of zero are BOUNDARY.
+BOUNDARY_TOL = 1e-12
+
+# Threshold grid step and golden-section tolerance of ``optimal_exponent``.
+EXPONENT_GRID_STEP = 1e-3
+EXPONENT_REFINE_TOL = 1e-9
+
 # Regions by the index ``_region_of`` gives a sign pattern.
 _REGIONS = np.array([PhaseRegion.RISK_VANISHES, PhaseRegion.FALSE_ALARM_FLOOR,
                      PhaseRegion.MISSED_DETECTION_FLOOR, PhaseRegion.BOUNDARY], dtype=object)
 
 
-def _region_of(g0, g1, boundary_tol):
+def _region_of(g0, g1):
     """Region of the sign pattern of the region exponents (g0, g1).
 
     Written with operators only, so it takes Python floats (one call of
@@ -73,18 +81,13 @@ def _region_of(g0, g1, boundary_tol):
     missed_detection_floor = (g0 > 0.0) & (g1 > 0.0)
     index = 4 - 4 * vanishes - 3 * false_alarm_floor - 2 * missed_detection_floor
     # Near a sign change the point is BOUNDARY (index 3), whatever its pattern.
-    on_boundary = (abs(g0) <= boundary_tol) | (abs(g1) <= boundary_tol)
+    on_boundary = (abs(g0) <= BOUNDARY_TOL) | (abs(g1) <= BOUNDARY_TOL)
     index = index + (3 - index) * on_boundary
     try:
         return _REGIONS[index]
     except IndexError:
         # g0 < 0 < g1 needs z2 >= 1, which the ROC ordering rules out.
         raise AssertionError("infeasible sign pattern: increasing count evidence") from None
-
-
-def _check_prior(pi0: float) -> None:
-    if not 0.0 < pi0 < 1.0:
-        raise ValueError(f"pi0={pi0!r} is degenerate: must lie strictly inside (0, 1)")
 
 
 def _local_rates(model: ObservationModel, costs: CostPair, q1: float):
@@ -95,20 +98,30 @@ def _local_rates(model: ObservationModel, costs: CostPair, q1: float):
 
 def _fusion_log_factors(model: ObservationModel, costs: CostPair, q0: float):
     """(log z1, log z2): the fusion agent's perceived per-decision log odds
-    factors at fusion belief q0."""
+    factors at fusion belief q0.
+
+    Raises ``FloatingPointError`` when a Gaussian tail of the fusion threshold
+    underflows, which leaves a factor non-finite and the region undefined.
+    """
     lam0 = threshold_from_belief(model, costs, q0)
-    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam0)
-    return float(lp00 - lp01), float((lp01 - lp00) + (lp10 - lp11))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam0)
+        log_z1, log_z2 = float(lp00 - lp01), float((lp01 - lp00) + (lp10 - lp11))
+    if not (math.isfinite(log_z1) and math.isfinite(log_z2)):
+        raise FloatingPointError(
+            f"fusion belief q0={q0!r} at sigma={model.sigma!r}: a Gaussian tail of its "
+            f"threshold {lam0!r} underflows, so the fusion log factors are not finite")
+    return log_z1, log_z2
 
 
 def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: float,
-                   pi0: float | None = None, boundary_tol: float = 1e-12) -> PhaseClassification:
+                   pi0: float | None = None) -> PhaseClassification:
     """Classify which limit the fusion risk approaches for beliefs (q0, q1).
 
     ``t0 < t1`` are the true per-agent rates of deciding 1; ``z1`` and ``z2``
     are the fusion agent's perceived per-decision odds factors. The signs of
     log(z1 * z2**t0) and log(z1 * z2**t1) pick the region. Points within
-    ``boundary_tol`` of a sign change are reported as BOUNDARY rather than
+    ``BOUNDARY_TOL`` of a sign change are reported as BOUNDARY rather than
     forced into a region. ``limit_risk`` is filled when the true prior is
     supplied (None on a boundary).
     """
@@ -116,11 +129,11 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
     log_z1, log_z2 = _fusion_log_factors(model, costs, q0)
     g0 = log_z1 + t0 * log_z2
     g1 = log_z1 + t1 * log_z2
-    region = _region_of(g0, g1, boundary_tol)
+    region = _region_of(g0, g1)
 
     limit_risk = None
     if pi0 is not None and region is not PhaseRegion.BOUNDARY:
-        _check_prior(pi0)
+        check_prior(pi0)
         limit_risk = {
             PhaseRegion.RISK_VANISHES: 0.0,
             PhaseRegion.FALSE_ALARM_FLOOR: costs.c_fa * pi0,
@@ -146,7 +159,7 @@ def phase_map(model: ObservationModel, costs: CostPair, q0_axis, q1_axis) -> np.
     log_z = np.array([_fusion_log_factors(model, costs, float(q0)) for q0 in q0_axis]).reshape(-1, 2)
     t0, t1 = rates[:, 0], rates[:, 1]
     log_z1, log_z2 = log_z[:, :1], log_z[:, 1:]
-    return _region_of(log_z1 + t0 * log_z2, log_z1 + t1 * log_z2, 1e-12)
+    return _region_of(log_z1 + t0 * log_z2, log_z1 + t1 * log_z2)
 
 
 def exponent_objective(model: ObservationModel, lam, s):
@@ -206,8 +219,7 @@ class ExponentReport:
     variance_proxy: float
 
 
-def optimal_exponent(model: ObservationModel, costs: CostPair | None = None,
-                     grid_step: float = 1e-3, refine_tol: float = 1e-9) -> ExponentReport:
+def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> ExponentReport:
     """Best achievable risk exponent over identical local thresholds.
 
     Dense threshold grid over [-3 sigma, 1 + 3 sigma] with the convex inner
@@ -218,16 +230,18 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None,
     if costs is None:
         costs = CostPair()
     s = model.sigma
-    grid = np.round(np.arange(-3.0 * s, 1.0 + 3.0 * s + grid_step / 2.0, grid_step), 12)
+    step = EXPONENT_GRID_STEP
+    grid = np.round(np.arange(-3.0 * s, 1.0 + 3.0 * s + step / 2.0, step), 12)
     values = exponent_curve(model, grid)
     i = int(np.argmin(values))
 
     lam_star = golden_section(lambda lam: float(_min_over_s(model, np.array([lam]))[1][0]),
-                              grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], refine_tol)
+                              grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                              EXPONENT_REFINE_TOL)
     s_star = float(_min_over_s(model, np.array([lam_star]))[0][0])
     beta_star = -float(exponent_objective(model, lam_star, s_star))
     fa = float(gaussian_q(lam_star / model.sigma))
-    md = 1.0 - float(gaussian_q((lam_star - 1.0) / model.sigma))
+    md = float(gaussian_q(-(lam_star - 1.0) / model.sigma))
     return ExponentReport(
         lambda_star=float(lam_star),
         s_star=s_star,
@@ -250,31 +264,3 @@ def chernoff_bernoulli(p1: float, p2: float, iters: int = 120) -> float:
         return np.logaddexp(s * l1 + (1.0 - s) * l2, s * l1c + (1.0 - s) * l2c)
 
     return max(0.0, -float(h(_ternary_min_s(h, 1, iters))[0]))
-
-
-@dataclass(frozen=True)
-class SStarComparison:
-    """Chernoff mixing weight at a threshold: the ternary-search minimizer
-    (ground truth) next to a printed closed-form candidate that is retained
-    for documentation and is None outside its domain."""
-
-    numeric: float
-    closed_form: float | None
-
-
-def s_star_comparison(model: ObservationModel, lam: float) -> SStarComparison:
-    numeric = float(_min_over_s(model, np.array([lam]))[0][0])
-
-    a = float(gaussian_q(-lam / model.sigma))           # P(decide 0 | H=0)
-    b = float(gaussian_q((lam - 1.0) / model.sigma))    # P(decide 1 | H=1)
-    closed_form = None
-    try:
-        big_a = -math.log1p(-a) + math.log(b)
-        big_b = math.log(a) - math.log1p(-b)
-        if big_a != 0.0 and big_b / big_a > 0.0 and big_a + big_b != 0.0:
-            inner = (a / (1.0 - a) + math.log(big_b / big_a)) / (big_a + big_b)
-            if inner > 0.0:
-                closed_form = math.log(inner)
-    except ValueError:
-        closed_form = None
-    return SStarComparison(numeric=numeric, closed_form=closed_form)

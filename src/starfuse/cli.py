@@ -4,40 +4,40 @@ Every command validates its flags before any computation, prints headline
 numbers to stdout, and can write its full output as RFC-4180 CSV with a
 header row. Numbers are serialized with 10 significant digits and all
 computation is deterministic, so rerunning a command with identical flags
-produces byte-identical files. ``--threads`` is accepted on every command
-and never changes numeric output.
+produces byte-identical files. The numbers come from the library's public
+functions; ``grid --contour`` evaluates its surface with
+``network.batch_risk``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-domain failure: a
-non-finite risk from ``risk`` (no CSV is written), or a flag escalated by
-``--strict``.
+non-finite risk from ``risk``, a ``FloatingPointError`` such as an
+underflowed fusion tail in ``phase`` (in both cases no CSV is written), or
+a flag escalated by ``--strict``.
 """
 
 import argparse
 import csv
 import math
-import os
 import sys
 
 import numpy as np
 
 from .asymptotics import (
     PhaseRegion,
-    _check_prior,
     classify_phase,
     exponent_curve,
     optimal_exponent,
     phase_map,
 )
 from .montecarlo import SimulationSpec, estimate_exponent, simulate
-from .network import NetworkTemplate, exact_risk
-from .observation import CostPair, ObservationModel
+from .network import NetworkTemplate, batch_risk, exact_risk
+from .observation import CostPair, ObservationModel, check_prior
 from .optimize import (
     OptimizerSettings,
+    SweepPoint,
     grid_search,
     optimal_belief_sweep,
     pbpo,
     pbpo_exact,
-    _batch_risk,
 )
 from .prospect import (
     Q0_STRATEGIES,
@@ -48,8 +48,6 @@ from .prospect import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DOMAIN = 3
-
-THREADS_ENV_VAR = "STARFUSE_THREADS"
 
 
 def _fmt(value) -> str:
@@ -99,9 +97,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--csv", help="write full output to this CSV file")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get(THREADS_ENV_VAR, "1")),
-                        help="worker hint; never changes numeric output")
     parser.add_argument("--strict", action="store_true",
                         help="escalate boundary/degenerate flags to exit code 3")
 
@@ -114,13 +109,7 @@ def _costs(args) -> CostPair:
     return CostPair(c_fa=args.cfa, c_md=args.cmd)
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise ValueError("--threads must be a positive integer")
-
-
 def cmd_risk(args) -> int:
-    _check_threads(args)
     q_local = _parse_floats(args.q)
     template = NetworkTemplate(args.pi0, _costs(args), _model(args), len(q_local))
     report = exact_risk(template.config(args.q0, q_local))
@@ -142,7 +131,6 @@ def cmd_risk(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    _check_threads(args)
     costs, model = _costs(args), _model(args)
     if args.contour:
         if args.q0 is None or args.pi0 is None:
@@ -155,7 +143,7 @@ def cmd_grid(args) -> int:
         rows = np.column_stack([
             np.full(grid1.size, args.q0), grid1.ravel(), grid2.ravel(),
         ])
-        risks = _batch_risk(template, rows)
+        risks = batch_risk(template, rows)
         out = [(rows[i, 1], rows[i, 2], risks[i]) for i in range(rows.shape[0])]
         print(f"contour: {len(out)} points at q0={args.q0:.10g}, min risk {risks.min():.10g}")
         if args.csv:
@@ -190,7 +178,6 @@ def cmd_grid(args) -> int:
 
 
 def cmd_pbpo(args) -> int:
-    _check_threads(args)
     template = NetworkTemplate(args.pi0, _costs(args), _model(args), args.n_local)
     settings = OptimizerSettings(step=args.delta, eps=args.eps,
                                  max_iters=args.max_iters, restarts=args.restarts)
@@ -218,7 +205,6 @@ def cmd_pbpo(args) -> int:
 
 
 def cmd_prelec(args) -> int:
-    _check_threads(args)
     costs, model = _costs(args), _model(args)
     template = NetworkTemplate(0.5, costs, model, args.n_local)
     if args.input:
@@ -228,7 +214,6 @@ def cmd_prelec(args) -> int:
                            float(r["q1_opt"]), float(r["risk_opt"])) for r in reader]
         if not sweep_rows:
             raise ValueError(f"sweep input {args.input!r} holds no rows")
-        from .optimize import SweepPoint
         sweep = [SweepPoint(*row) for row in sweep_rows]
         pi0_values = np.array([p.pi0 for p in sweep])
     elif args.sweep_pi0:
@@ -255,12 +240,11 @@ def cmd_prelec(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    _check_threads(args)
     costs, model = _costs(args), _model(args)
     if args.grid is not None:
         axis = _parse_range(f"{args.grid}:{1.0 - args.grid}:{args.grid}")
         if args.pi0 is not None:
-            _check_prior(args.pi0)
+            check_prior(args.pi0)
         regions = phase_map(model, costs, axis, axis)
         rows = [(q0, q1, region.value)
                 for q0, row in zip(axis, regions) for q1, region in zip(axis, row)]
@@ -289,7 +273,6 @@ def cmd_phase(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    _check_threads(args)
     costs, model = _costs(args), _model(args)
     if args.estimate:
         if args.q0 is None or args.q1 is None or args.pi0 is None:
@@ -322,7 +305,6 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_threads(args)
     q_local = _parse_floats(args.q)
     template = NetworkTemplate(args.pi0, _costs(args), _model(args), len(q_local))
     spec = SimulationSpec(template.config(args.q0, q_local), args.trials, args.seed)
@@ -443,6 +425,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -8,18 +8,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .asymptotics import PhaseRegion, classify_phase
-from .network import (
-    NetworkConfig,
-    exact_risk,
-    perceived_log_ratios,
-)
-from .observation import (
-    CostPair,
-    ObservationModel,
-    log_odds,
-    threshold_from_belief,
-    threshold_from_log_odds,
-)
+from .network import NetworkConfig, exact_risk
+from .observation import CostPair, ObservationModel, threshold_from_belief
 
 
 @dataclass(frozen=True)
@@ -61,11 +51,7 @@ def simulate(spec: SimulationSpec, chunk_size: int = 65536) -> SimulationResult:
     lam_local = np.array(
         [threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local]
     )
-    l_zero, l_one = perceived_log_ratios(cfg)
-    k = np.arange(n + 1)
-    lam_fusion = threshold_from_log_odds(
-        cfg.model, cfg.costs, log_odds(cfg.q0) + (n - k) * l_zero + k * l_one
-    )
+    lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
 
     stride = 4 * ((n + 2 + 3) // 4)
     fa = md = h1 = 0

@@ -6,7 +6,9 @@ shares it, folds the observed decisions into an updated belief and runs one
 final threshold test on its own signal. The true Bayes risk of that final
 decision is computed exactly two independent ways: a count-distribution
 dynamic program (the default path) and full enumeration of decision vectors
-(kept as a test oracle).
+(kept as a test oracle). The dynamic program is written once, on helpers
+that take any leading shape: ``exact_risk`` runs it for one network and
+``batch_risk`` for many belief rows at once.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from .observation import (
     BELIEF_EPS,
     CostPair,
     ObservationModel,
+    check_prior,
     clamp_belief,
     decision_one_log_tails,
     error_probs,
@@ -28,6 +31,9 @@ from .observation import (
     threshold_from_belief,
     threshold_from_log_odds,
 )
+
+# Rows per pass of batch_risk; bounds its working memory.
+BATCH_CHUNK_ROWS = 200_000
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,7 @@ class NetworkConfig:
         object.__setattr__(self, "q_local", tuple(float(q) for q in self.q_local))
         if len(self.q_local) < 1:
             raise ValueError("q_local must contain at least one local belief (N >= 1)")
-        if not (isinstance(self.pi0, (int, float)) and 0.0 < self.pi0 < 1.0):
-            raise ValueError(f"pi0={self.pi0!r} is degenerate: the prior must lie strictly inside (0, 1)")
+        check_prior(self.pi0)
         clamp_belief(self.q0)
         for q in self.q_local:
             clamp_belief(q)
@@ -65,8 +70,7 @@ class NetworkTemplate:
     n_local: int
 
     def __post_init__(self):
-        if not (isinstance(self.pi0, (int, float)) and 0.0 < self.pi0 < 1.0):
-            raise ValueError(f"pi0={self.pi0!r} is degenerate: the prior must lie strictly inside (0, 1)")
+        check_prior(self.pi0)
         if self.n_local < 1:
             raise ValueError("n_local must be at least 1")
 
@@ -115,37 +119,41 @@ def local_error_probs(config: NetworkConfig, i: int):
     return error_probs(config.model, lam)
 
 
-def perceived_local_probs(config: NetworkConfig):
-    """Local error rates as the fusion agent imagines them.
-
-    The fusion agent assumes every local shares its own belief, so these are
-    the rates a local would have if it thresholded at the fusion belief;
-    identical for all agents.
-    """
-    lam = threshold_from_belief(config.model, config.costs, config.q0)
-    return error_probs(config.model, lam)
+def _log_ratios(model: ObservationModel, costs: CostPair, ell0):
+    """(l_zero, l_one): the log-odds increments the fusion agent applies for a
+    0-decision and a 1-decision at fusion log-odds ``ell0`` (scalar or array)."""
+    lam = threshold_from_log_odds(model, costs, ell0)
+    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam)
+    return lp00 - lp01, lp10 - lp11
 
 
 def perceived_log_ratios(config: NetworkConfig):
     """Per-decision log-odds increments (for a 0-decision, for a 1-decision)
     that the fusion agent applies when folding in local decisions."""
-    lam = threshold_from_belief(config.model, config.costs, config.q0)
-    lp10, lp11, lp00, lp01 = decision_one_log_tails(config.model, lam)
-    return float(lp00 - lp01), float(lp10 - lp11)
+    l_zero, l_one = _log_ratios(config.model, config.costs, log_odds(config.q0))
+    return float(l_zero), float(l_one)
 
 
-def _decision_one_rates(model: ObservationModel, costs: CostPair, beliefs) -> np.ndarray:
-    """(2, N) array: P(decide 1 | H=0) in row 0 and P(decide 1 | H=1) in row 1
-    for a threshold test at each belief.
+def _decision_one_rates(model: ObservationModel, costs: CostPair, ell) -> np.ndarray:
+    """Decide-1 rates of threshold tests at the local log-odds ``ell``, of
+    any shape, stacked on a new leading axis: P(decide 1 | H=0) in row 0 and
+    P(decide 1 | H=1) in row 1."""
+    lam = threshold_from_log_odds(model, costs, ell)
+    return gaussian_q(np.stack((lam, lam - 1.0)) / model.sigma)
+
+
+def _local_rates(config: NetworkConfig) -> np.ndarray:
+    """(2, N) decide-1 rates of the local agents.
 
     Beliefs arrive validated (``NetworkConfig`` rejects degenerate ones), so
     only the uniform clamp is applied before the log-odds.
     """
     lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
-    clamped = [min(max(q, lo), hi) for q in beliefs]
+    clamped = [min(max(q, lo), hi) for q in config.q_local]
+    # math.log per belief, as log_odds does; np.log over rows (batch_risk) can
+    # differ in the last bit, and test_bit_identical_to_per_agent_loop pins this.
     ell = np.array([math.log(q) - math.log1p(-q) for q in clamped])
-    lam = threshold_from_log_odds(model, costs, ell)
-    return gaussian_q(np.stack((lam, lam - 1.0)) / model.sigma)
+    return _decision_one_rates(config.model, config.costs, ell)
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -204,45 +212,51 @@ def count_distribution(config: NetworkConfig) -> CountDistribution:
     can be nonzero so far, so the cost is O(N^2) with a small constant. Each
     step is the convex combination pmf[c] * (1 - p) + pmf[c - 1] * p.
     """
-    pmf = _poisson_binomial_pmf(_decision_one_rates(config.model, config.costs, config.q_local))
+    pmf = _poisson_binomial_pmf(_local_rates(config))
     return CountDistribution(pmf[0], pmf[1])
 
 
 def _rate_columns(rates: np.ndarray):
-    """Per-agent (2, 1) columns of the (2, N) decide-1 ``rates`` and of their
-    complements, each stacked into an (N, 2, 1) array."""
-    return rates.T[:, :, None], (1.0 - rates).T[:, :, None]
+    """Per-agent columns of the decide-1 ``rates`` (agents on the last axis)
+    and of their complements, each with the agents moved to a new first axis
+    and a trailing axis of length 1 kept for broadcasting."""
+    return np.moveaxis(rates, -1, 0)[..., None], np.moveaxis(1.0 - rates, -1, 0)[..., None]
 
 
 def _add_agent(pmf: np.ndarray, p: np.ndarray, q: np.ndarray, i: int) -> None:
     """Fold one more agent, with decide-1 rates ``p`` and ``q = 1 - p`` as
-    (2, 1) columns, into ``pmf``, which holds the (2, N + 1) count pmfs of
-    the ``i`` agents before it. In place; entries past ``i + 1`` stay zero."""
-    moved = pmf[:, :i + 1] * p
-    pmf[:, :i + 1] *= q
-    pmf[:, 1:i + 2] += moved
+    columns, into ``pmf``, which holds on its last axis the count pmfs of the
+    ``i`` agents before it. In place; entries past ``i + 1`` stay zero."""
+    moved = pmf[..., :i + 1] * p
+    pmf[..., :i + 1] *= q
+    pmf[..., 1:i + 2] += moved
 
 
 def _poisson_binomial_pmf(rates: np.ndarray) -> np.ndarray:
-    """Count pmfs, one row per row of the (2, N) ``rates``."""
-    pmf = np.zeros((2, rates.shape[1] + 1))
-    pmf[:, 0] = 1.0
+    """Count pmfs on the last axis, one per leading index of ``rates``, whose
+    last axis holds the agents."""
+    pmf = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
+    pmf[..., 0] = 1.0
     for i, (p, q) in enumerate(zip(*_rate_columns(rates))):
         _add_agent(pmf, p, q, i)
     return pmf
 
 
-def _fusion_count_errors(config: NetworkConfig, counts, n: int):
-    """Fusion (false-alarm, missed-detection) probability for each count in
-    ``counts``, with ``n`` total decisions observed."""
-    l_zero, l_one = perceived_log_ratios(config)
-    counts = np.asarray(counts)
-    ell = log_odds(config.q0) + (n - counts) * l_zero + counts * l_one
-    lam = threshold_from_log_odds(config.model, config.costs, ell)
-    s = config.model.sigma
-    fa = gaussian_q(lam / s)
-    md = gaussian_q(-(lam - 1.0) / s)
-    return fa, md, ell, lam
+def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n: int):
+    """Fusion (false-alarm, missed-detection) probability after each count
+    0..n of local ones among ``n`` decisions, with the updated log-odds and
+    fusion thresholds. A scalar fusion log-odds ``ell0`` gives arrays of shape
+    (n + 1,); an array of them gives one row per entry."""
+    l_zero, l_one = _log_ratios(model, costs, ell0)
+    k = np.arange(n + 1)
+    ell = np.asarray(ell0)[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
+    lam = threshold_from_log_odds(model, costs, ell)
+    s = model.sigma
+    return gaussian_q(lam / s), gaussian_q(-(lam - 1.0) / s), ell, lam
+
+
+def _bayes_risk(pi0: float, costs: CostPair, p_fa0, p_md0):
+    return costs.c_fa * pi0 * p_fa0 + costs.c_md * (1.0 - pi0) * p_md0
 
 
 def exact_risk(config: NetworkConfig) -> RiskReport:
@@ -254,14 +268,43 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
     """
     n = config.n_local
     cd = count_distribution(config)
-    fa, md, ell, lam = _fusion_count_errors(config, np.arange(n + 1), n)
+    fa, md, ell, lam = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
+    # ``@`` here and a row np.sum in batch_risk differ in the last bit; tests pin each.
     p_fa0 = float(cd.pmf_h0 @ fa)
     p_md0 = float(cd.pmf_h1 @ md)
-    r0 = config.costs.c_fa * config.pi0 * p_fa0 + config.costs.c_md * (1.0 - config.pi0) * p_md0
     per_count = tuple(
         (int(k), float(from_log_odds(ell[k])), float(lam[k])) for k in range(n + 1)
     )
-    return RiskReport(r0=r0, p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
+    return RiskReport(r0=_bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
+                      p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
+
+
+def batch_risk(template: NetworkTemplate, beliefs) -> np.ndarray:
+    """Exact risks of many belief tuples at once.
+
+    ``beliefs`` has one row per tuple: column 0 the fusion belief, the
+    remaining ``n_local`` columns the local beliefs. Every belief must be
+    finite and strictly inside (0, 1), as ``clamp_belief`` requires. Rows are
+    independent, so evaluating them ``BATCH_CHUNK_ROWS`` at a time never
+    changes a value. Agrees with ``exact_risk`` to a few ulp.
+    """
+    beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    n = template.n_local
+    if beliefs.shape[1] != n + 1:
+        raise ValueError(f"expected {n + 1} belief columns, got {beliefs.shape[1]}")
+    valid = np.isfinite(beliefs) & (beliefs > 0.0) & (beliefs < 1.0)
+    if not valid.all():
+        clamp_belief(beliefs[~valid][0])  # raises, naming the first bad belief
+    model, costs = template.model, template.costs
+    out = np.empty(beliefs.shape[0])
+    for start in range(0, beliefs.shape[0], BATCH_CHUNK_ROWS):
+        q = np.clip(beliefs[start:start + BATCH_CHUNK_ROWS], BELIEF_EPS, 1.0 - BELIEF_EPS)
+        ell = np.log(q) - np.log1p(-q)  # np.log over rows, math.log per belief in _local_rates
+        pmf = _poisson_binomial_pmf(_decision_one_rates(model, costs, ell[:, 1:]))
+        fa, md, _, _ = _fusion_count_errors(model, costs, ell[:, 0], n)
+        out[start:start + q.shape[0]] = _bayes_risk(
+            template.pi0, costs, np.sum(pmf[0] * fa, axis=1), np.sum(pmf[1] * md, axis=1))
+    return out
 
 
 def exact_risk_bruteforce(config: NetworkConfig) -> float:
@@ -270,7 +313,7 @@ def exact_risk_bruteforce(config: NetworkConfig) -> float:
     n = config.n_local
     if n > 20:
         raise ValueError(f"bruteforce enumeration rejected for N={n} > 20")
-    t0, t1 = _decision_one_rates(config.model, config.costs, config.q_local)
+    t0, t1 = _local_rates(config)
     c_fa, c_md = config.costs.c_fa, config.costs.c_md
     pi0 = config.pi0
     total = 0.0
@@ -301,8 +344,8 @@ def pinned_fusion_errors(config: NetworkConfig):
     together.
     """
     n = config.n_local
-    p_cols, q_cols = _rate_columns(_decision_one_rates(config.model, config.costs, config.q_local))
-    fa, md, _, _ = _fusion_count_errors(config, np.arange(n + 1), n)
+    p_cols, q_cols = _rate_columns(_local_rates(config))
+    fa, md, _, _ = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
     # after[j][h, c]: expected fusion error (FA under H0, MD under H1) given
     # c ones among agents 1..j+1, mixed over the agents after j+1.
     after = [None] * n

@@ -21,6 +21,12 @@ GAUSSIAN = "gaussian"
 _SQRT2 = math.sqrt(2.0)
 
 
+def check_prior(pi0) -> None:
+    """Reject a true prior that is not a number strictly inside (0, 1)."""
+    if not (isinstance(pi0, (int, float)) and 0.0 < pi0 < 1.0):
+        raise ValueError(f"pi0={pi0!r} is degenerate: the prior must lie strictly inside (0, 1)")
+
+
 def clamp_belief(q: float) -> float:
     """Clamp a belief into the working interval.
 
@@ -126,13 +132,11 @@ def error_probs(model: ObservationModel, lam):
     that decides 1 when the signal strictly exceeds ``lam``.
 
     Exact equality with the threshold decides 0; the event has measure zero,
-    the convention is fixed for reproducibility.
+    the convention is fixed for reproducibility. Each probability is the
+    Gaussian tail on its own side, so neither cancels against 1.
     """
-    if np.ndim(lam) == 0:
-        lam = float(lam)
-        return gaussian_q(lam / model.sigma), 1.0 - gaussian_q((lam - 1.0) / model.sigma)
     lam = np.asarray(lam, dtype=float)
-    return gaussian_q(lam / model.sigma), 1.0 - gaussian_q((lam - 1.0) / model.sigma)
+    return gaussian_q(lam / model.sigma), gaussian_q(-(lam - 1.0) / model.sigma)
 
 
 def decision_one_log_tails(model: ObservationModel, lam):

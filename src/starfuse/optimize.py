@@ -5,10 +5,11 @@ global oracle), cyclic fixed-step coordinate descent, and an exact-coordinate
 variant that solves each local agent's stationarity condition directly and
 line-searches the fusion belief.
 
-Two risk kernels serve them: ``_batch_risk`` evaluates many belief rows with
-numpy (grids and bracketing scans), and ``_risk_evaluator`` builds, once per
-descent run or line search, a pure-Python scalar evaluator that memoizes
-per-belief tails, for the loops that move one belief at a time.
+The risk itself comes from ``network``: ``batch_risk`` evaluates the belief
+rows of grids and bracketing scans. The loops that move one belief at a
+time use ``_risk_evaluator``, a pure-Python scalar copy of the same formula,
+built once per descent run or line search, that memoizes per-belief tails;
+tests pin it to ``exact_risk``.
 """
 
 import dataclasses
@@ -20,10 +21,11 @@ import numpy as np
 from .network import (
     NetworkConfig,
     NetworkTemplate,
+    batch_risk,
     exact_risk,
     pinned_fusion_errors,
 )
-from .observation import BELIEF_EPS, from_log_odds, gaussian_q, log_odds
+from .observation import BELIEF_EPS, from_log_odds, log_odds
 
 # Search grids stay strictly inside (0, 1); beliefs at the very edge are
 # handled by the uniform clamp anyway.
@@ -31,6 +33,9 @@ GRID_LO = 1e-6
 GRID_HI = 1.0 - 1e-6
 
 COARSE_RESOLUTION = 0.02
+
+# Points of the scan that brackets the fusion belief's global basin.
+FUSION_SCAN_POINTS = 193
 
 # Seed for the multi-restart initializations; fixed so reruns are identical.
 RESTART_SEED = 1729
@@ -67,62 +72,6 @@ class OptimizationResult:
     converged: bool
     stationarity_residual: float
     trace: tuple[tuple[float, ...], ...] | None = None
-
-
-def _batch_risk(template: NetworkTemplate, beliefs, chunk_size: int = 200_000) -> np.ndarray:
-    """Exact risks for many belief tuples at once.
-
-    ``beliefs`` has one row per candidate: column 0 the fusion belief, the
-    remaining ``n_local`` columns the local beliefs. Rows are independent, so
-    the output is identical for any ``chunk_size``.
-    """
-    beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
-    if beliefs.shape[1] != template.n_local + 1:
-        raise ValueError(f"expected {template.n_local + 1} belief columns, got {beliefs.shape[1]}")
-    out = np.empty(beliefs.shape[0])
-    for start in range(0, beliefs.shape[0], chunk_size):
-        stop = min(start + chunk_size, beliefs.shape[0])
-        out[start:stop] = _batch_risk_chunk(template, beliefs[start:stop])
-    return out
-
-
-def _batch_risk_chunk(template: NetworkTemplate, beliefs: np.ndarray) -> np.ndarray:
-    model, costs = template.model, template.costs
-    s = model.sigma
-    v = model.variance_proxy
-    logc = costs.log_ratio
-    n = template.n_local
-
-    q = np.clip(beliefs, BELIEF_EPS, 1.0 - BELIEF_EPS)
-    lo = np.log(q) - np.log1p(-q)
-
-    lam_local = 0.5 + v * (logc + lo[:, 1:])
-    t0 = gaussian_q(lam_local / s)
-    t1 = gaussian_q((lam_local - 1.0) / s)
-    m = beliefs.shape[0]
-    pmf0 = np.zeros((m, n + 1))
-    pmf1 = np.zeros((m, n + 1))
-    pmf0[:, 0] = 1.0
-    pmf1[:, 0] = 1.0
-    for i in range(n):
-        p0 = t0[:, i : i + 1]
-        p1 = t1[:, i : i + 1]
-        pmf0[:, 1:] = pmf0[:, 1:] * (1.0 - p0) + pmf0[:, :-1] * p0
-        pmf0[:, 0] *= 1.0 - p0[:, 0]
-        pmf1[:, 1:] = pmf1[:, 1:] * (1.0 - p1) + pmf1[:, :-1] * p1
-        pmf1[:, 0] *= 1.0 - p1[:, 0]
-
-    lam_f = 0.5 + v * (logc + lo[:, 0])
-    l_zero = np.log(gaussian_q(-lam_f / s)) - np.log(gaussian_q(-(lam_f - 1.0) / s))
-    l_one = np.log(gaussian_q(lam_f / s)) - np.log(gaussian_q((lam_f - 1.0) / s))
-    k = np.arange(n + 1)
-    ell = lo[:, :1] + (n - k)[None, :] * l_zero[:, None] + k[None, :] * l_one[:, None]
-    lam = 0.5 + v * (logc + ell)
-    fa = gaussian_q(lam / s)
-    md = gaussian_q(-(lam - 1.0) / s)
-    p_fa0 = np.sum(pmf0 * fa, axis=1)
-    p_md0 = np.sum(pmf1 * md, axis=1)
-    return costs.c_fa * template.pi0 * p_fa0 + costs.c_md * (1.0 - template.pi0) * p_md0
 
 
 def _risk_evaluator(template: NetworkTemplate):
@@ -221,16 +170,14 @@ def _expand(row: np.ndarray, tie: bool, n_local: int) -> tuple[float, ...]:
     return tuple(float(x) for x in row)
 
 
-def grid_search(template: NetworkTemplate, settings: OptimizerSettings,
-                chunk_size: int = 200_000) -> OptimizationResult:
+def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> OptimizationResult:
     """Exhaustive grid minimization of the exact risk.
 
     Multi-resolution: a coarse pass over the full interval followed by
     tenfold refinements of a window around the incumbent, down to
     ``settings.grid_resolution``. The reduction is a first-minimum argmin
     over row-major enumeration, so ties break deterministically to the
-    lexicographically smallest belief tuple and the result is independent of
-    evaluation chunking.
+    lexicographically smallest belief tuple.
 
     Without ``tie_local_beliefs`` the full (N+1)-dimensional product grid is
     searched, which is only allowed for N <= 3.
@@ -256,7 +203,7 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings,
             axes = [_axis(c - window, c + window, res) for c in best_row]
         mesh = np.meshgrid(*axes, indexing="ij")
         rows = np.stack([m.ravel() for m in mesh], axis=1)
-        risks = _batch_risk(template, _tie_columns(rows, tie, template.n_local), chunk_size)
+        risks = batch_risk(template, _tie_columns(rows, tie, template.n_local))
         evaluated += rows.shape[0]
         best_row = rows[int(np.argmin(risks))]
 
@@ -295,8 +242,7 @@ def golden_section(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6,
-                           scan_points: int = 193) -> float:
+def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6) -> float:
     """Best fusion belief against fixed local beliefs.
 
     The risk along the fusion-belief axis can grow a shallow secondary dip
@@ -304,9 +250,9 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     before golden-section refinement.
     """
     q_local = tuple(q_local)
-    grid = np.linspace(0.02, 0.98, scan_points)
+    grid = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
     rows = np.column_stack([grid] + [np.full_like(grid, q) for q in q_local])
-    risks = _batch_risk(template, rows)
+    risks = batch_risk(template, rows)
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -437,11 +383,6 @@ def _pinned_differences(config: NetworkConfig):
     return fa[1] - fa[0], md[0] - md[1]
 
 
-def _check_agent(config: NetworkConfig, j: int) -> None:
-    if not 1 <= j <= config.n_local:
-        raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")
-
-
 def exact_coordinate_update(config: NetworkConfig, j: int):
     """Solve the stationarity balance for local agent ``j`` directly.
 
@@ -456,7 +397,8 @@ def exact_coordinate_update(config: NetworkConfig, j: int):
     ``ValueError`` when a bracketed difference is not finite (the fusion
     error probabilities underflowed), since no belief would be meaningful.
     """
-    _check_agent(config, j)
+    if not 1 <= j <= config.n_local:
+        raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")
     d_fa, d_md = (float(d[j - 1]) for d in _pinned_differences(config))
     if not (math.isfinite(d_fa) and math.isfinite(d_md)):
         raise ValueError(f"pinned fusion error differences for agent {j} are not finite "
@@ -485,31 +427,6 @@ def stationarity_residual(config: NetworkConfig) -> float:
     prior = log_odds(config.pi0)
     return max(abs(log_odds(q) - prior - (math.log(a) - math.log(b)))
                for q, a, b in zip(config.q_local, d_fa, d_md))
-
-
-def monotone_rhs_check(config: NetworkConfig, j: int, i: int, grid=None) -> bool:
-    """True when the stationarity balance's right side is strictly decreasing
-    along ``grid`` substituted for local belief ``i`` (1-based, i != j).
-
-    Exposed for the property suite; the order of ``grid`` is respected, so a
-    reversed grid flags the increase.
-    """
-    if i == j:
-        raise ValueError("indices i and j must differ")
-    _check_agent(config, i)
-    _check_agent(config, j)
-    if grid is None:
-        grid = np.round(np.arange(0.05, 0.951, 0.05), 10)
-    values = []
-    for qi in grid:
-        q_local = list(config.q_local)
-        q_local[i - 1] = float(qi)
-        probe = dataclasses.replace(config, q_local=tuple(q_local))
-        d_fa, d_md = (float(d[j - 1]) for d in _pinned_differences(probe))
-        if d_fa <= 0.0 or d_md <= 0.0:
-            return False
-        values.append(math.log(d_fa) - math.log(d_md))
-    return all(b < a for a, b in zip(values, values[1:]))
 
 
 @dataclass(frozen=True)

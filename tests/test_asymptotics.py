@@ -15,10 +15,9 @@ from starfuse import (
     gaussian_q,
     optimal_exponent,
     phase_map,
-    s_star_comparison,
 )
 from starfuse import NetworkTemplate
-from starfuse.asymptotics import _ternary_min_s
+from starfuse.asymptotics import _min_over_s, _region_of, _ternary_min_s
 
 
 class TestClassifyPhase:
@@ -68,6 +67,20 @@ class TestClassifyPhase:
     def test_without_prior_limit_is_none(self, std_model, equal_costs):
         cls = classify_phase(std_model, equal_costs, 0.5, 0.5)
         assert cls.limit_risk is None
+
+    @pytest.mark.parametrize("q0", [0.05, 0.95])
+    def test_underflowed_fusion_tail_raises(self, equal_costs, q0):
+        """At sigma=20 a fusion belief this far out underflows a Gaussian tail
+        of its threshold; the log factors would be nan."""
+        model = ObservationModel(sigma=20.0)
+        with pytest.raises(FloatingPointError, match=r"q0=0\.\d+ at sigma=20\.0.*underflows"):
+            classify_phase(model, equal_costs, q0, 0.5)
+        with pytest.raises(FloatingPointError, match="underflows"):
+            phase_map(model, equal_costs, [0.5, q0], [0.5])
+
+    def test_finite_infeasible_pattern_is_an_assertion(self):
+        with pytest.raises(AssertionError, match="infeasible sign pattern"):
+            _region_of(-1.0, 1.0)
 
     def test_boundary_flagged_not_coerced(self, std_model, equal_costs):
         # Fusion belief bisected onto the sign change of the region test.
@@ -257,23 +270,4 @@ def test_hoisted_tails_match_per_step_tails(sigma):
     for one in (lam[0], -0.37, 0.5, 0.8, 1.9):
         s_best, value = _per_step_tails_min(model, one)
         assert exponent_curve(model, one) == float(value[0])
-        assert s_star_comparison(model, one).numeric == float(s_best[0])
-
-
-class TestSStarComparison:
-    def test_symmetric_threshold(self, std_model):
-        cmp = s_star_comparison(std_model, 0.5)
-        assert cmp.numeric == pytest.approx(0.5, abs=1e-6)
-
-    def test_off_symmetric_numeric_inside_unit_interval(self, std_model):
-        cmp = s_star_comparison(std_model, 0.8)
-        assert 0.0 <= cmp.numeric <= 1.0
-        minimum = exponent_objective(std_model, 0.8, cmp.numeric)
-        for s in (cmp.numeric - 0.01, cmp.numeric + 0.01):
-            assert exponent_objective(std_model, 0.8, s) >= minimum - 1e-12
-
-    def test_closed_form_reported_separately(self, std_model):
-        """The printed closed form is documentation only; it need not agree
-        with the numeric minimizer and may be undefined."""
-        cmp = s_star_comparison(std_model, 0.8)
-        assert cmp.closed_form is None or isinstance(cmp.closed_form, float)
+        assert float(_min_over_s(model, np.array([one]))[0][0]) == float(s_best[0])

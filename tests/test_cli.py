@@ -63,14 +63,6 @@ class TestRiskCommand:
         assert "R0=" not in out
         assert not path.exists()
 
-    def test_threads_flag_does_not_change_output(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5",
-                "--csv", str(a), "--threads", "1")
-        run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5",
-                "--csv", str(b), "--threads", "8")
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestGridCommand:
     def test_single_point_sweep_matches_risk(self, capsys, tmp_path):
@@ -94,6 +86,16 @@ class TestGridCommand:
         assert len(rows) == 81  # 9 x 9 grid at step 0.1
         risks = {(r["q1"], r["q2"]): float(r["risk"]) for r in rows}
         assert min(risks.values()) < 0.2
+
+    @pytest.mark.parametrize("q0", ["1.5", "-0.2", "nan", "0.0", "1.0"])
+    def test_contour_degenerate_q0_writes_nothing(self, capsys, tmp_path, q0):
+        path = tmp_path / "contour.csv"
+        code, out, err = run_cli(capsys, "grid", "--contour", "--pi0", "0.3", "--q0", q0,
+                                 "--resolution", "0.1", "--csv", str(path))
+        assert code == 2
+        assert "degenerate belief" in err
+        assert out == ""
+        assert not path.exists()
 
     def test_contour_requires_q0(self, capsys):
         code, _, err = run_cli(capsys, "grid", "--contour", "--pi0", "0.3")
@@ -211,6 +213,16 @@ class TestPhaseCommand:
                                "--csv", str(path))
         assert code == 2
         assert "pi0" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [["--grid", "0.05"], ["--q0", "0.05", "--q1", "0.5"]])
+    def test_underflowed_fusion_tail_exits_domain(self, capsys, tmp_path, argv):
+        path = tmp_path / "phase.csv"
+        code, out, err = run_cli(capsys, "phase", *argv, "--sigma", "20", "--csv", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: fusion belief q0=0.05 at sigma=20.0")
+        assert err.count("\n") == 1
         assert not path.exists()
 
 

@@ -18,7 +18,6 @@ from starfuse import (
     fusion_log_odds,
     gaussian_q,
     local_error_probs,
-    perceived_local_probs,
     pinned_fusion_errors,
     threshold_from_belief,
     threshold_from_log_odds,
@@ -91,20 +90,6 @@ class TestLocalAndPerceivedProbs:
             local_error_probs(cfg, 0)
         with pytest.raises(IndexError):
             local_error_probs(cfg, 3)
-
-    def test_perceived_matches_local_when_beliefs_agree(self):
-        cfg = _config(q0=0.41, q_local=(0.41, 0.7))
-        assert perceived_local_probs(cfg) == local_error_probs(cfg, 1)
-
-    def test_perceived_contrarian_value(self):
-        p_fa, p_md = perceived_local_probs(_config(q0=0.7372))
-        assert p_fa == pytest.approx(0.06282, abs=1e-4)
-        assert p_md == pytest.approx(0.70243, abs=1e-4)
-
-    def test_perceived_with_cost_ratio(self):
-        p_fa, p_md = perceived_local_probs(_config(q0=2.0 / 3.0, c_fa=1.0, c_md=2.0))
-        assert p_fa == pytest.approx(gaussian_q(0.5), rel=1e-12)
-        assert p_md == pytest.approx(gaussian_q(0.5), rel=1e-12)
 
 
 class TestBeliefUpdate:
@@ -272,6 +257,12 @@ class TestExactRisk:
         for _ in range(25):
             cfg = random_config(rng, n_max=12)
             assert abs(exact_risk(cfg).r0 - exact_risk_bruteforce(cfg)) <= 1e-12
+
+    def test_bruteforce_agrees_deep_in_the_tails(self):
+        """Local thresholds near -8.7 and +9.7, far outside the random suite's
+        belief range, where one side's error tail is below 1e-17."""
+        cfg = _config(pi0=0.4, q0=1e-4, q_local=(2e-4, 1e-4, 0.9999), sigma=1.0)
+        assert abs(exact_risk(cfg).r0 - exact_risk_bruteforce(cfg)) <= 1e-12
 
     def test_bruteforce_guard(self):
         cfg = _config(q_local=(0.5,) * 21)

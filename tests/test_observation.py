@@ -89,6 +89,14 @@ class TestErrorProbs:
         assert p_fa == 0.0
         assert p_md == 1.0
 
+    def test_missed_detection_tail_does_not_cancel(self, std_model):
+        """At lambda=-8 the missed detection is Q(9) ~ 1.1286e-19, not 1 - Q(-9) = 0."""
+        _, p_md = error_probs(std_model, -8.0)
+        assert p_md == pytest.approx(float(ndtr(-9.0)), rel=1e-13)
+        assert p_md == pytest.approx(1.1286e-19, rel=1e-4)
+        _, p_md = error_probs(std_model, np.array([-8.0, 0.5]))
+        assert p_md[0] == pytest.approx(float(ndtr(-9.0)), rel=1e-13)
+
     def test_benchmark_threshold(self, std_model):
         p_fa, p_md = error_probs(std_model, 1.5314)
         # Exact against the independent normal CDF; loose against rounded tables.

@@ -10,17 +10,18 @@ from starfuse import (
     NetworkTemplate,
     ObservationModel,
     OptimizerSettings,
+    batch_risk,
     exact_coordinate_update,
     exact_risk,
     golden_section,
     grid_search,
     log_odds,
-    monotone_rhs_check,
     pbpo,
     pbpo_exact,
+    pinned_fusion_errors,
     stationarity_residual,
 )
-from starfuse.optimize import _batch_risk, _risk_evaluator, minimize_fusion_belief
+from starfuse.optimize import _risk_evaluator, minimize_fusion_belief
 from conftest import random_config
 
 # A pbpo instance (inside sigma in [0.05, 20]) whose fusion belief walks to
@@ -72,11 +73,10 @@ class TestGridSearch:
         assert result.risk == pytest.approx(best[0], rel=1e-12)
 
     def test_chunking_does_not_change_result(self, benchmark_template):
-        settings = OptimizerSettings(tie_local_beliefs=True, grid_resolution=2e-3)
-        a = grid_search(benchmark_template, settings, chunk_size=97)
-        b = grid_search(benchmark_template, settings, chunk_size=100_000)
-        assert a.beliefs == b.beliefs
-        assert a.risk == b.risk
+        """Rows are independent, so batch_risk's fixed chunking cannot change a value."""
+        rows = np.random.default_rng(5).uniform(0.02, 0.98, size=(1000, 3))
+        sliced = [batch_risk(benchmark_template, rows[i:i + 97]) for i in range(0, len(rows), 97)]
+        assert np.array_equal(batch_risk(benchmark_template, rows), np.concatenate(sliced))
 
     def test_dimension_guard(self, std_model, equal_costs):
         template = NetworkTemplate(0.3, equal_costs, std_model, 4)
@@ -96,7 +96,7 @@ class TestGridSearch:
     def test_batch_risk_agrees_with_scalar(self, benchmark_template):
         rng = np.random.default_rng(3)
         rows = rng.uniform(0.05, 0.95, size=(40, 3))
-        batched = _batch_risk(benchmark_template, rows)
+        batched = batch_risk(benchmark_template, rows)
         for row, value in zip(rows, batched):
             scalar = exact_risk(benchmark_template.config(row[0], row[1:])).r0
             assert value == pytest.approx(scalar, rel=1e-13)
@@ -266,7 +266,7 @@ class TestPbpo:
             result = pbpo(template, settings, init=None, seed=7)
             slack = 2.0 * settings.step
             assert result.risk >= reference.risk - slack
-            probe = _batch_risk(template, np.array(reference.beliefs)[None, :])[0]
+            probe = batch_risk(template, np.array(reference.beliefs)[None, :])[0]
             assert result.risk <= probe + slack
 
     def test_exact_variant_agrees_with_fixed_step(self, benchmark_template):
@@ -345,6 +345,27 @@ class TestStationarity:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_differences_give_nan(self):
         assert np.isnan(stationarity_residual(_underflow_config()))
+
+
+def monotone_rhs_check(config: NetworkConfig, j: int, i: int, grid=None) -> bool:
+    """True when the stationarity balance's right side for agent ``j``,
+    log(d_fa / d_md), is strictly decreasing along ``grid`` substituted for
+    local belief ``i`` (1-based, i != j); the order of ``grid`` is respected,
+    so a reversed grid flags the increase."""
+    if i == j:
+        raise ValueError("indices i and j must differ")
+    if grid is None:
+        grid = np.round(np.arange(0.05, 0.951, 0.05), 10)
+    values = []
+    for qi in grid:
+        q_local = list(config.q_local)
+        q_local[i - 1] = float(qi)
+        fa, md = pinned_fusion_errors(dataclasses.replace(config, q_local=tuple(q_local)))
+        d_fa, d_md = float(fa[1, j - 1] - fa[0, j - 1]), float(md[0, j - 1] - md[1, j - 1])
+        if d_fa <= 0.0 or d_md <= 0.0:
+            return False
+        values.append(math.log(d_fa) - math.log(d_md))
+    return all(b < a for a, b in zip(values, values[1:]))
 
 
 class TestMonotoneRhs:
@@ -429,7 +450,7 @@ class TestCoordinateConvexity:
         q0_grid = np.linspace(0.02, 0.98, 481)
         rows = np.column_stack([q0_grid, np.full_like(q0_grid, 0.396),
                                 np.full_like(q0_grid, 0.396)])
-        risks = _batch_risk(benchmark_template, rows)
+        risks = batch_risk(benchmark_template, rows)
         rates = np.array([
             exact_risk(benchmark_template.tied(q0, 0.396)).p_fa0 for q0 in q0_grid
         ])
