@@ -143,16 +143,10 @@ def _decision_one_rates(model: ObservationModel, costs: CostPair, ell) -> np.nda
 
 
 def _local_rates(config: NetworkConfig) -> np.ndarray:
-    """(2, N) decide-1 rates of the local agents.
-
-    Beliefs arrive validated (``NetworkConfig`` rejects degenerate ones), so
-    only the uniform clamp is applied before the log-odds.
-    """
-    lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
-    clamped = [min(max(q, lo), hi) for q in config.q_local]
-    # math.log per belief, as log_odds does; np.log over rows (batch_risk) can
-    # differ in the last bit, and test_bit_identical_to_per_agent_loop pins this.
-    ell = np.array([math.log(q) - math.log1p(-q) for q in clamped])
+    """(2, N) decide-1 rates of the local agents."""
+    # log_odds per belief; np.log over rows (batch_risk) can differ in the
+    # last bit, and test_bit_identical_to_per_agent_loop pins this path.
+    ell = np.array([log_odds(q) for q in config.q_local])
     return _decision_one_rates(config.model, config.costs, ell)
 
 
@@ -220,7 +214,8 @@ def _rate_columns(rates: np.ndarray):
     """Per-agent columns of the decide-1 ``rates`` (agents on the last axis)
     and of their complements, each with the agents moved to a new first axis
     and a trailing axis of length 1 kept for broadcasting."""
-    return np.moveaxis(rates, -1, 0)[..., None], np.moveaxis(1.0 - rates, -1, 0)[..., None]
+    axes = (rates.ndim - 1, *range(rates.ndim - 1))  # np.moveaxis(rates, -1, 0), without its overhead
+    return rates.transpose(axes)[..., None], (1.0 - rates).transpose(axes)[..., None]
 
 
 def _add_agent(pmf: np.ndarray, p: np.ndarray, q: np.ndarray, i: int) -> None:
@@ -299,7 +294,7 @@ def batch_risk(template: NetworkTemplate, beliefs) -> np.ndarray:
     out = np.empty(beliefs.shape[0])
     for start in range(0, beliefs.shape[0], BATCH_CHUNK_ROWS):
         q = np.clip(beliefs[start:start + BATCH_CHUNK_ROWS], BELIEF_EPS, 1.0 - BELIEF_EPS)
-        ell = np.log(q) - np.log1p(-q)  # np.log over rows, math.log per belief in _local_rates
+        ell = np.log(q) - np.log1p(-q)  # np.log over rows, log_odds per belief in _local_rates
         pmf = _poisson_binomial_pmf(_decision_one_rates(model, costs, ell[:, 1:]))
         fa, md, _, _ = _fusion_count_errors(model, costs, ell[:, 0], n)
         out[start:start + q.shape[0]] = _bayes_risk(

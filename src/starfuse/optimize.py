@@ -161,7 +161,9 @@ def _risk_evaluator(template: NetworkTemplate):
 def _axis(lo: float, hi: float, res: float) -> np.ndarray:
     lo = max(lo, GRID_LO)
     hi = min(hi, GRID_HI)
-    return np.round(np.arange(lo, hi + res / 2.0, res), 12)
+    axis = np.round(np.arange(lo, hi + res / 2.0, res), 12)
+    # The half-step stop overshoots a window clipped at GRID_HI, up to 1.0.
+    return axis[axis <= GRID_HI]
 
 
 def _expand(row: np.ndarray, tie: bool, n_local: int) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from starfuse import (
     pinned_fusion_errors,
     stationarity_residual,
 )
-from starfuse.optimize import _risk_evaluator, minimize_fusion_belief
+from starfuse.optimize import GRID_HI, _axis, _risk_evaluator, minimize_fusion_belief
 from conftest import random_config
 
 # A pbpo instance (inside sigma in [0.05, 20]) whose fusion belief walks to
@@ -77,6 +77,25 @@ class TestGridSearch:
         rows = np.random.default_rng(5).uniform(0.02, 0.98, size=(1000, 3))
         sliced = [batch_risk(benchmark_template, rows[i:i + 97]) for i in range(0, len(rows), 97)]
         assert np.array_equal(batch_risk(benchmark_template, rows), np.concatenate(sliced))
+
+    @pytest.mark.parametrize("lo, hi, res", [(0.92, 1.04, 0.002), (0.94, 1.02, 0.002),
+                                             (0.9956, 1.0004, 0.0002)])
+    def test_refinement_axis_stays_inside_the_grid(self, lo, hi, res):
+        """A window clipped at GRID_HI must not step past it to 1.0."""
+        axis = _axis(lo, hi, res)
+        assert axis.max() <= GRID_HI < 1.0
+        assert axis[-1] == pytest.approx(GRID_HI, abs=res)
+
+    def test_optimum_near_one(self, std_model):
+        """The coarse best fusion belief is 0.96, so the refinement window
+        around it is clipped at the top of the grid."""
+        template = NetworkTemplate(0.5, CostPair(0.2, 1.0), std_model, 2)
+        coarse = grid_search(template, OptimizerSettings(tie_local_beliefs=True, grid_resolution=0.02))
+        assert coarse.beliefs[0] >= 0.96
+        result = grid_search(template, OptimizerSettings(tie_local_beliefs=True, grid_resolution=2e-3))
+        assert 0.94 < result.beliefs[0] < 1.0
+        assert result.risk <= coarse.risk
+        assert result.risk == exact_risk(template.config(result.beliefs[0], result.beliefs[1:])).r0
 
     def test_dimension_guard(self, std_model, equal_costs):
         template = NetworkTemplate(0.3, equal_costs, std_model, 4)
