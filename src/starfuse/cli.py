@@ -58,12 +58,16 @@ def _fmt(value) -> str:
     return "%.10g" % float(value)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_text_rows(path: str, header, rows) -> None:
+    """Write rows whose cells are already formatted strings."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    _write_text_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -140,11 +144,9 @@ def cmd_grid(args) -> int:
         template = NetworkTemplate(args.pi0, costs, model, 2)
         axis = _parse_range(f"{args.resolution}:{1.0 - args.resolution}:{args.resolution}")
         grid1, grid2 = np.meshgrid(axis, axis, indexing="ij")
-        rows = np.column_stack([
-            np.full(grid1.size, args.q0), grid1.ravel(), grid2.ravel(),
-        ])
-        risks = batch_risk(template, rows)
-        out = [(rows[i, 1], rows[i, 2], risks[i]) for i in range(rows.shape[0])]
+        rows = np.column_stack([grid1.ravel(), grid2.ravel()])
+        risks = batch_risk(template, [args.q0], rows)[0]
+        out = [(rows[i, 0], rows[i, 1], risks[i]) for i in range(rows.shape[0])]
         print(f"contour: {len(out)} points at q0={args.q0:.10g}, min risk {risks.min():.10g}")
         if args.csv:
             _write_csv(args.csv, ["q1", "q2", "risk"], out)
@@ -246,15 +248,18 @@ def cmd_phase(args) -> int:
         if args.pi0 is not None:
             check_prior(args.pi0)
         regions = phase_map(model, costs, axis, axis)
-        rows = [(q0, q1, region.value)
-                for q0, row in zip(axis, regions) for q1, region in zip(axis, row)]
+        # Each axis value and region name is formatted once, not once per cell.
+        labels = [_fmt(v) for v in axis]
+        names = {region: region.value for region in PhaseRegion}
+        rows = [(q0, q1, names[region])
+                for q0, row in zip(labels, regions) for q1, region in zip(labels, row.tolist())]
         counts = {}
         for _, _, region in rows:
             counts[region] = counts.get(region, 0) + 1
         print(f"map: {len(rows)} points " +
               " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
         if args.csv:
-            _write_csv(args.csv, ["q0", "q1", "region"], rows)
+            _write_text_rows(args.csv, ["q0", "q1", "region"], rows)
         return EXIT_OK
 
     if args.q0 is None or args.q1 is None:

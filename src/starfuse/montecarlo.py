@@ -36,14 +36,58 @@ class SimulationResult:
     h1_trials: int
 
 
+# Bit pattern of 1.0. For non-negative doubles the int64 order of the bit
+# patterns is the float order.
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+def _decides_one(h, sigma: float, u, lam):
+    """The threshold test of a signal drawn from uniform ``u`` by inverse
+    transform under hypothesis ``h`` (0.0 or 1.0): h + sigma*Phi^-1(u) > lam."""
+    return h + sigma * ndtri(u) > lam
+
+
+def _uniform_cutoffs(sigma: float, lam) -> np.ndarray:
+    """Smallest double u* in [0, 1] at which ``_decides_one(h, sigma, u*, l)``
+    holds, for h = 0 in row 0 and h = 1 in row 1 and every threshold l of the
+    1-D ``lam``; 1.0 where even u = 1 fails (a nan or +inf threshold), which
+    no draw in [0, 1) reaches.
+
+    The test is non-decreasing in u, so a uniform draw u passes exactly when
+    u >= u* (inverse-transform sampling; Devroye 1986, ch. 2). All cutoffs
+    are bisected together on the int64 bit patterns, about 62 rounds, and
+    then checked: the test fails at the double just below each cutoff and
+    passes at each cutoff below 1.
+    """
+    h, lam = np.broadcast_arrays(np.array([[0.0], [1.0]]), np.asarray(lam, dtype=float)[None, :])
+    lo = np.zeros(h.shape, dtype=np.int64)  # u = 0 fails: ndtri(0) is -inf
+    hi = np.full(h.shape, _ONE_BITS, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        # Invariant: the test fails at lo and, unless hi is 1.0, passes at hi.
+        # Once hi - lo is 1, mid is lo and neither moves.
+        while (hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2
+            passes = _decides_one(h, sigma, mid.view(np.float64), lam)
+            hi = np.where(passes, mid, hi)
+            lo = np.where(passes, lo, mid)
+        cut = hi.view(np.float64)
+        if (_decides_one(h, sigma, np.nextafter(cut, 0.0), lam).any()
+                or not _decides_one(h, sigma, cut, lam)[cut < 1.0].all()):
+            raise AssertionError("threshold test is not monotone in the uniform draw")
+    return cut
+
+
 def simulate(spec: SimulationSpec, chunk_size: int = 65536) -> SimulationResult:
     """Simulate the full network forward and average the incurred cost.
 
     Draws are counter-based: trial t consumes a fixed stride of uniforms
     starting at position t*stride of the Philox stream keyed by the seed
-    (stride padded to the 4-word block size), and normals come from the
-    inverse CDF of a single uniform each. Results are therefore bit-identical
-    for any ``chunk_size`` partition of the trial range.
+    (stride padded to the 4-word block size): the hypothesis, the fusion
+    signal, then one per local signal. A signal is never formed: each test
+    h + sigma*Phi^-1(u) > lam is decided as u >= u*, with the cutoff u* of
+    every (hypothesis, threshold) pair from ``_uniform_cutoffs``, so the
+    counts are those of that test on the inverse-CDF signal. Results are
+    bit-identical for any ``chunk_size`` partition of the trial range.
     """
     cfg = spec.config
     n = cfg.n_local
@@ -52,6 +96,8 @@ def simulate(spec: SimulationSpec, chunk_size: int = 65536) -> SimulationResult:
         [threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local]
     )
     lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
+    cut_local = _uniform_cutoffs(sigma, lam_local)
+    cut_fusion = _uniform_cutoffs(sigma, lam_fusion)
 
     stride = 4 * ((n + 2 + 3) // 4)
     fa = md = h1 = 0
@@ -62,9 +108,9 @@ def simulate(spec: SimulationSpec, chunk_size: int = 65536) -> SimulationResult:
             bitgen.advance(start * stride // 4)
         u = np.random.Generator(bitgen).random((m, stride))
         h = u[:, 0] >= cfg.pi0  # True -> H=1
-        y = h.astype(float)[:, None] + sigma * ndtri(u[:, 1 : n + 2])
-        counts = np.count_nonzero(y[:, 1:] > lam_local[None, :], axis=1)
-        decide_one = y[:, 0] > lam_fusion[counts]
+        row = h.view(np.int8)  # cutoff row of each trial's hypothesis
+        counts = np.count_nonzero(u[:, 2:n + 2] >= cut_local[row], axis=1)
+        decide_one = u[:, 1] >= cut_fusion[row, counts]
         fa += int(np.count_nonzero(decide_one & ~h))
         md += int(np.count_nonzero(~decide_one & h))
         h1 += int(np.count_nonzero(h))

@@ -8,7 +8,9 @@ decision is computed exactly two independent ways: a count-distribution
 dynamic program (the default path) and full enumeration of decision vectors
 (kept as a test oracle). The dynamic program is written once, on helpers
 that take any leading shape: ``exact_risk`` runs it for one network and
-``batch_risk`` for many belief rows at once.
+``batch_risk`` for every pairing of many fusion beliefs with many rows of
+local beliefs, building the count pmf once per local row and the per-count
+fusion errors once per fusion belief.
 """
 
 import itertools
@@ -32,7 +34,8 @@ from .observation import (
     threshold_from_log_odds,
 )
 
-# Rows per pass of batch_risk; bounds its working memory.
+# (fusion belief, local row) pairs per pass of batch_risk; bounds its
+# working memory.
 BATCH_CHUNK_ROWS = 200_000
 
 
@@ -274,37 +277,51 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
                       p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
 
 
-def batch_risk(template: NetworkTemplate, beliefs) -> np.ndarray:
-    """Exact risks of many belief tuples at once.
-
-    ``beliefs`` has one row per tuple: column 0 the fusion belief, the
-    remaining ``n_local`` columns the local beliefs. Every belief must be
-    finite and strictly inside (0, 1), as ``clamp_belief`` requires. Rows are
-    independent, so evaluating them ``BATCH_CHUNK_ROWS`` at a time never
-    changes a value. Agrees with ``exact_risk`` to a few ulp.
-    """
-    beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
-    n = template.n_local
-    if beliefs.shape[1] != n + 1:
-        raise ValueError(f"expected {n + 1} belief columns, got {beliefs.shape[1]}")
-    valid = np.isfinite(beliefs) & (beliefs > 0.0) & (beliefs < 1.0)
+def _belief_log_odds(q: np.ndarray) -> np.ndarray:
+    """Log-odds of an array of beliefs, each checked as ``clamp_belief`` does."""
+    valid = np.isfinite(q) & (q > 0.0) & (q < 1.0)
     if not valid.all():
-        clamp_belief(beliefs[~valid][0])  # raises, naming the first bad belief
+        clamp_belief(q[~valid][0])  # raises, naming the first bad belief
+    q = np.clip(q, BELIEF_EPS, 1.0 - BELIEF_EPS)
+    return np.log(q) - np.log1p(-q)  # np.log over rows, log_odds per belief in _local_rates
+
+
+def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
+    """Exact risks of every fusion belief against every row of local beliefs.
+
+    ``q0`` is a sequence of fusion beliefs and ``q_local`` has one row of
+    ``n_local`` local beliefs per network; entry ``[i, j]`` of the result is
+    the risk of fusion belief ``q0[i]`` with local row ``j``. Every belief
+    must be finite and strictly inside (0, 1), as ``clamp_belief`` requires.
+    The per-count fusion errors are computed once per fusion belief and the
+    count pmf once per local row; the two are mixed for every pair, over
+    chunks of local rows holding at most ``BATCH_CHUNK_ROWS`` pairs, and no
+    chunking changes a value. Agrees with ``exact_risk`` to a few ulp.
+    """
+    n = template.n_local
+    q_local = np.atleast_2d(np.asarray(q_local, dtype=float))
+    if q_local.shape[1] != n:
+        raise ValueError(f"expected {n} local belief columns, got {q_local.shape[1]}")
+    ell0 = _belief_log_odds(np.atleast_1d(np.asarray(q0, dtype=float)))
+    ell = _belief_log_odds(q_local)
     model, costs = template.model, template.costs
-    out = np.empty(beliefs.shape[0])
-    for start in range(0, beliefs.shape[0], BATCH_CHUNK_ROWS):
-        q = np.clip(beliefs[start:start + BATCH_CHUNK_ROWS], BELIEF_EPS, 1.0 - BELIEF_EPS)
-        ell = np.log(q) - np.log1p(-q)  # np.log over rows, log_odds per belief in _local_rates
-        pmf = _poisson_binomial_pmf(_decision_one_rates(model, costs, ell[:, 1:]))
-        fa, md, _, _ = _fusion_count_errors(model, costs, ell[:, 0], n)
-        out[start:start + q.shape[0]] = _bayes_risk(
-            template.pi0, costs, np.sum(pmf[0] * fa, axis=1), np.sum(pmf[1] * md, axis=1))
+    fa, md, _, _ = _fusion_count_errors(model, costs, ell0, n)
+    out = np.empty((ell0.shape[0], ell.shape[0]))
+    step = max(1, BATCH_CHUNK_ROWS // max(1, ell0.shape[0]))
+    for start in range(0, ell.shape[0], step):
+        pmf = _poisson_binomial_pmf(_decision_one_rates(model, costs, ell[start:start + step]))
+        out[:, start:start + step] = _bayes_risk(
+            template.pi0, costs,
+            np.sum(pmf[0][None] * fa[:, None], axis=-1),
+            np.sum(pmf[1][None] * md[:, None], axis=-1))
     return out
 
 
 def exact_risk_bruteforce(config: NetworkConfig) -> float:
     """Risk by explicit enumeration of all 2^N decision vectors, chaining the
-    public update/threshold operations. Test oracle only; refuses N > 20."""
+    public update/threshold operations. Each vector is thresholded at its
+    unclamped fusion log-odds, as ``fusion_decide`` does, so the oracle stays
+    exact far into the tails. Test oracle only; refuses N > 20."""
     n = config.n_local
     if n > 20:
         raise ValueError(f"bruteforce enumeration rejected for N={n} > 20")
@@ -313,8 +330,8 @@ def exact_risk_bruteforce(config: NetworkConfig) -> float:
     pi0 = config.pi0
     total = 0.0
     for bits in itertools.product((0, 1), repeat=n):
-        q_up = update_belief(config, bits)
-        lam = threshold_from_belief(config.model, config.costs, q_up)
+        ell = fusion_log_odds(config, sum(bits), n)
+        lam = threshold_from_log_odds(config.model, config.costs, ell)
         p_fa, p_md = error_probs(config.model, lam)
         w0 = math.prod(t0[i] if b else 1.0 - t0[i] for i, b in enumerate(bits))
         w1 = math.prod(t1[i] if b else 1.0 - t1[i] for i, b in enumerate(bits))

@@ -5,8 +5,10 @@ global oracle), cyclic fixed-step coordinate descent, and an exact-coordinate
 variant that solves each local agent's stationarity condition directly and
 line-searches the fusion belief.
 
-The risk itself comes from ``network``: ``batch_risk`` evaluates the belief
-rows of grids and bracketing scans. The loops that move one belief at a
+The risk itself comes from ``network``: ``batch_risk`` evaluates grids and
+bracketing scans as an axis of fusion beliefs against rows of local beliefs
+(a grid's local rows are the product of its local axes, or one axis
+repeated when the locals are tied). The loops that move one belief at a
 time use ``_risk_evaluator``, a pure-Python scalar copy of the same formula,
 built once per descent run or line search, that memoizes per-belief tails;
 tests pin it to ``exact_risk``.
@@ -203,11 +205,14 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
         if stage > 0:
             window = 2.0 * resolutions[stage - 1]
             axes = [_axis(c - window, c + window, res) for c in best_row]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        rows = np.stack([m.ravel() for m in mesh], axis=1)
-        risks = batch_risk(template, _tie_columns(rows, tie, template.n_local))
-        evaluated += rows.shape[0]
-        best_row = rows[int(np.argmin(risks))]
+        # Row-major over (q0, local axes...), so the first-minimum argmin
+        # breaks ties as a scan of the full product grid would.
+        local = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=1)
+        q_local = np.repeat(local, template.n_local, axis=1) if tie else local
+        risks = batch_risk(template, axes[0], q_local)
+        evaluated += risks.size
+        i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
+        best_row = np.concatenate(([axes[0][i]], local[j]))
 
     beliefs = _expand(best_row, tie, template.n_local)
     config = template.config(beliefs[0], beliefs[1:])
@@ -218,12 +223,6 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
         converged=True,
         stationarity_residual=stationarity_residual(config),
     )
-
-
-def _tie_columns(rows: np.ndarray, tie: bool, n_local: int) -> np.ndarray:
-    if not tie:
-        return rows
-    return np.column_stack([rows[:, 0]] + [rows[:, 1]] * n_local)
 
 
 def golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -253,8 +252,7 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     """
     q_local = tuple(q_local)
     grid = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
-    rows = np.column_stack([grid] + [np.full_like(grid, q) for q in q_local])
-    risks = batch_risk(template, rows)
+    risks = batch_risk(template, grid, [q_local])[:, 0]
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -338,7 +336,7 @@ def _pbpo_run(template, settings, init):
         trace.append(tuple(q) + (risk,))
         if trace[-1][-1] > trace[-2][-1] + 1e-15:
             raise AssertionError("risk increased across a sweep")
-        if float(np.linalg.norm(np.subtract(q, previous))) <= settings.eps:
+        if math.dist(q, previous) <= settings.eps:
             converged = True
             break
     return _finish(template, q, sweeps, converged, trace)
@@ -359,7 +357,7 @@ def _pbpo_exact_run(template, settings, init):
             config = template.config(q[0], q[1:])
             q[j], _ = exact_coordinate_update(config, j)
         trace.append(tuple(q) + (risk_of(q),))
-        if float(np.linalg.norm(np.subtract(q, previous))) <= settings.eps:
+        if math.dist(q, previous) <= settings.eps:
             converged = True
             break
     return _finish(template, q, sweeps, converged, trace)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .network import NetworkTemplate, exact_risk
 from .observation import BELIEF_EPS
@@ -66,6 +65,10 @@ def fit_prelec_minimax(pi0_values, q1_values, bounds=(0.2, 3.0),
     space. Returns the fitted parameters and the achieved sup error, both
     evaluated on the given sample points only (no interpolation).
     """
+    # Imported here, where it is used: scipy.optimize is the slowest import
+    # of the package, and no other function needs it.
+    from scipy import optimize as sciopt
+
     x = np.asarray(pi0_values, dtype=float)
     y = np.asarray(q1_values, dtype=float)
     if x.size == 0 or x.shape != y.shape:

@@ -273,3 +273,21 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, digest", [
+        # The README command.
+        (["--pi0", "0.3", "--q0", "0.7372", "--q", "0.3960,0.3960",
+          "--trials", "1000000", "--seed", "1"],
+         "95c69f7f13e57139a156c499532177cbc61060014a5db67f2f95213aabd8ffc6"),
+        # Twenty heterogeneous locals, 0.30 to 0.68.
+        (["--pi0", "0.4", "--q0", "0.45", "--q", ",".join("%.2f" % (0.3 + 0.02 * i) for i in range(20)),
+          "--sigma", "1.3", "--cfa", "1.5", "--trials", "200000", "--seed", "7"],
+         "77ddae19752c0e5546073ffb6ba6bc9470ce12ad505a9a352451ac397da2e60c"),
+    ])
+    def test_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        """The CSV bytes written when every signal was drawn through the
+        inverse normal CDF and compared with its threshold."""
+        path = tmp_path / "sim.csv"
+        code, _, _ = run_cli(capsys, "simulate", *argv, "--csv", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

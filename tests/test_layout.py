@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,15 @@ def test_traced_functions_exist():
                for name in names
                if not hasattr(importlib.import_module(f"starfuse.{short}"), name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Only the Prelec fit needs scipy.optimize, so importing the package
+    and its CLI must not pay for it."""
+    code = ("import sys, starfuse, starfuse.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

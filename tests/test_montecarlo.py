@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from starfuse import (
     CostPair,
@@ -16,11 +18,74 @@ from starfuse import (
     threshold_from_belief,
     update_belief_count,
 )
+from starfuse.montecarlo import _decides_one, _uniform_cutoffs
 from conftest import random_config
 
 
 def _config(pi0=0.3, q0=0.5, q_local=(0.5, 0.5), sigma=1.0, c_fa=1.0, c_md=1.0):
     return NetworkConfig(pi0, CostPair(c_fa, c_md), ObservationModel(sigma=sigma), q0, q_local)
+
+
+def _inverse_cdf_counts(spec, chunk_size):
+    """(fa, md, h1) counts of ``simulate`` computed the direct way: every
+    signal drawn as h + sigma*ndtri(u) from the same Philox stream and
+    compared with its threshold. The reference the cutoff form must match."""
+    cfg = spec.config
+    n = cfg.n_local
+    sigma = cfg.model.sigma
+    lam_local = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local])
+    lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
+    stride = 4 * ((n + 2 + 3) // 4)
+    fa = md = h1 = 0
+    for start in range(0, spec.trials, chunk_size):
+        m = min(chunk_size, spec.trials - start)
+        bitgen = np.random.Philox(key=spec.seed)
+        if start:
+            bitgen.advance(start * stride // 4)
+        u = np.random.Generator(bitgen).random((m, stride))
+        h = u[:, 0] >= cfg.pi0
+        y = h.astype(float)[:, None] + sigma * ndtri(u[:, 1:n + 2])
+        counts = np.count_nonzero(y[:, 1:] > lam_local[None, :], axis=1)
+        decide_one = y[:, 0] > lam_fusion[counts]
+        fa += int(np.count_nonzero(decide_one & ~h))
+        md += int(np.count_nonzero(~decide_one & h))
+        h1 += int(np.count_nonzero(h))
+    return fa, md, h1
+
+
+# Beliefs from both deep tails as well as the middle of (0, 1).
+_BELIEFS = st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 1.0 - 1e-3),
+                     st.floats(1.0 - 1e-3, 1.0 - 1e-9))
+
+
+class TestUniformCutoffs:
+    @given(n=st.integers(1, 40), sigma=st.floats(0.05, 20.0), pi0=st.floats(0.02, 0.98),
+           q0=_BELIEFS, beliefs=st.lists(_BELIEFS, min_size=40, max_size=40),
+           c_fa=st.floats(0.2, 5.0), seed=st.integers(0, 2**64 - 1),
+           trials=st.integers(1, 20_000), chunk_size=st.sampled_from([257, 1000, 7919, 65536]))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_equal_inverse_cdf_draws(self, n, sigma, pi0, q0, beliefs, c_fa, seed,
+                                            trials, chunk_size):
+        cfg = _config(pi0=pi0, q0=q0, q_local=tuple(beliefs[:n]), sigma=sigma, c_fa=c_fa)
+        spec = SimulationSpec(cfg, trials=trials, seed=seed)
+        with np.errstate(all="ignore"):
+            result = simulate(spec, chunk_size=chunk_size)
+            expected = _inverse_cdf_counts(spec, chunk_size)
+        assert (result.fa_count, result.md_count, result.h1_trials) == expected
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
+    def test_cutoff_is_the_first_passing_draw(self, sigma):
+        lam = np.array([-np.inf, -1e6, -40.0, -1.0, 0.0, 0.5, 1.0, 3.0, 40.0, 1e6, np.inf, np.nan])
+        cut = _uniform_cutoffs(sigma, lam)
+        assert cut.shape == (2, len(lam))
+        assert ((cut > 0.0) & (cut <= 1.0)).all()
+        for h in (0, 1):
+            below = np.nextafter(cut[h], 0.0)
+            with np.errstate(invalid="ignore"):
+                assert not _decides_one(float(h), sigma, below, lam).any()
+                assert _decides_one(float(h), sigma, cut[h], lam)[:-2].all()
+        # Thresholds no signal exceeds (+inf, nan) never pass below 1.
+        assert (cut[:, -2:] == 1.0).all()
 
 
 class TestSimulate:

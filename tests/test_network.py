@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starfuse import (
+    BELIEF_EPS,
     CostPair,
     NetworkConfig,
     NetworkTemplate,
     ObservationModel,
+    batch_risk,
     conditional_fusion_errors,
     count_distribution,
     exact_risk,
@@ -23,6 +25,11 @@ from starfuse import (
     threshold_from_log_odds,
     update_belief,
     update_belief_count,
+)
+from starfuse.network import (
+    _decision_one_rates,
+    _fusion_count_errors,
+    _poisson_binomial_pmf,
 )
 from conftest import random_config
 
@@ -264,10 +271,84 @@ class TestExactRisk:
         cfg = _config(pi0=0.4, q0=1e-4, q_local=(2e-4, 1e-4, 0.9999), sigma=1.0)
         assert abs(exact_risk(cfg).r0 - exact_risk_bruteforce(cfg)) <= 1e-12
 
+    @pytest.mark.parametrize("sigma", [0.06, 0.08, 0.3, 1.0])
+    def test_bruteforce_agrees_relatively_at_small_sigma(self, sigma):
+        """At sigma 0.06 the risk is about 1e-42, so only a relative check
+        sees the oracle drift; it must not clamp the updated belief."""
+        cfg = _config(pi0=0.3, q0=0.5, q_local=(0.5, 0.5, 0.5), sigma=sigma)
+        exact = exact_risk(cfg).r0
+        assert exact > 0.0
+        assert abs(exact_risk_bruteforce(cfg) - exact) <= 1e-14 * exact
+
     def test_bruteforce_guard(self):
         cfg = _config(q_local=(0.5,) * 21)
         with pytest.raises(ValueError):
             exact_risk_bruteforce(cfg)
+
+
+def _row_form_batch_risk(template, beliefs):
+    """Risks of belief rows (fusion belief first), each row running the
+    count DP and the fusion errors for itself: the form ``batch_risk`` had
+    before it split fusion beliefs from local rows."""
+    model, costs, n = template.model, template.costs, template.n_local
+    q = np.clip(beliefs, BELIEF_EPS, 1.0 - BELIEF_EPS)
+    ell = np.log(q) - np.log1p(-q)
+    pmf = _poisson_binomial_pmf(_decision_one_rates(model, costs, ell[:, 1:]))
+    fa, md, _, _ = _fusion_count_errors(model, costs, ell[:, 0], n)
+    return (costs.c_fa * template.pi0 * np.sum(pmf[0] * fa, axis=1)
+            + costs.c_md * (1.0 - template.pi0) * np.sum(pmf[1] * md, axis=1))
+
+
+def _shape_case(shape, rng):
+    """(n_local, q0, q_local) of one of batch_risk's four calling shapes."""
+    if shape == "tied":  # grid_search with tied locals: q0 axis x q1 axis
+        n = int(rng.integers(1, 13))
+        q0 = np.round(np.arange(rng.uniform(0.01, 0.5), 0.99, 0.02)[:49], 12)
+        q1 = np.round(np.arange(rng.uniform(0.01, 0.5), 0.99, 0.02)[:49], 12)
+        return n, q0, np.repeat(q1[:, None], n, axis=1)
+    if shape == "full":  # full grid_search at N=3: q0 axis x product of local axes
+        axes = [np.round(np.linspace(rng.uniform(0.01, 0.5), rng.uniform(0.5, 0.99), 7), 12)
+                for _ in range(4)]
+        mesh = np.meshgrid(*axes[1:], indexing="ij")
+        return 3, axes[0], np.stack([m.ravel() for m in mesh], axis=1)
+    if shape == "contour":  # grid --contour: one q0 x the (q1, q2) mesh
+        axis = np.round(np.arange(0.02, 0.981, 0.02), 10)
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        return 2, np.array([rng.uniform(0.01, 0.99)]), np.column_stack([g1.ravel(), g2.ravel()])
+    # minimize_fusion_belief: the scan points x one local row, some deep in the tails
+    n = int(rng.integers(1, 13))
+    q_local = np.clip(rng.uniform(0.0, 1.0, size=(1, n)) ** rng.choice([1, 8]), 1e-7, 1 - 1e-7)
+    return n, np.linspace(0.02, 0.98, 193), q_local
+
+
+class TestBatchRisk:
+    @pytest.mark.parametrize("shape", ["tied", "full", "contour", "scan"])
+    def test_bit_identical_to_row_form(self, shape):
+        """Every (fusion belief, local row) pair equals its row-form risk,
+        byte for byte, nan included, for sigma down to 0.05."""
+        rng = np.random.default_rng(["tied", "full", "contour", "scan"].index(shape))
+        for _ in range(60):
+            n, q0, q_local = _shape_case(shape, rng)
+            sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+            template = NetworkTemplate(float(rng.uniform(0.02, 0.98)),
+                                       CostPair(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0))),
+                                       ObservationModel(sigma=sigma), n)
+            rows = np.column_stack([np.repeat(q0, len(q_local)), np.tile(q_local, (len(q0), 1))])
+            with np.errstate(all="ignore"):
+                outer = batch_risk(template, q0, q_local)
+                expected = _row_form_batch_risk(template, rows)
+            assert outer.shape == (len(q0), len(q_local))
+            assert outer.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("q0, q_local", [(1.5, [0.3, 0.3]), (0.5, [0.3, 0.0]),
+                                             (np.nan, [0.3, 0.3]), (0.5, [0.3, 1.0])])
+    def test_rejects_degenerate_beliefs(self, benchmark_template, q0, q_local):
+        with pytest.raises(ValueError, match="degenerate belief"):
+            batch_risk(benchmark_template, [q0], [q_local])
+
+    def test_rejects_wrong_local_width(self, benchmark_template):
+        with pytest.raises(ValueError, match="2 local belief columns"):
+            batch_risk(benchmark_template, [0.5], [[0.3, 0.3, 0.3]])
 
 
 class TestConditionalFusionErrors:

@@ -72,11 +72,16 @@ class TestGridSearch:
         assert result.beliefs == pytest.approx((best[1], best[2]))
         assert result.risk == pytest.approx(best[0], rel=1e-12)
 
-    def test_chunking_does_not_change_result(self, benchmark_template):
-        """Rows are independent, so batch_risk's fixed chunking cannot change a value."""
-        rows = np.random.default_rng(5).uniform(0.02, 0.98, size=(1000, 3))
-        sliced = [batch_risk(benchmark_template, rows[i:i + 97]) for i in range(0, len(rows), 97)]
-        assert np.array_equal(batch_risk(benchmark_template, rows), np.concatenate(sliced))
+    def test_chunking_does_not_change_result(self, benchmark_template, monkeypatch):
+        """Local rows are independent, so neither slicing them nor batch_risk's
+        chunking (here forced down to 3 rows per chunk) can change a value."""
+        rng = np.random.default_rng(5)
+        q0, rows = rng.uniform(0.02, 0.98, 31), rng.uniform(0.02, 0.98, size=(1000, 2))
+        whole = batch_risk(benchmark_template, q0, rows)
+        sliced = [batch_risk(benchmark_template, q0, rows[i:i + 97]) for i in range(0, len(rows), 97)]
+        assert np.array_equal(whole, np.concatenate(sliced, axis=1))
+        monkeypatch.setattr("starfuse.network.BATCH_CHUNK_ROWS", 97)
+        assert np.array_equal(whole, batch_risk(benchmark_template, q0, rows))
 
     @pytest.mark.parametrize("lo, hi, res", [(0.92, 1.04, 0.002), (0.94, 1.02, 0.002),
                                              (0.9956, 1.0004, 0.0002)])
@@ -114,11 +119,11 @@ class TestGridSearch:
 
     def test_batch_risk_agrees_with_scalar(self, benchmark_template):
         rng = np.random.default_rng(3)
-        rows = rng.uniform(0.05, 0.95, size=(40, 3))
-        batched = batch_risk(benchmark_template, rows)
-        for row, value in zip(rows, batched):
-            scalar = exact_risk(benchmark_template.config(row[0], row[1:])).r0
-            assert value == pytest.approx(scalar, rel=1e-13)
+        q0, rows = rng.uniform(0.05, 0.95, 8), rng.uniform(0.05, 0.95, size=(5, 2))
+        batched = batch_risk(benchmark_template, q0, rows)
+        for i, j in np.ndindex(batched.shape):
+            scalar = exact_risk(benchmark_template.config(q0[i], rows[j])).r0
+            assert batched[i, j] == pytest.approx(scalar, rel=1e-13)
 
     def test_local_optimum_pulls_toward_cost_neutral(self, std_model, equal_costs):
         """For small priors the optimal tied local belief sits between the
@@ -285,7 +290,7 @@ class TestPbpo:
             result = pbpo(template, settings, init=None, seed=7)
             slack = 2.0 * settings.step
             assert result.risk >= reference.risk - slack
-            probe = batch_risk(template, np.array(reference.beliefs)[None, :])[0]
+            probe = batch_risk(template, reference.beliefs[:1], [reference.beliefs[1:]])[0, 0]
             assert result.risk <= probe + slack
 
     def test_exact_variant_agrees_with_fixed_step(self, benchmark_template):
@@ -467,9 +472,7 @@ class TestCoordinateConvexity:
         """The fusion false-alarm rate folds as the fusion belief sweeps, so
         risk-vs-rate is tested on the monotone branch holding the optimum."""
         q0_grid = np.linspace(0.02, 0.98, 481)
-        rows = np.column_stack([q0_grid, np.full_like(q0_grid, 0.396),
-                                np.full_like(q0_grid, 0.396)])
-        risks = batch_risk(benchmark_template, rows)
+        risks = batch_risk(benchmark_template, q0_grid, [(0.396, 0.396)])[:, 0]
         rates = np.array([
             exact_risk(benchmark_template.tied(q0, 0.396)).p_fa0 for q0 in q0_grid
         ])
