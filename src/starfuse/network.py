@@ -10,7 +10,8 @@ dynamic program (the default path) and full enumeration of decision vectors
 that take any leading shape: ``exact_risk`` runs it for one network and
 ``batch_risk`` for every pairing of many fusion beliefs with many rows of
 local beliefs, building the count pmf once per local row and the per-count
-fusion errors once per fusion belief.
+fusion errors once per fusion belief. ``pinned_fusion_sweep`` is the one
+leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``.
 """
 
 import itertools
@@ -145,12 +146,12 @@ def _decision_one_rates(model: ObservationModel, costs: CostPair, ell) -> np.nda
     return gaussian_q(np.stack((lam, lam - 1.0)) / model.sigma)
 
 
-def _local_rates(config: NetworkConfig) -> np.ndarray:
-    """(2, N) decide-1 rates of the local agents."""
+def _local_rates(model: ObservationModel, costs: CostPair, beliefs) -> np.ndarray:
+    """(2, N) decide-1 rates of local agents with the given beliefs."""
     # log_odds per belief; np.log over rows (batch_risk) can differ in the
     # last bit, and test_bit_identical_to_per_agent_loop pins this path.
-    ell = np.array([log_odds(q) for q in config.q_local])
-    return _decision_one_rates(config.model, config.costs, ell)
+    ell = np.array([log_odds(q) for q in beliefs])
+    return _decision_one_rates(model, costs, ell)
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -209,7 +210,7 @@ def count_distribution(config: NetworkConfig) -> CountDistribution:
     can be nonzero so far, so the cost is O(N^2) with a small constant. Each
     step is the convex combination pmf[c] * (1 - p) + pmf[c - 1] * p.
     """
-    pmf = _poisson_binomial_pmf(_local_rates(config))
+    pmf = _poisson_binomial_pmf(_local_rates(config.model, config.costs, config.q_local))
     return CountDistribution(pmf[0], pmf[1])
 
 
@@ -325,7 +326,7 @@ def exact_risk_bruteforce(config: NetworkConfig) -> float:
     n = config.n_local
     if n > 20:
         raise ValueError(f"bruteforce enumeration rejected for N={n} > 20")
-    t0, t1 = _local_rates(config)
+    t0, t1 = _local_rates(config.model, config.costs, config.q_local)
     c_fa, c_md = config.costs.c_fa, config.costs.c_md
     pi0 = config.pi0
     total = 0.0
@@ -339,25 +340,32 @@ def exact_risk_bruteforce(config: NetworkConfig) -> float:
     return total
 
 
-def pinned_fusion_errors(config: NetworkConfig):
-    """Fusion (false-alarm, missed-detection) probabilities with each local
-    agent's decision pinned, for every agent at once.
+def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
+    """One leave-one-out pass over the local agents, in order, in which each
+    agent's belief may be revised as soon as its pinned errors are known.
 
-    Returns ``(fa, md)``, each of shape (2, N): entry ``[d, j - 1]`` mixes
-    the fusion error over the other agents' count distribution with agent
-    ``j``'s decision pinned to ``d``.
+    For j = 1..N calls ``revise(j, pinned0, pinned1)``: ``pinned{d}`` is the
+    length-2 array (fusion false-alarm probability, fusion missed-detection
+    probability) with agent ``j``'s decision pinned to ``d``, mixed over the
+    count distribution of the other agents, those before ``j`` at their
+    revised beliefs and those after ``j`` at their beliefs in ``config``.
+    ``revise`` returns agent ``j``'s belief for the rest of the pass (its
+    current one to keep it). Returns the revised local beliefs.
 
     Leave-one-out by prefix and suffix: a backward pass folds the agents
     after ``j`` into the expected fusion error per count of ones among agents
-    ``1..j``, and a forward pass builds the count pmf of the agents before
-    ``j`` and mixes the two. Both passes are convex-combination recurrences,
-    so nothing is divided out (unlike deconvolving agent ``j`` from the full
-    pmf, which is unstable; Hong 2013), and all N agents cost O(N^2)
-    together.
+    ``1..j``, and a forward pass folds each agent's revised decide-1 rates
+    into the count pmf of the agents before it and mixes the two. Both passes
+    are convex-combination recurrences, so nothing is divided out (unlike
+    deconvolving agent ``j`` from the full pmf, which is unstable; Hong
+    2013), and the whole pass costs O(N^2). A revised belief only costs its
+    own decide-1 rates, since the agents after it have not moved yet.
     """
     n = config.n_local
-    p_cols, q_cols = _rate_columns(_local_rates(config))
-    fa, md, _, _ = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
+    model, costs = config.model, config.costs
+    beliefs = list(config.q_local)
+    p_cols, q_cols = _rate_columns(_local_rates(model, costs, beliefs))
+    fa, md, _, _ = _fusion_count_errors(model, costs, log_odds(config.q0), n)
     # after[j][h, c]: expected fusion error (FA under H0, MD under H1) given
     # c ones among agents 1..j+1, mixed over the agents after j+1.
     after = [None] * n
@@ -365,15 +373,38 @@ def pinned_fusion_errors(config: NetworkConfig):
     for j in range(n - 1, 0, -1):
         g = after[j]
         after[j - 1] = g[:, :-1] * q_cols[j] + g[:, 1:] * p_cols[j]
-    out = np.empty((2, 2, n))
     before = np.zeros((2, n + 1))
     before[:, 0] = 1.0
     for j in range(n):
         prefix = before[:, :j + 1]
         g = after[j]
-        out[:, 0, j] = np.einsum("hc,hc->h", prefix, g[:, :-1])
-        out[:, 1, j] = np.einsum("hc,hc->h", prefix, g[:, 1:])
-        _add_agent(before, p_cols[j], q_cols[j], j)
+        q = revise(j + 1, np.einsum("hc,hc->h", prefix, g[:, :-1]),
+                   np.einsum("hc,hc->h", prefix, g[:, 1:]))
+        p, not_p = p_cols[j], q_cols[j]
+        if q != beliefs[j]:
+            beliefs[j] = q
+            (p,), (not_p,) = _rate_columns(_local_rates(model, costs, [q]))
+        _add_agent(before, p, not_p, j)
+    return tuple(beliefs)
+
+
+def pinned_fusion_errors(config: NetworkConfig):
+    """Fusion (false-alarm, missed-detection) probabilities with each local
+    agent's decision pinned, for every agent at once.
+
+    Returns ``(fa, md)``, each of shape (2, N): entry ``[d, j - 1]`` mixes
+    the fusion error over the other agents' count distribution with agent
+    ``j``'s decision pinned to ``d``. One ``pinned_fusion_sweep`` that
+    revises no belief, so all N agents cost O(N^2) together.
+    """
+    out = np.empty((2, 2, config.n_local))
+
+    def record(j, pinned0, pinned1):
+        out[:, 0, j - 1] = pinned0
+        out[:, 1, j - 1] = pinned1
+        return config.q_local[j - 1]
+
+    pinned_fusion_sweep(config, record)
     return out[0], out[1]
 
 

@@ -9,9 +9,22 @@ The risk itself comes from ``network``: ``batch_risk`` evaluates grids and
 bracketing scans as an axis of fusion beliefs against rows of local beliefs
 (a grid's local rows are the product of its local axes, or one axis
 repeated when the locals are tied). The loops that move one belief at a
-time use ``_risk_evaluator``, a pure-Python scalar copy of the same formula,
+time use ``_RiskEvaluator``, a pure-Python scalar copy of the same formula,
 built once per descent run or line search, that memoizes per-belief tails;
-tests pin it to ``exact_risk``.
+tests pin it to ``exact_risk``. It exposes the formula's two steps, folding
+one local into the count pmfs and mixing the pmfs with a fusion belief's
+per-count errors, so each loop redoes only what a probe changes:
+
+- ``pbpo`` keeps the prefix count pmfs of the current tuple. A fusion probe
+  is one O(N) mix; a probe of local i refolds locals i..N only.
+- ``minimize_fusion_belief`` folds its fixed locals once per call; each
+  golden-section probe is one mix.
+- ``pbpo_exact`` updates every local of a sweep from one
+  ``network.pinned_fusion_sweep``, O(N^2) per sweep where one
+  ``exact_coordinate_update`` per agent cost O(N^3).
+
+Each gives the same doubles as recomputing the risk from scratch, which
+``tests/test_descent_reference.py`` checks against reference copies.
 """
 
 import dataclasses
@@ -26,6 +39,7 @@ from .network import (
     batch_risk,
     exact_risk,
     pinned_fusion_errors,
+    pinned_fusion_sweep,
 )
 from .observation import BELIEF_EPS, from_log_odds, log_odds
 
@@ -76,88 +90,111 @@ class OptimizationResult:
     trace: tuple[tuple[float, ...], ...] | None = None
 
 
-def _risk_evaluator(template: NetworkTemplate):
-    """Scalar exact risk of belief tuples for one optimizer run.
+class _RiskEvaluator:
+    """Scalar exact risk of belief tuples for one optimizer run, in two steps.
 
-    Returns ``risk(beliefs)`` with the fusion belief first. The descent loops
-    call it tens of thousands of times with tiny networks, where numpy array
-    overhead would dominate, and between two calls usually only one belief
-    moves. So the closure memoizes, keyed by the exact float value of a
-    belief, each local belief's decide-1 tails and each fusion belief's
-    per-count fusion error probabilities; the count DP and the final mix are
-    recomputed on every call. Agrees with ``exact_risk`` to machine precision.
+    ``fold(pmfs, q)`` folds one more local agent, with belief ``q``, into a
+    pair of count pmfs (under H0, under H1) and returns the longer pair; the
+    pmfs of no agents are ``EMPTY``. ``mix(pmfs, q0)`` mixes the count pmfs
+    of all N locals with fusion belief ``q0``'s per-count fusion errors and
+    returns the risk. Calling the evaluator with a belief tuple, fusion
+    belief first, composes the two. The descent loops call these tens of
+    thousands of times with tiny networks, where numpy array overhead would
+    dominate, and a probe usually moves one belief. So the evaluator
+    memoizes, keyed by the exact float value of a belief, each local
+    belief's decide-1 tails and each fusion belief's per-count fusion error
+    probabilities, and the loops keep the prefix pmfs a probe does not
+    change. Agrees with ``exact_risk`` to machine precision.
 
-    Raises ``ValueError`` naming the fusion belief and sigma when a Gaussian
-    tail of the fusion threshold underflows to 0, since the fusion
+    ``mix`` raises ``ValueError`` naming the fusion belief and sigma when a
+    Gaussian tail of the fusion threshold underflows to 0, since the fusion
     log-likelihood ratios are then undefined.
     """
-    model, costs = template.model, template.costs
-    s = model.sigma
-    v = model.variance_proxy
-    logc = costs.log_ratio
-    n = template.n_local
-    weight_fa = costs.c_fa * template.pi0
-    weight_md = costs.c_md * (1.0 - template.pi0)
-    local_tails = {}
-    fusion_errors = {}
 
-    def lodds(q):
-        q = min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
-        return math.log(q) - math.log1p(-q)
+    EMPTY = ((1.0,), (1.0,))
 
-    def q_tail(x):
-        return 0.5 * math.erfc(x / _SQRT2)
+    def __init__(self, template: NetworkTemplate):
+        model, costs = template.model, template.costs
+        s = model.sigma
+        v = model.variance_proxy
+        logc = costs.log_ratio
+        n = template.n_local
+        weight_fa = costs.c_fa * template.pi0
+        weight_md = costs.c_md * (1.0 - template.pi0)
+        local_tails = {}
+        fusion_errors = {}
+        # The steps are closures over these locals, not methods: in the
+        # descent loops a cell lookup is cheaper than an attribute lookup.
 
-    def tails_of(q):
-        lam = 0.5 + v * (logc + lodds(q))
-        return q_tail(lam / s), q_tail((lam - 1.0) / s)
+        def lodds(q):
+            q = min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
+            return math.log(q) - math.log1p(-q)
 
-    def errors_of(q0):
-        ell0 = lodds(q0)
-        lam_f = 0.5 + v * (logc + ell0)
-        tails = (q_tail(-lam_f / s), q_tail(-(lam_f - 1.0) / s),
-                 q_tail(lam_f / s), q_tail((lam_f - 1.0) / s))
-        if min(tails) == 0.0:
-            raise ValueError(f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of its "
-                             f"threshold {lam_f!r} underflows to 0, so the fusion "
-                             f"log-likelihood ratios are undefined")
-        l_zero = math.log(tails[0]) - math.log(tails[1])
-        l_one = math.log(tails[2]) - math.log(tails[3])
-        fa, md = [], []
-        for k in range(n + 1):
-            lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
-            fa.append(q_tail(lam / s))
-            md.append(q_tail(-(lam - 1.0) / s))
-        return fa, md
+        def q_tail(x):
+            return 0.5 * math.erfc(x / _SQRT2)
 
-    def risk(beliefs) -> float:
-        pmf0 = [1.0] + [0.0] * n
-        pmf1 = [1.0] + [0.0] * n
-        for i in range(n):
-            q = beliefs[1 + i]
+        def errors_of(q0):
+            ell0 = lodds(q0)
+            lam_f = 0.5 + v * (logc + ell0)
+            tails = (q_tail(-lam_f / s), q_tail(-(lam_f - 1.0) / s),
+                     q_tail(lam_f / s), q_tail((lam_f - 1.0) / s))
+            if min(tails) == 0.0:
+                raise ValueError(f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of its "
+                                 f"threshold {lam_f!r} underflows to 0, so the fusion "
+                                 f"log-likelihood ratios are undefined")
+            l_zero = math.log(tails[0]) - math.log(tails[1])
+            l_one = math.log(tails[2]) - math.log(tails[3])
+            fa, md = [], []
+            for k in range(n + 1):
+                lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
+                fa.append(q_tail(lam / s))
+                md.append(q_tail(-(lam - 1.0) / s))
+            return fa, md
+
+        def fold(pmfs, q):
             t = local_tails.get(q)
             if t is None:
-                t = local_tails[q] = tails_of(q)
+                lam = 0.5 + v * (logc + lodds(q))
+                t = local_tails[q] = q_tail(lam / s), q_tail((lam - 1.0) / s)
             t0, t1 = t
-            for k in range(i + 1, 0, -1):
-                pmf0[k] = pmf0[k] * (1.0 - t0) + pmf0[k - 1] * t0
-                pmf1[k] = pmf1[k] * (1.0 - t1) + pmf1[k - 1] * t1
-            pmf0[0] *= 1.0 - t0
-            pmf1[0] *= 1.0 - t1
+            s0, s1 = 1.0 - t0, 1.0 - t1
+            pmf0, pmf1 = pmfs
+            # Count k keeps its mass with 1 - t or takes count k-1's with t.
+            # The new top count is the old top times t (the in-place DP
+            # computed 0.0 * (1 - t) + top * t, the same double).
+            new0, new1 = [pmf0[0] * s0], [pmf1[0] * s1]
+            for k in range(1, len(pmf0)):
+                new0.append(pmf0[k] * s0 + pmf0[k - 1] * t0)
+                new1.append(pmf1[k] * s1 + pmf1[k - 1] * t1)
+            new0.append(pmf0[-1] * t0)
+            new1.append(pmf1[-1] * t1)
+            return new0, new1
 
-        q0 = beliefs[0]
-        errors = fusion_errors.get(q0)
-        if errors is None:
-            errors = fusion_errors[q0] = errors_of(q0)
-        fa, md = errors
-        p_fa0 = 0.0
-        p_md0 = 0.0
-        for k in range(n + 1):
-            p_fa0 += pmf0[k] * fa[k]
-            p_md0 += pmf1[k] * md[k]
-        return weight_fa * p_fa0 + weight_md * p_md0
+        def mix(pmfs, q0):
+            errors = fusion_errors.get(q0)
+            if errors is None:
+                errors = fusion_errors[q0] = errors_of(q0)
+            fa, md = errors
+            pmf0, pmf1 = pmfs
+            p_fa0 = 0.0
+            p_md0 = 0.0
+            for k in range(n + 1):
+                p_fa0 += pmf0[k] * fa[k]
+                p_md0 += pmf1[k] * md[k]
+            return weight_fa * p_fa0 + weight_md * p_md0
 
-    return risk
+        self.fold = fold
+        self.mix = mix
+
+    def prefixes(self, q_local) -> list:
+        """Count pmfs of the first 0, 1, ..., N locals of ``q_local``."""
+        out = [self.EMPTY]
+        for q in q_local:
+            out.append(self.fold(out[-1], q))
+        return out
+
+    def __call__(self, beliefs) -> float:
+        return self.mix(self.prefixes(beliefs[1:])[-1], beliefs[0])
 
 
 def _axis(lo: float, hi: float, res: float) -> np.ndarray:
@@ -226,12 +263,22 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
 
 
 def golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] to within ``tol``."""
+    """Minimize a unimodal scalar function on [lo, hi] to within ``tol``.
+
+    Also stops once the search can no longer narrow [a, b]: with ``tol``
+    below the float spacing of the bracket, the probes land on the interval
+    ends and the iteration would cycle through the same states for ever.
+    A state is recorded each time an iteration fails to shrink b - a, and
+    a repeat ends the search; the iteration is deterministic, so a run that
+    repeats a state never meets ``tol``, and every run that does is unchanged.
+    """
     a, b = float(lo), float(hi)
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
     fc, fd = f(c), f(d)
+    stalled = set()
     while abs(b - a) > tol:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
@@ -240,6 +287,11 @@ def golden_section(f, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
             fd = f(d)
+        if not b - a < width:
+            state = (a, b, c, d)
+            if state in stalled:
+                break
+            stalled.add(state)
     return 0.5 * (a + b)
 
 
@@ -247,8 +299,10 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     """Best fusion belief against fixed local beliefs.
 
     The risk along the fusion-belief axis can grow a shallow secondary dip
-    near the interval edges, so a coarse scan brackets the global basin
-    before golden-section refinement.
+    near the interval edges, so a coarse scan (one ``batch_risk`` call)
+    brackets the global basin before golden-section refinement. The locals
+    are folded into their count pmfs once per call, so each golden-section
+    probe costs one O(N) mix with the probe's memoized per-count errors.
     """
     q_local = tuple(q_local)
     grid = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
@@ -256,8 +310,9 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    risk = _risk_evaluator(template)
-    return golden_section(lambda q0: risk((q0,) + q_local), lo, hi, tol)
+    evaluator = _RiskEvaluator(template)
+    mix, pmfs = evaluator.mix, evaluator.prefixes(q_local)[-1]
+    return golden_section(lambda q0: mix(pmfs, q0), lo, hi, tol)
 
 
 def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
@@ -272,11 +327,13 @@ def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
     at most ``eps``, or after ``max_iters`` sweeps (reported via
     ``converged=False``, not an exception).
 
-    Each run evaluates the risk through one ``_risk_evaluator``, so a probe
-    recomputes only the tails of beliefs it has not seen in that run.
-    Raises ``ValueError`` naming the fusion belief and sigma when the fusion
-    belief reaches a value (typically the clamp edge) where a Gaussian tail
-    of its threshold underflows.
+    Each run evaluates the risk through one ``_RiskEvaluator``, so a probe
+    recomputes only the tails of beliefs it has not seen in that run, and
+    keeps the count pmfs of every prefix of the current locals: a fusion
+    probe costs one O(N) mix and a probe of local i refolds locals i..N,
+    O(N^2) at worst. Raises ``ValueError`` naming the fusion belief and
+    sigma when the fusion belief reaches a value (typically the clamp edge)
+    where a Gaussian tail of its threshold underflows.
 
     With ``init=None`` the best of ``settings.restarts`` runs from seeded
     uniform-random initializations is returned.
@@ -292,6 +349,13 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
     tolerance ``eps/10``); each local belief jumps straight to the solution
     of its stationarity balance, which is the coordinate minimizer. Far fewer
     sweeps than the fixed-step variant for the same answer.
+
+    Within the local pass the fusion belief is fixed and the agents after
+    j have not moved yet, so one ``pinned_fusion_sweep`` (one backward pass
+    of suffix expectations, and a forward prefix pmf that folds in each
+    agent's updated belief) gives every agent its balance: a sweep costs
+    O(N^2) plus the line search, against O(N^3) for one
+    ``exact_coordinate_update`` per agent, with the same doubles.
     """
     return _multi_start(_pbpo_exact_run, template, settings, init, seed)
 
@@ -314,25 +378,40 @@ def _pbpo_run(template, settings, init):
         raise ValueError(f"init must have {template.n_local + 1} beliefs")
     step = settings.step
     lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
-    risk_of = _risk_evaluator(template)
+    evaluator = _RiskEvaluator(template)
+    fold, mix = evaluator.fold, evaluator.mix
     q = [float(x) for x in init]
-    risk = risk_of(q)
+    # prefix[m]: count pmfs of locals 1..m of the current tuple q.
+    prefix = evaluator.prefixes(q[1:])
+
+    def probe(i, value):
+        """Risk of q with belief i set to value, and the prefix pmfs from
+        local i on that go with it."""
+        if i == 0:
+            return mix(prefix[-1], value), None
+        chain = [fold(prefix[i - 1], value)]
+        for qk in q[i + 1:]:
+            chain.append(fold(chain[-1], qk))
+        return mix(chain[-1], q[0]), chain
+
+    risk = mix(prefix[-1], q[0])
     trace = [tuple(q) + (risk,)]
     converged = False
     sweeps = 0
     for sweeps in range(1, settings.max_iters + 1):
         previous = q  # moves rebind q to a new list, never mutate it
         for i in range(len(q)):
-            qi = q[i]
-            up = q[:i] + [min(qi + step, hi)] + q[i + 1:]
-            down = q[:i] + [max(qi - step, lo)] + q[i + 1:]
-            r_up = risk_of(up)
-            r_down = risk_of(down)
+            up, down = min(q[i] + step, hi), max(q[i] - step, lo)
+            r_up, chain_up = probe(i, up)
+            r_down, chain_down = probe(i, down)
             if min(r_up, r_down) < risk:
                 if r_up < r_down:
-                    q, risk = up, r_up
+                    value, risk, chain = up, r_up, chain_up
                 else:
-                    q, risk = down, r_down
+                    value, risk, chain = down, r_down, chain_down
+                q = q[:i] + [value] + q[i + 1:]
+                if i:
+                    prefix[i:] = chain
         trace.append(tuple(q) + (risk,))
         if trace[-1][-1] > trace[-2][-1] + 1e-15:
             raise AssertionError("risk increased across a sweep")
@@ -345,17 +424,20 @@ def _pbpo_run(template, settings, init):
 def _pbpo_exact_run(template, settings, init):
     if len(init) != template.n_local + 1:
         raise ValueError(f"init must have {template.n_local + 1} beliefs")
-    risk_of = _risk_evaluator(template)
+    risk_of = _RiskEvaluator(template)
+    pi0 = template.pi0
     q = [float(x) for x in init]
     trace = [tuple(q) + (risk_of(q),)]
     converged = False
     sweeps = 0
+
+    def revise(j, pinned0, pinned1):
+        return _balance_update(pi0, q[j], j, pinned1[0] - pinned0[0], pinned0[1] - pinned1[1])[0]
+
     for sweeps in range(1, settings.max_iters + 1):
         previous = list(q)
         q[0] = minimize_fusion_belief(template, q[1:], tol=settings.eps / 10.0)
-        for j in range(1, len(q)):
-            config = template.config(q[0], q[1:])
-            q[j], _ = exact_coordinate_update(config, j)
+        q[1:] = pinned_fusion_sweep(template.config(q[0], q[1:]), revise)
         trace.append(tuple(q) + (risk_of(q),))
         if math.dist(q, previous) <= settings.eps:
             converged = True
@@ -383,13 +465,30 @@ def _pinned_differences(config: NetworkConfig):
     return fa[1] - fa[0], md[0] - md[1]
 
 
+def _balance_update(pi0: float, q_j: float, j: int, d_fa, d_md):
+    """Closed-form minimizer of local agent ``j``'s coordinate, currently at
+    belief ``q_j``, from its bracketed differences ``d_fa`` and ``d_md``:
+    ``(belief, degenerate)``, as ``exact_coordinate_update`` returns."""
+    d_fa, d_md = float(d_fa), float(d_md)
+    if not (math.isfinite(d_fa) and math.isfinite(d_md)):
+        raise ValueError(f"pinned fusion error differences for agent {j} are not finite "
+                         f"({d_fa!r}, {d_md!r})")
+    if d_fa <= 0.0 or d_md <= 0.0:
+        return q_j, True
+    ell = log_odds(pi0) + math.log(d_fa) - math.log(d_md)
+    q = float(from_log_odds(ell))
+    return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS), False
+
+
 def exact_coordinate_update(config: NetworkConfig, j: int):
     """Solve the stationarity balance for local agent ``j`` directly.
 
     The balance equates agent ``j``'s belief odds to the prior odds scaled by
     the ratio of fusion error-probability changes between the agent's two
     possible decisions; that ratio does not depend on ``q_j`` itself, so the
-    coordinate minimizer comes out in closed form.
+    coordinate minimizer comes out in closed form. Costs one O(N^2)
+    ``pinned_fusion_errors`` call; ``pbpo_exact`` updates every agent of a
+    sweep from one ``pinned_fusion_sweep`` instead.
 
     Returns ``(belief, degenerate)``. ``degenerate`` is True when pinning the
     agent's decision cannot move the fusion outcome (a non-positive
@@ -399,15 +498,8 @@ def exact_coordinate_update(config: NetworkConfig, j: int):
     """
     if not 1 <= j <= config.n_local:
         raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")
-    d_fa, d_md = (float(d[j - 1]) for d in _pinned_differences(config))
-    if not (math.isfinite(d_fa) and math.isfinite(d_md)):
-        raise ValueError(f"pinned fusion error differences for agent {j} are not finite "
-                         f"({d_fa!r}, {d_md!r})")
-    if d_fa <= 0.0 or d_md <= 0.0:
-        return config.q_local[j - 1], True
-    ell = log_odds(config.pi0) + math.log(d_fa) - math.log(d_md)
-    q = float(from_log_odds(ell))
-    return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS), False
+    d_fa, d_md = (d[j - 1] for d in _pinned_differences(config))
+    return _balance_update(config.pi0, config.q_local[j - 1], j, d_fa, d_md)
 
 
 def stationarity_residual(config: NetworkConfig) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +20,19 @@ from starfuse import (
     threshold_from_belief,
     update_belief_count,
 )
+from starfuse import montecarlo
 from starfuse.montecarlo import _decides_one, _uniform_cutoffs
 from conftest import random_config
 
 
 def _config(pi0=0.3, q0=0.5, q_local=(0.5, 0.5), sigma=1.0, c_fa=1.0, c_md=1.0):
     return NetworkConfig(pi0, CostPair(c_fa, c_md), ObservationModel(sigma=sigma), q0, q_local)
+
+
+def _chunk_trials(spec, trials):
+    """Patch ``simulate``'s chunk to hold exactly ``trials`` trials of ``spec``."""
+    stride = 4 * ((spec.config.n_local + 2 + 3) // 4)
+    return mock.patch.object(montecarlo, "CHUNK_UNIFORMS", trials * stride)
 
 
 def _inverse_cdf_counts(spec, chunk_size):
@@ -69,7 +78,8 @@ class TestUniformCutoffs:
         cfg = _config(pi0=pi0, q0=q0, q_local=tuple(beliefs[:n]), sigma=sigma, c_fa=c_fa)
         spec = SimulationSpec(cfg, trials=trials, seed=seed)
         with np.errstate(all="ignore"):
-            result = simulate(spec, chunk_size=chunk_size)
+            with _chunk_trials(spec, chunk_size):
+                result = simulate(spec)
             expected = _inverse_cdf_counts(spec, chunk_size)
         assert (result.fa_count, result.md_count, result.h1_trials) == expected
 
@@ -92,8 +102,25 @@ class TestSimulate:
     def test_deterministic_across_chunk_sizes(self):
         cfg = _config(q0=0.7372, q_local=(0.396, 0.396))
         spec = SimulationSpec(cfg, trials=30_000, seed=99)
-        results = {simulate(spec, chunk_size=c) for c in (1_000, 7_777, 30_000, 65_536)}
+        results = set()
+        for c in (1_000, 7_777, 30_000, 65_536):
+            with _chunk_trials(spec, c):
+                results.add(simulate(spec))
         assert len(results) == 1
+
+    def test_chunk_memory_does_not_grow_with_n(self):
+        """A chunk is sized in uniforms, not trials, so simulating 200 agents
+        peaks at a few MB, as 2 agents do."""
+        peaks = []
+        for n in (2, 200):
+            spec = SimulationSpec(_config(q_local=(0.45,) * n), trials=20_000, seed=3)
+            tracemalloc.start()
+            try:
+                simulate(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 8e6
 
     def test_same_seed_same_result(self):
         cfg = _config()

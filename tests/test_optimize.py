@@ -21,7 +21,7 @@ from starfuse import (
     pinned_fusion_errors,
     stationarity_residual,
 )
-from starfuse.optimize import GRID_HI, _axis, _risk_evaluator, minimize_fusion_belief
+from starfuse.optimize import GRID_HI, _axis, _RiskEvaluator, minimize_fusion_belief
 from conftest import random_config
 
 # A pbpo instance (inside sigma in [0.05, 20]) whose fusion belief walks to
@@ -190,7 +190,7 @@ class TestRiskEvaluator:
         raised = 0
         for _ in range(60):
             template = _random_template(rng)
-            risk = _risk_evaluator(template)
+            risk = _RiskEvaluator(template)
             # A small pool of beliefs, so most evaluations hit the memo.
             pool = rng.uniform(0.02, 0.98, size=6)
             for _ in range(20):
@@ -212,7 +212,7 @@ class TestRiskEvaluator:
             template = _random_template(rng)
             beliefs = [float(q) for q in rng.uniform(0.02, 0.98, size=template.n_local + 1)]
             try:
-                value = _risk_evaluator(template)(beliefs)
+                value = _RiskEvaluator(template)(beliefs)
             except ValueError:
                 continue
             expected = exact_risk(template.config(beliefs[0], beliefs[1:])).r0
@@ -223,11 +223,11 @@ class TestRiskEvaluator:
     def test_memo_does_not_drift(self, benchmark_template):
         rng = np.random.default_rng(71)
         pool = rng.uniform(0.05, 0.95, size=8)
-        risk = _risk_evaluator(benchmark_template)
+        risk = _RiskEvaluator(benchmark_template)
         for _ in range(1000):
             risk([float(q) for q in rng.choice(pool, size=3)])
         probe = [float(pool[0]), float(pool[3]), float(pool[5])]
-        assert risk(probe) == _risk_evaluator(benchmark_template)(probe)
+        assert risk(probe) == _RiskEvaluator(benchmark_template)(probe)
 
     def test_clamp_edge_underflow_is_named(self):
         with pytest.raises(ValueError, match=r"fusion belief 0\.999999999 at "
