@@ -10,12 +10,16 @@ functions; ``grid --contour`` evaluates its surface with
 
 Exit codes: 0 success, 2 validation error, 3 numerical-domain failure: a
 non-finite risk from ``risk``, a ``FloatingPointError`` such as an
-underflowed fusion tail in ``phase`` (in both cases no CSV is written), or
-a flag escalated by ``--strict``.
+underflowed fusion tail in ``phase`` or an underflowed decision tail at the
+optimal threshold in ``exponent`` (in each case no CSV is written), or a
+flag escalated by ``--strict``.
+
+``main`` builds the argument parser once per process and reuses it.
 """
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -422,9 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    process: building the argparse tree costs more than a cheap command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:

@@ -17,7 +17,16 @@ from starfuse import (
     phase_map,
 )
 from starfuse import NetworkTemplate
-from starfuse.asymptotics import _min_over_s, _region_of, _ternary_min_s
+from scipy.special import log_ndtr
+
+from starfuse.asymptotics import (
+    _min_over_s,
+    _region_of,
+    _scalar_min_s,
+    _ternary_min_s,
+    _threshold_tails,
+)
+from starfuse.observation import decision_one_log_tails
 
 
 class TestClassifyPhase:
@@ -271,3 +280,80 @@ def test_hoisted_tails_match_per_step_tails(sigma):
         s_best, value = _per_step_tails_min(model, one)
         assert exponent_curve(model, one) == float(value[0])
         assert float(_min_over_s(model, np.array([one]))[0][0]) == float(s_best[0])
+
+
+class TestScalarRefinement:
+    """The float search of each golden-section probe and the array search of
+    the threshold grid give the same doubles."""
+
+    def test_scalar_search_equals_length_one_array_search(self):
+        rng = np.random.default_rng(83)
+        cases = []
+        for _ in range(600):
+            sigma = float(np.exp(rng.uniform(math.log(0.02), math.log(50.0))))
+            cases.append((sigma, float(rng.uniform(-3.0 * sigma, 1.0 + 3.0 * sigma))))
+        # Grid ends at small sigma, where a tail has underflowed to -inf.
+        cases += [(0.02, -0.06), (0.02, 1.06), (0.03, 1.09), (0.025, -0.075)]
+        underflowed = 0
+        with np.errstate(divide="ignore"):
+            for sigma, lam in cases:
+                model = ObservationModel(sigma=sigma)
+                tails = _threshold_tails(model, lam)
+                underflowed += min(tails) == -math.inf
+                s_best, value = _min_over_s(model, np.array([lam]))
+                expected = (float(s_best[0]), float(value[0]))
+                assert repr(_scalar_min_s(tails)) == repr(expected), (sigma, lam)
+        assert underflowed >= 4
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
+    def test_fixed_point_stop_keeps_the_grid_curve(self, sigma):
+        """A 120-iteration ternary search with no early exit, on the grid of
+        ``optimal_exponent``, equals ``exponent_curve``, which stops early."""
+        model = ObservationModel(sigma=sigma)
+        grid = np.round(np.arange(-3.0 * sigma, 1.0 + 3.0 * sigma + 5e-4, 1e-3), 12)
+        lp10, lp11, lp00, lp01 = decision_one_log_tails(model, grid)
+
+        def mix(s):
+            return np.logaddexp((1.0 - s) * lp00 + s * lp01, (1.0 - s) * lp10 + s * lp11)
+
+        lo, hi = np.zeros(grid.shape), np.ones(grid.shape)
+        for _ in range(120):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            take_left = mix(m1) <= mix(m2)
+            hi = np.where(take_left, m2, hi)
+            lo = np.where(take_left, lo, m1)
+        assert np.array_equal(exponent_curve(model, grid), mix(0.5 * (lo + hi)))
+
+    def test_fixed_point_stop_fires(self, std_model):
+        calls = []
+
+        def f(s):
+            calls.append(1)
+            return exponent_objective(std_model, np.array([0.2, 0.5, 0.9]), s)
+
+        _ternary_min_s(f, 3)
+        assert len(calls) < 2 * 120
+
+
+class TestExponentUnderflow:
+    @pytest.mark.parametrize("sigma", [0.01, 0.0135, 0.014])
+    def test_underflowed_tail_at_lambda_star_raises(self, sigma):
+        with pytest.raises(FloatingPointError,
+                           match=rf"sigma={sigma}: .*lambda_star=0\.\d+ underflows"):
+            optimal_exponent(ObservationModel(sigma=sigma))
+
+    def test_small_sigma_raises_or_matches_closed_form(self):
+        """With equal tails at lambda = 1/2 the optimum is s = 1/2, and
+        beta* = -log 2 - (log Q(1/(2 sigma)) + log Q(-1/(2 sigma))) / 2."""
+        raised = 0
+        for sigma in np.geomspace(1e-3, 0.05, 40):
+            sigma = float(sigma)
+            closed = -math.log(2.0) - 0.5 * (log_ndtr(-0.5 / sigma) + log_ndtr(0.5 / sigma))
+            try:
+                report = optimal_exponent(ObservationModel(sigma=sigma))
+            except FloatingPointError:
+                raised += 1
+                continue
+            assert report.beta_star == pytest.approx(closed, rel=1e-9), sigma
+        assert 0 < raised < 40

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from starfuse import cli
 from starfuse.cli import main
 
 
@@ -255,6 +256,16 @@ class TestExponentCommand:
         assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
             "f505e2537ea2f7811fe29062c8143bb45c37fbd9b55af20c47b47bfef0fba020")
 
+    @pytest.mark.parametrize("sigma", ["0.01", "0.0135"])
+    def test_underflowed_tail_exits_domain(self, capsys, tmp_path, sigma):
+        path = tmp_path / "exponent.csv"
+        code, out, err = run_cli(capsys, "exponent", "--sigma", sigma, "--csv", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: optimal exponent at sigma={sigma}: ")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
     def test_estimate_mode(self, capsys):
         code, out, _ = run_cli(capsys, "exponent", "--estimate", "--pi0", "0.3",
                                "--q0", "0.5", "--q1", "0.5", "--n", "5:30:5")
@@ -291,3 +302,25 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", *argv, "--csv", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_parser_reused_across_commands(capsys, tmp_path):
+    """One process, one parser: a failed parse or a validation error leaves
+    nothing behind, and a repeated command prints and writes the same bytes."""
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    risk = ["risk", "--pi0", "0.3", "--q0", "0.7372", "--q", "0.3960,0.3960", "--sigma", "1.2"]
+    code, out_first, _ = run_cli(capsys, *risk, "--csv", str(first))
+    assert code == 0
+    code, _, err = run_cli(capsys, "risk", "--pi0", "1.0", "--q0", "0.5", "--q", "0.5")
+    assert code == 2 and "pi0" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "phase", "--q0", "0.5", "--q1", "0.5", "--cfa", "2")
+    assert code == 0 and "region=" in out
+    code, out_again, _ = run_cli(capsys, *risk, "--csv", str(again))
+    assert code == 0
+    assert out_again == out_first
+    assert again.read_bytes() == first.read_bytes()
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
