@@ -21,21 +21,14 @@ from .montecarlo import (
     simulate,
 )
 from .network import (
-    CountDistribution,
     NetworkConfig,
     NetworkTemplate,
     RiskReport,
     batch_risk,
-    conditional_fusion_errors,
-    count_distribution,
     exact_risk,
     exact_risk_bruteforce,
-    fusion_decide,
     fusion_log_odds,
-    local_error_probs,
-    perceived_log_ratios,
     pinned_fusion_errors,
-    update_belief,
     update_belief_count,
 )
 from .observation import (
@@ -55,7 +48,6 @@ from .optimize import (
     OptimizationResult,
     OptimizerSettings,
     SweepPoint,
-    exact_coordinate_update,
     golden_section,
     grid_search,
     minimize_fusion_belief,
@@ -65,11 +57,9 @@ from .optimize import (
     stationarity_residual,
 )
 from .prospect import (
-    IDENTITY_PARAMS,
     PrelecGapPoint,
     PrelecParams,
     Q0_STRATEGIES,
-    default_pi0_grid,
     fit_prelec_minimax,
     prelec,
     prelec_risk_gap,

@@ -33,6 +33,7 @@ from .observation import (
     belief_from_threshold,
     check_prior,
     decision_one_log_tails,
+    error_probs,
     gaussian_q,
     threshold_from_belief,
 )
@@ -192,7 +193,7 @@ def _mix(tails, s):
     return np.logaddexp(term_zero, term_one)
 
 
-def _ternary_min_s(f, m: int, iters: int = _TERNARY_ITERS):
+def _ternary_min_s(f, m: int):
     """Vectorized ternary search of a per-component convex function on [0,1].
 
     An iteration is a fixed map of the brackets (lo, hi), so once it leaves
@@ -200,7 +201,7 @@ def _ternary_min_s(f, m: int, iters: int = _TERNARY_ITERS):
     """
     lo = np.zeros(m)
     hi = np.ones(m)
-    for _ in range(iters):
+    for _ in range(_TERNARY_ITERS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         take_left = f(m1) <= f(m2)
@@ -212,7 +213,7 @@ def _ternary_min_s(f, m: int, iters: int = _TERNARY_ITERS):
     return 0.5 * (lo + hi)
 
 
-def _scalar_min_s(tails, iters: int = _TERNARY_ITERS):
+def _scalar_min_s(tails):
     """(minimizing s, minimum) of the exponent objective of one threshold,
     from its four decision log tails as Python floats.
 
@@ -227,7 +228,7 @@ def _scalar_min_s(tails, iters: int = _TERNARY_ITERS):
         return np.logaddexp((1.0 - s) * lp00 + s * lp01, (1.0 - s) * lp10 + s * lp11)
 
     lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    for _ in range(_TERNARY_ITERS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         new_lo, new_hi = (lo, m2) if mix(m1) <= mix(m2) else (m1, hi)
@@ -307,20 +308,19 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> 
             f"so the exponent is not accurate")
     s_star = _scalar_min_s(tails)[0]
     beta_star = -float(exponent_objective(model, lam_star, s_star))
-    fa = float(gaussian_q(lam_star / model.sigma))
-    md = float(gaussian_q(-(lam_star - 1.0) / model.sigma))
+    fa, md = error_probs(model, lam_star)
     return ExponentReport(
         lambda_star=float(lam_star),
         s_star=s_star,
         beta_star=max(beta_star, 0.0),
-        fa_at_opt=fa,
-        md_at_opt=md,
+        fa_at_opt=float(fa),
+        md_at_opt=float(md),
         q_star=belief_from_threshold(model, costs, float(lam_star)),
         variance_proxy=model.variance_proxy,
     )
 
 
-def chernoff_bernoulli(p1: float, p2: float, iters: int = _TERNARY_ITERS) -> float:
+def chernoff_bernoulli(p1: float, p2: float) -> float:
     """Chernoff information between Bernoulli(p1) and Bernoulli(p2).
 
     The minimized log-sum-exp is the exponent objective of a channel whose
@@ -330,4 +330,4 @@ def chernoff_bernoulli(p1: float, p2: float, iters: int = _TERNARY_ITERS) -> flo
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError("Bernoulli parameters must lie strictly inside (0, 1)")
     tails = (math.log1p(-p2), math.log1p(-p1), math.log(p2), math.log(p1))
-    return max(0.0, -_scalar_min_s(tails, iters)[1])
+    return max(0.0, -_scalar_min_s(tails)[1])

@@ -12,13 +12,14 @@ Exit codes: 0 success, 2 validation error, 3 numerical-domain failure: a
 non-finite risk from ``risk``, a ``FloatingPointError`` such as an
 underflowed fusion tail in ``phase`` or an underflowed decision tail at the
 optimal threshold in ``exponent`` (in each case no CSV is written), or a
-flag escalated by ``--strict``.
+boundary classification escalated by ``phase --strict``.
 
 ``main`` builds the argument parser once per process and reuses it.
 """
 
 import argparse
 import csv
+import dataclasses
 import functools
 import math
 import sys
@@ -92,11 +93,6 @@ def _parse_range(text: str) -> np.ndarray:
     return np.round(np.arange(start, stop + step / 2.0, step), 10)
 
 
-def _parse_int_range(text: str) -> list[int]:
-    values = _parse_range(text)
-    return [int(round(v)) for v in values]
-
-
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
     parser.add_argument("--cfa", type=float, default=1.0, help="false-alarm cost")
@@ -105,8 +101,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--csv", help="write full output to this CSV file")
-    parser.add_argument("--strict", action="store_true",
-                        help="escalate boundary/degenerate flags to exit code 3")
 
 
 def _model(args) -> ObservationModel:
@@ -210,27 +204,46 @@ def cmd_pbpo(args) -> int:
     return EXIT_OK
 
 
+def _sweep_value(path: str, line: int, column: str, cell) -> float:
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    problem = "no value" if cell is None else f"{cell!r} is not a finite number"
+    raise ValueError(f"sweep input {path!r} line {line}, column {column!r}: {problem}")
+
+
+def _read_sweep(path: str) -> list[SweepPoint]:
+    """The rows of a ``grid --sweep-pi0`` CSV, one column per ``SweepPoint``
+    field. A missing column, or a cell that is missing or not a finite
+    number, raises ``ValueError`` naming its line and column."""
+    columns = [field.name for field in dataclasses.fields(SweepPoint)]
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        for column in columns:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"sweep input {path!r} line 1: no column {column!r}")
+        sweep = [SweepPoint(*(_sweep_value(path, reader.line_num, c, row[c]) for c in columns))
+                 for row in reader]
+    if not sweep:
+        raise ValueError(f"sweep input {path!r} holds no rows")
+    return sweep
+
+
 def cmd_prelec(args) -> int:
     costs, model = _costs(args), _model(args)
     template = NetworkTemplate(0.5, costs, model, args.n_local)
     if args.input:
-        with open(args.input, newline="") as handle:
-            reader = csv.DictReader(handle)
-            sweep_rows = [(float(r["pi0"]), float(r["q0_opt"]),
-                           float(r["q1_opt"]), float(r["risk_opt"])) for r in reader]
-        if not sweep_rows:
-            raise ValueError(f"sweep input {args.input!r} holds no rows")
-        sweep = [SweepPoint(*row) for row in sweep_rows]
-        pi0_values = np.array([p.pi0 for p in sweep])
+        sweep = _read_sweep(args.input)
     elif args.sweep_pi0:
-        pi0_values = _parse_range(args.sweep_pi0)
-        sweep = optimal_belief_sweep(template, pi0_values)
+        sweep = optimal_belief_sweep(template, _parse_range(args.sweep_pi0))
     else:
         raise ValueError("prelec needs sweep input: --input CSV or --sweep-pi0 range")
 
     params, linf = fit_prelec_minimax([p.pi0 for p in sweep], [p.q1_opt for p in sweep])
-    gap_points = prelec_risk_gap(template, params, args.q0_strategy,
-                                 pi0_values=pi0_values, sweep=sweep)
+    gap_points = prelec_risk_gap(template, params, args.q0_strategy, sweep)
     gaps = [p.gap for p in gap_points]
     worst = int(np.argmax(gaps))
     print(f"alpha={params.alpha:.10g} beta_w={params.beta_w:.10g} linf={linf:.10g}")
@@ -286,7 +299,7 @@ def cmd_exponent(args) -> int:
     if args.estimate:
         if args.q0 is None or args.q1 is None or args.pi0 is None:
             raise ValueError("--estimate needs --pi0, --q0 and --q1")
-        n_list = _parse_int_range(args.n)
+        n_list = [int(round(v)) for v in _parse_range(args.n)]
         beta_hat, fit = estimate_exponent(args.pi0, costs, model, args.q0, args.q1,
                                           n_list, trials=args.trials, seed=args.seed)
         print(f"beta_hat={beta_hat:.10g} r_squared={fit.r_squared:.10g} "
@@ -393,6 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", type=float)
     p.add_argument("--pi0", type=float, help="fill in the numeric limit risk")
     p.add_argument("--grid", type=float, help="emit a region map at this step")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 3 when the point is classified as boundary")
     _add_model_args(p)
     _add_common_args(p)
     p.set_defaults(func=cmd_phase)

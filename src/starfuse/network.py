@@ -31,7 +31,6 @@ from .observation import (
     from_log_odds,
     gaussian_q,
     log_odds,
-    threshold_from_belief,
     threshold_from_log_odds,
 )
 
@@ -90,14 +89,6 @@ class NetworkTemplate:
 
 
 @dataclass(frozen=True)
-class CountDistribution:
-    """Probability mass of the number of local 1-decisions under each hypothesis."""
-
-    pmf_h0: np.ndarray
-    pmf_h1: np.ndarray
-
-
-@dataclass(frozen=True)
 class RiskReport:
     """Exact fusion risk with its error decomposition and per-count profile.
 
@@ -111,31 +102,12 @@ class RiskReport:
     per_count: tuple[tuple[int, float, float], ...]
 
 
-def _check_local_index(config: NetworkConfig, i: int) -> None:
-    if not 1 <= i <= config.n_local:
-        raise IndexError(f"local agent index {i} out of range 1..{config.n_local}")
-
-
-def local_error_probs(config: NetworkConfig, i: int):
-    """True (false-alarm, missed-detection) rates of local agent ``i`` (1-based)."""
-    _check_local_index(config, i)
-    lam = threshold_from_belief(config.model, config.costs, config.q_local[i - 1])
-    return error_probs(config.model, lam)
-
-
 def _log_ratios(model: ObservationModel, costs: CostPair, ell0):
     """(l_zero, l_one): the log-odds increments the fusion agent applies for a
     0-decision and a 1-decision at fusion log-odds ``ell0`` (scalar or array)."""
     lam = threshold_from_log_odds(model, costs, ell0)
     lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam)
     return lp00 - lp01, lp10 - lp11
-
-
-def perceived_log_ratios(config: NetworkConfig):
-    """Per-decision log-odds increments (for a 0-decision, for a 1-decision)
-    that the fusion agent applies when folding in local decisions."""
-    l_zero, l_one = _log_ratios(config.model, config.costs, log_odds(config.q0))
-    return float(l_zero), float(l_one)
 
 
 def _decision_one_rates(model: ObservationModel, costs: CostPair, ell) -> np.ndarray:
@@ -165,8 +137,9 @@ def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> floa
     k = int(k)
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"count k={k} out of range 0..{n}")
-    l_zero, l_one = perceived_log_ratios(config)
-    return log_odds(config.q0) + (n - k) * l_zero + k * l_one
+    ell0 = log_odds(config.q0)
+    l_zero, l_one = _log_ratios(config.model, config.costs, ell0)
+    return ell0 + (n - k) * float(l_zero) + k * float(l_one)
 
 
 def update_belief_count(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -175,43 +148,17 @@ def update_belief_count(config: NetworkConfig, k: int, n: int | None = None) -> 
     return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
 
 
-def _as_decision_count(decisions):
-    decisions = tuple(decisions)
-    if any(d not in (0, 1) for d in decisions):
-        raise ValueError("decisions must be a vector of 0/1 values")
-    return sum(decisions), len(decisions)
-
-
-def update_belief(config: NetworkConfig, decisions) -> float:
-    """Updated fusion belief after observing a vector of local decisions.
-
-    The perceived per-agent rates are identical across agents, so only the
-    count of ones matters; an empty vector leaves the belief unchanged
-    (empty product of odds ratios).
-    """
-    k, n = _as_decision_count(decisions)
-    return update_belief_count(config, k, n)
-
-
-def fusion_decide(config: NetworkConfig, decisions, y0: float) -> int:
-    """Final decision: threshold test of the fusion agent's own signal at the
-    updated-belief threshold. Ties resolve to 0."""
-    k, n = _as_decision_count(decisions)
-    lam = threshold_from_log_odds(config.model, config.costs, fusion_log_odds(config, k, n))
-    return 1 if y0 > lam else 0
-
-
-def count_distribution(config: NetworkConfig) -> CountDistribution:
+# Not exported; kept by name for the TRACED table of perfbench/tracing.py.
+def count_distribution(config: NetworkConfig) -> np.ndarray:
     """Poisson-binomial pmf of the number of local 1-decisions under each
-    hypothesis.
+    hypothesis: a (2, N + 1) array, H0 in row 0 and H1 in row 1.
 
     One convolution pass folds the agents in one at a time for both
     hypotheses together; agent ``i`` touches only the ``i + 2`` counts that
     can be nonzero so far, so the cost is O(N^2) with a small constant. Each
     step is the convex combination pmf[c] * (1 - p) + pmf[c - 1] * p.
     """
-    pmf = _poisson_binomial_pmf(_local_rates(config.model, config.costs, config.q_local))
-    return CountDistribution(pmf[0], pmf[1])
+    return _poisson_binomial_pmf(_local_rates(config.model, config.costs, config.q_local))
 
 
 def _rate_columns(rates: np.ndarray):
@@ -250,8 +197,7 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n: int)
     k = np.arange(n + 1)
     ell = np.asarray(ell0)[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
     lam = threshold_from_log_odds(model, costs, ell)
-    s = model.sigma
-    return gaussian_q(lam / s), gaussian_q(-(lam - 1.0) / s), ell, lam
+    return (*error_probs(model, lam), ell, lam)
 
 
 def _bayes_risk(pi0: float, costs: CostPair, p_fa0, p_md0):
@@ -266,11 +212,11 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
     construction.
     """
     n = config.n_local
-    cd = count_distribution(config)
+    pmf = count_distribution(config)
     fa, md, ell, lam = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
     # ``@`` here and a row np.sum in batch_risk differ in the last bit; tests pin each.
-    p_fa0 = float(cd.pmf_h0 @ fa)
-    p_md0 = float(cd.pmf_h1 @ md)
+    p_fa0 = float(pmf[0] @ fa)
+    p_md0 = float(pmf[1] @ md)
     per_count = tuple(
         (int(k), float(from_log_odds(ell[k])), float(lam[k])) for k in range(n + 1)
     )
@@ -321,8 +267,7 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
 def exact_risk_bruteforce(config: NetworkConfig) -> float:
     """Risk by explicit enumeration of all 2^N decision vectors, chaining the
     public update/threshold operations. Each vector is thresholded at its
-    unclamped fusion log-odds, as ``fusion_decide`` does, so the oracle stays
-    exact far into the tails. Test oracle only; refuses N > 20."""
+    unclamped fusion log-odds, so the oracle stays exact far into the tails. Test oracle only; refuses N > 20."""
     n = config.n_local
     if n > 20:
         raise ValueError(f"bruteforce enumeration rejected for N={n} > 20")
@@ -408,6 +353,7 @@ def pinned_fusion_errors(config: NetworkConfig):
     return out[0], out[1]
 
 
+# Not exported; kept by name for the TRACED table of perfbench/tracing.py.
 def conditional_fusion_errors(config: NetworkConfig, j: int, pinned: int):
     """Fusion (false-alarm, missed-detection) probability with local agent
     ``j``'s decision pinned to ``pinned``; mixes over the remaining agents'
@@ -416,7 +362,8 @@ def conditional_fusion_errors(config: NetworkConfig, j: int, pinned: int):
     One entry of ``pinned_fusion_errors``, so it costs O(N^2); callers that
     need every agent should call that directly.
     """
-    _check_local_index(config, j)
+    if not 1 <= j <= config.n_local:
+        raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")
     if pinned not in (0, 1):
         raise ValueError("pinned decision must be 0 or 1")
     fa, md = pinned_fusion_errors(config)

@@ -1,7 +1,7 @@
 """Private-signal model: conditional densities, likelihood-ratio thresholds,
 and exact false-alarm / missed-detection probabilities of threshold tests.
 
-The built-in model is additive Gaussian noise: the signal equals the binary
+The model is additive Gaussian noise: the signal equals the binary
 hypothesis value (0 or 1) plus centered Gaussian noise with scale ``sigma``.
 """
 
@@ -15,8 +15,6 @@ from scipy import special
 # arithmetic, uniformly across the package, so results are deterministic and
 # log-of-zero never occurs.
 BELIEF_EPS = 1e-9
-
-GAUSSIAN = "gaussian"
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -85,19 +83,12 @@ class CostPair:
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Identity and parameters of the private-signal distribution family.
+    """The private-signal model: the hypothesis value (0 or 1) plus centered
+    Gaussian noise of scale ``sigma``."""
 
-    Only the Gaussian kind is implemented; the threshold/error-probability
-    interface is what any other mutually absolutely continuous pair with a
-    monotone likelihood ratio would have to provide.
-    """
-
-    kind: str = GAUSSIAN
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind != GAUSSIAN:
-            raise ValueError(f"unsupported observation model kind {self.kind!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma={self.sigma!r} must be strictly positive and finite")
 

@@ -480,6 +480,7 @@ def _balance_update(pi0: float, q_j: float, j: int, d_fa, d_md):
     return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS), False
 
 
+# Not exported; kept by name for the TRACED table of perfbench/tracing.py.
 def exact_coordinate_update(config: NetworkConfig, j: int):
     """Solve the stationarity balance for local agent ``j`` directly.
 

@@ -14,14 +14,14 @@ import numpy as np
 
 from .network import NetworkTemplate, exact_risk
 from .observation import BELIEF_EPS
-from .optimize import (
-    OptimizerSettings,
-    SweepPoint,
-    minimize_fusion_belief,
-    optimal_belief_sweep,
-)
+from .optimize import SweepPoint, minimize_fusion_belief
 
 Q0_STRATEGIES = ("keep-optimal-q0", "reoptimize-q0")
+
+# Log-spaced range and points per axis of the coarse (alpha, beta_w) grid
+# that seeds the Prelec fit's Nelder-Mead refinement.
+FIT_BOUNDS = (0.2, 3.0)
+FIT_COARSE_POINTS = 25
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class PrelecParams:
         for name, value in (("alpha", self.alpha), ("beta_w", self.beta_w)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}={value!r} must be strictly positive and finite")
-
-
-IDENTITY_PARAMS = PrelecParams(alpha=1.0, beta_w=1.0)
 
 
 def prelec(p, params: PrelecParams):
@@ -56,11 +53,10 @@ def prelec(p, params: PrelecParams):
     return float(out) if np.ndim(p) == 0 else out
 
 
-def fit_prelec_minimax(pi0_values, q1_values, bounds=(0.2, 3.0),
-                       coarse: int = 25) -> tuple[PrelecParams, float]:
+def fit_prelec_minimax(pi0_values, q1_values) -> tuple[PrelecParams, float]:
     """Sup-norm Prelec fit of a sampled belief curve.
 
-    A coarse log-spaced grid over (alpha, beta_w) in ``bounds`` squared seeds
+    A coarse log-spaced grid over (alpha, beta_w) in ``FIT_BOUNDS`` squared seeds
     a Nelder-Mead refinement of the L-infinity objective in log-parameter
     space. Returns the fitted parameters and the achieved sup error, both
     evaluated on the given sample points only (no interpolation).
@@ -78,7 +74,7 @@ def fit_prelec_minimax(pi0_values, q1_values, bounds=(0.2, 3.0),
         params = PrelecParams(math.exp(log_params[0]), math.exp(log_params[1]))
         return float(np.max(np.abs(prelec(x, params) - y)))
 
-    log_grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), coarse)
+    log_grid = np.linspace(math.log(FIT_BOUNDS[0]), math.log(FIT_BOUNDS[1]), FIT_COARSE_POINTS)
     best = None
     for la in log_grid:
         for lb in log_grid:
@@ -109,29 +105,19 @@ class PrelecGapPoint:
         return self.risk_prelec - self.risk_opt
 
 
-def default_pi0_grid(step: float = 0.01) -> np.ndarray:
-    """Prior grid used for the belief sweeps; the edges are left out because
-    optima there push against the clamp and the fitted curve is unreliable."""
-    return np.round(np.arange(0.05, 0.95 + step / 2.0, step), 10)
-
-
 def prelec_risk_gap(template: NetworkTemplate, params: PrelecParams, q0_strategy: str,
-                    pi0_values=None, sweep: list[SweepPoint] | None = None,
-                    settings: OptimizerSettings | None = None) -> list[PrelecGapPoint]:
+                    sweep: list[SweepPoint]) -> list[PrelecGapPoint]:
     """Risk cost of constraining the locals to a Prelec-reweighted prior.
 
-    For every prior on the grid the local beliefs are set to w(pi0) while the
-    fusion belief either stays at the unconstrained optimum
+    For every point of ``sweep``, an optimal belief sweep such as
+    ``optimal_belief_sweep`` returns, the local beliefs are set to w(pi0)
+    while the fusion belief either stays at the point's unconstrained optimum
     ("keep-optimal-q0") or is re-minimized against the constrained locals
-    ("reoptimize-q0"). Rows come back in grid order with both the optimal and
-    the constrained risk.
+    ("reoptimize-q0"). Rows come back in sweep order with both the optimal
+    and the constrained risk.
     """
     if q0_strategy not in Q0_STRATEGIES:
         raise ValueError(f"q0_strategy must be one of {Q0_STRATEGIES}")
-    if pi0_values is None:
-        pi0_values = default_pi0_grid()
-    if sweep is None:
-        sweep = optimal_belief_sweep(template, pi0_values, settings)
     points = []
     for item in sweep:
         w = prelec(item.pi0, params)

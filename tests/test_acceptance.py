@@ -168,7 +168,7 @@ def test_c09_prelec_fit_and_gap(benchmark_template, prior_sweep):
         outcomes = {}
         for strategy in ("keep-optimal-q0", "reoptimize-q0"):
             points = prelec_risk_gap(benchmark_template, params, strategy,
-                                     pi0_values=pi0_values, sweep=sweep)
+                                     sweep=sweep)
             gaps = np.array([p.gap for p in points])
             worst = int(np.argmax(gaps))
             outcomes[strategy] = (float(gaps[worst]), float(points[worst].pi0))

@@ -54,6 +54,12 @@ class TestRiskCommand:
                 "--q", "0.3960,0.3960", "--csv", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_strict_is_not_a_risk_flag(self):
+        """``--strict`` escalates only ``phase``'s boundary flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5", "--strict"])
+        assert exc.value.code == 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_risk_exits_domain(self, capsys, tmp_path):
         path = tmp_path / "risk.csv"
@@ -164,6 +170,22 @@ class TestPrelecCommand:
         rows = list(csv.DictReader(path.open()))
         assert rows
         assert all(float(r["gap"]) >= -1e-9 for r in rows)
+
+    @pytest.mark.parametrize("text, where", [
+        ("pi0,q1_opt,risk_opt\n0.3,0.396,0.1918\n", "line 1: no column 'q0_opt'"),
+        ("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,0.396,0.1918\n0.4,0.7\n",
+         "line 3, column 'q1_opt': no value"),
+        ("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,0.396,nan\n",
+         "line 2, column 'risk_opt': 'nan' is not a finite number"),
+    ], ids=["missing-column", "short-row", "nan"])
+    def test_malformed_sweep_input_rejected(self, capsys, tmp_path, text, where):
+        sweep, path = tmp_path / "sweep.csv", tmp_path / "prelec.csv"
+        sweep.write_text(text)
+        code, out, err = run_cli(capsys, "prelec", "--input", str(sweep), "--csv", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sweep input {str(sweep)!r} {where}\n"
+        assert not path.exists()
 
     def test_missing_sweep_input_rejected(self, capsys):
         code, _, err = run_cli(capsys, "prelec")

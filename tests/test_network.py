@@ -12,24 +12,22 @@ from starfuse import (
     NetworkTemplate,
     ObservationModel,
     batch_risk,
-    conditional_fusion_errors,
-    count_distribution,
+    error_probs,
     exact_risk,
     exact_risk_bruteforce,
-    fusion_decide,
     fusion_log_odds,
     gaussian_q,
-    local_error_probs,
     pinned_fusion_errors,
     threshold_from_belief,
     threshold_from_log_odds,
-    update_belief,
     update_belief_count,
 )
 from starfuse.network import (
     _decision_one_rates,
     _fusion_count_errors,
     _poisson_binomial_pmf,
+    conditional_fusion_errors,
+    count_distribution,
 )
 from conftest import random_config
 
@@ -74,57 +72,61 @@ def _config(pi0=0.3, q0=0.5, q_local=(0.5, 0.5), sigma=1.0, c_fa=1.0, c_md=1.0):
     return NetworkConfig(pi0, CostPair(c_fa, c_md), ObservationModel(sigma=sigma), q0, q_local)
 
 
+def _local_errors(cfg, q):
+    """True (false-alarm, missed-detection) rates of a local agent with belief ``q``."""
+    return error_probs(cfg.model, threshold_from_belief(cfg.model, cfg.costs, q))
+
+
+def _updated_belief(cfg, decisions):
+    """Updated fusion belief after a vector of local decisions."""
+    return update_belief_count(cfg, sum(decisions), len(decisions))
+
+
+def _fusion_threshold(cfg, k, n=None):
+    """The fusion agent's signal threshold after ``k`` ones among ``n`` decisions."""
+    return threshold_from_log_odds(cfg.model, cfg.costs, fusion_log_odds(cfg, k, n))
+
+
 class TestLocalAndPerceivedProbs:
     def test_neutral_belief_is_symmetric(self):
-        p_fa, p_md = local_error_probs(_config(q_local=(0.5,)), 1)
+        p_fa, p_md = _local_errors(_config(), 0.5)
         assert p_fa == pytest.approx(0.30854, abs=1e-5)
         assert p_md == pytest.approx(p_fa, rel=1e-12)
 
     def test_benchmark_local_belief(self):
-        p_fa, _ = local_error_probs(_config(q_local=(0.3960, 0.5)), 1)
+        p_fa, _ = _local_errors(_config(), 0.3960)
         lam = 0.5 + math.log(0.396 / 0.604)
         assert p_fa == pytest.approx(gaussian_q(lam), rel=1e-12)
         assert p_fa == pytest.approx(0.46906, abs=1e-4)
 
     def test_extreme_belief_kills_alarms(self):
-        p_fa, p_md = local_error_probs(_config(q_local=(1.0 - 1e-9,)), 1)
+        p_fa, p_md = _local_errors(_config(), 1.0 - 1e-9)
         assert p_fa < 1e-15
         assert p_md > 1.0 - 1e-15
-
-    def test_index_bounds(self):
-        cfg = _config()
-        with pytest.raises(IndexError):
-            local_error_probs(cfg, 0)
-        with pytest.raises(IndexError):
-            local_error_probs(cfg, 3)
 
 
 class TestBeliefUpdate:
     def test_empty_decision_vector_is_identity(self):
         cfg = _config(q0=0.37)
-        assert update_belief(cfg, ()) == pytest.approx(0.37, rel=1e-12)
+        assert _updated_belief(cfg, ()) == pytest.approx(0.37, rel=1e-12)
 
     def test_single_one_decision_from_neutral(self):
         cfg = _config(q0=0.5, q_local=(0.5,))
-        assert update_belief(cfg, (1,)) == pytest.approx(gaussian_q(0.5), rel=1e-10)
+        assert _updated_belief(cfg, (1,)) == pytest.approx(gaussian_q(0.5), rel=1e-10)
 
     def test_all_zeros_pull_small_belief_up(self):
         cfg = _config(q0=0.1, q_local=(0.5, 0.5, 0.5))
-        assert update_belief(cfg, (0, 0, 0)) > 0.99
+        assert _updated_belief(cfg, (0, 0, 0)) > 0.99
 
     def test_count_overload_agrees_exactly(self):
         cfg = _config(q0=0.27, q_local=(0.6, 0.4, 0.8, 0.5))
         for decisions in itertools.product((0, 1), repeat=4):
-            assert update_belief(cfg, decisions) == update_belief_count(cfg, sum(decisions))
+            assert _updated_belief(cfg, decisions) == update_belief_count(cfg, sum(decisions))
 
     @given(st.permutations([0, 0, 1, 1, 1]))
     def test_permutation_invariance(self, decisions):
         cfg = _config(q0=0.33, q_local=(0.2, 0.5, 0.6, 0.71, 0.44))
-        assert update_belief(cfg, decisions) == update_belief(cfg, (1, 1, 1, 0, 0))
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            update_belief(_config(), (0, 2))
+        assert _updated_belief(cfg, decisions) == _updated_belief(cfg, (1, 1, 1, 0, 0))
 
     def test_non_monotone_for_two_agents(self):
         """Updated belief after (0,0) dips somewhere as the prior belief grows."""
@@ -142,64 +144,63 @@ class TestFusionDecide:
     def test_saturated_belief_forces_zero(self):
         cfg = _config(q0=1.0 - 1e-9, q_local=(0.5, 0.5))
         # Threshold far beyond any plausible signal once the belief saturates.
-        assert fusion_decide(cfg, (0, 0), 5.0) == 0
+        assert _fusion_threshold(cfg, 0) > 5.0
 
     def test_no_decisions_neutral_threshold(self):
         cfg = _config(q0=0.5)
-        assert fusion_decide(cfg, (), 0.6) == 1
-        assert fusion_decide(cfg, (), 0.4) == 0
-        assert fusion_decide(cfg, (), 0.5) == 0  # tie resolves to 0
+        assert _fusion_threshold(cfg, 0, 0) == 0.5
 
     def test_one_decision_moves_threshold(self):
         cfg = _config(q0=0.5, q_local=(0.5,))
         lam = 0.5 + math.log(gaussian_q(0.5) / (1.0 - gaussian_q(0.5)))
         assert lam == pytest.approx(-0.3069, abs=1e-4)
-        assert fusion_decide(cfg, (1,), 0.3) == 1
+        assert _fusion_threshold(cfg, 1) == pytest.approx(lam, rel=1e-12)
 
     def test_matches_update_threshold_chain(self):
-        cfg = _config(q0=0.35, q_local=(0.6, 0.45, 0.7))
-        for decisions in itertools.product((0, 1), repeat=3):
-            lam = threshold_from_belief(cfg.model, cfg.costs, update_belief(cfg, decisions))
-            # Clear of the tie by more than the float fuzz between the two paths.
-            for y0 in (-1.0, lam - 1e-6, lam + 1e-6, 2.0):
-                assert fusion_decide(cfg, decisions, y0) == (1 if y0 > lam else 0)
+        """The per-count thresholds of ``exact_risk`` are the library's
+        update-then-threshold chain, bit for bit."""
+        rng = np.random.default_rng(31)
+        for cfg in [_config(q0=0.35, q_local=(0.6, 0.45, 0.7))] + [
+                random_config(rng, n_max=12) for _ in range(20)]:
+            report = exact_risk(cfg)
+            for k in range(cfg.n_local + 1):
+                assert report.per_count[k][2] == _fusion_threshold(cfg, k)
 
 
 class TestCountDistribution:
     def test_single_bernoulli(self):
         cfg = _config(q_local=(0.5,))
-        cd = count_distribution(cfg)
-        p_fa, p_md = local_error_probs(cfg, 1)
-        np.testing.assert_allclose(cd.pmf_h0, [1.0 - p_fa, p_fa], rtol=1e-14)
-        np.testing.assert_allclose(cd.pmf_h1, [p_md, 1.0 - p_md], rtol=1e-14)
+        pmf = count_distribution(cfg)
+        p_fa, p_md = _local_errors(cfg, 0.5)
+        assert pmf.shape == (2, 2)
+        np.testing.assert_allclose(pmf[0], [1.0 - p_fa, p_fa], rtol=1e-14)
+        np.testing.assert_allclose(pmf[1], [p_md, 1.0 - p_md], rtol=1e-14)
 
     def test_identical_beliefs_give_binomial(self):
         from scipy.stats import binom
 
         cfg = _config(q_local=(0.42,) * 6)
-        cd = count_distribution(cfg)
-        p_fa, p_md = local_error_probs(cfg, 1)
+        pmf = count_distribution(cfg)
+        p_fa, p_md = _local_errors(cfg, 0.42)
         k = np.arange(7)
-        np.testing.assert_allclose(cd.pmf_h0, binom.pmf(k, 6, p_fa), atol=1e-14)
-        np.testing.assert_allclose(cd.pmf_h1, binom.pmf(k, 6, 1.0 - p_md), atol=1e-14)
+        np.testing.assert_allclose(pmf[0], binom.pmf(k, 6, p_fa), atol=1e-14)
+        np.testing.assert_allclose(pmf[1], binom.pmf(k, 6, 1.0 - p_md), atol=1e-14)
 
     def test_heterogeneous_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(5)
         cfg = _config(q_local=tuple(rng.uniform(0.1, 0.9, size=10)))
-        cd = count_distribution(cfg)
-        rates = [local_error_probs(cfg, i)[0] for i in range(1, 11)]
+        rates = [_local_errors(cfg, q)[0] for q in cfg.q_local]
         pmf = np.zeros(11)
         for bits in itertools.product((0, 1), repeat=10):
             w = math.prod(r if b else 1.0 - r for r, b in zip(rates, bits))
             pmf[sum(bits)] += w
-        np.testing.assert_allclose(cd.pmf_h0, pmf, atol=1e-12)
+        np.testing.assert_allclose(count_distribution(cfg)[0], pmf, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_pmfs_are_distributions(self, seed):
         cfg = random_config(np.random.default_rng(seed), n_max=8)
-        cd = count_distribution(cfg)
-        for pmf in (cd.pmf_h0, cd.pmf_h1):
+        for pmf in count_distribution(cfg):
             assert np.all(pmf >= 0)
             assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
 
@@ -212,11 +213,11 @@ class TestCountDistribution:
             cfg = template.tied(0.45, 0.62)
         else:
             cfg = template.config(0.45, rng.uniform(0.02, 0.98, n))
-        cd = count_distribution(cfg)
+        pmf = count_distribution(cfg)
         t0, t1 = _reference_rates(cfg, cfg.q_local)
         pmf0, pmf1 = _reference_pmfs(t0), _reference_pmfs(t1)
-        assert np.array_equal(cd.pmf_h0, pmf0)
-        assert np.array_equal(cd.pmf_h1, pmf1)
+        assert np.array_equal(pmf[0], pmf0)
+        assert np.array_equal(pmf[1], pmf1)
         fa, md = _reference_fusion_errors(cfg, n)
         p_fa0, p_md0 = float(pmf0 @ fa), float(pmf1 @ md)
         report = exact_risk(cfg)
@@ -372,7 +373,7 @@ class TestConditionalFusionErrors:
             cfg = random_config(rng, n_max=5)
             report = exact_risk(cfg)
             for j in range(1, cfg.n_local + 1):
-                p_fa_j, p_md_j = local_error_probs(cfg, j)
+                p_fa_j, p_md_j = _local_errors(cfg, cfg.q_local[j - 1])
                 fa1, md1 = conditional_fusion_errors(cfg, j, 1)
                 fa0, md0 = conditional_fusion_errors(cfg, j, 0)
                 assert (p_fa_j * fa1 + (1.0 - p_fa_j) * fa0

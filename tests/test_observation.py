@@ -145,8 +145,9 @@ class TestValidation:
             CostPair(1.0, math.inf)
 
     def test_model_kind_and_sigma(self):
-        with pytest.raises(ValueError):
-            ObservationModel(kind="laplace")
+        # The Gaussian is the only model; there is no kind to choose.
+        with pytest.raises(TypeError):
+            ObservationModel(kind="gaussian")
         with pytest.raises(ValueError):
             ObservationModel(sigma=0.0)
 

@@ -11,7 +11,6 @@ from starfuse import (
     ObservationModel,
     OptimizerSettings,
     batch_risk,
-    exact_coordinate_update,
     exact_risk,
     golden_section,
     grid_search,
@@ -21,7 +20,13 @@ from starfuse import (
     pinned_fusion_errors,
     stationarity_residual,
 )
-from starfuse.optimize import GRID_HI, _axis, _RiskEvaluator, minimize_fusion_belief
+from starfuse.optimize import (
+    GRID_HI,
+    _axis,
+    _RiskEvaluator,
+    exact_coordinate_update,
+    minimize_fusion_belief,
+)
 from conftest import random_config
 
 # A pbpo instance (inside sigma in [0.05, 20]) whose fusion belief walks to

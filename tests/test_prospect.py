@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starfuse import (
-    IDENTITY_PARAMS,
     PrelecParams,
     fit_prelec_minimax,
     prelec,
     prelec_risk_gap,
 )
+
+IDENTITY_PARAMS = PrelecParams(alpha=1.0, beta_w=1.0)
 
 
 class TestPrelecFunction:
@@ -89,19 +90,16 @@ class TestRiskGap:
         pi0_values, sweep = prior_sweep
         idx = int(np.argmin(np.abs(pi0_values - 0.30)))
         points = prelec_risk_gap(benchmark_template, IDENTITY_PARAMS,
-                                 "keep-optimal-q0",
-                                 pi0_values=pi0_values[idx:idx + 1],
-                                 sweep=[sweep[idx]])
+                                 "keep-optimal-q0", sweep=[sweep[idx]])
         assert points[0].risk_prelec == pytest.approx(0.2039, abs=5e-4)
         assert points[0].risk_opt == pytest.approx(0.1918, abs=5e-4)
 
     def test_reoptimized_gap_is_nonnegative(self, benchmark_template, prior_sweep):
-        pi0_values, sweep = prior_sweep
+        _, sweep = prior_sweep
         params, _ = fit_prelec_minimax([p.pi0 for p in sweep],
                                        [p.q1_opt for p in sweep])
         subset = slice(0, len(sweep), 10)
         points = prelec_risk_gap(benchmark_template, params, "reoptimize-q0",
-                                 pi0_values=pi0_values[subset],
                                  sweep=sweep[subset])
         assert all(p.gap >= -1e-12 for p in points)
 
@@ -118,4 +116,4 @@ class TestRiskGap:
 
     def test_strategy_validation(self, benchmark_template):
         with pytest.raises(ValueError):
-            prelec_risk_gap(benchmark_template, IDENTITY_PARAMS, "freeze")
+            prelec_risk_gap(benchmark_template, IDENTITY_PARAMS, "freeze", sweep=[])
