@@ -209,16 +209,22 @@ def _sweep_value(path: str, line: int, column: str, cell) -> float:
         value = float(cell)
     except (TypeError, ValueError):
         value = math.nan
-    if math.isfinite(value):
+    if not math.isfinite(value):
+        problem = "no value" if cell is None else f"{cell!r} is not a finite number"
+    elif column == "risk_opt" and value < 0.0:
+        problem = f"{cell!r} is negative"
+    elif column != "risk_opt" and not 0.0 < value < 1.0:
+        problem = f"{cell!r} does not lie strictly inside (0, 1)"
+    else:
         return value
-    problem = "no value" if cell is None else f"{cell!r} is not a finite number"
     raise ValueError(f"sweep input {path!r} line {line}, column {column!r}: {problem}")
 
 
 def _read_sweep(path: str) -> list[SweepPoint]:
     """The rows of a ``grid --sweep-pi0`` CSV, one column per ``SweepPoint``
-    field. A missing column, or a cell that is missing or not a finite
-    number, raises ``ValueError`` naming its line and column."""
+    field. A missing column, a cell that is missing or not a finite number,
+    a prior or belief not strictly inside (0, 1), or a negative risk raises
+    ``ValueError`` naming its line and column."""
     columns = [field.name for field in dataclasses.fields(SweepPoint)]
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)

@@ -55,8 +55,10 @@ class NetworkConfig:
             raise ValueError("q_local must contain at least one local belief (N >= 1)")
         check_prior(self.pi0)
         clamp_belief(self.q0)
-        for q in self.q_local:
-            clamp_belief(q)
+        # One scalar pass (False for nan and +-inf); clamp_belief only words
+        # the error, naming the first bad belief.
+        if not all(0.0 < q < 1.0 for q in self.q_local):
+            clamp_belief(next(q for q in self.q_local if not 0.0 < q < 1.0))
 
     @property
     def n_local(self) -> int:
@@ -119,11 +121,15 @@ def _decision_one_rates(model: ObservationModel, costs: CostPair, ell) -> np.nda
 
 
 def _local_rates(model: ObservationModel, costs: CostPair, beliefs) -> np.ndarray:
-    """(2, N) decide-1 rates of local agents with the given beliefs."""
-    # log_odds per belief; np.log over rows (batch_risk) can differ in the
-    # last bit, and test_bit_identical_to_per_agent_loop pins this path.
-    ell = np.array([log_odds(q) for q in beliefs])
-    return _decision_one_rates(model, costs, ell)
+    """(2, N) decide-1 rates of local agents with the given beliefs, which
+    ``NetworkConfig`` has already checked."""
+    # log_odds's expression with math.log per belief: np.log over rows
+    # (batch_risk) can differ in the last bit, and
+    # test_bit_identical_to_per_agent_loop pins this path. np.clip would add a
+    # fixed cost that pbpo_exact's one-belief calls pay.
+    lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
+    ell = [math.log(q) - math.log1p(-q) for q in (min(max(q, lo), hi) for q in beliefs)]
+    return _decision_one_rates(model, costs, np.array(ell))
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -156,7 +162,10 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     One convolution pass folds the agents in one at a time for both
     hypotheses together; agent ``i`` touches only the ``i + 2`` counts that
     can be nonzero so far, so the cost is O(N^2) with a small constant. Each
-    step is the convex combination pmf[c] * (1 - p) + pmf[c - 1] * p.
+    step is the convex combination pmf[c] * (1 - p) + pmf[c - 1] * p. For a
+    large network the time goes to that loop, one iteration of three array
+    operations per agent; the O(N) belief check and log-odds before it stay
+    scalar Python, so a network of N <= 3 pays no numpy fixed cost there.
     """
     return _poisson_binomial_pmf(_local_rates(config.model, config.costs, config.q_local))
 
@@ -180,11 +189,18 @@ def _add_agent(pmf: np.ndarray, p: np.ndarray, q: np.ndarray, i: int) -> None:
 
 def _poisson_binomial_pmf(rates: np.ndarray) -> np.ndarray:
     """Count pmfs on the last axis, one per leading index of ``rates``, whose
-    last axis holds the agents."""
+    last axis holds the agents.
+
+    One loop iteration per agent, of three array operations: ``_add_agent``
+    written inline, which saves a Python call per agent at large N.
+    """
     pmf = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
     pmf[..., 0] = 1.0
     for i, (p, q) in enumerate(zip(*_rate_columns(rates))):
-        _add_agent(pmf, p, q, i)
+        head = pmf[..., :i + 1]
+        moved = head * p
+        head *= q
+        pmf[..., 1:i + 2] += moved
     return pmf
 
 
@@ -217,9 +233,7 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
     # ``@`` here and a row np.sum in batch_risk differ in the last bit; tests pin each.
     p_fa0 = float(pmf[0] @ fa)
     p_md0 = float(pmf[1] @ md)
-    per_count = tuple(
-        (int(k), float(from_log_odds(ell[k])), float(lam[k])) for k in range(n + 1)
-    )
+    per_count = tuple(zip(range(n + 1), from_log_odds(ell).tolist(), lam.tolist()))
     return RiskReport(r0=_bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
                       p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
 

@@ -177,7 +177,16 @@ class TestPrelecCommand:
          "line 3, column 'q1_opt': no value"),
         ("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,0.396,nan\n",
          "line 2, column 'risk_opt': 'nan' is not a finite number"),
-    ], ids=["missing-column", "short-row", "nan"])
+        ("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,0.396,0.1918\n1.5,0.7,0.4,0.2\n",
+         "line 3, column 'pi0': '1.5' does not lie strictly inside (0, 1)"),
+        ("pi0,q0_opt,q1_opt,risk_opt\n0.3,0,0.396,0.1918\n",
+         "line 2, column 'q0_opt': '0' does not lie strictly inside (0, 1)"),
+        ("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,1.7,0.1918\n",
+         "line 2, column 'q1_opt': '1.7' does not lie strictly inside (0, 1)"),
+        ("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,0.396,-5\n",
+         "line 2, column 'risk_opt': '-5' is negative"),
+    ], ids=["missing-column", "short-row", "nan", "pi0-out-of-range", "q0-at-zero",
+            "q1-out-of-range", "negative-risk"])
     def test_malformed_sweep_input_rejected(self, capsys, tmp_path, text, where):
         sweep, path = tmp_path / "sweep.csv", tmp_path / "prelec.csv"
         sweep.write_text(text)

@@ -52,6 +52,25 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+def test_exact_risk_reaches_traced_count_distribution(monkeypatch):
+    # The tracer patches network.count_distribution by name; exact_risk must
+    # call it through that name, or the network.count_distribution.* metrics
+    # silently read 0.
+    network = importlib.import_module("starfuse.network")
+    calls = []
+    original = network.count_distribution
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(network, "count_distribution", counting)
+    template = starfuse.NetworkTemplate(0.3, starfuse.CostPair(1.0, 1.0),
+                                        starfuse.ObservationModel(sigma=1.0), 5)
+    starfuse.exact_risk(template.tied(0.6, 0.4))
+    assert len(calls) == 1
+
+
 # Every non-module public name of the package. A name joins or leaves the
 # API only by an edit here.
 PUBLIC_API = [

@@ -15,6 +15,7 @@ from starfuse import (
     error_probs,
     exact_risk,
     exact_risk_bruteforce,
+    from_log_odds,
     fusion_log_odds,
     gaussian_q,
     pinned_fusion_errors,
@@ -204,7 +205,8 @@ class TestCountDistribution:
             assert np.all(pmf >= 0)
             assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40, 123, 300])
+    # n = 1000 and 2000 carry subnormal and exactly-zero pmf tails.
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 123, 300, 1000, 2000])
     @pytest.mark.parametrize("tied", [True, False])
     def test_bit_identical_to_per_agent_loop(self, n, tied):
         rng = np.random.default_rng(1000 * n + tied)
@@ -228,6 +230,16 @@ class TestCountDistribution:
 
 
 class TestExactRisk:
+    def test_per_count_types_and_beliefs(self):
+        rng = np.random.default_rng(12)
+        template = NetworkTemplate(0.35, CostPair(1.3, 0.8), ObservationModel(sigma=1.7), 12)
+        cfg = template.config(0.45, rng.uniform(0.02, 0.98, 12))
+        per_count = exact_risk(cfg).per_count
+        assert [k for k, _, _ in per_count] == list(range(13))
+        for k, belief, lam in per_count:
+            assert (type(k), type(belief), type(lam)) == (int, float, float)
+            assert belief == float(from_log_odds(fusion_log_odds(cfg, k)))
+
     def test_truthful_beliefs_benchmark(self, benchmark_template):
         report = exact_risk(benchmark_template.tied(0.3, 0.3))
         assert report.r0 == pytest.approx(0.1976, abs=5e-4)
@@ -433,6 +445,23 @@ class TestConfigValidation:
             _config(q0=1.0)
         with pytest.raises(ValueError):
             _config(q_local=(0.5, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("position", [0, 25, 49])
+    def test_config_and_batch_name_first_bad_belief(self, bad, position):
+        # A second bad belief after the first must not be the one named.
+        q_local = [0.3] * 50
+        q_local[position] = bad
+        if position < 49:
+            q_local[49] = 2.5
+        message = f"degenerate belief {bad!r}: must lie strictly inside (0, 1)"
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(), 50)
+        with pytest.raises(ValueError) as from_config:
+            template.config(0.6, q_local)
+        with pytest.raises(ValueError) as from_batch:
+            batch_risk(template, [0.6], [q_local])
+        assert str(from_config.value) == message
+        assert str(from_batch.value) == message
 
     def test_template_round_trip(self):
         template = NetworkTemplate(0.3, CostPair(), ObservationModel(), 3)
