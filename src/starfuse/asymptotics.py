@@ -3,10 +3,11 @@ optimal risk exponent.
 
 With identical local beliefs, the fusion agent's updated belief polarizes to
 0 or 1 as the network grows; which way it goes under each hypothesis is
-decided by two per-decision odds factors, partitioning the belief plane into
-three regions (the fourth sign combination is infeasible). Convergence to
-the regional limit is exponential, and the best achievable exponent is the
-Chernoff information of the local decision channel at the best threshold.
+decided by the local decision rates and two per-decision odds factors (from
+``fusion_log_factors``), partitioning the belief plane into three regions
+(the fourth sign combination is infeasible). Convergence to the regional
+limit is exponential, and the best achievable exponent is the Chernoff
+information of the local decision channel at the best threshold.
 
 ``classify_phase`` classifies one belief pair. ``phase_map`` classifies a
 grid: the local rates depend on the local belief only and the fusion odds
@@ -33,8 +34,10 @@ from .observation import (
     belief_from_threshold,
     check_prior,
     decision_one_log_tails,
+    decision_tails,
     error_probs,
-    gaussian_q,
+    fusion_log_factors,
+    log_odds,
     threshold_from_belief,
 )
 from .optimize import golden_section
@@ -103,27 +106,16 @@ def _region_of(g0, g1):
         raise AssertionError("infeasible sign pattern: increasing count evidence") from None
 
 
-def _local_rates(model: ObservationModel, costs: CostPair, q1: float):
-    """(t0, t1): true per-agent rates of deciding 1 under H0 and H1 at local belief q1."""
-    lam1 = threshold_from_belief(model, costs, q1)
-    return gaussian_q(lam1 / model.sigma), gaussian_q((lam1 - 1.0) / model.sigma)
-
-
 def _fusion_log_factors(model: ObservationModel, costs: CostPair, q0: float):
-    """(log z1, log z2): the fusion agent's perceived per-decision log odds
-    factors at fusion belief q0.
-
-    Raises ``FloatingPointError`` when a Gaussian tail of the fusion threshold
-    underflows, which leaves a factor non-finite and the region undefined.
-    """
-    lam0 = threshold_from_belief(model, costs, q0)
+    """(log z1, log z2) = (l_zero, l_one - l_zero) at fusion belief q0; raises
+    ``FloatingPointError`` where one is not finite and the region undefined."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam0)
-        log_z1, log_z2 = float(lp00 - lp01), float((lp01 - lp00) + (lp10 - lp11))
+        l_zero, l_one = fusion_log_factors(model, costs, log_odds(q0))
+        log_z1, log_z2 = float(l_zero), float(l_one - l_zero)
     if not (math.isfinite(log_z1) and math.isfinite(log_z2)):
         raise FloatingPointError(
             f"fusion belief q0={q0!r} at sigma={model.sigma!r}: a Gaussian tail of its "
-            f"threshold {lam0!r} underflows, so the fusion log factors are not finite")
+            f"threshold underflows, so the fusion log factors are not finite")
     return log_z1, log_z2
 
 
@@ -138,7 +130,7 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
     forced into a region. ``limit_risk`` is filled when the true prior is
     supplied (None on a boundary).
     """
-    t0, t1 = _local_rates(model, costs, q1)
+    t0, t1 = decision_tails(model, threshold_from_belief(model, costs, q1))[:2]
     log_z1, log_z2 = _fusion_log_factors(model, costs, q0)
     g0 = log_z1 + t0 * log_z2
     g1 = log_z1 + t1 * log_z2
@@ -168,7 +160,8 @@ def phase_map(model: ObservationModel, costs: CostPair, q0_axis, q1_axis) -> np.
     broadcast multiply and add each, so every region equals the scalar
     classification bit for bit.
     """
-    rates = np.array([_local_rates(model, costs, float(q1)) for q1 in q1_axis]).reshape(-1, 2)
+    rates = np.array([decision_tails(model, threshold_from_belief(model, costs, float(q1)))[:2]
+                      for q1 in q1_axis]).reshape(-1, 2)
     log_z = np.array([_fusion_log_factors(model, costs, float(q0)) for q0 in q0_axis]).reshape(-1, 2)
     t0, t1 = rates[:, 0], rates[:, 1]
     log_z1, log_z2 = log_z[:, :1], log_z[:, 1:]

@@ -9,10 +9,10 @@ functions; ``grid --contour`` evaluates its surface with
 ``network.batch_risk``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-domain failure: a
-non-finite risk from ``risk``, a ``FloatingPointError`` such as an
-underflowed fusion tail in ``phase`` or an underflowed decision tail at the
-optimal threshold in ``exponent`` (in each case no CSV is written), or a
-boundary classification escalated by ``phase --strict``.
+non-finite risk from ``risk``, a ``FloatingPointError`` such as an underflowed
+fusion tail in ``phase``, ``grid`` or ``pbpo`` or an underflowed decision tail
+at the optimal threshold in ``exponent`` (no CSV is written), or a boundary
+classification escalated by ``phase --strict``.
 
 ``main`` builds the argument parser once per process and reuses it.
 """

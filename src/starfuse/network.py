@@ -4,14 +4,15 @@ Local agents threshold their own signals using private beliefs about the
 prior. The fusion agent, believing its own prior and assuming every local
 shares it, folds the observed decisions into an updated belief and runs one
 final threshold test on its own signal. The true Bayes risk of that final
-decision is computed exactly two independent ways: a count-distribution
-dynamic program (the default path) and full enumeration of decision vectors
-(kept as a test oracle). The dynamic program is written once, on helpers
-that take any leading shape: ``exact_risk`` runs it for one network and
-``batch_risk`` for every pairing of many fusion beliefs with many rows of
-local beliefs, building the count pmf once per local row and the per-count
-fusion errors once per fusion belief. ``pinned_fusion_sweep`` is the one
-leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``.
+decision is computed exactly two ways, both from the decision rates and
+fusion log factors of ``observation``: a count-distribution dynamic program
+(the default path) and full enumeration of decision vectors (kept as a test
+oracle). The dynamic program is written once, on helpers that take any
+leading shape: ``exact_risk`` runs it for one network and ``batch_risk`` for
+every pairing of many fusion beliefs with many rows of local beliefs,
+building the count pmf once per local row and the per-count fusion errors
+once per fusion belief. ``pinned_fusion_sweep`` is the one leave-one-out
+pass behind ``pinned_fusion_errors`` and ``pbpo_exact``.
 """
 
 import itertools
@@ -26,10 +27,10 @@ from .observation import (
     ObservationModel,
     check_prior,
     clamp_belief,
-    decision_one_log_tails,
+    decision_tails,
     error_probs,
     from_log_odds,
-    gaussian_q,
+    fusion_log_factors,
     log_odds,
     threshold_from_log_odds,
 )
@@ -104,24 +105,18 @@ class RiskReport:
     per_count: tuple[tuple[int, float, float], ...]
 
 
-def _log_ratios(model: ObservationModel, costs: CostPair, ell0):
-    """(l_zero, l_one): the log-odds increments the fusion agent applies for a
-    0-decision and a 1-decision at fusion log-odds ``ell0`` (scalar or array)."""
-    lam = threshold_from_log_odds(model, costs, ell0)
-    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam)
-    return lp00 - lp01, lp10 - lp11
+def _rate_columns(model: ObservationModel, costs: CostPair, ell):
+    """Per-agent columns of the decide-1 and the decide-0 rates of threshold
+    tests at the local log-odds ``ell`` (agents on its last axis): entry
+    ``[i, h]`` is agent ``i``'s under H=h, with a trailing axis to broadcast."""
+    axes = (ell.ndim - 1, *range(ell.ndim - 1))  # np.moveaxis(ell, -1, 0), minus its overhead
+    lam = threshold_from_log_odds(model, costs, ell.transpose(axes)[..., None])
+    rates = decision_tails(model, lam).reshape((2, 2) + lam.shape).swapaxes(1, 2)
+    return rates[0], rates[1]
 
 
-def _decision_one_rates(model: ObservationModel, costs: CostPair, ell) -> np.ndarray:
-    """Decide-1 rates of threshold tests at the local log-odds ``ell``, of
-    any shape, stacked on a new leading axis: P(decide 1 | H=0) in row 0 and
-    P(decide 1 | H=1) in row 1."""
-    lam = threshold_from_log_odds(model, costs, ell)
-    return gaussian_q(np.stack((lam, lam - 1.0)) / model.sigma)
-
-
-def _local_rates(model: ObservationModel, costs: CostPair, beliefs) -> np.ndarray:
-    """(2, N) decide-1 rates of local agents with the given beliefs, which
+def _local_rates(model: ObservationModel, costs: CostPair, beliefs):
+    """``_rate_columns`` of local agents with the given beliefs, which
     ``NetworkConfig`` has already checked."""
     # log_odds's expression with math.log per belief: np.log over rows
     # (batch_risk) can differ in the last bit, and
@@ -129,7 +124,7 @@ def _local_rates(model: ObservationModel, costs: CostPair, beliefs) -> np.ndarra
     # fixed cost that pbpo_exact's one-belief calls pay.
     lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
     ell = [math.log(q) - math.log1p(-q) for q in (min(max(q, lo), hi) for q in beliefs)]
-    return _decision_one_rates(model, costs, np.array(ell))
+    return _rate_columns(model, costs, np.array(ell))
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -144,7 +139,7 @@ def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> floa
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"count k={k} out of range 0..{n}")
     ell0 = log_odds(config.q0)
-    l_zero, l_one = _log_ratios(config.model, config.costs, ell0)
+    l_zero, l_one = fusion_log_factors(config.model, config.costs, ell0)
     return ell0 + (n - k) * float(l_zero) + k * float(l_one)
 
 
@@ -162,41 +157,34 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     One convolution pass folds the agents in one at a time for both
     hypotheses together; agent ``i`` touches only the ``i + 2`` counts that
     can be nonzero so far, so the cost is O(N^2) with a small constant. Each
-    step is the convex combination pmf[c] * (1 - p) + pmf[c - 1] * p. For a
-    large network the time goes to that loop, one iteration of three array
-    operations per agent; the O(N) belief check and log-odds before it stay
-    scalar Python, so a network of N <= 3 pays no numpy fixed cost there.
+    step is pmf[c] * q + pmf[c - 1] * p, with decide-0 rate q and decide-1
+    rate p. For a large network the time goes to that loop, one iteration of
+    three array operations per agent; the O(N) belief check and log-odds
+    before it stay scalar Python, so N <= 3 pays no numpy fixed cost there.
     """
-    return _poisson_binomial_pmf(_local_rates(config.model, config.costs, config.q_local))
-
-
-def _rate_columns(rates: np.ndarray):
-    """Per-agent columns of the decide-1 ``rates`` (agents on the last axis)
-    and of their complements, each with the agents moved to a new first axis
-    and a trailing axis of length 1 kept for broadcasting."""
-    axes = (rates.ndim - 1, *range(rates.ndim - 1))  # np.moveaxis(rates, -1, 0), without its overhead
-    return rates.transpose(axes)[..., None], (1.0 - rates).transpose(axes)[..., None]
+    return _poisson_binomial_pmf(*_local_rates(config.model, config.costs, config.q_local))
 
 
 def _add_agent(pmf: np.ndarray, p: np.ndarray, q: np.ndarray, i: int) -> None:
-    """Fold one more agent, with decide-1 rates ``p`` and ``q = 1 - p`` as
-    columns, into ``pmf``, which holds on its last axis the count pmfs of the
-    ``i`` agents before it. In place; entries past ``i + 1`` stay zero."""
+    """Fold one more agent, with decide-1 rates ``p`` and decide-0 rates
+    ``q`` as columns, into ``pmf``, which holds on its last axis the count
+    pmfs of the ``i`` agents before it. In place; entries past ``i + 1`` stay
+    zero."""
     moved = pmf[..., :i + 1] * p
     pmf[..., :i + 1] *= q
     pmf[..., 1:i + 2] += moved
 
 
-def _poisson_binomial_pmf(rates: np.ndarray) -> np.ndarray:
-    """Count pmfs on the last axis, one per leading index of ``rates``, whose
-    last axis holds the agents.
+def _poisson_binomial_pmf(p_cols: np.ndarray, q_cols: np.ndarray) -> np.ndarray:
+    """Count pmfs on the last axis, one per hypothesis and batch index of the
+    ``_rate_columns`` ``p_cols`` and ``q_cols``.
 
     One loop iteration per agent, of three array operations: ``_add_agent``
     written inline, which saves a Python call per agent at large N.
     """
-    pmf = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
+    pmf = np.zeros(p_cols.shape[1:-1] + (len(p_cols) + 1,))
     pmf[..., 0] = 1.0
-    for i, (p, q) in enumerate(zip(*_rate_columns(rates))):
+    for i, (p, q) in enumerate(zip(p_cols, q_cols)):
         head = pmf[..., :i + 1]
         moved = head * p
         head *= q
@@ -209,7 +197,7 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n: int)
     0..n of local ones among ``n`` decisions, with the updated log-odds and
     fusion thresholds. A scalar fusion log-odds ``ell0`` gives arrays of shape
     (n + 1,); an array of them gives one row per entry."""
-    l_zero, l_one = _log_ratios(model, costs, ell0)
+    l_zero, l_one = fusion_log_factors(model, costs, ell0)
     k = np.arange(n + 1)
     ell = np.asarray(ell0)[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
     lam = threshold_from_log_odds(model, costs, ell)
@@ -270,7 +258,7 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     out = np.empty((ell0.shape[0], ell.shape[0]))
     step = max(1, BATCH_CHUNK_ROWS // max(1, ell0.shape[0]))
     for start in range(0, ell.shape[0], step):
-        pmf = _poisson_binomial_pmf(_decision_one_rates(model, costs, ell[start:start + step]))
+        pmf = _poisson_binomial_pmf(*_rate_columns(model, costs, ell[start:start + step]))
         out[:, start:start + step] = _bayes_risk(
             template.pi0, costs,
             np.sum(pmf[0][None] * fa[:, None], axis=-1),
@@ -280,21 +268,22 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
 
 def exact_risk_bruteforce(config: NetworkConfig) -> float:
     """Risk by explicit enumeration of all 2^N decision vectors, chaining the
-    public update/threshold operations. Each vector is thresholded at its
-    unclamped fusion log-odds, so the oracle stays exact far into the tails. Test oracle only; refuses N > 20."""
+    public update/threshold operations. Each vector is thresholded at the
+    unclamped fusion log-odds of its count of ones, so the oracle stays exact
+    far into the tails. Test oracle only; refuses N > 20."""
     n = config.n_local
     if n > 20:
         raise ValueError(f"bruteforce enumeration rejected for N={n} > 20")
-    t0, t1 = _local_rates(config.model, config.costs, config.q_local)
-    c_fa, c_md = config.costs.c_fa, config.costs.c_md
+    model, costs = config.model, config.costs
+    ones, zeros = (cols[..., 0].tolist() for cols in _local_rates(model, costs, config.q_local))
+    errors = [error_probs(model, threshold_from_log_odds(model, costs, fusion_log_odds(config, k)))
+              for k in range(n + 1)]
+    c_fa, c_md = costs.c_fa, costs.c_md
     pi0 = config.pi0
     total = 0.0
     for bits in itertools.product((0, 1), repeat=n):
-        ell = fusion_log_odds(config, sum(bits), n)
-        lam = threshold_from_log_odds(config.model, config.costs, ell)
-        p_fa, p_md = error_probs(config.model, lam)
-        w0 = math.prod(t0[i] if b else 1.0 - t0[i] for i, b in enumerate(bits))
-        w1 = math.prod(t1[i] if b else 1.0 - t1[i] for i, b in enumerate(bits))
+        p_fa, p_md = errors[sum(bits)]
+        w0, w1 = map(math.prod, zip(*(ones[i] if b else zeros[i] for i, b in enumerate(bits))))
         total += c_fa * pi0 * w0 * p_fa + c_md * (1.0 - pi0) * w1 * p_md
     return total
 
@@ -323,7 +312,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
     n = config.n_local
     model, costs = config.model, config.costs
     beliefs = list(config.q_local)
-    p_cols, q_cols = _rate_columns(_local_rates(model, costs, beliefs))
+    p_cols, q_cols = _local_rates(model, costs, beliefs)
     fa, md, _, _ = _fusion_count_errors(model, costs, log_odds(config.q0), n)
     # after[j][h, c]: expected fusion error (FA under H0, MD under H1) given
     # c ones among agents 1..j+1, mixed over the agents after j+1.
@@ -342,7 +331,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
         p, not_p = p_cols[j], q_cols[j]
         if q != beliefs[j]:
             beliefs[j] = q
-            (p,), (not_p,) = _rate_columns(_local_rates(model, costs, [q]))
+            (p,), (not_p,) = _local_rates(model, costs, [q])
         _add_agent(before, p, not_p, j)
     return tuple(beliefs)
 

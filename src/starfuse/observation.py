@@ -1,5 +1,6 @@
-"""Private-signal model: conditional densities, likelihood-ratio thresholds,
-and exact false-alarm / missed-detection probabilities of threshold tests.
+"""Private-signal model: likelihood-ratio thresholds, the decision rates of
+threshold tests (``decision_tails``, each tail on its own side) and the
+fusion log factors; every other module takes its rates from here.
 
 The model is additive Gaussian noise: the signal equals the binary
 hypothesis value (0 or 1) plus centered Gaussian noise with scale ``sigma``.
@@ -54,7 +55,7 @@ def gaussian_q(x):
     Computed from the complementary error function (monotone, accurate to a
     few ulp); never by quadrature. Accepts scalars or arrays.
     """
-    if np.ndim(x) == 0:
+    if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim is slow on a float
         return 0.5 * math.erfc(float(x) / _SQRT2)
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
@@ -123,23 +124,33 @@ def error_probs(model: ObservationModel, lam):
     that decides 1 when the signal strictly exceeds ``lam``.
 
     Exact equality with the threshold decides 0; the event has measure zero,
-    the convention is fixed for reproducibility. Each probability is the
-    Gaussian tail on its own side, so neither cancels against 1.
+    the convention is fixed for reproducibility. These are two of the four
+    ``decision_tails``, each on its own side, so neither cancels against 1.
     """
     lam = np.asarray(lam, dtype=float)
     return gaussian_q(lam / model.sigma), gaussian_q(-(lam - 1.0) / model.sigma)
 
 
-def decision_one_log_tails(model: ObservationModel, lam):
-    """Log-probabilities (log p(1|0), log p(1|1), log p(0|0), log p(0|1)).
+def decision_tails(model: ObservationModel, lam):
+    """(p(1|0), p(1|1), p(0|0), p(0|1)) of the threshold test at ``lam``, on a
+    new first axis for an array ``lam``; p(d|h) is its rate of deciding d
+    under hypothesis h. Each is the Gaussian tail on its own side, never one
+    minus another, so it stays within a few ulp however near 1 the other is."""
+    x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
+    if np.ndim(lam) == 0:  # math.erfc per tail, as gaussian_q does for scalars
+        return gaussian_q(x0), gaussian_q(x1), gaussian_q(-x0), gaussian_q(-x1)
+    return gaussian_q(np.stack((x0, x1, -x0, -x1)))  # one erfc call, same values
 
-    Each tail is computed directly from ``gaussian_q`` on its own side, so
-    the logs stay accurate even when a probability is within one ulp of 1.
-    """
-    lam = np.asarray(lam, dtype=float)
-    s = model.sigma
-    lp10 = np.log(gaussian_q(lam / s))
-    lp11 = np.log(gaussian_q((lam - 1.0) / s))
-    lp00 = np.log(gaussian_q(-lam / s))
-    lp01 = np.log(gaussian_q(-(lam - 1.0) / s))
-    return lp10, lp11, lp00, lp01
+
+def decision_one_log_tails(model: ObservationModel, lam):
+    """Logs of the four ``decision_tails``; an underflowed tail gives -inf."""
+    return np.log(decision_tails(model, np.asarray(lam, dtype=float)))
+
+
+def fusion_log_factors(model: ObservationModel, costs: CostPair, ell0):
+    """(l_zero, l_one): the log-odds increments the fusion agent applies for
+    a 0-decision and a 1-decision at fusion log-odds ``ell0`` (scalar or
+    array); not finite where a tail of its threshold underflows."""
+    lam = threshold_from_log_odds(model, costs, ell0)
+    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam)
+    return lp00 - lp01, lp10 - lp11

@@ -20,8 +20,7 @@ per-count errors, so each loop redoes only what a probe changes:
 - ``minimize_fusion_belief`` folds its fixed locals once per call; each
   golden-section probe is one mix.
 - ``pbpo_exact`` updates every local of a sweep from one
-  ``network.pinned_fusion_sweep``, O(N^2) per sweep where one
-  ``exact_coordinate_update`` per agent cost O(N^3).
+  ``network.pinned_fusion_sweep``, O(N^2) per sweep.
 
 Each gives the same doubles as recomputing the risk from scratch, which
 ``tests/test_descent_reference.py`` checks against reference copies.
@@ -102,13 +101,13 @@ class _RiskEvaluator:
     thousands of times with tiny networks, where numpy array overhead would
     dominate, and a probe usually moves one belief. So the evaluator
     memoizes, keyed by the exact float value of a belief, each local
-    belief's decide-1 tails and each fusion belief's per-count fusion error
-    probabilities, and the loops keep the prefix pmfs a probe does not
+    belief's four decision tails and each fusion belief's per-count fusion
+    error probabilities, and the loops keep the prefix pmfs a probe does not
     change. Agrees with ``exact_risk`` to machine precision.
 
-    ``mix`` raises ``ValueError`` naming the fusion belief and sigma when a
-    Gaussian tail of the fusion threshold underflows to 0, since the fusion
-    log-likelihood ratios are then undefined.
+    ``mix`` raises ``FloatingPointError`` naming the fusion belief and sigma
+    when a Gaussian tail of the fusion threshold underflows to 0, since the
+    fusion log-likelihood ratios are then undefined.
     """
 
     EMPTY = ((1.0,), (1.0,))
@@ -123,6 +122,7 @@ class _RiskEvaluator:
         weight_md = costs.c_md * (1.0 - template.pi0)
         local_tails = {}
         fusion_errors = {}
+        erfc = math.erfc
         # The steps are closures over these locals, not methods: in the
         # descent loops a cell lookup is cheaper than an attribute lookup.
 
@@ -131,7 +131,7 @@ class _RiskEvaluator:
             return math.log(q) - math.log1p(-q)
 
         def q_tail(x):
-            return 0.5 * math.erfc(x / _SQRT2)
+            return 0.5 * erfc(x / _SQRT2)
 
         def errors_of(q0):
             ell0 = lodds(q0)
@@ -139,9 +139,9 @@ class _RiskEvaluator:
             tails = (q_tail(-lam_f / s), q_tail(-(lam_f - 1.0) / s),
                      q_tail(lam_f / s), q_tail((lam_f - 1.0) / s))
             if min(tails) == 0.0:
-                raise ValueError(f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of its "
-                                 f"threshold {lam_f!r} underflows to 0, so the fusion "
-                                 f"log-likelihood ratios are undefined")
+                raise FloatingPointError(
+                    f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of its threshold "
+                    f"{lam_f!r} underflows to 0, so the fusion log-likelihood ratios are undefined")
             l_zero = math.log(tails[0]) - math.log(tails[1])
             l_one = math.log(tails[2]) - math.log(tails[3])
             fa, md = [], []
@@ -155,13 +155,13 @@ class _RiskEvaluator:
             t = local_tails.get(q)
             if t is None:
                 lam = 0.5 + v * (logc + lodds(q))
-                t = local_tails[q] = q_tail(lam / s), q_tail((lam - 1.0) / s)
-            t0, t1 = t
-            s0, s1 = 1.0 - t0, 1.0 - t1
+                x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # q_tail, inline
+                t = local_tails[q] = (0.5 * erfc(x0), 0.5 * erfc(x1),
+                                      0.5 * erfc(-x0), 0.5 * erfc(-x1))
+            t0, t1, s0, s1 = t
             pmf0, pmf1 = pmfs
-            # Count k keeps its mass with 1 - t or takes count k-1's with t.
-            # The new top count is the old top times t (the in-place DP
-            # computed 0.0 * (1 - t) + top * t, the same double).
+            # Count k keeps its mass at decide-0 rate s or takes count k-1's at
+            # rate t; the new top is old top * t (in place: 0.0 * s + top * t).
             new0, new1 = [pmf0[0] * s0], [pmf1[0] * s1]
             for k in range(1, len(pmf0)):
                 new0.append(pmf0[k] * s0 + pmf0[k - 1] * t0)
@@ -205,6 +205,18 @@ def _axis(lo: float, hi: float, res: float) -> np.ndarray:
     return axis[axis <= GRID_HI]
 
 
+def _checked_risks(template: NetworkTemplate, q0, q_local) -> np.ndarray:
+    """``batch_risk``, raising ``FloatingPointError`` at the first non-finite risk row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        risks = batch_risk(template, q0, q_local)
+    if not np.isfinite(risks).all():
+        first = float(q0[np.argmin(np.isfinite(risks).all(axis=1))])
+        raise FloatingPointError(
+            f"fusion belief q0={first!r} at sigma={template.model.sigma!r}: a Gaussian tail "
+            f"of its threshold underflows, so its risk is not finite")
+    return risks
+
+
 def _expand(row: np.ndarray, tie: bool, n_local: int) -> tuple[float, ...]:
     if tie:
         return (float(row[0]),) + (float(row[1]),) * n_local
@@ -221,7 +233,8 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
     lexicographically smallest belief tuple.
 
     Without ``tie_local_beliefs`` the full (N+1)-dimensional product grid is
-    searched, which is only allowed for N <= 3.
+    searched, which is only allowed for N <= 3. Raises ``FloatingPointError``
+    when a grid point's risk is not finite.
     """
     if 1.0 / settings.grid_resolution > 1e4:
         raise ValueError("grid_resolution finer than 1e-4 (more than 10^4 points per axis)")
@@ -246,7 +259,7 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
         # breaks ties as a scan of the full product grid would.
         local = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=1)
         q_local = np.repeat(local, template.n_local, axis=1) if tie else local
-        risks = batch_risk(template, axes[0], q_local)
+        risks = _checked_risks(template, axes[0], q_local)
         evaluated += risks.size
         i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
         best_row = np.concatenate(([axes[0][i]], local[j]))
@@ -303,10 +316,11 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     brackets the global basin before golden-section refinement. The locals
     are folded into their count pmfs once per call, so each golden-section
     probe costs one O(N) mix with the probe's memoized per-count errors.
+    Raises ``FloatingPointError`` when a scan point's risk is not finite.
     """
     q_local = tuple(q_local)
     grid = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
-    risks = batch_risk(template, grid, [q_local])[:, 0]
+    risks = _checked_risks(template, grid, [q_local])[:, 0]
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -331,12 +345,13 @@ def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
     recomputes only the tails of beliefs it has not seen in that run, and
     keeps the count pmfs of every prefix of the current locals: a fusion
     probe costs one O(N) mix and a probe of local i refolds locals i..N,
-    O(N^2) at worst. Raises ``ValueError`` naming the fusion belief and
-    sigma when the fusion belief reaches a value (typically the clamp edge)
-    where a Gaussian tail of its threshold underflows.
+    O(N^2) at worst. A run raises ``FloatingPointError`` naming the fusion
+    belief and sigma when the fusion belief reaches a value (typically the
+    clamp edge) where a Gaussian tail of its threshold underflows.
 
     With ``init=None`` the best of ``settings.restarts`` runs from seeded
-    uniform-random initializations is returned.
+    uniform-random initializations is returned; a restart that raises is
+    dropped, and the first restart's error is raised only if all do.
     """
     return _multi_start(_pbpo_run, template, settings, init, seed)
 
@@ -354,8 +369,7 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
     j have not moved yet, so one ``pinned_fusion_sweep`` (one backward pass
     of suffix expectations, and a forward prefix pmf that folds in each
     agent's updated belief) gives every agent its balance: a sweep costs
-    O(N^2) plus the line search, against O(N^3) for one
-    ``exact_coordinate_update`` per agent, with the same doubles.
+    O(N^2) plus the line search. Restarts are handled as in ``pbpo``.
     """
     return _multi_start(_pbpo_exact_run, template, settings, init, seed)
 
@@ -365,12 +379,15 @@ def _multi_start(run, template, settings, init, seed):
         return run(template, settings, tuple(float(q) for q in init))
     rng = np.random.default_rng(seed)
     inits = rng.uniform(0.02, 0.98, size=(settings.restarts, template.n_local + 1))
-    best = None
+    results, errors = [], []
     for row in inits:
-        result = run(template, settings, tuple(row))
-        if best is None or result.risk < best.risk:
-            best = result
-    return best
+        try:
+            results.append(run(template, settings, tuple(row)))
+        except FloatingPointError as exc:
+            errors.append(exc)
+    if not results:
+        raise errors[0]
+    return min(results, key=lambda result: result.risk)
 
 
 def _pbpo_run(template, settings, init):

@@ -109,6 +109,20 @@ class TestGridCommand:
         assert code == 2
 
 
+    # A nan risk used to win the argmin: beliefs=1e-06,... risk=nan with exit 0.
+    @pytest.mark.parametrize("sigma", ["10", "20"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowed_fusion_tail_exits_domain(self, capsys, tmp_path, sigma):
+        path = tmp_path / "grid.csv"
+        code, out, err = run_cli(capsys, "grid", "--pi0", "0.3", "--sigma", sigma,
+                                 "--tie-locals", "--csv", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: fusion belief q0=0.02 at sigma={float(sigma)!r}")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
+
 class TestPbpoCommand:
     def test_documented_default_init_reproduces_benchmark(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -137,7 +151,7 @@ class TestPbpoCommand:
                                "--cfa", "1.9518892848869696", "--cmd", "0.5220594574480539",
                                "--sigma", "1.7954601353683637", "--n-local", "2", "--init",
                                "0.9330755360597098,0.9114891616498672,0.1838876110092481")
-        assert code == 2
+        assert code == 3
         assert "fusion belief 0.999999999" in err and "underflows" in err
 
 

@@ -30,7 +30,7 @@ from starfuse import (
     stationarity_residual,
 )
 from starfuse import optimize
-from starfuse.network import _add_agent, _fusion_count_errors, _local_rates, _rate_columns
+from starfuse.network import _add_agent, _fusion_count_errors, _local_rates
 from starfuse.optimize import (
     BELIEF_EPS,
     FUSION_SCAN_POINTS,
@@ -64,7 +64,8 @@ def _reference_risk_evaluator(template):
 
     def tails_of(q):
         lam = 0.5 + v * (logc + lodds(q))
-        return q_tail(lam / s), q_tail((lam - 1.0) / s)
+        return (q_tail(lam / s), q_tail((lam - 1.0) / s),
+                q_tail(-lam / s), q_tail(-(lam - 1.0) / s))
 
     def errors_of(q0):
         ell0 = lodds(q0)
@@ -72,9 +73,9 @@ def _reference_risk_evaluator(template):
         tails = (q_tail(-lam_f / s), q_tail(-(lam_f - 1.0) / s),
                  q_tail(lam_f / s), q_tail((lam_f - 1.0) / s))
         if min(tails) == 0.0:
-            raise ValueError(f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of its "
-                             f"threshold {lam_f!r} underflows to 0, so the fusion "
-                             f"log-likelihood ratios are undefined")
+            raise FloatingPointError(f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of "
+                                     f"its threshold {lam_f!r} underflows to 0, so the "
+                                     f"fusion log-likelihood ratios are undefined")
         l_zero = math.log(tails[0]) - math.log(tails[1])
         l_one = math.log(tails[2]) - math.log(tails[3])
         fa, md = [], []
@@ -92,12 +93,12 @@ def _reference_risk_evaluator(template):
             t = local_tails.get(q)
             if t is None:
                 t = local_tails[q] = tails_of(q)
-            t0, t1 = t
+            t0, t1, s0, s1 = t
             for k in range(i + 1, 0, -1):
-                pmf0[k] = pmf0[k] * (1.0 - t0) + pmf0[k - 1] * t0
-                pmf1[k] = pmf1[k] * (1.0 - t1) + pmf1[k - 1] * t1
-            pmf0[0] *= 1.0 - t0
-            pmf1[0] *= 1.0 - t1
+                pmf0[k] = pmf0[k] * s0 + pmf0[k - 1] * t0
+                pmf1[k] = pmf1[k] * s1 + pmf1[k - 1] * t1
+            pmf0[0] *= s0
+            pmf1[0] *= s1
         q0 = beliefs[0]
         errors = fusion_errors.get(q0)
         if errors is None:
@@ -152,6 +153,11 @@ def _reference_minimize_fusion_belief(template, q_local, tol=1e-6):
     q_local = tuple(q_local)
     grid = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
     risks = batch_risk(template, grid, [q_local])[:, 0]
+    if not np.isfinite(risks).all():
+        q0 = float(grid[~np.isfinite(risks)][0])
+        raise FloatingPointError(
+            f"fusion belief q0={q0!r} at sigma={template.model.sigma!r}: a Gaussian tail "
+            f"of its threshold underflows, so its risk is not finite")
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -162,7 +168,7 @@ def _reference_minimize_fusion_belief(template, q_local, tol=1e-6):
 def _reference_pinned_fusion_errors(config):
     """Every agent's pinned fusion errors by one backward and one forward pass."""
     n = config.n_local
-    p_cols, q_cols = _rate_columns(_local_rates(config.model, config.costs, config.q_local))
+    p_cols, q_cols = _local_rates(config.model, config.costs, config.q_local)
     fa, md, _, _ = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
     after = [None] * n
     after[n - 1] = np.stack((fa, md))
@@ -256,19 +262,22 @@ def _reference_multi_start(run, template, settings, init, seed=RESTART_SEED):
         return run(template, settings, tuple(float(q) for q in init))
     rng = np.random.default_rng(seed)
     inits = rng.uniform(0.02, 0.98, size=(settings.restarts, template.n_local + 1))
-    best = None
+    results, errors = [], []
     for row in inits:
-        result = run(template, settings, tuple(row))
-        if best is None or result.risk < best.risk:
-            best = result
-    return best
+        try:
+            results.append(run(template, settings, tuple(row)))
+        except FloatingPointError as exc:
+            errors.append(exc)
+    if not results:
+        raise errors[0]
+    return min(results, key=lambda result: result.risk)
 
 
 def _outcome(f, *args, **kwargs):
     """The result of ``f``, or the type and text of the error it raised."""
     try:
         return f(*args, **kwargs)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, FloatingPointError) as exc:
         return type(exc), str(exc)
 
 

@@ -158,7 +158,7 @@ class TestSimulate:
         cfg = _config(q0=0.4, q_local=(1.0 - 1e-9, 1.0 - 1e-9))
         lam = threshold_from_belief(cfg.model, cfg.costs, update_belief_count(cfg, 0))
         p_fa = gaussian_q(lam / cfg.model.sigma)
-        p_md = 1.0 - gaussian_q((lam - 1.0) / cfg.model.sigma)
+        p_md = gaussian_q(-(lam - 1.0) / cfg.model.sigma)
         expected = cfg.costs.c_fa * cfg.pi0 * p_fa + cfg.costs.c_md * (1 - cfg.pi0) * p_md
         result = simulate(SimulationSpec(cfg, trials=200_000, seed=31))
         assert abs(result.empirical_risk - expected) <= 4.0 * result.std_error

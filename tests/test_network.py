@@ -24,30 +24,34 @@ from starfuse import (
     update_belief_count,
 )
 from starfuse.network import (
-    _decision_one_rates,
     _fusion_count_errors,
     _poisson_binomial_pmf,
+    _rate_columns,
     conditional_fusion_errors,
     count_distribution,
 )
 from conftest import random_config
 
 
-def _reference_pmfs(rates):
+def _reference_pmfs(ones, zeros):
     """Count pmf by the plain one-agent-at-a-time convolution over a full
-    length-(N + 1) vector; the reference the optimized kernels must match."""
-    pmf = np.zeros(len(rates) + 1)
+    length-(N + 1) vector, from each agent's decide-1 and decide-0 rates;
+    the reference the optimized kernels must match."""
+    pmf = np.zeros(len(ones) + 1)
     pmf[0] = 1.0
-    for p in rates:
-        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
-        pmf[0] *= 1.0 - p
+    for p, q in zip(ones, zeros):
+        pmf[1:] = pmf[1:] * q + pmf[:-1] * p
+        pmf[0] *= q
     return pmf
 
 
 def _reference_rates(cfg, beliefs):
-    """Per-agent decide-1 rates under H0 and H1, one scalar threshold each."""
+    """Per-agent decide-1 rates under H0 and H1, then decide-0 rates under
+    H0 and H1, one scalar threshold each, every tail on its own side."""
     lam = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in beliefs])
-    return gaussian_q(lam / cfg.model.sigma), gaussian_q((lam - 1.0) / cfg.model.sigma)
+    s = cfg.model.sigma
+    return (gaussian_q(lam / s), gaussian_q((lam - 1.0) / s),
+            gaussian_q(-lam / s), gaussian_q(-(lam - 1.0) / s))
 
 
 def _reference_fusion_errors(cfg, n):
@@ -63,10 +67,11 @@ def _reference_pinned(cfg, j, pinned):
     """Pinned fusion errors by rebuilding the count pmf without agent ``j``."""
     n = cfg.n_local
     others = cfg.q_local[:j - 1] + cfg.q_local[j:]
-    t0, t1 = _reference_rates(cfg, others)
+    t0, t1, s0, s1 = _reference_rates(cfg, others)
     fa, md = _reference_fusion_errors(cfg, n)
     counts = np.arange(n) + pinned
-    return float(_reference_pmfs(t0) @ fa[counts]), float(_reference_pmfs(t1) @ md[counts])
+    return (float(_reference_pmfs(t0, s0) @ fa[counts]),
+            float(_reference_pmfs(t1, s1) @ md[counts]))
 
 
 def _config(pi0=0.3, q0=0.5, q_local=(0.5, 0.5), sigma=1.0, c_fa=1.0, c_md=1.0):
@@ -216,8 +221,8 @@ class TestCountDistribution:
         else:
             cfg = template.config(0.45, rng.uniform(0.02, 0.98, n))
         pmf = count_distribution(cfg)
-        t0, t1 = _reference_rates(cfg, cfg.q_local)
-        pmf0, pmf1 = _reference_pmfs(t0), _reference_pmfs(t1)
+        t0, t1, s0, s1 = _reference_rates(cfg, cfg.q_local)
+        pmf0, pmf1 = _reference_pmfs(t0, s0), _reference_pmfs(t1, s1)
         assert np.array_equal(pmf[0], pmf0)
         assert np.array_equal(pmf[1], pmf1)
         fa, md = _reference_fusion_errors(cfg, n)
@@ -306,7 +311,7 @@ def _row_form_batch_risk(template, beliefs):
     model, costs, n = template.model, template.costs, template.n_local
     q = np.clip(beliefs, BELIEF_EPS, 1.0 - BELIEF_EPS)
     ell = np.log(q) - np.log1p(-q)
-    pmf = _poisson_binomial_pmf(_decision_one_rates(model, costs, ell[:, 1:]))
+    pmf = _poisson_binomial_pmf(*_rate_columns(model, costs, ell[:, 1:]))
     fa, md, _, _ = _fusion_count_errors(model, costs, ell[:, 0], n)
     return (costs.c_fa * template.pi0 * np.sum(pmf[0] * fa, axis=1)
             + costs.c_md * (1.0 - template.pi0) * np.sum(pmf[1] * md, axis=1))
