@@ -13,13 +13,9 @@ information of the local decision channel at the best threshold.
 grid: the local rates depend on the local belief only and the fusion odds
 factors on the fusion belief only, so it computes each once per axis value
 and applies the one sign rule to all pairs by broadcasting, with the same
-floating-point operations as the scalar call. The exponent searches compute
-the four Gaussian log tails once per threshold and run the ternary search
-over the mixing weight on the cheap log-sum-exp mix alone: on arrays for the
-``exponent_curve`` grid, on Python floats for each golden-section probe of
-``optimal_exponent`` and for ``chernoff_bernoulli``. Both searches make the
-same IEEE operations, so they agree bit for bit, and both stop once an
-iteration leaves the bracket unchanged, from where it stays fixed.
+floating-point operations as the scalar call. The exponent layer is closed
+form: the minimum over the mixing weight of a two-term log-sum-exp has an
+explicit minimizer, and the optimal threshold of the Gaussian channel is 1/2.
 """
 
 import enum
@@ -31,7 +27,6 @@ import numpy as np
 from .observation import (
     CostPair,
     ObservationModel,
-    belief_from_threshold,
     check_prior,
     decision_one_log_tails,
     decision_tails,
@@ -40,7 +35,6 @@ from .observation import (
     log_odds,
     threshold_from_belief,
 )
-from .optimize import golden_section
 
 
 class PhaseRegion(enum.Enum):
@@ -66,18 +60,6 @@ class PhaseClassification:
 
 # Points whose region exponent g0 or g1 lies within this of zero are BOUNDARY.
 BOUNDARY_TOL = 1e-12
-
-# Threshold grid step and golden-section tolerance of ``optimal_exponent``.
-EXPONENT_GRID_STEP = 1e-3
-EXPONENT_REFINE_TOL = 1e-9
-
-# Log of the smallest normal double: a decision tail below it has lost
-# relative precision (or underflowed to 0), and so has the exponent.
-_LOG_TINY = math.log(np.finfo(float).tiny)
-
-# Ternary-search iterations over the mixing weight s; both searches stop
-# earlier once the bracket is at its fixed point.
-_TERNARY_ITERS = 120
 
 # Regions by the index ``_region_of`` gives a sign pattern.
 _REGIONS = np.array([PhaseRegion.RISK_VANISHES, PhaseRegion.FALSE_ALARM_FLOOR,
@@ -109,9 +91,8 @@ def _region_of(g0, g1):
 def _fusion_log_factors(model: ObservationModel, costs: CostPair, q0: float):
     """(log z1, log z2) = (l_zero, l_one - l_zero) at fusion belief q0; raises
     ``FloatingPointError`` where one is not finite and the region undefined."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l_zero, l_one = fusion_log_factors(model, costs, log_odds(q0))
-        log_z1, log_z2 = float(l_zero), float(l_one - l_zero)
+    l_zero, l_one = fusion_log_factors(model, costs, log_odds(q0))
+    log_z1, log_z2 = float(l_zero), float(l_one) - float(l_zero)
     if not (math.isfinite(log_z1) and math.isfinite(log_z2)):
         raise FloatingPointError(
             f"fusion belief q0={q0!r} at sigma={model.sigma!r}: a Gaussian tail of its "
@@ -186,70 +167,27 @@ def _mix(tails, s):
     return np.logaddexp(term_zero, term_one)
 
 
-def _ternary_min_s(f, m: int):
-    """Vectorized ternary search of a per-component convex function on [0,1].
+def _min_mix(tails):
+    """Minimum over s in [0, 1] of ``_mix(tails, s)``, for arrays and floats.
 
-    An iteration is a fixed map of the brackets (lo, hi), so once it leaves
-    every bracket unchanged all later ones would too, and the search stops.
-    """
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    for _ in range(_TERNARY_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        take_left = f(m1) <= f(m2)
-        new_lo = np.where(take_left, lo, m1)
-        new_hi = np.where(take_left, m2, hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
-
-
-def _scalar_min_s(tails):
-    """(minimizing s, minimum) of the exponent objective of one threshold,
-    from its four decision log tails as Python floats.
-
-    The ternary search of ``_ternary_min_s`` and the mix of ``_mix`` on
-    floats: each step makes the same IEEE operations and the same
-    ``np.logaddexp`` call, so the result equals the length-1 array search
-    bit for bit, without some twenty numpy calls per iteration.
+    The two log-sum-exp terms have slopes d0 = lp01 - lp00 and
+    d1 = lp11 - lp10 in s, of opposite signs for any threshold test or pair
+    of Bernoulli laws; the derivative vanishes where their weighted slopes
+    cancel, at s = (lp00 - lp10 + log|d0| - log|d1|) / (d1 - d0), clipped to
+    [0, 1]. Where that is not finite the channel is uninformative and every
+    s minimizes; s = 1/2 is taken.
     """
     lp10, lp11, lp00, lp01 = tails
-
-    def mix(s):
-        return np.logaddexp((1.0 - s) * lp00 + s * lp01, (1.0 - s) * lp10 + s * lp11)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(_TERNARY_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        new_lo, new_hi = (lo, m2) if mix(m1) <= mix(m2) else (m1, hi)
-        if new_lo == lo and new_hi == hi:
-            break
-        lo, hi = new_lo, new_hi
-    s = 0.5 * (lo + hi)
-    return s, float(mix(s))
-
-
-def _threshold_tails(model: ObservationModel, lam: float):
-    """The four decision log tails at one threshold, as Python floats."""
-    return tuple(float(t[0]) for t in decision_one_log_tails(model, np.array([lam])))
-
-
-def _min_over_s(model: ObservationModel, lam: np.ndarray):
-    """(minimizing s, minimum) of the exponent objective for each threshold
-    of the 1-D array ``lam``. The tails do not depend on s, so they are
-    computed once and the ternary search runs on the mix alone."""
-    tails = decision_one_log_tails(model, lam)
-    s_best = _ternary_min_s(lambda s: _mix(tails, s), lam.shape[0])
-    return s_best, _mix(tails, s_best)
+    d0, d1 = lp01 - lp00, lp11 - lp10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (lp00 - lp10 + np.log(np.abs(d0)) - np.log(np.abs(d1))) / (d1 - d0)
+    return _mix(tails, np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), 0.5))
 
 
 def exponent_curve(model: ObservationModel, lam_values):
     """min over s of the exponent objective, for each threshold in ``lam_values``."""
-    values = _min_over_s(model, np.atleast_1d(np.asarray(lam_values, dtype=float)))[1]
-    return float(values[0]) if np.ndim(lam_values) == 0 else values
+    values = _min_mix(decision_one_log_tails(model, lam_values))
+    return float(values) if np.ndim(lam_values) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -266,49 +204,30 @@ class ExponentReport:
 def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> ExponentReport:
     """Best achievable risk exponent over identical local thresholds.
 
-    Dense threshold grid over [-3 sigma, 1 + 3 sigma] with the convex inner
-    minimization done by one array ternary search, then golden-section
-    refinement of the outer threshold around the grid winner. Each probe
-    computes its four log tails once and runs the ternary search over s on
-    Python floats (``_scalar_min_s``), bit for bit the array search on a
-    length-1 array; the final ``s_star`` comes from the same search. Also
-    reports the identical belief that realizes the optimal threshold under
-    the given costs.
-
-    Raises ``FloatingPointError`` when a decision log tail at the optimal
-    threshold is below the log of the smallest normal double (about -708.4)
-    or has underflowed to -inf: the exponent is then not accurate (at
-    sigma=0.01 it would read 719 against 627). This happens for sigma below
-    about 0.017.
+    The channel at threshold lam mirrors the one at 1 - lam (swap hypotheses
+    and decisions); the optimum is lam* = 1/2 (Tsitsiklis 1988), where it is
+    binary symmetric with crossover p = Q(1/(2 sigma)), and s* = 1/2
+    (Chernoff 1952): beta* = -log(4 p (1 - p)) / 2. With 1 - 2p = erf(u),
+    u = 1/(2 sigma sqrt 2), that is -log1p(-erf(u)**2) / 2, exact to an ulp
+    for a small beta*; where erf(u) nears 1 it is the negated objective at
+    (1/2, 1/2), whose ``log_ndtr`` tails stay finite at any sigma. The belief
+    whose threshold is 1/2 is ``costs.neutral_belief``.
     """
     if costs is None:
         costs = CostPair()
-    s = model.sigma
-    step = EXPONENT_GRID_STEP
-    grid = np.round(np.arange(-3.0 * s, 1.0 + 3.0 * s + step / 2.0, step), 12)
-    # Underflowed tails are -inf, not errors: the check at lambda_star decides.
-    with np.errstate(divide="ignore"):
-        values = exponent_curve(model, grid)
-        i = int(np.argmin(values))
-        lam_star = golden_section(lambda lam: _scalar_min_s(_threshold_tails(model, lam))[1],
-                                  grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
-                                  EXPONENT_REFINE_TOL)
-        tails = _threshold_tails(model, lam_star)
-    if min(tails) < _LOG_TINY:
-        raise FloatingPointError(
-            f"optimal exponent at sigma={model.sigma!r}: a Gaussian tail of the optimal "
-            f"threshold lambda_star={lam_star!r} underflows (log tail {min(tails)!r}), "
-            f"so the exponent is not accurate")
-    s_star = _scalar_min_s(tails)[0]
-    beta_star = -float(exponent_objective(model, lam_star, s_star))
-    fa, md = error_probs(model, lam_star)
+    gap = math.erf(0.5 / (model.sigma * math.sqrt(2.0)))
+    if gap < 0.5:
+        beta_star = -0.5 * math.log1p(-gap * gap)
+    else:
+        beta_star = -exponent_objective(model, 0.5, 0.5)
+    fa, md = error_probs(model, 0.5)
     return ExponentReport(
-        lambda_star=float(lam_star),
-        s_star=s_star,
-        beta_star=max(beta_star, 0.0),
+        lambda_star=0.5,
+        s_star=0.5,
+        beta_star=beta_star,
         fa_at_opt=float(fa),
         md_at_opt=float(md),
-        q_star=belief_from_threshold(model, costs, float(lam_star)),
+        q_star=costs.neutral_belief,
         variance_proxy=model.variance_proxy,
     )
 
@@ -323,4 +242,4 @@ def chernoff_bernoulli(p1: float, p2: float) -> float:
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError("Bernoulli parameters must lie strictly inside (0, 1)")
     tails = (math.log1p(-p2), math.log1p(-p1), math.log(p2), math.log(p1))
-    return max(0.0, -_scalar_min_s(tails)[1])
+    return max(0.0, -float(_min_mix(tails)))

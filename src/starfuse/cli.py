@@ -6,13 +6,13 @@ header row. Numbers are serialized with 10 significant digits and all
 computation is deterministic, so rerunning a command with identical flags
 produces byte-identical files. The numbers come from the library's public
 functions; ``grid --contour`` evaluates its surface with
-``network.batch_risk``.
+``optimize.checked_risks``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-domain failure: a
 non-finite risk from ``risk``, a ``FloatingPointError`` such as an underflowed
-fusion tail in ``phase``, ``grid`` or ``pbpo`` or an underflowed decision tail
-at the optimal threshold in ``exponent`` (no CSV is written), or a boundary
-classification escalated by ``phase --strict``.
+fusion tail in ``phase``, ``grid`` (``--contour`` included) or ``pbpo`` (no
+CSV is written), or a boundary classification escalated by
+``phase --strict``.
 
 ``main`` builds the argument parser once per process and reuses it.
 """
@@ -34,11 +34,12 @@ from .asymptotics import (
     phase_map,
 )
 from .montecarlo import SimulationSpec, estimate_exponent, simulate
-from .network import NetworkTemplate, batch_risk, exact_risk
+from .network import NetworkTemplate, exact_risk
 from .observation import CostPair, ObservationModel, check_prior
 from .optimize import (
     OptimizerSettings,
     SweepPoint,
+    checked_risks,
     grid_search,
     optimal_belief_sweep,
     pbpo,
@@ -143,7 +144,7 @@ def cmd_grid(args) -> int:
         axis = _parse_range(f"{args.resolution}:{1.0 - args.resolution}:{args.resolution}")
         grid1, grid2 = np.meshgrid(axis, axis, indexing="ij")
         rows = np.column_stack([grid1.ravel(), grid2.ravel()])
-        risks = batch_risk(template, [args.q0], rows)[0]
+        risks = checked_risks(template, [args.q0], rows)[0]
         out = [(rows[i, 0], rows[i, 1], risks[i]) for i in range(rows.shape[0])]
         print(f"contour: {len(out)} points at q0={args.q0:.10g}, min risk {risks.min():.10g}")
         if args.csv:

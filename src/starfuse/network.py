@@ -199,7 +199,9 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n: int)
     (n + 1,); an array of them gives one row per entry."""
     l_zero, l_one = fusion_log_factors(model, costs, ell0)
     k = np.arange(n + 1)
-    ell = np.asarray(ell0)[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
+    # 0 * inf where a factor is infinite: the nan risk is the caller's to report.
+    with np.errstate(invalid="ignore"):
+        ell = np.asarray(ell0)[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
     lam = threshold_from_log_odds(model, costs, ell)
     return (*error_probs(model, lam), ell, lam)
 

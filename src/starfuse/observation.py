@@ -143,14 +143,22 @@ def decision_tails(model: ObservationModel, lam):
 
 
 def decision_one_log_tails(model: ObservationModel, lam):
-    """Logs of the four ``decision_tails``; an underflowed tail gives -inf."""
-    return np.log(decision_tails(model, np.asarray(lam, dtype=float)))
+    """Logs of the four ``decision_tails``, in the same order, each from
+    ``log_ndtr`` on its own side: finite at any sigma, even where the tail
+    itself underflows a double."""
+    lam = np.asarray(lam, dtype=float)
+    x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
+    return special.log_ndtr(np.stack((-x0, -x1, x0, x1)))
 
 
 def fusion_log_factors(model: ObservationModel, costs: CostPair, ell0):
     """(l_zero, l_one): the log-odds increments the fusion agent applies for
     a 0-decision and a 1-decision at fusion log-odds ``ell0`` (scalar or
-    array); not finite where a tail of its threshold underflows."""
+    array); not finite, without a numpy warning, where a tail underflows."""
     lam = threshold_from_log_odds(model, costs, ell0)
-    lp10, lp11, lp00, lp01 = decision_one_log_tails(model, lam)
-    return lp00 - lp01, lp10 - lp11
+    # Logs of the linear tails, not decision_one_log_tails, keep every risk,
+    # pinned CSV and pbpo trace to its bits; log_ndtr factors wait for a
+    # change that checks the risk against its own oracle (ROADMAP item 1(b)).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp10, lp11, lp00, lp01 = np.log(decision_tails(model, np.asarray(lam, dtype=float)))
+        return lp00 - lp01, lp10 - lp11

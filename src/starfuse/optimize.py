@@ -205,10 +205,9 @@ def _axis(lo: float, hi: float, res: float) -> np.ndarray:
     return axis[axis <= GRID_HI]
 
 
-def _checked_risks(template: NetworkTemplate, q0, q_local) -> np.ndarray:
+def checked_risks(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     """``batch_risk``, raising ``FloatingPointError`` at the first non-finite risk row."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        risks = batch_risk(template, q0, q_local)
+    risks = batch_risk(template, q0, q_local)
     if not np.isfinite(risks).all():
         first = float(q0[np.argmin(np.isfinite(risks).all(axis=1))])
         raise FloatingPointError(
@@ -259,7 +258,7 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
         # breaks ties as a scan of the full product grid would.
         local = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=1)
         q_local = np.repeat(local, template.n_local, axis=1) if tie else local
-        risks = _checked_risks(template, axes[0], q_local)
+        risks = checked_risks(template, axes[0], q_local)
         evaluated += risks.size
         i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
         best_row = np.concatenate(([axes[0][i]], local[j]))
@@ -320,7 +319,7 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     """
     q_local = tuple(q_local)
     grid = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
-    risks = _checked_risks(template, grid, [q_local])[:, 0]
+    risks = checked_risks(template, grid, [q_local])[:, 0]
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,16 +18,8 @@ from starfuse import (
     phase_map,
 )
 from starfuse import NetworkTemplate
-from scipy.special import log_ndtr
 
-from starfuse.asymptotics import (
-    _min_over_s,
-    _region_of,
-    _scalar_min_s,
-    _ternary_min_s,
-    _threshold_tails,
-)
-from starfuse.observation import decision_one_log_tails
+from starfuse.asymptotics import _region_of
 
 
 class TestClassifyPhase:
@@ -140,35 +133,41 @@ class TestPhaseMap:
                 assert regions[i, j] is classify_phase(std_model, equal_costs, q0, q1).region
 
 
-def _old_loop_chernoff(p1, p2, iters=120):
-    """``chernoff_bernoulli`` as a scalar ternary loop, before it called
-    ``_ternary_min_s``."""
-    l1, l1c = math.log(p1), math.log1p(-p1)
-    l2, l2c = math.log(p2), math.log1p(-p2)
+def _mp_chernoff(p1, p2):
+    """Chernoff information of Bernoulli(p1) and Bernoulli(p2) at 60 digits.
 
-    def h(s):
-        return np.logaddexp(s * l1 + (1.0 - s) * l2, s * l1c + (1.0 - s) * l2c)
+    The minimizing s is bisected on the sign of the slope of the log-sum-exp;
+    80 halvings put it within 1e-24, which moves the minimum by far less
+    than an ulp, since the slope vanishes there."""
+    if p1 == p2:
+        return 0.0
+    with mpmath.workdps(60):
+        laws = [(1 - mpmath.mpf(p2), 1 - mpmath.mpf(p1)), (mpmath.mpf(p2), mpmath.mpf(p1))]
+        log_ratios = [mpmath.log(b / a) for a, b in laws]
 
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if h(m1) <= h(m2):
-            hi = m2
-        else:
-            lo = m1
-    return max(0.0, -float(h(0.5 * (lo + hi))))
+        def terms(s):
+            return [a ** (1 - s) * b ** s for a, b in laws]
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            slope = sum(t * r for t, r in zip(terms(mid), log_ratios))
+            lo, hi = (lo, mid) if slope > 0 else (mid, hi)
+        return -mpmath.log(sum(terms((lo + hi) / 2)))
 
 
 class TestChernoffBernoulli:
-    def test_equals_scalar_ternary_loop(self):
+    def test_matches_mpmath_minimum(self):
         rng = np.random.default_rng(71)
         pairs = [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(60)]
         pairs += [(p, p) for p in rng.uniform(0.0, 1.0, 10)]
         edges = [1e-300, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0**-53]
         pairs += [(a, b) for a in edges for b in edges]
         for p1, p2 in pairs:
-            assert chernoff_bernoulli(p1, p2) == _old_loop_chernoff(p1, p2)
+            p1, p2 = float(p1), float(p2)
+            reference = _mp_chernoff(p1, p2)
+            # A value near 0 is the difference of two logs near 0: an absolute ulp.
+            assert abs(chernoff_bernoulli(p1, p2) - reference) <= 2e-14 * reference + 1e-16, (p1, p2)
 
     def test_identical_distributions(self):
         assert chernoff_bernoulli(0.37, 0.37) == 0.0
@@ -183,6 +182,17 @@ class TestChernoffBernoulli:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             chernoff_bernoulli(0.0, 0.5)
+
+
+def _mp_beta_star(sigma):
+    """-log 2 - (log Q(a) + log Q(-a)) / 2 with a = 1/(2 sigma), at 50 digits."""
+    with mpmath.workdps(50):
+        a = 1 / (2 * mpmath.mpf(sigma))
+
+        def log_q(x):
+            return mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2)
+
+        return -mpmath.log(2) - (log_q(a) + log_q(-a)) / 2
 
 
 class TestOptimalExponent:
@@ -206,10 +216,30 @@ class TestOptimalExponent:
         report = optimal_exponent(std_model)
         assert report.beta_star == pytest.approx(expected, rel=1e-8)
 
+    def test_beta_star_matches_mpmath_closed_form(self):
+        for sigma in np.geomspace(1e-3, 1e2, 61):
+            report = optimal_exponent(ObservationModel(sigma=float(sigma)))
+            assert (report.lambda_star, report.s_star) == (0.5, 0.5)
+            assert report.beta_star == pytest.approx(float(_mp_beta_star(sigma)), rel=1e-12), sigma
+            assert report.fa_at_opt == report.md_at_opt
+
     def test_consistency_with_chernoff(self, std_model):
         report = optimal_exponent(std_model)
         channel = chernoff_bernoulli(report.fa_at_opt, 1.0 - report.md_at_opt)
         assert report.beta_star == pytest.approx(channel, abs=1e-10)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.01, 0.05, 0.3, 1.0, 5.0, 20.0, 100.0])
+    def test_no_threshold_beats_one_half(self, sigma):
+        """A dense grid of thresholds over [-3 sigma, 1 + 3 sigma], one
+        half excluded: none gets below the curve at 1/2 by more than
+        rounding."""
+        model = ObservationModel(sigma=sigma)
+        lam = np.linspace(-3.0 * sigma, 1.0 + 3.0 * sigma, 100_000)
+        at_half = exponent_curve(model, 0.5)
+        assert at_half == pytest.approx(-optimal_exponent(model).beta_star, rel=1e-10)
+        curve = exponent_curve(model, lam)
+        assert np.all(np.isfinite(curve))
+        assert curve.min() >= at_half - 1e-15 * abs(at_half)
 
     def test_uninformative_thresholds_never_win(self, std_model):
         curve = exponent_curve(std_model, np.array([-20.0, 0.5, 21.0]))
@@ -225,135 +255,68 @@ class TestOptimalExponent:
             assert np.min(np.diff(values, n=2)) >= -1e-12
 
 
-def _old_loop_exponent(model, grid_step=1e-3, refine_tol=1e-9):
-    """(lambda_star, beta_star) from the golden-section loop ``optimal_exponent``
-    carried inline before it used ``optimize.golden_section``."""
-    s = model.sigma
-    grid = np.round(np.arange(-3.0 * s, 1.0 + 3.0 * s + grid_step / 2.0, grid_step), 12)
-    i = int(np.argmin(exponent_curve(model, grid)))
+def _golden_min(f, lo, hi, tol=1e-9):
+    """Argument of the minimum of a unimodal ``f`` on [lo, hi], by golden
+    section."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-
-    def g_min(lam):
-        s_best = _ternary_min_s(lambda ss: exponent_objective(model, np.array([lam]), ss), 1)
-        return float(exponent_objective(model, np.array([lam]), s_best)[0])
-
-    c = b - (b - a) * inv_phi
-    d = a + (b - a) * inv_phi
-    fc, fd = g_min(c), g_min(d)
-    while abs(b - a) > refine_tol:
+    c, d = hi - (hi - lo) * inv_phi, lo + (hi - lo) * inv_phi
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
         if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * inv_phi
-            fc = g_min(c)
+            hi, d, fd = d, c, fc
+            c = hi - (hi - lo) * inv_phi
+            fc = f(c)
         else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * inv_phi
-            fd = g_min(d)
-    lam_star = 0.5 * (a + b)
-    s_star = float(_ternary_min_s(lambda ss: exponent_objective(model, np.array([lam_star]), ss), 1)[0])
-    return float(lam_star), max(-float(exponent_objective(model, lam_star, s_star)), 0.0)
+            lo, c, fc = c, d, fd
+            d = lo + (hi - lo) * inv_phi
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
+def _ternary_min(f, iters=100):
+    """Minimum of a convex ``f`` on [0, 1]; 100 steps leave a bracket of
+    (2/3)**100, below 1e-17."""
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        lo, hi = (lo, m2) if f(m1) <= f(m2) else (m1, hi)
+    return f(0.5 * (lo + hi))
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_optimal_exponent_matches_inline_golden_loop(sigma):
+    """A threshold grid at step 1e-3 and a golden-section refinement of its
+    winner, on ``exponent_curve``, land on the closed-form optimum."""
     model = ObservationModel(sigma=sigma)
+    grid = np.round(np.arange(-3.0 * sigma, 1.0 + 3.0 * sigma + 5e-4, 1e-3), 12)
+    i = int(np.argmin(exponent_curve(model, grid)))
+    lam = _golden_min(lambda x: exponent_curve(model, x), grid[i - 1], grid[i + 1])
     report = optimal_exponent(model)
-    assert (report.lambda_star, report.beta_star) == _old_loop_exponent(model)
-
-
-def _per_step_tails_min(model, lam):
-    """(minimizing s, minimum) per threshold with the Gaussian tails computed
-    afresh on every ternary step, as before the tails were hoisted."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    s_best = _ternary_min_s(lambda s: exponent_objective(model, lam, s), lam.shape[0])
-    return s_best, exponent_objective(model, lam, s_best)
+    assert lam == pytest.approx(report.lambda_star, abs=1e-6)
+    assert -exponent_curve(model, lam) == pytest.approx(report.beta_star, rel=1e-13)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_hoisted_tails_match_per_step_tails(sigma):
+    """The curve, from tails computed once and the closed-form mixing
+    weight, equals a ternary search over s that recomputes the tails on
+    every step through ``exponent_objective``."""
     model = ObservationModel(sigma=sigma)
-    lam = np.round(np.arange(-3.0 * sigma, 1.0 + 3.0 * sigma, 0.01), 12)
-    assert np.array_equal(exponent_curve(model, lam), _per_step_tails_min(model, lam)[1])
-    for one in (lam[0], -0.37, 0.5, 0.8, 1.9):
-        s_best, value = _per_step_tails_min(model, one)
-        assert exponent_curve(model, one) == float(value[0])
-        assert float(_min_over_s(model, np.array([one]))[0][0]) == float(s_best[0])
-
-
-class TestScalarRefinement:
-    """The float search of each golden-section probe and the array search of
-    the threshold grid give the same doubles."""
-
-    def test_scalar_search_equals_length_one_array_search(self):
-        rng = np.random.default_rng(83)
-        cases = []
-        for _ in range(600):
-            sigma = float(np.exp(rng.uniform(math.log(0.02), math.log(50.0))))
-            cases.append((sigma, float(rng.uniform(-3.0 * sigma, 1.0 + 3.0 * sigma))))
-        # Grid ends at small sigma, where a tail has underflowed to -inf.
-        cases += [(0.02, -0.06), (0.02, 1.06), (0.03, 1.09), (0.025, -0.075)]
-        underflowed = 0
-        with np.errstate(divide="ignore"):
-            for sigma, lam in cases:
-                model = ObservationModel(sigma=sigma)
-                tails = _threshold_tails(model, lam)
-                underflowed += min(tails) == -math.inf
-                s_best, value = _min_over_s(model, np.array([lam]))
-                expected = (float(s_best[0]), float(value[0]))
-                assert repr(_scalar_min_s(tails)) == repr(expected), (sigma, lam)
-        assert underflowed >= 4
-
-    @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
-    def test_fixed_point_stop_keeps_the_grid_curve(self, sigma):
-        """A 120-iteration ternary search with no early exit, on the grid of
-        ``optimal_exponent``, equals ``exponent_curve``, which stops early."""
-        model = ObservationModel(sigma=sigma)
-        grid = np.round(np.arange(-3.0 * sigma, 1.0 + 3.0 * sigma + 5e-4, 1e-3), 12)
-        lp10, lp11, lp00, lp01 = decision_one_log_tails(model, grid)
-
-        def mix(s):
-            return np.logaddexp((1.0 - s) * lp00 + s * lp01, (1.0 - s) * lp10 + s * lp11)
-
-        lo, hi = np.zeros(grid.shape), np.ones(grid.shape)
-        for _ in range(120):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            take_left = mix(m1) <= mix(m2)
-            hi = np.where(take_left, m2, hi)
-            lo = np.where(take_left, lo, m1)
-        assert np.array_equal(exponent_curve(model, grid), mix(0.5 * (lo + hi)))
-
-    def test_fixed_point_stop_fires(self, std_model):
-        calls = []
-
-        def f(s):
-            calls.append(1)
-            return exponent_objective(std_model, np.array([0.2, 0.5, 0.9]), s)
-
-        _ternary_min_s(f, 3)
-        assert len(calls) < 2 * 120
+    for lam in np.linspace(-3.0 * sigma, 1.0 + 3.0 * sigma, 41):
+        value = _ternary_min(lambda s: exponent_objective(model, lam, s))
+        assert exponent_curve(model, lam) == pytest.approx(value, rel=1e-13, abs=1e-16), lam
 
 
 class TestExponentUnderflow:
-    @pytest.mark.parametrize("sigma", [0.01, 0.0135, 0.014])
-    def test_underflowed_tail_at_lambda_star_raises(self, sigma):
-        with pytest.raises(FloatingPointError,
-                           match=rf"sigma={sigma}: .*lambda_star=0\.\d+ underflows"):
-            optimal_exponent(ObservationModel(sigma=sigma))
+    """Below sigma of about 0.017 a decision tail near the optimal threshold
+    underflows a double; its log from ``log_ndtr`` does not."""
 
-    def test_small_sigma_raises_or_matches_closed_form(self):
-        """With equal tails at lambda = 1/2 the optimum is s = 1/2, and
-        beta* = -log 2 - (log Q(1/(2 sigma)) + log Q(-1/(2 sigma))) / 2."""
-        raised = 0
-        for sigma in np.geomspace(1e-3, 0.05, 40):
-            sigma = float(sigma)
-            closed = -math.log(2.0) - 0.5 * (log_ndtr(-0.5 / sigma) + log_ndtr(0.5 / sigma))
-            try:
-                report = optimal_exponent(ObservationModel(sigma=sigma))
-            except FloatingPointError:
-                raised += 1
-                continue
-            assert report.beta_star == pytest.approx(closed, rel=1e-9), sigma
-        assert 0 < raised < 40
+    @pytest.mark.parametrize("sigma", [0.01, 0.0135, 0.014])
+    def test_underflowed_tail_keeps_the_exponent_finite(self, sigma):
+        model = ObservationModel(sigma=sigma)
+        assert gaussian_q((1.0 - 0.378) / sigma) == 0.0
+        curve = exponent_curve(model, np.array([0.378, 0.5, 0.622]))
+        assert np.all(np.isfinite(curve))
+        assert curve[1] < min(curve[0], curve[2])
+        assert curve[1] == pytest.approx(-float(_mp_beta_star(sigma)), rel=1e-12)
+        assert optimal_exponent(model).beta_star == pytest.approx(-curve[1], rel=1e-15)

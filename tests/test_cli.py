@@ -60,13 +60,13 @@ class TestRiskCommand:
             main(["risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5", "--strict"])
         assert exc.value.code == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_risk_exits_domain(self, capsys, tmp_path):
         path = tmp_path / "risk.csv"
         code, out, err = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.7",
                                  "--q", "0.4,0.4", "--sigma", "0.01", "--csv", str(path))
         assert code == 3
-        assert "not finite" in err
+        assert err.startswith("error: risk is not finite")
+        assert err.count("\n") == 1
         assert "R0=" not in out
         assert not path.exists()
 
@@ -104,6 +104,16 @@ class TestGridCommand:
         assert out == ""
         assert not path.exists()
 
+    def test_contour_non_finite_risk_exits_domain(self, capsys, tmp_path):
+        path = tmp_path / "contour.csv"
+        code, out, err = run_cli(capsys, "grid", "--contour", "--pi0", "0.3", "--q0", "0.02",
+                                 "--sigma", "10", "--resolution", "0.1", "--csv", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: fusion belief q0=0.02 at sigma=10.0")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
     def test_contour_requires_q0(self, capsys):
         code, _, err = run_cli(capsys, "grid", "--contour", "--pi0", "0.3")
         assert code == 2
@@ -111,7 +121,6 @@ class TestGridCommand:
 
     # A nan risk used to win the argmin: beliefs=1e-06,... risk=nan with exit 0.
     @pytest.mark.parametrize("sigma", ["10", "20"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowed_fusion_tail_exits_domain(self, capsys, tmp_path, sigma):
         path = tmp_path / "grid.csv"
         code, out, err = run_cli(capsys, "grid", "--pi0", "0.3", "--sigma", sigma,
@@ -295,21 +304,24 @@ class TestExponentCommand:
                                "--csv", str(report), "--curve-csv", str(curve))
         assert code == 0
         assert out == "lambda_star=0.5000 s_star=0.5000 beta_star=0.0470 q_star=0.3333\n"
-        # The CSV bytes written when the ternary search recomputed the tails per step.
+        # The closed form: lambda_star=0.5, s_star=0.5, fa = md = Q(1/2.6), q_star=1/3.
+        assert report.read_text().splitlines()[1] == (
+            "0.5,0.5,0.04698330144,0.3502611971,0.3502611971,0.3333333333,1.69")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "34182ecdbf21786128c1bda5ea11a30fc77280c6747c12729b2ba59f4bd63876")
+            "6a788343c0c1d8f28ea7ee3d202566e28c71227b6cee790d1e9defa0b623baa0")
         assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
             "f505e2537ea2f7811fe29062c8143bb45c37fbd9b55af20c47b47bfef0fba020")
 
-    @pytest.mark.parametrize("sigma", ["0.01", "0.0135"])
-    def test_underflowed_tail_exits_domain(self, capsys, tmp_path, sigma):
+    # A decision tail at lambda_star underflows a double here; its log does not.
+    @pytest.mark.parametrize("sigma, beta_star", [("0.01", "626.7225"), ("0.0135", "344.5082")],
+                             ids=["0.01", "0.0135"])
+    def test_underflowed_tail_exits_zero(self, capsys, tmp_path, sigma, beta_star):
         path = tmp_path / "exponent.csv"
         code, out, err = run_cli(capsys, "exponent", "--sigma", sigma, "--csv", str(path))
-        assert code == 3
-        assert out == ""
-        assert err.startswith(f"error: optimal exponent at sigma={sigma}: ")
-        assert err.count("\n") == 1
-        assert not path.exists()
+        assert code == 0
+        assert out == f"lambda_star=0.5000 s_star=0.5000 beta_star={beta_star} q_star=0.5000\n"
+        assert err == ""
+        assert path.exists()
 
     def test_estimate_mode(self, capsys):
         code, out, _ = run_cli(capsys, "exponent", "--estimate", "--pi0", "0.3",

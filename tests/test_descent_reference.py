@@ -309,7 +309,6 @@ def _problems(draw, max_iters):
 class TestDescentMatchesReference:
     @given(_problems(max_iters=150))
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pbpo_from_init(self, problem):
         template, init, opt = problem
         _assert_identical(
@@ -318,7 +317,6 @@ class TestDescentMatchesReference:
 
     @given(_problems(max_iters=60), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pbpo_multi_start(self, problem, seed):
         template, _, opt = problem
         _assert_identical(
@@ -327,7 +325,6 @@ class TestDescentMatchesReference:
 
     @given(_problems(max_iters=6))
     @settings(max_examples=40, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pbpo_exact(self, problem):
         template, init, opt = problem
         _assert_identical(
@@ -336,7 +333,6 @@ class TestDescentMatchesReference:
 
     @given(_problems(max_iters=1), st.sampled_from([1e-5, 1e-6, 1e-9]))
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_minimize_fusion_belief(self, problem, tol):
         template, init, _ = problem
         _assert_identical(_outcome(minimize_fusion_belief, template, init[1:], tol=tol),
@@ -344,7 +340,6 @@ class TestDescentMatchesReference:
 
     @given(_problems(max_iters=1), st.lists(st.floats(0.02, 0.98), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pinned_fusion_errors(self, problem, q_local):
         template, init, _ = problem
         config = NetworkConfig(template.pi0, template.costs, template.model, init[0], q_local)

@@ -420,7 +420,6 @@ class TestPinnedFusionErrors:
     @given(st.integers(1, 40), st.floats(0.05, 20.0), st.floats(0.02, 0.98),
            st.data())
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matches_leave_one_out_rebuild(self, n, sigma, q0, data):
         beliefs = data.draw(st.lists(st.floats(0.02, 0.98), min_size=n, max_size=n))
         pi0 = data.draw(st.floats(0.05, 0.95))

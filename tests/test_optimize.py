@@ -357,7 +357,6 @@ class TestExactCoordinateUpdate:
             with pytest.raises(IndexError):
                 exact_coordinate_update(cfg, j)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_differences_raise(self):
         with pytest.raises(ValueError, match="not finite"):
             exact_coordinate_update(_underflow_config(), 1)
@@ -389,7 +388,6 @@ class TestStationarity:
                 gaps.append(abs(log_odds(cfg.q_local[j - 1]) - log_odds(value)))
             assert stationarity_residual(cfg) == pytest.approx(max(gaps), abs=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_differences_give_nan(self):
         assert np.isnan(stationarity_residual(_underflow_config()))
 
