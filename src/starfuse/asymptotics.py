@@ -241,5 +241,9 @@ def chernoff_bernoulli(p1: float, p2: float) -> float:
     """
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError("Bernoulli parameters must lie strictly inside (0, 1)")
+    if p1 == p2:
+        # A distribution carries no information against itself; the mix at
+        # s = 1/2 would round log(p + (1 - p)) away from 0.
+        return 0.0
     tails = (math.log1p(-p2), math.log1p(-p1), math.log(p2), math.log(p1))
     return max(0.0, -float(_min_mix(tails)))

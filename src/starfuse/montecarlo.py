@@ -1,7 +1,19 @@
 """Stochastic oracle: forward simulation of the network and an empirical
-estimate of how fast the fusion risk approaches its many-agent limit."""
+estimate of how fast the fusion risk approaches its many-agent limit.
+
+``simulate`` counts its trials on every usable CPU. The trial range is cut
+into one contiguous slice per worker; each worker keys its own Philox
+counter-based generator with the seed and advances it to the first trial of
+its slice, so every trial reads the same uniforms whatever the split, and
+the integer counts are summed at the end. Results are therefore identical
+for any number of cores and any chunk size. Each worker holds one buffer of
+``CHUNK_UNIFORMS`` doubles (``CHUNK_UNIFORMS`` * 8 bytes) and temporaries of
+about the same size, whatever the network size.
+"""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +31,13 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name}={value!r} is not an integer")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -37,8 +53,15 @@ class SimulationResult:
 
 
 # Uniforms drawn per chunk of trials: a chunk holds max(1, CHUNK_UNIFORMS //
-# stride) trials, so its working memory does not grow with the network size.
-CHUNK_UNIFORMS = 262_144
+# stride) trials, so a worker's working memory does not grow with the network
+# size: its buffer is CHUNK_UNIFORMS * 8 bytes (512 KiB).
+CHUNK_UNIFORMS = 65_536
+
+# Widest network whose counts are summed one local column at a time; wider
+# ones compare all columns at once and sum along each row, which wins once
+# the per-column interpreter overhead exceeds the per-row reduction (16-20
+# agents at this chunk size, measured with numpy 2.4 on x86-64).
+_COLUMN_LOOP_MAX_N = 16
 
 # Bit pattern of 1.0. For non-negative doubles the int64 order of the bit
 # patterns is the float order.
@@ -81,6 +104,54 @@ def _uniform_cutoffs(sigma: float, lam) -> np.ndarray:
     return cut
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_trials(seed: int, pi0: float, cut_local: np.ndarray, cut_fusion: np.ndarray,
+                  stride: int, chunk_size: int, first: int, stop: int) -> tuple[int, int, int]:
+    """(false alarms, missed detections, H=1 trials) of trials [first, stop).
+
+    One Philox stream keyed by ``seed`` is advanced to trial ``first`` and
+    drawn chunk after chunk of ``chunk_size`` trials into one buffer, so any
+    partition of the trial range gives counts that sum to those of one pass.
+    ``cut_local`` is the (2, N) and ``cut_fusion`` the (2, N + 1) cutoff
+    table of ``_uniform_cutoffs``.
+    """
+    n = cut_local.shape[1]
+    cut_fusion = cut_fusion.ravel()
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(first * stride // 4)
+    gen = np.random.Generator(bitgen)
+    buf = np.empty((min(chunk_size, stop - first), stride))
+    fa = md = h1 = 0
+    for start in range(first, stop, chunk_size):
+        u = buf[:min(chunk_size, stop - start)]
+        gen.random(out=u)
+        h = u[:, 0] >= pi0  # True -> H=1
+        row = h.view(np.int8)  # cutoff row of each trial's hypothesis
+        cut = np.take(cut_local, row, axis=0)
+        # Index into the flattened fusion cutoffs: row * (N + 1) + count.
+        if n <= _COLUMN_LOOP_MAX_N:
+            idx = row * np.intp(n + 1)
+            for j in range(n):
+                idx += u[:, j + 2] >= cut[:, j]
+        else:
+            idx = np.add.reduce(u[:, 2:n + 2] >= cut, axis=1, dtype=np.intp)
+            idx += row * np.intp(n + 1)
+        decide_one = u[:, 1] >= np.take(cut_fusion, idx)
+        hits = int(np.count_nonzero(decide_one & h))
+        ones = int(np.count_nonzero(h))
+        fa += int(np.count_nonzero(decide_one)) - hits
+        md += ones - hits
+        h1 += ones
+    return fa, md, h1
+
+
 def simulate(spec: SimulationSpec) -> SimulationResult:
     """Simulate the full network forward and average the incurred cost.
 
@@ -92,10 +163,17 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     every (hypothesis, threshold) pair from ``_uniform_cutoffs``, so the
     counts are those of that test on the inverse-CDF signal.
 
-    Time is O(trials * N) after the one-off cutoff bisection. Trials run in
-    chunks of ``CHUNK_UNIFORMS`` uniforms (at least one trial), so the
-    working memory stays about 4.5 MB at any N; results are bit-identical
-    for any partition of the trial range.
+    Time is O(trials * N) after the one-off cutoff bisection. The trial range
+    is cut into one contiguous slice per worker, one worker per usable CPU
+    but no more than there are chunks; a single worker runs inline, more run
+    on threads that are joined before this returns (Philox draws and numpy
+    comparisons release the GIL). Each worker advances its own Philox to the
+    first trial of its slice (Salmon et al. 2011), so every trial sees the
+    same uniforms on any number of cores, and the integer counts are summed:
+    results are identical for any core count and any chunking. A worker
+    draws chunks of ``CHUNK_UNIFORMS`` uniforms (at least one trial) into
+    one buffer of ``CHUNK_UNIFORMS`` * 8 bytes (512 KiB), so its working
+    memory stays about 1 MB at any N.
     """
     cfg = spec.config
     n = cfg.n_local
@@ -109,20 +187,19 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
 
     stride = 4 * ((n + 2 + 3) // 4)
     chunk_size = max(1, CHUNK_UNIFORMS // stride)
-    fa = md = h1 = 0
-    for start in range(0, spec.trials, chunk_size):
-        m = min(chunk_size, spec.trials - start)
-        bitgen = np.random.Philox(key=spec.seed)
-        if start:
-            bitgen.advance(start * stride // 4)
-        u = np.random.Generator(bitgen).random((m, stride))
-        h = u[:, 0] >= cfg.pi0  # True -> H=1
-        row = h.view(np.int8)  # cutoff row of each trial's hypothesis
-        counts = np.count_nonzero(u[:, 2:n + 2] >= cut_local[row], axis=1)
-        decide_one = u[:, 1] >= cut_fusion[row, counts]
-        fa += int(np.count_nonzero(decide_one & ~h))
-        md += int(np.count_nonzero(~decide_one & h))
-        h1 += int(np.count_nonzero(h))
+    workers = min(_usable_cpus(), -(-spec.trials // chunk_size))
+    bounds = [spec.trials * k // workers for k in range(workers + 1)]
+
+    def count(first, stop):
+        return _count_trials(spec.seed, cfg.pi0, cut_local, cut_fusion, stride, chunk_size,
+                             first, stop)
+
+    if workers == 1:
+        parts = [count(0, spec.trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(count, bounds[:-1], bounds[1:]))
+    fa, md, h1 = map(sum, zip(*parts))
 
     c_fa, c_md = cfg.costs.c_fa, cfg.costs.c_md
     cost_sum = c_fa * fa + c_md * md

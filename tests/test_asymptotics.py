@@ -170,7 +170,8 @@ class TestChernoffBernoulli:
             assert abs(chernoff_bernoulli(p1, p2) - reference) <= 2e-14 * reference + 1e-16, (p1, p2)
 
     def test_identical_distributions(self):
-        assert chernoff_bernoulli(0.37, 0.37) == 0.0
+        for p in (0.37, 0.7943452080479487, 1e-12, 1.0 - 1e-12):
+            assert chernoff_bernoulli(p, p) == 0.0, p
 
     def test_gaussian_decision_channel(self):
         value = chernoff_bernoulli(gaussian_q(0.5), gaussian_q(-0.5))

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -21,7 +23,7 @@ from starfuse import (
     update_belief_count,
 )
 from starfuse import montecarlo
-from starfuse.montecarlo import _decides_one, _uniform_cutoffs
+from starfuse.montecarlo import _count_trials, _decides_one, _uniform_cutoffs
 from conftest import random_config
 
 
@@ -33,6 +35,11 @@ def _chunk_trials(spec, trials):
     """Patch ``simulate``'s chunk to hold exactly ``trials`` trials of ``spec``."""
     stride = 4 * ((spec.config.n_local + 2 + 3) // 4)
     return mock.patch.object(montecarlo, "CHUNK_UNIFORMS", trials * stride)
+
+
+def _usable_cpus(count):
+    """Patch the CPU set this process may run on to ``count`` CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
 
 
 def _inverse_cdf_counts(spec, chunk_size):
@@ -96,6 +103,65 @@ class TestUniformCutoffs:
                 assert _decides_one(float(h), sigma, cut[h], lam)[:-2].all()
         # Thresholds no signal exceeds (+inf, nan) never pass below 1.
         assert (cut[:, -2:] == 1.0).all()
+
+
+class TestWorkers:
+    @given(n=st.integers(1, 40), sigma=st.floats(0.05, 20.0), pi0=st.floats(0.02, 0.98),
+           q0=_BELIEFS, beliefs=st.lists(_BELIEFS, min_size=40, max_size=40),
+           seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 5_000),
+           chunk_size=st.sampled_from([1, 7, 100, 4096]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_partition_counts_sum_to_one_pass(self, n, sigma, pi0, q0, beliefs, seed, trials,
+                                              chunk_size, data):
+        """Each contiguous slice counted from its own advanced Philox sums to
+        the counts of the whole range in one pass."""
+        cfg = _config(pi0=pi0, q0=q0, q_local=tuple(beliefs[:n]), sigma=sigma)
+        lam_local = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local])
+        lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
+        with np.errstate(invalid="ignore"):
+            cut_local = _uniform_cutoffs(sigma, lam_local)
+            cut_fusion = _uniform_cutoffs(sigma, lam_fusion)
+        stride = 4 * ((n + 2 + 3) // 4)
+        cuts = data.draw(st.lists(st.integers(1, trials - 1), max_size=6, unique=True)
+                         if trials > 1 else st.just([]))
+        bounds = [0, *sorted(cuts), trials]
+
+        def count(first, stop):
+            return _count_trials(seed, pi0, cut_local, cut_fusion, stride, chunk_size, first, stop)
+
+        parts = [count(a, b) for a, b in zip(bounds, bounds[1:])]
+        assert tuple(sum(c) for c in zip(*parts)) == count(0, trials)
+
+    def test_same_result_on_any_cpu_count(self):
+        spec = SimulationSpec(_config(q0=0.7372, q_local=(0.396,) * 5), trials=40_001, seed=12)
+        results = set()
+        with _chunk_trials(spec, 3_000):
+            for cpus in (1, 2, 5):
+                with _usable_cpus(cpus):
+                    results.add(simulate(spec))
+        assert len(results) == 1
+
+    def test_cpu_count_used_without_an_affinity_call(self, monkeypatch):
+        spec = SimulationSpec(_config(), trials=20_000, seed=4)
+        expected = simulate(spec)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        with _chunk_trials(spec, 1_000):
+            assert simulate(spec) == expected
+
+    def test_no_thread_outlives_the_call(self):
+        spec = SimulationSpec(_config(), trials=50_000, seed=5)
+        baseline = threading.active_count()
+        with _chunk_trials(spec, 2_000), _usable_cpus(5):
+            simulate(spec)
+        assert threading.active_count() == baseline
+
+    def test_worker_exception_propagates(self):
+        spec = SimulationSpec(_config(), trials=50_000, seed=5)
+        with _chunk_trials(spec, 2_000), _usable_cpus(2), \
+                mock.patch.object(np.random, "Philox", side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError, match="boom"):
+                simulate(spec)
 
 
 class TestSimulate:
@@ -176,6 +242,21 @@ class TestSimulate:
             SimulationSpec(_config(), trials=0, seed=1)
         with pytest.raises(ValueError):
             SimulationSpec(_config(), trials=10, seed=-1)
+
+    @pytest.mark.parametrize("field, trials, seed", [
+        ("seed", 10, 3.7),
+        ("seed", 10, "5"),
+        ("seed", 10, -0.5),
+        ("trials", True, 1),
+        ("trials", 2.5, 1),
+    ])
+    def test_non_integer_rejected(self, field, trials, seed):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            SimulationSpec(_config(), trials=trials, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        spec = SimulationSpec(_config(), trials=np.int64(1_000), seed=np.uint64(2**64 - 1))
+        assert simulate(spec) == simulate(SimulationSpec(_config(), trials=1_000, seed=2**64 - 1))
 
 
 class TestEstimateExponent:
