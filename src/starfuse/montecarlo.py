@@ -6,9 +6,10 @@ into one contiguous slice per worker; each worker keys its own Philox
 counter-based generator with the seed and advances it to the first trial of
 its slice, so every trial reads the same uniforms whatever the split, and
 the integer counts are summed at the end. Results are therefore identical
-for any number of cores and any chunk size. Each worker holds one buffer of
-``CHUNK_UNIFORMS`` doubles (``CHUNK_UNIFORMS`` * 8 bytes) and temporaries of
-about the same size, whatever the network size.
+for any number of cores and any chunk size. The workers share one budget of
+``CHUNK_UNIFORMS`` doubles (``CHUNK_UNIFORMS`` * 8 bytes in all, each worker
+holding its share in one buffer) plus temporaries of about the same size,
+whatever the network size and the core count.
 """
 
 import math
@@ -52,15 +53,16 @@ class SimulationResult:
     h1_trials: int
 
 
-# Uniforms drawn per chunk of trials: a chunk holds max(1, CHUNK_UNIFORMS //
-# stride) trials, so a worker's working memory does not grow with the network
-# size: its buffer is CHUNK_UNIFORMS * 8 bytes (512 KiB).
+# Uniforms in flight across all workers: each of w workers draws chunks of
+# max(1, CHUNK_UNIFORMS // (stride * w)) trials, so the buffers total
+# CHUNK_UNIFORMS * 8 bytes (512 KiB) whatever the network size or core count.
 CHUNK_UNIFORMS = 65_536
 
 # Widest network whose counts are summed one local column at a time; wider
-# ones compare all columns at once and sum along each row, which wins once
-# the per-column interpreter overhead exceeds the per-row reduction (16-20
-# agents at this chunk size, measured with numpy 2.4 on x86-64).
+# ones compare all columns at once and sum along each row. Per chunk of
+# 32,768 or 65,536 uniforms the column loop is about 4x faster at N=2, the
+# two tie at N=16 and the row sum wins from N=20 on; a whole simulate at
+# N=2000 runs 10x faster with it (numpy 2.4, x86-64).
 _COLUMN_LOOP_MAX_N = 16
 
 # Bit pattern of 1.0. For non-negative doubles the int64 order of the bit
@@ -170,10 +172,11 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     comparisons release the GIL). Each worker advances its own Philox to the
     first trial of its slice (Salmon et al. 2011), so every trial sees the
     same uniforms on any number of cores, and the integer counts are summed:
-    results are identical for any core count and any chunking. A worker
-    draws chunks of ``CHUNK_UNIFORMS`` uniforms (at least one trial) into
-    one buffer of ``CHUNK_UNIFORMS`` * 8 bytes (512 KiB), so its working
-    memory stays about 1 MB at any N.
+    results are identical for any core count and any chunking. Each of w
+    workers draws chunks of ``CHUNK_UNIFORMS`` / w uniforms (at least one
+    trial) into one buffer, so the buffers total ``CHUNK_UNIFORMS`` * 8
+    bytes (512 KiB) and the working memory stays about 1.5 MB at any N and
+    any core count.
     """
     cfg = spec.config
     n = cfg.n_local
@@ -186,8 +189,10 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     cut_fusion = _uniform_cutoffs(sigma, lam_fusion)
 
     stride = 4 * ((n + 2 + 3) // 4)
-    chunk_size = max(1, CHUNK_UNIFORMS // stride)
-    workers = min(_usable_cpus(), -(-spec.trials // chunk_size))
+    workers = min(_usable_cpus(), -(-spec.trials // max(1, CHUNK_UNIFORMS // stride)))
+    # The workers share one budget of CHUNK_UNIFORMS, so memory does not grow
+    # with the core count either.
+    chunk_size = max(1, CHUNK_UNIFORMS // (stride * workers))
     bounds = [spec.trials * k // workers for k in range(workers + 1)]
 
     def count(first, stop):

@@ -32,7 +32,9 @@ def _config(pi0=0.3, q0=0.5, q_local=(0.5, 0.5), sigma=1.0, c_fa=1.0, c_md=1.0):
 
 
 def _chunk_trials(spec, trials):
-    """Patch ``simulate``'s chunk to hold exactly ``trials`` trials of ``spec``."""
+    """Patch ``simulate``'s uniform budget to ``trials`` trials of ``spec``:
+    one chunk of that many trials on one worker, a share of it on each of
+    several."""
     stride = 4 * ((spec.config.n_local + 2 + 3) // 4)
     return mock.patch.object(montecarlo, "CHUNK_UNIFORMS", trials * stride)
 
@@ -148,6 +150,21 @@ class TestWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         with _chunk_trials(spec, 1_000):
             assert simulate(spec) == expected
+
+    def test_memory_does_not_grow_with_cpu_count(self):
+        """The workers share one budget of uniforms, so simulating 200 agents
+        on 16 CPUs peaks at a few MB, as on one CPU."""
+        spec = SimulationSpec(_config(q_local=(0.45,) * 200), trials=20_000, seed=3)
+        peaks = []
+        for cpus in (1, 16):
+            with _usable_cpus(cpus):
+                tracemalloc.start()
+                try:
+                    simulate(spec)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) < 4e6
 
     def test_no_thread_outlives_the_call(self):
         spec = SimulationSpec(_config(), trials=50_000, seed=5)
