@@ -55,14 +55,15 @@ class SimulationResult:
 
 # Uniforms in flight across all workers: each of w workers draws chunks of
 # max(1, CHUNK_UNIFORMS // (stride * w)) trials, so the buffers total
-# CHUNK_UNIFORMS * 8 bytes (512 KiB) whatever the network size or core count.
+# CHUNK_UNIFORMS * 8 bytes (512 KiB) at any network size and core count, as
+# long as one trial's stride fits in a worker's share.
 CHUNK_UNIFORMS = 65_536
 
 # Widest network whose counts are summed one local column at a time; wider
 # ones compare all columns at once and sum along each row. Per chunk of
 # 32,768 or 65,536 uniforms the column loop is about 4x faster at N=2, the
-# two tie at N=16 and the row sum wins from N=20 on; a whole simulate at
-# N=2000 runs 10x faster with it (numpy 2.4, x86-64).
+# two tie at N=16 and the row sum wins from N=20 on; a whole simulate runs
+# 3x faster with it at N=200 and 15x at N=2000 (numpy 2.4, x86-64).
 _COLUMN_LOOP_MAX_N = 16
 
 # Bit pattern of 1.0. For non-negative doubles the int64 order of the bit
