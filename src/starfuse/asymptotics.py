@@ -61,6 +61,8 @@ class PhaseClassification:
 # Points whose region exponent g0 or g1 lies within this of zero are BOUNDARY.
 BOUNDARY_TOL = 1e-12
 
+_LOG_MAX = math.log(np.finfo(float).max)  # above it, math.exp overflows
+
 # Regions by the index ``_region_of`` gives a sign pattern.
 _REGIONS = np.array([PhaseRegion.RISK_VANISHES, PhaseRegion.FALSE_ALARM_FLOOR,
                      PhaseRegion.MISSED_DETECTION_FLOOR, PhaseRegion.BOUNDARY], dtype=object)
@@ -92,11 +94,10 @@ def _fusion_log_factors(model: ObservationModel, costs: CostPair, q0: float):
     """(log z1, log z2) = (l_zero, l_one - l_zero) at fusion belief q0; raises
     ``FloatingPointError`` where one is not finite and the region undefined."""
     l_zero, l_one = fusion_log_factors(model, costs, log_odds(q0))
-    log_z1, log_z2 = float(l_zero), float(l_one) - float(l_zero)
+    log_z1, log_z2 = l_zero, l_one - l_zero
     if not (math.isfinite(log_z1) and math.isfinite(log_z2)):
-        raise FloatingPointError(
-            f"fusion belief q0={q0!r} at sigma={model.sigma!r}: a Gaussian tail of its "
-            f"threshold underflows, so the fusion log factors are not finite")
+        raise FloatingPointError(f"fusion belief q0={q0!r} at sigma={model.sigma!r}: the "
+                                 f"fusion log factors ({l_zero!r}, {l_one!r}) are not finite")
     return log_z1, log_z2
 
 
@@ -109,7 +110,7 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
     log(z1 * z2**t0) and log(z1 * z2**t1) pick the region. Points within
     ``BOUNDARY_TOL`` of a sign change are reported as BOUNDARY rather than
     forced into a region. ``limit_risk`` is filled when the true prior is
-    supplied (None on a boundary).
+    supplied (None on a boundary). ``z1`` is inf where it overflows a double.
     """
     t0, t1 = decision_tails(model, threshold_from_belief(model, costs, q1))[:2]
     log_z1, log_z2 = _fusion_log_factors(model, costs, q0)
@@ -126,7 +127,8 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
             PhaseRegion.MISSED_DETECTION_FLOOR: costs.c_md * (1.0 - pi0),
         }[region]
     return PhaseClassification(
-        z1=math.exp(log_z1), z2=math.exp(log_z2), t0=t0, t1=t1,
+        z1=math.exp(log_z1) if log_z1 <= _LOG_MAX else math.inf, z2=math.exp(log_z2),
+        t0=t0, t1=t1,
         region=region, limit_risk=limit_risk, log_g0=g0, log_g1=g1,
     )
 
@@ -210,8 +212,8 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> 
     (Chernoff 1952): beta* = -log(4 p (1 - p)) / 2. With 1 - 2p = erf(u),
     u = 1/(2 sigma sqrt 2), that is -log1p(-erf(u)**2) / 2, exact to an ulp
     for a small beta*; where erf(u) nears 1 it is the negated objective at
-    (1/2, 1/2), whose ``log_ndtr`` tails stay finite at any sigma. The belief
-    whose threshold is 1/2 is ``costs.neutral_belief``.
+    (1/2, 1/2), from ``log_ndtr`` tails; ``FloatingPointError`` where beta*
+    overflows. The belief whose threshold is 1/2 is ``costs.neutral_belief``.
     """
     if costs is None:
         costs = CostPair()
@@ -220,6 +222,8 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> 
         beta_star = -0.5 * math.log1p(-gap * gap)
     else:
         beta_star = -exponent_objective(model, 0.5, 0.5)
+    if not math.isfinite(beta_star):
+        raise FloatingPointError(f"sigma={model.sigma!r}: beta* overflows a double")
     fa, md = error_probs(model, 0.5)
     return ExponentReport(
         lambda_star=0.5,

@@ -8,11 +8,10 @@ produces byte-identical files. The numbers come from the library's public
 functions; ``grid --contour`` evaluates its surface with
 ``optimize.checked_risks``.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-domain failure: a
-non-finite risk from ``risk``, a ``FloatingPointError`` such as an underflowed
-fusion tail in ``phase``, ``grid`` (``--contour`` included) or ``pbpo`` (no
-CSV is written), or a boundary classification escalated by
-``phase --strict``.
+Exit codes: 0 success, 2 validation error, 3 numerical-domain failure (a
+``FloatingPointError``, no CSV written: fusion log factors or a risk not
+finite, which only an extreme sigma brings about, or an overflowed z1 or
+beta*) or a boundary classification escalated by ``phase --strict``.
 
 ``main`` builds the argument parser once per process and reuses it.
 """
@@ -117,9 +116,8 @@ def cmd_risk(args) -> int:
     template = NetworkTemplate(args.pi0, _costs(args), _model(args), len(q_local))
     report = exact_risk(template.config(args.q0, q_local))
     if not math.isfinite(report.r0):
-        print(f"error: risk is not finite (R0={report.r0!r}); the Gaussian tails "
-              f"underflowed at sigma={args.sigma!r}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise FloatingPointError(f"risk is not finite (R0={report.r0!r}) at sigma={args.sigma!r}: "
+                                 f"its fusion log factors or thresholds are not finite")
     print(f"R0={report.r0:.4f}")
     print(f"p_fa0={report.p_fa0:.10g} p_md0={report.p_md0:.10g}")
     for k, belief, threshold in report.per_count:
@@ -289,6 +287,8 @@ def cmd_phase(args) -> int:
     if args.q0 is None or args.q1 is None:
         raise ValueError("phase needs --q0 and --q1 (or --grid for a map)")
     cls = classify_phase(model, costs, args.q0, args.q1, pi0=args.pi0)
+    if not math.isfinite(cls.z1):  # z2 < 1
+        raise FloatingPointError(f"q0={args.q0!r} at sigma={args.sigma!r}: z1 overflows a double")
     limit = "" if cls.limit_risk is None else f" limit_risk={cls.limit_risk:.10g}"
     print(f"region={cls.region.value} z1={cls.z1:.10g} z2={cls.z2:.10g} "
           f"t0={cls.t0:.10g} t1={cls.t1:.10g}{limit}")

@@ -248,7 +248,7 @@ def estimate_exponent(pi0: float, costs: CostPair, model: ObservationModel,
     throughout. The distance to the classified limit is fit log-linearly
     against the size by least squares; once that distance collapses to
     floating-point resolution the remaining sizes are dropped and the fit is
-    flagged as truncated. Returns (slope, diagnostics).
+    flagged as truncated (fewer than 3 left: ``FloatingPointError``). Returns (slope, diagnostics).
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
@@ -275,7 +275,7 @@ def estimate_exponent(pi0: float, costs: CostPair, model: ObservationModel,
             break
     truncated = keep < len(residuals)
     if keep < 3:
-        raise ValueError("fewer than 3 sizes with resolvable excess risk; shrink n_list")
+        raise FloatingPointError("fewer than 3 sizes with resolvable excess risk; shrink n_list")
 
     ns = np.asarray(n_list[:keep], dtype=float)
     y = -np.log(np.asarray(residuals[:keep]))

@@ -110,7 +110,9 @@ def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     tests at the local log-odds ``ell`` (agents on its last axis): entry
     ``[i, h]`` is agent ``i``'s under H=h, with a trailing axis to broadcast."""
     axes = (ell.ndim - 1, *range(ell.ndim - 1))  # np.moveaxis(ell, -1, 0), minus its overhead
-    lam = threshold_from_log_odds(model, costs, ell.transpose(axes)[..., None])
+    # inf * 0 at a neutral belief where sigma**2 overflows: the nan is the caller's to report.
+    with np.errstate(invalid="ignore"):
+        lam = threshold_from_log_odds(model, costs, ell.transpose(axes)[..., None])
     rates = decision_tails(model, lam).reshape((2, 2) + lam.shape).swapaxes(1, 2)
     return rates[0], rates[1]
 
@@ -140,7 +142,7 @@ def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> floa
         raise ValueError(f"count k={k} out of range 0..{n}")
     ell0 = log_odds(config.q0)
     l_zero, l_one = fusion_log_factors(config.model, config.costs, ell0)
-    return ell0 + (n - k) * float(l_zero) + k * float(l_one)
+    return ell0 + (n - k) * l_zero + k * l_one
 
 
 def update_belief_count(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -197,12 +199,13 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n: int)
     0..n of local ones among ``n`` decisions, with the updated log-odds and
     fusion thresholds. A scalar fusion log-odds ``ell0`` gives arrays of shape
     (n + 1,); an array of them gives one row per entry."""
-    l_zero, l_one = fusion_log_factors(model, costs, ell0)
+    ell0 = np.asarray(ell0)
     k = np.arange(n + 1)
-    # 0 * inf where a factor is infinite: the nan risk is the caller's to report.
+    # inf - inf or 0 * inf at an extreme sigma: the nan risk is the caller's to report.
     with np.errstate(invalid="ignore"):
-        ell = np.asarray(ell0)[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
-    lam = threshold_from_log_odds(model, costs, ell)
+        l_zero, l_one = fusion_log_factors(model, costs, ell0)
+        ell = ell0[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
+        lam = threshold_from_log_odds(model, costs, ell)
     return (*error_probs(model, lam), ell, lam)
 
 

@@ -105,8 +105,7 @@ def threshold_from_log_odds(model: ObservationModel, costs: CostPair, ell):
     ``ell`` may be any real (or array); unlike beliefs it needs no clamping,
     which keeps updated-belief thresholds exact far into the tails.
     """
-    lam = 0.5 + model.variance_proxy * (costs.log_ratio + np.asarray(ell, dtype=float))
-    return float(lam) if np.ndim(ell) == 0 else lam
+    return 0.5 + model.variance_proxy * (costs.log_ratio + ell)
 
 
 def threshold_from_belief(model: ObservationModel, costs: CostPair, q: float) -> float:
@@ -144,21 +143,19 @@ def decision_tails(model: ObservationModel, lam):
 
 def decision_one_log_tails(model: ObservationModel, lam):
     """Logs of the four ``decision_tails``, in the same order, each from
-    ``log_ndtr`` on its own side: finite at any sigma, even where the tail
-    itself underflows a double."""
-    lam = np.asarray(lam, dtype=float)
+    ``log_ndtr`` on its own side: finite far past where the tail itself
+    underflows a double. This is the one place a log Gaussian tail is
+    formed. A float ``lam`` gives four floats, an array four arrays."""
     x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
-    return special.log_ndtr(np.stack((-x0, -x1, x0, x1)))
+    tails = special.log_ndtr(-x0), special.log_ndtr(-x1), special.log_ndtr(x0), special.log_ndtr(x1)
+    # Python floats, so scalar arithmetic on them never warns (inf - inf is nan).
+    return tuple(map(float, tails)) if type(lam) is float else tails
 
 
 def fusion_log_factors(model: ObservationModel, costs: CostPair, ell0):
     """(l_zero, l_one): the log-odds increments the fusion agent applies for
-    a 0-decision and a 1-decision at fusion log-odds ``ell0`` (scalar or
-    array); not finite, without a numpy warning, where a tail underflows."""
-    lam = threshold_from_log_odds(model, costs, ell0)
-    # Logs of the linear tails, not decision_one_log_tails, keep every risk,
-    # pinned CSV and pbpo trace to its bits; log_ndtr factors wait for a
-    # change that checks the risk against its own oracle (ROADMAP item 1(b)).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lp10, lp11, lp00, lp01 = np.log(decision_tails(model, np.asarray(lam, dtype=float)))
-        return lp00 - lp01, lp10 - lp11
+    a 0-decision and a 1-decision at fusion log-odds ``ell0`` (a float or an
+    array), as differences of ``decision_one_log_tails``."""
+    lp10, lp11, lp00, lp01 = decision_one_log_tails(
+        model, threshold_from_log_odds(model, costs, ell0))
+    return lp00 - lp01, lp10 - lp11

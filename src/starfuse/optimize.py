@@ -40,7 +40,7 @@ from .network import (
     pinned_fusion_errors,
     pinned_fusion_sweep,
 )
-from .observation import BELIEF_EPS, from_log_odds, log_odds
+from .observation import BELIEF_EPS, from_log_odds, fusion_log_factors, log_odds
 
 # Search grids stay strictly inside (0, 1); beliefs at the very edge are
 # handled by the uniform clamp anyway.
@@ -106,8 +106,8 @@ class _RiskEvaluator:
     change. Agrees with ``exact_risk`` to machine precision.
 
     ``mix`` raises ``FloatingPointError`` naming the fusion belief and sigma
-    when a Gaussian tail of the fusion threshold underflows to 0, since the
-    fusion log-likelihood ratios are then undefined.
+    when its ``fusion_log_factors`` are not finite, which only a sigma
+    outside about [1e-154, 1e152] brings about.
     """
 
     EMPTY = ((1.0,), (1.0,))
@@ -135,15 +135,10 @@ class _RiskEvaluator:
 
         def errors_of(q0):
             ell0 = lodds(q0)
-            lam_f = 0.5 + v * (logc + ell0)
-            tails = (q_tail(-lam_f / s), q_tail(-(lam_f - 1.0) / s),
-                     q_tail(lam_f / s), q_tail((lam_f - 1.0) / s))
-            if min(tails) == 0.0:
-                raise FloatingPointError(
-                    f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of its threshold "
-                    f"{lam_f!r} underflows to 0, so the fusion log-likelihood ratios are undefined")
-            l_zero = math.log(tails[0]) - math.log(tails[1])
-            l_one = math.log(tails[2]) - math.log(tails[3])
+            l_zero, l_one = fusion_log_factors(model, costs, ell0)
+            if not (math.isfinite(l_zero) and math.isfinite(l_one)):
+                raise FloatingPointError(f"fusion belief {q0!r} at sigma={s!r}: its fusion log "
+                                         f"factors ({l_zero!r}, {l_one!r}) are not finite")
             fa, md = [], []
             for k in range(n + 1):
                 lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
@@ -210,9 +205,8 @@ def checked_risks(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     risks = batch_risk(template, q0, q_local)
     if not np.isfinite(risks).all():
         first = float(q0[np.argmin(np.isfinite(risks).all(axis=1))])
-        raise FloatingPointError(
-            f"fusion belief q0={first!r} at sigma={template.model.sigma!r}: a Gaussian tail "
-            f"of its threshold underflows, so its risk is not finite")
+        raise FloatingPointError(f"fusion belief q0={first!r} at sigma={template.model.sigma!r}: "
+                                 f"its risk is not finite")
     return risks
 
 
@@ -345,9 +339,9 @@ def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
     keeps the count pmfs of every prefix of the current locals: a fusion
     probe costs one O(N) mix and a probe of local i refolds locals i..N,
     O(N^2) at worst. A run raises ``FloatingPointError`` naming the fusion
-    belief and sigma when the fusion belief reaches a value (typically the
-    clamp edge) where a Gaussian tail of its threshold underflows.
+    belief and sigma where its fusion log factors are not finite.
 
+    ``init`` is checked as ``NetworkConfig`` checks beliefs, before any sweep.
     With ``init=None`` the best of ``settings.restarts`` runs from seeded
     uniform-random initializations is returned; a restart that raises is
     dropped, and the first restart's error is raised only if all do.
@@ -368,14 +362,18 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
     j have not moved yet, so one ``pinned_fusion_sweep`` (one backward pass
     of suffix expectations, and a forward prefix pmf that folds in each
     agent's updated belief) gives every agent its balance: a sweep costs
-    O(N^2) plus the line search. Restarts are handled as in ``pbpo``.
+    O(N^2) plus the line search. ``init`` and restarts are as in ``pbpo``.
     """
     return _multi_start(_pbpo_exact_run, template, settings, init, seed)
 
 
 def _multi_start(run, template, settings, init, seed):
     if init is not None:
-        return run(template, settings, tuple(float(q) for q in init))
+        init = tuple(float(q) for q in init)
+        if len(init) != template.n_local + 1:
+            raise ValueError(f"init must have {template.n_local + 1} beliefs")
+        template.config(init[0], init[1:])  # NetworkConfig's belief check, before any sweep
+        return run(template, settings, init)
     rng = np.random.default_rng(seed)
     inits = rng.uniform(0.02, 0.98, size=(settings.restarts, template.n_local + 1))
     results, errors = [], []
@@ -390,8 +388,6 @@ def _multi_start(run, template, settings, init, seed):
 
 
 def _pbpo_run(template, settings, init):
-    if len(init) != template.n_local + 1:
-        raise ValueError(f"init must have {template.n_local + 1} beliefs")
     step = settings.step
     lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
     evaluator = _RiskEvaluator(template)
@@ -438,8 +434,6 @@ def _pbpo_run(template, settings, init):
 
 
 def _pbpo_exact_run(template, settings, init):
-    if len(init) != template.n_local + 1:
-        raise ValueError(f"init must have {template.n_local + 1} beliefs")
     risk_of = _RiskEvaluator(template)
     pi0 = template.pi0
     q = [float(x) for x in init]

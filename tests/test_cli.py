@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import re
+import warnings
 
 import pytest
 
-from starfuse import cli
+from starfuse import cli, optimize
 from starfuse.cli import main
 
 
@@ -61,9 +63,10 @@ class TestRiskCommand:
         assert exc.value.code == 2
 
     def test_non_finite_risk_exits_domain(self, capsys, tmp_path):
+        # At sigma=1e-200 the fusion log factors are -inf and inf.
         path = tmp_path / "risk.csv"
         code, out, err = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.7",
-                                 "--q", "0.4,0.4", "--sigma", "0.01", "--csv", str(path))
+                                 "--q", "0.4,0.4", "--sigma", "1e-200", "--csv", str(path))
         assert code == 3
         assert err.startswith("error: risk is not finite")
         assert err.count("\n") == 1
@@ -107,10 +110,10 @@ class TestGridCommand:
     def test_contour_non_finite_risk_exits_domain(self, capsys, tmp_path):
         path = tmp_path / "contour.csv"
         code, out, err = run_cli(capsys, "grid", "--contour", "--pi0", "0.3", "--q0", "0.02",
-                                 "--sigma", "10", "--resolution", "0.1", "--csv", str(path))
+                                 "--sigma", "1e200", "--resolution", "0.1", "--csv", str(path))
         assert code == 3
         assert out == ""
-        assert err.startswith("error: fusion belief q0=0.02 at sigma=10.0")
+        assert err.startswith("error: fusion belief q0=0.02 at sigma=1e+200")
         assert err.count("\n") == 1
         assert not path.exists()
 
@@ -120,7 +123,8 @@ class TestGridCommand:
 
 
     # A nan risk used to win the argmin: beliefs=1e-06,... risk=nan with exit 0.
-    @pytest.mark.parametrize("sigma", ["10", "20"])
+    # The fusion log factors are not finite at either sigma (sigma**2 is 0 or inf).
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
     def test_underflowed_fusion_tail_exits_domain(self, capsys, tmp_path, sigma):
         path = tmp_path / "grid.csv"
         code, out, err = run_cli(capsys, "grid", "--pi0", "0.3", "--sigma", sigma,
@@ -155,13 +159,34 @@ class TestPbpoCommand:
         code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--init", "0.5,0.5")
         assert code == 2
 
+    # The descent clamps a local belief (pbpo) and line-searches the fusion
+    # belief (pbpo --exact), so a degenerate init would otherwise run.
+    @pytest.mark.parametrize("argv, belief", [
+        (["--init", "0.5,0,0.5"], "0.0"),
+        (["--exact", "--init", "0,0.5,0.5"], "0.0"),
+        (["--init", "0,0.5,0.5"], "0.0"),
+        (["--exact", "--init", "0.5,0,0.5"], "0.0"),
+        (["--init", "0.5,0.5,nan"], "nan"),
+    ], ids=["pbpo-local", "exact-fusion", "pbpo-fusion", "exact-local", "nan"])
+    def test_degenerate_init_rejected_before_any_sweep(self, capsys, monkeypatch, argv, belief):
+        def no_sweep(*args):
+            raise AssertionError("a descent run started")
+
+        monkeypatch.setattr(optimize, "_pbpo_run", no_sweep)
+        monkeypatch.setattr(optimize, "_pbpo_exact_run", no_sweep)
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: degenerate belief {belief}: must lie strictly inside (0, 1)\n"
+
     def test_clamp_edge_underflow_names_belief(self, capsys):
+        # At sigma=1e200 the fusion log factors of the first belief are not finite.
         code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.841939142899648",
                                "--cfa", "1.9518892848869696", "--cmd", "0.5220594574480539",
-                               "--sigma", "1.7954601353683637", "--n-local", "2", "--init",
+                               "--sigma", "1e200", "--n-local", "2", "--init",
                                "0.9330755360597098,0.9114891616498672,0.1838876110092481")
         assert code == 3
-        assert "fusion belief 0.999999999" in err and "underflows" in err
+        assert "fusion belief 0.9330755360597098" in err and "not finite" in err
 
 
 class TestPrelecCommand:
@@ -273,10 +298,10 @@ class TestPhaseCommand:
     @pytest.mark.parametrize("argv", [["--grid", "0.05"], ["--q0", "0.05", "--q1", "0.5"]])
     def test_underflowed_fusion_tail_exits_domain(self, capsys, tmp_path, argv):
         path = tmp_path / "phase.csv"
-        code, out, err = run_cli(capsys, "phase", *argv, "--sigma", "20", "--csv", str(path))
+        code, out, err = run_cli(capsys, "phase", *argv, "--sigma", "1e200", "--csv", str(path))
         assert code == 3
         assert out == ""
-        assert err.startswith("error: fusion belief q0=0.05 at sigma=20.0")
+        assert err.startswith("error: fusion belief q0=0.05 at sigma=1e+200")
         assert err.count("\n") == 1
         assert not path.exists()
 
@@ -381,3 +406,57 @@ def test_parser_reused_across_commands(capsys, tmp_path):
     assert again.read_bytes() == first.read_bytes()
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli._parser()
+
+
+# At these sigma a Gaussian tail of the fusion threshold near belief 0.02
+# underflows a double; its log from log_ndtr does not.
+@pytest.mark.parametrize("argv, line", [
+    (["grid", "--pi0", "0.3", "--sigma", "10", "--tie-locals"], "risk=0.3"),
+    (["pbpo", "--exact", "--pi0", "0.3", "--sigma", "10", "--max-iters", "5"], "risk=0.3"),
+    (["prelec", "--sweep-pi0", "0.05:0.95:0.3", "--sigma", "10"], None),
+    (["phase", "--grid", "0.05", "--sigma", "20"],
+     "map: 361 points Case1=3 Case2=115 Case3=115 boundary=128"),
+], ids=["grid", "pbpo-exact", "prelec", "phase-grid"])
+def test_large_sigma_exits_zero(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert not re.search(r"\b(nan|inf)\b", out)
+    assert line is None or line in out.splitlines()
+
+
+_EDGE_COMMANDS = {
+    "risk": ["risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4"],
+    "grid": ["grid", "--pi0", "0.3", "--grid-resolution", "0.01"],
+    "grid-tied": ["grid", "--pi0", "0.3", "--tie-locals", "--grid-resolution", "0.01"],
+    "contour": ["grid", "--contour", "--pi0", "0.3", "--q0", "0.3", "--resolution", "0.1"],
+    "pbpo": ["pbpo", "--pi0", "0.3", "--max-iters", "20", "--random-init", "--restarts", "2"],
+    "pbpo-exact": ["pbpo", "--exact", "--pi0", "0.3", "--max-iters", "3"],
+    "prelec": ["prelec", "--sweep-pi0", "0.1:0.9:0.4"],
+    "phase": ["phase", "--q0", "0.3", "--q1", "0.6", "--pi0", "0.3"],
+    "phase-grid": ["phase", "--grid", "0.1"],
+    "exponent": ["exponent"],
+    "exponent-estimate": ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.7",
+                          "--q1", "0.5", "--n", "2:6:2"],
+    "simulate": ["simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4",
+                 "--trials", "1000", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("sigma", ["1e-3", "1e2", "1e-200", "1e200"])
+@pytest.mark.parametrize("command", list(_EDGE_COMMANDS))
+def test_domain_edge_is_finite_or_one_error(capsys, command, sigma):
+    """At the edges of sigma every subcommand prints only finite numbers with
+    exit 0, or one error line with exit 3; never a traceback or a numpy
+    warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *_EDGE_COMMANDS[command], "--sigma", sigma)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
+        assert not re.search(r"\b(nan|inf)\b", out), out
+    else:
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err

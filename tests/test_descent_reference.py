@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from hypothesis import given, settings, strategies as st
 
 from starfuse import (
@@ -67,17 +68,17 @@ def _reference_risk_evaluator(template):
         return (q_tail(lam / s), q_tail((lam - 1.0) / s),
                 q_tail(-lam / s), q_tail(-(lam - 1.0) / s))
 
+    def log_ndtr(x):
+        return float(special.log_ndtr(x))
+
     def errors_of(q0):
         ell0 = lodds(q0)
         lam_f = 0.5 + v * (logc + ell0)
-        tails = (q_tail(-lam_f / s), q_tail(-(lam_f - 1.0) / s),
-                 q_tail(lam_f / s), q_tail((lam_f - 1.0) / s))
-        if min(tails) == 0.0:
-            raise FloatingPointError(f"fusion belief {q0!r} at sigma={s!r}: a Gaussian tail of "
-                                     f"its threshold {lam_f!r} underflows to 0, so the "
-                                     f"fusion log-likelihood ratios are undefined")
-        l_zero = math.log(tails[0]) - math.log(tails[1])
-        l_one = math.log(tails[2]) - math.log(tails[3])
+        l_zero = log_ndtr(lam_f / s) - log_ndtr((lam_f - 1.0) / s)
+        l_one = log_ndtr(-lam_f / s) - log_ndtr(-(lam_f - 1.0) / s)
+        if not (math.isfinite(l_zero) and math.isfinite(l_one)):
+            raise FloatingPointError(f"fusion belief {q0!r} at sigma={s!r}: its fusion log "
+                                     f"factors ({l_zero!r}, {l_one!r}) are not finite")
         fa, md = [], []
         for k in range(n + 1):
             lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
@@ -155,9 +156,8 @@ def _reference_minimize_fusion_belief(template, q_local, tol=1e-6):
     risks = batch_risk(template, grid, [q_local])[:, 0]
     if not np.isfinite(risks).all():
         q0 = float(grid[~np.isfinite(risks)][0])
-        raise FloatingPointError(
-            f"fusion belief q0={q0!r} at sigma={template.model.sigma!r}: a Gaussian tail "
-            f"of its threshold underflows, so its risk is not finite")
+        raise FloatingPointError(f"fusion belief q0={q0!r} at sigma={template.model.sigma!r}: "
+                                 f"its risk is not finite")
     i = int(np.argmin(risks))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from starfuse import (
     CostPair,
@@ -30,8 +31,8 @@ from starfuse.optimize import (
 from conftest import random_config
 
 # A pbpo instance (inside sigma in [0.05, 20]) whose fusion belief walks to
-# the clamp edge, where a Gaussian tail of the fusion threshold underflows.
-# Seeded restarts 1, 4 and 7 converge; the other five end this way.
+# the clamp edge, where a Gaussian tail of the fusion threshold underflows;
+# its log from log_ndtr does not, so the run converges there.
 CLAMP_EDGE_TEMPLATE = NetworkTemplate(
     0.841939142899648, CostPair(1.9518892848869696, 0.5220594574480539),
     ObservationModel(sigma=1.7954601353683637), 2)
@@ -39,8 +40,9 @@ CLAMP_EDGE_INIT = (0.9330755360597098, 0.9114891616498672, 0.1838876110092481)
 
 
 def _underflow_config():
-    """At sigma=0.01 the fusion error probabilities underflow to nan."""
-    template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=0.01), 3)
+    """At sigma=1e-200 the fusion log factors are -inf and inf, so the fusion
+    error probabilities are nan."""
+    template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=1e-200), 3)
     return template.config(0.7, (0.4, 0.45, 0.5))
 
 
@@ -143,7 +145,8 @@ class TestGridSearch:
 
 def _uncached_risk(template, beliefs):
     """Reference scalar risk: the evaluator's arithmetic with nothing memoized,
-    every decision rate the Gaussian tail on its own side."""
+    every decision rate the Gaussian tail on its own side and the fusion log
+    factors from ``log_ndtr``."""
     model, costs = template.model, template.costs
     s = model.sigma
     v = model.variance_proxy
@@ -156,6 +159,9 @@ def _uncached_risk(template, beliefs):
 
     def q_tail(x):
         return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+    def log_ndtr(x):
+        return float(special.log_ndtr(x))
 
     pmf0 = [1.0] + [0.0] * n
     pmf1 = [1.0] + [0.0] * n
@@ -171,8 +177,8 @@ def _uncached_risk(template, beliefs):
 
     ell0 = lodds(beliefs[0])
     lam_f = 0.5 + v * (logc + ell0)
-    l_zero = math.log(q_tail(-lam_f / s)) - math.log(q_tail(-(lam_f - 1.0) / s))
-    l_one = math.log(q_tail(lam_f / s)) - math.log(q_tail((lam_f - 1.0) / s))
+    l_zero = log_ndtr(lam_f / s) - log_ndtr((lam_f - 1.0) / s)
+    l_one = log_ndtr(-lam_f / s) - log_ndtr(-(lam_f - 1.0) / s)
     p_fa0 = 0.0
     p_md0 = 0.0
     for k in range(n + 1):
@@ -194,7 +200,6 @@ def _random_template(rng):
 class TestRiskEvaluator:
     def test_equals_uncached_reference(self):
         rng = np.random.default_rng(61)
-        raised = 0
         for _ in range(60):
             template = _random_template(rng)
             risk = _RiskEvaluator(template)
@@ -202,15 +207,7 @@ class TestRiskEvaluator:
             pool = rng.uniform(0.02, 0.98, size=6)
             for _ in range(20):
                 beliefs = [float(q) for q in rng.choice(pool, size=template.n_local + 1)]
-                try:
-                    expected = _uncached_risk(template, beliefs)
-                except ValueError:  # math.log(0.0)
-                    raised += 1
-                    with pytest.raises(FloatingPointError, match="underflows"):
-                        risk(beliefs)
-                    continue
-                assert risk(beliefs) == expected
-        assert raised < 60 * 20 // 2
+                assert risk(beliefs) == _uncached_risk(template, beliefs)
 
     def test_agrees_with_exact_risk(self):
         rng = np.random.default_rng(67)
@@ -237,13 +234,18 @@ class TestRiskEvaluator:
         assert risk(probe) == _RiskEvaluator(benchmark_template)(probe)
 
     def test_clamp_edge_underflow_is_named(self):
-        with pytest.raises(FloatingPointError, match=r"fusion belief 0\.999999999 at "
-                                                     r"sigma=1\.7954601353683637.*underflows"):
-            pbpo(CLAMP_EDGE_TEMPLATE, OptimizerSettings(), init=CLAMP_EDGE_INIT)
+        """The run that used to stop at the clamp edge converges there; where
+        sigma**2 overflows, the first fusion belief's factors are not finite."""
+        result = pbpo(CLAMP_EDGE_TEMPLATE, OptimizerSettings(), init=CLAMP_EDGE_INIT)
+        assert result.converged and result.beliefs[0] == 1.0 - 1e-9
+        template = dataclasses.replace(CLAMP_EDGE_TEMPLATE, model=ObservationModel(sigma=1e200))
+        with pytest.raises(FloatingPointError, match=r"fusion belief 0\.9330755360597098 at "
+                                                     r"sigma=1e\+200.*not finite"):
+            pbpo(template, OptimizerSettings(), init=CLAMP_EDGE_INIT)
 
     def test_clamp_edge_underflow_in_multi_start(self):
-        """The restarts that end at the clamp edge are dropped; the best of
-        the rest is the tied grid optimum."""
+        """Restarts that walk to the clamp edge finish there; the best of all
+        is the tied grid optimum."""
         result = pbpo(CLAMP_EDGE_TEMPLATE, OptimizerSettings(), init=None)
         assert result.risk == pytest.approx(0.082517, abs=1e-6)
         settings = OptimizerSettings(tie_local_beliefs=True, grid_resolution=1e-3)
@@ -251,11 +253,12 @@ class TestRiskEvaluator:
                                             abs=1e-6)
 
     def test_multi_start_raises_when_every_restart_fails(self):
-        """At sigma=50 all three seeded restarts reach an underflowing fusion
-        belief; the call raises the first restart's error."""
-        template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=50.0), 2)
+        """At sigma=1e200 sigma**2 overflows and no fusion belief has finite
+        log factors, so all three seeded restarts fail; the call raises the
+        first restart's error."""
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=1e200), 2)
         with pytest.raises(FloatingPointError,
-                           match=r"^fusion belief 0\.27114764887934373 at sigma=50\.0"):
+                           match=r"^fusion belief 0\.27114764887934373 at sigma=1e\+200"):
             pbpo(template, OptimizerSettings(restarts=3), init=None, seed=2)
 
 
@@ -271,11 +274,10 @@ class TestPbpo:
         # The exact trajectory end, unchanged by memoizing the scalar risk.
         assert result.iterations == 475
         assert repr(result.beliefs) == "(0.7369999999999739, 0.3959999999999999, 0.3959999999999999)"
-        # Last risk 0.1917851023367949 since every decide-0 rate is taken on
-        # its own side; 0.19178510233679485 before, both within 2 ulp of the
-        # 60-digit value 0.191785102336794866.
+        # Last risk with the fusion log factors from log_ndtr; the 50-digit
+        # value is 0.19178510233679486623, 1.6e-17 away (an ulp is 2.8e-17).
         assert result.trace[-1] == (0.7369999999999739, 0.3959999999999999, 0.3959999999999999,
-                                    0.1917851023367949)
+                                    0.19178510233679488)
 
     def test_risk_trace_non_increasing(self, benchmark_template):
         settings = OptimizerSettings(step=5e-4, eps=1e-4, max_iters=2000)

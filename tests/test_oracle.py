@@ -6,11 +6,16 @@ decision rate taken from ``mpmath.erfc`` on its own side. Only the double
 clamp of the beliefs is the same. So unlike the enumeration oracle it sees a
 kernel that forms a decision rate as one minus another, which at sigma near
 0.06 turns a rate of 1e-30 into 0 or 1.1e-16.
+
+The fusion log factors are also checked on their own, against 60-digit log
+Gaussian tails, from sigma = 1e-3, where the risk itself underflows, to 100.
 """
 
 import math
 
 import mpmath
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from starfuse import (
@@ -21,8 +26,11 @@ from starfuse import (
     batch_risk,
     exact_risk,
     exact_risk_bruteforce,
+    log_odds,
     pinned_fusion_errors,
+    threshold_from_log_odds,
 )
+from starfuse.observation import fusion_log_factors
 from starfuse.optimize import _RiskEvaluator
 
 REL_TOL = 1e-12
@@ -136,3 +144,26 @@ def test_every_kernel_matches_the_reference():
     check()
     # The range stays meaningful only if nearly every draw is compared.
     assert len(skipped) <= len(compared) // 10
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.06, 0.3, 1.0, 3.0, 10.0, 100.0])
+@pytest.mark.parametrize("costs", [CostPair(), CostPair(0.6, 1.7)], ids=["equal", "unequal"])
+def test_fusion_log_factors_match_the_reference(sigma, costs):
+    """Each factor is a difference of two log tails at the same double
+    arguments lam / sigma and (lam - 1) / sigma; over the clamp range of
+    fusion log-odds it lies within 4 ulp of the 60-digit value, counted at
+    the larger of 1 and its larger log tail."""
+    model = ObservationModel(sigma=sigma)
+    edge = -log_odds(BELIEF_EPS)
+    for ell0 in np.linspace(-edge, edge, 61).tolist():
+        lam = threshold_from_log_odds(model, costs, ell0)
+        with mpmath.workdps(60):
+            x0, x1 = mpmath.mpf(lam / sigma), mpmath.mpf((lam - 1.0) / sigma)
+
+            def log_cdf(x):
+                return mpmath.log(mpmath.erfc(-x / mpmath.sqrt(2)) / 2)
+
+            pairs = (log_cdf(x0), log_cdf(x1)), (log_cdf(-x0), log_cdf(-x1))
+            for value, (a, b) in zip(fusion_log_factors(model, costs, ell0), pairs):
+                bound = 4 * math.ulp(max(1.0, abs(float(a)), abs(float(b))))
+                assert abs(mpmath.mpf(value) - (a - b)) <= bound, (ell0, value, float(a - b))
