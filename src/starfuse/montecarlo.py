@@ -178,6 +178,11 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     trial) into one buffer, so the buffers total ``CHUNK_UNIFORMS`` * 8
     bytes (512 KiB) and the working memory stays about 1.5 MB at any N and
     any core count.
+
+    Raises ``FloatingPointError`` naming sigma, before any draw, when the
+    network's ``exact_risk`` is not finite (only a sigma outside about
+    [1e-154, 1e152] brings that about): its fusion thresholds are then not
+    finite, and the counts would be those of a test that is not defined.
     """
     cfg = spec.config
     n = cfg.n_local
@@ -185,7 +190,11 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     lam_local = np.array(
         [threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local]
     )
-    lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
+    report = exact_risk(cfg)
+    if not math.isfinite(report.r0):
+        raise FloatingPointError(f"exact risk is not finite (R0={report.r0!r}) at sigma={sigma!r}: "
+                                 f"the fusion thresholds to simulate are not finite")
+    lam_fusion = np.array([lam for _, _, lam in report.per_count])
     cut_local = _uniform_cutoffs(sigma, lam_local)
     cut_fusion = _uniform_cutoffs(sigma, lam_fusion)
 

@@ -8,11 +8,13 @@ decision is computed exactly two ways, both from the decision rates and
 fusion log factors of ``observation``: a count-distribution dynamic program
 (the default path) and full enumeration of decision vectors (kept as a test
 oracle). The dynamic program is written once, on helpers that take any
-leading shape: ``exact_risk`` runs it for one network and ``batch_risk`` for
-every pairing of many fusion beliefs with many rows of local beliefs,
-building the count pmf once per local row and the per-count fusion errors
-once per fusion belief. ``pinned_fusion_sweep`` is the one leave-one-out
-pass behind ``pinned_fusion_errors`` and ``pbpo_exact``.
+leading shape: ``exact_risk`` runs it for one network and
+``fusion_error_rates`` for every pairing of many fusion beliefs with many
+rows of local beliefs, building the count pmf once per local row and the
+per-count fusion errors once per fusion belief. The true prior enters only
+the final weighting, ``bayes_risk``, so those fusion error rates serve every
+prior: ``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
+leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``.
 """
 
 import itertools
@@ -35,8 +37,9 @@ from .observation import (
     threshold_from_log_odds,
 )
 
-# (fusion belief, local row) pairs per pass of batch_risk; bounds its
-# working memory.
+# (fusion belief, local row) pairs per pass of batch_risk and per block of a
+# grid search stage, and table entries per fusion_error_rates call of a grid
+# search stage; bounds their working memory.
 BATCH_CHUNK_ROWS = 200_000
 
 
@@ -209,7 +212,10 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n: int)
     return (*error_probs(model, lam), ell, lam)
 
 
-def _bayes_risk(pi0: float, costs: CostPair, p_fa0, p_md0):
+def bayes_risk(pi0: float, costs: CostPair, p_fa0, p_md0):
+    """The fusion risk at true prior ``pi0`` of fusion false-alarm and
+    missed-detection probabilities ``p_fa0`` and ``p_md0`` (floats or arrays):
+    the one place the prior enters the risk."""
     return costs.c_fa * pi0 * p_fa0 + costs.c_md * (1.0 - pi0) * p_md0
 
 
@@ -223,11 +229,11 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
     n = config.n_local
     pmf = count_distribution(config)
     fa, md, ell, lam = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
-    # ``@`` here and a row np.sum in batch_risk differ in the last bit; tests pin each.
+    # ``@`` here and a row np.sum in fusion_error_rates differ in the last bit; tests pin each.
     p_fa0 = float(pmf[0] @ fa)
     p_md0 = float(pmf[1] @ md)
     per_count = tuple(zip(range(n + 1), from_log_odds(ell).tolist(), lam.tolist()))
-    return RiskReport(r0=_bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
+    return RiskReport(r0=bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
                       p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
 
 
@@ -240,6 +246,41 @@ def _belief_log_odds(q: np.ndarray) -> np.ndarray:
     return np.log(q) - np.log1p(-q)  # np.log over rows, log_odds per belief in _local_rates
 
 
+def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
+    """Fusion (false-alarm, missed-detection) probabilities of blocks of
+    fusion beliefs against rows of local beliefs; no prior enters them.
+
+    ``blocks`` is a non-empty sequence of ``(q0, q_local)`` pairs: a sequence
+    of fusion beliefs and an array with one row of local beliefs per
+    network, the same number of columns in every block. Yields one
+    ``(p_fa0, p_md0)`` pair of arrays per block, in order, each of shape
+    ``(len(q0), len(q_local))``; entry ``[i, j]`` pairs fusion belief
+    ``q0[i]`` with local row ``j``, and ``bayes_risk`` of the pair at any
+    prior is its risk there. Every belief must be finite and strictly inside
+    (0, 1), as ``clamp_belief`` requires.
+
+    The per-count fusion errors of every block's fusion beliefs come from one
+    ``_fusion_count_errors`` call and the count pmfs of every block's rows
+    from one ``_poisson_binomial_pmf`` call, on the first request; each block
+    is then mixed on its own when it is yielded, one product of (fusion
+    beliefs, rows, counts) summed over the counts, so only one block's rates
+    are held at a time. A block's values do not depend on the blocks beside
+    it. Callers bound the size of the tables: ``batch_risk`` by
+    ``BATCH_CHUNK_ROWS`` pairs per call.
+    """
+    q0 = [np.atleast_1d(np.asarray(beliefs, dtype=float)) for beliefs, _ in blocks]
+    rows = [np.atleast_2d(np.asarray(beliefs, dtype=float)) for _, beliefs in blocks]
+    ell0 = _belief_log_odds(np.concatenate(q0))
+    ell = _belief_log_odds(np.concatenate(rows))
+    fa, md, _, _ = _fusion_count_errors(model, costs, ell0, ell.shape[1])
+    pmf = _poisson_binomial_pmf(*_rate_columns(model, costs, ell))
+    i = np.cumsum([0] + [len(b) for b in q0]).tolist()
+    j = np.cumsum([0] + [len(b) for b in rows]).tolist()
+    for i0, i1, j0, j1 in zip(i, i[1:], j, j[1:]):
+        yield (np.sum(pmf[0, j0:j1] * fa[i0:i1, None], axis=-1),
+               np.sum(pmf[1, j0:j1] * md[i0:i1, None], axis=-1))
+
+
 def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     """Exact risks of every fusion belief against every row of local beliefs.
 
@@ -247,27 +288,23 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     ``n_local`` local beliefs per network; entry ``[i, j]`` of the result is
     the risk of fusion belief ``q0[i]`` with local row ``j``. Every belief
     must be finite and strictly inside (0, 1), as ``clamp_belief`` requires.
-    The per-count fusion errors are computed once per fusion belief and the
-    count pmf once per local row; the two are mixed for every pair, over
-    chunks of local rows holding at most ``BATCH_CHUNK_ROWS`` pairs, and no
-    chunking changes a value. Agrees with ``exact_risk`` to a few ulp.
+    The ``fusion_error_rates`` of chunks of local rows holding at most
+    ``BATCH_CHUNK_ROWS`` pairs each, weighted by ``bayes_risk`` at the
+    template's prior; no chunking changes a value. Agrees with
+    ``exact_risk`` to a few ulp.
     """
     n = template.n_local
     q_local = np.atleast_2d(np.asarray(q_local, dtype=float))
     if q_local.shape[1] != n:
         raise ValueError(f"expected {n} local belief columns, got {q_local.shape[1]}")
-    ell0 = _belief_log_odds(np.atleast_1d(np.asarray(q0, dtype=float)))
-    ell = _belief_log_odds(q_local)
-    model, costs = template.model, template.costs
-    fa, md, _, _ = _fusion_count_errors(model, costs, ell0, n)
-    out = np.empty((ell0.shape[0], ell.shape[0]))
-    step = max(1, BATCH_CHUNK_ROWS // max(1, ell0.shape[0]))
-    for start in range(0, ell.shape[0], step):
-        pmf = _poisson_binomial_pmf(*_rate_columns(model, costs, ell[start:start + step]))
-        out[:, start:start + step] = _bayes_risk(
-            template.pi0, costs,
-            np.sum(pmf[0][None] * fa[:, None], axis=-1),
-            np.sum(pmf[1][None] * md[:, None], axis=-1))
+    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
+    out = np.empty((q0.shape[0], q_local.shape[0]))
+    step = max(1, BATCH_CHUNK_ROWS // max(1, q0.shape[0]))
+    # At least one pass, so the fusion beliefs are checked even against no rows.
+    for start in range(0, max(1, q_local.shape[0]), step):
+        [rates] = fusion_error_rates(template.model, template.costs,
+                                     [(q0, q_local[start:start + step])])
+        out[:, start:start + step] = bayes_risk(template.pi0, template.costs, *rates)
     return out
 
 

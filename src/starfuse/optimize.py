@@ -5,10 +5,15 @@ global oracle), cyclic fixed-step coordinate descent, and an exact-coordinate
 variant that solves each local agent's stationarity condition directly and
 line-searches the fusion belief.
 
-The risk itself comes from ``network``: ``batch_risk`` evaluates grids and
-bracketing scans as an axis of fusion beliefs against rows of local beliefs
-(a grid's local rows are the product of its local axes, or one axis
-repeated when the locals are tied). The loops that move one belief at a
+The risk itself comes from ``network``. Grid stages take
+``fusion_error_rates``, the fusion error probabilities of an axis of fusion
+beliefs against rows of local beliefs (a grid's local rows are the product
+of its local axes, or one axis repeated when the locals are tied), and
+weight them with ``bayes_risk``: the true prior enters only that final
+weighting, so ``optimal_belief_sweep`` builds the coarse grid's tables once
+for every prior, and each finer stage builds many priors' windows in one
+call; ``grid_search`` is the one-prior case of the same stage loop.
+Bracketing scans call ``batch_risk``. The loops that move one belief at a
 time use ``_RiskEvaluator``, a pure-Python scalar copy of the same formula,
 built once per descent run or line search, that memoizes per-belief tails;
 tests pin it to ``exact_risk``. It exposes the formula's two steps, folding
@@ -33,14 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
+    BATCH_CHUNK_ROWS,
     NetworkConfig,
     NetworkTemplate,
     batch_risk,
+    bayes_risk,
     exact_risk,
+    fusion_error_rates,
     pinned_fusion_errors,
     pinned_fusion_sweep,
 )
-from .observation import BELIEF_EPS, from_log_odds, fusion_log_factors, log_odds
+from .observation import BELIEF_EPS, check_prior, from_log_odds, fusion_log_factors, log_odds
 
 # Search grids stay strictly inside (0, 1); beliefs at the very edge are
 # handled by the uniform clamp anyway.
@@ -200,13 +208,16 @@ def _axis(lo: float, hi: float, res: float) -> np.ndarray:
     return axis[axis <= GRID_HI]
 
 
+def _risk_not_finite(q0: float, sigma: float) -> FloatingPointError:
+    return FloatingPointError(f"fusion belief q0={q0!r} at sigma={sigma!r}: its risk is not finite")
+
+
 def checked_risks(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     """``batch_risk``, raising ``FloatingPointError`` at the first non-finite risk row."""
     risks = batch_risk(template, q0, q_local)
     if not np.isfinite(risks).all():
         first = float(q0[np.argmin(np.isfinite(risks).all(axis=1))])
-        raise FloatingPointError(f"fusion belief q0={first!r} at sigma={template.model.sigma!r}: "
-                                 f"its risk is not finite")
+        raise _risk_not_finite(first, template.model.sigma)
     return risks
 
 
@@ -216,6 +227,100 @@ def _expand(row: np.ndarray, tie: bool, n_local: int) -> tuple[float, ...]:
     return tuple(float(x) for x in row)
 
 
+def _passes(grids, n_local: int):
+    """The ``(priors, q0 axis, local rows, first row)`` blocks of a stage's
+    ``(priors, q0 axis, local rows)`` grids, in lists for one
+    ``fusion_error_rates`` call each. A block holds at most
+    ``BATCH_CHUNK_ROWS`` (fusion belief, local row) pairs, as a pass of
+    ``batch_risk`` does; a list takes blocks while their fusion beliefs and
+    rows, N + 1 counts each, hold at most ``BATCH_CHUNK_ROWS`` table entries,
+    so its tables do not grow with the number of priors."""
+    batch, size = [], 0
+    for priors, q0, local in grids:
+        step = max(1, BATCH_CHUNK_ROWS // len(q0))
+        for start in range(0, len(local), step):
+            rows = local[start:start + step]
+            cost = (len(q0) + len(rows)) * (n_local + 1)
+            if batch and size + cost > BATCH_CHUNK_ROWS:
+                yield batch
+                batch, size = [], 0
+            batch.append((priors, q0, rows, start))
+            size += cost
+    if batch:
+        yield batch
+
+
+def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: OptimizerSettings) -> list:
+    """``grid_search``'s best grid row (fusion belief, then the local axes)
+    and its count of grid points, for the template at each prior of
+    ``pi0_values``, with one stage loop for all of them.
+
+    No prior enters ``fusion_error_rates``, so the coarse grid's rates are
+    built once and each prior applies only its ``bayes_risk`` weights. A
+    finer stage's windows differ by prior; the rates of many priors' windows
+    come from one call. Each prior's stages, risks and first-minimum
+    argmin are those of a search of its own. Raises the
+    ``FloatingPointError`` of the first prior whose search meets a risk that
+    is not finite.
+    """
+    if 1.0 / settings.grid_resolution > 1e4:
+        raise ValueError("grid_resolution finer than 1e-4 (more than 10^4 points per axis)")
+    tie = settings.tie_local_beliefs
+    n = template.n_local
+    if not tie and n > 3:
+        raise ValueError("full grid search is limited to N <= 3; set tie_local_beliefs for larger networks")
+    ndim = 2 if tie else n + 1
+
+    resolutions = [max(COARSE_RESOLUTION, settings.grid_resolution)]
+    while resolutions[-1] > settings.grid_resolution:
+        resolutions.append(max(resolutions[-1] / 10.0, settings.grid_resolution))
+
+    model, costs = template.model, template.costs
+    coarse = resolutions[0]
+    # (priors, axes) per grid: the coarse grid serves every prior.
+    searches = [(range(len(pi0_values)), [_axis(coarse, 1.0 - coarse, coarse)] * ndim)]
+    evaluated = [0] * len(pi0_values)
+    failures = {}
+    for stage, res in enumerate(resolutions):
+        if stage > 0:
+            window = 2.0 * resolutions[stage - 1]
+            searches = [((p,), [_axis(c - window, c + window, res) for c in row])
+                        for p, row in best.items()]
+        # Row-major over (q0, local axes...), so the first-minimum argmin
+        # breaks ties as a scan of the full product grid would.
+        grids = [(priors, axes[0],
+                  np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=1))
+                 for priors, axes in searches]
+        minima, first_bad = {}, {}  # per prior: (risk, i, j) and the first non-finite q0 row
+        for batch in _passes(grids, n):
+            blocks = [(q0, np.repeat(rows, n, axis=1) if tie else rows) for _, q0, rows, _ in batch]
+            rates_of = fusion_error_rates(model, costs, blocks)
+            for (priors, q0, _, start), rates in zip(batch, rates_of):
+                for p in priors:
+                    risks = bayes_risk(pi0_values[p], costs, *rates)
+                    evaluated[p] += risks.size
+                    if not np.isfinite(risks).all():
+                        bad = int(np.argmin(np.isfinite(risks).all(axis=1)))
+                        first_bad[p] = min(first_bad.get(p, bad), bad)
+                    i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
+                    # Blocks split a grid's rows only; the least (risk, i, j)
+                    # over them is the grid's row-major first minimum.
+                    found = (float(risks[i, j]), int(i), start + int(j))
+                    if p not in minima or found < minima[p]:
+                        minima[p] = found
+        best = {}
+        for priors, q0, local in grids:
+            for p in priors:
+                if p in first_bad:
+                    failures[p] = _risk_not_finite(float(q0[first_bad[p]]), model.sigma)
+                else:
+                    _, i, j = minima[p]
+                    best[p] = np.concatenate(([q0[i]], local[j]))
+    if failures:
+        raise failures[min(failures)]
+    return [(best[p], evaluated[p]) for p in range(len(pi0_values))]
+
+
 def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> OptimizationResult:
     """Exhaustive grid minimization of the exact risk.
 
@@ -223,41 +328,16 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
     tenfold refinements of a window around the incumbent, down to
     ``settings.grid_resolution``. The reduction is a first-minimum argmin
     over row-major enumeration, so ties break deterministically to the
-    lexicographically smallest belief tuple.
+    lexicographically smallest belief tuple. Each stage weights the
+    prior-free ``network.fusion_error_rates`` of its grid at the template's
+    prior; ``optimal_belief_sweep`` runs the same stages for many priors.
 
     Without ``tie_local_beliefs`` the full (N+1)-dimensional product grid is
     searched, which is only allowed for N <= 3. Raises ``FloatingPointError``
     when a grid point's risk is not finite.
     """
-    if 1.0 / settings.grid_resolution > 1e4:
-        raise ValueError("grid_resolution finer than 1e-4 (more than 10^4 points per axis)")
-    tie = settings.tie_local_beliefs
-    if not tie and template.n_local > 3:
-        raise ValueError("full grid search is limited to N <= 3; set tie_local_beliefs for larger networks")
-    ndim = 2 if tie else template.n_local + 1
-
-    resolutions = [max(COARSE_RESOLUTION, settings.grid_resolution)]
-    while resolutions[-1] > settings.grid_resolution:
-        resolutions.append(max(resolutions[-1] / 10.0, settings.grid_resolution))
-
-    coarse = resolutions[0]
-    axes = [_axis(coarse, 1.0 - coarse, coarse)] * ndim
-    evaluated = 0
-    best_row = None
-    for stage, res in enumerate(resolutions):
-        if stage > 0:
-            window = 2.0 * resolutions[stage - 1]
-            axes = [_axis(c - window, c + window, res) for c in best_row]
-        # Row-major over (q0, local axes...), so the first-minimum argmin
-        # breaks ties as a scan of the full product grid would.
-        local = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=1)
-        q_local = np.repeat(local, template.n_local, axis=1) if tie else local
-        risks = checked_risks(template, axes[0], q_local)
-        evaluated += risks.size
-        i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
-        best_row = np.concatenate(([axes[0][i]], local[j]))
-
-    beliefs = _expand(best_row, tie, template.n_local)
+    [(row, evaluated)] = _grid_minima(template, [template.pi0], settings)
+    beliefs = _expand(row, settings.tie_local_beliefs, template.n_local)
     config = template.config(beliefs[0], beliefs[1:])
     return OptimizationResult(
         beliefs=beliefs,
@@ -542,13 +622,30 @@ class SweepPoint:
 
 def optimal_belief_sweep(template: NetworkTemplate, pi0_values,
                          settings: OptimizerSettings | None = None) -> list[SweepPoint]:
-    """Tied-belief grid optimum for every prior in ``pi0_values``."""
+    """Tied-belief grid optimum for every prior in ``pi0_values``.
+
+    ``pi0_values`` may be any iterable, read once; every prior is checked as
+    ``check_prior`` checks before any search, and no priors give ``[]``. One
+    stage loop searches every prior: the template's prior is ignored, and no
+    prior enters the fusion error rates, so the coarse grid's tables are
+    built once for all of them and each finer stage builds every prior's
+    window in a few calls. Each point holds the beliefs and risk of
+    ``grid_search`` at that prior, without its stationarity residual, and
+    the first prior whose search fails raises ``grid_search``'s
+    ``FloatingPointError``.
+    """
+    pi0_values = [float(pi0) for pi0 in pi0_values]
+    for pi0 in pi0_values:
+        check_prior(pi0)
+    if not pi0_values:
+        return []
     if settings is None:
         settings = OptimizerSettings(tie_local_beliefs=True)
     elif not settings.tie_local_beliefs:
         settings = dataclasses.replace(settings, tie_local_beliefs=True)
     points = []
-    for pi0 in pi0_values:
-        result = grid_search(dataclasses.replace(template, pi0=float(pi0)), settings)
-        points.append(SweepPoint(float(pi0), result.beliefs[0], result.beliefs[1], result.risk))
+    for pi0, (row, _) in zip(pi0_values, _grid_minima(template, pi0_values, settings)):
+        q0, q1 = float(row[0]), float(row[1])
+        risk = exact_risk(dataclasses.replace(template, pi0=pi0).tied(q0, q1)).r0
+        points.append(SweepPoint(pi0, q0, q1, risk))
     return points

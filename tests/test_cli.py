@@ -86,6 +86,28 @@ class TestGridCommand:
         assert float(rows[0]["risk_opt"]) == pytest.approx(0.1918, abs=5e-4)
         assert float(rows[0]["q0_opt"]) == pytest.approx(0.7372, abs=4e-3)
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["grid", "--sweep-pi0", "0.05:0.95:0.01", "--tie-locals"],
+         "11611c5eb8ea27cc6351e5d95a516e23f1f694bcb75cd757a45e27e16688ec5f"),
+        (["prelec", "--sweep-pi0", "0.2:0.8:0.05"],
+         "d3894039cf82c957702cbbc447144bde3849deec84e0429cf510901d16e2df7a"),
+    ], ids=["grid", "prelec"])
+    def test_sweep_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        """The bytes each prior's own grid search wrote, one prior at a time."""
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, *argv, "--csv", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_sweep_checks_every_prior_first(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "grid", "--sweep-pi0", "0.9:1.2:0.1", "--tie-locals",
+                                 "--csv", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: pi0=1.0 is degenerate: the prior must lie strictly inside (0, 1)\n"
+        assert not path.exists()
+
     def test_contour_csv(self, capsys, tmp_path):
         path = tmp_path / "contour.csv"
         code, out, _ = run_cli(capsys, "grid", "--contour", "--pi0", "0.3",
@@ -361,6 +383,20 @@ class TestSimulateCommand:
                                "--q", "0.5,0.5", "--trials", "20000", "--seed", "42")
         assert code == 0
         assert "empirical_risk=" in out and "fa_count=" in out
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_non_finite_risk_exits_domain(self, capsys, tmp_path, sigma):
+        """``risk`` exits 3 on this network, and so does ``simulate``."""
+        path = tmp_path / "sim.csv"
+        code, out, err = run_cli(capsys, "simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4",
+                                 "--trials", "1000", "--seed", "1", "--sigma", sigma,
+                                 "--csv", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: exact risk is not finite")
+        assert f"sigma={float(sigma)!r}" in err
+        assert err.count("\n") == 1
+        assert not path.exists()
 
     def test_missing_seed_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

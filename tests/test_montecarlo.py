@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import threading
 import tracemalloc
 from unittest import mock
@@ -253,6 +255,16 @@ class TestSimulate:
         report = exact_risk(cfg)
         expected = cfg.costs.c_fa * cfg.pi0 * report.p_fa0
         assert result.empirical_risk == pytest.approx(expected, abs=4.0 * result.std_error + 1e-9)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_non_finite_exact_risk_raises_before_drawing(self, sigma):
+        """Where exact_risk's R0 is not finite (so ``risk`` exits 3), the
+        fusion thresholds are nan; simulate refuses before any draw."""
+        config = NetworkConfig(0.3, CostPair(), ObservationModel(sigma=sigma), 0.7, (0.4, 0.4))
+        assert not math.isfinite(exact_risk(config).r0)
+        with mock.patch.object(montecarlo, "_count_trials", side_effect=AssertionError("drew")):
+            with pytest.raises(FloatingPointError, match=re.escape(f"at sigma={sigma!r}")):
+                simulate(SimulationSpec(config, trials=1000, seed=1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -27,8 +27,10 @@ from starfuse.network import (
     _fusion_count_errors,
     _poisson_binomial_pmf,
     _rate_columns,
+    bayes_risk,
     conditional_fusion_errors,
     count_distribution,
+    fusion_error_rates,
 )
 from conftest import random_config
 
@@ -367,6 +369,40 @@ class TestBatchRisk:
     def test_rejects_wrong_local_width(self, benchmark_template):
         with pytest.raises(ValueError, match="2 local belief columns"):
             batch_risk(benchmark_template, [0.5], [[0.3, 0.3, 0.3]])
+
+    def test_fusion_belief_checked_against_no_rows(self, benchmark_template):
+        with pytest.raises(ValueError, match="degenerate belief"):
+            batch_risk(benchmark_template, [1.5], np.empty((0, 2)))
+
+
+class TestFusionErrorRates:
+    def test_blocks_bit_identical_alone_and_weighted(self):
+        """A block's rates do not depend on the blocks passed beside it, and
+        ``bayes_risk`` of them at the template's prior is ``batch_risk``."""
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 7, 12, 30):
+            template = NetworkTemplate(float(rng.uniform(0.05, 0.95)), CostPair(1.3, 0.6),
+                                       ObservationModel(sigma=float(rng.uniform(0.3, 3.0))), n)
+            blocks = [(rng.uniform(0.01, 0.99, int(rng.integers(1, 9))),
+                       rng.uniform(0.01, 0.99, (int(rng.integers(1, 9)), n))) for _ in range(4)]
+            together = list(fusion_error_rates(template.model, template.costs, blocks))
+            assert len(together) == len(blocks)
+            for (q0, q_local), rates in zip(blocks, together):
+                [alone] = fusion_error_rates(template.model, template.costs, [(q0, q_local)])
+                assert [r.tobytes() for r in rates] == [r.tobytes() for r in alone]
+                risks = bayes_risk(template.pi0, template.costs, *rates)
+                assert risks.tobytes() == batch_risk(template, q0, q_local).tobytes()
+
+    def test_prior_free(self):
+        """The rates mix the count pmfs with no prior: p_fa0 and p_md0 are
+        exact_risk's at any prior."""
+        template = NetworkTemplate(0.5, CostPair(), ObservationModel(sigma=0.8), 3)
+        [(p_fa0, p_md0)] = fusion_error_rates(template.model, template.costs,
+                                              [([0.6], [[0.3, 0.4, 0.5]])])
+        for pi0 in (0.1, 0.5, 0.9):
+            report = exact_risk(NetworkConfig(pi0, template.costs, template.model, 0.6, (0.3, 0.4, 0.5)))
+            assert p_fa0[0, 0] == pytest.approx(report.p_fa0, rel=1e-14)
+            assert p_md0[0, 0] == pytest.approx(report.p_md0, rel=1e-14)
 
 
 class TestConditionalFusionErrors:

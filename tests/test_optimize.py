@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,16 +12,19 @@ from starfuse import (
     NetworkTemplate,
     ObservationModel,
     OptimizerSettings,
+    SweepPoint,
     batch_risk,
     exact_risk,
     golden_section,
     grid_search,
     log_odds,
+    optimal_belief_sweep,
     pbpo,
     pbpo_exact,
     pinned_fusion_errors,
     stationarity_residual,
 )
+from starfuse.observation import check_prior
 from starfuse.optimize import (
     GRID_HI,
     _axis,
@@ -109,6 +113,23 @@ class TestGridSearch:
         assert 0.94 < result.beliefs[0] < 1.0
         assert result.risk <= coarse.risk
         assert result.risk == exact_risk(template.config(result.beliefs[0], result.beliefs[1:])).r0
+
+    @pytest.mark.parametrize("budget", [200_000, 490])
+    def test_tie_across_blocks_breaks_row_major(self, benchmark_template, monkeypatch, budget):
+        """Two equal minima, at coarse rows (q0, q1) = (0.08, 0.82) and
+        (0.22, 0.06): the smaller fusion-belief index wins, as an argmin over
+        the whole grid picks, also when 10-row blocks put it in a later block."""
+        def rates(model, costs, blocks):
+            for q0, q_local in blocks:
+                q0, q1 = np.asarray(q0)[:, None], np.asarray(q_local)[None, :, 0]
+                low = ((np.isclose(q0, 0.08) & np.isclose(q1, 0.82))
+                       | (np.isclose(q0, 0.22) & np.isclose(q1, 0.06)))
+                yield np.where(low, 0.0, 1.0), np.where(low, 0.0, 1.0)
+
+        monkeypatch.setattr("starfuse.optimize.fusion_error_rates", rates)
+        monkeypatch.setattr("starfuse.optimize.BATCH_CHUNK_ROWS", budget)
+        settings = OptimizerSettings(grid_resolution=0.02, tie_local_beliefs=True)
+        assert grid_search(benchmark_template, settings).beliefs == (0.08, 0.82, 0.82)
 
     def test_dimension_guard(self, std_model, equal_costs):
         template = NetworkTemplate(0.3, equal_costs, std_model, 4)
@@ -531,3 +552,103 @@ class TestGoldenSection:
     def test_fusion_belief_line_search(self, benchmark_template):
         q0 = minimize_fusion_belief(benchmark_template, (0.396, 0.396), tol=1e-6)
         assert q0 == pytest.approx(0.7372, abs=2e-3)
+
+
+class _IterateOnce:
+    """An iterable that counts how often it is iterated."""
+
+    def __init__(self, values):
+        self.values, self.iterations = values, 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self.values)
+
+
+def _per_prior_sweep(template, pi0_values, settings):
+    points = []
+    for pi0 in pi0_values:
+        result = grid_search(dataclasses.replace(template, pi0=pi0), settings)
+        points.append(SweepPoint(pi0, result.beliefs[0], result.beliefs[1], result.risk))
+    return points
+
+
+class TestOptimalBeliefSweep:
+    @pytest.mark.parametrize("case", range(32))
+    def test_equals_per_prior_grid_search(self, case):
+        """One search for all priors gives each prior grid_search's point, ==,
+        over N 1-12, sigma 0.05-20, costs 0.2-5, every resolution class, and
+        unsorted priors with a repeat."""
+        rng = np.random.default_rng([18, case])
+        n = int(rng.integers(1, 13))
+        sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+        costs = CostPair(*(float(np.exp(rng.uniform(math.log(0.2), math.log(5.0)))) for _ in range(2)))
+        settings = OptimizerSettings(grid_resolution=(2e-2, 2e-3, 2e-4, 1e-4)[case % 4],
+                                     tie_local_beliefs=True)
+        priors = [float(p) for p in rng.uniform(0.01, 0.99, int(rng.integers(2, 6)))]
+        priors.append(priors[int(rng.integers(len(priors)))])
+        template = NetworkTemplate(0.5, costs, ObservationModel(sigma=sigma), n)
+        assert optimal_belief_sweep(template, priors, settings) == _per_prior_sweep(
+            template, priors, settings)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_non_finite_risk_raises_grid_search_error(self, sigma):
+        template = NetworkTemplate(0.5, CostPair(), ObservationModel(sigma=sigma), 2)
+        settings = OptimizerSettings(tie_local_beliefs=True)
+        with pytest.raises(FloatingPointError) as expected:
+            grid_search(dataclasses.replace(template, pi0=0.7), settings)
+        with pytest.raises(FloatingPointError) as got:
+            optimal_belief_sweep(template, [0.7, 0.3], settings)
+        assert str(got.value) == str(expected.value)
+        assert f"sigma={sigma!r}" in str(got.value)
+
+    def test_block_and_pass_sizes_do_not_change_result(self, std_model, monkeypatch):
+        """Blocks that split a grid's rows, and passes that group blocks across
+        priors, leave every risk and first-minimum argmin as they were."""
+        template = NetworkTemplate(0.35, CostPair(1.0, 1.5), std_model, 2)
+        untied = OptimizerSettings(grid_resolution=2e-3)
+        tied = OptimizerSettings(grid_resolution=2e-3, tie_local_beliefs=True)
+        priors = [0.2, 0.5, 0.35]
+        expected = grid_search(template, untied), optimal_belief_sweep(template, priors, tied)
+        monkeypatch.setattr("starfuse.optimize.BATCH_CHUNK_ROWS", 500)
+        assert (grid_search(template, untied), optimal_belief_sweep(template, priors, tied)) == expected
+
+    def test_priors_checked_before_any_search(self, benchmark_template, monkeypatch):
+        calls = []
+        monkeypatch.setattr("starfuse.optimize.fusion_error_rates", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as expected:
+            check_prior(1.0)
+        with pytest.raises(ValueError) as got:
+            optimal_belief_sweep(benchmark_template, np.round(np.arange(0.9, 1.25, 0.1), 10))
+        assert str(got.value) == str(expected.value)
+        assert calls == []
+
+    def test_any_iterable_read_once(self, benchmark_template):
+        settings = OptimizerSettings(tie_local_beliefs=True, grid_resolution=2e-3)
+        priors = _IterateOnce([0.6, 0.3])
+        expected = _per_prior_sweep(benchmark_template, [0.6, 0.3], settings)
+        assert optimal_belief_sweep(benchmark_template, priors, settings) == expected
+        assert priors.iterations == 1
+        assert optimal_belief_sweep(benchmark_template, (p for p in (0.6, 0.3)), settings) == expected
+
+    def test_no_priors(self, benchmark_template):
+        assert optimal_belief_sweep(benchmark_template, []) == []
+        assert optimal_belief_sweep(benchmark_template, iter(())) == []
+
+    def test_memory_does_not_grow_with_priors(self):
+        """91 priors at N=200 peak within a small factor of one grid_search:
+        a finer stage's tables are built for a bounded group of priors at a
+        time."""
+        template = NetworkTemplate(0.5, CostPair(), ObservationModel(), 200)
+        settings = OptimizerSettings(tie_local_beliefs=True, grid_resolution=2e-3)
+        pi0_values = np.round(np.arange(0.05, 0.9501, 0.01), 10)
+        peaks = []
+        for run in (lambda: grid_search(dataclasses.replace(template, pi0=0.3), settings),
+                    lambda: optimal_belief_sweep(template, pi0_values, settings)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 5 * peaks[0]
