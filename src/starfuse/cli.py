@@ -426,8 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", type=float)
     p.add_argument("--q1", type=float)
     p.add_argument("--n", default="5:60:5", help="network sizes start:stop:step")
-    p.add_argument("--trials", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=200_000,
+                   help="simulated trials per size; only sizes above 2000 are simulated")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the first simulated size; only sizes above 2000 are simulated")
     p.add_argument("--curve-csv", help="write the per-threshold objective curve here")
     p.add_argument("--lam-range", default="-3:4:0.001")
     _add_model_args(p)

@@ -7,14 +7,18 @@ final threshold test on its own signal. The true Bayes risk of that final
 decision is computed exactly two ways, both from the decision rates and
 fusion log factors of ``observation``: a count-distribution dynamic program
 (the default path) and full enumeration of decision vectors (kept as a test
-oracle). The dynamic program is written once, on helpers that take any
-leading shape: ``exact_risk`` runs it for one network and
-``fusion_error_rates`` for every pairing of many fusion beliefs with many
-rows of local beliefs, building the count pmf once per local row and the
-per-count fusion errors once per fusion belief. The true prior enters only
-the final weighting, ``bayes_risk``, so those fusion error rates serve every
-prior: ``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
-leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``.
+oracle). The dynamic program is one loop, ``_fold_agents``, which can
+continue a fold, on helpers that take any leading shape: ``exact_risk``
+runs it for one network and ``fusion_error_rates`` for every pairing of
+many fusion beliefs with many rows of local beliefs, building the count pmf
+once per local row (tied rows from one rate column each) and the per-count
+fusion errors once per fusion belief. ``tied_exact_risks`` folds one tied
+local's rates on up to each size of an increasing ladder in turn, so every
+size's ``exact_risk`` r0 comes from one fold of the largest. The true
+prior enters only the final weighting, ``bayes_risk``, so those fusion error
+rates serve every prior: ``batch_risk`` weights them at one.
+``pinned_fusion_sweep`` is the one leave-one-out pass behind
+``pinned_fusion_errors`` and ``pbpo_exact``.
 """
 
 import itertools
@@ -170,46 +174,58 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     return _poisson_binomial_pmf(*_local_rates(config.model, config.costs, config.q_local))
 
 
-def _add_agent(pmf: np.ndarray, p: np.ndarray, q: np.ndarray, i: int) -> None:
-    """Fold one more agent, with decide-1 rates ``p`` and decide-0 rates
-    ``q`` as columns, into ``pmf``, which holds on its last axis the count
-    pmfs of the ``i`` agents before it. In place; entries past ``i + 1`` stay
-    zero."""
-    moved = pmf[..., :i + 1] * p
-    pmf[..., :i + 1] *= q
-    pmf[..., 1:i + 2] += moved
-
-
-def _poisson_binomial_pmf(p_cols: np.ndarray, q_cols: np.ndarray) -> np.ndarray:
-    """Count pmfs on the last axis, one per hypothesis and batch index of the
-    ``_rate_columns`` ``p_cols`` and ``q_cols``.
-
-    One loop iteration per agent, of three array operations: ``_add_agent``
-    written inline, which saves a Python call per agent at large N.
+def _fold_agents(pmf: np.ndarray, p_cols, q_cols, done: int) -> None:
+    """Fold agents ``done``, ``done + 1``, ... with the decide-1 columns
+    ``p_cols`` and the decide-0 columns ``q_cols`` into ``pmf``, which holds
+    on its last axis the count pmfs of the ``done`` agents before them. In
+    place; entries past the last agent's count stay zero, so a longer
+    ``pmf`` holds, in its first n + 1 entries, exactly the pmfs of the first
+    n agents. The one count-DP loop: one iteration per agent, of three array
+    operations, pmf[c] * q + pmf[c - 1] * p.
     """
-    pmf = np.zeros(p_cols.shape[1:-1] + (len(p_cols) + 1,))
-    pmf[..., 0] = 1.0
-    for i, (p, q) in enumerate(zip(p_cols, q_cols)):
+    for i, (p, q) in enumerate(zip(p_cols, q_cols), done):
         head = pmf[..., :i + 1]
         moved = head * p
         head *= q
         pmf[..., 1:i + 2] += moved
+
+
+def _poisson_binomial_pmf(p_cols, q_cols) -> np.ndarray:
+    """Count pmfs on the last axis, one per hypothesis and batch index of the
+    ``_rate_columns`` ``p_cols`` and ``q_cols`` (or of non-empty sequences of
+    their per-agent columns): every agent folded into the pmf of no agent."""
+    pmf = np.zeros(p_cols[0].shape[:-1] + (len(p_cols) + 1,))
+    pmf[..., 0] = 1.0
+    _fold_agents(pmf, p_cols, q_cols, 0)
     return pmf
 
 
-def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n: int):
+def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     """Fusion (false-alarm, missed-detection) probability after each count
     0..n of local ones among ``n`` decisions, with the updated log-odds and
     fusion thresholds. A scalar fusion log-odds ``ell0`` gives arrays of shape
-    (n + 1,); an array of them gives one row per entry."""
+    (n + 1,); an array of them gives one row per entry. A list of sizes ``n``
+    puts the counts 0..n of each size after one another on the last axis,
+    each entry the same double as at that size alone."""
     ell0 = np.asarray(ell0)
-    k = np.arange(n + 1)
+    if isinstance(n, list):
+        k = np.concatenate([np.arange(size + 1) for size in n])
+        n = np.repeat(n, [size + 1 for size in n])
+    else:
+        k = np.arange(n + 1)
     # inf - inf or 0 * inf at an extreme sigma: the nan risk is the caller's to report.
     with np.errstate(invalid="ignore"):
         l_zero, l_one = fusion_log_factors(model, costs, ell0)
         ell = ell0[..., None] + (n - k) * l_zero[..., None] + k * l_one[..., None]
         lam = threshold_from_log_odds(model, costs, ell)
     return (*error_probs(model, lam), ell, lam)
+
+
+def _mixed_errors(pmf: np.ndarray, fa: np.ndarray, md: np.ndarray) -> tuple[float, float]:
+    """Fusion (false-alarm, missed-detection) probabilities of one network:
+    its per-count fusion errors mixed over its (2, N + 1) count pmf."""
+    # ``@`` here and a row np.sum in fusion_error_rates differ in the last bit; tests pin each.
+    return float(pmf[0] @ fa), float(pmf[1] @ md)
 
 
 def bayes_risk(pi0: float, costs: CostPair, p_fa0, p_md0):
@@ -229,12 +245,43 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
     n = config.n_local
     pmf = count_distribution(config)
     fa, md, ell, lam = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
-    # ``@`` here and a row np.sum in fusion_error_rates differ in the last bit; tests pin each.
-    p_fa0 = float(pmf[0] @ fa)
-    p_md0 = float(pmf[1] @ md)
+    p_fa0, p_md0 = _mixed_errors(pmf, fa, md)
     per_count = tuple(zip(range(n + 1), from_log_odds(ell).tolist(), lam.tolist()))
     return RiskReport(r0=bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
                       p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
+
+
+def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: float, q1: float,
+                     sizes) -> list[float]:
+    """``exact_risk(...).r0`` of the network with fusion belief ``q0`` and
+    ``n`` locals all holding ``q1``, for each ``n`` of the strictly
+    increasing ``sizes`` (each at least 1), equal to it bit for bit.
+
+    The locals are tied, so the count pmf of a smaller size is the first
+    entries of a larger size's fold: one agent's rate columns are taken
+    once and folded on up to each size in turn, one fold of the largest
+    size in all, O(max N^2) in place of a sum of O(N^2) per size. Each size
+    mixes its own fusion errors as ``exact_risk`` does; those of every size
+    come from one ``_fusion_count_errors`` call. Beliefs and the prior are
+    checked as ``NetworkConfig`` checks them.
+    """
+    NetworkConfig(pi0, costs, model, q0, (q1,))
+    sizes = [int(n) for n in sizes]
+    if any(b <= a for a, b in zip([0] + sizes, sizes)):
+        raise ValueError(f"sizes must be strictly increasing and at least 1, got {sizes}")
+    if not sizes:
+        return []
+    (p,), (q,) = _local_rates(model, costs, [q1])
+    fa, md, _, _ = _fusion_count_errors(model, costs, log_odds(q0), sizes)
+    pmf = np.zeros((2, sizes[-1] + 1))
+    pmf[:, 0] = 1.0
+    risks, done, start = [], 0, 0
+    for n in sizes:
+        _fold_agents(pmf, itertools.repeat(p, n - done), itertools.repeat(q, n - done), done)
+        counts = slice(start, start + n + 1)  # this size's entries of fa and md
+        risks.append(bayes_risk(pi0, costs, *_mixed_errors(pmf[:, :n + 1], fa[counts], md[counts])))
+        done, start = n, start + n + 1
+    return risks
 
 
 def _belief_log_odds(q: np.ndarray) -> np.ndarray:
@@ -266,14 +313,25 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     beliefs, rows, counts) summed over the counts, so only one block's rates
     are held at a time. A block's values do not depend on the blocks beside
     it. Callers bound the size of the tables: ``batch_risk`` by
-    ``BATCH_CHUNK_ROWS`` pairs per call.
+    ``BATCH_CHUNK_ROWS`` pairs per call. When every block's rows are an
+    ``np.broadcast_to`` view of one belief per row (zero stride along the
+    agents, as tied grid stages pass them), each row's rates are formed
+    once and folded in for every agent, with the same values as for the
+    rows written out.
     """
     q0 = [np.atleast_1d(np.asarray(beliefs, dtype=float)) for beliefs, _ in blocks]
     rows = [np.atleast_2d(np.asarray(beliefs, dtype=float)) for _, beliefs in blocks]
     ell0 = _belief_log_odds(np.concatenate(q0))
-    ell = _belief_log_odds(np.concatenate(rows))
-    fa, md, _, _ = _fusion_count_errors(model, costs, ell0, ell.shape[1])
-    pmf = _poisson_binomial_pmf(*_rate_columns(model, costs, ell))
+    n = rows[0].shape[1]
+    # Rows with a zero stride along the agents hold one belief each: one rate
+    # column per row, folded in for every agent.
+    tied = n > 1 and not any(r.strides[1] for r in rows)
+    local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
+    p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
+    if tied:
+        p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
+    fa, md = _fusion_count_errors(model, costs, ell0, n)[:2]  # nothing more held while mixing
+    pmf = _poisson_binomial_pmf(p_cols, q_cols)
     i = np.cumsum([0] + [len(b) for b in q0]).tolist()
     j = np.cumsum([0] + [len(b) for b in rows]).tolist()
     for i0, i1, j0, j1 in zip(i, i[1:], j, j[1:]):
@@ -374,7 +432,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
         if q != beliefs[j]:
             beliefs[j] = q
             (p,), (not_p,) = _local_rates(model, costs, [q])
-        _add_agent(before, p, not_p, j)
+        _fold_agents(before, (p,), (not_p,), j)
     return tuple(beliefs)
 
 

@@ -293,7 +293,9 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
                  for priors, axes in searches]
         minima, first_bad = {}, {}  # per prior: (risk, i, j) and the first non-finite q0 row
         for batch in _passes(grids, n):
-            blocks = [(q0, np.repeat(rows, n, axis=1) if tie else rows) for _, q0, rows, _ in batch]
+            # A view, so that network forms a tied row's rates once, not n times.
+            blocks = [(q0, np.broadcast_to(rows, (len(rows), n)) if tie else rows)
+                      for _, q0, rows, _ in batch]
             rates_of = fusion_error_rates(model, costs, blocks)
             for (priors, q0, _, start), rates in zip(batch, rates_of):
                 for p in priors:

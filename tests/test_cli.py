@@ -376,6 +376,35 @@ class TestExponentCommand:
         assert code == 0
         assert "beta_hat=" in out and "r_squared=" in out
 
+    @pytest.mark.parametrize("argv, digest", [
+        # The README command.
+        (["--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--n", "5:60:5"],
+         "324af554d2ca50c0fe1d7d51c0c85d690ed4095d00525ff55ba1be8cf661ec50"),
+        # A Case-2 ladder.
+        (["--pi0", "0.3", "--q0", "0.7", "--q1", "0.5", "--n", "5:200:15", "--sigma", "1.3",
+          "--cfa", "1.5"],
+         "c03493223498dd4e1eda7200dcf9380f460a9e2644485f065ed8585948261e5d"),
+    ], ids=["readme", "case2"])
+    def test_estimate_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        """The bytes written when each size ran its own exact_risk."""
+        path = tmp_path / "estimate.csv"
+        code, _, _ = run_cli(capsys, "exponent", "--estimate", *argv, "--csv", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_estimate_to_600_is_exact(self, capsys, monkeypatch):
+        """Sizes up to 600 need no simulation, and the fit is clean."""
+        def no_simulation(spec):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr("starfuse.montecarlo.simulate", no_simulation)
+        code, out, _ = run_cli(capsys, "exponent", "--estimate", "--pi0", "0.3", "--q0", "0.7",
+                               "--q1", "0.5", "--n", "50:600:50")
+        assert code == 0
+        fields = dict(item.split("=") for item in out.split())
+        assert float(fields["beta_hat"]) == pytest.approx(0.0299, abs=1e-3)
+        assert float(fields["r_squared"]) >= 0.999
+
 
 class TestSimulateCommand:
     def test_seeded_run(self, capsys):

@@ -31,7 +31,7 @@ from starfuse import (
     stationarity_residual,
 )
 from starfuse import optimize
-from starfuse.network import _add_agent, _fusion_count_errors, _local_rates
+from starfuse.network import _fold_agents, _fusion_count_errors, _local_rates
 from starfuse.optimize import (
     BELIEF_EPS,
     FUSION_SCAN_POINTS,
@@ -183,7 +183,7 @@ def _reference_pinned_fusion_errors(config):
         g = after[j]
         out[:, 0, j] = np.einsum("hc,hc->h", prefix, g[:, :-1])
         out[:, 1, j] = np.einsum("hc,hc->h", prefix, g[:, 1:])
-        _add_agent(before, p_cols[j], q_cols[j], j)
+        _fold_agents(before, p_cols[j:j + 1], q_cols[j:j + 1], j)
     return out[0], out[1]
 
 

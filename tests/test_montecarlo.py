@@ -12,10 +12,12 @@ from scipy.special import ndtri
 
 from starfuse import (
     CostPair,
+    ExponentFit,
     NetworkConfig,
     ObservationModel,
     PhaseRegion,
     SimulationSpec,
+    classify_phase,
     estimate_exponent,
     exact_risk,
     gaussian_q,
@@ -71,6 +73,35 @@ def _inverse_cdf_counts(spec, chunk_size):
         md += int(np.count_nonzero(~decide_one & h))
         h1 += int(np.count_nonzero(h))
     return fa, md, h1
+
+
+def _per_size_estimate(pi0, costs, model, q0, q1, n_list, trials=200_000, seed=0, exact_max_n=2000):
+    """``estimate_exponent`` with one ``NetworkConfig`` and one ``exact_risk``
+    per exact size, as it was before one fold served the whole ladder."""
+    n_list = [int(n) for n in n_list]
+    cls = classify_phase(model, costs, q0, q1, pi0)
+    limit = cls.limit_risk
+    risks = []
+    for idx, n in enumerate(n_list):
+        config = NetworkConfig(pi0, costs, model, q0, (q1,) * n)
+        if n <= exact_max_n:
+            risks.append(exact_risk(config).r0)
+        else:
+            risks.append(simulate(SimulationSpec(config, trials, seed + idx)).empirical_risk)
+    residuals = [abs(r - limit) for r in risks]
+    floor = 64.0 * np.finfo(float).eps * max(1.0, limit, max(risks))
+    keep = next((idx for idx, res in enumerate(residuals) if res <= floor), len(residuals))
+    ns = np.asarray(n_list[:keep], dtype=float)
+    y = -np.log(np.asarray(residuals[:keep]))
+    slope, intercept = np.polyfit(ns, y, 1)
+    fitted = slope * ns + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return float(slope), ExponentFit(
+        beta_hat=float(slope), intercept=float(intercept),
+        r_squared=1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0,
+        n_used=tuple(n_list[:keep]), risks=tuple(float(r) for r in risks), limit=limit,
+        region=cls.region, truncated=keep < len(residuals))
 
 
 # Beliefs from both deep tails as well as the middle of (0, 1).
@@ -333,6 +364,33 @@ class TestEstimateExponent:
         with pytest.raises(ValueError):
             estimate_exponent(0.3, equal_costs, std_model, q0_boundary, 0.5,
                               n_list=(5, 10, 15))
+
+    @pytest.mark.parametrize("pi0, q0, q1, sigma, c_fa, n_list, exact_max_n", [
+        (0.3, 0.5, 0.5, 1.0, 1.0, range(5, 61, 5), 2000),
+        (0.3, 0.7, 0.5, 1.3, 1.5, range(5, 201, 15), 2000),
+        (0.3, 0.7, 0.5, 1.0, 1.0, range(50, 601, 50), 2000),
+        (0.3, 0.9, 0.3, 1.0, 1.0, (5, 10, 15, 20, 60, 80), 2000),  # truncated
+        (0.45, 0.4, 0.55, 0.7, 2.0, (1, 2, 3, 7, 30, 31, 400), 2000),
+        (0.3, 0.5, 0.5, 1.0, 1.0, (5, 10, 15, 20), 12),  # two simulated sizes
+    ])
+    def test_equals_per_size_loop(self, pi0, q0, q1, sigma, c_fa, n_list, exact_max_n):
+        """Every ExponentFit field equals that of one exact_risk per size."""
+        args = (pi0, CostPair(c_fa, 1.0), ObservationModel(sigma=sigma), q0, q1, n_list)
+        kwargs = dict(trials=20_000, seed=3, exact_max_n=exact_max_n)
+        assert estimate_exponent(*args, **kwargs) == _per_size_estimate(*args, **kwargs)
+
+    @pytest.mark.parametrize("pi0, q0, q1, message", [
+        (1.0, 0.5, 0.5, "pi0=1.0 is degenerate: the prior must lie strictly inside (0, 1)"),
+        (0.0, 0.5, 0.5, "pi0=0.0 is degenerate: the prior must lie strictly inside (0, 1)"),
+        (0.3, 1.5, 0.5, "degenerate belief 1.5: must lie strictly inside (0, 1)"),
+        (0.3, math.nan, 0.5, "degenerate belief nan: must lie strictly inside (0, 1)"),
+        (0.3, 0.5, 0.0, "degenerate belief 0.0: must lie strictly inside (0, 1)"),
+        (0.3, 0.5, math.nan, "degenerate belief nan: must lie strictly inside (0, 1)"),
+    ])
+    def test_bad_inputs_keep_their_messages(self, std_model, equal_costs, pi0, q0, q1, message):
+        with pytest.raises(ValueError) as got:
+            estimate_exponent(pi0, equal_costs, std_model, q0, q1, (5, 10, 15))
+        assert str(got.value) == message
 
     def test_simulation_fallback_used_beyond_exact_cap(self, std_model, equal_costs):
         beta_hat, fit = estimate_exponent(0.3, equal_costs, std_model, 0.5, 0.5,

@@ -31,6 +31,7 @@ from starfuse.network import (
     conditional_fusion_errors,
     count_distribution,
     fusion_error_rates,
+    tied_exact_risks,
 )
 from conftest import random_config
 
@@ -393,6 +394,36 @@ class TestFusionErrorRates:
                 risks = bayes_risk(template.pi0, template.costs, *rates)
                 assert risks.tobytes() == batch_risk(template, q0, q_local).tobytes()
 
+    @pytest.mark.parametrize("case", range(12))
+    def test_tied_view_bit_identical_to_rows_written_out(self, case):
+        """Rows passed as a broadcast view of one belief each, as tied grid
+        stages pass them, give the rates of the same rows written out."""
+        rng = np.random.default_rng([20, case])
+        n = int(rng.integers(2, 60))
+        sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+        model = ObservationModel(sigma=sigma)
+        costs = CostPair(*(float(np.exp(rng.uniform(math.log(0.2), math.log(5.0)))) for _ in range(2)))
+        columns = [rng.uniform(1e-6, 1.0 - 1e-6, (int(rng.integers(1, 9)), 1)) for _ in range(3)]
+        q0 = [rng.uniform(1e-6, 1.0 - 1e-6, int(rng.integers(1, 9))) for _ in columns]
+        views = [(f, np.broadcast_to(c, (len(c), n))) for f, c in zip(q0, columns)]
+        written = [(f, np.repeat(c, n, axis=1)) for f, c in zip(q0, columns)]
+        got = list(fusion_error_rates(model, costs, views))
+        expected = list(fusion_error_rates(model, costs, written))
+        assert [r.tobytes() for pair in got for r in pair] == [
+            r.tobytes() for pair in expected for r in pair]
+
+    def test_tied_view_names_bad_belief(self):
+        template = NetworkTemplate(0.5, CostPair(), ObservationModel(), 4)
+        for bad in (0.0, np.nan, 1.5):
+            column = np.array([[0.3], [bad]])
+            with pytest.raises(ValueError) as expected:
+                list(fusion_error_rates(template.model, template.costs,
+                                        [([0.5], np.repeat(column, 4, axis=1))]))
+            with pytest.raises(ValueError) as got:
+                list(fusion_error_rates(template.model, template.costs,
+                                        [([0.5], np.broadcast_to(column, (2, 4)))]))
+            assert str(got.value) == str(expected.value)
+
     def test_prior_free(self):
         """The rates mix the count pmfs with no prior: p_fa0 and p_md0 are
         exact_risk's at any prior."""
@@ -403,6 +434,60 @@ class TestFusionErrorRates:
             report = exact_risk(NetworkConfig(pi0, template.costs, template.model, 0.6, (0.3, 0.4, 0.5)))
             assert p_fa0[0, 0] == pytest.approx(report.p_fa0, rel=1e-14)
             assert p_md0[0, 0] == pytest.approx(report.p_md0, rel=1e-14)
+
+
+# Beliefs anywhere in (0, 1), the edges of the grid axes included.
+_TIED_BELIEFS = st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6]), st.floats(1e-6, 1.0 - 1e-6))
+
+
+class TestTiedExactRisks:
+    @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=6, unique=True),
+           sigma=st.one_of(st.just(1e-3), st.floats(0.05, 20.0), st.just(1e2)),
+           c_fa=st.floats(0.2, 5.0), c_md=st.floats(0.2, 5.0), pi0=st.floats(0.01, 0.99),
+           q0=_TIED_BELIEFS, q1=_TIED_BELIEFS)
+    @settings(max_examples=120, deadline=None)
+    def test_equals_exact_risk_at_every_size(self, sizes, sigma, c_fa, c_md, pi0, q0, q1):
+        """One fold for the whole ladder gives each size exact_risk's r0, ==,
+        and a non-finite r0 where exact_risk's is not finite."""
+        sizes = sorted(sizes)
+        costs, model = CostPair(c_fa, c_md), ObservationModel(sigma=sigma)
+        got = tied_exact_risks(pi0, costs, model, q0, q1, sizes)
+        expected = [exact_risk(NetworkConfig(pi0, costs, model, q0, (q1,) * n)).r0 for n in sizes]
+        assert len(got) == len(sizes)
+        for r, e in zip(got, expected):
+            assert r == e or (math.isnan(r) and math.isnan(e))
+
+    def test_ladder_does_not_depend_on_its_other_sizes(self):
+        costs, model = CostPair(1.5, 1.0), ObservationModel(sigma=1.3)
+        ladder = list(range(5, 201, 15))
+        together = tied_exact_risks(0.3, costs, model, 0.7, 0.5, ladder)
+        assert together == [tied_exact_risks(0.3, costs, model, 0.7, 0.5, [n])[0] for n in ladder]
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_non_finite_where_exact_risk_is(self, sigma):
+        costs, model = CostPair(), ObservationModel(sigma=sigma)
+        got = tied_exact_risks(0.3, costs, model, 0.7, 0.4, [1, 2, 5])
+        expected = [exact_risk(NetworkConfig(0.3, costs, model, 0.7, (0.4,) * n)).r0 for n in (1, 2, 5)]
+        assert not any(map(math.isfinite, expected))
+        assert [repr(r) for r in got] == [repr(r) for r in expected]
+
+    @pytest.mark.parametrize("pi0, q0, q1", [(1.0, 0.5, 0.5), (0.0, 0.5, 0.5), (0.3, 1.5, 0.5),
+                                             (0.3, np.nan, 0.5), (0.3, 0.5, 0.0),
+                                             (0.3, 0.5, np.inf)])
+    def test_inputs_checked_as_network_config(self, pi0, q0, q1):
+        with pytest.raises(ValueError) as expected:
+            NetworkConfig(pi0, CostPair(), ObservationModel(), q0, (q1,) * 3)
+        with pytest.raises(ValueError) as got:
+            tied_exact_risks(pi0, CostPair(), ObservationModel(), q0, q1, [3, 4])
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("sizes", [[0, 3], [5, 5], [7, 3], [-1]])
+    def test_sizes_strictly_increasing_from_one(self, sizes):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tied_exact_risks(0.3, CostPair(), ObservationModel(), 0.5, 0.5, sizes)
+
+    def test_no_sizes(self):
+        assert tied_exact_risks(0.3, CostPair(), ObservationModel(), 0.5, 0.5, []) == []
 
 
 class TestConditionalFusionErrors:
