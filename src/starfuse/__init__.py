@@ -35,7 +35,6 @@ from .observation import (
     BELIEF_EPS,
     CostPair,
     ObservationModel,
-    belief_from_threshold,
     clamp_belief,
     error_probs,
     from_log_odds,
@@ -48,7 +47,6 @@ from .optimize import (
     OptimizationResult,
     OptimizerSettings,
     SweepPoint,
-    golden_section,
     grid_search,
     minimize_fusion_belief,
     optimal_belief_sweep,

@@ -113,11 +113,6 @@ def threshold_from_belief(model: ObservationModel, costs: CostPair, q: float) ->
     return threshold_from_log_odds(model, costs, log_odds(q))
 
 
-def belief_from_threshold(model: ObservationModel, costs: CostPair, lam: float) -> float:
-    """Inverse of ``threshold_from_belief`` (unclamped)."""
-    return float(from_log_odds((lam - 0.5) / model.variance_proxy - costs.log_ratio))
-
-
 def error_probs(model: ObservationModel, lam):
     """(false-alarm, missed-detection) probabilities of the threshold test
     that decides 1 when the signal strictly exceeds ``lam``.

@@ -525,3 +525,89 @@ def test_domain_edge_is_finite_or_one_error(capsys, command, sigma):
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# The last library call each mode makes, as the name the CLI imported it by,
+# and the argv that reaches it with little work first.
+_LAST_CALLS = {
+    "risk": ("exact_risk", ["risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4"]),
+    "grid-contour": ("checked_risks", ["grid", "--contour", "--pi0", "0.3", "--q0", "0.7",
+                                       "--resolution", "0.1"]),
+    "grid-sweep": ("optimal_belief_sweep", ["grid", "--sweep-pi0", "0.2:0.4:0.1"]),
+    "grid": ("grid_search", ["grid", "--pi0", "0.3"]),
+    "pbpo": ("pbpo", ["pbpo", "--pi0", "0.3"]),
+    "pbpo-exact": ("pbpo_exact", ["pbpo", "--exact", "--pi0", "0.3"]),
+    "prelec-input": ("prelec_risk_gap", ["prelec", "--input", "{sweep}"]),
+    "prelec-sweep": ("prelec_risk_gap", ["prelec", "--sweep-pi0", "0.2:0.8:0.3"]),
+    "phase-grid": ("phase_map", ["phase", "--grid", "0.1"]),
+    "phase": ("classify_phase", ["phase", "--q0", "0.5", "--q1", "0.5"]),
+    "exponent-curve": ("exponent_curve", ["exponent", "--curve-csv", "{curve}",
+                                          "--lam-range", "0:1:0.5"]),
+    "exponent-estimate": ("estimate_exponent", ["exponent", "--estimate", "--pi0", "0.3",
+                                                "--q0", "0.7", "--q1", "0.5"]),
+    "simulate": ("simulate", ["simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4",
+                              "--trials", "1000", "--seed", "1"]),
+}
+
+
+@pytest.mark.parametrize("mode", list(_LAST_CALLS))
+def test_failing_last_call_emits_nothing(capsys, monkeypatch, tmp_path, mode):
+    """A domain failure in a command's last library call exits 3 with one
+    error line, nothing on stdout and no --csv or --curve-csv file."""
+    name, argv = _LAST_CALLS[mode]
+    sweep, curve, path = (tmp_path / n for n in ("sweep.csv", "curve.csv", "out.csv"))
+    sweep.write_text("pi0,q0_opt,q1_opt,risk_opt\n0.2,0.6,0.3,0.15\n"
+                     "0.3,0.7,0.4,0.19\n0.5,0.5,0.5,0.24\n")
+
+    def fail(*args, **kwargs):
+        raise FloatingPointError(f"{name} failed")
+
+    monkeypatch.setattr(cli, name, fail)
+    argv = [a.format(sweep=sweep, curve=curve) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--csv", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {name} failed\n"
+    assert not path.exists() and not curve.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.4,0.4", "--csv", "{missing}/x.csv"],
+    ["exponent", "--curve-csv", "{curve}", "--lam-range", "0:1:0"],
+    ["exponent", "--csv", "{missing}/y.csv", "--curve-csv", "{curve}", "--lam-range", "0:1:0.5"],
+], ids=["risk-unwritable-csv", "exponent-zero-step", "exponent-unwritable-csv"])
+def test_validation_error_emits_nothing(capsys, tmp_path, argv):
+    curve = tmp_path / "c.csv"
+    argv = [a.format(missing=tmp_path / "missing", curve=curve) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exponent_same_file_rejected_before_work(capsys, monkeypatch, tmp_path):
+    """``--csv`` and ``--curve-csv`` naming one file, spelled two ways, exit 2
+    before beta* is computed."""
+    def not_called(*args):
+        raise AssertionError("beta* was computed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "optimal_exponent", not_called)
+    code, out, err = run_cli(capsys, "exponent", "--csv", "p.csv", "--curve-csv", "./p.csv")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --csv and --curve-csv name the same file 'p.csv'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_second_file_keeps_the_first(capsys, tmp_path):
+    """A file that already exists is neither truncated nor removed when
+    another output path of the same run cannot be written."""
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old contents\n")
+    code, out, _ = run_cli(capsys, "exponent", "--csv", str(kept),
+                           "--curve-csv", str(tmp_path / "missing" / "c.csv"))
+    assert code == 2
+    assert out == ""
+    assert kept.read_text() == "old contents\n"

@@ -78,11 +78,11 @@ PUBLIC_API = [
     "NetworkTemplate", "ObservationModel", "OptimizationResult", "OptimizerSettings",
     "PhaseClassification", "PhaseRegion", "PrelecGapPoint", "PrelecParams",
     "Q0_STRATEGIES", "RiskReport", "SimulationResult", "SimulationSpec", "SweepPoint",
-    "batch_risk", "belief_from_threshold", "chernoff_bernoulli", "clamp_belief",
+    "batch_risk", "chernoff_bernoulli", "clamp_belief",
     "classify_phase", "error_probs", "estimate_exponent", "exact_risk",
     "exact_risk_bruteforce", "exponent_curve", "exponent_objective",
     "fit_prelec_minimax", "from_log_odds", "fusion_log_odds", "gaussian_q",
-    "golden_section", "grid_search", "log_odds", "minimize_fusion_belief",
+    "grid_search", "log_odds", "minimize_fusion_belief",
     "optimal_belief_sweep", "optimal_exponent", "pbpo", "pbpo_exact", "phase_map",
     "pinned_fusion_errors", "prelec", "prelec_risk_gap", "simulate",
     "stationarity_residual", "threshold_from_belief", "threshold_from_log_odds",
@@ -93,7 +93,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     names = sorted(name for name in dir(starfuse) if not name.startswith("_")
                    and not isinstance(getattr(starfuse, name), types.ModuleType))
-    assert len(PUBLIC_API) == 50
+    assert len(PUBLIC_API) == 48
     assert names == PUBLIC_API
 
 
@@ -118,3 +118,44 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+_WRITE_METHODS = {"write", "writelines", "writerow", "writerows", "write_text", "write_bytes"}
+
+
+def _output_sites(source):
+    """Names of the top-level definitions in ``source`` that print, open a
+    file in any mode but a literal read-only one, or call a write method."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                writes = func.attr in _WRITE_METHODS
+            elif isinstance(func, ast.Name) and func.id == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                              and not set(mode.value) & set("wax+"))
+            else:
+                writes = isinstance(func, ast.Name) and func.id == "print"
+            if writes:
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_output_sites_seen():
+    source = ("def a(p):\n    open(p).read()\n"
+              "def b(p):\n    open(p, mode='a').close()\n"
+              "def c(p, m):\n    open(p, m)\n"
+              "def d(w):\n    w.writerows([])\n"
+              "def e():\n    print()\n")
+    assert _output_sites(source) == {"b", "c", "d", "e"}
+
+
+def test_only_cli_main_prints_or_writes():
+    """The CLI has one output path: its commands return their lines and
+    files, and ``main`` alone prints and writes them."""
+    assert _output_sites((ROOT / "src" / "starfuse" / "cli.py").read_text()) == {"main"}

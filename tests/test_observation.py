@@ -10,9 +10,9 @@ from starfuse import (
     BELIEF_EPS,
     CostPair,
     ObservationModel,
-    belief_from_threshold,
     clamp_belief,
     error_probs,
+    from_log_odds,
     gaussian_q,
     threshold_from_belief,
 )
@@ -65,7 +65,9 @@ class TestThresholdFromBelief:
         model = ObservationModel(sigma=1.7)
         for q in (0.1, 0.31, 0.5, 0.87):
             lam = threshold_from_belief(model, costs, q)
-            assert belief_from_threshold(model, costs, lam) == pytest.approx(q, rel=1e-12)
+            # threshold_from_belief inverted in closed form
+            belief = from_log_odds((lam - 0.5) / model.variance_proxy - costs.log_ratio)
+            assert belief == pytest.approx(q, rel=1e-12)
 
     def test_clamping_is_uniform(self, std_model, equal_costs):
         near_zero = threshold_from_belief(std_model, equal_costs, 1e-15)

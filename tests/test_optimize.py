@@ -15,7 +15,7 @@ from starfuse import (
     SweepPoint,
     batch_risk,
     exact_risk,
-    golden_section,
+    from_log_odds,
     grid_search,
     log_odds,
     optimal_belief_sweep,
@@ -27,6 +27,7 @@ from starfuse import (
 from starfuse.observation import check_prior
 from starfuse.optimize import (
     GRID_HI,
+    golden_section,
     _axis,
     _RiskEvaluator,
     exact_coordinate_update,
@@ -540,9 +541,9 @@ def _q_inv(p):
 
 
 def _belief_for_threshold(cfg, lam):
-    from starfuse import belief_from_threshold
-
-    return min(max(belief_from_threshold(cfg.model, cfg.costs, lam), 1e-9), 1 - 1e-9)
+    """The belief whose threshold is ``lam``: ``threshold_from_belief`` inverted."""
+    ell = (lam - 0.5) / cfg.model.variance_proxy - cfg.costs.log_ratio
+    return min(max(float(from_log_odds(ell)), 1e-9), 1 - 1e-9)
 
 
 class TestGoldenSection:
