@@ -110,8 +110,11 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
     log(z1 * z2**t0) and log(z1 * z2**t1) pick the region. Points within
     ``BOUNDARY_TOL`` of a sign change are reported as BOUNDARY rather than
     forced into a region. ``limit_risk`` is filled when the true prior is
-    supplied (None on a boundary). ``z1`` is inf where it overflows a double.
+    supplied (None on a boundary); a supplied prior is checked first, on a
+    boundary too. ``z1`` is inf where it overflows a double.
     """
+    if pi0 is not None:
+        check_prior(pi0)
     t0, t1 = decision_tails(model, threshold_from_belief(model, costs, q1))[:2]
     log_z1, log_z2 = _fusion_log_factors(model, costs, q0)
     g0 = log_z1 + t0 * log_z2
@@ -120,7 +123,6 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
 
     limit_risk = None
     if pi0 is not None and region is not PhaseRegion.BOUNDARY:
-        check_prior(pi0)
         limit_risk = {
             PhaseRegion.RISK_VANISHES: 0.0,
             PhaseRegion.FALSE_ALARM_FLOOR: costs.c_fa * pi0,

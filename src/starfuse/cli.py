@@ -175,9 +175,7 @@ def cmd_pbpo(args) -> Output:
     settings = OptimizerSettings(step=args.delta, eps=args.eps,
                                  max_iters=args.max_iters, restarts=args.restarts)
     init = None if args.random_init else \
-        _parse_floats(args.init) if args.init else (0.5,) * (args.n_local + 1)
-    if init is not None and len(init) != args.n_local + 1:
-        raise ValueError(f"--init needs {args.n_local + 1} beliefs (fusion first)")
+        _parse_floats(args.init) if args.init is not None else (0.5,) * (args.n_local + 1)
     runner = pbpo_exact if args.exact else pbpo
     result = runner(template, settings, init=init, seed=args.seed)
     header = ["sweep", "q0"] + [f"q{i}" for i in range(1, args.n_local + 1)] + ["risk"]
@@ -280,8 +278,7 @@ def cmd_exponent(args) -> Output:
         if args.q0 is None or args.q1 is None or args.pi0 is None:
             raise ValueError("--estimate needs --pi0, --q0 and --q1")
         n_list = [int(round(v)) for v in _parse_range(args.n)]
-        beta_hat, fit = estimate_exponent(args.pi0, costs, model, args.q0, args.q1,
-                                          n_list, trials=args.trials, seed=args.seed)
+        beta_hat, fit = estimate_exponent(args.pi0, costs, model, args.q0, args.q1, n_list)
         return Output([f"beta_hat={beta_hat:.10g} r_squared={fit.r_squared:.10g} "
                        f"region={fit.region.value} truncated={fit.truncated}"],
                       _csv(args.csv, ["n", "risk", "excess"],
@@ -347,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=5e-4, help="coordinate step size")
     p.add_argument("--eps", type=float, default=1e-4, help="stopping threshold")
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--init", help="comma-separated beliefs, fusion agent first "
-                                  "(default: all 0.5)")
-    p.add_argument("--random-init", action="store_true",
-                   help="seeded uniform-random restarts instead of --init")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--init", help="comma-separated beliefs, fusion agent first "
+                                      "(default: all 0.5)")
+    start.add_argument("--random-init", action="store_true",
+                       help="seeded uniform-random restarts instead of --init")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=1729)
     p.add_argument("--trace", action="store_true", help="emit per-sweep rows to --csv")
@@ -375,17 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 3 when the point is classified as boundary")
     _add_model_args(p, cmd_phase)
 
-    p = sub.add_parser("exponent", help="optimal risk exponent / empirical decay fit")
+    p = sub.add_parser("exponent", help="optimal risk exponent / exact decay fit")
     p.add_argument("--estimate", action="store_true",
-                   help="fit the decay of the excess risk over network sizes")
+                   help="fit the decay of the exact excess risk over network sizes up to 2000")
     p.add_argument("--pi0", type=float)
     p.add_argument("--q0", type=float)
     p.add_argument("--q1", type=float)
     p.add_argument("--n", default="5:60:5", help="network sizes start:stop:step")
-    p.add_argument("--trials", type=int, default=200_000,
-                   help="simulated trials per size; only sizes above 2000 are simulated")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the first simulated size; only sizes above 2000 are simulated")
     p.add_argument("--curve-csv", help="write the per-threshold objective curve here")
     p.add_argument("--lam-range", default="-3:4:0.001")
     _add_model_args(p, cmd_exponent)

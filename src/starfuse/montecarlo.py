@@ -1,5 +1,6 @@
-"""Stochastic oracle: forward simulation of the network and an empirical
-estimate of how fast the fusion risk approaches its many-agent limit.
+"""Forward simulation of the network, the stochastic oracle; and a log-linear
+fit of exact risks that measures how fast the fusion risk approaches its
+many-agent limit.
 
 ``simulate`` counts its trials on every usable CPU. The trial range is cut
 into one contiguous slice per worker; each worker keys its own Philox
@@ -248,34 +249,34 @@ class ExponentFit:
 
 
 def estimate_exponent(pi0: float, costs: CostPair, model: ObservationModel,
-                      q0: float, q1: float, n_list, trials: int = 200_000,
-                      seed: int = 0, exact_max_n: int = 2000) -> tuple[float, ExponentFit]:
+                      q0: float, q1: float, n_list,
+                      exact_max_n: int = 2000) -> tuple[float, ExponentFit]:
     """Decay rate of the excess fusion risk in the number of local agents.
 
-    Identical tied beliefs throughout. Risks are exact for sizes up to
-    ``exact_max_n``, all from one ``network.tied_exact_risks`` call: one
-    count-DP fold up to the largest of them, each equal to ``exact_risk``'s
-    r0 at its size (a fold to 2000 agents takes about 15 ms on x86-64).
-    Larger sizes are simulated, ``trials`` trials each, size ``i`` of
-    ``n_list`` seeded with ``seed + i``. The distance to the classified
-    limit is fit log-linearly against the size by least squares; once that
-    distance collapses to floating-point resolution the remaining sizes are
-    dropped and the fit is flagged as truncated (fewer than 3 left:
-    ``FloatingPointError``). Returns (slope, diagnostics).
+    Identical tied beliefs throughout. Every risk is exact, all from one
+    ``network.tied_exact_risks`` call: one count-DP fold up to the largest
+    size, each risk equal to ``exact_risk``'s r0 at its size (a fold to 2000
+    agents takes about 15 ms on x86-64). ``exact_max_n`` bounds the ladder: a
+    size above it raises ``ValueError`` naming the bound, before any fold.
+    The bound keeps the O(N^2) fold and its fusion-error table small; a tied
+    log-space kernel and a benchmark that no longer passes the parameter
+    (ROADMAP items 2 and 4) let it be lifted and the parameter deleted. The
+    distance to the classified limit is fit log-linearly against the size by
+    least squares; once that distance collapses to floating-point resolution
+    the remaining sizes are dropped and the fit is flagged as truncated
+    (fewer than 3 left: ``FloatingPointError``). Returns (slope, diagnostics).
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
         raise ValueError("n_list must hold at least 3 strictly increasing sizes >= 1")
+    if n_list[-1] > exact_max_n:
+        raise ValueError(f"size {n_list[-1]} is above exact_max_n={exact_max_n}, "
+                         f"the largest size of an exact ladder")
     cls = classify_phase(model, costs, q0, q1, pi0)
     if cls.region is PhaseRegion.BOUNDARY:
         raise ValueError("beliefs sit on a phase-region boundary; the limit is undefined")
     limit = cls.limit_risk
-
-    exact = [n for n in n_list if n <= exact_max_n]
-    risks = tied_exact_risks(pi0, costs, model, q0, q1, exact)
-    for idx, n in enumerate(n_list[len(exact):], len(exact)):
-        config = NetworkConfig(pi0, costs, model, q0, (q1,) * n)
-        risks.append(simulate(SimulationSpec(config, trials, seed + idx)).empirical_risk)
+    risks = tied_exact_risks(pi0, costs, model, q0, q1, n_list)
 
     residuals = [abs(r - limit) for r in risks]
     floor = 64.0 * np.finfo(float).eps * max(1.0, limit, max(risks))

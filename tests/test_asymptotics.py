@@ -90,6 +90,11 @@ class TestClassifyPhase:
         assert cls.region is PhaseRegion.BOUNDARY
         assert cls.limit_risk is None
 
+    @pytest.mark.parametrize("pi0", [1.5, math.nan, 0.0])
+    def test_prior_checked_on_a_boundary_too(self, std_model, equal_costs, pi0):
+        with pytest.raises(ValueError, match=f"pi0={pi0!r} is degenerate"):
+            classify_phase(std_model, equal_costs, 0.6247676238784021, 0.5, pi0=pi0)
+
     def test_risk_trend_matches_classification(self, std_model, equal_costs):
         """Finite-network risks move monotonically toward the classified
         limit, one config per region."""

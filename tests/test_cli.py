@@ -611,3 +611,67 @@ def test_unwritable_second_file_keeps_the_first(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert kept.read_text() == "old contents\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--n", "5:60"],
+    ["grid", "--contour", "--pi0", "0.3", "--q0", "0.5", "--n-local", "3"],
+    ["grid"],
+    ["prelec", "--input", "{header_only}"],
+    ["phase"],
+    ["exponent", "--estimate", "--q0", "0.5", "--q1", "0.5"],
+    ["grid", "--pi0", "0.3", "--n-local", "0"],
+    ["pbpo", "--pi0", "0.3", "--delta", "0"],
+    ["pbpo", "--pi0", "0.3", "--eps", "0"],
+    ["pbpo", "--pi0", "0.3", "--max-iters", "0"],
+    ["pbpo", "--pi0", "0.3", "--restarts", "0"],
+    ["pbpo", "--pi0", "0.3", "--init", ""],
+    ["grid", "--pi0", "0.3", "--grid-resolution", "0.5"],
+    ["phase", "--q0", "0.6247676238784019", "--q1", "0.5", "--pi0", "1.5"],
+    ["phase", "--q0", "0.6247676238784019", "--q1", "0.5", "--pi0", "nan"],
+    ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.6", "--q1", "0.5",
+     "--n", "1000:3000:500"],
+], ids=["range-without-step", "contour-n-local", "grid-no-prior", "prelec-header-only",
+        "phase-no-point", "estimate-no-prior", "grid-no-locals", "pbpo-delta", "pbpo-eps",
+        "pbpo-max-iters", "pbpo-restarts", "pbpo-empty-init", "grid-resolution",
+        "phase-boundary-prior", "phase-boundary-nan-prior", "estimate-beyond-exact-bound"])
+def test_invalid_arguments_exit_two(capsys, tmp_path, argv):
+    """A bad argument exits 2 with one error line, nothing on stdout and no
+    --csv file."""
+    header_only = tmp_path / "sweep.csv"
+    header_only.write_text("pi0,q0_opt,q1_opt,risk_opt\n")
+    path = tmp_path / "out.csv"
+    argv = [a.format(header_only=header_only) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--csv", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pbpo", "--pi0", "0.3", "--init", "0.9,0.9,0.9", "--random-init", "--restarts", "2",
+     "--max-iters", "5"],
+    ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--trials", "5"],
+    ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--seed", "5"],
+], ids=["pbpo-init-and-random-init", "exponent-trials", "exponent-seed"])
+def test_rejected_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# At resolution 0.01 an untied search would end off the tied optimum.
+@pytest.mark.parametrize("extra", [[], ["--grid-resolution", "0.01"]], ids=["default", "0.01"])
+def test_sweep_ties_locals_with_or_without_the_flag(capsys, tmp_path, extra):
+    """``optimal_belief_sweep`` always searches tied locals, so
+    ``--tie-locals`` does not change a prior sweep."""
+    plain, tied = tmp_path / "plain.csv", tmp_path / "tied.csv"
+    sweep = ["grid", "--sweep-pi0", "0.2:0.4:0.1", *extra]
+    code, out_plain, _ = run_cli(capsys, *sweep, "--csv", str(plain))
+    assert code == 0
+    code, out_tied, _ = run_cli(capsys, *sweep, "--tie-locals", "--csv", str(tied))
+    assert code == 0
+    assert out_plain == out_tied
+    assert plain.read_bytes() == tied.read_bytes()

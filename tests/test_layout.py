@@ -159,3 +159,97 @@ def test_only_cli_main_prints_or_writes():
     """The CLI has one output path: its commands return their lines and
     files, and ``main`` alone prints and writes them."""
     assert _output_sites((ROOT / "src" / "starfuse" / "cli.py").read_text()) == {"main"}
+
+
+def _dest(call):
+    """The ``args`` attribute an ``add_argument`` call of a flag fills."""
+    for keyword in call.keywords:
+        if keyword.arg == "dest":
+            return keyword.value.value
+    names = [arg.value for arg in call.args if isinstance(arg, ast.Constant)]
+    return next((n for n in names if n.startswith("--")), names[0]).lstrip("-").replace("-", "_")
+
+
+def _unread_flags(source):
+    """(subcommand, flag) of every flag that ``build_parser`` in ``source``
+    gives a subcommand and that no code reads as ``args.<flag>``: neither the
+    ``cmd_*`` that runs the subcommand nor a function it passes ``args`` to.
+
+    In ``build_parser`` a subcommand starts at ``... = sub.add_parser(name)``;
+    its flags are the ``add_argument`` calls of the statements that follow,
+    and those of a module function such a statement calls. Its runner is the
+    ``cmd_*`` function named in those statements."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def calls(node, method):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute) and c.func.attr == method]
+
+    def reads(name, param, seen):
+        """Attributes that function ``name`` reads of its parameter ``param``,
+        itself or through the functions it passes ``param`` to."""
+        if (name, param) in seen:
+            return set()
+        seen.add((name, param))
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == param:
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in funcs:
+                for idx, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Name) and arg.id == param:
+                        callee = funcs[node.func.id].args.args[idx].arg
+                        found |= reads(node.func.id, callee, seen)
+        return found
+
+    commands = {}  # name -> [flags, runner]
+    current = None
+    for stmt in funcs["build_parser"].body:
+        started = calls(stmt, "add_parser")
+        if started:
+            current = commands.setdefault(started[0].args[0].value, [[], None])
+        if current is None:
+            continue
+        current[0] += [_dest(c) for c in calls(stmt, "add_argument")]
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id in funcs:
+                if node.id.startswith("cmd_"):
+                    current[1] = node.id
+                else:
+                    current[0] += [_dest(c) for c in calls(funcs[node.id], "add_argument")]
+    unread = []
+    for command, (flags, runner) in commands.items():
+        param = funcs[runner].args.args[0].arg
+        known = reads(runner, param, set())
+        unread += [(command, flag) for flag in flags if flag not in known]
+    return unread
+
+
+def test_unread_flags_seen():
+    source = ("def _shared(p, func):\n"
+              "    p.set_defaults(func=func)\n"
+              "    p.add_argument('--sigma')\n"
+              "    p.add_argument('--out-file', dest='target')\n"
+              "def _model(a):\n    return a.sigma\n"
+              "def cmd_a(args):\n    return _model(args), args.n_local\n"
+              "def cmd_b(args):\n    return args.target\n"
+              "def build_parser():\n"
+              "    sub = object()\n"
+              "    p = sub.add_parser('a')\n"
+              "    p.add_argument('--n-local')\n"
+              "    group = p.add_mutually_exclusive_group()\n"
+              "    group.add_argument('-t', '--trials')\n"
+              "    _shared(p, cmd_a)\n"
+              "    p = sub.add_parser('b')\n"
+              "    p.add_argument('--seed')\n"
+              "    _shared(p, cmd_b)\n")
+    assert _unread_flags(source) == [("a", "trials"), ("a", "target"), ("b", "seed"),
+                                     ("b", "sigma")]
+
+
+def test_every_cli_flag_is_read():
+    """A flag that no command reads does nothing, so the parser offers none."""
+    assert _unread_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []

@@ -75,19 +75,13 @@ def _inverse_cdf_counts(spec, chunk_size):
     return fa, md, h1
 
 
-def _per_size_estimate(pi0, costs, model, q0, q1, n_list, trials=200_000, seed=0, exact_max_n=2000):
+def _per_size_estimate(pi0, costs, model, q0, q1, n_list):
     """``estimate_exponent`` with one ``NetworkConfig`` and one ``exact_risk``
-    per exact size, as it was before one fold served the whole ladder."""
+    per size, as it was before one fold served the whole ladder."""
     n_list = [int(n) for n in n_list]
     cls = classify_phase(model, costs, q0, q1, pi0)
     limit = cls.limit_risk
-    risks = []
-    for idx, n in enumerate(n_list):
-        config = NetworkConfig(pi0, costs, model, q0, (q1,) * n)
-        if n <= exact_max_n:
-            risks.append(exact_risk(config).r0)
-        else:
-            risks.append(simulate(SimulationSpec(config, trials, seed + idx)).empirical_risk)
+    risks = [exact_risk(NetworkConfig(pi0, costs, model, q0, (q1,) * n)).r0 for n in n_list]
     residuals = [abs(r - limit) for r in risks]
     floor = 64.0 * np.finfo(float).eps * max(1.0, limit, max(risks))
     keep = next((idx for idx, res in enumerate(residuals) if res <= floor), len(residuals))
@@ -371,13 +365,11 @@ class TestEstimateExponent:
         (0.3, 0.7, 0.5, 1.0, 1.0, range(50, 601, 50), 2000),
         (0.3, 0.9, 0.3, 1.0, 1.0, (5, 10, 15, 20, 60, 80), 2000),  # truncated
         (0.45, 0.4, 0.55, 0.7, 2.0, (1, 2, 3, 7, 30, 31, 400), 2000),
-        (0.3, 0.5, 0.5, 1.0, 1.0, (5, 10, 15, 20), 12),  # two simulated sizes
     ])
     def test_equals_per_size_loop(self, pi0, q0, q1, sigma, c_fa, n_list, exact_max_n):
         """Every ExponentFit field equals that of one exact_risk per size."""
         args = (pi0, CostPair(c_fa, 1.0), ObservationModel(sigma=sigma), q0, q1, n_list)
-        kwargs = dict(trials=20_000, seed=3, exact_max_n=exact_max_n)
-        assert estimate_exponent(*args, **kwargs) == _per_size_estimate(*args, **kwargs)
+        assert estimate_exponent(*args, exact_max_n=exact_max_n) == _per_size_estimate(*args)
 
     @pytest.mark.parametrize("pi0, q0, q1, message", [
         (1.0, 0.5, 0.5, "pi0=1.0 is degenerate: the prior must lie strictly inside (0, 1)"),
@@ -392,11 +384,23 @@ class TestEstimateExponent:
             estimate_exponent(pi0, equal_costs, std_model, q0, q1, (5, 10, 15))
         assert str(got.value) == message
 
-    def test_simulation_fallback_used_beyond_exact_cap(self, std_model, equal_costs):
-        beta_hat, fit = estimate_exponent(0.3, equal_costs, std_model, 0.5, 0.5,
-                                          n_list=(5, 10, 15, 20), trials=50_000,
-                                          seed=5, exact_max_n=12)
-        assert beta_hat > 0.0
-        exact_part, _ = estimate_exponent(0.3, equal_costs, std_model, 0.5, 0.5,
-                                          n_list=(5, 10, 15, 20))
-        assert beta_hat == pytest.approx(exact_part, abs=0.05)
+    def test_ladder_beyond_exact_bound_refused_before_any_fold(self, std_model, equal_costs):
+        """A size above ``exact_max_n`` is refused, naming the bound; raising
+        the bound makes the same ladder exact to its last size."""
+        ladder = range(1000, 3001, 500)
+        with mock.patch.object(montecarlo, "tied_exact_risks",
+                               side_effect=AssertionError("folded")):
+            with pytest.raises(ValueError, match="exact_max_n=2000"):
+                estimate_exponent(0.3, equal_costs, std_model, 0.6, 0.5, ladder)
+        with pytest.raises(ValueError, match="exact_max_n=12"):
+            estimate_exponent(0.3, equal_costs, std_model, 0.5, 0.5, (5, 10, 15, 20),
+                              exact_max_n=12)
+        beta_hat, fit = estimate_exponent(0.3, equal_costs, std_model, 0.6, 0.5, ladder,
+                                          exact_max_n=3000)
+        assert beta_hat == pytest.approx(0.003352023905, rel=1e-9)
+        assert fit.n_used == tuple(ladder) and not fit.truncated
+
+    def test_trials_and_seed_are_gone(self, std_model, equal_costs):
+        for knob in ("trials", "seed"):
+            with pytest.raises(TypeError):
+                estimate_exponent(0.3, equal_costs, std_model, 0.5, 0.5, (5, 10, 15), **{knob: 1})

@@ -148,6 +148,11 @@ class TestBeliefUpdate:
         updated = [update_belief_count(_config(q0=q, q_local=(0.5,)), 0) for q in grid]
         assert all(d > 0 for d in np.diff(updated))
 
+    @pytest.mark.parametrize("k, n", [(3, None), (-1, None), (2, 1), (0, -1)])
+    def test_count_out_of_range_rejected(self, k, n):
+        with pytest.raises(ValueError, match="out of range"):
+            fusion_log_odds(_config(), k, n)
+
 
 class TestFusionDecide:
     def test_saturated_belief_forces_zero(self):
