@@ -64,8 +64,8 @@ BOUNDARY_TOL = 1e-12
 _LOG_MAX = math.log(np.finfo(float).max)  # above it, math.exp overflows
 
 # Regions by the index ``_region_of`` gives a sign pattern.
-_REGIONS = np.array([PhaseRegion.RISK_VANISHES, PhaseRegion.FALSE_ALARM_FLOOR,
-                     PhaseRegion.MISSED_DETECTION_FLOOR, PhaseRegion.BOUNDARY], dtype=object)
+_REGIONS = np.array((PhaseRegion.RISK_VANISHES, PhaseRegion.FALSE_ALARM_FLOOR,
+                     PhaseRegion.MISSED_DETECTION_FLOOR, PhaseRegion.BOUNDARY), dtype=object)
 
 
 def _region_of(g0, g1):

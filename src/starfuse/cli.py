@@ -126,7 +126,7 @@ def cmd_risk(args) -> Output:
     if not math.isfinite(report.r0):
         raise FloatingPointError(f"risk is not finite (R0={report.r0!r}) at sigma={args.sigma!r}: "
                                  f"its fusion log factors or thresholds are not finite")
-    lines = [f"R0={report.r0:.4f}", f"p_fa0={report.p_fa0:.10g} p_md0={report.p_md0:.10g}"]
+    lines = [f"R0={report.r0:.10g}", f"p_fa0={report.p_fa0:.10g} p_md0={report.p_md0:.10g}"]
     lines += [f"k={k} updated_belief={b:.10g} fusion_threshold={t:.10g}"
               for k, b, t in report.per_count]
     return Output(lines, _csv(
@@ -295,8 +295,8 @@ def cmd_exponent(args) -> Output:
                                "q_star", "variance_proxy"],
                     [(report.lambda_star, report.s_star, report.beta_star, report.fa_at_opt,
                       report.md_at_opt, report.q_star, report.variance_proxy)])}
-    return Output([f"lambda_star={report.lambda_star:.4f} s_star={report.s_star:.4f} "
-                   f"beta_star={report.beta_star:.4f} q_star={report.q_star:.4f}"], files)
+    return Output([f"lambda_star={report.lambda_star:.10g} s_star={report.s_star:.10g} "
+                   f"beta_star={report.beta_star:.10g} q_star={report.q_star:.10g}"], files)
 
 
 def cmd_simulate(args) -> Output:

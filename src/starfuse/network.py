@@ -10,9 +10,12 @@ fusion log factors of ``observation``: a count-distribution dynamic program
 oracle). The dynamic program is one loop, ``_fold_agents``, which can
 continue a fold, on helpers that take any leading shape: ``exact_risk``
 runs it for one network and ``fusion_error_rates`` for every pairing of
-many fusion beliefs with many rows of local beliefs, building the count pmf
-once per local row (tied rows from one rate column each) and the per-count
-fusion errors once per fusion belief. ``tied_exact_risks`` folds one tied
+many fusion beliefs with many rows of local beliefs. That is two steps: a
+``fusion_error_table`` of per-count fusion errors, once per fusion belief,
+which depends on no local belief, and ``mix_fusion_table``, which builds
+the count pmf once per local row (tied rows from one rate column each) and
+mixes it with the table, so a caller can keep a table for many rows.
+``tied_exact_risks`` folds one tied
 local's rates on up to each size of an increasing ladder in turn, so every
 size's ``exact_risk`` r0 comes from one fold of the largest. The true
 prior enters only the final weighting, ``bayes_risk``, so those fusion error
@@ -293,6 +296,64 @@ def _belief_log_odds(q: np.ndarray) -> np.ndarray:
     return np.log(q) - np.log1p(-q)  # np.log over rows, log_odds per belief in _local_rates
 
 
+def fusion_error_table(model: ObservationModel, costs: CostPair, q0, n: int):
+    """Per-count fusion (false-alarm, missed-detection) probabilities of the
+    fusion beliefs ``q0`` at ``n`` local decisions: a pair of arrays of shape
+    ``(len(q0), n + 1)``, entry ``[i, k]`` after ``k`` ones. Neither the prior
+    nor any local belief enters the table, so one table serves every prior
+    and every row of local beliefs that ``mix_fusion_table`` mixes it with.
+    Every fusion belief must be finite and strictly inside (0, 1), as
+    ``clamp_belief`` requires.
+    """
+    ell0 = _belief_log_odds(np.atleast_1d(np.asarray(q0, dtype=float)))
+    return _fusion_count_errors(model, costs, ell0, n)[:2]
+
+
+def mix_fusion_table(model: ObservationModel, costs: CostPair, blocks):
+    """Fusion (false-alarm, missed-detection) probabilities of blocks of
+    ``fusion_error_table`` tables against rows of local beliefs; no prior
+    enters them.
+
+    ``blocks`` is a non-empty sequence of ``(table, q_local)`` pairs: a table
+    of fusion beliefs at N local decisions and an array with one row of N
+    local beliefs per network, the same N in every block. Yields one
+    ``(p_fa0, p_md0)`` pair of arrays per block, in order, each of shape
+    ``(fusion beliefs, len(q_local))``; entry ``[i, j]`` pairs the table's
+    fusion belief ``i`` with local row ``j``, and ``bayes_risk`` of the pair
+    at any prior is its risk there. Every local belief must be finite and
+    strictly inside (0, 1), as ``clamp_belief`` requires, and a row whose
+    width is not the table's N raises ``ValueError``.
+
+    The count pmfs of every block's rows come from one
+    ``_poisson_binomial_pmf`` call, on the first request; each block is then
+    mixed on its own when it is yielded, one product of (fusion beliefs,
+    rows, counts) summed over the counts, so only one block's rates are held
+    at a time. A block's values do not depend on the blocks beside it. When
+    every block's rows are an ``np.broadcast_to`` view of one belief per row
+    (zero stride along the agents, as tied grid stages pass them), each
+    row's rates are formed once and folded in for every agent, with the same
+    values as for the rows written out.
+    """
+    tables = [table for table, _ in blocks]
+    rows = [np.atleast_2d(np.asarray(beliefs, dtype=float)) for _, beliefs in blocks]
+    for (fa, _), r in zip(tables, rows):
+        if r.shape[1] != fa.shape[-1] - 1:
+            raise ValueError(f"expected {fa.shape[-1] - 1} local belief columns, got {r.shape[1]}")
+    n = rows[0].shape[1]
+    # Rows with a zero stride along the agents hold one belief each: one rate
+    # column per row, folded in for every agent.
+    tied = n > 1 and not any(r.strides[1] for r in rows)
+    local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
+    p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
+    if tied:
+        p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
+    pmf = _poisson_binomial_pmf(p_cols, q_cols)
+    j = np.cumsum([0] + [len(b) for b in rows]).tolist()
+    for (fa, md), j0, j1 in zip(tables, j, j[1:]):
+        yield (np.sum(pmf[0, j0:j1] * fa[:, None], axis=-1),
+               np.sum(pmf[1, j0:j1] * md[:, None], axis=-1))
+
+
 def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     """Fusion (false-alarm, missed-detection) probabilities of blocks of
     fusion beliefs against rows of local beliefs; no prior enters them.
@@ -306,37 +367,17 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     prior is its risk there. Every belief must be finite and strictly inside
     (0, 1), as ``clamp_belief`` requires.
 
-    The per-count fusion errors of every block's fusion beliefs come from one
-    ``_fusion_count_errors`` call and the count pmfs of every block's rows
-    from one ``_poisson_binomial_pmf`` call, on the first request; each block
-    is then mixed on its own when it is yielded, one product of (fusion
-    beliefs, rows, counts) summed over the counts, so only one block's rates
-    are held at a time. A block's values do not depend on the blocks beside
-    it. Callers bound the size of the tables: ``batch_risk`` by
-    ``BATCH_CHUNK_ROWS`` pairs per call. When every block's rows are an
-    ``np.broadcast_to`` view of one belief per row (zero stride along the
-    agents, as tied grid stages pass them), each row's rates are formed
-    once and folded in for every agent, with the same values as for the
-    rows written out.
+    One ``fusion_error_table`` of every block's fusion beliefs, mixed by one
+    ``mix_fusion_table`` call with each block's rows, on the first request.
+    Callers bound the size of the tables: ``batch_risk`` by
+    ``BATCH_CHUNK_ROWS`` pairs per call.
     """
     q0 = [np.atleast_1d(np.asarray(beliefs, dtype=float)) for beliefs, _ in blocks]
     rows = [np.atleast_2d(np.asarray(beliefs, dtype=float)) for _, beliefs in blocks]
-    ell0 = _belief_log_odds(np.concatenate(q0))
-    n = rows[0].shape[1]
-    # Rows with a zero stride along the agents hold one belief each: one rate
-    # column per row, folded in for every agent.
-    tied = n > 1 and not any(r.strides[1] for r in rows)
-    local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
-    p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
-    if tied:
-        p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
-    fa, md = _fusion_count_errors(model, costs, ell0, n)[:2]  # nothing more held while mixing
-    pmf = _poisson_binomial_pmf(p_cols, q_cols)
+    fa, md = fusion_error_table(model, costs, np.concatenate(q0), rows[0].shape[1])
     i = np.cumsum([0] + [len(b) for b in q0]).tolist()
-    j = np.cumsum([0] + [len(b) for b in rows]).tolist()
-    for i0, i1, j0, j1 in zip(i, i[1:], j, j[1:]):
-        yield (np.sum(pmf[0, j0:j1] * fa[i0:i1, None], axis=-1),
-               np.sum(pmf[1, j0:j1] * md[i0:i1, None], axis=-1))
+    yield from mix_fusion_table(model, costs, [((fa[i0:i1], md[i0:i1]), r)
+                                               for i0, i1, r in zip(i, i[1:], rows)])
 
 
 def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:

@@ -13,17 +13,25 @@ weight them with ``bayes_risk``: the true prior enters only that final
 weighting, so ``optimal_belief_sweep`` builds the coarse grid's tables once
 for every prior, and each finer stage builds many priors' windows in one
 call; ``grid_search`` is the one-prior case of the same stage loop.
-Bracketing scans call ``batch_risk``. The loops that move one belief at a
-time use ``_RiskEvaluator``, a pure-Python scalar copy of the same formula,
-built once per descent run or line search, that memoizes per-belief tails;
+The loops that move one belief at a time use ``_RiskEvaluator``, a
+pure-Python scalar copy of the same formula that memoizes per-belief tails;
 tests pin it to ``exact_risk``. It exposes the formula's two steps, folding
 one local into the count pmfs and mixing the pmfs with a fusion belief's
 per-count errors, so each loop redoes only what a probe changes:
 
-- ``pbpo`` keeps the prefix count pmfs of the current tuple. A fusion probe
-  is one O(N) mix; a probe of local i refolds locals i..N only.
-- ``minimize_fusion_belief`` folds its fixed locals once per call; each
-  golden-section probe is one mix.
+- ``pbpo`` keeps the prefix count pmfs of the current tuple, with one
+  evaluator per run. A fusion probe is one O(N) mix; a probe of local i
+  refolds locals i..N only.
+- ``FusionLineSearch`` is the fusion-belief line search, built once per
+  public call that searches: its bracketing scan's fusion error table
+  (``network.fusion_error_table``, which depends only on sigma, the costs
+  and N) and one evaluator memo serve every search of that call. A search
+  mixes the table with its locals' count pmfs (``network.mix_fusion_table``,
+  the risks ``batch_risk`` gives), folds its fixed locals once and makes
+  each golden-section probe one mix. ``minimize_fusion_belief`` is a
+  one-shot search; ``pbpo_exact`` shares one search across all its sweeps
+  and restarts, and ``prospect.prelec_risk_gap`` one table across its
+  priors. Nothing outlives the public call.
 - ``pbpo_exact`` updates every local of a sweep from one
   ``network.pinned_fusion_sweep``, O(N^2) per sweep.
 
@@ -32,6 +40,7 @@ Each gives the same doubles as recomputing the risk from scratch, which
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +54,8 @@ from .network import (
     bayes_risk,
     exact_risk,
     fusion_error_rates,
+    fusion_error_table,
+    mix_fusion_table,
     pinned_fusion_errors,
     pinned_fusion_sweep,
 )
@@ -212,13 +223,17 @@ def _risk_not_finite(q0: float, sigma: float) -> FloatingPointError:
     return FloatingPointError(f"fusion belief q0={q0!r} at sigma={sigma!r}: its risk is not finite")
 
 
+def _finite_rows(risks: np.ndarray, q0, sigma: float) -> np.ndarray:
+    """``risks``, one row per fusion belief of ``q0``, raising
+    ``FloatingPointError`` at the first row that is not finite."""
+    if not np.isfinite(risks).all():
+        raise _risk_not_finite(float(q0[np.argmin(np.isfinite(risks).all(axis=1))]), sigma)
+    return risks
+
+
 def checked_risks(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     """``batch_risk``, raising ``FloatingPointError`` at the first non-finite risk row."""
-    risks = batch_risk(template, q0, q_local)
-    if not np.isfinite(risks).all():
-        first = float(q0[np.argmin(np.isfinite(risks).all(axis=1))])
-        raise _risk_not_finite(first, template.model.sigma)
-    return risks
+    return _finite_rows(batch_risk(template, q0, q_local), q0, template.model.sigma)
 
 
 def _expand(row: np.ndarray, tie: bool, n_local: int) -> tuple[float, ...]:
@@ -383,25 +398,59 @@ def golden_section(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+class FusionLineSearch:
+    """``minimize_fusion_belief`` for one template, with the state that does
+    not depend on the locals built once and shared by every search.
+
+    The bracketing scan's per-count fusion errors depend only on sigma, the
+    costs and N, so they form one ``network.fusion_error_table`` of the scan
+    grid; a search mixes it with its locals' count pmfs. The golden-section
+    probes go through one ``_RiskEvaluator``, ``evaluator``, whose memo of
+    per-belief tails every search shares. Not exported: each public call
+    that searches builds its own, so nothing outlives that call.
+    """
+
+    def __init__(self, template: NetworkTemplate, table=None):
+        self.template = template
+        self.scan = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
+        self.table = table if table is not None else fusion_error_table(
+            template.model, template.costs, self.scan, template.n_local)
+        self.evaluator = _RiskEvaluator(template)
+
+    def at_prior(self, pi0: float) -> "FusionLineSearch":
+        """The search of the same network at true prior ``pi0``: the prior
+        enters only the risk weights, so it shares this search's scan table
+        and builds an evaluator of its own."""
+        return FusionLineSearch(dataclasses.replace(self.template, pi0=pi0), self.table)
+
+    def __call__(self, q_local, tol: float = 1e-6) -> float:
+        q_local = tuple(q_local)
+        template = self.template
+        [rates] = mix_fusion_table(template.model, template.costs, [(self.table, [q_local])])
+        risks = _finite_rows(bayes_risk(template.pi0, template.costs, *rates), self.scan,
+                             template.model.sigma)
+        i = int(np.argmin(risks[:, 0]))
+        lo = self.scan[max(i - 1, 0)]
+        hi = self.scan[min(i + 1, len(self.scan) - 1)]
+        mix, pmfs = self.evaluator.mix, self.evaluator.prefixes(q_local)[-1]
+        return golden_section(lambda q0: mix(pmfs, q0), lo, hi, tol)
+
+
 def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6) -> float:
     """Best fusion belief against fixed local beliefs.
 
     The risk along the fusion-belief axis can grow a shallow secondary dip
-    near the interval edges, so a coarse scan (one ``batch_risk`` call)
-    brackets the global basin before golden-section refinement. The locals
-    are folded into their count pmfs once per call, so each golden-section
-    probe costs one O(N) mix with the probe's memoized per-count errors.
-    Raises ``FloatingPointError`` when a scan point's risk is not finite.
+    near the interval edges, so a coarse scan of ``FUSION_SCAN_POINTS``
+    fusion beliefs (the risks ``batch_risk`` gives) brackets the global
+    basin before golden-section refinement. The locals are folded into their
+    count pmfs once per call, so each golden-section probe costs one O(N)
+    mix with the probe's memoized per-count errors. Raises
+    ``FloatingPointError`` naming the first scan point whose risk is not
+    finite, and ``ValueError`` for a local belief outside (0, 1) or a wrong
+    number of them. A one-shot ``FusionLineSearch``; callers that search
+    the same network again and again build one of those.
     """
-    q_local = tuple(q_local)
-    grid = np.linspace(0.02, 0.98, FUSION_SCAN_POINTS)
-    risks = checked_risks(template, grid, [q_local])[:, 0]
-    i = int(np.argmin(risks))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    evaluator = _RiskEvaluator(template)
-    mix, pmfs = evaluator.mix, evaluator.prefixes(q_local)[-1]
-    return golden_section(lambda q0: mix(pmfs, q0), lo, hi, tol)
+    return FusionLineSearch(template)(q_local, tol)
 
 
 def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
@@ -438,7 +487,9 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
     The fusion belief is line-searched (bracketing scan plus golden section,
     tolerance ``eps/10``); each local belief jumps straight to the solution
     of its stationarity balance, which is the coordinate minimizer. Far fewer
-    sweeps than the fixed-step variant for the same answer.
+    sweeps than the fixed-step variant for the same answer. One
+    ``FusionLineSearch`` serves every sweep and restart of the call, the
+    trace's risks included, so the scan's fusion error table is built once.
 
     Within the local pass the fusion belief is fixed and the agents after
     j have not moved yet, so one ``pinned_fusion_sweep`` (one backward pass
@@ -446,7 +497,8 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
     agent's updated belief) gives every agent its balance: a sweep costs
     O(N^2) plus the line search. ``init`` and restarts are as in ``pbpo``.
     """
-    return _multi_start(_pbpo_exact_run, template, settings, init, seed)
+    search = FusionLineSearch(template)
+    return _multi_start(functools.partial(_pbpo_exact_run, search), template, settings, init, seed)
 
 
 def _multi_start(run, template, settings, init, seed):
@@ -515,8 +567,8 @@ def _pbpo_run(template, settings, init):
     return _finish(template, q, sweeps, converged, trace)
 
 
-def _pbpo_exact_run(template, settings, init):
-    risk_of = _RiskEvaluator(template)
+def _pbpo_exact_run(search, template, settings, init):
+    risk_of = search.evaluator
     pi0 = template.pi0
     q = [float(x) for x in init]
     trace = [tuple(q) + (risk_of(q),)]
@@ -528,7 +580,7 @@ def _pbpo_exact_run(template, settings, init):
 
     for sweeps in range(1, settings.max_iters + 1):
         previous = list(q)
-        q[0] = minimize_fusion_belief(template, q[1:], tol=settings.eps / 10.0)
+        q[0] = search(q[1:], settings.eps / 10.0)
         q[1:] = pinned_fusion_sweep(template.config(q[0], q[1:]), revise)
         trace.append(tuple(q) + (risk_of(q),))
         if math.dist(q, previous) <= settings.eps:

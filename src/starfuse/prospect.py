@@ -14,7 +14,7 @@ import numpy as np
 
 from .network import NetworkTemplate, exact_risk
 from .observation import BELIEF_EPS
-from .optimize import SweepPoint, minimize_fusion_belief
+from .optimize import FusionLineSearch, SweepPoint
 
 Q0_STRATEGIES = ("keep-optimal-q0", "reoptimize-q0")
 
@@ -115,9 +115,15 @@ def prelec_risk_gap(template: NetworkTemplate, params: PrelecParams, q0_strategy
     ("keep-optimal-q0") or is re-minimized against the constrained locals
     ("reoptimize-q0"). Rows come back in sweep order with both the optimal
     and the constrained risk.
+
+    Each re-minimization is ``minimize_fusion_belief`` at the point's prior,
+    with the same doubles and errors; its bracketing scan's fusion error
+    table depends on no prior, so one ``FusionLineSearch`` table serves
+    every point of the call.
     """
     if q0_strategy not in Q0_STRATEGIES:
         raise ValueError(f"q0_strategy must be one of {Q0_STRATEGIES}")
+    search = FusionLineSearch(template) if q0_strategy == "reoptimize-q0" else None
     points = []
     for item in sweep:
         w = prelec(item.pi0, params)
@@ -126,7 +132,7 @@ def prelec_risk_gap(template: NetworkTemplate, params: PrelecParams, q0_strategy
         if q0_strategy == "keep-optimal-q0":
             q0_used = item.q0_opt
         else:
-            q0_used = minimize_fusion_belief(local_template, (w,) * template.n_local)
+            q0_used = search.at_prior(item.pi0)((w,) * template.n_local)
         risk_prelec = exact_risk(local_template.tied(q0_used, w)).r0
         points.append(PrelecGapPoint(
             pi0=item.pi0,

@@ -20,13 +20,24 @@ class TestRiskCommand:
         code, out, _ = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.7372",
                                "--q", "0.3960,0.3960")
         assert code == 0
-        assert "R0=0.1918" in out
+        assert "R0=0.1917851004\n" in out
 
     def test_truthful_headline(self, capsys):
         code, out, _ = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.3",
                                "--q", "0.3,0.3")
         assert code == 0
-        assert "R0=0.1976" in out
+        assert "R0=0.1975666087\n" in out
+
+    # The headline keeps 10 significant digits: a tiny risk is not 0.0000, a
+    # huge one not a 300-digit fixed-point number.
+    @pytest.mark.parametrize("flags, headline", [
+        (["--sigma", "0.02"], "R0=1.754197276e-275\n"),
+        (["--cfa", "1e308", "--cmd", "1e308"], "R0=1.91961034e+307\n")], ids=["tiny", "huge"])
+    def test_headline_significant_digits(self, capsys, flags, headline):
+        code, out, _ = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4",
+                               *flags)
+        assert code == 0
+        assert out.startswith(headline)
 
     def test_empty_locals_rejected(self, capsys):
         code, _, err = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.5", "--q", "")
@@ -332,8 +343,8 @@ class TestExponentCommand:
     def test_headline_values(self, capsys):
         code, out, _ = run_cli(capsys, "exponent")
         assert code == 0
-        assert "beta_star=0.0793" in out
-        assert "lambda_star=0.5000" in out
+        assert "beta_star=0.07928190788 " in out
+        assert "lambda_star=0.5 " in out
 
     def test_curve_csv(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
@@ -350,7 +361,7 @@ class TestExponentCommand:
         code, out, _ = run_cli(capsys, "exponent", "--sigma", "1.3", "--cfa", "2",
                                "--csv", str(report), "--curve-csv", str(curve))
         assert code == 0
-        assert out == "lambda_star=0.5000 s_star=0.5000 beta_star=0.0470 q_star=0.3333\n"
+        assert out == "lambda_star=0.5 s_star=0.5 beta_star=0.04698330144 q_star=0.3333333333\n"
         # The closed form: lambda_star=0.5, s_star=0.5, fa = md = Q(1/2.6), q_star=1/3.
         assert report.read_text().splitlines()[1] == (
             "0.5,0.5,0.04698330144,0.3502611971,0.3502611971,0.3333333333,1.69")
@@ -359,14 +370,19 @@ class TestExponentCommand:
         assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
             "f505e2537ea2f7811fe29062c8143bb45c37fbd9b55af20c47b47bfef0fba020")
 
+    def test_small_exponent_headline(self, capsys):
+        code, out, _ = run_cli(capsys, "exponent", "--sigma", "100")
+        assert code == 0
+        assert out == "lambda_star=0.5 s_star=0.5 beta_star=7.957744166e-06 q_star=0.5\n"
+
     # A decision tail at lambda_star underflows a double here; its log does not.
-    @pytest.mark.parametrize("sigma, beta_star", [("0.01", "626.7225"), ("0.0135", "344.5082")],
+    @pytest.mark.parametrize("sigma, beta_star", [("0.01", "626.7225334"), ("0.0135", "344.5081733")],
                              ids=["0.01", "0.0135"])
     def test_underflowed_tail_exits_zero(self, capsys, tmp_path, sigma, beta_star):
         path = tmp_path / "exponent.csv"
         code, out, err = run_cli(capsys, "exponent", "--sigma", sigma, "--csv", str(path))
         assert code == 0
-        assert out == f"lambda_star=0.5000 s_star=0.5000 beta_star={beta_star} q_star=0.5000\n"
+        assert out == f"lambda_star=0.5 s_star=0.5 beta_star={beta_star} q_star=0.5\n"
         assert err == ""
         assert path.exists()
 

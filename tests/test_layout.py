@@ -161,6 +161,67 @@ def test_only_cli_main_prints_or_writes():
     assert _output_sites((ROOT / "src" / "starfuse" / "cli.py").read_text()) == {"main"}
 
 
+_CACHES = {"cache", "lru_cache"}
+_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _call_state(source, allowed_cache=None):
+    """(line, what) of every place in ``source`` that keeps state from one
+    call to the next: a ``functools`` cache (except as the decorator of the
+    top-level function named ``allowed_cache``), a dict, list or set display
+    or comprehension in a module-level or class-level statement, and a
+    ``global`` statement."""
+    tree = ast.parse(source)
+    allowed = {id(d) for top in tree.body if isinstance(top, ast.FunctionDef)
+               and top.name == allowed_cache for d in top.decorator_list}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in _CACHES \
+                and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            found.add((node.lineno, f"functools.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found |= {(node.lineno, f"functools.{a.name}") for a in node.names if a.name in _CACHES}
+        elif isinstance(node, ast.Global):
+            found.add((node.lineno, "global"))
+
+    def shared(body):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                shared(stmt.body)
+            elif not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update((n.lineno, f"shared {type(n).__name__}") for n in ast.walk(stmt)
+                             if isinstance(n, _DISPLAYS))
+
+    shared(tree.body)
+    return found
+
+
+def test_call_state_seen():
+    source = ("import functools\n"
+              "from functools import lru_cache, partial\n"
+              "TABLE = {}\n"
+              "NAMES = tuple([1])\n"
+              "class A:\n    seen = {1}\n    def f(self):\n        return [x for x in ()]\n"
+              "@functools.cache\ndef kept():\n    return {}\n"
+              "@functools.lru_cache(maxsize=4)\ndef b():\n    global TABLE\n"
+              "c = partial(b)\n")
+    assert _call_state(source, allowed_cache="kept") == {
+        (2, "functools.lru_cache"), (3, "shared Dict"), (4, "shared List"), (6, "shared Set"),
+        (12, "functools.lru_cache"), (14, "global")}
+    assert (9, "functools.cache") in _call_state(source)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_state_kept_across_calls(path):
+    """Nothing a call computes outlives it: a memo belongs to an object its
+    public call builds. The one exception is the CLI's argparse tree, built
+    once per process by ``cli._parser``."""
+    allowed = "_parser" if path.name == "cli.py" else None
+    assert _call_state(path.read_text(), allowed) == set()
+
+
 def _dest(call):
     """The ``args`` attribute an ``add_argument`` call of a flag fills."""
     for keyword in call.keywords:

@@ -24,12 +24,15 @@ from starfuse import (
     pinned_fusion_errors,
     stationarity_residual,
 )
+from starfuse import optimize
 from starfuse.observation import check_prior
 from starfuse.optimize import (
+    FUSION_SCAN_POINTS,
     GRID_HI,
     golden_section,
     _axis,
     _RiskEvaluator,
+    checked_risks,
     exact_coordinate_update,
     minimize_fusion_belief,
 )
@@ -553,6 +556,72 @@ class TestGoldenSection:
     def test_fusion_belief_line_search(self, benchmark_template):
         q0 = minimize_fusion_belief(benchmark_template, (0.396, 0.396), tol=1e-6)
         assert q0 == pytest.approx(0.7372, abs=2e-3)
+
+
+class TestFusionLineSearch:
+    """``pbpo_exact`` builds one ``FusionLineSearch`` per call, and every
+    sweep and restart shares its scan table and evaluator memo."""
+
+    @staticmethod
+    def _counted_tables(monkeypatch):
+        calls = []
+        original = optimize.fusion_error_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimize, "fusion_error_table", counting)
+        return calls
+
+    def test_one_table_per_pbpo_exact_call(self, benchmark_template, monkeypatch):
+        calls = self._counted_tables(monkeypatch)
+        result = pbpo_exact(benchmark_template, OptimizerSettings(restarts=3), init=None)
+        assert len(calls) == 1
+        assert result.iterations > 1
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_shared_search_equals_a_run_per_restart(self, n):
+        """The best of three restarts sharing one search is the best of three
+        calls from those starts, each with a search of its own."""
+        template = NetworkTemplate(0.35, CostPair(1.0, 1.4), ObservationModel(sigma=0.8), n)
+        settings = OptimizerSettings(restarts=3, max_iters=40)
+        starts = np.random.default_rng(7).uniform(0.02, 0.98, size=(3, n + 1))
+        alone = [pbpo_exact(template, settings, init=tuple(row)) for row in starts]
+        assert pbpo_exact(template, settings, init=None, seed=7) == min(alone, key=lambda r: r.risk)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_pbpo_exact_error_as_per_call_path(self, sigma):
+        """The run's first error is the one its trace's first risk and a
+        one-shot ``minimize_fusion_belief`` raise, in that order."""
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=sigma), 2)
+        settings = OptimizerSettings()
+        init = (0.5, 0.4, 0.6)
+        with pytest.raises(FloatingPointError) as expected:
+            _RiskEvaluator(template)(init)
+            minimize_fusion_belief(template, init[1:], settings.eps / 10.0)
+        with pytest.raises(FloatingPointError) as got:
+            pbpo_exact(template, settings, init=init)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_non_finite_scan_names_first_grid_point(self, sigma):
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=sigma), 2)
+        with pytest.raises(FloatingPointError) as expected:
+            checked_risks(template, np.linspace(0.02, 0.98, FUSION_SCAN_POINTS), [(0.4, 0.6)])
+        with pytest.raises(FloatingPointError) as got:
+            minimize_fusion_belief(template, (0.4, 0.6))
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"fusion belief q0=0.02 at sigma={sigma!r}")
+
+    @pytest.mark.parametrize("q_local", [(0.0, 0.5), (0.5, math.nan), (1.0, 0.5), (0.4, math.inf),
+                                         (0.4,), (0.4, 0.4, 0.4), ()])
+    def test_bad_locals_raise_batch_risk_error(self, benchmark_template, q_local):
+        with pytest.raises(ValueError) as expected:
+            batch_risk(benchmark_template, [0.5], [q_local])
+        with pytest.raises(ValueError) as got:
+            minimize_fusion_belief(benchmark_template, q_local)
+        assert str(got.value) == str(expected.value)
 
 
 class _IterateOnce:

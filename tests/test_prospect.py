@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starfuse import (
+    CostPair,
+    NetworkTemplate,
+    ObservationModel,
+    PrelecGapPoint,
     PrelecParams,
+    SweepPoint,
+    exact_risk,
     fit_prelec_minimax,
+    minimize_fusion_belief,
     prelec,
     prelec_risk_gap,
 )
+from starfuse import optimize
+from starfuse.observation import BELIEF_EPS
 
 IDENTITY_PARAMS = PrelecParams(alpha=1.0, beta_w=1.0)
 
@@ -117,3 +127,53 @@ class TestRiskGap:
     def test_strategy_validation(self, benchmark_template):
         with pytest.raises(ValueError):
             prelec_risk_gap(benchmark_template, IDENTITY_PARAMS, "freeze", sweep=[])
+
+
+def _per_prior_gap(template, params, sweep):
+    """``reoptimize-q0`` as a loop of one-shot line searches, one per prior."""
+    points = []
+    for item in sweep:
+        w = min(max(prelec(item.pi0, params), BELIEF_EPS), 1.0 - BELIEF_EPS)
+        local_template = dataclasses.replace(template, pi0=item.pi0)
+        q0 = minimize_fusion_belief(local_template, (w,) * template.n_local)
+        points.append(PrelecGapPoint(item.pi0, item.q1_opt, w, q0, item.risk_opt,
+                                     exact_risk(local_template.tied(q0, w)).r0))
+    return points
+
+
+class TestReoptimizedLineSearch:
+    """A ``reoptimize-q0`` call builds its scan's fusion error table once for
+    all its priors, and gives each prior a one-shot search's doubles."""
+
+    @pytest.mark.parametrize("n, sigma", [(1, 1.0), (2, 1.0), (3, 0.6), (6, 2.5)])
+    def test_equals_per_prior_line_search(self, n, sigma):
+        template = NetworkTemplate(0.5, CostPair(1.0, 1.3), ObservationModel(sigma=sigma), n)
+        sweep = [SweepPoint(pi0, 0.6, 0.4, 0.2) for pi0 in (0.1, 0.35, 0.35, 0.6, 0.9)]
+        params = PrelecParams(0.7, 1.1)
+        assert prelec_risk_gap(template, params, "reoptimize-q0", sweep) == _per_prior_gap(
+            template, params, sweep)
+
+    @pytest.mark.parametrize("strategy, tables", [("reoptimize-q0", 1), ("keep-optimal-q0", 0)])
+    def test_tables_built_per_call(self, benchmark_template, monkeypatch, strategy, tables):
+        calls = []
+        original = optimize.fusion_error_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimize, "fusion_error_table", counting)
+        sweep = [SweepPoint(pi0, 0.6, 0.4, 0.2) for pi0 in (0.2, 0.4, 0.6, 0.8)]
+        points = prelec_risk_gap(benchmark_template, IDENTITY_PARAMS, strategy, sweep)
+        assert len(points) == 4
+        assert len(calls) == tables
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_error_as_per_prior_line_search(self, sigma):
+        template = NetworkTemplate(0.5, CostPair(), ObservationModel(sigma=sigma), 2)
+        sweep = [SweepPoint(pi0, 0.6, 0.4, 0.2) for pi0 in (0.3, 0.7)]
+        with pytest.raises(FloatingPointError) as expected:
+            _per_prior_gap(template, IDENTITY_PARAMS, sweep)
+        with pytest.raises(FloatingPointError) as got:
+            prelec_risk_gap(template, IDENTITY_PARAMS, "reoptimize-q0", sweep)
+        assert str(got.value) == str(expected.value)
