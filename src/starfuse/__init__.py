@@ -9,7 +9,6 @@ from .asymptotics import (
     chernoff_bernoulli,
     classify_phase,
     exponent_curve,
-    exponent_objective,
     optimal_exponent,
     phase_map,
 )

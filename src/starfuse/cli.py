@@ -406,7 +406,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command, write its files, then print its lines. An error in the
     work or the writing prints one ``error:`` line to stderr and nothing to
-    stdout, and removes every file that this run created."""
+    stdout, and removes every file that this run created. A stdout whose
+    reader has closed it is not an error: the files stay and the exit code
+    is the command's own."""
     args = _parser().parse_args(argv)
     created = []
     try:
@@ -425,7 +427,16 @@ def main(argv=None) -> int:
                 os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN if isinstance(exc, FloatingPointError) else EXIT_VALIDATION
-    print("\n".join(out.lines))
+    try:
+        print("\n".join(out.lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``). The files are written and the
+        # lines have nowhere to go; stdout now points at devnull, so the flush
+        # at shutdown prints no "Exception ignored" line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if out.escalation:
         print(out.escalation, file=sys.stderr)
         return EXIT_DOMAIN

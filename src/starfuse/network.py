@@ -21,7 +21,18 @@ size's ``exact_risk`` r0 comes from one fold of the largest. The true
 prior enters only the final weighting, ``bayes_risk``, so those fusion error
 rates serve every prior: ``batch_risk`` weights them at one.
 ``pinned_fusion_sweep`` is the one leave-one-out pass behind
-``pinned_fusion_errors`` and ``pbpo_exact``.
+``pinned_fusion_errors`` and ``pbpo_exact``; ``pbpo_exact`` keeps the
+locals' rate columns from one pass to the next, so a local's rates are
+formed once per belief value.
+
+Both pipelines that turn log-odds into rates, the locals' rate columns
+(``_rate_columns``) and the per-count fusion errors
+(``_fusion_count_errors``), take one of two paths by input size. Fewer than
+``PER_FLOAT_BELOW`` entries go one float at a time through ``observation``'s
+scalar functions, which give a float the same double as an array element,
+so a network of a few agents pays numpy's per-call cost once per pipeline,
+not once per operation; larger inputs (every grid stage, every large
+network) go as arrays. Both paths give the same doubles.
 """
 
 import itertools
@@ -48,6 +59,15 @@ from .observation import (
 # grid search stage, and table entries per fusion_error_rates call of a grid
 # search stage; bounds their working memory.
 BATCH_CHUNK_ROWS = 200_000
+
+# Inputs with fewer entries than this (log-odds of _rate_columns, count
+# entries of _fusion_count_errors) are evaluated one float at a time, with
+# the array path's values; larger ones pay numpy's fixed cost per call once.
+# Measured on a 2-core Xeon (numpy 2.4, scipy 1.17): the per-float path
+# breaks even at about 7 log-odds for _rate_columns and 12 count entries for
+# _fusion_count_errors, and is 1.6-3.3x faster at 1-3 entries; one
+# constant between the two.
+PER_FLOAT_BELOW = 8
 
 
 @dataclass(frozen=True)
@@ -118,12 +138,19 @@ class RiskReport:
 def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     """Per-agent columns of the decide-1 and the decide-0 rates of threshold
     tests at the local log-odds ``ell`` (agents on its last axis): entry
-    ``[i, h]`` is agent ``i``'s under H=h, with a trailing axis to broadcast."""
+    ``[i, h]`` is agent ``i``'s under H=h, with a trailing axis to broadcast.
+    Fewer than ``PER_FLOAT_BELOW`` log-odds go one float at a time, with the
+    array path's values."""
     axes = (ell.ndim - 1, *range(ell.ndim - 1))  # np.moveaxis(ell, -1, 0), minus its overhead
-    # inf * 0 at a neutral belief where sigma**2 overflows: the nan is the caller's to report.
-    with np.errstate(invalid="ignore"):
-        lam = threshold_from_log_odds(model, costs, ell.transpose(axes)[..., None])
-    rates = decision_tails(model, lam).reshape((2, 2) + lam.shape).swapaxes(1, 2)
+    ell = ell.transpose(axes)[..., None]
+    if ell.size < PER_FLOAT_BELOW:
+        tails = np.array(list(zip(*(decision_tails(model, threshold_from_log_odds(model, costs, x))
+                                    for x in ell.ravel().tolist()))))
+    else:
+        # inf * 0 at a neutral belief where sigma**2 overflows: the nan is the caller's to report.
+        with np.errstate(invalid="ignore"):
+            tails = decision_tails(model, threshold_from_log_odds(model, costs, ell))
+    rates = tails.reshape((2, 2) + ell.shape).swapaxes(1, 2)
     return rates[0], rates[1]
 
 
@@ -172,7 +199,8 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     step is pmf[c] * q + pmf[c - 1] * p, with decide-0 rate q and decide-1
     rate p. For a large network the time goes to that loop, one iteration of
     three array operations per agent; the O(N) belief check and log-odds
-    before it stay scalar Python, so N <= 3 pays no numpy fixed cost there.
+    before it stay scalar Python, and below ``PER_FLOAT_BELOW`` agents so do
+    the rate columns.
     """
     return _poisson_binomial_pmf(*_local_rates(config.model, config.costs, config.q_local))
 
@@ -209,8 +237,24 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     fusion thresholds. A scalar fusion log-odds ``ell0`` gives arrays of shape
     (n + 1,); an array of them gives one row per entry. A list of sizes ``n``
     puts the counts 0..n of each size after one another on the last axis,
-    each entry the same double as at that size alone."""
+    each entry the same double as at that size alone. Fewer than
+    ``PER_FLOAT_BELOW`` entries in all go one float at a time, with the
+    array path's values."""
     ell0 = np.asarray(ell0)
+    sizes = n if isinstance(n, list) else [n]
+    width = sum(sizes) + len(sizes)
+    if ell0.size * width < PER_FLOAT_BELOW:
+        rows = []
+        for e0 in ell0.ravel().tolist():
+            l_zero, l_one = fusion_log_factors(model, costs, e0)
+            for size in sizes:
+                for k in range(size + 1):
+                    ell = e0 + (size - k) * l_zero + k * l_one
+                    lam = threshold_from_log_odds(model, costs, ell)
+                    rows.append((*error_probs(model, lam), ell, lam))
+        # Stacked by zip, C-contiguous as the array path's: a strided fa
+        # changes the last bit of exact_risk's ``@``.
+        return tuple(np.array(list(zip(*rows))).reshape((4,) + ell0.shape + (width,)))
     if isinstance(n, list):
         k = np.concatenate([np.arange(size + 1) for size in n])
         n = np.repeat(n, [size + 1 for size in n])
@@ -429,7 +473,7 @@ def exact_risk_bruteforce(config: NetworkConfig) -> float:
     return total
 
 
-def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
+def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
     """One leave-one-out pass over the local agents, in order, in which each
     agent's belief may be revised as soon as its pinned errors are known.
 
@@ -439,7 +483,10 @@ def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
     count distribution of the other agents, those before ``j`` at their
     revised beliefs and those after ``j`` at their beliefs in ``config``.
     ``revise`` returns agent ``j``'s belief for the rest of the pass (its
-    current one to keep it). Returns the revised local beliefs.
+    current one to keep it). Returns the revised local beliefs and their
+    per-agent rate columns. A caller that runs pass after pass passes those
+    columns back as ``columns`` with the returned beliefs as the next
+    ``config``'s locals; without them the pass forms every agent's.
 
     Leave-one-out by prefix and suffix: a backward pass folds the agents
     after ``j`` into the expected fusion error per count of ones among agents
@@ -448,12 +495,14 @@ def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
     are convex-combination recurrences, so nothing is divided out (unlike
     deconvolving agent ``j`` from the full pmf, which is unstable; Hong
     2013), and the whole pass costs O(N^2). A revised belief only costs its
-    own decide-1 rates, since the agents after it have not moved yet.
+    own rate columns, which replace its old ones in place, since the agents
+    after it have not moved yet; the last agent is not folded, since no
+    agent comes after it.
     """
     n = config.n_local
     model, costs = config.model, config.costs
     beliefs = list(config.q_local)
-    p_cols, q_cols = _local_rates(model, costs, beliefs)
+    p_cols, q_cols = columns if columns is not None else _local_rates(model, costs, beliefs)
     fa, md, _, _ = _fusion_count_errors(model, costs, log_odds(config.q0), n)
     # after[j][h, c]: expected fusion error (FA under H0, MD under H1) given
     # c ones among agents 1..j+1, mixed over the agents after j+1.
@@ -462,19 +511,19 @@ def pinned_fusion_sweep(config: NetworkConfig, revise) -> tuple[float, ...]:
     for j in range(n - 1, 0, -1):
         g = after[j]
         after[j - 1] = g[:, :-1] * q_cols[j] + g[:, 1:] * p_cols[j]
-    before = np.zeros((2, n + 1))
+    before = np.zeros((2, n))  # counts 0..n-1 of the agents before j
     before[:, 0] = 1.0
     for j in range(n):
         prefix = before[:, :j + 1]
         g = after[j]
         q = revise(j + 1, np.einsum("hc,hc->h", prefix, g[:, :-1]),
                    np.einsum("hc,hc->h", prefix, g[:, 1:]))
-        p, not_p = p_cols[j], q_cols[j]
         if q != beliefs[j]:
             beliefs[j] = q
-            (p,), (not_p,) = _local_rates(model, costs, [q])
-        _fold_agents(before, (p,), (not_p,), j)
-    return tuple(beliefs)
+            (p_cols[j],), (q_cols[j],) = _local_rates(model, costs, [q])
+        if j < n - 1:
+            _fold_agents(before, p_cols[j:j + 1], q_cols[j:j + 1], j)
+    return tuple(beliefs), (p_cols, q_cols)
 
 
 def pinned_fusion_errors(config: NetworkConfig):

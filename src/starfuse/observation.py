@@ -2,6 +2,13 @@
 threshold tests (``decision_tails``, each tail on its own side) and the
 fusion log factors; every other module takes its rates from here.
 
+Every function here gives a Python float the same double it gives that value
+as an element of an array: both go through the same scipy kernels
+(``special.erfc``, ``special.log_ndtr``, ``special.expit``) and the same
+IEEE operations in the same order. So a caller may evaluate a small input
+one float at a time, without numpy's per-call cost, and get the array
+path's values bit for bit.
+
 The model is additive Gaussian noise: the signal equals the binary
 hypothesis value (0 or 1) plus centered Gaussian noise with scale ``sigma``.
 """
@@ -53,10 +60,12 @@ def gaussian_q(x):
     """Standard Gaussian upper-tail probability Q(x).
 
     Computed from the complementary error function (monotone, accurate to a
-    few ulp); never by quadrature. Accepts scalars or arrays.
+    few ulp); never by quadrature. Accepts scalars or arrays; a scalar gives
+    a Python float, from the same ``special.erfc`` kernel as an array (not
+    ``math.erfc``, whose last bit differs from it on many inputs).
     """
     if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim is slow on a float
-        return 0.5 * math.erfc(float(x) / _SQRT2)
+        return 0.5 * float(special.erfc(float(x) / _SQRT2))
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
@@ -120,8 +129,10 @@ def error_probs(model: ObservationModel, lam):
     Exact equality with the threshold decides 0; the event has measure zero,
     the convention is fixed for reproducibility. These are two of the four
     ``decision_tails``, each on its own side, so neither cancels against 1.
+    A float ``lam`` gives two floats, an array two arrays.
     """
-    lam = np.asarray(lam, dtype=float)
+    if not isinstance(lam, float):
+        lam = np.asarray(lam, dtype=float)
     return gaussian_q(lam / model.sigma), gaussian_q(-(lam - 1.0) / model.sigma)
 
 
@@ -129,9 +140,10 @@ def decision_tails(model: ObservationModel, lam):
     """(p(1|0), p(1|1), p(0|0), p(0|1)) of the threshold test at ``lam``, on a
     new first axis for an array ``lam``; p(d|h) is its rate of deciding d
     under hypothesis h. Each is the Gaussian tail on its own side, never one
-    minus another, so it stays within a few ulp however near 1 the other is."""
+    minus another, so it stays within a few ulp however near 1 the other is.
+    A scalar ``lam`` gives four floats, one ``gaussian_q`` each."""
     x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
-    if np.ndim(lam) == 0:  # math.erfc per tail, as gaussian_q does for scalars
+    if isinstance(x0, float) or np.ndim(x0) == 0:  # np.ndim is slow on a float
         return gaussian_q(x0), gaussian_q(x1), gaussian_q(-x0), gaussian_q(-x1)
     return gaussian_q(np.stack((x0, x1, -x0, -x1)))  # one erfc call, same values
 

@@ -33,7 +33,9 @@ per-count errors, so each loop redoes only what a probe changes:
   and restarts, and ``prospect.prelec_risk_gap`` one table across its
   priors. Nothing outlives the public call.
 - ``pbpo_exact`` updates every local of a sweep from one
-  ``network.pinned_fusion_sweep``, O(N^2) per sweep.
+  ``network.pinned_fusion_sweep``, O(N^2) per sweep, and hands each pass
+  the locals' rate columns of the one before, so a local's rates are
+  formed once per belief value.
 
 Each gives the same doubles as recomputing the risk from scratch, which
 ``tests/test_descent_reference.py`` checks against reference copies.
@@ -127,6 +129,14 @@ class _RiskEvaluator:
     ``mix`` raises ``FloatingPointError`` naming the fusion belief and sigma
     when its ``fusion_log_factors`` are not finite, which only a sigma
     outside about [1e-154, 1e152] brings about.
+
+    Its tails come from ``math.erfc``, the one Gaussian tail kernel outside
+    ``observation``; scipy's ``erfc``, which ``observation`` uses, differs
+    from it in the last bit on many inputs. The descent's doubles are pinned
+    as ``math.erfc`` gives them: ``tests/test_descent_reference.py``'s
+    reference copies use it, and with scipy's kernel the last trace risk of
+    ``pbpo``'s benchmark run moves by an ulp. It also costs about half of a
+    scalar ``special.erfc`` call, in the loop that calls it most.
     """
 
     EMPTY = ((1.0,), (1.0,))
@@ -495,7 +505,9 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
     j have not moved yet, so one ``pinned_fusion_sweep`` (one backward pass
     of suffix expectations, and a forward prefix pmf that folds in each
     agent's updated belief) gives every agent its balance: a sweep costs
-    O(N^2) plus the line search. ``init`` and restarts are as in ``pbpo``.
+    O(N^2) plus the line search. Each pass returns the locals' rate
+    columns and the next pass takes them, so only a revised belief's are
+    formed again. ``init`` and restarts are as in ``pbpo``.
     """
     search = FusionLineSearch(template)
     return _multi_start(functools.partial(_pbpo_exact_run, search), template, settings, init, seed)
@@ -574,6 +586,7 @@ def _pbpo_exact_run(search, template, settings, init):
     trace = [tuple(q) + (risk_of(q),)]
     converged = False
     sweeps = 0
+    columns = None  # the locals' rate columns, kept from one sweep to the next
 
     def revise(j, pinned0, pinned1):
         return _balance_update(pi0, q[j], j, pinned1[0] - pinned0[0], pinned0[1] - pinned1[1])[0]
@@ -581,7 +594,7 @@ def _pbpo_exact_run(search, template, settings, init):
     for sweeps in range(1, settings.max_iters + 1):
         previous = list(q)
         q[0] = search(q[1:], settings.eps / 10.0)
-        q[1:] = pinned_fusion_sweep(template.config(q[0], q[1:]), revise)
+        q[1:], columns = pinned_fusion_sweep(template.config(q[0], q[1:]), revise, columns)
         trace.append(tuple(q) + (risk_of(q),))
         if math.dist(q, previous) <= settings.eps:
             converged = True

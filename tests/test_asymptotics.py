@@ -12,14 +12,13 @@ from starfuse import (
     classify_phase,
     exact_risk,
     exponent_curve,
-    exponent_objective,
     gaussian_q,
     optimal_exponent,
     phase_map,
 )
 from starfuse import NetworkTemplate
 
-from starfuse.asymptotics import _region_of
+from starfuse.asymptotics import _region_of, exponent_objective
 
 
 class TestClassifyPhase:

@@ -1,7 +1,11 @@
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -691,3 +695,32 @@ def test_sweep_ties_locals_with_or_without_the_flag(capsys, tmp_path, extra):
     assert code == 0
     assert out_plain == out_tied
     assert plain.read_bytes() == tied.read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["risk", "--pi0", "0.3", "--q0", "0.7372", "--q", "0.3960,0.3960"], 0, ""),
+    (["phase", "--q0", "0.6247676238784021", "--q1", "0.5", "--strict"], 3, None),
+], ids=["risk", "phase-strict"])
+def test_closed_stdout_keeps_code_and_files(tmp_path, argv, code, err):
+    """A reader that closed stdout before the run (``| head`` that has
+    exited) costs no traceback: the CSV stays and the exit code is the
+    command's own. The pipe's read end is closed before the child starts,
+    so every run meets the closed pipe."""
+    path = tmp_path / "out.csv"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "starfuse", *argv, "--csv", str(path)],
+                              stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if err is not None:
+        assert proc.stderr == err
+    else:
+        assert proc.stderr.count("\n") == 1, proc.stderr
+    assert path.read_text().count("\n") >= 2

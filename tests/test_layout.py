@@ -80,7 +80,7 @@ PUBLIC_API = [
     "Q0_STRATEGIES", "RiskReport", "SimulationResult", "SimulationSpec", "SweepPoint",
     "batch_risk", "chernoff_bernoulli", "clamp_belief",
     "classify_phase", "error_probs", "estimate_exponent", "exact_risk",
-    "exact_risk_bruteforce", "exponent_curve", "exponent_objective",
+    "exact_risk_bruteforce", "exponent_curve",
     "fit_prelec_minimax", "from_log_odds", "fusion_log_odds", "gaussian_q",
     "grid_search", "log_odds", "minimize_fusion_belief",
     "optimal_belief_sweep", "optimal_exponent", "pbpo", "pbpo_exact", "phase_map",
@@ -93,7 +93,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     names = sorted(name for name in dir(starfuse) if not name.startswith("_")
                    and not isinstance(getattr(starfuse, name), types.ModuleType))
-    assert len(PUBLIC_API) == 48
+    assert len(PUBLIC_API) == 47
     assert names == PUBLIC_API
 
 
@@ -159,6 +159,47 @@ def test_only_cli_main_prints_or_writes():
     """The CLI has one output path: its commands return their lines and
     files, and ``main`` alone prints and writes them."""
     assert _output_sites((ROOT / "src" / "starfuse" / "cli.py").read_text()) == {"main"}
+
+
+_TAIL_KERNELS = {"erfc", "log_ndtr"}
+
+
+def _tail_kernel_sites(source):
+    """Names of the top-level definitions in ``source`` that name a Gaussian
+    tail kernel (``erfc`` or ``log_ndtr``, of any module) as an attribute,
+    a bare name or an import; ``<module>`` for a module-level statement."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in _TAIL_KERNELS
+                    or isinstance(node, ast.Name) and node.id in _TAIL_KERNELS
+                    or isinstance(node, ast.alias)
+                    and node.name.rpartition(".")[2] in _TAIL_KERNELS):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_tail_kernel_sites_seen():
+    source = ("import math\n"
+              "from scipy.special import log_ndtr\n"
+              "def a(x):\n    return math.erfc(x)\n"
+              "class B:\n    def f(self, x):\n        erfc = special.erfc\n        return erfc(x)\n"
+              "def c(x):\n    'erfc and log_ndtr in a docstring'\n    return math.exp(x)\n"
+              "def d(x):\n    return log_ndtr(x)\n")
+    assert _tail_kernel_sites(source) == {"<module>", "a", "B", "d"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "observation.py"],
+                         ids=lambda p: p.name)
+def test_tail_kernels_only_in_observation(path):
+    """Every Gaussian tail comes from ``observation``, which gives a float
+    the same double as an array element, so a per-float path matches the
+    array path bit for bit. The one exception is ``_RiskEvaluator``, whose
+    ``math.erfc`` keeps the descent risks that
+    ``tests/test_descent_reference.py`` and ``pbpo``'s pinned benchmark run
+    hold."""
+    allowed = {"_RiskEvaluator"} if path.name == "optimize.py" else set()
+    assert _tail_kernel_sites(path.read_text()) == allowed
 
 
 _CACHES = {"cache", "lru_cache"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from starfuse import (
     threshold_from_log_odds,
     update_belief_count,
 )
+from starfuse import network
 from starfuse.network import (
+    PER_FLOAT_BELOW,
     _fusion_count_errors,
     _poisson_binomial_pmf,
     _rate_columns,
@@ -33,6 +36,7 @@ from starfuse.network import (
     fusion_error_rates,
     tied_exact_risks,
 )
+from starfuse.observation import decision_tails
 from conftest import random_config
 
 
@@ -345,6 +349,74 @@ def _shape_case(shape, rng):
     n = int(rng.integers(1, 13))
     q_local = np.clip(rng.uniform(0.0, 1.0, size=(1, n)) ** rng.choice([1, 8]), 1e-7, 1 - 1e-7)
     return n, np.linspace(0.02, 0.98, 193), q_local
+
+
+def _both_paths(function, *args):
+    """``function(*args)`` with every input on the array path, then with
+    every input on the per-float path."""
+    out = []
+    for below in (0, math.inf):
+        with mock.patch.object(network, "PER_FLOAT_BELOW", below):
+            out.append(function(*args))
+    return out
+
+
+def _assert_same_arrays(array_path, per_float, layout=True):
+    """Equal values, nan where nan, and with ``layout`` the same strides: a
+    strided operand can change the last bit of a later ``@``."""
+    assert len(array_path) == len(per_float)
+    for a, b in zip(array_path, per_float):
+        assert a.shape == b.shape
+        assert a.strides == b.strides or not layout
+        np.testing.assert_array_equal(a, b)
+
+
+_EDGE = math.log1p(-BELIEF_EPS) - math.log(BELIEF_EPS)
+
+
+class TestPerFloatPath:
+    """Inputs below ``PER_FLOAT_BELOW`` entries go one float at a time,
+    with the array path's doubles; both are checked on sizes on both sides
+    of the constant, with one and two leading axes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
+           c_fa=st.floats(0.3, 3.0), c_md=st.floats(0.3, 3.0),
+           agents=st.integers(1, 2 * PER_FLOAT_BELOW), rows=st.sampled_from([None, 1, 3]),
+           data=st.data())
+    def test_rate_columns(self, sigma, c_fa, c_md, agents, rows, data):
+        shape = (agents,) if rows is None else (rows, agents)
+        ell = np.array(data.draw(st.lists(st.floats(-_EDGE, _EDGE), min_size=math.prod(shape),
+                                          max_size=math.prod(shape)))).reshape(shape)
+        model, costs = ObservationModel(sigma=sigma), CostPair(c_fa, c_md)
+        # With several rows the array path's layout follows its transposed
+        # input; those columns only enter the count fold's elementwise
+        # products, where a layout cannot change a value.
+        _assert_same_arrays(*_both_paths(_rate_columns, model, costs, ell),
+                            layout=rows in (None, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
+           c_fa=st.floats(0.3, 3.0), c_md=st.floats(0.3, 3.0),
+           ell0=st.one_of(st.floats(-_EDGE, _EDGE),
+                          st.lists(st.floats(-_EDGE, _EDGE), min_size=1, max_size=3)),
+           n=st.one_of(st.integers(0, 2 * PER_FLOAT_BELOW),
+                       st.lists(st.integers(1, PER_FLOAT_BELOW), min_size=1, max_size=3,
+                                unique=True).map(sorted)))
+    def test_fusion_count_errors(self, sigma, c_fa, c_md, ell0, n):
+        model, costs = ObservationModel(sigma=sigma), CostPair(c_fa, c_md)
+        _assert_same_arrays(*_both_paths(_fusion_count_errors, model, costs, ell0, n))
+
+    def test_default_path_by_size(self, benchmark_template):
+        """Each side of the constant takes its path unpatched."""
+        model, costs = benchmark_template.model, benchmark_template.costs
+        tails = []
+        with mock.patch.object(network, "decision_tails",
+                               lambda *a: tails.append(a) or decision_tails(*a)):
+            _rate_columns(model, costs, np.zeros(PER_FLOAT_BELOW - 1))
+            assert len(tails) == PER_FLOAT_BELOW - 1
+            _rate_columns(model, costs, np.zeros(PER_FLOAT_BELOW))
+            assert len(tails) == PER_FLOAT_BELOW
 
 
 class TestBatchRisk:

@@ -15,7 +15,9 @@ from starfuse import (
     from_log_odds,
     gaussian_q,
     threshold_from_belief,
+    threshold_from_log_odds,
 )
+from starfuse.observation import decision_one_log_tails, decision_tails, fusion_log_factors
 
 
 class TestGaussianQ:
@@ -161,3 +163,49 @@ class TestValidation:
         assert clamp_belief(1e-300) == BELIEF_EPS
         with pytest.raises(ValueError):
             clamp_belief(0.0)
+
+
+# sigma at both extremes of a double and across [1e-3, 1e2]; costs up to
+# 1e+-300; log-odds out to the clamp edges.
+_SIGMAS = st.one_of(st.sampled_from([1e-200, 1e200]),
+                    st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e))
+_COSTS = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_EDGE = math.log1p(-BELIEF_EPS) - math.log(BELIEF_EPS)
+_LOG_ODDS = st.floats(-_EDGE, _EDGE)
+
+
+def _same_double(scalar, element):
+    """A Python float equal to the array element, or nan where it is nan."""
+    assert type(scalar) is float
+    return scalar == element or (math.isnan(scalar) and math.isnan(element))
+
+
+class TestFloatMatchesArray:
+    """A float gets the same double as that value inside an array, so
+    callers may evaluate small inputs one float at a time."""
+
+    @given(st.floats(allow_nan=True, allow_infinity=True), st.floats(-40.0, 40.0))
+    def test_gaussian_q(self, x, other):
+        assert _same_double(gaussian_q(x), gaussian_q(np.array([other, x]))[1])
+
+    @given(_SIGMAS, _COSTS, _COSTS, _LOG_ODDS, st.lists(_LOG_ODDS, max_size=3),
+           st.integers(0, 3))
+    def test_rates_and_log_factors(self, sigma, c_fa, c_md, ell, others, at):
+        model, costs = ObservationModel(sigma=sigma), CostPair(c_fa, c_md)
+        at = min(at, len(others))
+        values = np.array(others[:at] + [ell] + others[at:])
+        lam = threshold_from_log_odds(model, costs, ell)
+        # The array side may warn where sigma**2 overflows (inf * 0, inf - inf).
+        with np.errstate(all="ignore"):
+            lams = threshold_from_log_odds(model, costs, values)
+            pairs = [
+                ([lam], [lams]),
+                (error_probs(model, lam), error_probs(model, lams)),
+                (decision_tails(model, lam), decision_tails(model, lams)),
+                (decision_one_log_tails(model, lam), decision_one_log_tails(model, lams)),
+                (fusion_log_factors(model, costs, ell), fusion_log_factors(model, costs, values)),
+            ]
+        for scalars, arrays in pairs:
+            assert len(scalars) == len(arrays)
+            for scalar, array in zip(scalars, arrays):
+                assert _same_double(scalar, array[at])

@@ -24,7 +24,7 @@ from starfuse import (
     pinned_fusion_errors,
     stationarity_residual,
 )
-from starfuse import optimize
+from starfuse import network, optimize
 from starfuse.observation import check_prior
 from starfuse.optimize import (
     FUSION_SCAN_POINTS,
@@ -622,6 +622,62 @@ class TestFusionLineSearch:
         with pytest.raises(ValueError) as got:
             minimize_fusion_belief(benchmark_template, q_local)
         assert str(got.value) == str(expected.value)
+
+
+class TestExactLocalPass:
+    """``pbpo_exact`` keeps its locals' rate columns from one sweep to the
+    next, so it forms a local's rates once per belief value."""
+
+    def test_rates_formed_once_per_belief_and_last_agent_not_folded(self, monkeypatch):
+        n = 3
+        template = NetworkTemplate(0.6, CostPair(1.0, 1.3), ObservationModel(sigma=1.5), n)
+        events = []  # (kind, agents) in call order
+        rates, fold = network._local_rates, network._fold_agents
+        sweep, finish = optimize.pinned_fusion_sweep, optimize._finish
+
+        def counted_rates(model, costs, beliefs):
+            events.append(("rates", len(beliefs)))
+            return rates(model, costs, beliefs)
+
+        def counted_fold(pmf, p_cols, q_cols, done):
+            events.append(("fold", len(p_cols)))
+            return fold(pmf, p_cols, q_cols, done)
+
+        def marked_sweep(*args):
+            events.append(("sweep", 0))
+            out = sweep(*args)
+            events.append(("end", 0))
+            return out
+
+        def marked_finish(*args):
+            events.append(("finish", 0))
+            return finish(*args)
+
+        monkeypatch.setattr(network, "_local_rates", counted_rates)
+        monkeypatch.setattr(network, "_fold_agents", counted_fold)
+        monkeypatch.setattr(optimize, "pinned_fusion_sweep", marked_sweep)
+        monkeypatch.setattr(optimize, "_finish", marked_finish)
+        result = pbpo_exact(template, OptimizerSettings(), init=(0.5,) * (n + 1))
+
+        # The result's exact risk and residual form their own rates; the
+        # line search's scan folds its one row outside the local pass.
+        per_sweep, current, outside = [], None, 0
+        for kind, agents in events[:events.index(("finish", 0))]:
+            if kind == "sweep":
+                current = {"rates": 0, "fold": 0}
+            elif kind == "end":
+                per_sweep.append((current["rates"], current["fold"]))
+                current = None
+            elif current is not None:
+                current[kind] += agents
+            elif kind == "rates":
+                outside += agents
+        revised = [sum(a != b for a, b in zip(before[1:-1], after[1:-1]))
+                   for before, after in zip(result.trace, result.trace[1:])]
+        assert outside == 0
+        assert len(per_sweep) == result.iterations > 2
+        assert per_sweep[0] == (n + revised[0], n - 1)
+        assert per_sweep[1:] == [(r, n - 1) for r in revised[1:]]
 
 
 class _IterateOnce:
