@@ -23,7 +23,8 @@ rates serve every prior: ``batch_risk`` weights them at one.
 ``pinned_fusion_sweep`` is the one leave-one-out pass behind
 ``pinned_fusion_errors`` and ``pbpo_exact``; ``pbpo_exact`` keeps the
 locals' rate columns from one pass to the next, so a local's rates are
-formed once per belief value.
+formed once per belief value. The columns are the pass's own: a caller
+passes back what it got.
 
 Both pipelines that turn log-odds into rates, the locals' rate columns
 (``_rate_columns``) and the per-count fusion errors
@@ -32,11 +33,19 @@ Both pipelines that turn log-odds into rates, the locals' rate columns
 scalar functions, which give a float the same double as an array element,
 so a network of a few agents pays numpy's per-call cost once per pipeline,
 not once per operation; larger inputs (every grid stage, every large
-network) go as arrays. Both paths give the same doubles.
+network) go as arrays. The O(N^2) kernels of a network of fewer than
+``PER_FLOAT_BELOW`` agents go one float at a time too: the count fold of
+``count_distribution`` (``_fold_floats`` in place of ``_fold_agents``), the
+leave-one-out pass of ``pinned_fusion_sweep`` and ``mix_fusion_table``'s
+one short row, the line search's scan. Both paths give the same doubles;
+the pass's row sums follow ``np.add.reduce``'s pairwise order
+(``_row_sum``), which no ``np.einsum`` would let them do.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +70,13 @@ from .observation import (
 BATCH_CHUNK_ROWS = 200_000
 
 # Inputs with fewer entries than this (log-odds of _rate_columns, count
-# entries of _fusion_count_errors) are evaluated one float at a time, with
-# the array path's values; larger ones pay numpy's fixed cost per call once.
-# Measured on a 2-core Xeon (numpy 2.4, scipy 1.17): the per-float path
-# breaks even at about 7 log-odds for _rate_columns and 12 count entries for
-# _fusion_count_errors, and is 1.6-3.3x faster at 1-3 entries; one
-# constant between the two.
+# entries of _fusion_count_errors, agents of count_distribution's fold,
+# pinned_fusion_sweep and mix_fusion_table's one row) are evaluated one
+# float at a time, with the array path's values; larger ones pay numpy's
+# fixed cost per call once. Measured on a 2-core Xeon (numpy 2.4, scipy
+# 1.17): the per-float path breaks even at about 7 log-odds for
+# _rate_columns and 12 count entries for _fusion_count_errors, and is
+# 1.6-3.3x faster at 1-3 entries; one constant between the two.
 PER_FLOAT_BELOW = 8
 
 
@@ -135,6 +145,13 @@ class RiskReport:
     per_count: tuple[tuple[int, float, float], ...]
 
 
+def _tails(model: ObservationModel, costs: CostPair, ells) -> list:
+    """``decision_tails`` of the threshold test at each log-odds of the
+    sequence ``ells``, one float at a time: one (p(1|0), p(1|1), p(0|0),
+    p(0|1)) tuple of floats per log-odds, the array path's doubles."""
+    return [decision_tails(model, threshold_from_log_odds(model, costs, x)) for x in ells]
+
+
 def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     """Per-agent columns of the decide-1 and the decide-0 rates of threshold
     tests at the local log-odds ``ell`` (agents on its last axis): entry
@@ -144,8 +161,7 @@ def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     axes = (ell.ndim - 1, *range(ell.ndim - 1))  # np.moveaxis(ell, -1, 0), minus its overhead
     ell = ell.transpose(axes)[..., None]
     if ell.size < PER_FLOAT_BELOW:
-        tails = np.array(list(zip(*(decision_tails(model, threshold_from_log_odds(model, costs, x))
-                                    for x in ell.ravel().tolist()))))
+        tails = np.array(list(zip(*_tails(model, costs, ell.ravel().tolist()))))
     else:
         # inf * 0 at a neutral belief where sigma**2 overflows: the nan is the caller's to report.
         with np.errstate(invalid="ignore"):
@@ -154,16 +170,26 @@ def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     return rates[0], rates[1]
 
 
-def _local_rates(model: ObservationModel, costs: CostPair, beliefs):
-    """``_rate_columns`` of local agents with the given beliefs, which
-    ``NetworkConfig`` has already checked."""
+def _local_log_odds(beliefs) -> list:
+    """Log-odds of local beliefs, which ``NetworkConfig`` has already checked,
+    as floats."""
     # log_odds's expression with math.log per belief: np.log over rows
     # (batch_risk) can differ in the last bit, and
     # test_bit_identical_to_per_agent_loop pins this path. np.clip would add a
     # fixed cost that pbpo_exact's one-belief calls pay.
     lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
-    ell = [math.log(q) - math.log1p(-q) for q in (min(max(q, lo), hi) for q in beliefs)]
-    return _rate_columns(model, costs, np.array(ell))
+    return [math.log(q) - math.log1p(-q) for q in (min(max(q, lo), hi) for q in beliefs)]
+
+
+def _local_rates(model: ObservationModel, costs: CostPair, beliefs):
+    """``_rate_columns`` of local agents with the given beliefs."""
+    return _rate_columns(model, costs, np.array(_local_log_odds(beliefs)))
+
+
+def _local_tails(model: ObservationModel, costs: CostPair, beliefs) -> list:
+    """The rates of ``_local_rates`` one float at a time: one ``_tails``
+    tuple per local belief."""
+    return _tails(model, costs, _local_log_odds(beliefs))
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -199,10 +225,13 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     step is pmf[c] * q + pmf[c - 1] * p, with decide-0 rate q and decide-1
     rate p. For a large network the time goes to that loop, one iteration of
     three array operations per agent; the O(N) belief check and log-odds
-    before it stay scalar Python, and below ``PER_FLOAT_BELOW`` agents so do
-    the rate columns.
+    before it stay scalar Python. Below ``PER_FLOAT_BELOW`` agents the rates
+    and the fold go one float at a time, with the same doubles.
     """
-    return _poisson_binomial_pmf(*_local_rates(config.model, config.costs, config.q_local))
+    model, costs, beliefs = config.model, config.costs, config.q_local
+    if len(beliefs) < PER_FLOAT_BELOW:
+        return np.array(_fold_floats(_NO_AGENTS, _local_tails(model, costs, beliefs)))
+    return _poisson_binomial_pmf(*_local_rates(model, costs, beliefs))
 
 
 def _fold_agents(pmf: np.ndarray, p_cols, q_cols, done: int) -> None:
@@ -231,11 +260,43 @@ def _poisson_binomial_pmf(p_cols, q_cols) -> np.ndarray:
     return pmf
 
 
+# Count pmfs (under H0, under H1) of no agents, for _fold_floats.
+_NO_AGENTS = ((1.0,), (1.0,))
+
+
+def _fold_floats(pmf, tails):
+    """``_fold_agents`` for one network, one float at a time: folds agents
+    with the ``_tails`` tuples ``tails`` into ``pmf``, a pair of count-pmf
+    sequences (under H0, under H1), and returns the longer pair, as lists.
+    Each entry is the same double: count c keeps pmf[c] * q and takes
+    pmf[c - 1] * p, and the new top count is the old top times p, which the
+    fold adds to a 0.0."""
+    pmf0, pmf1 = pmf
+    for t0, t1, s0, s1 in tails:
+        pmf0 = [pmf0[0] * s0, *[a * s0 + b * t0 for a, b in zip(pmf0[1:], pmf0)], pmf0[-1] * t0]
+        pmf1 = [pmf1[0] * s1, *[a * s1 + b * t1 for a, b in zip(pmf1[1:], pmf1)], pmf1[-1] * t1]
+    return pmf0, pmf1
+
+
+def _count_error_rows(model: ObservationModel, costs: CostPair, e0: float, sizes) -> list:
+    """``_fusion_count_errors`` of the float fusion log-odds ``e0``, one float
+    at a time: one (fa, md, ell, lam) tuple per count 0..n of each size ``n``
+    of ``sizes`` in turn, the array path's doubles."""
+    l_zero, l_one = fusion_log_factors(model, costs, e0)
+    rows = []
+    for size in sizes:
+        for k in range(size + 1):
+            ell = e0 + (size - k) * l_zero + k * l_one
+            lam = threshold_from_log_odds(model, costs, ell)
+            rows.append((*error_probs(model, lam), ell, lam))
+    return rows
+
+
 def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     """Fusion (false-alarm, missed-detection) probability after each count
     0..n of local ones among ``n`` decisions, with the updated log-odds and
-    fusion thresholds. A scalar fusion log-odds ``ell0`` gives arrays of shape
-    (n + 1,); an array of them gives one row per entry. A list of sizes ``n``
+    fusion thresholds, as arrays. A scalar fusion log-odds ``ell0`` gives
+    arrays of shape (n + 1,); an array of them gives one row per entry. A list of sizes ``n``
     puts the counts 0..n of each size after one another on the last axis,
     each entry the same double as at that size alone. Fewer than
     ``PER_FLOAT_BELOW`` entries in all go one float at a time, with the
@@ -244,14 +305,8 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     sizes = n if isinstance(n, list) else [n]
     width = sum(sizes) + len(sizes)
     if ell0.size * width < PER_FLOAT_BELOW:
-        rows = []
-        for e0 in ell0.ravel().tolist():
-            l_zero, l_one = fusion_log_factors(model, costs, e0)
-            for size in sizes:
-                for k in range(size + 1):
-                    ell = e0 + (size - k) * l_zero + k * l_one
-                    lam = threshold_from_log_odds(model, costs, ell)
-                    rows.append((*error_probs(model, lam), ell, lam))
+        rows = [row for e0 in ell0.ravel().tolist()
+                for row in _count_error_rows(model, costs, e0, sizes)]
         # Stacked by zip, C-contiguous as the array path's: a strided fa
         # changes the last bit of exact_risk's ``@``.
         return tuple(np.array(list(zip(*rows))).reshape((4,) + ell0.shape + (width,)))
@@ -369,7 +424,10 @@ def mix_fusion_table(model: ObservationModel, costs: CostPair, blocks):
     width is not the table's N raises ``ValueError``.
 
     The count pmfs of every block's rows come from one
-    ``_poisson_binomial_pmf`` call, on the first request; each block is then
+    ``_poisson_binomial_pmf`` call, on the first request (one block of one
+    row of fewer than ``PER_FLOAT_BELOW`` beliefs, the line search's scan,
+    forms its rates and count pmf one float at a time, with the same
+    values and the same belief check); each block is then
     mixed on its own when it is yielded, one product of (fusion beliefs,
     rows, counts) summed over the counts, so only one block's rates are held
     at a time. A block's values do not depend on the blocks beside it. When
@@ -384,18 +442,28 @@ def mix_fusion_table(model: ObservationModel, costs: CostPair, blocks):
         if r.shape[1] != fa.shape[-1] - 1:
             raise ValueError(f"expected {fa.shape[-1] - 1} local belief columns, got {r.shape[1]}")
     n = rows[0].shape[1]
-    # Rows with a zero stride along the agents hold one belief each: one rate
-    # column per row, folded in for every agent.
-    tied = n > 1 and not any(r.strides[1] for r in rows)
-    local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
-    p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
-    if tied:
-        p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
-    pmf = _poisson_binomial_pmf(p_cols, q_cols)
-    j = np.cumsum([0] + [len(b) for b in rows]).tolist()
+    if len(rows) == 1 and len(rows[0]) == 1 and n < PER_FLOAT_BELOW:
+        # One short row (the line search's scan): its rates and count fold
+        # one float at a time, with _belief_log_odds's check and np.log.
+        beliefs = rows[0][0].tolist()
+        if not all(0.0 < q < 1.0 for q in beliefs):
+            clamp_belief(next(q for q in beliefs if not 0.0 < q < 1.0))
+        lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
+        ell = [float(np.log(q) - np.log1p(-q)) for q in (min(max(q, lo), hi) for q in beliefs)]
+        pmf = np.array(_fold_floats(_NO_AGENTS, _tails(model, costs, ell)))[:, None]
+    else:
+        # Rows with a zero stride along the agents hold one belief each: one
+        # rate column per row, folded in for every agent.
+        tied = n > 1 and not any(r.strides[1] for r in rows)
+        local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
+        p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
+        if tied:
+            p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
+        pmf = _poisson_binomial_pmf(p_cols, q_cols)
+    j = list(itertools.accumulate((len(r) for r in rows), initial=0))
     for (fa, md), j0, j1 in zip(tables, j, j[1:]):
-        yield (np.sum(pmf[0, j0:j1] * fa[:, None], axis=-1),
-               np.sum(pmf[1, j0:j1] * md[:, None], axis=-1))
+        yield (np.add.reduce(pmf[0, j0:j1] * fa[:, None], axis=-1),
+               np.add.reduce(pmf[1, j0:j1] * md[:, None], axis=-1))
 
 
 def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
@@ -478,32 +546,56 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
     agent's belief may be revised as soon as its pinned errors are known.
 
     For j = 1..N calls ``revise(j, pinned0, pinned1)``: ``pinned{d}`` is the
-    length-2 array (fusion false-alarm probability, fusion missed-detection
+    pair (fusion false-alarm probability, fusion missed-detection
     probability) with agent ``j``'s decision pinned to ``d``, mixed over the
     count distribution of the other agents, those before ``j`` at their
     revised beliefs and those after ``j`` at their beliefs in ``config``.
     ``revise`` returns agent ``j``'s belief for the rest of the pass (its
-    current one to keep it). Returns the revised local beliefs and their
-    per-agent rate columns. A caller that runs pass after pass passes those
-    columns back as ``columns`` with the returned beliefs as the next
-    ``config``'s locals; without them the pass forms every agent's.
+    current one to keep it). Returns the revised local beliefs and the
+    locals' rate columns. A caller that runs pass after pass passes those
+    columns back, as they were returned, as ``columns`` with the returned
+    beliefs as the next ``config``'s locals; without them the pass forms
+    every agent's. Their form is the pass's own and depends on N.
 
     Leave-one-out by prefix and suffix: a backward pass folds the agents
     after ``j`` into the expected fusion error per count of ones among agents
     ``1..j``, and a forward pass folds each agent's revised decide-1 rates
-    into the count pmf of the agents before it and mixes the two. Both passes
-    are convex-combination recurrences, so nothing is divided out (unlike
-    deconvolving agent ``j`` from the full pmf, which is unstable; Hong
-    2013), and the whole pass costs O(N^2). A revised belief only costs its
-    own rate columns, which replace its old ones in place, since the agents
-    after it have not moved yet; the last agent is not folded, since no
-    agent comes after it.
+    into the count pmf of the agents before it and mixes the two, one row
+    sum per pinned pair. Both passes are convex-combination recurrences,
+    so nothing is divided out (unlike deconvolving agent ``j`` from the full
+    pmf, which is unstable; Hong 2013), and the whole pass costs O(N^2). A
+    revised belief only costs its own rate columns, which replace its old
+    ones in place, since the agents after it have not moved yet; the last
+    agent is not folded, since no agent comes after it. Below
+    ``PER_FLOAT_BELOW`` agents the pass goes one float at a time, with the
+    same doubles (``pinned{d}`` is then a pair of floats, not an array,
+    and the columns a list of per-agent tuples).
     """
     n = config.n_local
     model, costs = config.model, config.costs
     beliefs = list(config.q_local)
+    ell0 = log_odds(config.q0)
+    if n < PER_FLOAT_BELOW:
+        tails = columns if columns is not None else _local_tails(model, costs, beliefs)
+        fa, md, _, _ = zip(*_count_error_rows(model, costs, ell0, [n]))
+        after = [None] * n
+        after[n - 1] = fa, md
+        for j in range(n - 1, 0, -1):
+            (g0, g1), (t0, t1, s0, s1) = after[j], tails[j]
+            after[j - 1] = ([a * s0 + b * t0 for a, b in zip(g0, g0[1:])],
+                            [a * s1 + b * t1 for a, b in zip(g1, g1[1:])])
+        before = _NO_AGENTS
+        for j in range(n):
+            (b0, b1), (g0, g1) = before, after[j]
+            q = revise(j + 1, (_dot(b0, g0), _dot(b1, g1)), (_dot(b0, g0[1:]), _dot(b1, g1[1:])))
+            if q != beliefs[j]:
+                beliefs[j] = q
+                tails[j:j + 1] = _local_tails(model, costs, [q])
+            if j < n - 1:
+                before = _fold_floats(before, tails[j:j + 1])
+        return tuple(beliefs), tails
     p_cols, q_cols = columns if columns is not None else _local_rates(model, costs, beliefs)
-    fa, md, _, _ = _fusion_count_errors(model, costs, log_odds(config.q0), n)
+    fa, md, _, _ = _fusion_count_errors(model, costs, ell0, n)
     # after[j][h, c]: expected fusion error (FA under H0, MD under H1) given
     # c ones among agents 1..j+1, mixed over the agents after j+1.
     after = [None] * n
@@ -516,14 +608,38 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
     for j in range(n):
         prefix = before[:, :j + 1]
         g = after[j]
-        q = revise(j + 1, np.einsum("hc,hc->h", prefix, g[:, :-1]),
-                   np.einsum("hc,hc->h", prefix, g[:, 1:]))
+        # A row sum in numpy's pairwise order, which _dot follows.
+        q = revise(j + 1, np.add.reduce(prefix * g[:, :-1], axis=-1),
+                   np.add.reduce(prefix * g[:, 1:], axis=-1))
         if q != beliefs[j]:
             beliefs[j] = q
             (p_cols[j],), (q_cols[j],) = _local_rates(model, costs, [q])
         if j < n - 1:
             _fold_agents(before, p_cols[j:j + 1], q_cols[j:j + 1], j)
     return tuple(beliefs), (p_cols, q_cols)
+
+
+def _dot(a, b) -> float:
+    """The sum of a[c] * b[c] over the entries of ``a``, as
+    ``np.add.reduce`` sums a row of those products."""
+    return _row_sum(list(map(operator.mul, a, b)))
+
+
+def _row_sum(terms: list) -> float:
+    """``np.add.reduce`` of a contiguous row of doubles, in its pairwise
+    order: left to right below 8 terms; up to 128, eight running sums of
+    every eighth term, added in pairs, then the rest left to right; past
+    that, the sums of two halves split at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        return functools.reduce(operator.add, terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    stop = n - n % 8
+    r = [functools.reduce(operator.add, terms[j:stop:8]) for j in range(8)]
+    return functools.reduce(operator.add, terms[stop:],
+                            ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def pinned_fusion_errors(config: NetworkConfig):

@@ -13,6 +13,7 @@ The model is additive Gaussian noise: the signal equals the binary
 hypothesis value (0 or 1) plus centered Gaussian noise with scale ``sigma``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,8 +82,10 @@ class CostPair:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"cost {name}={value!r} must be strictly positive and finite")
 
-    @property
+    @functools.cached_property
     def log_ratio(self) -> float:
+        """log(c_fa) - log(c_md), computed on the first read only: every
+        threshold reads it."""
         return math.log(self.c_fa) - math.log(self.c_md)
 
     @property

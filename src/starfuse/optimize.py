@@ -27,15 +27,18 @@ per-count errors, so each loop redoes only what a probe changes:
   (``network.fusion_error_table``, which depends only on sigma, the costs
   and N) and one evaluator memo serve every search of that call. A search
   mixes the table with its locals' count pmfs (``network.mix_fusion_table``,
-  the risks ``batch_risk`` gives), folds its fixed locals once and makes
-  each golden-section probe one mix. ``minimize_fusion_belief`` is a
-  one-shot search; ``pbpo_exact`` shares one search across all its sweeps
-  and restarts, and ``prospect.prelec_risk_gap`` one table across its
-  priors. Nothing outlives the public call.
+  the risks ``batch_risk`` gives; a small network's one row goes one float
+  at a time there), folds its fixed locals once and makes each
+  golden-section probe one mix. A probe at a new fusion belief forms its
+  per-count fusion errors inline, with no Python call per count.
+  ``minimize_fusion_belief`` is a one-shot search; ``pbpo_exact`` shares
+  one search across all its sweeps and restarts, and
+  ``prospect.prelec_risk_gap`` one table across its priors. Nothing
+  outlives the public call.
 - ``pbpo_exact`` updates every local of a sweep from one
   ``network.pinned_fusion_sweep``, O(N^2) per sweep, and hands each pass
-  the locals' rate columns of the one before, so a local's rates are
-  formed once per belief value.
+  the locals' rate columns of the one before, as that pass returned them,
+  so a local's rates are formed once per belief value.
 
 Each gives the same doubles as recomputing the risk from scratch, which
 ``tests/test_descent_reference.py`` checks against reference copies.
@@ -159,9 +162,6 @@ class _RiskEvaluator:
             q = min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
             return math.log(q) - math.log1p(-q)
 
-        def q_tail(x):
-            return 0.5 * erfc(x / _SQRT2)
-
         def errors_of(q0):
             ell0 = lodds(q0)
             l_zero, l_one = fusion_log_factors(model, costs, ell0)
@@ -171,15 +171,15 @@ class _RiskEvaluator:
             fa, md = [], []
             for k in range(n + 1):
                 lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
-                fa.append(q_tail(lam / s))
-                md.append(q_tail(-(lam - 1.0) / s))
+                fa.append(0.5 * erfc(lam / s / _SQRT2))  # Q(lam / s), inline
+                md.append(0.5 * erfc(-(lam - 1.0) / s / _SQRT2))
             return fa, md
 
         def fold(pmfs, q):
             t = local_tails.get(q)
             if t is None:
                 lam = 0.5 + v * (logc + lodds(q))
-                x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # q_tail, inline
+                x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # Q(x) = erfc(x / sqrt2) / 2
                 t = local_tails[q] = (0.5 * erfc(x0), 0.5 * erfc(x1),
                                       0.5 * erfc(-x0), 0.5 * erfc(-x1))
             t0, t1, s0, s1 = t

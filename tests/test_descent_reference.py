@@ -181,8 +181,8 @@ def _reference_pinned_fusion_errors(config):
     for j in range(n):
         prefix = before[:, :j + 1]
         g = after[j]
-        out[:, 0, j] = np.einsum("hc,hc->h", prefix, g[:, :-1])
-        out[:, 1, j] = np.einsum("hc,hc->h", prefix, g[:, 1:])
+        out[:, 0, j] = np.add.reduce(prefix * g[:, :-1], axis=-1)
+        out[:, 1, j] = np.add.reduce(prefix * g[:, 1:], axis=-1)
         _fold_agents(before, p_cols[j:j + 1], q_cols[j:j + 1], j)
     return out[0], out[1]
 

@@ -355,3 +355,41 @@ def test_unread_flags_seen():
 def test_every_cli_flag_is_read():
     """A flag that no command reads does nothing, so the parser offers none."""
     assert _unread_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
+
+
+def _size_switch_sites(source):
+    """Which of ``PER_FLOAT_BELOW`` (as a name, an attribute or an import)
+    and a call of ``einsum`` (as ``np.einsum`` or an imported name) appear
+    in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names if a.name == "PER_FLOAT_BELOW"}
+            found |= {"einsum" for a in node.names if a.name == "einsum"}
+        elif isinstance(node, ast.Name) and node.id == "PER_FLOAT_BELOW" \
+                or isinstance(node, ast.Attribute) and node.attr == "PER_FLOAT_BELOW":
+            found.add("PER_FLOAT_BELOW")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "einsum":
+                found.add("einsum")
+    return found
+
+
+def test_size_switch_sites_seen():
+    source = "import numpy as np\ndef f(a):\n    return np.einsum('i,i', a, a)\n"
+    assert _size_switch_sites(source) == {"einsum"}
+    assert _size_switch_sites("from numpy import einsum\n") == {"einsum"}
+    assert _size_switch_sites("from .network import PER_FLOAT_BELOW\n") == {"PER_FLOAT_BELOW"}
+    assert _size_switch_sites("def f(n):\n    return n < network.PER_FLOAT_BELOW\n") \
+        == {"PER_FLOAT_BELOW"}
+    assert _size_switch_sites("'PER_FLOAT_BELOW and np.einsum in a docstring'\n") == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_size_switch_only_in_network(path):
+    """Only ``network`` chooses between its per-float and array paths, so a
+    change of the constant moves no other module; and no module sums with
+    ``np.einsum``, whose SIMD order no per-float path can follow."""
+    expected = {"PER_FLOAT_BELOW"} if path.name == "network.py" else set()
+    assert _size_switch_sites(path.read_text()) == expected

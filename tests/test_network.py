@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -34,6 +35,9 @@ from starfuse.network import (
     conditional_fusion_errors,
     count_distribution,
     fusion_error_rates,
+    fusion_error_table,
+    mix_fusion_table,
+    pinned_fusion_sweep,
     tied_exact_risks,
 )
 from starfuse.observation import decision_tails
@@ -373,6 +377,38 @@ def _assert_same_arrays(array_path, per_float, layout=True):
 
 _EDGE = math.log1p(-BELIEF_EPS) - math.log(BELIEF_EPS)
 
+# Beliefs anywhere in (0, 1), out past the clamp edges.
+_BELIEFS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _small_networks(draw):
+    """Networks of 1 to 2 * PER_FLOAT_BELOW locals, sigma in [1e-3, 1e2]."""
+    n = draw(st.integers(1, 2 * PER_FLOAT_BELOW))
+    return NetworkConfig(draw(st.floats(0.01, 0.99)),
+                         CostPair(draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))),
+                         ObservationModel(sigma=10.0 ** draw(st.floats(-3.0, 2.0))),
+                         draw(_BELIEFS), draw(st.lists(_BELIEFS, min_size=n, max_size=n)))
+
+
+def _two_passes(config, revised):
+    """The pinned errors every agent sees, as rows of (j, pinned0, pinned1),
+    over a ``pinned_fusion_sweep`` that moves agent j to ``revised[j - 1]``
+    and a second pass, from its beliefs and columns, that keeps them; then
+    the beliefs each pass returns."""
+    seen = []
+
+    def revising_to(beliefs):
+        def revise(j, pinned0, pinned1):
+            seen.append((j, *pinned0, *pinned1))
+            return beliefs[j - 1]
+        return revise
+
+    first, columns = pinned_fusion_sweep(config, revising_to(revised))
+    second, _ = pinned_fusion_sweep(dataclasses.replace(config, q_local=first),
+                                    revising_to(first), columns)
+    return np.array(seen, dtype=float), first, second
+
 
 class TestPerFloatPath:
     """Inputs below ``PER_FLOAT_BELOW`` entries go one float at a time,
@@ -407,6 +443,54 @@ class TestPerFloatPath:
         model, costs = ObservationModel(sigma=sigma), CostPair(c_fa, c_md)
         _assert_same_arrays(*_both_paths(_fusion_count_errors, model, costs, ell0, n))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(1, 2 * PER_FLOAT_BELOW), st.integers(1, 400)), st.data())
+    def test_row_sum_is_numpy_reduce(self, n, data):
+        """The per-float pass sums a row of products in ``np.add.reduce``'s
+        order at any length."""
+        terms = data.draw(st.lists(st.floats(0.0, 1.0).map(lambda x: x ** 9), min_size=n,
+                                   max_size=n))
+        row = np.array([terms, terms[::-1]])
+        assert network._row_sum(terms) == np.add.reduce(row, axis=-1)[0]
+        assert network._row_sum(terms[::-1]) == np.add.reduce(row, axis=-1)[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(network_config=_small_networks())
+    def test_count_distribution(self, network_config):
+        _assert_same_arrays(*_both_paths(count_distribution, network_config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(network_config=_small_networks())
+    def test_pinned_fusion_errors(self, network_config):
+        _assert_same_arrays(*_both_paths(pinned_fusion_errors, network_config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(network_config=_small_networks(), data=st.data())
+    def test_revising_pinned_fusion_sweep(self, network_config, data):
+        """A pass that revises some beliefs, then a pass from its beliefs
+        and the columns it returned, see the same pinned errors."""
+        n = network_config.n_local
+        revised = data.draw(st.lists(st.one_of(st.none(), _BELIEFS), min_size=n, max_size=n))
+        revised = [q if r is None else r for q, r in zip(network_config.q_local, revised)]
+        array_path, per_float = _both_paths(_two_passes, network_config, revised)
+        assert array_path[1:] == per_float[1:]
+        np.testing.assert_array_equal(array_path[0], per_float[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(network_config=_small_networks())
+    def test_one_row_scan(self, network_config):
+        """The line search's scan: a table of its fusion axis mixed with one
+        row of locals."""
+        model, costs = network_config.model, network_config.costs
+        table = fusion_error_table(model, costs, np.linspace(0.02, 0.98, 193),
+                                   network_config.n_local)
+
+        def scan():
+            [pair] = mix_fusion_table(model, costs, [(table, [network_config.q_local])])
+            return pair
+
+        _assert_same_arrays(*_both_paths(scan))
+
     def test_default_path_by_size(self, benchmark_template):
         """Each side of the constant takes its path unpatched."""
         model, costs = benchmark_template.model, benchmark_template.costs
@@ -417,6 +501,23 @@ class TestPerFloatPath:
             assert len(tails) == PER_FLOAT_BELOW - 1
             _rate_columns(model, costs, np.zeros(PER_FLOAT_BELOW))
             assert len(tails) == PER_FLOAT_BELOW
+        folds = []
+        fold = network._fold_floats
+        with mock.patch.object(network, "_fold_floats", lambda *a: folds.append(a) or fold(*a)):
+            for n, per_float in ((PER_FLOAT_BELOW - 1, True), (PER_FLOAT_BELOW, False)):
+                config = _config(q_local=(0.3,) * n)
+                scan = [(fusion_error_table(model, costs, [0.5], n), [config.q_local])]
+                for kernel in (lambda: count_distribution(config),
+                               lambda: pinned_fusion_errors(config),
+                               lambda: list(mix_fusion_table(model, costs, scan))):
+                    folds.clear()
+                    kernel()
+                    assert bool(folds) == per_float
+            # Two rows, or one row in each of two blocks, take the array path.
+            table = fusion_error_table(model, costs, [0.5], 1)
+            for blocks in ([(table, [[0.3], [0.4]])], [(table, [[0.3]]), (table, [[0.4]])]):
+                list(mix_fusion_table(model, costs, blocks))
+            assert folds == []
 
 
 class TestBatchRisk:

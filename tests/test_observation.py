@@ -155,6 +155,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ObservationModel(sigma=0.0)
 
+    def test_log_ratio_computed_once(self, monkeypatch):
+        """Every threshold reads ``log_ratio``; only a pair's first read
+        takes a log, and later reads give the same double."""
+        costs = CostPair(1.7, 0.6)
+        first = costs.log_ratio
+        logs = []
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda x: logs.append(x) or log(x))
+        assert costs.log_ratio == first == math.log(1.7) - math.log(0.6)
+        assert logs == [1.7, 0.6]  # the expected value's two logs, none from the read
+        assert CostPair(1.7, 0.6) == costs
+
     def test_variance_proxy_positive(self):
         assert ObservationModel(sigma=2.0).variance_proxy == 4.0
 

@@ -616,9 +616,13 @@ class TestFusionLineSearch:
 
     @pytest.mark.parametrize("q_local", [(0.0, 0.5), (0.5, math.nan), (1.0, 0.5), (0.4, math.inf),
                                          (0.4,), (0.4, 0.4, 0.4), ()])
-    def test_bad_locals_raise_batch_risk_error(self, benchmark_template, q_local):
+    def test_bad_locals_raise_batch_risk_error(self, benchmark_template, q_local, monkeypatch):
+        """The scan's one short row goes one float at a time and keeps the
+        wording ``batch_risk`` gives on the array path."""
         with pytest.raises(ValueError) as expected:
-            batch_risk(benchmark_template, [0.5], [q_local])
+            with monkeypatch.context() as patched:
+                patched.setattr(network, "PER_FLOAT_BELOW", 0)
+                batch_risk(benchmark_template, [0.5], [q_local])
         with pytest.raises(ValueError) as got:
             minimize_fusion_belief(benchmark_template, q_local)
         assert str(got.value) == str(expected.value)
@@ -626,22 +630,36 @@ class TestFusionLineSearch:
 
 class TestExactLocalPass:
     """``pbpo_exact`` keeps its locals' rate columns from one sweep to the
-    next, so it forms a local's rates once per belief value."""
+    next, so it forms a local's rates once per belief value, on either side
+    of ``network.PER_FLOAT_BELOW``."""
+
+    # The helper each path of the local pass forms a local's rates with, and
+    # the one it folds an agent into the count pmf with.
+    HELPERS = {"per float": ("_local_tails", "_fold_floats"),
+               "array": ("_local_rates", "_fold_agents")}
 
     def test_rates_formed_once_per_belief_and_last_agent_not_folded(self, monkeypatch):
-        n = 3
+        for n, path in ((3, "per float"), (9, "array")):
+            assert (n < network.PER_FLOAT_BELOW) == (path == "per float")
+            with monkeypatch.context() as patched:
+                self._check_local_pass(patched, n, *self.HELPERS[path])
+
+    @staticmethod
+    def _check_local_pass(monkeypatch, n, rates_name, fold_name):
         template = NetworkTemplate(0.6, CostPair(1.0, 1.3), ObservationModel(sigma=1.5), n)
         events = []  # (kind, agents) in call order
-        rates, fold = network._local_rates, network._fold_agents
+        rates, fold = getattr(network, rates_name), getattr(network, fold_name)
         sweep, finish = optimize.pinned_fusion_sweep, optimize._finish
 
-        def counted_rates(model, costs, beliefs):
-            events.append(("rates", len(beliefs)))
-            return rates(model, costs, beliefs)
+        # Both rate helpers take (model, costs, beliefs) and both folds take
+        # the pmf and then one entry per agent.
+        def counted_rates(*args):
+            events.append(("rates", len(args[2])))
+            return rates(*args)
 
-        def counted_fold(pmf, p_cols, q_cols, done):
-            events.append(("fold", len(p_cols)))
-            return fold(pmf, p_cols, q_cols, done)
+        def counted_fold(*args):
+            events.append(("fold", len(args[1])))
+            return fold(*args)
 
         def marked_sweep(*args):
             events.append(("sweep", 0))
@@ -653,8 +671,8 @@ class TestExactLocalPass:
             events.append(("finish", 0))
             return finish(*args)
 
-        monkeypatch.setattr(network, "_local_rates", counted_rates)
-        monkeypatch.setattr(network, "_fold_agents", counted_fold)
+        monkeypatch.setattr(network, rates_name, counted_rates)
+        monkeypatch.setattr(network, fold_name, counted_fold)
         monkeypatch.setattr(optimize, "pinned_fusion_sweep", marked_sweep)
         monkeypatch.setattr(optimize, "_finish", marked_finish)
         result = pbpo_exact(template, OptimizerSettings(), init=(0.5,) * (n + 1))
