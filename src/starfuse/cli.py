@@ -65,6 +65,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DOMAIN = 3
 
+# Largest start:stop:step range, and finest step of a map or surface axis
+# (``grid --contour --resolution``, ``phase --grid``), that a command accepts.
+MAX_RANGE_POINTS = 10**6
+MIN_AXIS_STEP = 1e-3
+
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -96,14 +101,28 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """start:stop:step, inclusive of start and of stop when it is on-grid."""
+    """start:stop:step, inclusive of start and of stop when it is on-grid.
+    Checked before anything is allocated: at most ``MAX_RANGE_POINTS``."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"range {text!r} must look like start:stop:step") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"range {text!r} must have a finite start, stop and step")
     if step <= 0 or stop < start:
         raise ValueError(f"range {text!r} must have positive step and stop >= start")
+    if (stop + step / 2.0 - start) / step > MAX_RANGE_POINTS:  # np.arange's length, unrounded
+        raise ValueError(f"range {text!r} has more than 10^6 points")
     return np.round(np.arange(start, stop + step / 2.0, step), 10)
+
+
+def _unit_axis(step: float, flag: str) -> np.ndarray:
+    """The axis step, 2 step, ... up to 1 - step of a map or surface, for a
+    ``step`` from ``MIN_AXIS_STEP`` to 0.5."""
+    if not MIN_AXIS_STEP <= step <= 0.5:
+        raise ValueError(f"{flag} {step!r} must be a step from 1e-3 to 0.5 "
+                         f"(1 to 999 points per axis)")
+    return _parse_range(f"{step}:{1.0 - step}:{step}")
 
 
 def _add_model_args(parser: argparse.ArgumentParser, func) -> None:
@@ -142,7 +161,7 @@ def cmd_grid(args) -> Output:
         if args.n_local != 2:
             raise ValueError("--contour draws a (q1, q2) surface and needs --n-local 2")
         template = NetworkTemplate(args.pi0, costs, model, 2)
-        axis = _parse_range(f"{args.resolution}:{1.0 - args.resolution}:{args.resolution}")
+        axis = _unit_axis(args.resolution, "--resolution")
         grid1, grid2 = np.meshgrid(axis, axis, indexing="ij")
         rows = np.column_stack([grid1.ravel(), grid2.ravel()])
         risks = checked_risks(template, [args.q0], rows)[0]
@@ -245,7 +264,7 @@ def cmd_prelec(args) -> Output:
 def cmd_phase(args) -> Output:
     costs, model = _costs_model(args)
     if args.grid is not None:
-        axis = _parse_range(f"{args.grid}:{1.0 - args.grid}:{args.grid}")
+        axis = _unit_axis(args.grid, "--grid")
         if args.pi0 is not None:
             check_prior(args.pi0)
         regions = phase_map(model, costs, axis, axis)

@@ -34,12 +34,13 @@ scalar functions, which give a float the same double as an array element,
 so a network of a few agents pays numpy's per-call cost once per pipeline,
 not once per operation; larger inputs (every grid stage, every large
 network) go as arrays. The O(N^2) kernels of a network of fewer than
-``PER_FLOAT_BELOW`` agents go one float at a time too: the count fold of
-``count_distribution`` (``_fold_floats`` in place of ``_fold_agents``), the
-leave-one-out pass of ``pinned_fusion_sweep`` and ``mix_fusion_table``'s
-one short row, the line search's scan. Both paths give the same doubles;
-the pass's row sums follow ``np.add.reduce``'s pairwise order
-(``_row_sum``), which no ``np.einsum`` would let them do.
+``PER_FLOAT_BELOW`` agents go one float at a time too, folding through
+``fold_agent``, the one scalar count fold (``optimize``'s evaluator folds
+with it too): the count fold of ``count_distribution``, the leave-one-out
+pass of ``pinned_fusion_sweep`` and ``mix_fusion_table``'s one short row,
+the line search's scan. Both paths give the same doubles; the pass's row
+sums follow ``np.add.reduce``'s pairwise order (``_row_sum``), which no
+``np.einsum`` would let them do.
 """
 
 import functools
@@ -230,7 +231,8 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     """
     model, costs, beliefs = config.model, config.costs, config.q_local
     if len(beliefs) < PER_FLOAT_BELOW:
-        return np.array(_fold_floats(_NO_AGENTS, _local_tails(model, costs, beliefs)))
+        return np.array(functools.reduce(fold_agent, _local_tails(model, costs, beliefs),
+                                         NO_AGENTS))
     return _poisson_binomial_pmf(*_local_rates(model, costs, beliefs))
 
 
@@ -260,22 +262,25 @@ def _poisson_binomial_pmf(p_cols, q_cols) -> np.ndarray:
     return pmf
 
 
-# Count pmfs (under H0, under H1) of no agents, for _fold_floats.
-_NO_AGENTS = ((1.0,), (1.0,))
+# Count pmfs (under H0, under H1) of no agents, for fold_agent. Public, not exported.
+NO_AGENTS = ((1.0,), (1.0,))
 
 
-def _fold_floats(pmf, tails):
-    """``_fold_agents`` for one network, one float at a time: folds agents
-    with the ``_tails`` tuples ``tails`` into ``pmf``, a pair of count-pmf
-    sequences (under H0, under H1), and returns the longer pair, as lists.
-    Each entry is the same double: count c keeps pmf[c] * q and takes
-    pmf[c - 1] * p, and the new top count is the old top times p, which the
-    fold adds to a 0.0."""
-    pmf0, pmf1 = pmf
-    for t0, t1, s0, s1 in tails:
-        pmf0 = [pmf0[0] * s0, *[a * s0 + b * t0 for a, b in zip(pmf0[1:], pmf0)], pmf0[-1] * t0]
-        pmf1 = [pmf1[0] * s1, *[a * s1 + b * t1 for a, b in zip(pmf1[1:], pmf1)], pmf1[-1] * t1]
-    return pmf0, pmf1
+def fold_agent(pmfs, tail):
+    """``_fold_agents`` for one agent of one network, one float at a time:
+    folds the agent with ``_tails`` tuple ``tail`` into ``pmfs``, a pair of
+    count-pmf sequences (under H0, under H1), and returns the longer pair,
+    as lists. Each entry is the same double: count c keeps pmf[c] * q and
+    takes pmf[c - 1] * p; the new top, the old top times p, adds to a 0.0."""
+    t0, t1, s0, s1 = tail
+    pmf0, pmf1 = pmfs
+    new0, new1 = [pmf0[0] * s0], [pmf1[0] * s1]
+    for k in range(1, len(pmf0)):
+        new0.append(pmf0[k] * s0 + pmf0[k - 1] * t0)
+        new1.append(pmf1[k] * s1 + pmf1[k - 1] * t1)
+    new0.append(pmf0[-1] * t0)
+    new1.append(pmf1[-1] * t1)
+    return new0, new1
 
 
 def _count_error_rows(model: ObservationModel, costs: CostPair, e0: float, sizes) -> list:
@@ -450,7 +455,7 @@ def mix_fusion_table(model: ObservationModel, costs: CostPair, blocks):
             clamp_belief(next(q for q in beliefs if not 0.0 < q < 1.0))
         lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
         ell = [float(np.log(q) - np.log1p(-q)) for q in (min(max(q, lo), hi) for q in beliefs)]
-        pmf = np.array(_fold_floats(_NO_AGENTS, _tails(model, costs, ell)))[:, None]
+        pmf = np.array(functools.reduce(fold_agent, _tails(model, costs, ell), NO_AGENTS))[:, None]
     else:
         # Rows with a zero stride along the agents hold one belief each: one
         # rate column per row, folded in for every agent.
@@ -584,7 +589,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
             (g0, g1), (t0, t1, s0, s1) = after[j], tails[j]
             after[j - 1] = ([a * s0 + b * t0 for a, b in zip(g0, g0[1:])],
                             [a * s1 + b * t1 for a, b in zip(g1, g1[1:])])
-        before = _NO_AGENTS
+        before = NO_AGENTS
         for j in range(n):
             (b0, b1), (g0, g1) = before, after[j]
             q = revise(j + 1, (_dot(b0, g0), _dot(b1, g1)), (_dot(b0, g0[1:]), _dot(b1, g1[1:])))
@@ -592,7 +597,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
                 beliefs[j] = q
                 tails[j:j + 1] = _local_tails(model, costs, [q])
             if j < n - 1:
-                before = _fold_floats(before, tails[j:j + 1])
+                before = fold_agent(before, tails[j])
         return tuple(beliefs), tails
     p_cols, q_cols = columns if columns is not None else _local_rates(model, costs, beliefs)
     fa, md, _, _ = _fusion_count_errors(model, costs, ell0, n)

@@ -14,10 +14,10 @@ weighting, so ``optimal_belief_sweep`` builds the coarse grid's tables once
 for every prior, and each finer stage builds many priors' windows in one
 call; ``grid_search`` is the one-prior case of the same stage loop.
 The loops that move one belief at a time use ``_RiskEvaluator``, a
-pure-Python scalar copy of the same formula that memoizes per-belief tails;
-tests pin it to ``exact_risk``. It exposes the formula's two steps, folding
-one local into the count pmfs and mixing the pmfs with a fusion belief's
-per-count errors, so each loop redoes only what a probe changes:
+pure-Python scalar form of the same formula that memoizes per-belief tails;
+tests pin it to ``exact_risk``. Its two steps, ``network.fold_agent`` of one
+local into the count pmfs and a mix of the pmfs with a fusion belief's
+per-count errors, let each loop redo only what a probe changes:
 
 - ``pbpo`` keeps the prefix count pmfs of the current tuple, with one
   evaluator per run. A fusion probe is one O(N) mix; a probe of local i
@@ -53,11 +53,13 @@ import numpy as np
 
 from .network import (
     BATCH_CHUNK_ROWS,
+    NO_AGENTS,
     NetworkConfig,
     NetworkTemplate,
     batch_risk,
     bayes_risk,
     exact_risk,
+    fold_agent,
     fusion_error_rates,
     fusion_error_table,
     mix_fusion_table,
@@ -116,18 +118,20 @@ class OptimizationResult:
 class _RiskEvaluator:
     """Scalar exact risk of belief tuples for one optimizer run, in two steps.
 
-    ``fold(pmfs, q)`` folds one more local agent, with belief ``q``, into a
-    pair of count pmfs (under H0, under H1) and returns the longer pair; the
-    pmfs of no agents are ``EMPTY``. ``mix(pmfs, q0)`` mixes the count pmfs
-    of all N locals with fusion belief ``q0``'s per-count fusion errors and
-    returns the risk. Calling the evaluator with a belief tuple, fusion
-    belief first, composes the two. The descent loops call these tens of
-    thousands of times with tiny networks, where numpy array overhead would
-    dominate, and a probe usually moves one belief. So the evaluator
-    memoizes, keyed by the exact float value of a belief, each local
-    belief's four decision tails and each fusion belief's per-count fusion
-    error probabilities, and the loops keep the prefix pmfs a probe does not
-    change. Agrees with ``exact_risk`` to machine precision.
+    ``network.fold_agent(pmfs, tails.get(q) or tails_of(q))`` folds one more
+    local, with belief ``q``, into a pair of count pmfs (under H0, under H1),
+    the pmfs of no agents being ``network.NO_AGENTS``; ``mix(pmfs, q0)``
+    mixes the count pmfs of all N locals with fusion belief ``q0``'s
+    per-count fusion errors and returns the risk. Calling the evaluator with
+    a belief tuple, fusion belief first, composes the two. The descent loops
+    call these tens of thousands of times with tiny networks, where numpy
+    array overhead would dominate, and a probe usually moves one belief. So
+    the evaluator memoizes, keyed by the exact float value of a belief, each
+    local belief's four decision tails (``tails``, which ``tails_of`` fills)
+    and each fusion belief's per-count fusion error probabilities, and the
+    loops keep the prefix pmfs a probe does not change. A memo hit costs no
+    Python call; a ``__missing__`` hook would cost one per miss. Agrees with
+    ``exact_risk`` to machine precision.
 
     ``mix`` raises ``FloatingPointError`` naming the fusion belief and sigma
     when its ``fusion_log_factors`` are not finite, which only a sigma
@@ -141,8 +145,6 @@ class _RiskEvaluator:
     ``pbpo``'s benchmark run moves by an ulp. It also costs about half of a
     scalar ``special.erfc`` call, in the loop that calls it most.
     """
-
-    EMPTY = ((1.0,), (1.0,))
 
     def __init__(self, template: NetworkTemplate):
         model, costs = template.model, template.costs
@@ -162,6 +164,12 @@ class _RiskEvaluator:
             q = min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
             return math.log(q) - math.log1p(-q)
 
+        def tails_of(q):
+            lam = 0.5 + v * (logc + lodds(q))
+            x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # Q(x) = erfc(x / sqrt2) / 2
+            t = local_tails[q] = (0.5 * erfc(x0), 0.5 * erfc(x1), 0.5 * erfc(-x0), 0.5 * erfc(-x1))
+            return t
+
         def errors_of(q0):
             ell0 = lodds(q0)
             l_zero, l_one = fusion_log_factors(model, costs, ell0)
@@ -174,25 +182,6 @@ class _RiskEvaluator:
                 fa.append(0.5 * erfc(lam / s / _SQRT2))  # Q(lam / s), inline
                 md.append(0.5 * erfc(-(lam - 1.0) / s / _SQRT2))
             return fa, md
-
-        def fold(pmfs, q):
-            t = local_tails.get(q)
-            if t is None:
-                lam = 0.5 + v * (logc + lodds(q))
-                x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # Q(x) = erfc(x / sqrt2) / 2
-                t = local_tails[q] = (0.5 * erfc(x0), 0.5 * erfc(x1),
-                                      0.5 * erfc(-x0), 0.5 * erfc(-x1))
-            t0, t1, s0, s1 = t
-            pmf0, pmf1 = pmfs
-            # Count k keeps its mass at decide-0 rate s or takes count k-1's at
-            # rate t; the new top is old top * t (in place: 0.0 * s + top * t).
-            new0, new1 = [pmf0[0] * s0], [pmf1[0] * s1]
-            for k in range(1, len(pmf0)):
-                new0.append(pmf0[k] * s0 + pmf0[k - 1] * t0)
-                new1.append(pmf1[k] * s1 + pmf1[k - 1] * t1)
-            new0.append(pmf0[-1] * t0)
-            new1.append(pmf1[-1] * t1)
-            return new0, new1
 
         def mix(pmfs, q0):
             errors = fusion_errors.get(q0)
@@ -207,14 +196,13 @@ class _RiskEvaluator:
                 p_md0 += pmf1[k] * md[k]
             return weight_fa * p_fa0 + weight_md * p_md0
 
-        self.fold = fold
-        self.mix = mix
+        self.tails, self.tails_of, self.mix = local_tails, tails_of, mix
 
     def prefixes(self, q_local) -> list:
         """Count pmfs of the first 0, 1, ..., N locals of ``q_local``."""
-        out = [self.EMPTY]
+        out = [NO_AGENTS]
         for q in q_local:
-            out.append(self.fold(out[-1], q))
+            out.append(fold_agent(out[-1], self.tails.get(q) or self.tails_of(q)))
         return out
 
     def __call__(self, beliefs) -> float:
@@ -537,7 +525,7 @@ def _pbpo_run(template, settings, init):
     step = settings.step
     lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
     evaluator = _RiskEvaluator(template)
-    fold, mix = evaluator.fold, evaluator.mix
+    tails, tails_of, mix = evaluator.tails, evaluator.tails_of, evaluator.mix
     q = [float(x) for x in init]
     # prefix[m]: count pmfs of locals 1..m of the current tuple q.
     prefix = evaluator.prefixes(q[1:])
@@ -547,9 +535,9 @@ def _pbpo_run(template, settings, init):
         local i on that go with it."""
         if i == 0:
             return mix(prefix[-1], value), None
-        chain = [fold(prefix[i - 1], value)]
+        chain = [fold_agent(prefix[i - 1], tails.get(value) or tails_of(value))]
         for qk in q[i + 1:]:
-            chain.append(fold(chain[-1], qk))
+            chain.append(fold_agent(chain[-1], tails.get(qk) or tails_of(qk)))
         return mix(chain[-1], q[0]), chain
 
     risk = mix(prefix[-1], q[0])

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -667,6 +668,57 @@ def test_invalid_arguments_exit_two(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not path.exists()
+
+
+def _bad_range_cases():
+    """Every range flag with a step that is nan, inf, zero or negative, a
+    reversed range and a non-finite start; every map or surface step flag
+    with a bad or too fine step; and ranges too long to allocate."""
+    ranges = {
+        "estimate-n": ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--n"],
+        "lam-range": ["exponent", "--curve-csv", "{curve}", "--lam-range"],
+        "grid-sweep": ["grid", "--tie-locals", "--sweep-pi0"],
+        "prelec-sweep": ["prelec", "--sweep-pi0"],
+    }
+    for name, argv in ranges.items():
+        for step in ("nan", "inf", "0", "-0.1"):
+            yield pytest.param([*argv, f"0.1:0.9:{step}"], id=f"{name}-step-{step}")
+        yield pytest.param([*argv, "0.9:0.1:0.1"], id=f"{name}-reversed")
+        yield pytest.param([*argv, "nan:0.9:0.1"], id=f"{name}-start-nan")
+    steps = {"contour": ["grid", "--contour", "--pi0", "0.3", "--q0", "0.7", "--resolution"],
+             "phase-grid": ["phase", "--grid"]}
+    for name, argv in steps.items():
+        for step in ("nan", "inf", "0", "-0.1", "1e-6", "0.6"):
+            yield pytest.param([*argv, step], id=f"{name}-step-{step}")
+    yield pytest.param(["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5",
+                        "--n", "1:1e10:1"], id="estimate-1e10-sizes")
+    yield pytest.param(["exponent", "--curve-csv", "{curve}", "--lam-range=-3:4:1e-10"],
+                       id="lam-range-7e10-points")
+    yield pytest.param(["grid", "--sweep-pi0", "0.05:0.95:1e-11", "--tie-locals"],
+                       id="grid-sweep-9e10-priors")
+    yield pytest.param(["phase", "--grid", "1e-7"], id="phase-grid-1e-7")
+
+
+@pytest.mark.parametrize("argv", list(_bad_range_cases()))
+def test_bad_range_refused_before_allocating(capsys, tmp_path, argv):
+    """A bad range or axis step exits 2 with one error line, nothing on
+    stdout and no file, before any array of it is allocated: a second is
+    far more than the argument check takes."""
+    curve, path = tmp_path / "c.csv", tmp_path / "out.csv"
+    argv = [a.format(curve=curve) for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--csv", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_range_of_a_million_points_is_the_largest():
+    assert len(cli._parse_range("0:999999:1")) == cli.MAX_RANGE_POINTS
+    with pytest.raises(ValueError, match="more than 10\\^6 points"):
+        cli._parse_range("0:1000000:1")
 
 
 @pytest.mark.parametrize("argv", [

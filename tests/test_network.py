@@ -491,6 +491,24 @@ class TestPerFloatPath:
 
         _assert_same_arrays(*_both_paths(scan))
 
+    @pytest.mark.parametrize("length", range(1, 18))
+    def test_fold_agent_equals_array_fold(self, length):
+        """``fold_agent`` folds one agent into count pmfs of any length with
+        the doubles of ``_fold_agents``, zero and subnormal entries and
+        rates included."""
+        rng = np.random.default_rng(length)
+        values = [0.0, 5e-324, 3e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0]
+        for _ in range(40):
+            pool = np.concatenate([values, rng.uniform(size=8)])
+            pmfs = rng.choice(pool, size=(2, length))
+            t0, t1, s0, s1 = (float(x) for x in rng.choice(pool, size=4))
+            array = np.zeros((2, length + 1))
+            array[:, :length] = pmfs
+            network._fold_agents(array, [np.array([[t0], [t1]])], [np.array([[s0], [s1]])],
+                                 length - 1)
+            folded = np.array(network.fold_agent(pmfs.tolist(), (t0, t1, s0, s1)))
+            assert folded.tobytes() == array.tobytes()
+
     def test_default_path_by_size(self, benchmark_template):
         """Each side of the constant takes its path unpatched."""
         model, costs = benchmark_template.model, benchmark_template.costs
@@ -502,8 +520,8 @@ class TestPerFloatPath:
             _rate_columns(model, costs, np.zeros(PER_FLOAT_BELOW))
             assert len(tails) == PER_FLOAT_BELOW
         folds = []
-        fold = network._fold_floats
-        with mock.patch.object(network, "_fold_floats", lambda *a: folds.append(a) or fold(*a)):
+        fold = network.fold_agent
+        with mock.patch.object(network, "fold_agent", lambda *a: folds.append(a) or fold(*a)):
             for n, per_float in ((PER_FLOAT_BELOW - 1, True), (PER_FLOAT_BELOW, False)):
                 config = _config(q_local=(0.3,) * n)
                 scan = [(fusion_error_table(model, costs, [0.5], n), [config.q_local])]

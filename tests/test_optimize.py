@@ -287,6 +287,39 @@ class TestRiskEvaluator:
             pbpo(template, OptimizerSettings(restarts=3), init=None, seed=2)
 
 
+class TestOneScalarFold:
+    """The descent evaluator folds a local into its count pmfs only through
+    ``network.fold_agent``, the fold that ``network``'s small-network
+    kernels use, and counting its calls changes no result."""
+
+    def test_evaluator_pbpo_and_line_search_fold_through_fold_agent(self, monkeypatch):
+        n = 3
+        template = NetworkTemplate(0.3, CostPair(1.0, 1.2), ObservationModel(sigma=1.1), n)
+        settings = OptimizerSettings(step=2e-3)
+        init = (0.5, 0.4, 0.6, 0.55)
+        runs = {
+            "evaluator": lambda: _RiskEvaluator(template)(init),
+            "prefixes": lambda: _RiskEvaluator(template).prefixes(init[1:]),
+            "line search": lambda: optimize.FusionLineSearch(template)(init[1:]),
+            "pbpo": lambda: pbpo(template, settings, init=init),
+            "pbpo_exact": lambda: pbpo_exact(template, settings, init=init),
+        }
+        unpatched = {name: run() for name, run in runs.items()}
+        folds = []
+        fold = network.fold_agent
+        monkeypatch.setattr(optimize, "fold_agent", lambda *a: folds.append(a) or fold(*a))
+        for name, run in runs.items():
+            folds.clear()
+            assert run() == unpatched[name], name
+            sweeps = unpatched[name].iterations if name.startswith("pbpo") else 0
+            # One fold per local for each prefix chain; a pbpo sweep's two
+            # probes of local i refold locals i..N, and a pbpo_exact sweep
+            # folds the locals for its line search and for its trace risk.
+            expected = {"pbpo": n + sweeps * n * (n + 1), "pbpo_exact": n + sweeps * 2 * n}
+            assert len(folds) == expected.get(name, n), name
+        assert unpatched["pbpo"].iterations > 2 and unpatched["pbpo_exact"].iterations > 2
+
+
 class TestPbpo:
     def test_benchmark_reproduction(self, benchmark_template):
         settings = OptimizerSettings(step=5e-4, eps=1e-4, max_iters=2000)
@@ -635,7 +668,7 @@ class TestExactLocalPass:
 
     # The helper each path of the local pass forms a local's rates with, and
     # the one it folds an agent into the count pmf with.
-    HELPERS = {"per float": ("_local_tails", "_fold_floats"),
+    HELPERS = {"per float": ("_local_tails", "fold_agent"),
                "array": ("_local_rates", "_fold_agents")}
 
     def test_rates_formed_once_per_belief_and_last_agent_not_folded(self, monkeypatch):
@@ -651,14 +684,14 @@ class TestExactLocalPass:
         rates, fold = getattr(network, rates_name), getattr(network, fold_name)
         sweep, finish = optimize.pinned_fusion_sweep, optimize._finish
 
-        # Both rate helpers take (model, costs, beliefs) and both folds take
-        # the pmf and then one entry per agent.
+        # Both rate helpers take (model, costs, beliefs); fold_agent folds
+        # one agent and _fold_agents one per entry of its second argument.
         def counted_rates(*args):
             events.append(("rates", len(args[2])))
             return rates(*args)
 
         def counted_fold(*args):
-            events.append(("fold", len(args[1])))
+            events.append(("fold", 1 if fold_name == "fold_agent" else len(args[1])))
             return fold(*args)
 
         def marked_sweep(*args):
