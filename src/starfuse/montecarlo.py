@@ -2,15 +2,20 @@
 fit of exact risks that measures how fast the fusion risk approaches its
 many-agent limit.
 
-``simulate`` counts its trials on every usable CPU. The trial range is cut
-into one contiguous slice per worker; each worker keys its own Philox
-counter-based generator with the seed and advances it to the first trial of
-its slice, so every trial reads the same uniforms whatever the split, and
-the integer counts are summed at the end. Results are therefore identical
-for any number of cores and any chunk size. The workers share one budget of
-``CHUNK_UNIFORMS`` doubles (``CHUNK_UNIFORMS`` * 8 bytes in all, each worker
-holding its share in one buffer) plus temporaries of about the same size,
-whatever the network size and the core count.
+``simulate`` draws how many of its trials are under H=1 once, from a
+binomial, and orders the trials by hypothesis: H=0 first, then H=1. The
+trials are exchangeable, so the counts have the law of one independent
+hypothesis per trial. Every trial reads N + 1 uniforms of one PCG64DXSM
+stream keyed by the seed (O'Neill 2014), at a fixed position, and the
+trials are counted on every usable CPU. The trial range is cut into one
+contiguous slice per worker; each worker advances its own copy of the
+stream to the first trial of its slice, so every trial reads the same
+uniforms whatever the split, and the integer counts are summed at the end.
+Results are therefore identical for any number of cores and any chunk
+size. The workers share one budget of ``CHUNK_UNIFORMS`` doubles
+(``CHUNK_UNIFORMS`` * 8 bytes in all, each worker holding its share in one
+buffer) plus temporaries of about the same size, whatever the network size
+and the core count.
 """
 
 import math
@@ -116,64 +121,75 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count_trials(seed: int, pi0: float, cut_local: np.ndarray, cut_fusion: np.ndarray,
-                  stride: int, chunk_size: int, first: int, stop: int) -> tuple[int, int, int]:
-    """(false alarms, missed detections, H=1 trials) of trials [first, stop).
+def _stream(seed: int, stream: int) -> np.random.PCG64DXSM:
+    """Stream ``stream`` of ``seed``: 0 draws the hypothesis count, 1 the
+    signal uniforms. A double is one 64-bit PCG64DXSM output, so ``advance(k)``
+    skips exactly k uniforms."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([int(seed), stream]))
 
-    One Philox stream keyed by ``seed`` is advanced to trial ``first`` and
-    drawn chunk after chunk of ``chunk_size`` trials into one buffer, so any
+
+def _count_trials(seed: int, h0_trials: int, cut_local: np.ndarray, cut_fusion: np.ndarray,
+                  chunk_size: int, first: int, stop: int) -> tuple[int, int]:
+    """(false alarms, missed detections) of trials [first, stop), of which
+    those below ``h0_trials`` are under H=0 and the rest under H=1.
+
+    Trial t reads the N + 1 uniforms at position t*(N + 1) of the signal
+    stream of ``seed``: the fusion signal, then one per local. The stream is
+    advanced to trial ``first`` and drawn chunk after chunk of at most
+    ``chunk_size`` trials of one hypothesis into one buffer, so any
     partition of the trial range gives counts that sum to those of one pass.
     ``cut_local`` is the (2, N) and ``cut_fusion`` the (2, N + 1) cutoff
     table of ``_uniform_cutoffs``.
     """
     n = cut_local.shape[1]
-    cut_fusion = cut_fusion.ravel()
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(first * stride // 4)
-    gen = np.random.Generator(bitgen)
+    stride = n + 1
+    gen = np.random.Generator(_stream(seed, 1).advance(first * stride))
     buf = np.empty((min(chunk_size, stop - first), stride))
-    fa = md = h1 = 0
-    for start in range(first, stop, chunk_size):
-        u = buf[:min(chunk_size, stop - start)]
-        gen.random(out=u)
-        h = u[:, 0] >= pi0  # True -> H=1
-        row = h.view(np.int8)  # cutoff row of each trial's hypothesis
-        cut = np.take(cut_local, row, axis=0)
-        # Index into the flattened fusion cutoffs: row * (N + 1) + count.
-        if n <= _COLUMN_LOOP_MAX_N:
-            idx = row * np.intp(n + 1)
-            for j in range(n):
-                idx += u[:, j + 2] >= cut[:, j]
-        else:
-            idx = np.add.reduce(u[:, 2:n + 2] >= cut, axis=1, dtype=np.intp)
-            idx += row * np.intp(n + 1)
-        decide_one = u[:, 1] >= np.take(cut_fusion, idx)
-        hits = int(np.count_nonzero(decide_one & h))
-        ones = int(np.count_nonzero(h))
-        fa += int(np.count_nonzero(decide_one)) - hits
-        md += ones - hits
-        h1 += ones
-    return fa, md, h1
+    ones = [0, 0]  # fusion decide-ones under H=0 and under H=1
+    # The slice holds at most one run of each hypothesis.
+    for h, run_first, run_stop in ((0, first, min(stop, h0_trials)),
+                                   (1, max(first, h0_trials), stop)):
+        cut, cut_f = cut_local[h], cut_fusion[h]
+        for start in range(run_first, run_stop, chunk_size):
+            u = buf[:min(chunk_size, run_stop - start)]
+            gen.random(out=u)
+            # Each trial's count of local decide-ones indexes its fusion cutoff.
+            if n <= _COLUMN_LOOP_MAX_N:
+                count = np.zeros(len(u), dtype=np.intp)
+                for j in range(n):
+                    count += u[:, j + 1] >= cut[j]
+            else:
+                count = np.add.reduce(u[:, 1:] >= cut, axis=1, dtype=np.intp)
+            ones[h] += int(np.count_nonzero(u[:, 0] >= np.take(cut_f, count)))
+    h1_trials = max(0, stop - max(first, h0_trials))
+    return ones[0], h1_trials - ones[1]
 
 
 def simulate(spec: SimulationSpec) -> SimulationResult:
     """Simulate the full network forward and average the incurred cost.
 
-    Draws are counter-based: trial t consumes a fixed stride of uniforms
-    starting at position t*stride of the Philox stream keyed by the seed
-    (stride padded to the 4-word block size): the hypothesis, the fusion
-    signal, then one per local signal. A signal is never formed: each test
+    The number of trials under H=1 is drawn once, h1 ~ Binomial(trials,
+    1 - pi0), from stream 0 of the seed; trials [0, trials - h1) are under
+    H=0 and the rest under H=1. The trials are exchangeable, so the counts
+    have exactly the joint law of one independent hypothesis per trial.
+    Signal draws are at fixed positions: trial t reads the N + 1 uniforms
+    at position t*(N + 1) of stream 1 of the seed, a PCG64DXSM generator
+    (O'Neill 2014) keyed by ``SeedSequence([seed, 1])``: the fusion signal,
+    then one per local signal. The stride is unpadded, since each uniform
+    is one 64-bit output. A signal is never formed: each test
     h + sigma*Phi^-1(u) > lam is decided as u >= u*, with the cutoff u* of
     every (hypothesis, threshold) pair from ``_uniform_cutoffs``, so the
-    counts are those of that test on the inverse-CDF signal.
+    counts are those of that test on the inverse-CDF signal. A chunk holds
+    trials of one hypothesis and is compared with that hypothesis's one
+    row of cutoffs.
 
     Time is O(trials * N) after the one-off cutoff bisection. The trial range
     is cut into one contiguous slice per worker, one worker per usable CPU
     but no more than there are chunks; a single worker runs inline, more run
-    on threads that are joined before this returns (Philox draws and numpy
-    comparisons release the GIL). Each worker advances its own Philox to the
-    first trial of its slice (Salmon et al. 2011), so every trial sees the
-    same uniforms on any number of cores, and the integer counts are summed:
+    on threads that are joined before this returns (PCG64DXSM draws and
+    numpy comparisons release the GIL). Each worker advances its own copy of
+    stream 1 to the first trial of its slice, so every trial sees the same
+    uniforms on any number of cores, and the integer counts are summed:
     results are identical for any core count and any chunking. Each of w
     workers draws chunks of ``CHUNK_UNIFORMS`` / w uniforms (at least one
     trial) into one buffer, so the buffers total ``CHUNK_UNIFORMS`` * 8
@@ -199,7 +215,8 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     cut_local = _uniform_cutoffs(sigma, lam_local)
     cut_fusion = _uniform_cutoffs(sigma, lam_fusion)
 
-    stride = 4 * ((n + 2 + 3) // 4)
+    h1 = int(np.random.Generator(_stream(spec.seed, 0)).binomial(spec.trials, 1.0 - cfg.pi0))
+    stride = n + 1
     workers = min(_usable_cpus(), -(-spec.trials // max(1, CHUNK_UNIFORMS // stride)))
     # The workers share one budget of CHUNK_UNIFORMS, so memory does not grow
     # with the core count either.
@@ -207,7 +224,7 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     bounds = [spec.trials * k // workers for k in range(workers + 1)]
 
     def count(first, stop):
-        return _count_trials(spec.seed, cfg.pi0, cut_local, cut_fusion, stride, chunk_size,
+        return _count_trials(spec.seed, spec.trials - h1, cut_local, cut_fusion, chunk_size,
                              first, stop)
 
     if workers == 1:
@@ -215,7 +232,7 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(count, bounds[:-1], bounds[1:]))
-    fa, md, h1 = map(sum, zip(*parts))
+    fa, md = map(sum, zip(*parts))
 
     c_fa, c_md = cfg.costs.c_fa, cfg.costs.c_md
     cost_sum = c_fa * fa + c_md * md

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -457,12 +458,12 @@ class TestSimulateCommand:
         # The README command.
         (["--pi0", "0.3", "--q0", "0.7372", "--q", "0.3960,0.3960",
           "--trials", "1000000", "--seed", "1"],
-         "95c69f7f13e57139a156c499532177cbc61060014a5db67f2f95213aabd8ffc6"),
+         "96c91951d6bc9de3e0d12013b969cf24a827e149d5159e7b00c96872bea7201d"),
         # Twenty heterogeneous locals, 0.30 to 0.68.
         (["--pi0", "0.4", "--q0", "0.45", "--q", ",".join("%.2f" % (0.3 + 0.02 * i) for i in range(20)),
           "--sigma", "1.3", "--cfa", "1.5", "--trials", "200000", "--seed", "7"],
-         "77ddae19752c0e5546073ffb6ba6bc9470ce12ad505a9a352451ac397da2e60c"),
-    ])
+         "1bdc02795e05637a9203675595e467b16d3e168fb096297edc63dd747f8ec692"),
+    ], ids=["readme", "twenty-locals"])
     def test_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
         """The CSV bytes written when every signal was drawn through the
         inverse normal CDF and compared with its threshold."""
@@ -470,6 +471,32 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", *argv, "--csv", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "-1"),
+        ("--seed", "-1"), ("--seed", str(2**64)),
+        ("--q", ""),
+        ("--sigma", "1e200"), ("--sigma", "1e-200"),
+        ("--pi0", "1e-300"),
+    ])
+    def test_argv_edge_is_finite_or_one_error(self, capsys, tmp_path, flag, value):
+        """Each edge value exits 0 with only finite numbers, or 2 or 3 with
+        one error line, nothing on stdout and no CSV; never a traceback."""
+        argv = {"--pi0": "0.3", "--q0": "0.7", "--q": "0.4,0.4", "--trials": "1000", "--seed": "1"}
+        argv[flag] = value
+        path = tmp_path / "sim.csv"
+        code, out, err = run_cli(capsys, "simulate", *(a for kv in argv.items() for a in kv),
+                                 "--csv", str(path))
+        if code == 0:
+            assert err == ""
+            assert all(math.isfinite(float(v)) for _, v in re.findall(r"(\w+)=(\S+)", out)), out
+            _, row = list(csv.reader(path.open()))
+            assert all(math.isfinite(float(v)) for v in row), row
+        else:
+            assert code in (2, 3)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not path.exists()
 
 
 def test_parser_reused_across_commands(capsys, tmp_path):

@@ -39,8 +39,7 @@ def _chunk_trials(spec, trials):
     """Patch ``simulate``'s uniform budget to ``trials`` trials of ``spec``:
     one chunk of that many trials on one worker, a share of it on each of
     several."""
-    stride = 4 * ((spec.config.n_local + 2 + 3) // 4)
-    return mock.patch.object(montecarlo, "CHUNK_UNIFORMS", trials * stride)
+    return mock.patch.object(montecarlo, "CHUNK_UNIFORMS", trials * (spec.config.n_local + 1))
 
 
 def _usable_cpus(count):
@@ -48,30 +47,46 @@ def _usable_cpus(count):
     return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
 
 
-def _inverse_cdf_counts(spec, chunk_size):
-    """(fa, md, h1) counts of ``simulate`` computed the direct way: every
-    signal drawn as h + sigma*ndtri(u) from the same Philox stream and
-    compared with its threshold. The reference the cutoff form must match."""
-    cfg = spec.config
-    n = cfg.n_local
-    sigma = cfg.model.sigma
+def _cutoffs(cfg):
+    """The (2, N) local and (2, N + 1) fusion cutoff tables ``simulate`` counts with."""
     lam_local = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local])
     lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
-    stride = 4 * ((n + 2 + 3) // 4)
-    fa = md = h1 = 0
+    with np.errstate(invalid="ignore"):
+        return _uniform_cutoffs(cfg.model.sigma, lam_local), _uniform_cutoffs(cfg.model.sigma, lam_fusion)
+
+
+def _inverse_cdf_decisions(cfg, seed, h0_trials, first, stop):
+    """(hypothesis, fusion decision) of each trial in [first, stop), the
+    direct way: trials below ``h0_trials`` under H=0, the rest under H=1,
+    and every signal drawn as h + sigma*ndtri(u) from the N + 1 uniforms at
+    position t*(N + 1) of stream 1 of the seed and compared with its
+    threshold."""
+    n = cfg.n_local
+    lam_local = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local])
+    lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
+    bitgen = np.random.PCG64DXSM(np.random.SeedSequence([int(seed), 1]))
+    bitgen.advance(first * (n + 1))
+    u = np.random.Generator(bitgen).random((stop - first, n + 1))
+    h = np.arange(first, stop) >= h0_trials
+    y = h.astype(float)[:, None] + cfg.model.sigma * ndtri(u)
+    counts = np.count_nonzero(y[:, 1:] > lam_local[None, :], axis=1)
+    return h, y[:, 0] > lam_fusion[counts]
+
+
+def _inverse_cdf_counts(spec, chunk_size):
+    """(fa, md, h1) counts of ``simulate`` computed the direct way: the H=1
+    count drawn from Binomial(trials, 1 - pi0) on stream 0 of the seed, then
+    ``_inverse_cdf_decisions`` chunk by chunk, each chunk from its own
+    advanced stream. The reference the cutoff form must match."""
+    cfg = spec.config
+    rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([int(spec.seed), 0])))
+    h1 = int(rng.binomial(spec.trials, 1.0 - cfg.pi0))
+    fa = md = 0
     for start in range(0, spec.trials, chunk_size):
-        m = min(chunk_size, spec.trials - start)
-        bitgen = np.random.Philox(key=spec.seed)
-        if start:
-            bitgen.advance(start * stride // 4)
-        u = np.random.Generator(bitgen).random((m, stride))
-        h = u[:, 0] >= cfg.pi0
-        y = h.astype(float)[:, None] + sigma * ndtri(u[:, 1:n + 2])
-        counts = np.count_nonzero(y[:, 1:] > lam_local[None, :], axis=1)
-        decide_one = y[:, 0] > lam_fusion[counts]
+        h, decide_one = _inverse_cdf_decisions(cfg, spec.seed, spec.trials - h1, start,
+                                               min(start + chunk_size, spec.trials))
         fa += int(np.count_nonzero(decide_one & ~h))
         md += int(np.count_nonzero(~decide_one & h))
-        h1 += int(np.count_nonzero(h))
     return fa, md, h1
 
 
@@ -142,21 +157,18 @@ class TestWorkers:
     @settings(max_examples=60, deadline=None)
     def test_partition_counts_sum_to_one_pass(self, n, sigma, pi0, q0, beliefs, seed, trials,
                                               chunk_size, data):
-        """Each contiguous slice counted from its own advanced Philox sums to
-        the counts of the whole range in one pass."""
+        """Each contiguous slice counted from its own advanced stream sums to
+        the counts of the whole range in one pass, wherever the H=0/H=1
+        boundary falls."""
         cfg = _config(pi0=pi0, q0=q0, q_local=tuple(beliefs[:n]), sigma=sigma)
-        lam_local = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local])
-        lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
-        with np.errstate(invalid="ignore"):
-            cut_local = _uniform_cutoffs(sigma, lam_local)
-            cut_fusion = _uniform_cutoffs(sigma, lam_fusion)
-        stride = 4 * ((n + 2 + 3) // 4)
+        cut_local, cut_fusion = _cutoffs(cfg)
+        h0_trials = data.draw(st.integers(0, trials))
         cuts = data.draw(st.lists(st.integers(1, trials - 1), max_size=6, unique=True)
                          if trials > 1 else st.just([]))
         bounds = [0, *sorted(cuts), trials]
 
         def count(first, stop):
-            return _count_trials(seed, pi0, cut_local, cut_fusion, stride, chunk_size, first, stop)
+            return _count_trials(seed, h0_trials, cut_local, cut_fusion, chunk_size, first, stop)
 
         parts = [count(a, b) for a, b in zip(bounds, bounds[1:])]
         assert tuple(sum(c) for c in zip(*parts)) == count(0, trials)
@@ -201,11 +213,100 @@ class TestWorkers:
         assert threading.active_count() == baseline
 
     def test_worker_exception_propagates(self):
+        """The signal stream's bit generator fails on every thread but the
+        caller's, so the hypothesis count is drawn and each worker raises."""
         spec = SimulationSpec(_config(), trials=50_000, seed=5)
+        bit_generator = np.random.PCG64DXSM
+
+        def off_the_caller(seed_seq):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("boom")
+            return bit_generator(seed_seq)
+
         with _chunk_trials(spec, 2_000), _usable_cpus(2), \
-                mock.patch.object(np.random, "Philox", side_effect=RuntimeError("boom")):
+                mock.patch.object(np.random, "PCG64DXSM", side_effect=off_the_caller):
             with pytest.raises(RuntimeError, match="boom"):
                 simulate(spec)
+
+
+class TestHypothesisSplit:
+    """Trials [0, h0_trials) are under H=0 and the rest under H=1, and a
+    worker's slice may lie in one run or straddle the boundary."""
+
+    @staticmethod
+    def _every_split(spec, chunks):
+        """``simulate`` on 1 to 3 CPUs at each chunk size of ``chunks``, all
+        equal to the direct draws; returns the one result."""
+        results = set()
+        for cpus in (1, 2, 3):
+            for chunk in chunks:
+                with _usable_cpus(cpus), _chunk_trials(spec, chunk):
+                    results.add(simulate(spec))
+        (result,) = results
+        with np.errstate(all="ignore"):
+            expected = _inverse_cdf_counts(spec, 1_000)
+        assert (result.fa_count, result.md_count, result.h1_trials) == expected
+        assert result.h0_trials + result.h1_trials == result.trials
+        return result
+
+    @pytest.mark.parametrize("pi0, h1_trials", [(1e-300, 3_000), (1.0 - 1e-12, 0)])
+    def test_one_hypothesis_gets_every_trial(self, pi0, h1_trials):
+        spec = SimulationSpec(_config(pi0=pi0, q0=0.6, q_local=(0.4, 0.7)), trials=3_000, seed=21)
+        result = self._every_split(spec, (1, 7, 1_000, 3_000))
+        assert result.h1_trials == h1_trials
+        assert (result.md_count if h1_trials == 0 else result.fa_count) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_trial(self, seed):
+        spec = SimulationSpec(_config(pi0=0.5, q0=0.6, q_local=(0.4, 0.7, 0.5)), trials=1, seed=seed)
+        result = self._every_split(spec, (1, 5))
+        assert result.fa_count + result.md_count <= 1
+
+    def test_counts_over_workers_and_chunks(self):
+        spec = SimulationSpec(_config(q0=0.7372, q_local=(0.396,) * 3), trials=2_001, seed=8)
+        result = self._every_split(spec, (1, 2, 333, 1_000, 2_001))
+        assert 0 < result.h0_trials < result.trials
+
+    @pytest.mark.parametrize("first, stop", [
+        (0, 40), (5, 33),  # wholly under H=0
+        (40, 100), (57, 91),  # wholly under H=1
+        (0, 100), (30, 70), (39, 41),  # straddling the boundary
+        (39, 40), (40, 41),  # one trial on either side of it
+    ])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 64])
+    def test_slice_counts_equal_direct_draws(self, first, stop, chunk_size):
+        cfg = _config(pi0=0.4, q0=0.6, q_local=(0.4, 0.55, 0.7))
+        h, decide_one = _inverse_cdf_decisions(cfg, 77, 40, first, stop)
+        expected = (int(np.count_nonzero(decide_one & ~h)), int(np.count_nonzero(~decide_one & h)))
+        assert _count_trials(77, 40, *_cutoffs(cfg), chunk_size, first, stop) == expected
+
+
+class TestHypothesisRates:
+    """The per-hypothesis error rates, pooled over seeds fixed before the
+    first run, against ``exact_risk``'s conditional errors; and the H=1
+    count against its binomial law. Every z score is bounded by 4."""
+
+    SEEDS = (101, 202, 303, 404)
+    TRIALS = 250_000
+    Z_BOUND = 4.0
+
+    @pytest.mark.parametrize("cfg", [
+        _config(pi0=0.3, q0=0.6, q_local=(0.4, 0.55, 0.7), sigma=1.2),
+        _config(pi0=0.55, q0=0.45, q_local=tuple(0.3 + 0.02 * i for i in range(20)), c_fa=1.5),
+    ], ids=["n3-column-loop", "n20-row-sum"])
+    def test_rates_match_exact_errors(self, cfg):
+        results = [simulate(SimulationSpec(cfg, trials=self.TRIALS, seed=s)) for s in self.SEEDS]
+        fa, md, h0, h1 = (sum(getattr(r, f) for r in results)
+                          for f in ("fa_count", "md_count", "h0_trials", "h1_trials"))
+        report = exact_risk(cfg)
+
+        def z(hits, n, p):
+            return (hits - n * p) / math.sqrt(n * p * (1.0 - p))
+
+        assert abs(z(fa, h0, report.p_fa0)) <= self.Z_BOUND
+        assert abs(z(md, h1, report.p_md0)) <= self.Z_BOUND
+        assert abs(z(h1, h0 + h1, 1.0 - cfg.pi0)) <= self.Z_BOUND
+        assert h0 + h1 == len(self.SEEDS) * self.TRIALS
 
 
 class TestSimulate:
