@@ -182,15 +182,19 @@ def _min_mix(tails):
     s minimizes; s = 1/2 is taken.
     """
     lp10, lp11, lp00, lp01 = tails
-    d0, d1 = lp01 - lp00, lp11 - lp10
     with np.errstate(divide="ignore", invalid="ignore"):
+        d0, d1 = lp01 - lp00, lp11 - lp10
         s = (lp00 - lp10 + np.log(np.abs(d0)) - np.log(np.abs(d1))) / (d1 - d0)
     return _mix(tails, np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), 0.5))
 
 
 def exponent_curve(model: ObservationModel, lam_values):
-    """min over s of the exponent objective, for each threshold in ``lam_values``."""
-    values = _min_mix(decision_one_log_tails(model, lam_values))
+    """min over s of the exponent objective, for each threshold in ``lam_values``.
+    A threshold so far out that lam / sigma overflows has infinite log
+    tails: an uninformative channel, whose value is 0."""
+    with np.errstate(over="ignore"):
+        tails = decision_one_log_tails(model, lam_values)
+    values = _min_mix(tails)
     return float(values) if np.ndim(lam_values) == 0 else values
 
 
@@ -215,7 +219,8 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> 
     u = 1/(2 sigma sqrt 2), that is -log1p(-erf(u)**2) / 2, exact to an ulp
     for a small beta*; where erf(u) nears 1 it is the negated objective at
     (1/2, 1/2), from ``log_ndtr`` tails; ``FloatingPointError`` where beta*
-    overflows. The belief whose threshold is 1/2 is ``costs.neutral_belief``.
+    or the variance proxy sigma**2 overflows. The belief whose threshold is
+    1/2 is ``costs.neutral_belief``.
     """
     if costs is None:
         costs = CostPair()
@@ -226,6 +231,9 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> 
         beta_star = -exponent_objective(model, 0.5, 0.5)
     if not math.isfinite(beta_star):
         raise FloatingPointError(f"sigma={model.sigma!r}: beta* overflows a double")
+    if not math.isfinite(model.variance_proxy):
+        raise FloatingPointError(f"sigma={model.sigma!r}: the variance proxy sigma**2 "
+                                 f"overflows a double")
     fa, md = error_probs(model, 0.5)
     return ExponentReport(
         lambda_star=0.5,

@@ -113,7 +113,12 @@ def _parse_range(text: str) -> np.ndarray:
         raise ValueError(f"range {text!r} must have positive step and stop >= start")
     if (stop + step / 2.0 - start) / step > MAX_RANGE_POINTS:  # np.arange's length, unrounded
         raise ValueError(f"range {text!r} has more than 10^6 points")
-    return np.round(np.arange(start, stop + step / 2.0, step), 10)
+    points = np.arange(start, stop + step / 2.0, step)
+    # Past about 1.8e298 the rounding's scaled value overflows; such a point,
+    # an integer already, is kept as it is (and refused by its command).
+    with np.errstate(over="ignore"):
+        rounded = np.round(points, 10)
+    return np.where(np.isfinite(rounded), rounded, points)
 
 
 def _unit_axis(step: float, flag: str) -> np.ndarray:

@@ -28,7 +28,7 @@ from scipy.special import ndtri
 
 from .asymptotics import PhaseRegion, classify_phase
 from .network import NetworkConfig, exact_risk, tied_exact_risks
-from .observation import CostPair, ObservationModel, threshold_from_belief
+from .observation import CostPair, ObservationModel, check_integer, threshold_from_belief
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,8 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name}={value!r} is not an integer")
+        check_integer("trials", self.trials)
+        check_integer("seed", self.seed)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 2**64:

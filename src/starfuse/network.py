@@ -26,20 +26,18 @@ locals' rate columns from one pass to the next, so a local's rates are
 formed once per belief value. The columns are the pass's own: a caller
 passes back what it got.
 
-Both pipelines that turn log-odds into rates, the locals' rate columns
-(``_rate_columns``) and the per-count fusion errors
-(``_fusion_count_errors``), take one of two paths by input size. Fewer than
-``PER_FLOAT_BELOW`` entries go one float at a time through ``observation``'s
-scalar functions, which give a float the same double as an array element,
-so a network of a few agents pays numpy's per-call cost once per pipeline,
-not once per operation; larger inputs (every grid stage, every large
-network) go as arrays. The O(N^2) kernels of a network of fewer than
-``PER_FLOAT_BELOW`` agents go one float at a time too, folding through
-``fold_agent``, the one scalar count fold (``optimize``'s evaluator folds
-with it too): the count fold of ``count_distribution``, the leave-one-out
-pass of ``pinned_fusion_sweep`` and ``mix_fusion_table``'s one short row,
-the line search's scan. Both paths give the same doubles; the pass's row
-sums follow ``np.add.reduce``'s pairwise order (``_row_sum``), which no
+One rule picks between a per-float and an array path: a network of fewer
+than ``PER_FLOAT_BELOW`` agents goes one float at a time in the four O(N^2)
+kernels, ``count_distribution``, ``exact_risk``, ``pinned_fusion_sweep`` and
+``mix_fusion_table``'s one short row (the line search's scan), so it pays
+numpy's per-call cost once per kernel, not once per operation. Each helper
+has one path: the array helpers (``_rate_columns``,
+``_fusion_count_errors``, ``_fold_agents``) take arrays, and the scalar ones
+(``_tails``, ``_count_error_rows``, ``fold_agent``, ``_dot``) floats, through
+``observation``'s scalar functions, which give a float the same double as
+an array element. ``fold_agent`` is the one scalar count fold (``optimize``'s
+evaluator folds with it too). Both paths give the same doubles; the pass's
+row sums follow ``np.add.reduce``'s pairwise order (``_row_sum``), which no
 ``np.einsum`` would let them do.
 """
 
@@ -55,6 +53,7 @@ from .observation import (
     BELIEF_EPS,
     CostPair,
     ObservationModel,
+    check_integer,
     check_prior,
     clamp_belief,
     decision_tails,
@@ -70,14 +69,13 @@ from .observation import (
 # search stage; bounds their working memory.
 BATCH_CHUNK_ROWS = 200_000
 
-# Inputs with fewer entries than this (log-odds of _rate_columns, count
-# entries of _fusion_count_errors, agents of count_distribution's fold,
-# pinned_fusion_sweep and mix_fusion_table's one row) are evaluated one
-# float at a time, with the array path's values; larger ones pay numpy's
-# fixed cost per call once. Measured on a 2-core Xeon (numpy 2.4, scipy
-# 1.17): the per-float path breaks even at about 7 log-odds for
-# _rate_columns and 12 count entries for _fusion_count_errors, and is
-# 1.6-3.3x faster at 1-3 entries; one constant between the two.
+# Networks of fewer agents than this go one float at a time in the O(N^2)
+# kernels (count_distribution, exact_risk, pinned_fusion_sweep and
+# mix_fusion_table's one row), with the array path's values; larger ones pay
+# numpy's fixed cost per call once. Measured on a 2-core Xeon (numpy 2.4,
+# scipy 1.17): the per-float pipelines break even at about 7 local rates
+# and 12 per-count fusion errors (7 and 11 agents), and are 1.6-3.3x faster
+# at 1-3 agents.
 PER_FLOAT_BELOW = 8
 
 
@@ -118,6 +116,7 @@ class NetworkTemplate:
 
     def __post_init__(self):
         check_prior(self.pi0)
+        check_integer("n_local", self.n_local)
         if self.n_local < 1:
             raise ValueError("n_local must be at least 1")
 
@@ -157,16 +156,12 @@ def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     """Per-agent columns of the decide-1 and the decide-0 rates of threshold
     tests at the local log-odds ``ell`` (agents on its last axis): entry
     ``[i, h]`` is agent ``i``'s under H=h, with a trailing axis to broadcast.
-    Fewer than ``PER_FLOAT_BELOW`` log-odds go one float at a time, with the
-    array path's values."""
+    ``_tails`` gives the same doubles one float at a time."""
     axes = (ell.ndim - 1, *range(ell.ndim - 1))  # np.moveaxis(ell, -1, 0), minus its overhead
     ell = ell.transpose(axes)[..., None]
-    if ell.size < PER_FLOAT_BELOW:
-        tails = np.array(list(zip(*_tails(model, costs, ell.ravel().tolist()))))
-    else:
-        # inf * 0 at a neutral belief where sigma**2 overflows: the nan is the caller's to report.
-        with np.errstate(invalid="ignore"):
-            tails = decision_tails(model, threshold_from_log_odds(model, costs, ell))
+    # inf * 0 at a neutral belief where sigma**2 overflows: the nan is the caller's to report.
+    with np.errstate(invalid="ignore"):
+        tails = decision_tails(model, threshold_from_log_odds(model, costs, ell))
     rates = tails.reshape((2, 2) + ell.shape).swapaxes(1, 2)
     return rates[0], rates[1]
 
@@ -283,17 +278,16 @@ def fold_agent(pmfs, tail):
     return new0, new1
 
 
-def _count_error_rows(model: ObservationModel, costs: CostPair, e0: float, sizes) -> list:
-    """``_fusion_count_errors`` of the float fusion log-odds ``e0``, one float
-    at a time: one (fa, md, ell, lam) tuple per count 0..n of each size ``n``
-    of ``sizes`` in turn, the array path's doubles."""
+def _count_error_rows(model: ObservationModel, costs: CostPair, e0: float, n: int) -> list:
+    """``_fusion_count_errors`` of the float fusion log-odds ``e0`` at ``n``
+    local decisions, one float at a time: one (fa, md, ell, lam) tuple per
+    count 0..n, the array path's doubles."""
     l_zero, l_one = fusion_log_factors(model, costs, e0)
     rows = []
-    for size in sizes:
-        for k in range(size + 1):
-            ell = e0 + (size - k) * l_zero + k * l_one
-            lam = threshold_from_log_odds(model, costs, ell)
-            rows.append((*error_probs(model, lam), ell, lam))
+    for k in range(n + 1):
+        ell = e0 + (n - k) * l_zero + k * l_one
+        lam = threshold_from_log_odds(model, costs, ell)
+        rows.append((*error_probs(model, lam), ell, lam))
     return rows
 
 
@@ -301,20 +295,11 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     """Fusion (false-alarm, missed-detection) probability after each count
     0..n of local ones among ``n`` decisions, with the updated log-odds and
     fusion thresholds, as arrays. A scalar fusion log-odds ``ell0`` gives
-    arrays of shape (n + 1,); an array of them gives one row per entry. A list of sizes ``n``
-    puts the counts 0..n of each size after one another on the last axis,
-    each entry the same double as at that size alone. Fewer than
-    ``PER_FLOAT_BELOW`` entries in all go one float at a time, with the
-    array path's values."""
+    arrays of shape (n + 1,); an array of them gives one row per entry. A
+    list of sizes ``n`` puts the counts 0..n of each size after one another
+    on the last axis, each entry the same double as at that size alone.
+    ``_count_error_rows`` gives the same doubles one float at a time."""
     ell0 = np.asarray(ell0)
-    sizes = n if isinstance(n, list) else [n]
-    width = sum(sizes) + len(sizes)
-    if ell0.size * width < PER_FLOAT_BELOW:
-        rows = [row for e0 in ell0.ravel().tolist()
-                for row in _count_error_rows(model, costs, e0, sizes)]
-        # Stacked by zip, C-contiguous as the array path's: a strided fa
-        # changes the last bit of exact_risk's ``@``.
-        return tuple(np.array(list(zip(*rows))).reshape((4,) + ell0.shape + (width,)))
     if isinstance(n, list):
         k = np.concatenate([np.arange(size + 1) for size in n])
         n = np.repeat(n, [size + 1 for size in n])
@@ -347,11 +332,18 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
 
     Mixes the per-count fusion error probabilities over the count pmf; the
     decomposition identity r0 = c_fa*pi0*p_fa0 + c_md*(1-pi0)*p_md0 holds by
-    construction.
+    construction. Below ``PER_FLOAT_BELOW`` agents the per-count fusion
+    errors go one float at a time, with the same doubles.
     """
-    n = config.n_local
+    n, model, costs = config.n_local, config.model, config.costs
     pmf = count_distribution(config)
-    fa, md, ell, lam = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
+    ell0 = log_odds(config.q0)
+    if n < PER_FLOAT_BELOW:
+        # Stacked by zip, C-contiguous as the array path's: a strided fa
+        # changes the last bit of ``@``.
+        fa, md, ell, lam = np.array(list(zip(*_count_error_rows(model, costs, ell0, n))))
+    else:
+        fa, md, ell, lam = _fusion_count_errors(model, costs, ell0, n)
     p_fa0, p_md0 = _mixed_errors(pmf, fa, md)
     per_count = tuple(zip(range(n + 1), from_log_odds(ell).tolist(), lam.tolist()))
     return RiskReport(r0=bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
@@ -378,7 +370,8 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
         raise ValueError(f"sizes must be strictly increasing and at least 1, got {sizes}")
     if not sizes:
         return []
-    (p,), (q,) = _local_rates(model, costs, [q1])
+    [(t0, t1, s0, s1)] = _local_tails(model, costs, [q1])
+    p, q = np.array([[t0], [t1]]), np.array([[s0], [s1]])
     fa, md, _, _ = _fusion_count_errors(model, costs, log_odds(q0), sizes)
     pmf = np.zeros((2, sizes[-1] + 1))
     pmf[:, 0] = 1.0
@@ -582,7 +575,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
     ell0 = log_odds(config.q0)
     if n < PER_FLOAT_BELOW:
         tails = columns if columns is not None else _local_tails(model, costs, beliefs)
-        fa, md, _, _ = zip(*_count_error_rows(model, costs, ell0, [n]))
+        fa, md, _, _ = zip(*_count_error_rows(model, costs, ell0, n))
         after = [None] * n
         after[n - 1] = fa, md
         for j in range(n - 1, 0, -1):
@@ -618,7 +611,8 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
                    np.add.reduce(prefix * g[:, 1:], axis=-1))
         if q != beliefs[j]:
             beliefs[j] = q
-            (p_cols[j],), (q_cols[j],) = _local_rates(model, costs, [q])
+            [(t0, t1, s0, s1)] = _local_tails(model, costs, [q])
+            p_cols[j], q_cols[j] = [[t0], [t1]], [[s0], [s1]]
         if j < n - 1:
             _fold_agents(before, p_cols[j:j + 1], q_cols[j:j + 1], j)
     return tuple(beliefs), (p_cols, q_cols)

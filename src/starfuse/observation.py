@@ -15,6 +15,7 @@ hypothesis value (0 or 1) plus centered Gaussian noise with scale ``sigma``.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,13 @@ def check_prior(pi0) -> None:
     """Reject a true prior that is not a number strictly inside (0, 1)."""
     if not (isinstance(pi0, (int, float)) and 0.0 < pi0 < 1.0):
         raise ValueError(f"pi0={pi0!r} is degenerate: the prior must lie strictly inside (0, 1)")
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a value of the integer field ``name`` that is not an ``int``
+    or a numpy integer; a bool is no count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name}={value!r} is not an integer")
 
 
 def clamp_belief(q: float) -> float:
@@ -79,7 +87,8 @@ class CostPair:
 
     def __post_init__(self):
         for name, value in (("c_fa", self.c_fa), ("c_md", self.c_md)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"cost {name}={value!r} must be strictly positive and finite")
 
     @functools.cached_property
@@ -102,8 +111,11 @@ class ObservationModel:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+        if isinstance(self.sigma, bool) or not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma={self.sigma!r} must be strictly positive and finite")
+        if self.sigma < sys.float_info.min:
+            raise ValueError(f"sigma={self.sigma!r} is subnormal: a threshold scaled by 1/sigma "
+                             f"overflows a double")
 
     @property
     def variance_proxy(self) -> float:

@@ -66,7 +66,14 @@ from .network import (
     pinned_fusion_errors,
     pinned_fusion_sweep,
 )
-from .observation import BELIEF_EPS, check_prior, from_log_odds, fusion_log_factors, log_odds
+from .observation import (
+    BELIEF_EPS,
+    check_integer,
+    check_prior,
+    from_log_odds,
+    fusion_log_factors,
+    log_odds,
+)
 
 # Search grids stay strictly inside (0, 1); beliefs at the very edge are
 # handled by the uniform clamp anyway.
@@ -99,6 +106,8 @@ class OptimizerSettings:
             raise ValueError("step must be positive")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
+        check_integer("max_iters", self.max_iters)
+        check_integer("restarts", self.restarts)
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be positive integers")
         if not 0.0 < self.grid_resolution < 0.5:

@@ -114,7 +114,8 @@ def prelec_risk_gap(template: NetworkTemplate, params: PrelecParams, q0_strategy
     while the fusion belief either stays at the point's unconstrained optimum
     ("keep-optimal-q0") or is re-minimized against the constrained locals
     ("reoptimize-q0"). Rows come back in sweep order with both the optimal
-    and the constrained risk.
+    and the constrained risk; ``FloatingPointError`` at the first point whose
+    constrained risk is not finite, as ``optimize`` words it.
 
     Each re-minimization is ``minimize_fusion_belief`` at the point's prior,
     with the same doubles and errors; its bracketing scan's fusion error
@@ -134,6 +135,9 @@ def prelec_risk_gap(template: NetworkTemplate, params: PrelecParams, q0_strategy
         else:
             q0_used = search.at_prior(item.pi0)((w,) * template.n_local)
         risk_prelec = exact_risk(local_template.tied(q0_used, w)).r0
+        if not math.isfinite(risk_prelec):
+            raise FloatingPointError(f"fusion belief q0={q0_used!r} at "
+                                     f"sigma={template.model.sigma!r}: its risk is not finite")
         points.append(PrelecGapPoint(
             pi0=item.pi0,
             q1_opt=item.q1_opt,

@@ -311,6 +311,14 @@ def test_hoisted_tails_match_per_step_tails(sigma):
         assert exponent_curve(model, lam) == pytest.approx(value, rel=1e-13, abs=1e-16), lam
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1e-300])
+def test_curve_at_infinite_thresholds_is_zero(sigma):
+    """Where lam / sigma overflows, the log tails are infinite and the
+    channel uninformative: the curve reads 0, with no numpy warning."""
+    curve = exponent_curve(ObservationModel(sigma=sigma), np.array([-1e308, 1e308]))
+    assert curve.tolist() == [0.0, 0.0]
+
+
 class TestExponentUnderflow:
     """Below sigma of about 0.017 a decision tail near the optimal threshold
     underflows a double; its log from ``log_ndtr`` does not."""

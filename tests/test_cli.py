@@ -1,15 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starfuse import cli, optimize
 from starfuse.cli import main
@@ -803,3 +807,139 @@ def test_closed_stdout_keeps_code_and_files(tmp_path, argv, code, err):
     else:
         assert proc.stderr.count("\n") == 1, proc.stderr
     assert path.read_text().count("\n") >= 2
+
+
+# The argv fuzz: every numeric flag beside its valid values takes each of
+# these, and every range part too, so steps are zero, negative, reversed or
+# not finite. Costly knobs stay small: N <= 3, --max-iters <= 20, --restarts
+# <= 3, --trials <= 1000, map and contour steps >= 0.05.
+_EDGES = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324")
+_NUMBER_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+_FUZZ_DIR = "{dir}"  # replaced by the example's own temporary directory
+
+
+def _number(*valid):
+    return st.sampled_from(valid + _EDGES)
+
+
+def _range(ends, steps):
+    return st.tuples(_number(*ends), _number(*ends), _number(*steps)).map(":".join)
+
+
+def _beliefs(max_size):
+    return st.lists(_number("0.3", "0.45", "0.7"), max_size=max_size).map(",".join)
+
+
+def _flags(required=(), optional=(), switches=()):
+    """argv of ``(flag, values)`` pairs, each optional one present or not,
+    and of ``switches``, each set or not, in a drawn order."""
+    def pair(flag, values):
+        return values.map(lambda value: [f"{flag}={value}"])
+
+    parts = [pair(*item) for item in required]
+    parts += [st.one_of(st.just([]), pair(*item)) for item in optional]
+    parts += [st.sampled_from([[], [switch]]) for switch in switches]
+    return st.tuples(*parts).flatmap(st.permutations).map(lambda groups: sum(groups, []))
+
+
+_MODEL = [("--sigma", _number("1.0", "0.6", "3")), ("--cfa", _number("1.0", "2")),
+          ("--cmd", _number("1.0", "0.5"))]
+_N_LOCAL = ("--n-local", _number("1", "2", "3"))
+_PRIOR_RANGE = _range(("0.2", "0.5", "0.8"), ("0.1", "0.3"))
+
+_COMMANDS = {
+    "risk": _flags([("--pi0", _number("0.3", "0.7")), ("--q0", _number("0.3", "0.7")),
+                    ("--q", _beliefs(3))], _MODEL),
+    "grid": _flags([("--grid-resolution", _number("0.1", "0.25")),
+                    ("--resolution", _number("0.05", "0.25"))],
+                   [("--pi0", _number("0.3")), _N_LOCAL, ("--q0", _number("0.6")),
+                    ("--sweep-pi0", _PRIOR_RANGE), *_MODEL], ["--tie-locals", "--contour"]),
+    "pbpo": _flags([("--pi0", _number("0.3", "0.6")), ("--max-iters", _number("1", "5", "20")),
+                    ("--restarts", _number("1", "3"))],
+                   [_N_LOCAL, ("--delta", _number("5e-4", "0.01")),
+                    ("--eps", _number("1e-4", "1e-3")), ("--init", _beliefs(4)),
+                    ("--seed", _number("7")), *_MODEL],
+                   ["--random-init", "--trace", "--exact"]),
+    "prelec": _flags([], [_N_LOCAL, ("--sweep-pi0", _PRIOR_RANGE),
+                          ("--input", st.sampled_from([f"{_FUZZ_DIR}/sweep.csv",
+                                                       f"{_FUZZ_DIR}/missing.csv"])),
+                          ("--q0-strategy", st.sampled_from(["keep-optimal-q0",
+                                                             "reoptimize-q0"])), *_MODEL]),
+    "phase": _flags([], [("--q0", _number("0.6", "0.3")), ("--q1", _number("0.5", "0.7")),
+                         ("--pi0", _number("0.3")), ("--grid", _number("0.05", "0.25", "0.5")),
+                         *_MODEL]),
+    "exponent": _flags([], [("--pi0", _number("0.3")), ("--q0", _number("0.6")),
+                            ("--q1", _number("0.45", "0.5")),
+                            ("--n", _range(("2", "5", "20"), ("5", "10"))),
+                            ("--curve-csv", st.just(f"{_FUZZ_DIR}/curve.csv")),
+                            ("--lam-range", _range(("-3", "0.5", "4"), ("0.25", "1"))),
+                            *_MODEL], ["--estimate"]),
+    "simulate": _flags([("--pi0", _number("0.3", "0.7")), ("--q0", _number("0.3", "0.7")),
+                        ("--q", _beliefs(3)), ("--trials", _number("1", "100", "1000")),
+                        ("--seed", _number("1", "7"))], _MODEL),
+}
+
+# A valid ``grid --sweep-pi0`` CSV for ``prelec --input``.
+_SWEEP_CSV = ("pi0,q0_opt,q1_opt,risk_opt\n0.2,0.26,0.22,0.15\n0.4,0.45,0.41,0.25\n"
+              "0.6,0.62,0.6,0.3\n0.8,0.81,0.79,0.15\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda command: _COMMANDS[command].map(lambda flags: [command, *flags])))
+def test_argv_fuzz_is_finite_or_refused(argv):
+    """Any argv of the seven subcommands (``phase --strict``, which writes
+    and then exits 3, left out) exits 0, 2 or 3, never with a traceback or
+    a numpy warning (the test configuration raises a RuntimeWarning). A
+    non-zero exit prints nothing to stdout and leaves no new file; exit 0
+    prints no nan or inf, to stdout or to a CSV."""
+    with tempfile.TemporaryDirectory() as directory:
+        Path(directory, "sweep.csv").write_text(_SWEEP_CSV)
+        argv = [arg.replace(_FUZZ_DIR, directory) for arg in argv]
+        argv += ["--csv", os.path.join(directory, "out.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing a flag
+                code = exc.code
+        files = sorted(os.listdir(directory))
+        if code == 0:
+            assert not _NUMBER_TOKEN.search(out.getvalue()), out.getvalue()
+            for name in files:
+                text = Path(directory, name).read_text()
+                assert not _NUMBER_TOKEN.search(text), (name, text)
+        else:
+            assert code in (2, 3), err.getvalue()
+            assert out.getvalue() == ""
+            assert files == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["grid", "--tie-locals", "--sweep-pi0", "0.2:1e308:1e308"], 2),
+    (["exponent", "--sigma", "1e200"], 3),
+    (["prelec", "--input", "{sweep}", "--sigma", "1e308"], 3),
+    (["risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.4", "--sigma", "5e-324"], 2),
+    (["exponent", "--curve-csv", "{curve}", "--lam-range=-1e308:-3:1e308", "--sigma", "0.5"], 0),
+], ids=["range-end-1e308", "variance-proxy-overflow", "prelec-input-nan-risk",
+        "subnormal-sigma", "curve-at-1e308"])
+def test_argv_fuzz_findings(capsys, tmp_path, argv, code):
+    """The argv on which the fuzz above first failed: a numpy overflow
+    warning from rounding a range, a CSV with variance_proxy=inf, a
+    max_gap=nan headline, an overflow warning from a subnormal sigma and an
+    invalid-value warning from an infinite threshold. Each now exits with
+    one error line and no file, or 0 with only finite numbers, and warns of
+    nothing (a RuntimeWarning fails any test)."""
+    sweep, curve, path = (tmp_path / n for n in ("sweep.csv", "curve.csv", "out.csv"))
+    sweep.write_text(_SWEEP_CSV)
+    argv = [a.format(sweep=sweep, curve=curve) for a in argv]
+    got, out, err = run_cli(capsys, *argv, "--csv", str(path))
+    assert got == code, err
+    if code == 0:
+        assert err == ""
+        for text in (out, path.read_text(), curve.read_text()):
+            assert not _NUMBER_TOKEN.search(text), text
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]

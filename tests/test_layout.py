@@ -358,38 +358,60 @@ def test_every_cli_flag_is_read():
 
 
 def _size_switch_sites(source):
-    """Which of ``PER_FLOAT_BELOW`` (as a name, an attribute or an import)
-    and a call of ``einsum`` (as ``np.einsum`` or an imported name) appear
-    in ``source``."""
+    """(what, where) of each read of ``PER_FLOAT_BELOW`` (as a name, an
+    attribute or an import) and each call of ``einsum`` (as ``np.einsum`` or
+    an imported name) in ``source``: ``where`` is the name of the innermost
+    function around it, or ``"<module>"``. Binding the name is no read."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
         if isinstance(node, ast.ImportFrom):
-            found |= {a.name for a in node.names if a.name == "PER_FLOAT_BELOW"}
-            found |= {"einsum" for a in node.names if a.name == "einsum"}
+            found.update(("PER_FLOAT_BELOW", where) for a in node.names
+                         if a.name == "PER_FLOAT_BELOW")
+            found.update(("einsum", where) for a in node.names if a.name == "einsum")
         elif isinstance(node, ast.Name) and node.id == "PER_FLOAT_BELOW" \
+                and isinstance(node.ctx, ast.Load) \
                 or isinstance(node, ast.Attribute) and node.attr == "PER_FLOAT_BELOW":
-            found.add("PER_FLOAT_BELOW")
+            found.add(("PER_FLOAT_BELOW", where))
         elif isinstance(node, ast.Call):
             func = node.func
             if getattr(func, "attr", getattr(func, "id", None)) == "einsum":
-                found.add("einsum")
+                found.add(("einsum", where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
     return found
 
 
 def test_size_switch_sites_seen():
     source = "import numpy as np\ndef f(a):\n    return np.einsum('i,i', a, a)\n"
-    assert _size_switch_sites(source) == {"einsum"}
-    assert _size_switch_sites("from numpy import einsum\n") == {"einsum"}
-    assert _size_switch_sites("from .network import PER_FLOAT_BELOW\n") == {"PER_FLOAT_BELOW"}
+    assert _size_switch_sites(source) == {("einsum", "f")}
+    assert _size_switch_sites("from numpy import einsum\n") == {("einsum", "<module>")}
+    assert _size_switch_sites("from .network import PER_FLOAT_BELOW\n") \
+        == {("PER_FLOAT_BELOW", "<module>")}
     assert _size_switch_sites("def f(n):\n    return n < network.PER_FLOAT_BELOW\n") \
-        == {"PER_FLOAT_BELOW"}
+        == {("PER_FLOAT_BELOW", "f")}
+    assert _size_switch_sites("def f(n):\n    def g():\n        return PER_FLOAT_BELOW\n") \
+        == {("PER_FLOAT_BELOW", "g")}
+    assert _size_switch_sites("PER_FLOAT_BELOW = 8\n") == set()
     assert _size_switch_sites("'PER_FLOAT_BELOW and np.einsum in a docstring'\n") == set()
+
+
+# The O(N^2) kernels that choose between the per-float and array paths by
+# agent count; every helper they call has one path.
+SIZE_SWITCHES = {"count_distribution", "exact_risk", "pinned_fusion_sweep", "mix_fusion_table"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_size_switch_only_in_network(path):
-    """Only ``network`` chooses between its per-float and array paths, so a
-    change of the constant moves no other module; and no module sums with
-    ``np.einsum``, whose SIMD order no per-float path can follow."""
-    expected = {"PER_FLOAT_BELOW"} if path.name == "network.py" else set()
+    """Only ``network``'s four O(N^2) kernels choose between the per-float
+    and array paths, so a change of the constant moves no other module and
+    no helper; and no module sums with ``np.einsum``, whose SIMD order no
+    per-float path can follow."""
+    expected = set()
+    if path.name == "network.py":
+        expected = {("PER_FLOAT_BELOW", kernel) for kernel in SIZE_SWITCHES}
     assert _size_switch_sites(path.read_text()) == expected

@@ -29,6 +29,8 @@ from starfuse import network
 from starfuse.network import (
     PER_FLOAT_BELOW,
     _fusion_count_errors,
+    _local_rates,
+    _local_tails,
     _poisson_binomial_pmf,
     _rate_columns,
     bayes_risk,
@@ -40,7 +42,6 @@ from starfuse.network import (
     pinned_fusion_sweep,
     tied_exact_risks,
 )
-from starfuse.observation import decision_tails
 from conftest import random_config
 
 
@@ -355,6 +356,26 @@ def _shape_case(shape, rng):
     return n, np.linspace(0.02, 0.98, 193), q_local
 
 
+def _per_float_rate_columns(model, costs, ell):
+    """``_rate_columns`` one float at a time: the ``_tails`` of each
+    log-odds, agents first, in the array path's layout."""
+    moved = np.moveaxis(ell, -1, 0)[..., None]
+    tails = np.array(list(zip(*network._tails(model, costs, moved.ravel().tolist()))))
+    rates = tails.reshape((2, 2) + moved.shape).swapaxes(1, 2)
+    return rates[0], rates[1]
+
+
+def _per_float_count_errors(model, costs, ell0, n):
+    """``_fusion_count_errors`` one float at a time: the ``_count_error_rows``
+    of each fusion log-odds at each size, stacked by ``zip`` as
+    ``exact_risk`` stacks them."""
+    ell0 = np.asarray(ell0)
+    sizes = n if isinstance(n, list) else [n]
+    rows = [row for e0 in ell0.ravel().tolist() for size in sizes
+            for row in network._count_error_rows(model, costs, e0, size)]
+    return tuple(np.array(list(zip(*rows))).reshape((4,) + ell0.shape + (-1,)))
+
+
 def _both_paths(function, *args):
     """``function(*args)`` with every input on the array path, then with
     every input on the per-float path."""
@@ -411,9 +432,10 @@ def _two_passes(config, revised):
 
 
 class TestPerFloatPath:
-    """Inputs below ``PER_FLOAT_BELOW`` entries go one float at a time,
-    with the array path's doubles; both are checked on sizes on both sides
-    of the constant, with one and two leading axes."""
+    """Networks of fewer than ``PER_FLOAT_BELOW`` agents go one float at a
+    time in the O(N^2) kernels, with the array path's doubles; both are
+    checked on sizes on both sides of the constant, and each scalar helper
+    against its array twin with one and two leading axes."""
 
     @settings(max_examples=60, deadline=None)
     @given(sigma=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
@@ -428,8 +450,18 @@ class TestPerFloatPath:
         # With several rows the array path's layout follows its transposed
         # input; those columns only enter the count fold's elementwise
         # products, where a layout cannot change a value.
-        _assert_same_arrays(*_both_paths(_rate_columns, model, costs, ell),
-                            layout=rows in (None, 1))
+        _assert_same_arrays(_rate_columns(model, costs, ell),
+                            _per_float_rate_columns(model, costs, ell), layout=rows in (None, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(network_config=_small_networks())
+    def test_local_tails(self, network_config):
+        """``_local_tails`` gives each local's ``_local_rates`` columns as
+        four floats, (p(1|0), p(1|1), p(0|0), p(0|1))."""
+        model, costs, beliefs = network_config.model, network_config.costs, network_config.q_local
+        p_cols, q_cols = _local_rates(model, costs, beliefs)
+        columns = np.concatenate([p_cols[..., 0], q_cols[..., 0]], axis=1)
+        assert np.array(_local_tails(model, costs, beliefs)).tobytes() == columns.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(sigma=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
@@ -441,7 +473,8 @@ class TestPerFloatPath:
                                 unique=True).map(sorted)))
     def test_fusion_count_errors(self, sigma, c_fa, c_md, ell0, n):
         model, costs = ObservationModel(sigma=sigma), CostPair(c_fa, c_md)
-        _assert_same_arrays(*_both_paths(_fusion_count_errors, model, costs, ell0, n))
+        _assert_same_arrays(_fusion_count_errors(model, costs, ell0, n),
+                            _per_float_count_errors(model, costs, ell0, n))
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.integers(1, 2 * PER_FLOAT_BELOW), st.integers(1, 400)), st.data())
@@ -458,6 +491,12 @@ class TestPerFloatPath:
     @given(network_config=_small_networks())
     def test_count_distribution(self, network_config):
         _assert_same_arrays(*_both_paths(count_distribution, network_config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(network_config=_small_networks())
+    def test_exact_risk(self, network_config):
+        array_path, per_float = _both_paths(exact_risk, network_config)
+        assert repr(array_path) == repr(per_float)
 
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks())
@@ -512,13 +551,16 @@ class TestPerFloatPath:
     def test_default_path_by_size(self, benchmark_template):
         """Each side of the constant takes its path unpatched."""
         model, costs = benchmark_template.model, benchmark_template.costs
-        tails = []
-        with mock.patch.object(network, "decision_tails",
-                               lambda *a: tails.append(a) or decision_tails(*a)):
-            _rate_columns(model, costs, np.zeros(PER_FLOAT_BELOW - 1))
-            assert len(tails) == PER_FLOAT_BELOW - 1
-            _rate_columns(model, costs, np.zeros(PER_FLOAT_BELOW))
-            assert len(tails) == PER_FLOAT_BELOW
+        paths = []
+        rows, arrays = network._count_error_rows, network._fusion_count_errors
+        with mock.patch.object(network, "_count_error_rows",
+                               lambda *a: paths.append("per float") or rows(*a)), \
+                mock.patch.object(network, "_fusion_count_errors",
+                                  lambda *a: paths.append("array") or arrays(*a)):
+            for n, path in ((PER_FLOAT_BELOW - 1, "per float"), (PER_FLOAT_BELOW, "array")):
+                paths.clear()
+                exact_risk(_config(q_local=(0.3,) * n))
+                assert paths == [path]
         folds = []
         fold = network.fold_agent
         with mock.patch.object(network, "fold_agent", lambda *a: folds.append(a) or fold(*a)):
@@ -783,6 +825,19 @@ class TestConfigValidation:
             batch_risk(template, [0.6], [q_local])
         assert str(from_config.value) == message
         assert str(from_batch.value) == message
+
+    @pytest.mark.parametrize("n_local", [2.5, 2.0, True, False, "3", None])
+    def test_n_local_must_be_an_integer(self, n_local):
+        """A float, a bool or a string is refused up front, naming the field,
+        before it can reach a kernel (2.5 died in ``pbpo_exact`` with a
+        TypeError and True ran as N = 1)."""
+        with pytest.raises(ValueError, match=f"^n_local={n_local!r} is not an integer$"):
+            NetworkTemplate(0.3, CostPair(), ObservationModel(), n_local)
+
+    def test_numpy_integer_n_local_accepted(self):
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(), np.int64(3))
+        assert template.tied(0.6, 0.4) == NetworkTemplate(0.3, CostPair(), ObservationModel(),
+                                                          3).tied(0.6, 0.4)
 
     def test_template_round_trip(self):
         template = NetworkTemplate(0.3, CostPair(), ObservationModel(), 3)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +148,23 @@ class TestValidation:
             CostPair(1.0, -2.0)
         with pytest.raises(ValueError):
             CostPair(1.0, math.inf)
+
+    @pytest.mark.parametrize("costs", [(True, 1.0), (1.0, True), (False, 1.0)])
+    def test_costs_refuse_bools(self, costs):
+        with pytest.raises(ValueError, match="^cost c_"):
+            CostPair(*costs)
+
+    @pytest.mark.parametrize("sigma", [True, False])
+    def test_sigma_refuses_bools(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma={sigma!r}"):
+            ObservationModel(sigma=sigma)
+
+    def test_subnormal_sigma_refused(self):
+        """1/sigma overflows below the smallest normal double, and numpy warns
+        where it does."""
+        with pytest.raises(ValueError, match="^sigma=5e-324 is subnormal"):
+            ObservationModel(sigma=5e-324)
+        assert ObservationModel(sigma=sys.float_info.min).sigma == sys.float_info.min
 
     def test_model_kind_and_sigma(self):
         # The Gaussian is the only model; there is no kind to choose.

@@ -140,6 +140,20 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(template, OptimizerSettings(grid_resolution=0.02))
 
+    @pytest.mark.parametrize("field, value", [("max_iters", True), ("max_iters", 2.5),
+                                              ("max_iters", 40.0), ("restarts", "3"),
+                                              ("restarts", True), ("restarts", None)])
+    def test_settings_counts_must_be_integers(self, field, value):
+        """``max_iters=True`` ran one sweep and ``restarts="3"`` raised a
+        TypeError; each is refused, naming the field."""
+        with pytest.raises(ValueError, match=f"^{field}={value!r} is not an integer$"):
+            OptimizerSettings(**{field: value})
+
+    def test_settings_accept_numpy_integers(self, benchmark_template):
+        numpy_ints = OptimizerSettings(max_iters=np.int64(40), restarts=np.int32(2))
+        assert pbpo_exact(benchmark_template, numpy_ints, seed=3) \
+            == pbpo_exact(benchmark_template, OptimizerSettings(max_iters=40, restarts=2), seed=3)
+
     def test_resolution_guard(self, benchmark_template):
         with pytest.raises(ValueError):
             grid_search(benchmark_template, OptimizerSettings(grid_resolution=5e-5,
@@ -666,10 +680,11 @@ class TestExactLocalPass:
     next, so it forms a local's rates once per belief value, on either side
     of ``network.PER_FLOAT_BELOW``."""
 
-    # The helper each path of the local pass forms a local's rates with, and
-    # the one it folds an agent into the count pmf with.
-    HELPERS = {"per float": ("_local_tails", "fold_agent"),
-               "array": ("_local_rates", "_fold_agents")}
+    # The helpers each path of the local pass forms a local's rates with (the
+    # array path forms a revised belief's as four floats), and the one it
+    # folds an agent into the count pmf with.
+    HELPERS = {"per float": (("_local_tails",), "fold_agent"),
+               "array": (("_local_rates", "_local_tails"), "_fold_agents")}
 
     def test_rates_formed_once_per_belief_and_last_agent_not_folded(self, monkeypatch):
         for n, path in ((3, "per float"), (9, "array")):
@@ -678,17 +693,19 @@ class TestExactLocalPass:
                 self._check_local_pass(patched, n, *self.HELPERS[path])
 
     @staticmethod
-    def _check_local_pass(monkeypatch, n, rates_name, fold_name):
+    def _check_local_pass(monkeypatch, n, rates_names, fold_name):
         template = NetworkTemplate(0.6, CostPair(1.0, 1.3), ObservationModel(sigma=1.5), n)
         events = []  # (kind, agents) in call order
-        rates, fold = getattr(network, rates_name), getattr(network, fold_name)
+        fold = getattr(network, fold_name)
         sweep, finish = optimize.pinned_fusion_sweep, optimize._finish
 
         # Both rate helpers take (model, costs, beliefs); fold_agent folds
         # one agent and _fold_agents one per entry of its second argument.
-        def counted_rates(*args):
-            events.append(("rates", len(args[2])))
-            return rates(*args)
+        def counted(rates):
+            def counted_rates(*args):
+                events.append(("rates", len(args[2])))
+                return rates(*args)
+            return counted_rates
 
         def counted_fold(*args):
             events.append(("fold", 1 if fold_name == "fold_agent" else len(args[1])))
@@ -704,7 +721,8 @@ class TestExactLocalPass:
             events.append(("finish", 0))
             return finish(*args)
 
-        monkeypatch.setattr(network, rates_name, counted_rates)
+        for name in rates_names:
+            monkeypatch.setattr(network, name, counted(getattr(network, name)))
         monkeypatch.setattr(network, fold_name, counted_fold)
         monkeypatch.setattr(optimize, "pinned_fusion_sweep", marked_sweep)
         monkeypatch.setattr(optimize, "_finish", marked_finish)
