@@ -118,7 +118,11 @@ def _parse_range(text: str) -> np.ndarray:
     # an integer already, is kept as it is (and refused by its command).
     with np.errstate(over="ignore"):
         rounded = np.round(points, 10)
-    return np.where(np.isfinite(rounded), rounded, points)
+        last = np.round(stop, 10)
+    points = np.where(np.isfinite(rounded), rounded, points)
+    # The half-step stop keeps an on-grid stop that np.arange's steps round
+    # past; a point past stop at the grid's rounding is off the range.
+    return points[points <= (last if np.isfinite(last) else stop)]
 
 
 def _unit_axis(step: float, flag: str) -> np.ndarray:

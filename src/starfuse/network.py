@@ -10,35 +10,36 @@ fusion log factors of ``observation``: a count-distribution dynamic program
 oracle). The dynamic program is one loop, ``_fold_agents``, which can
 continue a fold, on helpers that take any leading shape: ``exact_risk``
 runs it for one network and ``fusion_error_rates`` for every pairing of
-many fusion beliefs with many rows of local beliefs. That is two steps: a
-``fusion_error_table`` of per-count fusion errors, once per fusion belief,
-which depends on no local belief, and ``mix_fusion_table``, which builds
-the count pmf once per local row (tied rows from one rate column each) and
-mixes it with the table, so a caller can keep a table for many rows.
-``tied_exact_risks`` folds one tied
-local's rates on up to each size of an increasing ladder in turn, so every
-size's ``exact_risk`` r0 comes from one fold of the largest. The true
-prior enters only the final weighting, ``bayes_risk``, so those fusion error
-rates serve every prior: ``batch_risk`` weights them at one.
-``pinned_fusion_sweep`` is the one leave-one-out pass behind
-``pinned_fusion_errors`` and ``pbpo_exact``; ``pbpo_exact`` keeps the
-locals' rate columns from one pass to the next, so a local's rates are
-formed once per belief value. The columns are the pass's own: a caller
-passes back what it got.
+many fusion beliefs with many rows of local beliefs, from one
+``fusion_error_table`` of per-count fusion errors (which depends on no
+local belief, so ``optimize``'s line search keeps one for its scan) and one
+count pmf per local row (tied rows from one rate column each), mixed block
+by block in the same call (no separate ``mix_fusion_table`` step: the line
+search's scan mixes the table with its own evaluator's count pmfs).
+``tied_exact_risks`` folds one tied local's rates on up to each size of an
+increasing ladder in turn, so every size's ``exact_risk`` r0 comes from one
+fold of the largest. The true prior enters only the final weighting,
+``bayes_risk``, so those fusion error rates serve every prior:
+``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
+leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``;
+``pbpo_exact`` keeps the locals' rate columns from one pass to the next, so
+a local's rates are formed once per belief value. The columns are the
+pass's own: a caller passes back what it got.
 
 One rule picks between a per-float and an array path: a network of fewer
-than ``PER_FLOAT_BELOW`` agents goes one float at a time in the four O(N^2)
-kernels, ``count_distribution``, ``exact_risk``, ``pinned_fusion_sweep`` and
-``mix_fusion_table``'s one short row (the line search's scan), so it pays
-numpy's per-call cost once per kernel, not once per operation. Each helper
-has one path: the array helpers (``_rate_columns``,
+than ``PER_FLOAT_BELOW`` agents goes one float at a time in the three O(N^2)
+kernels, ``count_distribution``, ``exact_risk`` and ``pinned_fusion_sweep``,
+so it pays numpy's per-call cost once per kernel, not once per operation.
+Each helper has one path: the array helpers (``_rate_columns``,
 ``_fusion_count_errors``, ``_fold_agents``) take arrays, and the scalar ones
-(``_tails``, ``_count_error_rows``, ``fold_agent``, ``_dot``) floats, through
-``observation``'s scalar functions, which give a float the same double as
-an array element. ``fold_agent`` is the one scalar count fold (``optimize``'s
-evaluator folds with it too). Both paths give the same doubles; the pass's
-row sums follow ``np.add.reduce``'s pairwise order (``_row_sum``), which no
-``np.einsum`` would let them do.
+(``_local_tails``, ``_count_error_rows``, ``fold_agent``, ``_dot``) floats,
+through ``observation``'s scalar functions, which give a float the same
+double as an array element. ``fold_agent`` is the one scalar count fold
+(``optimize``'s evaluator folds with it too, and ``optimize``'s fusion line
+search scans with the evaluator's count pmfs). Both paths give the same
+doubles; the pass's row sums, fewer than ``PER_FLOAT_BELOW`` terms each, go
+left to right as ``np.add.reduce`` sums such a short row (``_dot``), which
+no ``np.einsum`` would let them do.
 """
 
 import functools
@@ -70,9 +71,10 @@ from .observation import (
 BATCH_CHUNK_ROWS = 200_000
 
 # Networks of fewer agents than this go one float at a time in the O(N^2)
-# kernels (count_distribution, exact_risk, pinned_fusion_sweep and
-# mix_fusion_table's one row), with the array path's values; larger ones pay
-# numpy's fixed cost per call once. Measured on a 2-core Xeon (numpy 2.4,
+# kernels (count_distribution, exact_risk and pinned_fusion_sweep), with the
+# array path's values; larger ones pay numpy's fixed cost per call once.
+# _dot's left-to-right row sum is np.add.reduce's only below 8 terms, so
+# the constant stays at most 8. Measured on a 2-core Xeon (numpy 2.4,
 # scipy 1.17): the per-float pipelines break even at about 7 local rates
 # and 12 per-count fusion errors (7 and 11 agents), and are 1.6-3.3x faster
 # at 1-3 agents.
@@ -145,18 +147,11 @@ class RiskReport:
     per_count: tuple[tuple[int, float, float], ...]
 
 
-def _tails(model: ObservationModel, costs: CostPair, ells) -> list:
-    """``decision_tails`` of the threshold test at each log-odds of the
-    sequence ``ells``, one float at a time: one (p(1|0), p(1|1), p(0|0),
-    p(0|1)) tuple of floats per log-odds, the array path's doubles."""
-    return [decision_tails(model, threshold_from_log_odds(model, costs, x)) for x in ells]
-
-
 def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     """Per-agent columns of the decide-1 and the decide-0 rates of threshold
     tests at the local log-odds ``ell`` (agents on its last axis): entry
     ``[i, h]`` is agent ``i``'s under H=h, with a trailing axis to broadcast.
-    ``_tails`` gives the same doubles one float at a time."""
+    ``_local_tails`` gives the same doubles one float at a time."""
     axes = (ell.ndim - 1, *range(ell.ndim - 1))  # np.moveaxis(ell, -1, 0), minus its overhead
     ell = ell.transpose(axes)[..., None]
     # inf * 0 at a neutral belief where sigma**2 overflows: the nan is the caller's to report.
@@ -183,9 +178,11 @@ def _local_rates(model: ObservationModel, costs: CostPair, beliefs):
 
 
 def _local_tails(model: ObservationModel, costs: CostPair, beliefs) -> list:
-    """The rates of ``_local_rates`` one float at a time: one ``_tails``
-    tuple per local belief."""
-    return _tails(model, costs, _local_log_odds(beliefs))
+    """The rates of ``_local_rates`` one float at a time: the
+    ``decision_tails`` of each local's threshold test, one (p(1|0), p(1|1),
+    p(0|0), p(0|1)) tuple of floats per belief, the array path's doubles."""
+    return [decision_tails(model, threshold_from_log_odds(model, costs, x))
+            for x in _local_log_odds(beliefs)]
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -195,8 +192,9 @@ def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> floa
     Kept in log-odds space end to end; no clamping is needed here, so the
     value stays exact however many decisions pile up on one side.
     """
-    n = config.n_local if n is None else int(n)
-    k = int(k)
+    n = config.n_local if n is None else n
+    check_integer("k", k)
+    check_integer("n", n)
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"count k={k} out of range 0..{n}")
     ell0 = log_odds(config.q0)
@@ -263,10 +261,11 @@ NO_AGENTS = ((1.0,), (1.0,))
 
 def fold_agent(pmfs, tail):
     """``_fold_agents`` for one agent of one network, one float at a time:
-    folds the agent with ``_tails`` tuple ``tail`` into ``pmfs``, a pair of
-    count-pmf sequences (under H0, under H1), and returns the longer pair,
-    as lists. Each entry is the same double: count c keeps pmf[c] * q and
-    takes pmf[c - 1] * p; the new top, the old top times p, adds to a 0.0."""
+    folds the agent with ``_local_tails`` tuple ``tail`` into ``pmfs``, a
+    pair of count-pmf sequences (under H0, under H1), and returns the longer
+    pair, as lists. Each entry is the same double: count c keeps pmf[c] * q
+    and takes pmf[c - 1] * p; the new top, the old top times p, adds to a
+    0.0."""
     t0, t1, s0, s1 = tail
     pmf0, pmf1 = pmfs
     new0, new1 = [pmf0[0] * s0], [pmf1[0] * s1]
@@ -398,70 +397,12 @@ def fusion_error_table(model: ObservationModel, costs: CostPair, q0, n: int):
     fusion beliefs ``q0`` at ``n`` local decisions: a pair of arrays of shape
     ``(len(q0), n + 1)``, entry ``[i, k]`` after ``k`` ones. Neither the prior
     nor any local belief enters the table, so one table serves every prior
-    and every row of local beliefs that ``mix_fusion_table`` mixes it with.
-    Every fusion belief must be finite and strictly inside (0, 1), as
+    and every row of local beliefs whose count pmf it is mixed with. Every
+    fusion belief must be finite and strictly inside (0, 1), as
     ``clamp_belief`` requires.
     """
     ell0 = _belief_log_odds(np.atleast_1d(np.asarray(q0, dtype=float)))
     return _fusion_count_errors(model, costs, ell0, n)[:2]
-
-
-def mix_fusion_table(model: ObservationModel, costs: CostPair, blocks):
-    """Fusion (false-alarm, missed-detection) probabilities of blocks of
-    ``fusion_error_table`` tables against rows of local beliefs; no prior
-    enters them.
-
-    ``blocks`` is a non-empty sequence of ``(table, q_local)`` pairs: a table
-    of fusion beliefs at N local decisions and an array with one row of N
-    local beliefs per network, the same N in every block. Yields one
-    ``(p_fa0, p_md0)`` pair of arrays per block, in order, each of shape
-    ``(fusion beliefs, len(q_local))``; entry ``[i, j]`` pairs the table's
-    fusion belief ``i`` with local row ``j``, and ``bayes_risk`` of the pair
-    at any prior is its risk there. Every local belief must be finite and
-    strictly inside (0, 1), as ``clamp_belief`` requires, and a row whose
-    width is not the table's N raises ``ValueError``.
-
-    The count pmfs of every block's rows come from one
-    ``_poisson_binomial_pmf`` call, on the first request (one block of one
-    row of fewer than ``PER_FLOAT_BELOW`` beliefs, the line search's scan,
-    forms its rates and count pmf one float at a time, with the same
-    values and the same belief check); each block is then
-    mixed on its own when it is yielded, one product of (fusion beliefs,
-    rows, counts) summed over the counts, so only one block's rates are held
-    at a time. A block's values do not depend on the blocks beside it. When
-    every block's rows are an ``np.broadcast_to`` view of one belief per row
-    (zero stride along the agents, as tied grid stages pass them), each
-    row's rates are formed once and folded in for every agent, with the same
-    values as for the rows written out.
-    """
-    tables = [table for table, _ in blocks]
-    rows = [np.atleast_2d(np.asarray(beliefs, dtype=float)) for _, beliefs in blocks]
-    for (fa, _), r in zip(tables, rows):
-        if r.shape[1] != fa.shape[-1] - 1:
-            raise ValueError(f"expected {fa.shape[-1] - 1} local belief columns, got {r.shape[1]}")
-    n = rows[0].shape[1]
-    if len(rows) == 1 and len(rows[0]) == 1 and n < PER_FLOAT_BELOW:
-        # One short row (the line search's scan): its rates and count fold
-        # one float at a time, with _belief_log_odds's check and np.log.
-        beliefs = rows[0][0].tolist()
-        if not all(0.0 < q < 1.0 for q in beliefs):
-            clamp_belief(next(q for q in beliefs if not 0.0 < q < 1.0))
-        lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
-        ell = [float(np.log(q) - np.log1p(-q)) for q in (min(max(q, lo), hi) for q in beliefs)]
-        pmf = np.array(functools.reduce(fold_agent, _tails(model, costs, ell), NO_AGENTS))[:, None]
-    else:
-        # Rows with a zero stride along the agents hold one belief each: one
-        # rate column per row, folded in for every agent.
-        tied = n > 1 and not any(r.strides[1] for r in rows)
-        local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
-        p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
-        if tied:
-            p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
-        pmf = _poisson_binomial_pmf(p_cols, q_cols)
-    j = list(itertools.accumulate((len(r) for r in rows), initial=0))
-    for (fa, md), j0, j1 in zip(tables, j, j[1:]):
-        yield (np.add.reduce(pmf[0, j0:j1] * fa[:, None], axis=-1),
-               np.add.reduce(pmf[1, j0:j1] * md[:, None], axis=-1))
 
 
 def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
@@ -470,24 +411,46 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
 
     ``blocks`` is a non-empty sequence of ``(q0, q_local)`` pairs: a sequence
     of fusion beliefs and an array with one row of local beliefs per
-    network, the same number of columns in every block. Yields one
-    ``(p_fa0, p_md0)`` pair of arrays per block, in order, each of shape
-    ``(len(q0), len(q_local))``; entry ``[i, j]`` pairs fusion belief
+    network, the same number of columns in every block (a block whose rows
+    are wider or narrower than the first block's raises ``ValueError``).
+    Yields one ``(p_fa0, p_md0)`` pair of arrays per block, in order, each of
+    shape ``(len(q0), len(q_local))``; entry ``[i, j]`` pairs fusion belief
     ``q0[i]`` with local row ``j``, and ``bayes_risk`` of the pair at any
     prior is its risk there. Every belief must be finite and strictly inside
     (0, 1), as ``clamp_belief`` requires.
 
-    One ``fusion_error_table`` of every block's fusion beliefs, mixed by one
-    ``mix_fusion_table`` call with each block's rows, on the first request.
-    Callers bound the size of the tables: ``batch_risk`` by
+    On the first request, one ``fusion_error_table`` of every block's fusion
+    beliefs, and the count pmfs of every block's rows from one
+    ``_poisson_binomial_pmf`` call; each block is then mixed on its own when
+    it is yielded, one product of (fusion beliefs, rows, counts) summed over
+    the counts, so only one block's products are held at a time. A block's
+    values do not depend on the blocks beside it. When every block's rows
+    are an ``np.broadcast_to`` view of one belief per row (zero stride along
+    the agents, as tied grid stages pass them), each row's rates are formed
+    once and folded in for every agent, with the same values as for the rows
+    written out. Callers bound the size of the tables: ``batch_risk`` by
     ``BATCH_CHUNK_ROWS`` pairs per call.
     """
     q0 = [np.atleast_1d(np.asarray(beliefs, dtype=float)) for beliefs, _ in blocks]
     rows = [np.atleast_2d(np.asarray(beliefs, dtype=float)) for _, beliefs in blocks]
-    fa, md = fusion_error_table(model, costs, np.concatenate(q0), rows[0].shape[1])
-    i = np.cumsum([0] + [len(b) for b in q0]).tolist()
-    yield from mix_fusion_table(model, costs, [((fa[i0:i1], md[i0:i1]), r)
-                                               for i0, i1, r in zip(i, i[1:], rows)])
+    n = rows[0].shape[1]
+    fa, md = fusion_error_table(model, costs, np.concatenate(q0), n)
+    for r in rows:
+        if r.shape[1] != n:
+            raise ValueError(f"expected {n} local belief columns, got {r.shape[1]}")
+    # Rows with a zero stride along the agents hold one belief each: one
+    # rate column per row, folded in for every agent.
+    tied = n > 1 and not any(r.strides[1] for r in rows)
+    local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
+    p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
+    if tied:
+        p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
+    pmf = _poisson_binomial_pmf(p_cols, q_cols)
+    i = list(itertools.accumulate((len(b) for b in q0), initial=0))
+    j = list(itertools.accumulate((len(r) for r in rows), initial=0))
+    for i0, i1, j0, j1 in zip(i, i[1:], j, j[1:]):
+        yield (np.add.reduce(pmf[0, j0:j1] * fa[i0:i1, None], axis=-1),
+               np.add.reduce(pmf[1, j0:j1] * md[i0:i1, None], axis=-1))
 
 
 def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
@@ -619,26 +582,10 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
 
 
 def _dot(a, b) -> float:
-    """The sum of a[c] * b[c] over the entries of ``a``, as
-    ``np.add.reduce`` sums a row of those products."""
-    return _row_sum(list(map(operator.mul, a, b)))
-
-
-def _row_sum(terms: list) -> float:
-    """``np.add.reduce`` of a contiguous row of doubles, in its pairwise
-    order: left to right below 8 terms; up to 128, eight running sums of
-    every eighth term, added in pairs, then the rest left to right; past
-    that, the sums of two halves split at a multiple of 8."""
-    n = len(terms)
-    if n < 8:
-        return functools.reduce(operator.add, terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sum(terms[:half]) + _row_sum(terms[half:])
-    stop = n - n % 8
-    r = [functools.reduce(operator.add, terms[j:stop:8]) for j in range(8)]
-    return functools.reduce(operator.add, terms[stop:],
-                            ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    """The sum of a[c] * b[c] over the entries of ``a``, left to right, as
+    ``np.add.reduce`` sums a row of fewer than 8 of those products: a row of
+    the per-float pass has fewer than ``PER_FLOAT_BELOW`` terms."""
+    return functools.reduce(operator.add, map(operator.mul, a, b))
 
 
 def pinned_fusion_errors(config: NetworkConfig):

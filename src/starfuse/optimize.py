@@ -26,11 +26,14 @@ per-count errors, let each loop redo only what a probe changes:
   public call that searches: its bracketing scan's fusion error table
   (``network.fusion_error_table``, which depends only on sigma, the costs
   and N) and one evaluator memo serve every search of that call. A search
-  mixes the table with its locals' count pmfs (``network.mix_fusion_table``,
-  the risks ``batch_risk`` gives; a small network's one row goes one float
-  at a time there), folds its fixed locals once and makes each
-  golden-section probe one mix. A probe at a new fusion belief forms its
-  per-count fusion errors inline, with no Python call per count.
+  folds its fixed locals once, with the evaluator, and uses those count
+  pmfs twice: mixed with the table, one row sum per scan point, for the
+  scan, and with each golden-section probe's errors, one O(N) mix per
+  probe. A probe at a new fusion belief forms its per-count fusion errors
+  inline, with no Python call per count. The scan's pmfs carry the
+  evaluator's ``math.erfc`` tails, so where the risk is flat to the last
+  bit (past sigma 5) the scan may pick another point of the plateau than
+  ``batch_risk``'s would, at the same exact risk to a few ulp.
   ``minimize_fusion_belief`` is a one-shot search; ``pbpo_exact`` shares
   one search across all its sweeps and restarts, and
   ``prospect.prelec_risk_gap`` one table across its priors. Nothing
@@ -62,7 +65,6 @@ from .network import (
     fold_agent,
     fusion_error_rates,
     fusion_error_table,
-    mix_fusion_table,
     pinned_fusion_errors,
     pinned_fusion_sweep,
 )
@@ -70,6 +72,7 @@ from .observation import (
     BELIEF_EPS,
     check_integer,
     check_prior,
+    clamp_belief,
     from_log_odds,
     fusion_log_factors,
     log_odds,
@@ -231,10 +234,11 @@ def _risk_not_finite(q0: float, sigma: float) -> FloatingPointError:
 
 
 def _finite_rows(risks: np.ndarray, q0, sigma: float) -> np.ndarray:
-    """``risks``, one row per fusion belief of ``q0``, raising
+    """``risks``, one row (or one risk) per fusion belief of ``q0``, raising
     ``FloatingPointError`` at the first row that is not finite."""
     if not np.isfinite(risks).all():
-        raise _risk_not_finite(float(q0[np.argmin(np.isfinite(risks).all(axis=1))]), sigma)
+        finite = np.isfinite(risks).reshape(len(risks), -1).all(axis=1)
+        raise _risk_not_finite(float(q0[np.argmin(finite)]), sigma)
     return risks
 
 
@@ -411,9 +415,11 @@ class FusionLineSearch:
 
     The bracketing scan's per-count fusion errors depend only on sigma, the
     costs and N, so they form one ``network.fusion_error_table`` of the scan
-    grid; a search mixes it with its locals' count pmfs. The golden-section
-    probes go through one ``_RiskEvaluator``, ``evaluator``, whose memo of
-    per-belief tails every search shares. Not exported: each public call
+    grid. A search folds its locals into their count pmfs once, with
+    ``evaluator.prefixes``, mixes those pmfs with the table for the scan and
+    with each golden-section probe's per-count errors for the refinement.
+    The probes go through one ``_RiskEvaluator``, ``evaluator``, whose memo
+    of per-belief tails every search shares. Not exported: each public call
     that searches builds its own, so nothing outlives that call.
     """
 
@@ -433,13 +439,21 @@ class FusionLineSearch:
     def __call__(self, q_local, tol: float = 1e-6) -> float:
         q_local = tuple(q_local)
         template = self.template
-        [rates] = mix_fusion_table(template.model, template.costs, [(self.table, [q_local])])
-        risks = _finite_rows(bayes_risk(template.pi0, template.costs, *rates), self.scan,
-                             template.model.sigma)
-        i = int(np.argmin(risks[:, 0]))
+        n = template.n_local
+        # batch_risk's refusals, word for word, before anything is folded.
+        if len(q_local) != n:
+            raise ValueError(f"expected {n} local belief columns, got {len(q_local)}")
+        if not all(0.0 < q < 1.0 for q in q_local):
+            clamp_belief(next(q for q in q_local if not 0.0 < q < 1.0))
+        mix, pmfs = self.evaluator.mix, self.evaluator.prefixes(q_local)[-1]
+        (fa, md), (pmf0, pmf1) = self.table, pmfs
+        risks = _finite_rows(bayes_risk(template.pi0, template.costs,
+                                        np.add.reduce(fa * pmf0, axis=-1),
+                                        np.add.reduce(md * pmf1, axis=-1)),
+                             self.scan, template.model.sigma)
+        i = int(np.argmin(risks))
         lo = self.scan[max(i - 1, 0)]
         hi = self.scan[min(i + 1, len(self.scan) - 1)]
-        mix, pmfs = self.evaluator.mix, self.evaluator.prefixes(q_local)[-1]
         return golden_section(lambda q0: mix(pmfs, q0), lo, hi, tol)
 
 
@@ -448,14 +462,19 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
 
     The risk along the fusion-belief axis can grow a shallow secondary dip
     near the interval edges, so a coarse scan of ``FUSION_SCAN_POINTS``
-    fusion beliefs (the risks ``batch_risk`` gives) brackets the global
-    basin before golden-section refinement. The locals are folded into their
-    count pmfs once per call, so each golden-section probe costs one O(N)
-    mix with the probe's memoized per-count errors. Raises
-    ``FloatingPointError`` naming the first scan point whose risk is not
-    finite, and ``ValueError`` for a local belief outside (0, 1) or a wrong
-    number of them. A one-shot ``FusionLineSearch``; callers that search
-    the same network again and again build one of those.
+    fusion beliefs brackets the global basin before golden-section
+    refinement. The locals are folded into their count pmfs once per call,
+    by the evaluator, and the scan and each golden-section probe mix those
+    pmfs. The scan's risks are ``batch_risk``'s but for its count pmfs,
+    whose tails come from ``math.erfc`` rather than scipy's ``erfc`` and so
+    can differ in the last bit: up to sigma 5 the search returns the q0 of
+    a ``batch_risk`` scan on every network of a seeded check, and past it a
+    q0 that differs is another point of a plateau of the risk, whose exact
+    risk is the same to a few ulp. Raises ``FloatingPointError`` naming the first scan point whose
+    risk is not finite, and ``ValueError``, worded as ``batch_risk``'s,
+    for a local belief outside (0, 1) or a wrong number of them, before
+    anything is folded. A one-shot ``FusionLineSearch``; callers that
+    search the same network again and again build one of those.
     """
     return FusionLineSearch(template)(q_local, tol)
 

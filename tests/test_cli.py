@@ -752,6 +752,23 @@ def test_range_of_a_million_points_is_the_largest():
         cli._parse_range("0:1000000:1")
 
 
+def test_range_stops_at_stop(capsys):
+    """No point past ``stop``, though one lies within half a step of it; an
+    on-grid stop is kept."""
+    assert cli._parse_range("0.05:0.6:0.3").tolist() == [0.05, 0.35]
+    assert cli._parse_range("5:60:30").tolist() == [5.0, 35.0]
+    axis = cli._parse_range("-3:4:0.001")
+    assert (len(axis), axis[-1]) == (7001, 4.0)
+    code, out, _ = run_cli(capsys, "grid", "--tie-locals", "--sweep-pi0", "0.05:0.6:0.3")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["pi0=0.05", "pi0=0.35"]
+    # Sizes 5 and 35 only: too few for a fit, where size 65 made a third.
+    code, out, err = run_cli(capsys, "exponent", "--estimate", "--pi0", "0.3", "--q0", "0.6",
+                             "--q1", "0.45", "--n", "5:60:30")
+    assert (code, out) == (2, "")
+    assert err == "error: n_list must hold at least 3 strictly increasing sizes >= 1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["pbpo", "--pi0", "0.3", "--init", "0.9,0.9,0.9", "--random-init", "--restarts", "2",
      "--max-iters", "5"],

@@ -402,12 +402,12 @@ def test_size_switch_sites_seen():
 
 # The O(N^2) kernels that choose between the per-float and array paths by
 # agent count; every helper they call has one path.
-SIZE_SWITCHES = {"count_distribution", "exact_risk", "pinned_fusion_sweep", "mix_fusion_table"}
+SIZE_SWITCHES = {"count_distribution", "exact_risk", "pinned_fusion_sweep"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_size_switch_only_in_network(path):
-    """Only ``network``'s four O(N^2) kernels choose between the per-float
+    """Only ``network``'s three O(N^2) kernels choose between the per-float
     and array paths, so a change of the constant moves no other module and
     no helper; and no module sums with ``np.einsum``, whose SIMD order no
     per-float path can follow."""
@@ -415,3 +415,31 @@ def test_size_switch_only_in_network(path):
     if path.name == "network.py":
         expected = {("PER_FLOAT_BELOW", kernel) for kernel in SIZE_SWITCHES}
     assert _size_switch_sites(path.read_text()) == expected
+
+
+def _unread_imports(source):
+    """Each name an import in ``source`` binds that no expression of it
+    reads (``import a.b`` binds ``a``)."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def test_unread_imports_seen():
+    source = ("import os.path\nimport numpy as np\nfrom .network import a, b as c\n"
+              "def f(x: a) -> None:\n    c = 1\n    return os.sep\n")
+    assert _unread_imports(source) == ["np", "c"]
+    assert _unread_imports("import sys\n'sys in a docstring'\n") == ["sys"]
+    assert _unread_imports("from math import log\nprint(log)\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    """A module reads every name it imports, as a linter's unused-import
+    rule would check; the package ``__init__`` only re-exports, and
+    ``test_public_api_is_pinned`` pins what it binds."""
+    assert _unread_imports(path.read_text()) == []

@@ -37,11 +37,10 @@ from starfuse.network import (
     conditional_fusion_errors,
     count_distribution,
     fusion_error_rates,
-    fusion_error_table,
-    mix_fusion_table,
     pinned_fusion_sweep,
     tied_exact_risks,
 )
+from starfuse.observation import decision_tails
 from conftest import random_config
 
 
@@ -161,6 +160,19 @@ class TestBeliefUpdate:
     def test_count_out_of_range_rejected(self, k, n):
         with pytest.raises(ValueError, match="out of range"):
             fusion_log_odds(_config(), k, n)
+
+    @pytest.mark.parametrize("k, n", [(1.7, None), ("2", None), (True, None), (1, 3.9),
+                                      (1, "3"), (0, False), (np.float64(1.0), None)])
+    def test_count_not_an_integer_rejected(self, k, n):
+        """A count or size that is not an integer is refused, not truncated."""
+        for function in (fusion_log_odds, update_belief_count):
+            with pytest.raises(ValueError, match="is not an integer"):
+                function(_config(), k, n)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = _config()
+        assert fusion_log_odds(cfg, np.int64(1), np.int32(2)) == fusion_log_odds(cfg, 1, 2)
+        assert update_belief_count(cfg, np.int64(2)) == update_belief_count(cfg, 2)
 
 
 class TestFusionDecide:
@@ -357,10 +369,11 @@ def _shape_case(shape, rng):
 
 
 def _per_float_rate_columns(model, costs, ell):
-    """``_rate_columns`` one float at a time: the ``_tails`` of each
-    log-odds, agents first, in the array path's layout."""
+    """``_rate_columns`` one float at a time: the decision tails of each
+    log-odds's threshold test, agents first, in the array path's layout."""
     moved = np.moveaxis(ell, -1, 0)[..., None]
-    tails = np.array(list(zip(*network._tails(model, costs, moved.ravel().tolist()))))
+    tails = np.array(list(zip(*(decision_tails(model, threshold_from_log_odds(model, costs, x))
+                                for x in moved.ravel().tolist()))))
     rates = tails.reshape((2, 2) + moved.shape).swapaxes(1, 2)
     return rates[0], rates[1]
 
@@ -376,11 +389,11 @@ def _per_float_count_errors(model, costs, ell0, n):
     return tuple(np.array(list(zip(*rows))).reshape((4,) + ell0.shape + (-1,)))
 
 
-def _both_paths(function, *args):
+def _both_paths(function, *args, per_float_below=math.inf):
     """``function(*args)`` with every input on the array path, then with
-    every input on the per-float path."""
+    every input below ``per_float_below`` agents on the per-float path."""
     out = []
-    for below in (0, math.inf):
+    for below in (0, per_float_below):
         with mock.patch.object(network, "PER_FLOAT_BELOW", below):
             out.append(function(*args))
     return out
@@ -477,15 +490,18 @@ class TestPerFloatPath:
                             _per_float_count_errors(model, costs, ell0, n))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(st.integers(1, 2 * PER_FLOAT_BELOW), st.integers(1, 400)), st.data())
-    def test_row_sum_is_numpy_reduce(self, n, data):
+    @given(st.data())
+    def test_row_sum_is_numpy_reduce(self, data):
         """The per-float pass sums a row of products in ``np.add.reduce``'s
-        order at any length."""
-        terms = data.draw(st.lists(st.floats(0.0, 1.0).map(lambda x: x ** 9), min_size=n,
-                                   max_size=n))
-        row = np.array([terms, terms[::-1]])
-        assert network._row_sum(terms) == np.add.reduce(row, axis=-1)[0]
-        assert network._row_sum(terms[::-1]) == np.add.reduce(row, axis=-1)[1]
+        order at every length it meets, 1 to ``PER_FLOAT_BELOW - 1``; a
+        larger constant brings rows that ``_dot``'s left-to-right sum may
+        not match."""
+        for n in range(1, PER_FLOAT_BELOW):
+            a, b = (data.draw(st.lists(st.floats(0.0, 1.0).map(lambda x: x ** 9), min_size=n,
+                                       max_size=n)) for _ in range(2))
+            row = np.array([a, a[::-1]]) * np.array([b, b[::-1]])
+            assert network._dot(a, b) == np.add.reduce(row, axis=-1)[0]
+            assert network._dot(a[::-1], b[::-1]) == np.add.reduce(row, axis=-1)[1]
 
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks())
@@ -501,34 +517,25 @@ class TestPerFloatPath:
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks())
     def test_pinned_fusion_errors(self, network_config):
-        _assert_same_arrays(*_both_paths(pinned_fusion_errors, network_config))
+        """The pass's per-float row sums keep ``np.add.reduce``'s order only
+        below the constant (``test_row_sum_is_numpy_reduce``), so its
+        per-float side takes the size rule as it stands."""
+        _assert_same_arrays(*_both_paths(pinned_fusion_errors, network_config,
+                                         per_float_below=PER_FLOAT_BELOW))
 
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks(), data=st.data())
     def test_revising_pinned_fusion_sweep(self, network_config, data):
         """A pass that revises some beliefs, then a pass from its beliefs
-        and the columns it returned, see the same pinned errors."""
+        and the columns it returned, see the same pinned errors (per float
+        below the constant, as in ``test_pinned_fusion_errors``)."""
         n = network_config.n_local
         revised = data.draw(st.lists(st.one_of(st.none(), _BELIEFS), min_size=n, max_size=n))
         revised = [q if r is None else r for q, r in zip(network_config.q_local, revised)]
-        array_path, per_float = _both_paths(_two_passes, network_config, revised)
+        array_path, per_float = _both_paths(_two_passes, network_config, revised,
+                                            per_float_below=PER_FLOAT_BELOW)
         assert array_path[1:] == per_float[1:]
         np.testing.assert_array_equal(array_path[0], per_float[0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(network_config=_small_networks())
-    def test_one_row_scan(self, network_config):
-        """The line search's scan: a table of its fusion axis mixed with one
-        row of locals."""
-        model, costs = network_config.model, network_config.costs
-        table = fusion_error_table(model, costs, np.linspace(0.02, 0.98, 193),
-                                   network_config.n_local)
-
-        def scan():
-            [pair] = mix_fusion_table(model, costs, [(table, [network_config.q_local])])
-            return pair
-
-        _assert_same_arrays(*_both_paths(scan))
 
     @pytest.mark.parametrize("length", range(1, 18))
     def test_fold_agent_equals_array_fold(self, length):
@@ -566,17 +573,14 @@ class TestPerFloatPath:
         with mock.patch.object(network, "fold_agent", lambda *a: folds.append(a) or fold(*a)):
             for n, per_float in ((PER_FLOAT_BELOW - 1, True), (PER_FLOAT_BELOW, False)):
                 config = _config(q_local=(0.3,) * n)
-                scan = [(fusion_error_table(model, costs, [0.5], n), [config.q_local])]
                 for kernel in (lambda: count_distribution(config),
-                               lambda: pinned_fusion_errors(config),
-                               lambda: list(mix_fusion_table(model, costs, scan))):
+                               lambda: pinned_fusion_errors(config)):
                     folds.clear()
                     kernel()
                     assert bool(folds) == per_float
             # Two rows, or one row in each of two blocks, take the array path.
-            table = fusion_error_table(model, costs, [0.5], 1)
-            for blocks in ([(table, [[0.3], [0.4]])], [(table, [[0.3]]), (table, [[0.4]])]):
-                list(mix_fusion_table(model, costs, blocks))
+            for blocks in ([([0.5], [[0.3], [0.4]])], [([0.5], [[0.3]]), ([0.5], [[0.4]])]):
+                list(fusion_error_rates(model, costs, blocks))
             assert folds == []
 
 

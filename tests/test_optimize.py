@@ -37,6 +37,7 @@ from starfuse.optimize import (
     minimize_fusion_belief,
 )
 from conftest import random_config
+from test_descent_reference import _reference_minimize_fusion_belief
 
 # A pbpo instance (inside sigma in [0.05, 20]) whose fusion belief walks to
 # the clamp edge, where a Gaussian tail of the fusion threshold underflows;
@@ -664,7 +665,7 @@ class TestFusionLineSearch:
     @pytest.mark.parametrize("q_local", [(0.0, 0.5), (0.5, math.nan), (1.0, 0.5), (0.4, math.inf),
                                          (0.4,), (0.4, 0.4, 0.4), ()])
     def test_bad_locals_raise_batch_risk_error(self, benchmark_template, q_local, monkeypatch):
-        """The scan's one short row goes one float at a time and keeps the
+        """The search refuses bad locals before it folds them, in the
         wording ``batch_risk`` gives on the array path."""
         with pytest.raises(ValueError) as expected:
             with monkeypatch.context() as patched:
@@ -673,6 +674,58 @@ class TestFusionLineSearch:
         with pytest.raises(ValueError) as got:
             minimize_fusion_belief(benchmark_template, q_local)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_locals_folded_once_per_search(self, n, monkeypatch):
+        """The scan mixes its table with the count pmfs the golden section
+        probes with: one fold per local, and no rates formed by ``network``."""
+        template = NetworkTemplate(0.4, CostPair(1.0, 1.3), ObservationModel(sigma=0.9), n)
+        search = optimize.FusionLineSearch(template)
+        calls = {"fold_agent": 0, "_local_tails": 0, "_rate_columns": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, count)
+
+        counted(optimize, "fold_agent")
+        counted(network, "_local_tails")
+        counted(network, "_rate_columns")
+        search(tuple(np.linspace(0.2, 0.7, n)))
+        assert calls == {"fold_agent": n, "_local_tails": 0, "_rate_columns": 0}
+
+    @staticmethod
+    def _networks(count, sigma_lo, sigma_hi, seed):
+        """Seeded (template, locals): N 1-9, log-uniform sigma, random
+        prior and costs, local beliefs in [0.02, 0.98]."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 10))
+            sigma = float(np.exp(rng.uniform(math.log(sigma_lo), math.log(sigma_hi))))
+            costs = CostPair(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0)))
+            template = NetworkTemplate(float(rng.uniform(0.02, 0.98)), costs,
+                                       ObservationModel(sigma=sigma), n)
+            yield template, tuple(rng.uniform(0.02, 0.98, n).tolist())
+
+    def test_equals_batch_risk_scan_reference(self):
+        """Up to sigma 5 the scan on the evaluator's pmfs returns the
+        doubles of the reference's ``batch_risk`` scan."""
+        for template, q_local in self._networks(300, 0.05, 5.0, seed=30):
+            assert minimize_fusion_belief(template, q_local) \
+                == _reference_minimize_fusion_belief(template, q_local)
+
+    def test_wide_sigma_moves_only_along_a_plateau(self):
+        """Past sigma 5 the risk surface can be flat to the last bit, and a
+        last-bit change of the scan's pmfs may pick another point of it:
+        its exact risk is the reference's to a few ulp."""
+        for template, q_local in self._networks(300, 5.0, 100.0, seed=30):
+            r0, expected = (exact_risk(template.config(search(template, q_local), q_local)).r0
+                            for search in (minimize_fusion_belief,
+                                           _reference_minimize_fusion_belief))
+            assert abs(r0 - expected) <= 4 * math.ulp(expected)
 
 
 class TestExactLocalPass:
