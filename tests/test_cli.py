@@ -406,10 +406,12 @@ class TestExponentCommand:
         # The README command.
         (["--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--n", "5:60:5"],
          "324af554d2ca50c0fe1d7d51c0c85d690ed4095d00525ff55ba1be8cf661ec50"),
-        # A Case-2 ladder.
+        # A Case-2 ladder. Its sizes from network.BINOMIAL_FROM on take the
+        # Binomial kernel, whose risks are within a few ulp of the 50-digit
+        # values (test_network.py's test_exponent_ladder_within_a_few_ulp).
         (["--pi0", "0.3", "--q0", "0.7", "--q1", "0.5", "--n", "5:200:15", "--sigma", "1.3",
           "--cfa", "1.5"],
-         "c03493223498dd4e1eda7200dcf9380f460a9e2644485f065ed8585948261e5d"),
+         "d189c30d40fb66cd34b0fb574bf893cc82fdfa84b2790fde14ace4b39a7744c4"),
     ], ids=["readme", "case2"])
     def test_estimate_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
         """The bytes written when each size ran its own exact_risk."""

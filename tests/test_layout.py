@@ -357,24 +357,28 @@ def test_every_cli_flag_is_read():
     assert _unread_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
 
 
+SIZE_CONSTANTS = ("PER_FLOAT_BELOW", "BINOMIAL_FROM")
+
+
 def _size_switch_sites(source):
-    """(what, where) of each read of ``PER_FLOAT_BELOW`` (as a name, an
-    attribute or an import) and each call of ``einsum`` (as ``np.einsum`` or
-    an imported name) in ``source``: ``where`` is the name of the innermost
-    function around it, or ``"<module>"``. Binding the name is no read."""
+    """(what, where) of each read of a size constant, ``PER_FLOAT_BELOW`` or
+    ``BINOMIAL_FROM`` (as a name, an attribute or an import), and each call
+    of ``einsum`` (as ``np.einsum`` or an imported name) in ``source``:
+    ``where`` is the name of the innermost function around it, or
+    ``"<module>"``. Binding the name is no read."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         if isinstance(node, ast.ImportFrom):
-            found.update(("PER_FLOAT_BELOW", where) for a in node.names
-                         if a.name == "PER_FLOAT_BELOW")
-            found.update(("einsum", where) for a in node.names if a.name == "einsum")
-        elif isinstance(node, ast.Name) and node.id == "PER_FLOAT_BELOW" \
-                and isinstance(node.ctx, ast.Load) \
-                or isinstance(node, ast.Attribute) and node.attr == "PER_FLOAT_BELOW":
-            found.add(("PER_FLOAT_BELOW", where))
+            found.update((a.name, where) for a in node.names
+                         if a.name in SIZE_CONSTANTS or a.name == "einsum")
+        elif isinstance(node, ast.Name) and node.id in SIZE_CONSTANTS \
+                and isinstance(node.ctx, ast.Load):
+            found.add((node.id, where))
+        elif isinstance(node, ast.Attribute) and node.attr in SIZE_CONSTANTS:
+            found.add((node.attr, where))
         elif isinstance(node, ast.Call):
             func = node.func
             if getattr(func, "attr", getattr(func, "id", None)) == "einsum":
@@ -396,6 +400,10 @@ def test_size_switch_sites_seen():
         == {("PER_FLOAT_BELOW", "f")}
     assert _size_switch_sites("def f(n):\n    def g():\n        return PER_FLOAT_BELOW\n") \
         == {("PER_FLOAT_BELOW", "g")}
+    assert _size_switch_sites("def f(n):\n    return n >= BINOMIAL_FROM\n") \
+        == {("BINOMIAL_FROM", "f")}
+    assert _size_switch_sites("from .network import BINOMIAL_FROM, einsum\n") \
+        == {("BINOMIAL_FROM", "<module>"), ("einsum", "<module>")}
     assert _size_switch_sites("PER_FLOAT_BELOW = 8\n") == set()
     assert _size_switch_sites("'PER_FLOAT_BELOW and np.einsum in a docstring'\n") == set()
 
@@ -403,17 +411,23 @@ def test_size_switch_sites_seen():
 # The O(N^2) kernels that choose between the per-float and array paths by
 # agent count; every helper they call has one path.
 SIZE_SWITCHES = {"count_distribution", "exact_risk", "pinned_fusion_sweep"}
+# The two that choose between the count fold and the Binomial kernel for
+# tied networks.
+BINOMIAL_SWITCHES = {"count_distribution", "tied_exact_risks"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_size_switch_only_in_network(path):
     """Only ``network``'s three O(N^2) kernels choose between the per-float
-    and array paths, so a change of the constant moves no other module and
-    no helper; and no module sums with ``np.einsum``, whose SIMD order no
-    per-float path can follow."""
+    and array paths, and only ``count_distribution`` and
+    ``tied_exact_risks`` between the count fold and the Binomial kernel, so
+    a change of either constant moves no other module and no helper; and no
+    module sums with ``np.einsum``, whose SIMD order no per-float path can
+    follow."""
     expected = set()
     if path.name == "network.py":
-        expected = {("PER_FLOAT_BELOW", kernel) for kernel in SIZE_SWITCHES}
+        expected = ({("PER_FLOAT_BELOW", kernel) for kernel in SIZE_SWITCHES}
+                    | {("BINOMIAL_FROM", kernel) for kernel in BINOMIAL_SWITCHES})
     assert _size_switch_sites(path.read_text()) == expected
 
 

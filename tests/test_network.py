@@ -3,6 +3,7 @@ import itertools
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from starfuse import (
 )
 from starfuse import network
 from starfuse.network import (
+    BINOMIAL_FROM,
     PER_FLOAT_BELOW,
     _fusion_count_errors,
     _local_rates,
@@ -243,6 +245,10 @@ class TestCountDistribution:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 123, 300, 1000, 2000])
     @pytest.mark.parametrize("tied", [True, False])
     def test_bit_identical_to_per_agent_loop(self, n, tied):
+        """The count pmf and the risk are the per-agent loop's, bit for bit.
+        A tied network of ``BINOMIAL_FROM`` locals or more takes the Binomial
+        kernel instead: its pmf is checked against the 50-digit sum and its
+        r0 against the loop's to 1e-12 relative."""
         rng = np.random.default_rng(1000 * n + tied)
         template = NetworkTemplate(0.35, CostPair(1.3, 0.8), ObservationModel(sigma=1.7), n)
         if tied:
@@ -252,15 +258,148 @@ class TestCountDistribution:
         pmf = count_distribution(cfg)
         t0, t1, s0, s1 = _reference_rates(cfg, cfg.q_local)
         pmf0, pmf1 = _reference_pmfs(t0, s0), _reference_pmfs(t1, s1)
-        assert np.array_equal(pmf[0], pmf0)
-        assert np.array_equal(pmf[1], pmf1)
         fa, md = _reference_fusion_errors(cfg, n)
         p_fa0, p_md0 = float(pmf0 @ fa), float(pmf1 @ md)
+        loop_r0 = cfg.costs.c_fa * cfg.pi0 * p_fa0 + cfg.costs.c_md * (1.0 - cfg.pi0) * p_md0
         report = exact_risk(cfg)
+        if tied and n >= BINOMIAL_FROM:
+            _assert_binomial_matches_mpmath(cfg)
+            assert abs(report.r0 - loop_r0) <= 1e-12 * loop_r0
+            return
+        assert np.array_equal(pmf[0], pmf0)
+        assert np.array_equal(pmf[1], pmf1)
         assert report.p_fa0 == p_fa0
         assert report.p_md0 == p_md0
-        assert report.r0 == (cfg.costs.c_fa * cfg.pi0 * p_fa0
-                             + cfg.costs.c_md * (1.0 - cfg.pi0) * p_md0)
+        assert report.r0 == loop_r0
+
+
+def _mp_binomial_pmfs(cfg):
+    """The Binomial count pmfs (under H0, under H1) of ``cfg``'s tied locals
+    at 50 digits, each decision rate from ``mpmath.erfc`` on its own side at
+    the double threshold the kernels use."""
+    n, sigma = cfg.n_local, mpmath.mpf(cfg.model.sigma)
+    [ell] = network._local_log_odds(cfg.q_local[:1])
+    lam = mpmath.mpf(threshold_from_log_odds(cfg.model, cfg.costs, ell))
+    pmfs = []
+    for h in (0, 1):
+        z = (lam - h) / sigma / mpmath.sqrt(2)
+        one, zero = mpmath.erfc(z) / 2, mpmath.erfc(-z) / 2
+        pmf = [zero ** n]
+        for k in range(n):
+            pmf.append(pmf[-1] * (n - k) / (k + 1) * one / zero)
+        pmfs.append(pmf)
+    return pmfs
+
+
+def _assert_binomial_matches_mpmath(cfg):
+    """``count_distribution`` and ``exact_risk`` of the tied ``cfg`` agree
+    with the 50-digit Binomial sum to 1e-12 relative, every pmf entry and
+    r0, wherever the reference is at least 1e-300 (and to 1e-312 absolute
+    below it, where a double has no relative precision left). The mix uses
+    the fusion errors ``exact_risk`` mixes, so only the pmf and the mix are
+    measured."""
+    def close(value, reference):
+        return abs(mpmath.mpf(float(value)) - reference) <= 1e-12 * max(reference, 1e-300)
+
+    with mpmath.workdps(50):
+        pmfs = _mp_binomial_pmfs(cfg)
+        pmf = count_distribution(cfg)
+        for h in (0, 1):
+            bad = [k for k, ref in enumerate(pmfs[h]) if not close(pmf[h, k], ref)]
+            assert bad == [], (h, bad[:5])
+        assert close(exact_risk(cfg).r0, _mp_binomial_risk(cfg, pmfs))
+
+
+def _mp_binomial_risk(cfg, pmfs):
+    """The risk of the tied ``cfg`` from its 50-digit count pmfs ``pmfs``,
+    mixed in mpmath with the per-count fusion errors ``exact_risk`` mixes."""
+    fa, md, _, _ = _fusion_count_errors(cfg.model, cfg.costs, network.log_odds(cfg.q0),
+                                        cfg.n_local)
+    mix = [mpmath.fsum(mpmath.mpf(float(e)) * p for e, p in zip(errors, pmf_h))
+           for errors, pmf_h in ((fa, pmfs[0]), (md, pmfs[1]))]
+    return (cfg.costs.c_fa * mpmath.mpf(cfg.pi0) * mix[0]
+            + cfg.costs.c_md * (1 - mpmath.mpf(cfg.pi0)) * mix[1])
+
+
+class TestBinomialKernel:
+    """Tied networks of ``BINOMIAL_FROM`` locals or more take their count
+    pmf from Loader's saddle-point form, ``_binomial_pmf``, in place of the
+    O(N^2) fold."""
+
+    @pytest.mark.parametrize("q1", [1e-6, 0.05, 0.45, 1.0 - 1e-6])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.05, 1.0, 20.0, 1e2])
+    def test_matches_mpmath(self, sigma, q1):
+        template = NetworkTemplate(0.3, CostPair(1.3, 0.8), ObservationModel(sigma=sigma), 1)
+        for n in (BINOMIAL_FROM, BINOMIAL_FROM + 1, 200, 2000):
+            _assert_binomial_matches_mpmath(dataclasses.replace(template, n_local=n).tied(0.45, q1))
+
+    def test_risk_where_the_fold_mixes_rounding_noise(self):
+        """Tied (0.5, 0.5), sigma = 1, pi0 = 0.3 at N = 10^4: the fold gave
+        4.53e-321, subnormal rounding noise, where the 60-digit Binomial sum
+        is 4.2028513078531615e-347, which rounds to 0. At N = 3200 the risk
+        is still a normal double."""
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=1.0), 10_000)
+        assert abs(exact_risk(template.tied(0.5, 0.5)).r0 - 4.2028513078531615e-347) <= 5e-324
+        r0 = exact_risk(dataclasses.replace(template, n_local=3200).tied(0.5, 0.5)).r0
+        assert abs(r0 - 1.0135359940285987e-112) <= 1e-12 * 1.0135359940285987e-112
+
+    def test_exponent_ladder_within_a_few_ulp(self):
+        """The Case-2 ladder of ``exponent --estimate`` (sigma 1.3, c_fa 1.5,
+        pi0 0.3, q0 0.7, q1 0.5): every size's risk is within 2e-15 relative
+        of the 50-digit sum (5.1e-16 measured), where the fold's error grew
+        to 1.15e-14 by N = 200, the eighth digit of that size's excess risk
+        over its limit."""
+        template = NetworkTemplate(0.3, CostPair(1.5, 1.0), ObservationModel(sigma=1.3), 1)
+        sizes = list(range(BINOMIAL_FROM, 201, 15))
+        risks = tied_exact_risks(0.3, template.costs, template.model, 0.7, 0.5, sizes)
+        with mpmath.workdps(50):
+            for n, r0 in zip(sizes, risks):
+                cfg = dataclasses.replace(template, n_local=n).tied(0.7, 0.5)
+                reference = _mp_binomial_risk(cfg, _mp_binomial_pmfs(cfg))
+                assert abs(mpmath.mpf(r0) - reference) <= 2e-15 * reference, n
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.05, 1.0, 20.0, 1e2])
+    def test_list_of_sizes_equals_each_size_alone(self, sigma):
+        """A list of sizes lays each size's pmf out after the last, each
+        entry the same double as at that size alone."""
+        model, costs = ObservationModel(sigma=sigma), CostPair(1.3, 0.8)
+        sizes = [BINOMIAL_FROM, BINOMIAL_FROM + 7, 200, 1001]
+        for q1 in (1e-6, 0.3, 0.62):
+            together = network._binomial_pmf(model, costs, q1, sizes)
+            alone = [network._binomial_pmf(model, costs, q1, n) for n in sizes]
+            assert together.tobytes() == np.concatenate(alone, axis=1).tobytes()
+            assert [a.shape for a in alone] == [(2, n + 1) for n in sizes]
+
+    def test_default_path_by_size(self):
+        """Tied networks of ``BINOMIAL_FROM`` locals or more take the kernel,
+        unpatched, and no fold; smaller ones and any network with one
+        differing belief fold. ``tied_exact_risks`` takes all its sizes at or
+        above the constant from one kernel call, and folds none of them."""
+        calls, folds = [], []
+        kernel, fold = network._binomial_pmf, network._fold_agents
+        with mock.patch.object(network, "_binomial_pmf",
+                               lambda *a: calls.append(a[3]) or kernel(*a)), \
+                mock.patch.object(network, "_fold_agents",
+                                  lambda *a: folds.append(a[3]) or fold(*a)):
+            for n, binomial in ((BINOMIAL_FROM - 1, False), (BINOMIAL_FROM, True),
+                                (3 * BINOMIAL_FROM, True)):
+                calls.clear()
+                folds.clear()
+                exact_risk(_config(q_local=(0.3,) * n))
+                assert calls == ([n] if binomial else [])
+                assert bool(folds) != binomial
+            calls.clear()
+            for n in (BINOMIAL_FROM, 3 * BINOMIAL_FROM):
+                for j in (0, n // 2, n - 1):
+                    beliefs = [0.3] * n
+                    beliefs[j] = 0.30000000000000004
+                    exact_risk(_config(q_local=beliefs))
+            assert calls == []
+            folds.clear()
+            sizes = [BINOMIAL_FROM, BINOMIAL_FROM + 1, 3 * BINOMIAL_FROM]
+            tied_exact_risks(0.3, CostPair(), ObservationModel(), 0.5, 0.3, [1, 5] + sizes)
+            assert calls == [sizes]
+            assert folds == [0, 1]  # the ladder fold stops at size 5
 
 
 class TestExactRisk:
@@ -665,6 +804,14 @@ class TestFusionErrorRates:
                 list(fusion_error_rates(template.model, template.costs,
                                         [([0.5], np.broadcast_to(column, (2, 4)))]))
             assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("blocks", [[([0.5], np.empty((2, 0)))], [([0.5], np.empty((1, 0)))],
+                                        [([0.5], np.empty(0))], []])
+    def test_no_locals_rejected(self, blocks):
+        """No rows of local beliefs, or rows of none, are refused in words,
+        not with an IndexError from the count fold."""
+        with pytest.raises(ValueError, match="at least one local belief"):
+            list(fusion_error_rates(ObservationModel(), CostPair(), blocks))
 
     def test_prior_free(self):
         """The rates mix the count pmfs with no prior: p_fa0 and p_md0 are
