@@ -38,10 +38,9 @@ so it pays numpy's per-call cost once per kernel, not once per operation.
 Each helper has one path: the array helpers (``_rate_columns``,
 ``_fusion_count_errors``, ``_fold_agents``) take arrays, and the scalar ones
 (``_local_tails``, ``_count_error_rows``, ``fold_agent``, ``_dot``) floats,
-through ``observation``'s scalar functions, which give a float the same
-double as an array element. ``fold_agent`` is the one scalar count fold
-(``optimize``'s evaluator folds with it too, and ``optimize``'s fusion line
-search scans with the evaluator's count pmfs). Both paths give the same
+with tails and errors from ``observation.per_float_rates``. It and
+``fold_agent``, the one scalar count fold, serve ``optimize``'s evaluator
+too, whose count pmfs its fusion line search scans. Both paths give the same
 doubles; the pass's row sums, fewer than ``PER_FLOAT_BELOW`` terms each, go
 left to right as ``np.add.reduce`` sums such a short row (``_dot``), which
 no ``np.einsum`` would let them do.
@@ -68,6 +67,7 @@ from .observation import (
     from_log_odds,
     fusion_log_factors,
     log_odds,
+    per_float_rates,
     threshold_from_log_odds,
 )
 
@@ -201,11 +201,10 @@ def _local_rates(model: ObservationModel, costs: CostPair, beliefs):
 
 
 def _local_tails(model: ObservationModel, costs: CostPair, beliefs) -> list:
-    """The rates of ``_local_rates`` one float at a time: the
-    ``decision_tails`` of each local's threshold test, one (p(1|0), p(1|1),
+    """The rates of ``_local_rates`` one float at a time: ``per_float_rates``'
+    decision tails of each local's threshold test, one (p(1|0), p(1|1),
     p(0|0), p(0|1)) tuple of floats per belief, the array path's doubles."""
-    return [decision_tails(model, threshold_from_log_odds(model, costs, x))
-            for x in _local_log_odds(beliefs)]
+    return list(map(per_float_rates(model, costs)[0], _local_log_odds(beliefs)))
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -381,13 +380,9 @@ def fold_agent(pmfs, tail):
 def _count_error_rows(model: ObservationModel, costs: CostPair, e0: float, n: int) -> list:
     """``_fusion_count_errors`` of the float fusion log-odds ``e0`` at ``n``
     local decisions, one float at a time: one (fa, md, ell, lam) tuple per
-    count 0..n, the array path's doubles."""
-    l_zero, l_one = fusion_log_factors(model, costs, e0)
+    count 0..n, the array path's doubles, from ``per_float_rates``."""
     rows = []
-    for k in range(n + 1):
-        ell = e0 + (n - k) * l_zero + k * l_one
-        lam = threshold_from_log_odds(model, costs, ell)
-        rows.append((*error_probs(model, lam), ell, lam))
+    per_float_rates(model, costs)[1](e0, *fusion_log_factors(model, costs, e0), n, rows)
     return rows
 
 

@@ -70,8 +70,7 @@ def gaussian_q(x):
 
     Computed from the complementary error function (monotone, accurate to a
     few ulp); never by quadrature. Accepts scalars or arrays; a scalar gives
-    a Python float, from the same ``special.erfc`` kernel as an array (not
-    ``math.erfc``, whose last bit differs from it on many inputs).
+    a Python float, from the same ``special.erfc`` kernel as an array.
     """
     if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim is slow on a float
         return 0.5 * float(special.erfc(float(x) / _SQRT2))
@@ -117,9 +116,9 @@ class ObservationModel:
             raise ValueError(f"sigma={self.sigma!r} is subnormal: a threshold scaled by 1/sigma "
                              f"overflows a double")
 
-    @property
+    @functools.cached_property
     def variance_proxy(self) -> float:
-        """Sub-Gaussian variance proxy of the conditional signal densities."""
+        """Sub-Gaussian variance proxy of the signal densities, cached: every threshold reads it."""
         return self.sigma * self.sigma
 
 
@@ -169,9 +168,12 @@ def decision_one_log_tails(model: ObservationModel, lam):
     underflows a double. This is the one place a log Gaussian tail is
     formed. A float ``lam`` gives four floats, an array four arrays."""
     x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
-    tails = special.log_ndtr(-x0), special.log_ndtr(-x1), special.log_ndtr(x0), special.log_ndtr(x1)
-    # Python floats, so scalar arithmetic on them never warns (inf - inf is nan).
-    return tuple(map(float, tails)) if type(lam) is float else tails
+    log_ndtr = special.log_ndtr
+    tails = log_ndtr(-x0), log_ndtr(-x1), log_ndtr(x0), log_ndtr(x1)
+    if type(lam) is not float:
+        return tails
+    lp10, lp11, lp00, lp01 = tails  # floats: inf - inf is a quiet nan; map() is 2x slower
+    return float(lp10), float(lp11), float(lp00), float(lp01)
 
 
 def fusion_log_factors(model: ObservationModel, costs: CostPair, ell0):
@@ -181,3 +183,32 @@ def fusion_log_factors(model: ObservationModel, costs: CostPair, ell0):
     lp10, lp11, lp00, lp01 = decision_one_log_tails(
         model, threshold_from_log_odds(model, costs, ell0))
     return lp00 - lp01, lp10 - lp11
+
+
+def per_float_rates(model: ObservationModel, costs: CostPair):
+    """The one per-float form of the rates, with sigma, the costs and the
+    ``erfc`` kernel bound once: ``local_tails(ell)``, the four
+    ``decision_tails`` at local log-odds ``ell``, and ``count_errors(ell0,
+    l_zero, l_one, n)``, the ``error_probs`` lists after k = 0..n local ones
+    at log-odds ell0 + (n - k) l_zero + k l_one (``fusion_log_factors`` of
+    ell0); given a list ``rows``, it also appends (fa, md, log-odds, lam)."""
+    s, v, logc, erfc = model.sigma, model.variance_proxy, costs.log_ratio, special.erfc
+
+    def local_tails(ell):
+        lam = 0.5 + v * (logc + ell)
+        x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # Q(x) = erfc(x / sqrt2) / 2
+        return (0.5 * float(erfc(x0)), 0.5 * float(erfc(x1)),
+                0.5 * float(erfc(-x0)), 0.5 * float(erfc(-x1)))
+
+    def count_errors(ell0, l_zero, l_one, n, rows=None):
+        fa, md = [], []
+        for k in range(n + 1):
+            ell = ell0 + (n - k) * l_zero + k * l_one
+            lam = 0.5 + v * (logc + ell)
+            fa.append(0.5 * float(erfc(lam / s / _SQRT2)))
+            md.append(0.5 * float(erfc(-(lam - 1.0) / s / _SQRT2)))
+            if rows is not None:
+                rows.append((fa[-1], md[-1], ell, lam))
+        return fa, md
+
+    return local_tails, count_errors

@@ -13,8 +13,8 @@ weight them with ``bayes_risk``: the true prior enters only that final
 weighting, so ``optimal_belief_sweep`` builds the coarse grid's tables once
 for every prior, and each finer stage builds many priors' windows in one
 call; ``grid_search`` is the one-prior case of the same stage loop.
-The loops that move one belief at a time use ``_RiskEvaluator``, a
-pure-Python scalar form of the same formula that memoizes per-belief tails;
+The loops that move one belief at a time use ``_RiskEvaluator``, the
+per-float formula of ``observation.per_float_rates`` with memoized tails;
 tests pin it to ``exact_risk``. Its two steps, ``network.fold_agent`` of one
 local into the count pmfs and a mix of the pmfs with a fusion belief's
 per-count errors, let each loop redo only what a probe changes:
@@ -30,10 +30,7 @@ per-count errors, let each loop redo only what a probe changes:
   pmfs twice: mixed with the table, one row sum per scan point, for the
   scan, and with each golden-section probe's errors, one O(N) mix per
   probe. A probe at a new fusion belief forms its per-count fusion errors
-  inline, with no Python call per count. The scan's pmfs carry the
-  evaluator's ``math.erfc`` tails, so where the risk is flat to the last
-  bit (past sigma 5) the scan may pick another point of the plateau than
-  ``batch_risk``'s would, at the same exact risk to a few ulp.
+  inline, with no Python call per count.
   ``minimize_fusion_belief`` is a one-shot search; ``pbpo_exact`` shares
   one search across all its sweeps and restarts, and
   ``prospect.prelec_risk_gap`` one table across its priors. Nothing
@@ -76,6 +73,7 @@ from .observation import (
     from_log_odds,
     fusion_log_factors,
     log_odds,
+    per_float_rates,
 )
 
 # Search grids stay strictly inside (0, 1); beliefs at the very edge are
@@ -92,7 +90,6 @@ FUSION_SCAN_POINTS = 193
 RESTART_SEED = 1729
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -140,60 +137,42 @@ class _RiskEvaluator:
     array overhead would dominate, and a probe usually moves one belief. So
     the evaluator memoizes, keyed by the exact float value of a belief, each
     local belief's four decision tails (``tails``, which ``tails_of`` fills)
-    and each fusion belief's per-count fusion error probabilities, and the
-    loops keep the prefix pmfs a probe does not change. A memo hit costs no
-    Python call; a ``__missing__`` hook would cost one per miss. Agrees with
-    ``exact_risk`` to machine precision.
+    and each fusion belief's per-count fusion errors (``errors_of``), both
+    from ``observation.per_float_rates`` as ``network``'s per-float paths
+    take them, and the loops keep the prefix pmfs a probe does not change.
+    A memo hit costs no Python call; a ``__missing__`` hook would cost one.
 
     ``mix`` raises ``FloatingPointError`` naming the fusion belief and sigma
     when its ``fusion_log_factors`` are not finite, which only a sigma
     outside about [1e-154, 1e152] brings about.
-
-    Its tails come from ``math.erfc``, the one Gaussian tail kernel outside
-    ``observation``; scipy's ``erfc``, which ``observation`` uses, differs
-    from it in the last bit on many inputs. The descent's doubles are pinned
-    as ``math.erfc`` gives them: ``tests/test_descent_reference.py``'s
-    reference copies use it, and with scipy's kernel the last trace risk of
-    ``pbpo``'s benchmark run moves by an ulp. It also costs about half of a
-    scalar ``special.erfc`` call, in the loop that calls it most.
     """
 
     def __init__(self, template: NetworkTemplate):
-        model, costs = template.model, template.costs
-        s = model.sigma
-        v = model.variance_proxy
-        logc = costs.log_ratio
+        model, costs, sigma = template.model, template.costs, template.model.sigma
         n = template.n_local
         weight_fa = costs.c_fa * template.pi0
         weight_md = costs.c_md * (1.0 - template.pi0)
-        local_tails = {}
-        fusion_errors = {}
-        erfc = math.erfc
+        local_tails, fusion_errors = {}, {}
+        tails_at, count_errors = per_float_rates(model, costs)
+        lo, hi, log, log1p = BELIEF_EPS, 1.0 - BELIEF_EPS, math.log, math.log1p
         # The steps are closures over these locals, not methods: in the
         # descent loops a cell lookup is cheaper than an attribute lookup.
 
         def lodds(q):
-            q = min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
-            return math.log(q) - math.log1p(-q)
+            q = min(max(q, lo), hi)
+            return log(q) - log1p(-q)
 
         def tails_of(q):
-            lam = 0.5 + v * (logc + lodds(q))
-            x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # Q(x) = erfc(x / sqrt2) / 2
-            t = local_tails[q] = (0.5 * erfc(x0), 0.5 * erfc(x1), 0.5 * erfc(-x0), 0.5 * erfc(-x1))
+            t = local_tails[q] = tails_at(lodds(q))
             return t
 
         def errors_of(q0):
             ell0 = lodds(q0)
             l_zero, l_one = fusion_log_factors(model, costs, ell0)
             if not (math.isfinite(l_zero) and math.isfinite(l_one)):
-                raise FloatingPointError(f"fusion belief {q0!r} at sigma={s!r}: its fusion log "
+                raise FloatingPointError(f"fusion belief {q0!r} at sigma={sigma!r}: its fusion log "
                                          f"factors ({l_zero!r}, {l_one!r}) are not finite")
-            fa, md = [], []
-            for k in range(n + 1):
-                lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
-                fa.append(0.5 * erfc(lam / s / _SQRT2))  # Q(lam / s), inline
-                md.append(0.5 * erfc(-(lam - 1.0) / s / _SQRT2))
-            return fa, md
+            return count_errors(ell0, l_zero, l_one, n)
 
         def mix(pmfs, q0):
             errors = fusion_errors.get(q0)
@@ -208,7 +187,7 @@ class _RiskEvaluator:
                 p_md0 += pmf1[k] * md[k]
             return weight_fa * p_fa0 + weight_md * p_md0
 
-        self.tails, self.tails_of, self.mix = local_tails, tails_of, mix
+        self.tails, self.tails_of, self.errors_of, self.mix = local_tails, tails_of, errors_of, mix
 
     def prefixes(self, q_local) -> list:
         """Count pmfs of the first 0, 1, ..., N locals of ``q_local``."""
@@ -454,7 +433,7 @@ class FusionLineSearch:
         i = int(np.argmin(risks))
         lo = self.scan[max(i - 1, 0)]
         hi = self.scan[min(i + 1, len(self.scan) - 1)]
-        return golden_section(lambda q0: mix(pmfs, q0), lo, hi, tol)
+        return golden_section(functools.partial(mix, pmfs), lo, hi, tol)
 
 
 def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6) -> float:
@@ -463,18 +442,15 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     The risk along the fusion-belief axis can grow a shallow secondary dip
     near the interval edges, so a coarse scan of ``FUSION_SCAN_POINTS``
     fusion beliefs brackets the global basin before golden-section
-    refinement. The locals are folded into their count pmfs once per call,
-    by the evaluator, and the scan and each golden-section probe mix those
-    pmfs. The scan's risks are ``batch_risk``'s but for its count pmfs,
-    whose tails come from ``math.erfc`` rather than scipy's ``erfc`` and so
-    can differ in the last bit: up to sigma 5 the search returns the q0 of
-    a ``batch_risk`` scan on every network of a seeded check, and past it a
-    q0 that differs is another point of a plateau of the risk, whose exact
-    risk is the same to a few ulp. Raises ``FloatingPointError`` naming the first scan point whose
-    risk is not finite, and ``ValueError``, worded as ``batch_risk``'s,
-    for a local belief outside (0, 1) or a wrong number of them, before
-    anything is folded. A one-shot ``FusionLineSearch``; callers that
-    search the same network again and again build one of those.
+    refinement, both on the locals' count pmfs, folded once by the
+    evaluator. The scan's risks are ``batch_risk``'s but for those pmfs,
+    whose local log-odds come from ``math.log`` per belief, not ``np.log``
+    over rows, and can differ in the last bit. Raises ``FloatingPointError``
+    naming the first scan point whose risk is not finite, and
+    ``ValueError``, worded as ``batch_risk``'s, for a local belief outside
+    (0, 1) or a wrong number of them, before anything is folded. A one-shot
+    ``FusionLineSearch``; callers that search the same network again and
+    again build one of those.
     """
     return FusionLineSearch(template)(q_local, tol)
 
@@ -557,35 +533,32 @@ def _pbpo_run(template, settings, init):
     q = [float(x) for x in init]
     # prefix[m]: count pmfs of locals 1..m of the current tuple q.
     prefix = evaluator.prefixes(q[1:])
-
-    def probe(i, value):
-        """Risk of q with belief i set to value, and the prefix pmfs from
-        local i on that go with it."""
-        if i == 0:
-            return mix(prefix[-1], value), None
-        chain = [fold_agent(prefix[i - 1], tails.get(value) or tails_of(value))]
-        for qk in q[i + 1:]:
-            chain.append(fold_agent(chain[-1], tails.get(qk) or tails_of(qk)))
-        return mix(chain[-1], q[0]), chain
-
     risk = mix(prefix[-1], q[0])
     trace = [tuple(q) + (risk,)]
     converged = False
     sweeps = 0
     for sweeps in range(1, settings.max_iters + 1):
         previous = q  # moves rebind q to a new list, never mutate it
-        for i in range(len(q)):
+        # The fusion belief: a probe is one mix of the current pmfs.
+        up, down = min(q[0] + step, hi), max(q[0] - step, lo)
+        r_up, r_down = mix(prefix[-1], up), mix(prefix[-1], down)
+        if min(r_up, r_down) < risk:
+            value, risk = (up, r_up) if r_up < r_down else (down, r_down)
+            q = [value] + q[1:]
+        # Local i: a probe refolds locals i..N onto the prefix pmfs before it.
+        for i in range(1, len(q)):
             up, down = min(q[i] + step, hi), max(q[i] - step, lo)
-            r_up, chain_up = probe(i, up)
-            r_down, chain_down = probe(i, down)
+            chain_up = [fold_agent(prefix[i - 1], tails.get(up) or tails_of(up))]
+            chain_down = [fold_agent(prefix[i - 1], tails.get(down) or tails_of(down))]
+            for qk in q[i + 1:]:
+                tail = tails.get(qk) or tails_of(qk)
+                chain_up.append(fold_agent(chain_up[-1], tail))
+                chain_down.append(fold_agent(chain_down[-1], tail))
+            r_up, r_down = mix(chain_up[-1], q[0]), mix(chain_down[-1], q[0])
             if min(r_up, r_down) < risk:
-                if r_up < r_down:
-                    value, risk, chain = up, r_up, chain_up
-                else:
-                    value, risk, chain = down, r_down, chain_down
+                value, risk, prefix[i:] = ((up, r_up, chain_up) if r_up < r_down
+                                           else (down, r_down, chain_down))
                 q = q[:i] + [value] + q[i + 1:]
-                if i:
-                    prefix[i:] = chain
         trace.append(tuple(q) + (risk,))
         if trace[-1][-1] > trace[-2][-1] + 1e-15:
             raise AssertionError("risk increased across a sweep")

@@ -194,12 +194,18 @@ def test_tail_kernel_sites_seen():
 def test_tail_kernels_only_in_observation(path):
     """Every Gaussian tail comes from ``observation``, which gives a float
     the same double as an array element, so a per-float path matches the
-    array path bit for bit. The one exception is ``_RiskEvaluator``, whose
-    ``math.erfc`` keeps the descent risks that
-    ``tests/test_descent_reference.py`` and ``pbpo``'s pinned benchmark run
-    hold."""
-    allowed = {"_RiskEvaluator"} if path.name == "optimize.py" else set()
-    assert _tail_kernel_sites(path.read_text()) == allowed
+    array path bit for bit; the descent's scalar evaluator takes its tails
+    from there too."""
+    assert _tail_kernel_sites(path.read_text()) == set()
+
+
+def test_one_erfc_kernel():
+    """``observation`` forms every tail with scipy's ``erfc``; ``math.erfc``,
+    whose last bit differs from it on many inputs, is named nowhere."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr == "erfc" and getattr(node.value, "id", None) == "math"], path
 
 
 _CACHES = {"cache", "lru_cache"}

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy import special
 
 from starfuse import (
@@ -25,7 +26,7 @@ from starfuse import (
     stationarity_residual,
 )
 from starfuse import network, optimize
-from starfuse.observation import check_prior
+from starfuse.observation import BELIEF_EPS, check_prior
 from starfuse.optimize import (
     FUSION_SCAN_POINTS,
     GRID_HI,
@@ -185,8 +186,9 @@ class TestGridSearch:
 
 def _uncached_risk(template, beliefs):
     """Reference scalar risk: the evaluator's arithmetic with nothing memoized,
-    every decision rate the Gaussian tail on its own side and the fusion log
-    factors from ``log_ndtr``."""
+    every decision rate the Gaussian tail on its own side from scipy's
+    ``erfc``, the fusion log factors from ``log_ndtr`` and each count's
+    log-odds summed as ``network._count_error_rows`` sums them."""
     model, costs = template.model, template.costs
     s = model.sigma
     v = model.variance_proxy
@@ -198,7 +200,7 @@ def _uncached_risk(template, beliefs):
         return math.log(q) - math.log1p(-q)
 
     def q_tail(x):
-        return 0.5 * math.erfc(x / math.sqrt(2.0))
+        return 0.5 * float(special.erfc(x / math.sqrt(2.0)))
 
     def log_ndtr(x):
         return float(special.log_ndtr(x))
@@ -222,7 +224,7 @@ def _uncached_risk(template, beliefs):
     p_fa0 = 0.0
     p_md0 = 0.0
     for k in range(n + 1):
-        lam = 0.5 + v * (logc + ell0 + (n - k) * l_zero + k * l_one)
+        lam = 0.5 + v * (logc + (ell0 + (n - k) * l_zero + k * l_one))
         p_fa0 += pmf0[k] * q_tail(lam / s)
         p_md0 += pmf1[k] * q_tail(-(lam - 1.0) / s)
     return costs.c_fa * template.pi0 * p_fa0 + costs.c_md * (1.0 - template.pi0) * p_md0
@@ -301,6 +303,34 @@ class TestRiskEvaluator:
                            match=r"^fusion belief 0\.27114764887934373 at sigma=1e\+200"):
             pbpo(template, OptimizerSettings(restarts=3), init=None, seed=2)
 
+    @pytest.mark.parametrize("sigma, factors", [(1e200, "(nan, nan)"), (1e-200, "(inf, -inf)")])
+    def test_fusion_factor_error_wording(self, sigma, factors):
+        """The whole message names the fusion belief, sigma and both factors."""
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(sigma=sigma), 2)
+        with pytest.raises(FloatingPointError) as raised:
+            _RiskEvaluator(template)((0.5, 0.4, 0.6))
+        assert str(raised.value) == (f"fusion belief 0.5 at sigma={sigma!r}: its fusion log "
+                                     f"factors {factors} are not finite")
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(sigma=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
+           costs=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+           beliefs=st.lists(st.one_of(st.floats(0.02, 0.98), st.floats(1e-12, 1e-7),
+                                      st.floats(1.0 - 1e-7, 1.0 - 1e-12),
+                                      st.sampled_from([BELIEF_EPS, 1.0 - BELIEF_EPS])),
+                            min_size=2, max_size=10))
+    def test_equals_network_per_float_path(self, sigma, costs, beliefs):
+        """The evaluator's tails and per-count fusion errors are the doubles of
+        ``network._local_tails`` and ``network._count_error_rows``, beliefs
+        at and past the clamp included."""
+        n = len(beliefs) - 1
+        model, costs = ObservationModel(sigma=sigma), CostPair(*costs)
+        evaluator = _RiskEvaluator(NetworkTemplate(0.3, costs, model, n))
+        assert [evaluator.tails_of(q) for q in beliefs] == network._local_tails(model, costs, beliefs)
+        for q0 in beliefs:
+            fa, md, _, _ = zip(*network._count_error_rows(model, costs, log_odds(q0), n))
+            assert evaluator.errors_of(q0) == (list(fa), list(md))
+
 
 class TestOneScalarFold:
     """The descent evaluator folds a local into its count pmfs only through
@@ -347,10 +377,13 @@ class TestPbpo:
         # The exact trajectory end, unchanged by memoizing the scalar risk.
         assert result.iterations == 475
         assert repr(result.beliefs) == "(0.7369999999999739, 0.3959999999999999, 0.3959999999999999)"
-        # Last risk with the fusion log factors from log_ndtr; the 50-digit
-        # value is 0.19178510233679486623, 1.6e-17 away (an ulp is 2.8e-17).
+        # Last risk with the fusion log factors from log_ndtr and the tails
+        # from scipy's erfc, which every exact path uses: the 50-digit value
+        # is 0.19178510233679486623, 4.4e-17 (1.6 ulp of 2.8e-17) away; with
+        # math.erfc tails the last risk was 0.19178510233679488, 1.6e-17 (0.6
+        # ulp) away.
         assert result.trace[-1] == (0.7369999999999739, 0.3959999999999999, 0.3959999999999999,
-                                    0.19178510233679488)
+                                    0.1917851023367949)
 
     def test_risk_trace_non_increasing(self, benchmark_template):
         settings = OptimizerSettings(step=5e-4, eps=1e-4, max_iters=2000)
@@ -716,6 +749,31 @@ class TestFusionLineSearch:
         for template, q_local in self._networks(300, 0.05, 5.0, seed=30):
             assert minimize_fusion_belief(template, q_local) \
                 == _reference_minimize_fusion_belief(template, q_local)
+
+    def test_scan_risks_are_batch_risks(self, monkeypatch):
+        """Up to sigma 20 the scan's risks are ``batch_risk``'s. They are the
+        same doubles wherever every local's log-odds, from ``math.log`` per
+        belief in the evaluator, equals ``batch_risk``'s from ``np.log``
+        over rows; where one differs in the last bit, each risk r is within
+        8 max(1, -ln r) ulp (worst seen: 6), as Q(x)'s relative condition
+        number grows like x^2 ~ -2 ln Q(x)."""
+        scans = []
+        finite_rows = optimize._finite_rows
+        monkeypatch.setattr(optimize, "_finite_rows",
+                            lambda risks, *args: scans.append(risks) or finite_rows(risks, *args))
+        split = 0
+        for template, q_local in self._networks(600, 0.05, 20.0, seed=32):
+            scans.clear()
+            minimize_fusion_belief(template, q_local)
+            expected = batch_risk(template, np.linspace(0.02, 0.98, FUSION_SCAN_POINTS),
+                                  [q_local])[:, 0]
+            if [log_odds(q) for q in q_local] == network._belief_log_odds(np.array(q_local)).tolist():
+                assert scans[0].tobytes() == expected.tobytes()
+            else:
+                split += 1
+                ulps = np.abs(scans[0] - expected) / np.spacing(expected)
+                assert (ulps <= 8.0 * np.maximum(1.0, -np.log(expected))).all()
+        assert 50 < split < 300
 
     def test_wide_sigma_moves_only_along_a_plateau(self):
         """Past sigma 5 the risk surface can be flat to the last bit, and a
