@@ -43,7 +43,10 @@ with tails and errors from ``observation.per_float_rates``. It and
 too, whose count pmfs its fusion line search scans. Both paths give the same
 doubles; the pass's row sums, fewer than ``PER_FLOAT_BELOW`` terms each, go
 left to right as ``np.add.reduce`` sums such a short row (``_dot``), which
-no ``np.einsum`` would let them do.
+no ``np.einsum`` would let them do. Both start from one log-odds kernel,
+``observation.clamped_log_odds``: the per-float helpers call it per belief,
+and ``_distinct_log_odds`` maps it over the distinct beliefs of an array, so
+``batch_risk``, ``exact_risk`` and the evaluator give a belief one double.
 """
 
 import functools
@@ -61,6 +64,7 @@ from .observation import (
     check_integer,
     check_prior,
     clamp_belief,
+    clamped_log_odds,
     decision_one_log_tails,
     decision_tails,
     error_probs,
@@ -184,27 +188,17 @@ def _rate_columns(model: ObservationModel, costs: CostPair, ell):
     return rates[0], rates[1]
 
 
-def _local_log_odds(beliefs) -> list:
-    """Log-odds of local beliefs, which ``NetworkConfig`` has already checked,
-    as floats."""
-    # log_odds's expression with math.log per belief: np.log over rows
-    # (batch_risk) can differ in the last bit, and
-    # test_bit_identical_to_per_agent_loop pins this path. np.clip would add a
-    # fixed cost that pbpo_exact's one-belief calls pay.
-    lo, hi = BELIEF_EPS, 1.0 - BELIEF_EPS
-    return [math.log(q) - math.log1p(-q) for q in (min(max(q, lo), hi) for q in beliefs)]
-
-
 def _local_rates(model: ObservationModel, costs: CostPair, beliefs):
-    """``_rate_columns`` of local agents with the given beliefs."""
-    return _rate_columns(model, costs, np.array(_local_log_odds(beliefs)))
+    """``_rate_columns`` of local agents with the given beliefs, which
+    ``NetworkConfig`` has already checked."""
+    return _rate_columns(model, costs, np.fromiter(map(clamped_log_odds, beliefs), float))
 
 
 def _local_tails(model: ObservationModel, costs: CostPair, beliefs) -> list:
     """The rates of ``_local_rates`` one float at a time: ``per_float_rates``'
     decision tails of each local's threshold test, one (p(1|0), p(1|1),
     p(0|0), p(0|1)) tuple of floats per belief, the array path's doubles."""
-    return list(map(per_float_rates(model, costs)[0], _local_log_odds(beliefs)))
+    return list(map(per_float_rates(model, costs)[0], map(clamped_log_odds, beliefs)))
 
 
 def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> float:
@@ -306,8 +300,7 @@ def _binomial_pmf(model: ObservationModel, costs: CostPair, q1: float, sizes):
     1.6e-13 (the fold's: 2.3e-13 and 1.6e-13); at N = 3200 the worst entry
     is within 9.0e-13 and the risk 1.6e-13 (the fold's: 4.0e-13, 1.0e-14).
     """
-    [x] = _local_log_odds([q1])
-    lam = threshold_from_log_odds(model, costs, x)
+    lam = threshold_from_log_odds(model, costs, clamped_log_odds(q1))
     t0, t1, s0, s1 = decision_tails(model, lam)
     lt0, lt1, ls0, ls1 = decision_one_log_tails(model, lam)
     sizes = sizes if isinstance(sizes, list) else [sizes]
@@ -487,13 +480,17 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
             for pmf, a, b in zip(pmfs, ends, ends[1:])]
 
 
-def _belief_log_odds(q: np.ndarray) -> np.ndarray:
-    """Log-odds of an array of beliefs, each checked as ``clamp_belief`` does."""
+def _distinct_log_odds(q: np.ndarray):
+    """(``ell``, ``where``) of an array of beliefs, each checked as
+    ``clamp_belief`` does: ``ell`` holds ``clamped_log_odds`` of each
+    distinct belief, so every belief has the double that the per-float paths
+    give it, and ``ell[where]`` the log-odds of ``q``. A grid, which repeats
+    a few values along each axis, pays one Python call per value it holds."""
     valid = np.isfinite(q) & (q > 0.0) & (q < 1.0)
     if not valid.all():
         clamp_belief(q[~valid][0])  # raises, naming the first bad belief
-    q = np.clip(q, BELIEF_EPS, 1.0 - BELIEF_EPS)
-    return np.log(q) - np.log1p(-q)  # np.log over rows, log_odds per belief in _local_rates
+    values, where = np.unique(q, return_inverse=True)
+    return np.array(list(map(clamped_log_odds, values.tolist()))), where
 
 
 def fusion_error_table(model: ObservationModel, costs: CostPair, q0, n: int):
@@ -505,8 +502,8 @@ def fusion_error_table(model: ObservationModel, costs: CostPair, q0, n: int):
     fusion belief must be finite and strictly inside (0, 1), as
     ``clamp_belief`` requires.
     """
-    ell0 = _belief_log_odds(np.atleast_1d(np.asarray(q0, dtype=float)))
-    return _fusion_count_errors(model, costs, ell0, n)[:2]
+    ell0, where = _distinct_log_odds(np.atleast_1d(np.asarray(q0, dtype=float)))
+    return _fusion_count_errors(model, costs, ell0[where], n)[:2]
 
 
 def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
@@ -529,11 +526,12 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     ``_poisson_binomial_pmf`` call; each block is then mixed on its own when
     it is yielded, one product of (fusion beliefs, rows, counts) summed over
     the counts, so only one block's products are held at a time. A block's
-    values do not depend on the blocks beside it. When every block's rows
-    are an ``np.broadcast_to`` view of one belief per row (zero stride along
-    the agents, as tied grid stages pass them), each row's rates are formed
-    once and folded in for every agent, with the same values as for the rows
-    written out. Callers bound the size of the tables: ``batch_risk`` by
+    values do not depend on the blocks beside it. Each distinct local
+    belief's rates are formed once. When every block's rows are an
+    ``np.broadcast_to`` view of one belief per row (zero stride along the
+    agents, as tied grid stages pass them), each row's rates are folded in
+    for every agent, with the same values as for the rows written out.
+    Callers bound the size of the tables: ``batch_risk`` by
     ``BATCH_CHUNK_ROWS`` pairs per call.
     """
     q0 = [np.atleast_1d(np.asarray(beliefs, dtype=float)) for beliefs, _ in blocks]
@@ -550,7 +548,9 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     # rate column per row, folded in for every agent.
     tied = n > 1 and not any(r.strides[1] for r in rows)
     local = np.concatenate([r[:, :1] for r in rows] if tied else rows)
-    p_cols, q_cols = _rate_columns(model, costs, _belief_log_odds(local))
+    # The rates of each distinct belief, gathered into every place that holds it.
+    ell, where = _distinct_log_odds(local)
+    p_cols, q_cols = (cols[where.T].swapaxes(1, 2) for cols in _rate_columns(model, costs, ell))
     if tied:
         p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
     pmf = _poisson_binomial_pmf(p_cols, q_cols)

@@ -54,10 +54,21 @@ def clamp_belief(q: float) -> float:
     return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
 
 
+def clamped_log_odds(q: float) -> float:
+    """log(q / (1 - q)) of a float belief clamped into [BELIEF_EPS, 1 -
+    BELIEF_EPS], unchecked: the one log-odds expression of the package.
+    Arrays of beliefs map it over their distinct values, so every path
+    gives a belief the same double."""
+    if q < BELIEF_EPS:  # clamp_belief's clamp, with comparisons: twice as fast as min/max
+        q = BELIEF_EPS
+    elif q > 1.0 - BELIEF_EPS:
+        q = 1.0 - BELIEF_EPS
+    return math.log(q) - math.log1p(-q)
+
+
 def log_odds(q: float) -> float:
     """log(q / (1 - q)) after uniform clamping."""
-    q = clamp_belief(q)
-    return math.log(q) - math.log1p(-q)
+    return clamped_log_odds(clamp_belief(q))
 
 
 def from_log_odds(x):

@@ -70,6 +70,7 @@ from .observation import (
     check_integer,
     check_prior,
     clamp_belief,
+    clamped_log_odds,
     from_log_odds,
     fusion_log_factors,
     log_odds,
@@ -154,13 +155,9 @@ class _RiskEvaluator:
         weight_md = costs.c_md * (1.0 - template.pi0)
         local_tails, fusion_errors = {}, {}
         tails_at, count_errors = per_float_rates(model, costs)
-        lo, hi, log, log1p = BELIEF_EPS, 1.0 - BELIEF_EPS, math.log, math.log1p
+        lodds = clamped_log_odds
         # The steps are closures over these locals, not methods: in the
         # descent loops a cell lookup is cheaper than an attribute lookup.
-
-        def lodds(q):
-            q = min(max(q, lo), hi)
-            return log(q) - log1p(-q)
 
         def tails_of(q):
             t = local_tails[q] = tails_at(lodds(q))
@@ -443,9 +440,9 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     near the interval edges, so a coarse scan of ``FUSION_SCAN_POINTS``
     fusion beliefs brackets the global basin before golden-section
     refinement, both on the locals' count pmfs, folded once by the
-    evaluator. The scan's risks are ``batch_risk``'s but for those pmfs,
-    whose local log-odds come from ``math.log`` per belief, not ``np.log``
-    over rows, and can differ in the last bit. Raises ``FloatingPointError``
+    evaluator. The evaluator and ``batch_risk`` take each belief's log-odds
+    from the same ``observation.clamped_log_odds``, so the scan's risks are
+    ``batch_risk``'s bit for bit. Raises ``FloatingPointError``
     naming the first scan point whose risk is not finite, and
     ``ValueError``, worded as ``batch_risk``'s, for a local belief outside
     (0, 1) or a wrong number of them, before anything is folded. A one-shot

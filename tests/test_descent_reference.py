@@ -330,10 +330,15 @@ class TestDescentMatchesReference:
             _outcome(pbpo, template, opt, init=None, seed=seed),
             _outcome(_reference_multi_start, _reference_pbpo_run, template, opt, None, seed))
 
-    # Risk plateaus (sigma e^2, e^2.375) on which a last-bit difference between
-    # the search's scan and the reference's batch_risk scan moves the result.
+    # Risk plateaus (sigma e^2, e^2.375, e^1.0625, e^2.515625) on which a
+    # last-bit difference between the search's scan and the reference's
+    # batch_risk scan, in the Gaussian tails or in a local's log-odds
+    # (0.7890625, 0.625), moves the result.
     @example(_pinned(0.125, (3.0, 2.75), 2.0, (0.5, 0.25, 0.25, 0.5, 0.5), max_iters=2))
     @example(_pinned(0.25, (1.0, 1.607421875), 2.375, (0.5, 0.5, 0.5625, 0.25, 0.5), max_iters=1))
+    @example(_pinned(0.05078125, (0.875, 2.3125), 1.0625,
+                     (0.5, 0.7890625, 0.25, 0.25, 0.25, 0.3125, 0.3125), 1))
+    @example(_pinned(0.8046875, (1.375, 2.0), 2.515625, (0.5, 0.625, 0.5, 0.5, 0.25, 0.75), 3))
     @given(_problems(max_iters=6))
     @settings(max_examples=40, deadline=None)
     def test_pbpo_exact(self, problem):

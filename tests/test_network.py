@@ -42,7 +42,7 @@ from starfuse.network import (
     pinned_fusion_sweep,
     tied_exact_risks,
 )
-from starfuse.observation import decision_tails
+from starfuse.observation import clamped_log_odds, decision_tails
 from conftest import random_config
 
 
@@ -278,7 +278,7 @@ def _mp_binomial_pmfs(cfg):
     at 50 digits, each decision rate from ``mpmath.erfc`` on its own side at
     the double threshold the kernels use."""
     n, sigma = cfg.n_local, mpmath.mpf(cfg.model.sigma)
-    [ell] = network._local_log_odds(cfg.q_local[:1])
+    ell = clamped_log_odds(cfg.q_local[0])
     lam = mpmath.mpf(threshold_from_log_odds(cfg.model, cfg.costs, ell))
     pmfs = []
     for h in (0, 1):
@@ -477,8 +477,7 @@ def _row_form_batch_risk(template, beliefs):
     count DP and the fusion errors for itself: the form ``batch_risk`` had
     before it split fusion beliefs from local rows."""
     model, costs, n = template.model, template.costs, template.n_local
-    q = np.clip(beliefs, BELIEF_EPS, 1.0 - BELIEF_EPS)
-    ell = np.log(q) - np.log1p(-q)
+    ell = np.vectorize(clamped_log_odds, otypes=[float])(beliefs)
     pmf = _poisson_binomial_pmf(*_rate_columns(model, costs, ell[:, 1:]))
     fa, md, _, _ = _fusion_count_errors(model, costs, ell[:, 0], n)
     return (costs.c_fa * template.pi0 * np.sum(pmf[0] * fa, axis=1)
