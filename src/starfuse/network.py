@@ -45,8 +45,9 @@ doubles; the pass's row sums, fewer than ``PER_FLOAT_BELOW`` terms each, go
 left to right as ``np.add.reduce`` sums such a short row (``_dot``), which
 no ``np.einsum`` would let them do. Both start from one log-odds kernel,
 ``observation.clamped_log_odds``: the per-float helpers call it per belief,
-and ``_distinct_log_odds`` maps it over the distinct beliefs of an array, so
-``batch_risk``, ``exact_risk`` and the evaluator give a belief one double.
+and ``_distinct_log_odds`` takes its array form over the distinct beliefs of
+an array, so ``batch_risk``, ``exact_risk`` and the evaluator give a belief
+one double.
 """
 
 import functools
@@ -65,6 +66,7 @@ from .observation import (
     check_prior,
     clamp_belief,
     clamped_log_odds,
+    clamped_log_odds_array,
     decision_one_log_tails,
     decision_tails,
     error_probs,
@@ -191,7 +193,7 @@ def _rate_columns(model: ObservationModel, costs: CostPair, ell):
 def _local_rates(model: ObservationModel, costs: CostPair, beliefs):
     """``_rate_columns`` of local agents with the given beliefs, which
     ``NetworkConfig`` has already checked."""
-    return _rate_columns(model, costs, np.fromiter(map(clamped_log_odds, beliefs), float))
+    return _rate_columns(model, costs, np.array(list(map(clamped_log_odds, beliefs))))
 
 
 def _local_tails(model: ObservationModel, costs: CostPair, beliefs) -> list:
@@ -482,15 +484,17 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
 
 def _distinct_log_odds(q: np.ndarray):
     """(``ell``, ``where``) of an array of beliefs, each checked as
-    ``clamp_belief`` does: ``ell`` holds ``clamped_log_odds`` of each
-    distinct belief, so every belief has the double that the per-float paths
-    give it, and ``ell[where]`` the log-odds of ``q``. A grid, which repeats
-    a few values along each axis, pays one Python call per value it holds."""
+    ``clamp_belief`` does: ``ell`` holds ``clamped_log_odds_array`` of the
+    distinct beliefs, so every belief has the double that the per-float paths
+    give it, and ``ell[where]``, of ``q``'s shape, the log-odds of ``q``. A
+    grid, which repeats a few values along each axis, maps the kernel over
+    only the values it holds."""
     valid = np.isfinite(q) & (q > 0.0) & (q < 1.0)
     if not valid.all():
         clamp_belief(q[~valid][0])  # raises, naming the first bad belief
     values, where = np.unique(q, return_inverse=True)
-    return np.array(list(map(clamped_log_odds, values.tolist()))), where
+    # NumPy 1 returns the inverse flat, NumPy 2 in q's shape.
+    return clamped_log_odds_array(values), where.reshape(q.shape)
 
 
 def fusion_error_table(model: ObservationModel, costs: CostPair, q0, n: int):
@@ -572,6 +576,12 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     ``BATCH_CHUNK_ROWS`` pairs each, weighted by ``bayes_risk`` at the
     template's prior; no chunking changes a value. Agrees with
     ``exact_risk`` to a few ulp.
+
+    Log-odds are formed per distinct belief (``_distinct_log_odds``), about
+    0.2 us each through ``math``: a grid, which repeats few values, pays
+    little, but rows whose beliefs are mostly distinct pay about twice what
+    numpy's ``log`` over rows would (100,000 uniform random rows of N = 3
+    against one fusion belief: 0.15 s against 0.065 s on 2 cores).
     """
     n = template.n_local
     q_local = np.atleast_2d(np.asarray(q_local, dtype=float))

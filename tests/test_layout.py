@@ -209,14 +209,17 @@ def test_one_erfc_kernel():
 
 
 def _log_odds_sites(source):
-    """(line, what) of each log-odds site in ``source``: a difference
-    ``log(...) - log1p(-...)`` of any module's ``log`` and ``log1p``
-    (``"expression"``), and a numpy ``log`` or ``log1p`` of an expression
-    that names a belief, a name starting ``q`` or holding ``belief``
-    (``"np.log"``)."""
+    """(line, what) of each log-odds site in ``source``: a difference whose
+    left side names a ``log`` and whose right side names a ``log1p`` and
+    negates, called or mapped, of any module (``"expression"``), and a
+    numpy ``log`` or ``log1p`` of an expression that names a belief, a name
+    starting ``q`` or holding ``belief`` (``"np.log"``)."""
     def named(node, names):
         func = node.func if isinstance(node, ast.Call) else None
         return getattr(func, "attr", getattr(func, "id", None)) in names
+
+    def mentions(node, name):
+        return any(getattr(n, "attr", getattr(n, "id", None)) == name for n in ast.walk(node))
 
     def belief(name):
         return name.startswith("q") or "belief" in name
@@ -224,9 +227,8 @@ def _log_odds_sites(source):
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
-                and named(node.left, {"log"}) and named(node.right, {"log1p"}) \
-                and isinstance(node.right.args[0], ast.UnaryOp) \
-                and isinstance(node.right.args[0].op, ast.USub):
+                and mentions(node.left, "log") and mentions(node.right, "log1p") \
+                and any(isinstance(n, ast.USub) for n in ast.walk(node.right)):
             found.add((node.lineno, "expression"))
         elif named(node, {"log", "log1p"}) and isinstance(node.func, ast.Attribute) \
                 and getattr(node.func.value, "id", None) == "np" \
@@ -243,20 +245,25 @@ def test_log_odds_sites_seen():
               "def c(q0):\n    return np.log(q0) - np.log1p(-q0)\n"
               "def d(beliefs):\n    return np.log1p(-np.asarray(beliefs))\n"
               "def e(p):\n    return math.log1p(-p), math.log(p), np.log(p) - np.log1p(p)\n"
-              "def f(x, m):\n    return x * np.log(x / m)\n")
+              "def f(x, m):\n    return x * np.log(x / m)\n"
+              "def g(v):\n    return (np.fromiter(map(math.log, v.tolist()), float)\n"
+              "            - np.fromiter(map(math.log1p, (-v).tolist()), float))\n"
+              "def h(p, r):\n    return math.log(p) - math.log(r), math.log1p(p) - math.log(r)\n")
     assert _log_odds_sites(source) == {(4, "expression"), (7, "expression"), (9, "expression"),
-                                       (9, "np.log"), (11, "np.log")}
+                                       (9, "np.log"), (11, "np.log"), (17, "expression")}
 
 
 def test_one_log_odds_kernel():
-    """A belief's log-odds is formed in one place, ``observation``'s
-    ``clamped_log_odds``, and no module takes numpy's ``log`` of beliefs,
-    whose last bit differs from ``math.log``'s on about 6% of them: a
-    belief has one log-odds double on every path. (``asymptotics``' Chernoff
-    ``log1p`` terms are no log-odds and form no such difference.)"""
+    """A belief's log-odds is formed in one module, ``observation``, by
+    ``clamped_log_odds`` and its array form ``clamped_log_odds_array``
+    (the same doubles, ``test_observation`` checks), and no module takes
+    numpy's ``log`` of beliefs, whose last bit differs from ``math.log``'s
+    on about 6% of them: a belief has one log-odds double on every path.
+    (``asymptotics``' Chernoff ``log1p`` terms are no log-odds and form no
+    such difference.)"""
     assert [(path.name, what) for path in SOURCES
-            for _, what in _log_odds_sites(path.read_text())] \
-        == [("observation.py", "expression")]
+            for _, what in sorted(_log_odds_sites(path.read_text()))] \
+        == [("observation.py", "expression")] * 2
 
 
 _CACHES = {"cache", "lru_cache"}

@@ -741,6 +741,23 @@ class TestBatchRisk:
             assert outer.shape == (len(q0), len(q_local))
             assert outer.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("shape", ["tied", "full", "contour", "scan"])
+    def test_flat_unique_inverse(self, shape, monkeypatch):
+        """``np.unique``'s inverse comes back flat on NumPy 1 and in the
+        input's shape on NumPy 2; the risks are the same either way."""
+        rng = np.random.default_rng(7)
+        n, q0, q_local = _shape_case(shape, rng)
+        template = NetworkTemplate(0.3, CostPair(1.0, 2.0), ObservationModel(sigma=0.7), n)
+        expected = batch_risk(template, q0, q_local)
+        unique = np.unique
+
+        def flat_inverse(q, return_inverse):
+            values, where = unique(q, return_inverse=return_inverse)
+            return values, where.ravel()
+
+        monkeypatch.setattr(np, "unique", flat_inverse)
+        assert batch_risk(template, q0, q_local).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("q0, q_local", [(1.5, [0.3, 0.3]), (0.5, [0.3, 0.0]),
                                              (np.nan, [0.3, 0.3]), (0.5, [0.3, 1.0])])
     def test_rejects_degenerate_beliefs(self, benchmark_template, q0, q_local):

@@ -18,7 +18,13 @@ from starfuse import (
     threshold_from_belief,
     threshold_from_log_odds,
 )
-from starfuse.observation import decision_one_log_tails, decision_tails, fusion_log_factors
+from starfuse.observation import (
+    clamped_log_odds,
+    clamped_log_odds_array,
+    decision_one_log_tails,
+    decision_tails,
+    fusion_log_factors,
+)
 
 
 class TestGaussianQ:
@@ -239,3 +245,24 @@ class TestFloatMatchesArray:
             assert len(scalars) == len(arrays)
             for scalar, array in zip(scalars, arrays):
                 assert _same_double(scalar, array[at])
+
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                              st.sampled_from([BELIEF_EPS, 0.5 * BELIEF_EPS, 5e-324,
+                                               1.0 - BELIEF_EPS, 1.0 - 0.5 * BELIEF_EPS,
+                                               1.0 - 2.0 ** -53])),
+                    max_size=12), st.booleans())
+    def test_log_odds(self, beliefs, square):
+        """The array form of the log-odds kernel gives each element, clamped
+        or not, ``clamped_log_odds``' double, in the array's shape."""
+        q = np.array(beliefs, dtype=float)
+        if square and len(beliefs) % 2 == 0:
+            q = q.reshape(2, -1)
+        ell = clamped_log_odds_array(q)
+        assert ell.shape == q.shape
+        assert all(_same_double(clamped_log_odds(x), y)
+                   for x, y in zip(q.ravel().tolist(), ell.ravel().tolist()))
+
+    @pytest.mark.parametrize("q", [0.5 * BELIEF_EPS, BELIEF_EPS, 0.3, 1.0 - 0.5 * BELIEF_EPS])
+    def test_clamp_belief_is_the_kernel_clamp(self, q):
+        assert clamp_belief(q) == min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
+        assert clamped_log_odds(q) == clamped_log_odds(clamp_belief(q))
