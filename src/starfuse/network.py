@@ -14,8 +14,11 @@ many fusion beliefs with many rows of local beliefs, from one
 ``fusion_error_table`` of per-count fusion errors (which depends on no
 local belief, so ``optimize``'s line search keeps one for its scan) and one
 count pmf per local row (tied rows from one rate column each), mixed block
-by block in the same call (no separate ``mix_fusion_table`` step: the line
-search's scan mixes the table with its own evaluator's count pmfs).
+by block in the same call (the line search's scan mixes the table with its
+own evaluator's count pmfs). Every array path mixes count pmfs with per-count
+fusion errors through one expression, ``mix``, a row sum of their products,
+so ``exact_risk``, ``tied_exact_risks``, ``batch_risk``, the line search's
+scan and the leave-one-out pass give a network's errors one double.
 A tied network of ``BINOMIAL_FROM`` locals or more skips the fold: its
 count is Binomial, and ``_binomial_pmf`` gives the pmf in O(N) array work
 by Loader's saddle-point form, within a few ulp times the larger of N and
@@ -26,10 +29,8 @@ so every size's ``exact_risk`` r0 comes from one fold of the largest such
 size. The true prior enters only the final weighting,
 ``bayes_risk``, so those fusion error rates serve every prior:
 ``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
-leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``;
-``pbpo_exact`` keeps the locals' rate columns from one pass to the next, so
-a local's rates are formed once per belief value. The columns are the
-pass's own: a caller passes back what it got.
+leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``; each
+pass forms its locals' rates afresh.
 
 One rule picks between a per-float and an array path: a network of fewer
 than ``PER_FLOAT_BELOW`` agents goes one float at a time in the three O(N^2)
@@ -41,9 +42,11 @@ Each helper has one path: the array helpers (``_rate_columns``,
 with tails and errors from ``observation.per_float_rates``. It and
 ``fold_agent``, the one scalar count fold, serve ``optimize``'s evaluator
 too, whose count pmfs its fusion line search scans. Both paths give the same
-doubles; the pass's row sums, fewer than ``PER_FLOAT_BELOW`` terms each, go
-left to right as ``np.add.reduce`` sums such a short row (``_dot``), which
-no ``np.einsum`` would let them do. Both start from one log-odds kernel,
+doubles; the per-float mixes, fewer than ``PER_FLOAT_BELOW`` terms each, go
+left to right as ``mix`` sums such a short row (``_dot``), which no
+``np.einsum`` or matrix product would let them do. The evaluator's mix adds
+left to right too, so it is ``exact_risk``'s below 8 counts (N <= 6) and
+may differ in the last bit above. Both paths start from one log-odds kernel,
 ``observation.clamped_log_odds``: the per-float helpers call it per belief,
 and ``_distinct_log_odds`` takes its array form over the distinct beliefs of
 an array, so ``batch_risk``, ``exact_risk`` and the evaluator give a belief
@@ -59,11 +62,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observation import (
-    BELIEF_EPS,
     CostPair,
     ObservationModel,
+    check_beliefs,
     check_integer,
     check_prior,
+    clamp,
     clamp_belief,
     clamped_log_odds,
     clamped_log_odds_array,
@@ -126,10 +130,7 @@ class NetworkConfig:
             raise ValueError("q_local must contain at least one local belief (N >= 1)")
         check_prior(self.pi0)
         clamp_belief(self.q0)
-        # One scalar pass (False for nan and +-inf); clamp_belief only words
-        # the error, naming the first bad belief.
-        if not all(0.0 < q < 1.0 for q in self.q_local):
-            clamp_belief(next(q for q in self.q_local if not 0.0 < q < 1.0))
+        check_beliefs(self.q_local)
 
     @property
     def n_local(self) -> int:
@@ -222,8 +223,7 @@ def fusion_log_odds(config: NetworkConfig, k: int, n: int | None = None) -> floa
 
 def update_belief_count(config: NetworkConfig, k: int, n: int | None = None) -> float:
     """Updated fusion belief given only the count of local 1-decisions."""
-    q = float(from_log_odds(fusion_log_odds(config, k, n)))
-    return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
+    return clamp(float(from_log_odds(fusion_log_odds(config, k, n))))
 
 
 # Not exported; kept by name for the TRACED table of perfbench/tracing.py.
@@ -403,11 +403,19 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     return (*error_probs(model, lam), ell, lam)
 
 
-def _mixed_errors(pmf: np.ndarray, fa: np.ndarray, md: np.ndarray) -> tuple[float, float]:
-    """Fusion (false-alarm, missed-detection) probabilities of one network:
-    its per-count fusion errors mixed over its (2, N + 1) count pmf."""
-    # ``@`` here and a row np.sum in fusion_error_rates differ in the last bit; tests pin each.
-    return float(pmf[0] @ fa), float(pmf[1] @ md)
+def mix(pmf: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """Per-count fusion errors mixed over count pmfs: the sum over the counts
+    of pmf * errors, the counts on the last axis and every other axis
+    broadcast; a call that mixes both hypotheses puts H0 (false alarms) and
+    H1 (missed detections) on the first. The one array form of the mix, so
+    every array path gives a network's fusion errors one double. Public,
+    not exported.
+
+    ``np.add.reduce`` sums each row in numpy's pairwise order, which goes
+    left to right below 8 terms: there it is the sum that ``_dot`` and
+    ``optimize``'s evaluator take one float at a time. From 8 terms on the
+    pairwise order and theirs may differ in the last bit."""
+    return np.add.reduce(pmf * errors, axis=-1)
 
 
 def bayes_risk(pi0: float, costs: CostPair, p_fa0, p_md0):
@@ -420,21 +428,20 @@ def bayes_risk(pi0: float, costs: CostPair, p_fa0, p_md0):
 def exact_risk(config: NetworkConfig) -> RiskReport:
     """True Bayes risk of the fusion agent, exactly.
 
-    Mixes the per-count fusion error probabilities over the count pmf; the
-    decomposition identity r0 = c_fa*pi0*p_fa0 + c_md*(1-pi0)*p_md0 holds by
-    construction. Below ``PER_FLOAT_BELOW`` agents the per-count fusion
+    Mixes the per-count fusion error probabilities over the count pmf with
+    ``mix``; the decomposition identity r0 = c_fa*pi0*p_fa0 +
+    c_md*(1-pi0)*p_md0 holds by construction. Below ``PER_FLOAT_BELOW`` agents the per-count fusion
     errors go one float at a time, with the same doubles.
     """
     n, model, costs = config.n_local, config.model, config.costs
     pmf = count_distribution(config)
     ell0 = log_odds(config.q0)
     if n < PER_FLOAT_BELOW:
-        # Stacked by zip, C-contiguous as the array path's: a strided fa
-        # changes the last bit of ``@``.
-        fa, md, ell, lam = np.array(list(zip(*_count_error_rows(model, costs, ell0, n))))
+        table = np.array(list(zip(*_count_error_rows(model, costs, ell0, n))))
     else:
-        fa, md, ell, lam = _fusion_count_errors(model, costs, ell0, n)
-    p_fa0, p_md0 = _mixed_errors(pmf, fa, md)
+        table = np.array(_fusion_count_errors(model, costs, ell0, n))
+    p_fa0, p_md0 = mix(pmf, table[:2]).tolist()
+    ell, lam = table[2:]
     per_count = tuple(zip(range(n + 1), from_log_odds(ell).tolist(), lam.tolist()))
     return RiskReport(r0=bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
                       p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
@@ -476,9 +483,9 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
     if large:
         starts = list(itertools.accumulate(n + 1 for n in large[:-1]))
         pmfs += np.split(_binomial_pmf(model, costs, q1, large), starts, axis=1)
-    fa, md, _, _ = _fusion_count_errors(model, costs, log_odds(q0), sizes)
-    ends = list(itertools.accumulate((n + 1 for n in sizes), initial=0))  # each size's fa and md
-    return [bayes_risk(pi0, costs, *_mixed_errors(pmf, fa[a:b], md[a:b]))
+    errors = np.array(_fusion_count_errors(model, costs, log_odds(q0), sizes)[:2])
+    ends = list(itertools.accumulate((n + 1 for n in sizes), initial=0))  # each size's errors
+    return [bayes_risk(pi0, costs, *mix(pmf, errors[:, a:b]).tolist())
             for pmf, a, b in zip(pmfs, ends, ends[1:])]
 
 
@@ -499,15 +506,16 @@ def _distinct_log_odds(q: np.ndarray):
 
 def fusion_error_table(model: ObservationModel, costs: CostPair, q0, n: int):
     """Per-count fusion (false-alarm, missed-detection) probabilities of the
-    fusion beliefs ``q0`` at ``n`` local decisions: a pair of arrays of shape
-    ``(len(q0), n + 1)``, entry ``[i, k]`` after ``k`` ones. Neither the prior
-    nor any local belief enters the table, so one table serves every prior
-    and every row of local beliefs whose count pmf it is mixed with. Every
-    fusion belief must be finite and strictly inside (0, 1), as
-    ``clamp_belief`` requires.
+    fusion beliefs ``q0`` at ``n`` local decisions: an array of shape
+    ``(2, len(q0), n + 1)``, entry ``[0, i, k]`` the false alarm and
+    ``[1, i, k]`` the missed detection after ``k`` ones, as ``mix`` takes
+    them. Neither the prior nor any local belief enters the table, so one
+    table serves every prior and every row of local beliefs whose count pmf
+    it is mixed with. Every fusion belief must be finite and strictly inside
+    (0, 1), as ``clamp_belief`` requires.
     """
     ell0, where = _distinct_log_odds(np.atleast_1d(np.asarray(q0, dtype=float)))
-    return _fusion_count_errors(model, costs, ell0[where], n)[:2]
+    return np.array(_fusion_count_errors(model, costs, ell0[where], n)[:2])
 
 
 def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
@@ -528,8 +536,8 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     On the first request, one ``fusion_error_table`` of every block's fusion
     beliefs, and the count pmfs of every block's rows from one
     ``_poisson_binomial_pmf`` call; each block is then mixed on its own when
-    it is yielded, one product of (fusion beliefs, rows, counts) summed over
-    the counts, so only one block's products are held at a time. A block's
+    it is yielded, one ``mix`` of (fusion beliefs, rows, counts) products
+    per hypothesis, so only one such product is held at a time. A block's
     values do not depend on the blocks beside it. Each distinct local
     belief's rates are formed once. When every block's rows are an
     ``np.broadcast_to`` view of one belief per row (zero stride along the
@@ -544,7 +552,7 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
         raise ValueError("expected at least one block of rows of at least one local belief "
                          "(N >= 1)")
     n = rows[0].shape[1]
-    fa, md = fusion_error_table(model, costs, np.concatenate(q0), n)
+    table = fusion_error_table(model, costs, np.concatenate(q0), n)
     for r in rows:
         if r.shape[1] != n:
             raise ValueError(f"expected {n} local belief columns, got {r.shape[1]}")
@@ -561,8 +569,8 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     i = list(itertools.accumulate((len(b) for b in q0), initial=0))
     j = list(itertools.accumulate((len(r) for r in rows), initial=0))
     for i0, i1, j0, j1 in zip(i, i[1:], j, j[1:]):
-        yield (np.add.reduce(pmf[0, j0:j1] * fa[i0:i1, None], axis=-1),
-               np.add.reduce(pmf[1, j0:j1] * md[i0:i1, None], axis=-1))
+        # One hypothesis at a time, so one (fusion beliefs, rows, counts) product is held.
+        yield tuple(mix(pmf[h, j0:j1], table[h, i0:i1, None]) for h in (0, 1))
 
 
 def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
@@ -574,8 +582,10 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     must be finite and strictly inside (0, 1), as ``clamp_belief`` requires.
     The ``fusion_error_rates`` of chunks of local rows holding at most
     ``BATCH_CHUNK_ROWS`` pairs each, weighted by ``bayes_risk`` at the
-    template's prior; no chunking changes a value. Agrees with
-    ``exact_risk`` to a few ulp.
+    template's prior; no chunking changes a value. Equals ``exact_risk``'s
+    r0 bit for bit wherever that folds its count pmf too: all but tied
+    networks of ``BINOMIAL_FROM`` locals or more, whose Binomial kernel
+    agrees with the fold to a few ulp.
 
     Log-odds are formed per distinct belief (``_distinct_log_odds``), about
     0.2 us each through ``math``: a grid, which repeats few values, pays
@@ -620,7 +630,7 @@ def exact_risk_bruteforce(config: NetworkConfig) -> float:
     return total
 
 
-def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
+def pinned_fusion_sweep(config: NetworkConfig, revise):
     """One leave-one-out pass over the local agents, in order, in which each
     agent's belief may be revised as soon as its pinned errors are known.
 
@@ -630,32 +640,27 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
     count distribution of the other agents, those before ``j`` at their
     revised beliefs and those after ``j`` at their beliefs in ``config``.
     ``revise`` returns agent ``j``'s belief for the rest of the pass (its
-    current one to keep it). Returns the revised local beliefs and the
-    locals' rate columns. A caller that runs pass after pass passes those
-    columns back, as they were returned, as ``columns`` with the returned
-    beliefs as the next ``config``'s locals; without them the pass forms
-    every agent's. Their form is the pass's own and depends on N.
+    current one to keep it). Returns the revised local beliefs.
 
     Leave-one-out by prefix and suffix: a backward pass folds the agents
     after ``j`` into the expected fusion error per count of ones among agents
     ``1..j``, and a forward pass folds each agent's revised decide-1 rates
-    into the count pmf of the agents before it and mixes the two, one row
-    sum per pinned pair. Both passes are convex-combination recurrences,
+    into the count pmf of the agents before it and mixes the two, one
+    ``mix`` per pinned pair. Both passes are convex-combination recurrences,
     so nothing is divided out (unlike deconvolving agent ``j`` from the full
     pmf, which is unstable; Hong 2013), and the whole pass costs O(N^2). A
     revised belief only costs its own rate columns, which replace its old
     ones in place, since the agents after it have not moved yet; the last
     agent is not folded, since no agent comes after it. Below
     ``PER_FLOAT_BELOW`` agents the pass goes one float at a time, with the
-    same doubles (``pinned{d}`` is then a pair of floats, not an array,
-    and the columns a list of per-agent tuples).
+    same doubles (``pinned{d}`` is then a pair of floats, not an array).
     """
     n = config.n_local
     model, costs = config.model, config.costs
     beliefs = list(config.q_local)
     ell0 = log_odds(config.q0)
     if n < PER_FLOAT_BELOW:
-        tails = columns if columns is not None else _local_tails(model, costs, beliefs)
+        tails = _local_tails(model, costs, beliefs)
         fa, md, _, _ = zip(*_count_error_rows(model, costs, ell0, n))
         after = [None] * n
         after[n - 1] = fa, md
@@ -672,8 +677,8 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
                 tails[j:j + 1] = _local_tails(model, costs, [q])
             if j < n - 1:
                 before = fold_agent(before, tails[j])
-        return tuple(beliefs), tails
-    p_cols, q_cols = columns if columns is not None else _local_rates(model, costs, beliefs)
+        return tuple(beliefs)
+    p_cols, q_cols = _local_rates(model, costs, beliefs)
     fa, md, _, _ = _fusion_count_errors(model, costs, ell0, n)
     # after[j][h, c]: expected fusion error (FA under H0, MD under H1) given
     # c ones among agents 1..j+1, mixed over the agents after j+1.
@@ -687,22 +692,21 @@ def pinned_fusion_sweep(config: NetworkConfig, revise, columns=None):
     for j in range(n):
         prefix = before[:, :j + 1]
         g = after[j]
-        # A row sum in numpy's pairwise order, which _dot follows.
-        q = revise(j + 1, np.add.reduce(prefix * g[:, :-1], axis=-1),
-                   np.add.reduce(prefix * g[:, 1:], axis=-1))
+        q = revise(j + 1, mix(prefix, g[:, :-1]), mix(prefix, g[:, 1:]))
         if q != beliefs[j]:
             beliefs[j] = q
             [(t0, t1, s0, s1)] = _local_tails(model, costs, [q])
             p_cols[j], q_cols[j] = [[t0], [t1]], [[s0], [s1]]
         if j < n - 1:
             _fold_agents(before, p_cols[j:j + 1], q_cols[j:j + 1], j)
-    return tuple(beliefs), (p_cols, q_cols)
+    return tuple(beliefs)
 
 
 def _dot(a, b) -> float:
-    """The sum of a[c] * b[c] over the entries of ``a``, left to right, as
-    ``np.add.reduce`` sums a row of fewer than 8 of those products: a row of
-    the per-float pass has fewer than ``PER_FLOAT_BELOW`` terms."""
+    """``mix`` of one row one float at a time: the sum of a[c] * b[c] over
+    the entries of ``a``, left to right, as ``np.add.reduce`` sums a row of
+    fewer than 8 of those products; a row of the per-float pass has fewer
+    than ``PER_FLOAT_BELOW`` terms."""
     return functools.reduce(operator.add, map(operator.mul, a, b))
 
 

@@ -50,9 +50,10 @@ def _checked_belief(q) -> float:
     return q
 
 
-def _clamp(q: float) -> float:
-    """A float belief clamped into [BELIEF_EPS, 1 - BELIEF_EPS], with two
-    comparisons: twice as fast as ``min``/``max``."""
+def clamp(q: float) -> float:
+    """A float belief clamped into [BELIEF_EPS, 1 - BELIEF_EPS], unchecked
+    (nan stays nan): the package's one clamp, with two comparisons, twice as
+    fast as ``min``/``max`` and the same doubles."""
     if q < BELIEF_EPS:
         return BELIEF_EPS
     if q > 1.0 - BELIEF_EPS:
@@ -66,14 +67,22 @@ def clamp_belief(q: float) -> float:
     Values at or outside {0, 1} are degenerate (the agent ignores its signal
     entirely) and are rejected rather than clamped.
     """
-    return _clamp(_checked_belief(q))
+    return clamp(_checked_belief(q))
+
+
+def check_beliefs(beliefs) -> None:
+    """Reject a sequence of beliefs unless every one is strictly inside
+    (0, 1): one scalar pass (False for nan and +-inf), then ``clamp_belief``
+    words the error, naming the first bad belief."""
+    if not all(0.0 < q < 1.0 for q in beliefs):
+        clamp_belief(next(q for q in beliefs if not 0.0 < q < 1.0))
 
 
 def clamped_log_odds(q: float) -> float:
     """log(q / (1 - q)) of a float belief clamped into [BELIEF_EPS, 1 -
     BELIEF_EPS], unchecked: the one log-odds expression of the package.
     ``clamped_log_odds_array`` gives an array's elements the same doubles."""
-    q = _clamp(q)
+    q = clamp(q)
     return math.log(q) - math.log1p(-q)
 
 

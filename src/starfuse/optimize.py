@@ -36,9 +36,13 @@ per-count errors, let each loop redo only what a probe changes:
   ``prospect.prelec_risk_gap`` one table across its priors. Nothing
   outlives the public call.
 - ``pbpo_exact`` updates every local of a sweep from one
-  ``network.pinned_fusion_sweep``, O(N^2) per sweep, and hands each pass
-  the locals' rate columns of the one before, as that pass returned them,
-  so a local's rates are formed once per belief value.
+  ``network.pinned_fusion_sweep``, O(N^2) per sweep.
+
+Every array mix of count pmfs with per-count fusion errors is
+``network.mix``, so the scan's risks are ``batch_risk``'s and ``exact_risk``'s
+bit for bit. The evaluator's mix adds the same products left to right, which
+is ``mix``'s row sum below 8 counts: up to N = 6 its risks are
+``exact_risk``'s too, and above that they may differ in the last bit.
 
 Each gives the same doubles as recomputing the risk from scratch, which
 ``tests/test_descent_reference.py`` checks against reference copies.
@@ -62,14 +66,16 @@ from .network import (
     fold_agent,
     fusion_error_rates,
     fusion_error_table,
+    mix,
     pinned_fusion_errors,
     pinned_fusion_sweep,
 )
 from .observation import (
     BELIEF_EPS,
+    check_beliefs,
     check_integer,
     check_prior,
-    clamp_belief,
+    clamp,
     clamped_log_odds,
     from_log_odds,
     fusion_log_factors,
@@ -132,7 +138,8 @@ class _RiskEvaluator:
     local, with belief ``q``, into a pair of count pmfs (under H0, under H1),
     the pmfs of no agents being ``network.NO_AGENTS``; ``mix(pmfs, q0)``
     mixes the count pmfs of all N locals with fusion belief ``q0``'s
-    per-count fusion errors and returns the risk. Calling the evaluator with
+    per-count fusion errors, left to right (``network.mix``'s sum below 8
+    counts), and returns the risk. Calling the evaluator with
     a belief tuple, fusion belief first, composes the two. The descent loops
     call these tens of thousands of times with tiny networks, where numpy
     array overhead would dominate, and a probe usually moves one belief. So
@@ -419,18 +426,15 @@ class FusionLineSearch:
         # batch_risk's refusals, word for word, before anything is folded.
         if len(q_local) != n:
             raise ValueError(f"expected {n} local belief columns, got {len(q_local)}")
-        if not all(0.0 < q < 1.0 for q in q_local):
-            clamp_belief(next(q for q in q_local if not 0.0 < q < 1.0))
-        mix, pmfs = self.evaluator.mix, self.evaluator.prefixes(q_local)[-1]
-        (fa, md), (pmf0, pmf1) = self.table, pmfs
+        check_beliefs(q_local)
+        pmfs = self.evaluator.prefixes(q_local)[-1]
         risks = _finite_rows(bayes_risk(template.pi0, template.costs,
-                                        np.add.reduce(fa * pmf0, axis=-1),
-                                        np.add.reduce(md * pmf1, axis=-1)),
+                                        *mix(np.array(pmfs)[:, None], self.table)),
                              self.scan, template.model.sigma)
         i = int(np.argmin(risks))
         lo = self.scan[max(i - 1, 0)]
         hi = self.scan[min(i + 1, len(self.scan) - 1)]
-        return golden_section(functools.partial(mix, pmfs), lo, hi, tol)
+        return golden_section(functools.partial(self.evaluator.mix, pmfs), lo, hi, tol)
 
 
 def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6) -> float:
@@ -441,8 +445,9 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     fusion beliefs brackets the global basin before golden-section
     refinement, both on the locals' count pmfs, folded once by the
     evaluator. The evaluator and ``batch_risk`` take each belief's log-odds
-    from the same ``observation.clamped_log_odds``, so the scan's risks are
-    ``batch_risk``'s bit for bit. Raises ``FloatingPointError``
+    from the same ``observation.clamped_log_odds``, and the scan mixes with
+    ``network.mix``, so its risks are ``batch_risk``'s and ``exact_risk``'s
+    bit for bit. Raises ``FloatingPointError``
     naming the first scan point whose risk is not finite, and
     ``ValueError``, worded as ``batch_risk``'s, for a local belief outside
     (0, 1) or a wrong number of them, before anything is folded. A one-shot
@@ -494,9 +499,7 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
     j have not moved yet, so one ``pinned_fusion_sweep`` (one backward pass
     of suffix expectations, and a forward prefix pmf that folds in each
     agent's updated belief) gives every agent its balance: a sweep costs
-    O(N^2) plus the line search. Each pass returns the locals' rate
-    columns and the next pass takes them, so only a revised belief's are
-    formed again. ``init`` and restarts are as in ``pbpo``.
+    O(N^2) plus the line search. ``init`` and restarts are as in ``pbpo``.
     """
     search = FusionLineSearch(template)
     return _multi_start(functools.partial(_pbpo_exact_run, search), template, settings, init, seed)
@@ -572,7 +575,6 @@ def _pbpo_exact_run(search, template, settings, init):
     trace = [tuple(q) + (risk_of(q),)]
     converged = False
     sweeps = 0
-    columns = None  # the locals' rate columns, kept from one sweep to the next
 
     def revise(j, pinned0, pinned1):
         return _balance_update(pi0, q[j], j, pinned1[0] - pinned0[0], pinned0[1] - pinned1[1])[0]
@@ -580,7 +582,7 @@ def _pbpo_exact_run(search, template, settings, init):
     for sweeps in range(1, settings.max_iters + 1):
         previous = list(q)
         q[0] = search(q[1:], settings.eps / 10.0)
-        q[1:], columns = pinned_fusion_sweep(template.config(q[0], q[1:]), revise, columns)
+        q[1:] = pinned_fusion_sweep(template.config(q[0], q[1:]), revise)
         trace.append(tuple(q) + (risk_of(q),))
         if math.dist(q, previous) <= settings.eps:
             converged = True
@@ -619,8 +621,7 @@ def _balance_update(pi0: float, q_j: float, j: int, d_fa, d_md):
     if d_fa <= 0.0 or d_md <= 0.0:
         return q_j, True
     ell = log_odds(pi0) + math.log(d_fa) - math.log(d_md)
-    q = float(from_log_odds(ell))
-    return min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS), False
+    return clamp(float(from_log_odds(ell))), False
 
 
 # Not exported; kept by name for the TRACED table of perfbench/tracing.py.

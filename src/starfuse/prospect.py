@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkTemplate, exact_risk
-from .observation import BELIEF_EPS
+from .observation import clamp
 from .optimize import FusionLineSearch, SweepPoint
 
 Q0_STRATEGIES = ("keep-optimal-q0", "reoptimize-q0")
@@ -128,7 +128,7 @@ def prelec_risk_gap(template: NetworkTemplate, params: PrelecParams, q0_strategy
     points = []
     for item in sweep:
         w = prelec(item.pi0, params)
-        w = min(max(float(w), BELIEF_EPS), 1.0 - BELIEF_EPS)
+        w = clamp(float(w))
         local_template = dataclasses.replace(template, pi0=item.pi0)
         if q0_strategy == "keep-optimal-q0":
             q0_used = item.q0_opt

@@ -495,6 +495,48 @@ def test_size_switch_only_in_network(path):
     assert _size_switch_sites(path.read_text()) == expected
 
 
+MATRIX_PRODUCTS = ("dot", "matmul", "inner", "vdot")
+
+
+def _matrix_product_sites(source):
+    """(what, line) of each matrix product in ``source``: the ``@``
+    operator (``"@"``, also as ``@=``), and each read of ``dot``,
+    ``matmul``, ``inner`` or ``vdot`` as an attribute (``np.dot``,
+    ``a.dot``), a name or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add(("@", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS:
+            found.add((node.attr, node.lineno))
+        elif isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS \
+                and isinstance(node.ctx, ast.Load):
+            found.add((node.id, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((a.name, node.lineno) for a in node.names if a.name in MATRIX_PRODUCTS)
+    return found
+
+
+def test_matrix_product_sites_seen():
+    assert _matrix_product_sites("def f(a, b):\n    return float(a[0] @ b)\n") == {("@", 2)}
+    assert _matrix_product_sites("a @= b\n") == {("@", 1)}
+    assert _matrix_product_sites("import numpy as np\nx = np.dot(a, b)\n") == {("dot", 2)}
+    assert _matrix_product_sites("x = a.dot(b) + np.vdot(a, b)\n") == {("dot", 1), ("vdot", 1)}
+    assert _matrix_product_sites("f = np.matmul\n") == {("matmul", 1)}
+    assert _matrix_product_sites("from numpy import inner\ny = inner(a, b)\n") \
+        == {("inner", 1), ("inner", 2)}
+    assert _matrix_product_sites("x = a * b\ndot = 1\n'a @ b and np.dot in a docstring'\n") \
+        == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_matrix_products(path):
+    """No module mixes with a matrix product: BLAS sums in its own blocked
+    order, which neither ``network.mix``'s row sum nor any per-float path
+    follows, so every exact risk comes from the one mix."""
+    assert _matrix_product_sites(path.read_text()) == set()
+
+
 def _unread_imports(source):
     """Each name an import in ``source`` binds that no expression of it
     reads (``import a.b`` binds ``a``)."""

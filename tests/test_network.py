@@ -245,10 +245,11 @@ class TestCountDistribution:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 123, 300, 1000, 2000])
     @pytest.mark.parametrize("tied", [True, False])
     def test_bit_identical_to_per_agent_loop(self, n, tied):
-        """The count pmf and the risk are the per-agent loop's, bit for bit.
-        A tied network of ``BINOMIAL_FROM`` locals or more takes the Binomial
-        kernel instead: its pmf is checked against the 50-digit sum and its
-        r0 against the loop's to 1e-12 relative."""
+        """The count pmf and the risk are the per-agent loop's, bit for bit,
+        the loop's pmfs mixed with its fusion errors by a row sum, as every
+        exact risk is. A tied network of ``BINOMIAL_FROM`` locals or more
+        takes the Binomial kernel instead: its pmf is checked against the
+        50-digit sum and its r0 against the loop's to 1e-12 relative."""
         rng = np.random.default_rng(1000 * n + tied)
         template = NetworkTemplate(0.35, CostPair(1.3, 0.8), ObservationModel(sigma=1.7), n)
         if tied:
@@ -259,7 +260,7 @@ class TestCountDistribution:
         t0, t1, s0, s1 = _reference_rates(cfg, cfg.q_local)
         pmf0, pmf1 = _reference_pmfs(t0, s0), _reference_pmfs(t1, s1)
         fa, md = _reference_fusion_errors(cfg, n)
-        p_fa0, p_md0 = float(pmf0 @ fa), float(pmf1 @ md)
+        p_fa0, p_md0 = float(np.add.reduce(pmf0 * fa)), float(np.add.reduce(pmf1 * md))
         loop_r0 = cfg.costs.c_fa * cfg.pi0 * p_fa0 + cfg.costs.c_md * (1.0 - cfg.pi0) * p_md0
         report = exact_risk(cfg)
         if tied and n >= BINOMIAL_FROM:
@@ -566,8 +567,8 @@ def _small_networks(draw):
 def _two_passes(config, revised):
     """The pinned errors every agent sees, as rows of (j, pinned0, pinned1),
     over a ``pinned_fusion_sweep`` that moves agent j to ``revised[j - 1]``
-    and a second pass, from its beliefs and columns, that keeps them; then
-    the beliefs each pass returns."""
+    and a second pass, from its beliefs, that keeps them; then the beliefs
+    each pass returns."""
     seen = []
 
     def revising_to(beliefs):
@@ -576,9 +577,8 @@ def _two_passes(config, revised):
             return beliefs[j - 1]
         return revise
 
-    first, columns = pinned_fusion_sweep(config, revising_to(revised))
-    second, _ = pinned_fusion_sweep(dataclasses.replace(config, q_local=first),
-                                    revising_to(first), columns)
+    first = pinned_fusion_sweep(config, revising_to(revised))
+    second = pinned_fusion_sweep(dataclasses.replace(config, q_local=first), revising_to(first))
     return np.array(seen, dtype=float), first, second
 
 
@@ -664,9 +664,9 @@ class TestPerFloatPath:
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks(), data=st.data())
     def test_revising_pinned_fusion_sweep(self, network_config, data):
-        """A pass that revises some beliefs, then a pass from its beliefs
-        and the columns it returned, see the same pinned errors (per float
-        below the constant, as in ``test_pinned_fusion_errors``)."""
+        """A pass that revises some beliefs, then a pass from the beliefs it
+        returned, see the same pinned errors (per float below the constant,
+        as in ``test_pinned_fusion_errors``)."""
         n = network_config.n_local
         revised = data.draw(st.lists(st.one_of(st.none(), _BELIEFS), min_size=n, max_size=n))
         revised = [q if r is None else r for q, r in zip(network_config.q_local, revised)]
@@ -740,6 +740,23 @@ class TestBatchRisk:
                 expected = _row_form_batch_risk(template, rows)
             assert outer.shape == (len(q0), len(q_local))
             assert outer.tobytes() == expected.tobytes()
+
+    def test_equals_exact_risk_where_both_fold(self):
+        """``batch_risk`` and ``exact_risk`` mix count pmfs with the same
+        ``network.mix``, so wherever both fold the count pmf (N below
+        ``BINOMIAL_FROM``, and untied networks above it) the risks are one
+        double."""
+        rng = np.random.default_rng(34)
+        sizes = [(n, tied) for n in range(1, BINOMIAL_FROM) for tied in (True, False)] * 8
+        sizes += [(n, False) for n in (20, 27, 64, 150)]
+        for n, tied in sizes:
+            template = NetworkTemplate(float(rng.uniform(0.02, 0.98)),
+                                       CostPair(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0))),
+                                       ObservationModel(sigma=float(np.exp(rng.uniform(-1.2, 1.1)))), n)
+            q0 = float(rng.uniform(0.02, 0.98))
+            q_local = [float(rng.uniform(0.02, 0.98))] * n if tied else rng.uniform(0.02, 0.98, n)
+            r0 = exact_risk(template.config(q0, q_local)).r0
+            assert r0 == batch_risk(template, [q0], [q_local])[0, 0], (n, tied)
 
     @pytest.mark.parametrize("shape", ["tied", "full", "contour", "scan"])
     def test_flat_unique_inverse(self, shape, monkeypatch):

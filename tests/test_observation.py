@@ -19,6 +19,7 @@ from starfuse import (
     threshold_from_log_odds,
 )
 from starfuse.observation import (
+    clamp,
     clamped_log_odds,
     clamped_log_odds_array,
     decision_one_log_tails,
@@ -266,3 +267,10 @@ class TestFloatMatchesArray:
     def test_clamp_belief_is_the_kernel_clamp(self, q):
         assert clamp_belief(q) == min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS)
         assert clamped_log_odds(q) == clamped_log_odds(clamp_belief(q))
+
+    @pytest.mark.parametrize("q", [math.nan, -math.inf, -1.0, 0.0, 0.5 * BELIEF_EPS, BELIEF_EPS,
+                                   0.3, 1.0 - 0.5 * BELIEF_EPS, 1.0, math.inf])
+    def test_clamp_is_the_min_max_clamp(self, q):
+        """The one clamp gives the doubles of the ``min``/``max`` form it
+        replaced, nan included."""
+        assert _same_double(clamp(q), min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS))
