@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -389,6 +390,20 @@ class TestPbpo:
         # ulp) away.
         assert result.trace[-1] == (0.7369999999999739, 0.3959999999999999, 0.3959999999999999,
                                     0.1917851023367949)
+
+    @pytest.mark.parametrize("pi0, costs, sigma, n, digest", [
+        (0.3, (1.0, 1.0), 1.0, 2, "00eed4a98e3ff85e54a56475582c8aaeba623bb296a0b7b3250de5ffa3cdbb72"),
+        (0.7, (1.4, 0.8), 0.6, 1, "7084e434e3218955b83bc2cb640d92460a663166ea301d995d5f9f9ee5c9ce37"),
+        (0.6, (0.7, 1.6), 1.3, 3, "cc58748b7a013ab1492b054eb0b689afd1dc8fc30dc291eaf27f74e47da348d8"),
+    ], ids=["headline", "n1", "n3"])
+    def test_trajectory_digest(self, pi0, costs, sigma, n, digest):
+        """The whole result, every trace row included, of a default-settings
+        run from the tied start 0.5, as the SHA-256 of its ``repr``: a change
+        to how the descent forms its risks must keep every double of these
+        trajectories, the paper's headline (N = 2, pi0 0.3) among them."""
+        template = NetworkTemplate(pi0, CostPair(*costs), ObservationModel(sigma=sigma), n)
+        result = pbpo(template, OptimizerSettings(), init=(0.5,) * (n + 1))
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("optimizer", [pbpo, pbpo_exact], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("n", [2, 3])
