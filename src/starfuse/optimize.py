@@ -178,17 +178,25 @@ class _RiskEvaluator:
                                          f"factors ({l_zero!r}, {l_one!r}) are not finite")
             return count_errors(ell0, l_zero, l_one, n)
 
-        def mix(pmfs, q0):
+        def mix(pmfs, tail, q0):
             errors = fusion_errors.get(q0)
             if errors is None:
                 errors = fusion_errors[q0] = errors_of(q0)
             fa, md = errors
+            t0, t1, s0, s1 = tail
             pmf0, pmf1 = pmfs
-            p_fa0 = 0.0
-            p_md0 = 0.0
-            for k in range(n + 1):
-                p_fa0 += pmf0[k] * fa[k]
-                p_md0 += pmf1[k] * md[k]
+            # Count k of fold_agent(pmfs, tail), formed as it is mixed: the
+            # same products and sums in the same order, so the same doubles.
+            below0, below1 = pmf0[0], pmf1[0]
+            p_fa0 = 0.0 + below0 * s0 * fa[0]
+            p_md0 = 0.0 + below1 * s1 * md[0]
+            for k in range(1, n):
+                at0, at1 = pmf0[k], pmf1[k]
+                p_fa0 += (at0 * s0 + below0 * t0) * fa[k]
+                p_md0 += (at1 * s1 + below1 * t1) * md[k]
+                below0, below1 = at0, at1
+            p_fa0 += below0 * t0 * fa[n]
+            p_md0 += below1 * t1 * md[n]
             return weight_fa * p_fa0 + weight_md * p_md0
 
         self.tails, self.tails_of, self.errors_of, self.mix = local_tails, tails_of, errors_of, mix
@@ -201,7 +209,9 @@ class _RiskEvaluator:
         return out
 
     def __call__(self, beliefs) -> float:
-        return self.mix(self.prefixes(beliefs[1:])[-1], beliefs[0])
+        last = beliefs[-1]
+        return self.mix(self.prefixes(beliefs[1:-1])[-1], self.tails.get(last) or self.tails_of(last),
+                        beliefs[0])
 
 
 def _axis(lo: float, hi: float, res: float) -> np.ndarray:
@@ -427,14 +437,16 @@ class FusionLineSearch:
         if len(q_local) != n:
             raise ValueError(f"expected {n} local belief columns, got {len(q_local)}")
         check_beliefs(q_local)
-        pmfs = self.evaluator.prefixes(q_local)[-1]
+        evaluator = self.evaluator
+        prefix = evaluator.prefixes(q_local)
         risks = _finite_rows(bayes_risk(template.pi0, template.costs,
-                                        *mix(np.array(pmfs)[:, None], self.table)),
+                                        *mix(np.array(prefix[-1])[:, None], self.table)),
                              self.scan, template.model.sigma)
         i = int(np.argmin(risks))
         lo = self.scan[max(i - 1, 0)]
         hi = self.scan[min(i + 1, len(self.scan) - 1)]
-        return golden_section(functools.partial(self.evaluator.mix, pmfs), lo, hi, tol)
+        probe = functools.partial(evaluator.mix, prefix[-2], evaluator.tails[q_local[-1]])
+        return golden_section(probe, lo, hi, tol)
 
 
 def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6) -> float:
@@ -531,9 +543,12 @@ def _pbpo_run(template, settings, init):
     evaluator = _RiskEvaluator(template)
     tails, tails_of, mix = evaluator.tails, evaluator.tails_of, evaluator.mix
     q = [float(x) for x in init]
-    # prefix[m]: count pmfs of locals 1..m of the current tuple q.
-    prefix = evaluator.prefixes(q[1:])
-    risk = mix(prefix[-1], q[0])
+    n = len(q) - 1
+    # prefix[m]: count pmfs of locals 1..m < N of the current tuple q; last:
+    # local N's tails, which every mix folds in as it mixes.
+    prefix = evaluator.prefixes(q[1:n])
+    last = tails.get(q[n]) or tails_of(q[n])
+    risk = mix(prefix[-1], last, q[0])
     trace = [tuple(q) + (risk,)]
     converged = False
     sweeps = 0
@@ -541,24 +556,31 @@ def _pbpo_run(template, settings, init):
         previous = q  # moves rebind q to a new list, never mutate it
         # The fusion belief: a probe is one mix of the current pmfs.
         up, down = min(q[0] + step, hi), max(q[0] - step, lo)
-        r_up, r_down = mix(prefix[-1], up), mix(prefix[-1], down)
+        r_up, r_down = mix(prefix[-1], last, up), mix(prefix[-1], last, down)
         if min(r_up, r_down) < risk:
             value, risk = (up, r_up) if r_up < r_down else (down, r_down)
             q = [value] + q[1:]
-        # Local i: a probe refolds locals i..N onto the prefix pmfs before it.
-        for i in range(1, len(q)):
+        # Local i < N: a probe refolds locals i..N-1 onto the prefix pmfs before it.
+        for i in range(1, n):
             up, down = min(q[i] + step, hi), max(q[i] - step, lo)
             chain_up = [fold_agent(prefix[i - 1], tails.get(up) or tails_of(up))]
             chain_down = [fold_agent(prefix[i - 1], tails.get(down) or tails_of(down))]
-            for qk in q[i + 1:]:
+            for qk in q[i + 1:n]:
                 tail = tails.get(qk) or tails_of(qk)
                 chain_up.append(fold_agent(chain_up[-1], tail))
                 chain_down.append(fold_agent(chain_down[-1], tail))
-            r_up, r_down = mix(chain_up[-1], q[0]), mix(chain_down[-1], q[0])
+            r_up, r_down = mix(chain_up[-1], last, q[0]), mix(chain_down[-1], last, q[0])
             if min(r_up, r_down) < risk:
                 value, risk, prefix[i:] = ((up, r_up, chain_up) if r_up < r_down
                                            else (down, r_down, chain_down))
                 q = q[:i] + [value] + q[i + 1:]
+        # Local N: a probe is one mix of the current pmfs with the probe's tails.
+        up, down = min(q[n] + step, hi), max(q[n] - step, lo)
+        tail_up, tail_down = tails.get(up) or tails_of(up), tails.get(down) or tails_of(down)
+        r_up, r_down = mix(prefix[-1], tail_up, q[0]), mix(prefix[-1], tail_down, q[0])
+        if min(r_up, r_down) < risk:
+            value, risk, last = (up, r_up, tail_up) if r_up < r_down else (down, r_down, tail_down)
+            q = q[:n] + [value]
         trace.append(tuple(q) + (risk,))
         if trace[-1][-1] > trace[-2][-1] + 1e-15:
             raise AssertionError("risk increased across a sweep")

@@ -314,6 +314,11 @@ def _pinned(pi0, costs, log_sigma, init, max_iters):
 
 
 class TestDescentMatchesReference:
+    # N = 1, where the evaluator's mix folds the only local and no prefix
+    # pmfs are kept; and a last local within one step of 1 - BELIEF_EPS,
+    # whose up probe is clamped.
+    @example(_pinned(0.3, (1.0, 1.0), 0.0, (0.5, 0.5), max_iters=150))
+    @example(_pinned(0.4, (1.2, 0.8), 0.25, (0.6, 0.45, 1.0 - BELIEF_EPS - 2e-4), max_iters=40))
     @given(_problems(max_iters=150))
     @settings(max_examples=60, deadline=None)
     def test_pbpo_from_init(self, problem):

@@ -337,11 +337,42 @@ class TestRiskEvaluator:
             fa, md, _, _ = zip(*network._count_error_rows(model, costs, log_odds(q0), n))
             assert evaluator.errors_of(q0) == (list(fa), list(md))
 
+    @hypothesis_settings(max_examples=120, deadline=None)
+    @given(sigma=st.floats(-2.0, 1.5).map(lambda e: 10.0 ** e),
+           costs=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+           pi0=st.floats(0.05, 0.95),
+           beliefs=st.lists(st.floats(0.02, 0.98), min_size=0, max_size=8),
+           tail=st.one_of(st.floats(0.02, 0.98), st.tuples(*[st.floats(0.0, 1.0)] * 4)),
+           q0=st.one_of(st.floats(0.02, 0.98), st.sampled_from([BELIEF_EPS, 1.0 - BELIEF_EPS])))
+    def test_mix_folds_the_last_local_as_fold_agent(self, sigma, costs, pi0, beliefs, tail, q0):
+        """``mix(pmfs, tail, q0)`` forms the count pmfs of
+        ``fold_agent(pmfs, tail)`` as it mixes them, so its risk is, as a
+        double, that fold followed by a left-to-right sum of the products,
+        for pmfs of 0 to 8 locals and a tail of a belief or of any four
+        floats in [0, 1]."""
+        costs = CostPair(*costs)
+        template = NetworkTemplate(pi0, costs, ObservationModel(sigma=sigma), len(beliefs) + 1)
+        evaluator = _RiskEvaluator(template)
+        pmfs = network.NO_AGENTS
+        for q in beliefs:
+            pmfs = network.fold_agent(pmfs, evaluator.tails_of(q))
+        if isinstance(tail, float):
+            tail = evaluator.tails_of(tail)
+        pmf0, pmf1 = network.fold_agent(pmfs, tail)
+        fa, md = evaluator.errors_of(q0)
+        p_fa0 = p_md0 = 0.0
+        for k in range(len(pmf0)):
+            p_fa0 += pmf0[k] * fa[k]
+            p_md0 += pmf1[k] * md[k]
+        expected = costs.c_fa * pi0 * p_fa0 + costs.c_md * (1.0 - pi0) * p_md0
+        assert evaluator.mix(pmfs, tail, q0) == expected
+
 
 class TestOneScalarFold:
     """The descent evaluator folds a local into its count pmfs only through
     ``network.fold_agent``, the fold that ``network``'s small-network
-    kernels use, and counting its calls changes no result."""
+    kernels use, or, for the last local, inside its mix with that fold's
+    operations; counting the calls changes no result."""
 
     def test_evaluator_pbpo_and_line_search_fold_through_fold_agent(self, monkeypatch):
         n = 3
@@ -363,10 +394,14 @@ class TestOneScalarFold:
             folds.clear()
             assert run() == unpatched[name], name
             sweeps = unpatched[name].iterations if name.startswith("pbpo") else 0
-            # One fold per local for each prefix chain; a pbpo sweep's two
-            # probes of local i refold locals i..N, and a pbpo_exact sweep
-            # folds the locals for its line search and for its trace risk.
-            expected = {"pbpo": n + sweeps * n * (n + 1), "pbpo_exact": n + sweeps * 2 * n}
+            # The evaluator's mix folds the last local as it mixes, so a risk
+            # folds locals 1..N-1 only; the line search folds all N, since
+            # its scan mixes the full count pmfs. A pbpo sweep's two probes
+            # of local i < N refold locals i..N-1 and a probe of local N
+            # folds nothing, (N-1)·N folds a sweep; a pbpo_exact sweep folds
+            # N for its line search and N-1 for its trace risk.
+            expected = {"evaluator": n - 1, "pbpo": n - 1 + sweeps * (n - 1) * n,
+                        "pbpo_exact": n - 1 + sweeps * (2 * n - 1)}
             assert len(folds) == expected.get(name, n), name
         assert unpatched["pbpo"].iterations > 2 and unpatched["pbpo_exact"].iterations > 2
 
