@@ -46,11 +46,14 @@ doubles; the per-float mixes, fewer than ``PER_FLOAT_BELOW`` terms each, go
 left to right as ``mix`` sums such a short row (``_dot``), which no
 ``np.einsum`` or matrix product would let them do. The evaluator's mix adds
 left to right too, so it is ``exact_risk``'s below 8 counts (N <= 6) and
-may differ in the last bit above. Both paths start from one log-odds kernel,
-``observation.clamped_log_odds``: the per-float helpers call it per belief,
-and ``_distinct_log_odds`` takes its array form over the distinct beliefs of
-an array, so ``batch_risk``, ``exact_risk`` and the evaluator give a belief
-one double.
+may differ in the last bit above. It takes the pmfs of N - 1 locals and the
+last local's tails, and forms each count of that local's ``fold_agent`` as
+it mixes it, with the same operations in the same order, so a descent
+probe builds no pmf lists for the last local. Both paths start from one
+log-odds kernel, ``observation.clamped_log_odds``: the per-float helpers
+call it per belief, and ``_distinct_log_odds`` takes its array form over
+the distinct beliefs of an array, so ``batch_risk``, ``exact_risk`` and the
+evaluator give a belief one double.
 """
 
 import functools

@@ -16,21 +16,24 @@ call; ``grid_search`` is the one-prior case of the same stage loop.
 The loops that move one belief at a time use ``_RiskEvaluator``, the
 per-float formula of ``observation.per_float_rates`` with memoized tails;
 tests pin it to ``exact_risk``. Its two steps, ``network.fold_agent`` of one
-local into the count pmfs and a mix of the pmfs with a fusion belief's
-per-count errors, let each loop redo only what a probe changes:
+local into the count pmfs and a mix that folds the last local into the pmfs
+of the others as it mixes them with a fusion belief's per-count errors, let
+each loop redo only what a probe changes:
 
-- ``pbpo`` keeps the prefix count pmfs of the current tuple, with one
-  evaluator per run. A fusion probe is one O(N) mix; a probe of local i
-  refolds locals i..N only.
+- ``pbpo`` keeps the prefix count pmfs of locals 1..N-1 of the current
+  tuple and the last local's tails, with one evaluator per run. A probe of
+  the fusion belief or of local N is one O(N) mix; a probe of local i < N
+  refolds locals i..N-1 only, so a sweep folds (N-1)·N times.
 - ``FusionLineSearch`` is the fusion-belief line search, built once per
   public call that searches: its bracketing scan's fusion error table
   (``network.fusion_error_table``, which depends only on sigma, the costs
   and N) and one evaluator memo serve every search of that call. A search
   folds its fixed locals once, with the evaluator, and uses those count
-  pmfs twice: mixed with the table, one row sum per scan point, for the
-  scan, and with each golden-section probe's errors, one O(N) mix per
-  probe. A probe at a new fusion belief forms its per-count fusion errors
-  inline, with no Python call per count.
+  pmfs twice: all N folded, mixed with the table, one row sum per scan
+  point, for the scan, and the first N-1 with the last local's tails,
+  mixed with each golden-section probe's errors, one O(N) mix per probe.
+  A probe at a new fusion belief forms its per-count fusion errors inline,
+  with no Python call per count.
   ``minimize_fusion_belief`` is a one-shot search; ``pbpo_exact`` shares
   one search across all its sweeps and restarts, and
   ``prospect.prelec_risk_gap`` one table across its priors. Nothing
@@ -40,7 +43,8 @@ per-count errors, let each loop redo only what a probe changes:
 
 Every array mix of count pmfs with per-count fusion errors is
 ``network.mix``, so the scan's risks are ``batch_risk``'s and ``exact_risk``'s
-bit for bit. The evaluator's mix adds the same products left to right, which
+bit for bit. The evaluator's mix forms each count of the last local's
+``fold_agent`` as it goes and adds the same products left to right, which
 is ``mix``'s row sum below 8 counts: up to N = 6 its risks are
 ``exact_risk``'s too, and above that they may differ in the last bit.
 
@@ -136,18 +140,22 @@ class _RiskEvaluator:
 
     ``network.fold_agent(pmfs, tails.get(q) or tails_of(q))`` folds one more
     local, with belief ``q``, into a pair of count pmfs (under H0, under H1),
-    the pmfs of no agents being ``network.NO_AGENTS``; ``mix(pmfs, q0)``
-    mixes the count pmfs of all N locals with fusion belief ``q0``'s
-    per-count fusion errors, left to right (``network.mix``'s sum below 8
-    counts), and returns the risk. Calling the evaluator with
-    a belief tuple, fusion belief first, composes the two. The descent loops
-    call these tens of thousands of times with tiny networks, where numpy
-    array overhead would dominate, and a probe usually moves one belief. So
-    the evaluator memoizes, keyed by the exact float value of a belief, each
-    local belief's four decision tails (``tails``, which ``tails_of`` fills)
-    and each fusion belief's per-count fusion errors (``errors_of``), both
-    from ``observation.per_float_rates`` as ``network``'s per-float paths
-    take them, and the loops keep the prefix pmfs a probe does not change.
+    the pmfs of no agents being ``network.NO_AGENTS``; ``mix(pmfs, tail,
+    q0)`` takes the count pmfs of N - 1 locals and the last local's tails
+    ``tail``, forms each count of ``fold_agent(pmfs, tail)`` as it mixes it
+    with fusion belief ``q0``'s per-count fusion errors, left to right
+    (``network.mix``'s sum below 8 counts), and returns the risk: the same
+    operations in the same order, so the same double, with no pmf lists
+    built for the last local. Calling the evaluator with a belief tuple,
+    fusion belief first, composes the two, N - 1 folds and one mix. The
+    descent loops call these tens of thousands of times with tiny networks,
+    where numpy array overhead would dominate, and a probe usually moves one
+    belief. So the evaluator memoizes, keyed by the exact float value of a
+    belief, each local belief's four decision tails (``tails``, which
+    ``tails_of`` fills) and each fusion belief's per-count fusion errors
+    (``errors_of``), both from ``observation.per_float_rates`` as
+    ``network``'s per-float paths take them, and the loops keep the prefix
+    pmfs a probe does not change.
     A memo hit costs no Python call; a ``__missing__`` hook would cost one.
 
     ``mix`` raises ``FloatingPointError`` naming the fusion belief and sigma
@@ -210,8 +218,8 @@ class _RiskEvaluator:
 
     def __call__(self, beliefs) -> float:
         last = beliefs[-1]
-        return self.mix(self.prefixes(beliefs[1:-1])[-1], self.tails.get(last) or self.tails_of(last),
-                        beliefs[0])
+        tail = self.tails.get(last) or self.tails_of(last)
+        return self.mix(self.prefixes(beliefs[1:-1])[-1], tail, beliefs[0])
 
 
 def _axis(lo: float, hi: float, res: float) -> np.ndarray:
@@ -409,8 +417,10 @@ class FusionLineSearch:
     The bracketing scan's per-count fusion errors depend only on sigma, the
     costs and N, so they form one ``network.fusion_error_table`` of the scan
     grid. A search folds its locals into their count pmfs once, with
-    ``evaluator.prefixes``, mixes those pmfs with the table for the scan and
-    with each golden-section probe's per-count errors for the refinement.
+    ``evaluator.prefixes``, and mixes the pmfs of all N with the table for
+    the scan; each golden-section probe is one ``evaluator.mix`` of the pmfs
+    of the first N - 1 with the last local's tails and the probe's per-count
+    errors.
     The probes go through one ``_RiskEvaluator``, ``evaluator``, whose memo
     of per-belief tails every search shares. Not exported: each public call
     that searches builds its own, so nothing outlives that call.
@@ -483,9 +493,11 @@ def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
 
     Each run evaluates the risk through one ``_RiskEvaluator``, so a probe
     recomputes only the tails of beliefs it has not seen in that run, and
-    keeps the count pmfs of every prefix of the current locals: a fusion
-    probe costs one O(N) mix and a probe of local i refolds locals i..N,
-    O(N^2) at worst. A run raises ``FloatingPointError`` naming the fusion
+    keeps the count pmfs of every prefix of locals 1..N-1 of the current
+    tuple and the last local's tails, which each mix folds in as it mixes: a
+    probe of the fusion belief or of local N costs one O(N) mix and a probe
+    of local i < N refolds locals i..N-1, O(N^2) at worst, so a sweep folds
+    (N-1)·N times. A run raises ``FloatingPointError`` naming the fusion
     belief and sigma where its fusion log factors are not finite.
 
     ``init`` is checked as ``NetworkConfig`` checks beliefs, before any sweep.
@@ -544,8 +556,8 @@ def _pbpo_run(template, settings, init):
     tails, tails_of, mix = evaluator.tails, evaluator.tails_of, evaluator.mix
     q = [float(x) for x in init]
     n = len(q) - 1
-    # prefix[m]: count pmfs of locals 1..m < N of the current tuple q; last:
-    # local N's tails, which every mix folds in as it mixes.
+    # prefix[m], m < N: count pmfs of locals 1..m of the current tuple q.
+    # last: local N's tails, which every mix folds in as it mixes.
     prefix = evaluator.prefixes(q[1:n])
     last = tails.get(q[n]) or tails_of(q[n])
     risk = mix(prefix[-1], last, q[0])
