@@ -292,6 +292,23 @@ class TestPrelecCommand:
         assert code == 2
         assert "sweep" in err
 
+    def test_fit_csv_bytes_pinned(self, capsys, tmp_path):
+        """The bytes of a computed sweep's fit and of a read sweep's fit with
+        the fusion belief re-minimized, each prior at step 0.01."""
+        computed, sweep, read = (tmp_path / name for name in ("a.csv", "sweep.csv", "b.csv"))
+        code, _, _ = run_cli(capsys, "prelec", "--sweep-pi0", "0.05:0.95:0.01",
+                             "--csv", str(computed))
+        assert code == 0
+        assert hashlib.sha256(computed.read_bytes()).hexdigest() == (
+            "e6574e790979b119458dd5793b8ff64989318b2c9248ef78702c05a5ed3dd787")
+        run_cli(capsys, "grid", "--sweep-pi0", "0.05:0.95:0.01", "--tie-locals",
+                "--csv", str(sweep))
+        code, _, _ = run_cli(capsys, "prelec", "--input", str(sweep),
+                             "--q0-strategy", "reoptimize-q0", "--csv", str(read))
+        assert code == 0
+        assert hashlib.sha256(read.read_bytes()).hexdigest() == (
+            "8d089b29b1c2bc09d7150dcb1d835b870c52e75180b8f0850781ee0d734202d3")
+
 
 class TestPhaseCommand:
     def test_single_point_region(self, capsys):

@@ -91,6 +91,13 @@ class TestMinimaxFit:
         assert params.alpha < 1.0
         assert linf < 0.06
 
+    def test_benchmark_curve_fit_pinned(self, prior_sweep):
+        """c09's fit, every double of it."""
+        _, sweep = prior_sweep
+        fit = fit_prelec_minimax([p.pi0 for p in sweep], [p.q1_opt for p in sweep])
+        assert repr(fit) == ("(PrelecParams(alpha=0.6606363629562242, "
+                             "beta_w=0.8997620642587586), 0.034466261234001164)")
+
 
 class TestRiskGap:
     def test_identity_params_keep_optimal_matches_truthful_locals(
