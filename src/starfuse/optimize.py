@@ -5,6 +5,11 @@ global oracle), cyclic fixed-step coordinate descent, and an exact-coordinate
 variant that solves each local agent's stationarity condition directly and
 line-searches the fusion belief.
 
+Two general minimizers serve them and the Prelec fit: ``golden_section``,
+the 1-D search of the fusion line search, and ``nelder_mead``, the 2-D
+simplex refinement of ``prospect.fit_prelec_minimax``, which gives scipy's
+Nelder-Mead doubles, so no module imports ``scipy.optimize``.
+
 The risk itself comes from ``network``. Grid stages take
 ``fusion_error_rates``, the fusion error probabilities of an axis of fusion
 beliefs against rows of local beliefs (a grid's local rows are the product
@@ -408,6 +413,68 @@ def golden_section(f, lo: float, hi: float, tol: float) -> float:
                 break
             stalled.add(state)
     return 0.5 * (a + b)
+
+
+def _by_value(sim, fsim):
+    order = np.argsort(fsim)
+    return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+
+def nelder_mead(f, x0, xatol: float, fatol: float, max_iters: int):
+    """Minimize ``f`` over vectors from ``x0`` by the Nelder-Mead simplex
+    (Nelder & Mead 1965); returns the best vertex and its value.
+
+    The path of scipy's ``minimize(f, x0, method="Nelder-Mead", options=
+    {"xatol": ..., "fatol": ..., "maxiter": max_iters})``, with the same
+    operations in the same order, so the same doubles: the start simplex
+    scales each coordinate by 1.05 (0.00025 where it is 0); reflection,
+    expansion, the two contractions and the shrink take scipy's non-adaptive
+    coefficients (1, 2, 1/2 and 1/2); the search stops once every vertex is
+    within ``xatol`` of the best in each coordinate and within ``fatol`` of
+    it in value, or after ``max_iters`` - 1 steps. ``f`` must leave its
+    argument unchanged.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim, fsim = _by_value(sim, np.array([f(vertex) for vertex in sim], dtype=float))
+    iterations = 1
+    while iterations < max_iters:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0], np.min(fsim)
 
 
 class FusionLineSearch:

@@ -18,7 +18,7 @@ from starfuse import (
 )
 from starfuse import NetworkTemplate
 
-from starfuse.asymptotics import _region_of, exponent_objective
+from starfuse.asymptotics import BOUNDARY_TOL, _region_of, exponent_objective
 
 
 class TestClassifyPhase:
@@ -82,6 +82,10 @@ class TestClassifyPhase:
     def test_finite_infeasible_pattern_is_an_assertion(self):
         with pytest.raises(AssertionError, match="infeasible sign pattern"):
             _region_of(-1.0, 1.0)
+
+    @pytest.mark.parametrize("g0", [BOUNDARY_TOL, -BOUNDARY_TOL])
+    def test_boundary_includes_its_tolerance(self, g0):
+        assert _region_of(g0, -1.0) is PhaseRegion.BOUNDARY
 
     def test_boundary_flagged_not_coerced(self, std_model, equal_costs):
         # Fusion belief bisected onto the sign change of the region test.

@@ -287,6 +287,13 @@ class TestPrelecCommand:
         assert err == f"error: sweep input {str(sweep)!r} {where}\n"
         assert not path.exists()
 
+    def test_zero_risk_sweep_input_accepted(self, capsys, tmp_path):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,0.396,0\n")
+        code, out, err = run_cli(capsys, "prelec", "--input", str(sweep))
+        assert (code, err) == (0, "")
+        assert "alpha=" in out
+
     def test_missing_sweep_input_rejected(self, capsys):
         code, _, err = run_cli(capsys, "prelec")
         assert code == 2

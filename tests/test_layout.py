@@ -108,16 +108,51 @@ def test_removed_parameters_rejected():
         starfuse.chernoff_bernoulli(0.3, 0.6, iters=10)
 
 
+def _scipy_optimize_imports(source):
+    """Line numbers of the statements in ``source`` that import
+    ``scipy.optimize``, as a module or from it, or as a name from scipy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+        else:
+            continue
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scipy_optimize_imports_seen():
+    source = ("import scipy.optimize\n"
+              "from scipy import optimize\n"
+              "def f():\n    from scipy.optimize import minimize\n"
+              "import scipy.special, scipy.optimize._optimize as o\n"
+              "from scipy import special\n"
+              "from . import optimize\n"
+              "from .optimize import nelder_mead\n")
+    assert _scipy_optimize_imports(source) == [1, 2, 4, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_optimize_import(path):
+    """The Prelec fit refines with ``optimize.nelder_mead``, so no module
+    pays for scipy's optimizers and the linear algebra they load."""
+    assert _scipy_optimize_imports(path.read_text()) == []
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    """Only the Prelec fit needs scipy.optimize, so importing the package
-    and its CLI must not pay for it."""
+    """No module needs scipy.optimize, so neither importing the package and
+    its CLI nor fitting a Prelec curve through the CLI loads it."""
     code = ("import sys, starfuse, starfuse.cli; "
+            "starfuse.cli.main(['prelec', '--sweep-pi0', '0.2:0.8:0.05']); "
             "print('scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip().splitlines()[-1] == "False"
 
 
 _WRITE_METHODS = {"write", "writelines", "writerow", "writerows", "write_text", "write_bytes"}

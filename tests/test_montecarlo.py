@@ -409,6 +409,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^{field}="):
             SimulationSpec(_config(), trials=trials, seed=seed)
 
+    def test_seed_past_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            SimulationSpec(_config(), trials=10, seed=2**64)
+
     def test_numpy_integers_accepted(self):
         spec = SimulationSpec(_config(), trials=np.int64(1_000), seed=np.uint64(2**64 - 1))
         assert simulate(spec) == simulate(SimulationSpec(_config(), trials=1_000, seed=2**64 - 1))

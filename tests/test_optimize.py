@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 from scipy import special
+from scipy.optimize import minimize
 
 from starfuse import (
     CostPair,
@@ -14,6 +15,7 @@ from starfuse import (
     NetworkTemplate,
     ObservationModel,
     OptimizerSettings,
+    PrelecParams,
     SweepPoint,
     batch_risk,
     exact_risk,
@@ -24,6 +26,7 @@ from starfuse import (
     pbpo,
     pbpo_exact,
     pinned_fusion_errors,
+    prelec,
     stationarity_residual,
 )
 from starfuse import network, optimize
@@ -704,6 +707,84 @@ class TestGoldenSection:
     def test_fusion_belief_line_search(self, benchmark_template):
         q0 = minimize_fusion_belief(benchmark_template, (0.396, 0.396), tol=1e-6)
         assert q0 == pytest.approx(0.7372, abs=2e-3)
+
+
+def _prelec_sup_error(seed, size, alpha, beta_w):
+    """``fit_prelec_minimax``'s objective on a noisy Prelec curve."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.01, 0.99, size))
+    y = np.clip(prelec(x, PrelecParams(alpha, beta_w)) + rng.normal(0.0, 0.01, size), 0.0, 1.0)
+
+    def objective(log_params):
+        params = PrelecParams(math.exp(log_params[0]), math.exp(log_params[1]))
+        return float(np.max(np.abs(prelec(x, params) - y)))
+    return objective
+
+
+def _rosenbrock(v):
+    return float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2))
+
+
+_starts = st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=1, max_size=4)
+
+
+class TestNelderMead:
+    """``optimize.nelder_mead`` is scipy's Nelder-Mead, double for double."""
+
+    @staticmethod
+    def assert_scipy_doubles(f, x0, xatol=1e-7, fatol=1e-12, max_iters=4000):
+        x, fun = optimize.nelder_mead(f, x0, xatol, fatol, max_iters)
+        expected = minimize(f, np.array(x0, dtype=float), method="Nelder-Mead",
+                            options={"xatol": xatol, "fatol": fatol, "maxiter": max_iters})
+        assert repr(x.tolist()) == repr(expected.x.tolist())
+        assert repr(float(fun)) == repr(float(expected.fun))
+
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(3, 120),
+           alpha=st.floats(0.25, 2.5), beta_w=st.floats(0.25, 2.5),
+           x0=st.tuples(st.floats(math.log(0.2), math.log(3.0)),
+                        st.floats(math.log(0.2), math.log(3.0))))
+    def test_prelec_sup_error(self, seed, size, alpha, beta_w, x0):
+        self.assert_scipy_doubles(_prelec_sup_error(seed, size, alpha, beta_w), list(x0))
+
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(x0=_starts, data=st.data())
+    def test_quadratic(self, x0, data):
+        center = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(x0),
+                                             max_size=len(x0))))
+        scale = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(x0),
+                                            max_size=len(x0))))
+        self.assert_scipy_doubles(lambda v: float(np.sum(scale * (v - center) ** 2)), x0)
+
+    @hypothesis_settings(max_examples=20, deadline=None)
+    @given(x0=_starts.filter(lambda v: len(v) >= 2))
+    def test_rosenbrock(self, x0):
+        self.assert_scipy_doubles(_rosenbrock, x0)
+
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(x0=_starts, max_iters=st.integers(1, 12))
+    def test_stopped_early(self, x0, max_iters):
+        f = _rosenbrock if len(x0) >= 2 else lambda v: abs(float(v[0]))
+        self.assert_scipy_doubles(f, x0, max_iters=max_iters)
+
+    # The two examples tie a contraction with the point it replaces: outside
+    # (fxc == fxr) and inside (fxc == fsim[-1]).
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(x0=_starts)
+    @example(x0=[1.7, 1.5, -1.0])
+    @example(x0=[1.8, -1.5, -1.5])
+    def test_piecewise_constant_ties(self, x0):
+        self.assert_scipy_doubles(lambda v: float(np.floor(4.0 * np.sum(v * v))), x0)
+
+    def test_zero_coordinate_start(self):
+        calls = []
+
+        def f(v):
+            calls.append(v.tolist())
+            return _rosenbrock(v)
+        self.assert_scipy_doubles(f, [0.0, 1.0])
+        assert calls[1] == [0.00025, 1.0]
+        assert calls[2] == [0.0, 1.05]
 
 
 class TestFusionLineSearch:

@@ -84,6 +84,10 @@ class TestMinimaxFit:
         with pytest.raises(ValueError):
             fit_prelec_minimax([], [])
 
+    def test_mismatched_curve_rejected(self):
+        with pytest.raises(ValueError, match="matching, non-empty"):
+            fit_prelec_minimax([0.3, 0.5], [0.4])
+
     def test_benchmark_curve_overweights_small_priors(self, prior_sweep):
         pi0_values, sweep = prior_sweep
         params, linf = fit_prelec_minimax([p.pi0 for p in sweep],
