@@ -445,7 +445,7 @@ def nelder_mead(f, x0, xatol: float, fatol: float, max_iters: int):
     sim, fsim = _by_value(sim, np.array([f(vertex) for vertex in sim], dtype=float))
     iterations = 1
     while iterations < max_iters:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
@@ -461,17 +461,17 @@ def nelder_mead(f, x0, xatol: float, fatol: float, max_iters: int):
             if fxr < fsim[-1]:
                 xc = 1.5 * xbar - 0.5 * sim[-1]
                 fxc = f(xc)
-                shrink = not fxc <= fxr
+                accept = fxc <= fxr
             else:
                 xc = 0.5 * xbar + 0.5 * sim[-1]
                 fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                     fsim[j] = f(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
         iterations += 1
         sim, fsim = _by_value(sim, fsim)
     return sim[0], np.min(fsim)
