@@ -116,6 +116,40 @@ class TestClassifyPhase:
             assert gaps[-1] <= 0.02
 
 
+    @pytest.mark.parametrize("sigma, costs, expected", [
+        (1e-3, (1.0, 1.0), "PhaseClassification(z1=inf, z2=0.0, t0=0.0, t1=1.0, "
+         "region=<PhaseRegion.RISK_VANISHES: 'Case1'>, limit_risk=0.0, "
+         "log_g0=125007.33628407879, log_g1=-125006.93081734887)"),
+        (1e-3, (1.0, 4.0), "PhaseClassification(z1=inf, z2=0.0, t0=0.0, t1=1.0, "
+         "region=<PhaseRegion.RISK_VANISHES: 'Case1'>, limit_risk=0.0, "
+         "log_g0=125008.02943555493, log_g1=-125006.23766891868)"),
+        (1.0, (1.0, 1.0), "PhaseClassification(z1=2.9443036241207317, z2=0.19211058875768958, "
+         "t0=0.13156170624140068, t1=0.45262214639744314, "
+         "region=<PhaseRegion.MISSED_DETECTION_FLOOR: 'Case3'>, limit_risk=0.7, "
+         "log_g0=0.8628370751475165, log_g1=0.3331887752041428)"),
+        (1.0, (1.0, 4.0), "PhaseClassification(z1=8.961893134188758, z2=0.10173883690744943, "
+         "t0=0.6053636429196645, t1=0.8974679646244166, "
+         "region=<PhaseRegion.MISSED_DETECTION_FLOOR: 'Case3'>, limit_risk=2.8, "
+         "log_g0=0.8095160081572075, log_g1=0.14195651482349625)"),
+        (1e2, (1.0, 1.0), "PhaseClassification(z1=1.5003695423467185, z2=0.666502466076395, "
+         "t0=0.4964095679470799, t1=0.5003989422137057, "
+         "region=<PhaseRegion.MISSED_DETECTION_FLOOR: 'Case3'>, limit_risk=0.7, "
+         "log_g0=0.20431239902131723, log_g1=0.20269386424557595)"),
+        (1e2, (1.0, 4.0), "PhaseClassification(z1=6.000334854861131, z2=0.16665736566182748, "
+         "t0=0.4955119472647821, t1=0.49950127552666246, "
+         "region=<PhaseRegion.MISSED_DETECTION_FLOOR: 'Case3'>, limit_risk=2.8, "
+         "log_g0=0.9039493998612639, log_g1=0.8968012605373996)"),
+    ])
+    def test_classification_pinned(self, sigma, costs, expected):
+        """Every field's double at both ends of sigma's range. At sigma 100
+        the local belief sits just above the cost-neutral one, so that its
+        rates stay inside (0, 1)."""
+        costs = CostPair(*costs)
+        q1 = costs.neutral_belief + 1e-5 if sigma > 1.0 else 0.65
+        cls = classify_phase(ObservationModel(sigma=sigma), costs, 0.4, q1, pi0=0.3)
+        assert repr(cls) == expected
+
+
 class TestPhaseMap:
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 5.0, 20.0])
     @pytest.mark.parametrize("costs", [CostPair(), CostPair(0.6, 1.7)])

@@ -495,7 +495,15 @@ class TestSimulateCommand:
         (["--pi0", "0.4", "--q0", "0.45", "--q", ",".join("%.2f" % (0.3 + 0.02 * i) for i in range(20)),
           "--sigma", "1.3", "--cfa", "1.5", "--trials", "200000", "--seed", "7"],
          "1bdc02795e05637a9203675595e467b16d3e168fb096297edc63dd747f8ec692"),
-    ], ids=["readme", "twenty-locals"])
+        # Three locals on both sides of the fusion belief.
+        (["--pi0", "0.3", "--q0", "0.6", "--q", "0.35,0.5,0.62", "--sigma", "0.8",
+          "--trials", "300000", "--seed", "11"],
+         "07b78489c22ca78ba6b14db4f0f7b51d70da5f665221a467cef8496da4ca1277"),
+        # Twenty tied locals: exact_risk takes the Binomial kernel's count pmf.
+        (["--pi0", "0.3", "--q0", "0.5", "--q", ",".join(["0.45"] * 20), "--cmd", "2.5",
+          "--trials", "100000", "--seed", "2026"],
+         "578e9a2611f2abdf49a66ce1a2909f3785eef007019c4cf6c8d1bc173e47abc7"),
+    ], ids=["readme", "twenty-locals", "three-locals", "twenty-tied"])
     def test_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
         """The CSV bytes written when every signal was drawn through the
         inverse normal CDF and compared with its threshold."""
