@@ -29,11 +29,10 @@ from .observation import (
     ObservationModel,
     check_prior,
     decision_one_log_tails,
-    decision_tails,
     error_probs,
     fusion_log_factors,
     log_odds,
-    threshold_from_belief,
+    per_float_rates,
 )
 
 
@@ -115,7 +114,7 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
     """
     if pi0 is not None:
         check_prior(pi0)
-    t0, t1 = decision_tails(model, threshold_from_belief(model, costs, q1))[:2]
+    t0, t1 = per_float_rates(model, costs)[0](log_odds(q1))[:2]
     log_z1, log_z2 = _fusion_log_factors(model, costs, q0)
     g0 = log_z1 + t0 * log_z2
     g1 = log_z1 + t1 * log_z2
@@ -145,8 +144,8 @@ def phase_map(model: ObservationModel, costs: CostPair, q0_axis, q1_axis) -> np.
     broadcast multiply and add each, so every region equals the scalar
     classification bit for bit.
     """
-    rates = np.array([decision_tails(model, threshold_from_belief(model, costs, float(q1)))[:2]
-                      for q1 in q1_axis]).reshape(-1, 2)
+    local_tails = per_float_rates(model, costs)[0]
+    rates = np.array([local_tails(log_odds(q1))[:2] for q1 in q1_axis]).reshape(-1, 2)
     log_z = np.array([_fusion_log_factors(model, costs, float(q0)) for q0 in q0_axis]).reshape(-1, 2)
     t0, t1 = rates[:, 0], rates[:, 1]
     log_z1, log_z2 = log_z[:, :1], log_z[:, 1:]

@@ -24,11 +24,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .asymptotics import PhaseRegion, classify_phase
 from .network import NetworkConfig, exact_risk, tied_exact_risks
-from .observation import CostPair, ObservationModel, check_integer, threshold_from_belief
+from .observation import (CostPair, ObservationModel, check_integer, decides_one,
+                          threshold_from_belief)
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,8 @@ _COLUMN_LOOP_MAX_N = 16
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
 
 
-def _decides_one(h, sigma: float, u, lam):
-    """The threshold test of a signal drawn from uniform ``u`` by inverse
-    transform under hypothesis ``h`` (0.0 or 1.0): h + sigma*Phi^-1(u) > lam."""
-    return h + sigma * ndtri(u) > lam
-
-
-def _uniform_cutoffs(sigma: float, lam) -> np.ndarray:
-    """Smallest double u* in [0, 1] at which ``_decides_one(h, sigma, u*, l)``
+def _uniform_cutoffs(model: ObservationModel, lam) -> np.ndarray:
+    """Smallest double u* in [0, 1] at which ``decides_one(model, h, u*, l)``
     holds, for h = 0 in row 0 and h = 1 in row 1 and every threshold l of the
     1-D ``lam``; 1.0 where even u = 1 fails (a nan or +inf threshold), which
     no draw in [0, 1) reaches.
@@ -94,19 +88,19 @@ def _uniform_cutoffs(sigma: float, lam) -> np.ndarray:
     passes at each cutoff below 1.
     """
     h, lam = np.broadcast_arrays(np.array([[0.0], [1.0]]), np.asarray(lam, dtype=float)[None, :])
-    lo = np.zeros(h.shape, dtype=np.int64)  # u = 0 fails: ndtri(0) is -inf
+    lo = np.zeros(h.shape, dtype=np.int64)  # u = 0 fails: Phi^-1(0) is -inf
     hi = np.full(h.shape, _ONE_BITS, dtype=np.int64)
     with np.errstate(invalid="ignore"):
         # Invariant: the test fails at lo and, unless hi is 1.0, passes at hi.
         # Once hi - lo is 1, mid is lo and neither moves.
         while (hi - lo > 1).any():
             mid = lo + (hi - lo) // 2
-            passes = _decides_one(h, sigma, mid.view(np.float64), lam)
+            passes = decides_one(model, h, mid.view(np.float64), lam)
             hi = np.where(passes, mid, hi)
             lo = np.where(passes, lo, mid)
         cut = hi.view(np.float64)
-        if (_decides_one(h, sigma, np.nextafter(cut, 0.0), lam).any()
-                or not _decides_one(h, sigma, cut, lam)[cut < 1.0].all()):
+        if (decides_one(model, h, np.nextafter(cut, 0.0), lam).any()
+                or not decides_one(model, h, cut, lam)[cut < 1.0].all()):
             raise AssertionError("threshold test is not monotone in the uniform draw")
     return cut
 
@@ -210,8 +204,8 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
         raise FloatingPointError(f"exact risk is not finite (R0={report.r0!r}) at sigma={sigma!r}: "
                                  f"the fusion thresholds to simulate are not finite")
     lam_fusion = np.array([lam for _, _, lam in report.per_count])
-    cut_local = _uniform_cutoffs(sigma, lam_local)
-    cut_fusion = _uniform_cutoffs(sigma, lam_fusion)
+    cut_local = _uniform_cutoffs(cfg.model, lam_local)
+    cut_fusion = _uniform_cutoffs(cfg.model, lam_fusion)
 
     h1 = int(np.random.Generator(_stream(spec.seed, 0)).binomial(spec.trials, 1.0 - cfg.pi0))
     stride = n + 1

@@ -305,9 +305,9 @@ def _binomial_pmf(model: ObservationModel, costs: CostPair, q1: float, sizes):
     1.6e-13 (the fold's: 2.3e-13 and 1.6e-13); at N = 3200 the worst entry
     is within 9.0e-13 and the risk 1.6e-13 (the fold's: 4.0e-13, 1.0e-14).
     """
-    lam = threshold_from_log_odds(model, costs, clamped_log_odds(q1))
-    t0, t1, s0, s1 = decision_tails(model, lam)
-    lt0, lt1, ls0, ls1 = decision_one_log_tails(model, lam)
+    ell = clamped_log_odds(q1)
+    t0, t1, s0, s1 = per_float_rates(model, costs)[0](ell)
+    lt0, lt1, ls0, ls1 = decision_one_log_tails(model, threshold_from_log_odds(model, costs, ell))
     sizes = sizes if isinstance(sizes, list) else [sizes]
     k = np.concatenate([np.arange(size + 1) for size in sizes])
     n = np.repeat(sizes, [size + 1 for size in sizes])

@@ -1,9 +1,11 @@
 """Private-signal model: likelihood-ratio thresholds, the decision rates of
-threshold tests (``decision_tails``, each tail on its own side) and the
-fusion log factors; every other module takes its rates from here.
+threshold tests (``decision_tails``, each tail on its own side), the fusion
+log factors and ``simulate``'s inverse-transform test (``decides_one``);
+every other module takes its rates and Gaussian kernels from here.
 
-Every function here gives a Python float the same double it gives that value
-as an element of an array: both go through the same scipy kernels
+A float's four rates come from ``per_float_rates`` alone; every function
+here that takes a Python float gives it the same double it gives that
+value as an element of an array: both go through the same scipy kernels
 (``special.erfc``, ``special.log_ndtr``, ``special.expit``) and the same
 IEEE operations in the same order. So a caller may evaluate a small input
 one float at a time, without numpy's per-call cost, and get the array
@@ -189,21 +191,25 @@ def error_probs(model: ObservationModel, lam):
     ``decision_tails``, each on its own side, so neither cancels against 1.
     A float ``lam`` gives two floats, an array two arrays.
     """
-    if not isinstance(lam, float):
-        lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     return gaussian_q(lam / model.sigma), gaussian_q(-(lam - 1.0) / model.sigma)
 
 
 def decision_tails(model: ObservationModel, lam):
-    """(p(1|0), p(1|1), p(0|0), p(0|1)) of the threshold test at ``lam``, on a
-    new first axis for an array ``lam``; p(d|h) is its rate of deciding d
+    """(p(1|0), p(1|1), p(0|0), p(0|1)) of the threshold tests at the array
+    ``lam``, on a new first axis; p(d|h) is a test's rate of deciding d
     under hypothesis h. Each is the Gaussian tail on its own side, never one
     minus another, so it stays within a few ulp however near 1 the other is.
-    A scalar ``lam`` gives four floats, one ``gaussian_q`` each."""
+    A float's four rates come from ``per_float_rates``, with these doubles."""
     x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
-    if isinstance(x0, float) or np.ndim(x0) == 0:  # np.ndim is slow on a float
-        return gaussian_q(x0), gaussian_q(x1), gaussian_q(-x0), gaussian_q(-x1)
     return gaussian_q(np.stack((x0, x1, -x0, -x1)))  # one erfc call, same values
+
+
+def decides_one(model: ObservationModel, h, u, lam):
+    """The threshold test at ``lam`` of a signal drawn from the uniform ``u``
+    by inverse transform under hypothesis ``h`` (0.0 or 1.0): h + sigma
+    Phi^-1(u) > lam, elementwise on broadcast arrays."""
+    return h + model.sigma * special.ndtri(u) > lam
 
 
 def decision_one_log_tails(model: ObservationModel, lam):

@@ -196,13 +196,14 @@ def test_only_cli_main_prints_or_writes():
     assert _output_sites((ROOT / "src" / "starfuse" / "cli.py").read_text()) == {"main"}
 
 
-_TAIL_KERNELS = {"erfc", "log_ndtr"}
+_TAIL_KERNELS = {"erfc", "log_ndtr", "ndtr", "ndtri"}
 
 
 def _tail_kernel_sites(source):
     """Names of the top-level definitions in ``source`` that name a Gaussian
-    tail kernel (``erfc`` or ``log_ndtr``, of any module) as an attribute,
-    a bare name or an import; ``<module>`` for a module-level statement."""
+    tail kernel or its quantile (``erfc``, ``log_ndtr``, ``ndtr`` or
+    ``ndtri``, of any module) as an attribute, a bare name or an import;
+    ``<module>`` for a module-level statement."""
     found = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
@@ -220,17 +221,21 @@ def test_tail_kernel_sites_seen():
               "def a(x):\n    return math.erfc(x)\n"
               "class B:\n    def f(self, x):\n        erfc = special.erfc\n        return erfc(x)\n"
               "def c(x):\n    'erfc and log_ndtr in a docstring'\n    return math.exp(x)\n"
-              "def d(x):\n    return log_ndtr(x)\n")
-    assert _tail_kernel_sites(source) == {"<module>", "a", "B", "d"}
+              "def d(x):\n    return log_ndtr(x)\n"
+              "def e():\n    from scipy.special import ndtri\n"
+              "def f(u):\n    return special.ndtri(u)\n")
+    assert _tail_kernel_sites(source) == {"<module>", "a", "B", "d", "e", "f"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "observation.py"],
                          ids=lambda p: p.name)
 def test_tail_kernels_only_in_observation(path):
-    """Every Gaussian tail comes from ``observation``, which gives a float
-    the same double as an array element, so a per-float path matches the
-    array path bit for bit; the descent's scalar evaluator takes its tails
-    from there too."""
+    """Every Gaussian tail and quantile comes from ``observation``, which
+    gives a float the same double as an array element, so a per-float path
+    matches the array path bit for bit; the descent's scalar evaluator takes
+    its tails from there too, and ``simulate`` its inverse-transform test.
+    ``math.erf`` in ``optimal_exponent``'s closed form stays outside the
+    rule until the noise law is one module's concern (ROADMAP item 19)."""
     assert _tail_kernel_sites(path.read_text()) == set()
 
 

@@ -27,7 +27,8 @@ from starfuse import (
     update_belief_count,
 )
 from starfuse import montecarlo
-from starfuse.montecarlo import _count_trials, _decides_one, _uniform_cutoffs
+from starfuse.montecarlo import _count_trials, _uniform_cutoffs
+from starfuse.observation import decides_one
 from conftest import random_config
 
 
@@ -52,7 +53,7 @@ def _cutoffs(cfg):
     lam_local = np.array([threshold_from_belief(cfg.model, cfg.costs, q) for q in cfg.q_local])
     lam_fusion = np.array([lam for _, _, lam in exact_risk(cfg).per_count])
     with np.errstate(invalid="ignore"):
-        return _uniform_cutoffs(cfg.model.sigma, lam_local), _uniform_cutoffs(cfg.model.sigma, lam_fusion)
+        return _uniform_cutoffs(cfg.model, lam_local), _uniform_cutoffs(cfg.model, lam_fusion)
 
 
 def _inverse_cdf_decisions(cfg, seed, h0_trials, first, stop):
@@ -137,14 +138,15 @@ class TestUniformCutoffs:
     @pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
     def test_cutoff_is_the_first_passing_draw(self, sigma):
         lam = np.array([-np.inf, -1e6, -40.0, -1.0, 0.0, 0.5, 1.0, 3.0, 40.0, 1e6, np.inf, np.nan])
-        cut = _uniform_cutoffs(sigma, lam)
+        model = ObservationModel(sigma=sigma)
+        cut = _uniform_cutoffs(model, lam)
         assert cut.shape == (2, len(lam))
         assert ((cut > 0.0) & (cut <= 1.0)).all()
         for h in (0, 1):
             below = np.nextafter(cut[h], 0.0)
             with np.errstate(invalid="ignore"):
-                assert not _decides_one(float(h), sigma, below, lam).any()
-                assert _decides_one(float(h), sigma, cut[h], lam)[:-2].all()
+                assert not decides_one(model, float(h), below, lam).any()
+                assert decides_one(model, float(h), cut[h], lam)[:-2].all()
         # Thresholds no signal exceeds (+inf, nan) never pass below 1.
         assert (cut[:, -2:] == 1.0).all()
 

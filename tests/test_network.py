@@ -42,7 +42,7 @@ from starfuse.network import (
     pinned_fusion_sweep,
     tied_exact_risks,
 )
-from starfuse.observation import clamped_log_odds, decision_tails
+from starfuse.observation import clamped_log_odds, per_float_rates
 from conftest import random_config
 
 
@@ -508,11 +508,10 @@ def _shape_case(shape, rng):
 
 
 def _per_float_rate_columns(model, costs, ell):
-    """``_rate_columns`` one float at a time: the decision tails of each
-    log-odds's threshold test, agents first, in the array path's layout."""
+    """``_rate_columns`` one float at a time: ``per_float_rates``' decision
+    tails of each log-odds, agents first, in the array path's layout."""
     moved = np.moveaxis(ell, -1, 0)[..., None]
-    tails = np.array(list(zip(*(decision_tails(model, threshold_from_log_odds(model, costs, x))
-                                for x in moved.ravel().tolist()))))
+    tails = np.array(list(zip(*map(per_float_rates(model, costs)[0], moved.ravel().tolist()))))
     rates = tails.reshape((2, 2) + moved.shape).swapaxes(1, 2)
     return rates[0], rates[1]
 

@@ -25,6 +25,7 @@ from starfuse.observation import (
     decision_one_log_tails,
     decision_tails,
     fusion_log_factors,
+    per_float_rates,
 )
 
 
@@ -238,7 +239,7 @@ class TestFloatMatchesArray:
             pairs = [
                 ([lam], [lams]),
                 (error_probs(model, lam), error_probs(model, lams)),
-                (decision_tails(model, lam), decision_tails(model, lams)),
+                (per_float_rates(model, costs)[0](ell), decision_tails(model, lams)),
                 (decision_one_log_tails(model, lam), decision_one_log_tails(model, lams)),
                 (fusion_log_factors(model, costs, ell), fusion_log_factors(model, costs, values)),
             ]
