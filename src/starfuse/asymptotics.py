@@ -113,7 +113,7 @@ def classify_phase(model: ObservationModel, costs: CostPair, q0: float, q1: floa
     boundary too. ``z1`` is inf where it overflows a double.
     """
     if pi0 is not None:
-        check_prior(pi0)
+        pi0 = check_prior(pi0)
     t0, t1 = per_float_rates(model, costs)[0](log_odds(q1))[:2]
     log_z1, log_z2 = _fusion_log_factors(model, costs, q0)
     g0 = log_z1 + t0 * log_z2

@@ -131,7 +131,7 @@ class NetworkConfig:
         object.__setattr__(self, "q_local", tuple(float(q) for q in self.q_local))
         if len(self.q_local) < 1:
             raise ValueError("q_local must contain at least one local belief (N >= 1)")
-        check_prior(self.pi0)
+        object.__setattr__(self, "pi0", check_prior(self.pi0))
         clamp_belief(self.q0)
         check_beliefs(self.q_local)
 
@@ -150,7 +150,7 @@ class NetworkTemplate:
     n_local: int
 
     def __post_init__(self):
-        check_prior(self.pi0)
+        object.__setattr__(self, "pi0", check_prior(self.pi0))
         check_integer("n_local", self.n_local)
         if self.n_local < 1:
             raise ValueError("n_local must be at least 1")
@@ -466,7 +466,7 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
     ``_fusion_count_errors`` call. Beliefs and the prior are checked as
     ``NetworkConfig`` checks them.
     """
-    NetworkConfig(pi0, costs, model, q0, (q1,))
+    pi0 = NetworkConfig(pi0, costs, model, q0, (q1,)).pi0
     sizes = [int(n) for n in sizes]
     if any(b <= a for a, b in zip([0] + sizes, sizes)):
         raise ValueError(f"sizes must be strictly increasing and at least 1, got {sizes}")

@@ -31,10 +31,25 @@ BELIEF_EPS = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
-def check_prior(pi0) -> None:
-    """Reject a true prior that is not a number strictly inside (0, 1)."""
-    if not (isinstance(pi0, (int, float)) and 0.0 < pi0 < 1.0):
+def check_real(name: str, value) -> float:
+    """A value of the real field ``name`` as the float every result uses, so
+    a numpy scalar gives the doubles of that float: an ``int``, a ``float``
+    or a numpy integer or floating is taken, a bool or anything else refused."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name}={value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}={value!r} overflows a double") from None
+
+
+def check_prior(pi0) -> float:
+    """A true prior as a float, rejected unless it is a real number
+    (``check_real``) strictly inside (0, 1)."""
+    pi0 = check_real("pi0", pi0)
+    if not 0.0 < pi0 < 1.0:
         raise ValueError(f"pi0={pi0!r} is degenerate: the prior must lie strictly inside (0, 1)")
+    return pi0
 
 
 def check_integer(name: str, value) -> None:
@@ -125,16 +140,17 @@ def gaussian_q(x):
 
 @dataclass(frozen=True)
 class CostPair:
-    """Strictly positive costs for the two error events."""
+    """Strictly positive costs for the two error events, kept as floats."""
 
     c_fa: float = 1.0
     c_md: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("c_fa", self.c_fa), ("c_md", self.c_md)):
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0.0):
+        for name in ("c_fa", "c_md"):
+            value = check_real(f"cost {name}", getattr(self, name))
+            if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"cost {name}={value!r} must be strictly positive and finite")
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def log_ratio(self) -> float:
@@ -151,16 +167,18 @@ class CostPair:
 @dataclass(frozen=True)
 class ObservationModel:
     """The private-signal model: the hypothesis value (0 or 1) plus centered
-    Gaussian noise of scale ``sigma``."""
+    Gaussian noise of scale ``sigma``, kept as a float."""
 
     sigma: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.sigma, bool) or not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma={self.sigma!r} must be strictly positive and finite")
-        if self.sigma < sys.float_info.min:
-            raise ValueError(f"sigma={self.sigma!r} is subnormal: a threshold scaled by 1/sigma "
+        sigma = check_real("sigma", self.sigma)
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma={sigma!r} must be strictly positive and finite")
+        if sigma < sys.float_info.min:
+            raise ValueError(f"sigma={sigma!r} is subnormal: a threshold scaled by 1/sigma "
                              f"overflows a double")
+        object.__setattr__(self, "sigma", sigma)
 
     @functools.cached_property
     def variance_proxy(self) -> float:

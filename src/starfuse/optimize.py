@@ -84,6 +84,7 @@ from .observation import (
     check_beliefs,
     check_integer,
     check_prior,
+    check_real,
     clamp,
     clamped_log_odds,
     from_log_odds,
@@ -118,6 +119,8 @@ class OptimizerSettings:
     tie_local_beliefs: bool = False
 
     def __post_init__(self):
+        for name in ("step", "eps", "grid_resolution"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not self.step > 0.0:
             raise ValueError("step must be positive")
         if not self.eps > 0.0:
@@ -789,9 +792,7 @@ def optimal_belief_sweep(template: NetworkTemplate, pi0_values,
     the first prior whose search fails raises ``grid_search``'s
     ``FloatingPointError``.
     """
-    pi0_values = [float(pi0) for pi0 in pi0_values]
-    for pi0 in pi0_values:
-        check_prior(pi0)
+    pi0_values = [check_prior(pi0) for pi0 in pi0_values]
     if not pi0_values:
         return []
     if settings is None:

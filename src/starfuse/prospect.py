@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkTemplate, exact_risk
-from .observation import clamp
+from .observation import check_real, clamp
 from .optimize import FusionLineSearch, SweepPoint, nelder_mead
 
 Q0_STRATEGIES = ("keep-optimal-q0", "reoptimize-q0")
@@ -34,9 +34,11 @@ class PrelecParams:
     beta_w: float
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta_w", self.beta_w)):
+        for name in ("alpha", "beta_w"):
+            value = check_real(name, getattr(self, name))
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}={value!r} must be strictly positive and finite")
+            object.__setattr__(self, name, value)
 
 
 def prelec(p, params: PrelecParams):

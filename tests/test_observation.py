@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -10,14 +11,25 @@ from scipy.special import ndtr
 from starfuse import (
     BELIEF_EPS,
     CostPair,
+    NetworkConfig,
+    NetworkTemplate,
     ObservationModel,
+    OptimizerSettings,
+    PrelecParams,
     clamp_belief,
+    classify_phase,
     error_probs,
+    estimate_exponent,
+    exact_risk,
     from_log_odds,
     gaussian_q,
+    grid_search,
+    pbpo,
+    prelec,
     threshold_from_belief,
     threshold_from_log_odds,
 )
+from starfuse.network import tied_exact_risks
 from starfuse.observation import (
     clamp,
     clamped_log_odds,
@@ -193,6 +205,16 @@ class TestValidation:
         assert logs == [1.7, 0.6]  # the expected value's two logs, none from the read
         assert CostPair(1.7, 0.6) == costs
 
+    @pytest.mark.parametrize("value", ["1", None, 1j, [1.0]])
+    def test_sigma_refuses_non_numbers(self, value):
+        """``sigma="1"`` raised a TypeError."""
+        with pytest.raises(ValueError, match=f"^sigma={re.escape(repr(value))} is not a real number$"):
+            ObservationModel(sigma=value)
+
+    def test_sigma_past_a_double_refused(self):
+        with pytest.raises(ValueError, match=r"^sigma=10{400} overflows a double$"):
+            ObservationModel(sigma=10 ** 400)
+
     def test_variance_proxy_positive(self):
         assert ObservationModel(sigma=2.0).variance_proxy == 4.0
 
@@ -201,6 +223,83 @@ class TestValidation:
         assert clamp_belief(1e-300) == BELIEF_EPS
         with pytest.raises(ValueError):
             clamp_belief(0.0)
+
+
+def _risk(pi0=0.3, c_fa=1.0, c_md=1.0, sigma=0.7):
+    """Risk report of the tied network (0.7, 0.4), N 2."""
+    return exact_risk(NetworkConfig(pi0, CostPair(c_fa, c_md), ObservationModel(sigma=sigma),
+                                    0.7, (0.4, 0.4)))
+
+
+_TEMPLATE = NetworkTemplate(0.3, CostPair(), ObservationModel(), 2)
+
+# Each real-valued field with an entry point that uses it, and a value valid
+# for it as a float; a numpy integer takes the value's integer part, which
+# the prior and the grid resolution refuse.
+_REAL_FIELDS = {
+    "sigma": (_risk, 0.7),
+    "c_fa": (lambda c: _risk(c_fa=c), 2.5),
+    "c_md": (lambda c: _risk(c_md=c), 2.5),
+    "NetworkConfig pi0": (_risk, 0.3),
+    "NetworkTemplate pi0": (lambda p: exact_risk(NetworkTemplate(
+        p, CostPair(), ObservationModel(sigma=0.7), 2).tied(0.7, 0.4)), 0.3),
+    "classify_phase pi0": (lambda p: classify_phase(ObservationModel(), CostPair(1.0, 4.0),
+                                                    0.4, 0.65, pi0=p), 0.3),
+    "tied_exact_risks pi0": (lambda p: tied_exact_risks(p, CostPair(), ObservationModel(),
+                                                        0.7, 0.4, [1, 2, 20, 30]), 0.3),
+    "estimate_exponent pi0": (lambda p: estimate_exponent(p, CostPair(), ObservationModel(),
+                                                          0.6, 0.5, (5, 10, 15, 20)), 0.3),
+    "alpha": (lambda a: prelec(np.array([0.1, 0.5, 0.9]), PrelecParams(a, 1.2)).tolist(), 0.65),
+    "beta_w": (lambda b: prelec(np.array([0.1, 0.5, 0.9]), PrelecParams(0.65, b)).tolist(), 1.2),
+    "step": (lambda v: pbpo(_TEMPLATE, OptimizerSettings(step=v)), 5e-4),
+    "eps": (lambda v: pbpo(_TEMPLATE, OptimizerSettings(step=2e-3, eps=v)), 1e-3),
+    "grid_resolution": (lambda v: grid_search(_TEMPLATE, OptimizerSettings(
+        grid_resolution=v, tie_local_beliefs=True)), 0.02),
+}
+
+
+class TestNumpyScalars:
+    """A real-valued field takes an int, a float, or a numpy integer or
+    floating, but never a bool, and keeps ``float(value)``: a numpy scalar
+    gives the doubles of that float, and is refused only where it is. A
+    float32 sigma put every threshold in float32, a float32 step walked
+    ``pbpo``'s beliefs in float32, and a float32 prior or an int64 cost was
+    refused."""
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("field", list(_REAL_FIELDS))
+    def test_same_doubles_as_the_float(self, field, kind):
+        run, value = _REAL_FIELDS[field]
+        value = kind(value)
+        try:
+            expected = repr(run(float(value)))
+        except ValueError as refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+                run(value)
+        else:
+            assert repr(run(value)) == expected
+
+    def test_fields_kept_as_floats(self):
+        values = (np.float32(0.7), np.float32(0.3), np.int64(2), np.float64(0.02))
+        model, pi0, cost, resolution = values
+        cases = [
+            (ObservationModel(sigma=model), ObservationModel(sigma=float(model))),
+            (CostPair(cost, cost), CostPair(2.0, 2.0)),
+            (NetworkTemplate(pi0, CostPair(), ObservationModel(), 2),
+             NetworkTemplate(float(pi0), CostPair(), ObservationModel(), 2)),
+            (PrelecParams(model, cost), PrelecParams(float(model), 2.0)),
+            (OptimizerSettings(step=pi0, eps=cost, grid_resolution=resolution),
+             OptimizerSettings(step=float(pi0), eps=2.0, grid_resolution=0.02)),
+        ]
+        for got, expected in cases:
+            assert repr(got) == repr(expected)
+
+    def test_float32_sigma_figures(self):
+        """A float32 sigma gave the threshold 0.3013221 and the risk
+        0.12187141061928729."""
+        lam = threshold_from_belief(ObservationModel(sigma=np.float32(0.7)), CostPair(), 0.4)
+        assert type(lam) is float and lam == 0.3013221037939285
+        assert _risk(sigma=np.float32(0.7)).r0 == 0.1218714151515089
 
 
 # sigma at both extremes of a double and across [1e-3, 1e2]; costs up to
