@@ -120,6 +120,20 @@ class TestGridCommand:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["grid", "--contour", "--pi0", "0.3", "--q0", "0.7372", "--resolution", "0.01"],
+         "bba3cd9585ced343c3b38f5d43723f0f4a2ba6c6c10a4b82ae5b304fc64ac086"),
+        (["grid", "--pi0", "0.3", "--n-local", "3", "--grid-resolution", "0.002"],
+         "ea94a7001be338a15b400844f12223034e5865c0f22d0ac4a326fef903c95edd"),
+    ], ids=["contour", "full-grid"])
+    def test_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        """The 9,801-point contour, and an untied N=3 grid whose coarse stage
+        (5.76M pairs) is evaluated in pieces that split its rows."""
+        path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(capsys, *argv, "--csv", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_sweep_checks_every_prior_first(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, err = run_cli(capsys, "grid", "--sweep-pi0", "0.9:1.2:0.1", "--tie-locals",
@@ -333,6 +347,17 @@ class TestPhaseCommand:
         code, out, err = run_cli(capsys, "phase", "--q0", "0.6247676238784021",
                                  "--q1", "0.5", "--strict")
         assert code == 3
+
+    def test_point_csv_bytes_pinned(self, capsys, tmp_path):
+        path = tmp_path / "point.csv"
+        code, out, _ = run_cli(capsys, "phase", "--q0", "0.6", "--q1", "0.4", "--pi0", "0.3",
+                               "--csv", str(path))
+        assert code == 0
+        assert out == ("region=Case2 z1=1.767934226 z2=0.1921105888 t0=0.4623421334 "
+                       "t1=0.8173904817 limit_risk=0.3\n")
+        assert path.read_bytes() == (b"q0,q1,region,z1,z2,t0,t1\r\n"
+                                     b"0.6,0.4,Case2,1.767934226,0.1921105888,0.4623421334,"
+                                     b"0.8173904817\r\n")
 
     def test_region_map_csv(self, capsys, tmp_path):
         path = tmp_path / "map.csv"

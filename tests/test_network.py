@@ -845,6 +845,12 @@ class TestFusionErrorRates:
         with pytest.raises(ValueError, match="at least one local belief"):
             list(fusion_error_rates(ObservationModel(), CostPair(), blocks))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_block_width_must_match_the_first(self, width):
+        blocks = [([0.5], [[0.3, 0.4]]), ([0.5], np.full((2, width), 0.3))]
+        with pytest.raises(ValueError, match=f"^expected 2 local belief columns, got {width}$"):
+            list(fusion_error_rates(ObservationModel(), CostPair(), blocks))
+
     def test_prior_free(self):
         """The rates mix the count pmfs with no prior: p_fa0 and p_md0 are
         exact_risk's at any prior."""
