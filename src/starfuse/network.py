@@ -84,9 +84,8 @@ from .observation import (
     threshold_from_log_odds,
 )
 
-# (fusion belief, local row) pairs per pass of batch_risk and per block of a
-# grid search stage, and table entries per fusion_error_rates call of a grid
-# search stage; bounds their working memory.
+# (fusion belief, local row) pairs per piece, and table entries per pass, of
+# fusion_error_rates; bounds its working memory.
 BATCH_CHUNK_ROWS = 200_000
 
 # Networks of fewer agents than this go one float at a time in the O(N^2)
@@ -530,24 +529,28 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     network, the same number of columns in every block, and at least one
     (no blocks, rows of no columns, or a block whose rows are wider or
     narrower than the first block's, raise ``ValueError``).
-    Yields one ``(p_fa0, p_md0)`` pair of arrays per block, in order, each of
-    shape ``(len(q0), len(q_local))``; entry ``[i, j]`` pairs fusion belief
-    ``q0[i]`` with local row ``j``, and ``bayes_risk`` of the pair at any
-    prior is its risk there. Every belief must be finite and strictly inside
-    (0, 1), as ``clamp_belief`` requires.
+    Yields ``(block, first row, (p_fa0, p_md0))`` per piece of a block, block
+    by block and in row order: the block's index, its first row in the piece,
+    and two arrays of shape ``(len(q0), rows in the piece)``; entry ``[i, j]``
+    pairs fusion belief ``q0[i]`` with local row ``first row + j``, and
+    ``bayes_risk`` of the pair at any prior is its risk there. Every belief
+    must be finite and strictly inside (0, 1), as ``clamp_belief`` requires.
 
-    On the first request, one ``fusion_error_table`` of every block's fusion
-    beliefs, and the count pmfs of every block's rows from one
-    ``_poisson_binomial_pmf`` call; each block is then mixed on its own when
-    it is yielded, one ``mix`` of (fusion beliefs, rows, counts) products
-    per hypothesis, so only one such product is held at a time. A block's
-    values do not depend on the blocks beside it. Each distinct local
-    belief's rates are formed once. When every block's rows are an
-    ``np.broadcast_to`` view of one belief per row (zero stride along the
-    agents, as tied grid stages pass them), each row's rates are folded in
-    for every agent, with the same values as for the rows written out.
-    Callers bound the size of the tables: ``batch_risk`` by
-    ``BATCH_CHUNK_ROWS`` pairs per call.
+    The working memory is bounded here: a piece holds at most
+    ``BATCH_CHUNK_ROWS`` (fusion belief, local row) pairs, and every block at
+    least one piece, so its fusion beliefs are checked even against no rows;
+    a pass takes pieces while their fusion beliefs and rows, N + 1 counts
+    each, hold at most ``BATCH_CHUNK_ROWS`` table entries. A pass is one
+    ``fusion_error_table`` of its pieces' fusion beliefs and the count pmfs
+    of their rows from one ``_poisson_binomial_pmf`` call; each piece is then
+    mixed on its own when it is yielded, one ``mix`` of (fusion beliefs,
+    rows, counts) products per hypothesis, so only one such product is held
+    at a time. A piece's values do not depend on the pieces beside it. Each
+    distinct local belief's rates are formed once per pass. When every
+    piece's rows are an ``np.broadcast_to`` view of one belief per row (zero
+    stride along the agents, as tied grid stages pass them), each row's
+    rates are folded in for every agent, with the same values as for the
+    rows written out.
     """
     q0 = [np.atleast_1d(np.asarray(beliefs, dtype=float)) for beliefs, _ in blocks]
     rows = [np.atleast_2d(np.asarray(beliefs, dtype=float)) for _, beliefs in blocks]
@@ -555,10 +558,28 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
         raise ValueError("expected at least one block of rows of at least one local belief "
                          "(N >= 1)")
     n = rows[0].shape[1]
-    table = fusion_error_table(model, costs, np.concatenate(q0), n)
     for r in rows:
         if r.shape[1] != n:
             raise ValueError(f"expected {n} local belief columns, got {r.shape[1]}")
+    batch, size = [], 0
+    for block, (fusion, local) in enumerate(zip(q0, rows)):
+        step = max(1, BATCH_CHUNK_ROWS // max(1, len(fusion)))
+        for start in range(0, max(1, len(local)), step):
+            piece = local[start:start + step]
+            cost = (len(fusion) + len(piece)) * (n + 1)
+            if batch and size + cost > BATCH_CHUNK_ROWS:
+                yield from _pass_rates(model, costs, batch, n)
+                batch, size = [], 0
+            batch.append((block, start, fusion, piece))
+            size += cost
+    yield from _pass_rates(model, costs, batch, n)
+
+
+def _pass_rates(model: ObservationModel, costs: CostPair, pieces: list, n: int):
+    """One pass of ``fusion_error_rates``: a generator of its own, so that its
+    table and count pmfs are freed before the next pass is built."""
+    table = fusion_error_table(model, costs, np.concatenate([q0 for _, _, q0, _ in pieces]), n)
+    rows = [r for _, _, _, r in pieces]
     # Rows with a zero stride along the agents hold one belief each: one
     # rate column per row, folded in for every agent.
     tied = n > 1 and not any(r.strides[1] for r in rows)
@@ -569,11 +590,11 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     if tied:
         p_cols, q_cols = [p_cols[0]] * n, [q_cols[0]] * n
     pmf = _poisson_binomial_pmf(p_cols, q_cols)
-    i = list(itertools.accumulate((len(b) for b in q0), initial=0))
-    j = list(itertools.accumulate((len(r) for r in rows), initial=0))
-    for i0, i1, j0, j1 in zip(i, i[1:], j, j[1:]):
+    i = list(itertools.accumulate((len(q0) for _, _, q0, _ in pieces), initial=0))
+    j = list(itertools.accumulate(map(len, rows), initial=0))
+    for (block, start, _, _), i0, i1, j0, j1 in zip(pieces, i, i[1:], j, j[1:]):
         # One hypothesis at a time, so one (fusion beliefs, rows, counts) product is held.
-        yield tuple(mix(pmf[h, j0:j1], table[h, i0:i1, None]) for h in (0, 1))
+        yield block, start, tuple(mix(pmf[h, j0:j1], table[h, i0:i1, None]) for h in (0, 1))
 
 
 def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
@@ -583,12 +604,11 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     ``n_local`` local beliefs per network; entry ``[i, j]`` of the result is
     the risk of fusion belief ``q0[i]`` with local row ``j``. Every belief
     must be finite and strictly inside (0, 1), as ``clamp_belief`` requires.
-    The ``fusion_error_rates`` of chunks of local rows holding at most
-    ``BATCH_CHUNK_ROWS`` pairs each, weighted by ``bayes_risk`` at the
-    template's prior; no chunking changes a value. Equals ``exact_risk``'s
-    r0 bit for bit wherever that folds its count pmf too: all but tied
-    networks of ``BINOMIAL_FROM`` locals or more, whose Binomial kernel
-    agrees with the fold to a few ulp.
+    One ``fusion_error_rates`` call, which bounds its own passes, each piece
+    weighted by ``bayes_risk`` at the template's prior. Equals
+    ``exact_risk``'s r0 bit for bit wherever that folds its count pmf too:
+    all but tied networks of ``BINOMIAL_FROM`` locals or more, whose Binomial
+    kernel agrees with the fold to a few ulp.
 
     Log-odds are formed per distinct belief (``_distinct_log_odds``), about
     0.2 us each through ``math``: a grid, which repeats few values, pays
@@ -602,12 +622,9 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
         raise ValueError(f"expected {n} local belief columns, got {q_local.shape[1]}")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     out = np.empty((q0.shape[0], q_local.shape[0]))
-    step = max(1, BATCH_CHUNK_ROWS // max(1, q0.shape[0]))
-    # At least one pass, so the fusion beliefs are checked even against no rows.
-    for start in range(0, max(1, q_local.shape[0]), step):
-        [rates] = fusion_error_rates(template.model, template.costs,
-                                     [(q0, q_local[start:start + step])])
-        out[:, start:start + step] = bayes_risk(template.pi0, template.costs, *rates)
+    for _, start, rates in fusion_error_rates(template.model, template.costs, [(q0, q_local)]):
+        risks = bayes_risk(template.pi0, template.costs, *rates)
+        out[:, start:start + risks.shape[1]] = risks
     return out
 
 

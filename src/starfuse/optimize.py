@@ -65,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
-    BATCH_CHUNK_ROWS,
     NO_AGENTS,
     NetworkConfig,
     NetworkTemplate,
@@ -262,29 +261,6 @@ def _expand(row: np.ndarray, tie: bool, n_local: int) -> tuple[float, ...]:
     return tuple(float(x) for x in row)
 
 
-def _passes(grids, n_local: int):
-    """The ``(priors, q0 axis, local rows, first row)`` blocks of a stage's
-    ``(priors, q0 axis, local rows)`` grids, in lists for one
-    ``fusion_error_rates`` call each. A block holds at most
-    ``BATCH_CHUNK_ROWS`` (fusion belief, local row) pairs, as a pass of
-    ``batch_risk`` does; a list takes blocks while their fusion beliefs and
-    rows, N + 1 counts each, hold at most ``BATCH_CHUNK_ROWS`` table entries,
-    so its tables do not grow with the number of priors."""
-    batch, size = [], 0
-    for priors, q0, local in grids:
-        step = max(1, BATCH_CHUNK_ROWS // len(q0))
-        for start in range(0, len(local), step):
-            rows = local[start:start + step]
-            cost = (len(q0) + len(rows)) * (n_local + 1)
-            if batch and size + cost > BATCH_CHUNK_ROWS:
-                yield batch
-                batch, size = [], 0
-            batch.append((priors, q0, rows, start))
-            size += cost
-    if batch:
-        yield batch
-
-
 def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: OptimizerSettings) -> list:
     """``grid_search``'s best grid row (fusion belief, then the local axes)
     and its count of grid points, for the template at each prior of
@@ -318,6 +294,8 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
     failures = {}
     for stage, res in enumerate(resolutions):
         if stage > 0:
+            if not best:
+                break  # every prior has met a risk that is not finite
             window = 2.0 * resolutions[stage - 1]
             searches = [((p,), [_axis(c - window, c + window, res) for c in row])
                         for p, row in best.items()]
@@ -327,24 +305,22 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
                   np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=1))
                  for priors, axes in searches]
         minima, first_bad = {}, {}  # per prior: (risk, i, j) and the first non-finite q0 row
-        for batch in _passes(grids, n):
-            # A view, so that network forms a tied row's rates once, not n times.
-            blocks = [(q0, np.broadcast_to(rows, (len(rows), n)) if tie else rows)
-                      for _, q0, rows, _ in batch]
-            rates_of = fusion_error_rates(model, costs, blocks)
-            for (priors, q0, _, start), rates in zip(batch, rates_of):
-                for p in priors:
-                    risks = bayes_risk(pi0_values[p], costs, *rates)
-                    evaluated[p] += risks.size
-                    if not np.isfinite(risks).all():
-                        bad = int(np.argmin(np.isfinite(risks).all(axis=1)))
-                        first_bad[p] = min(first_bad.get(p, bad), bad)
-                    i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
-                    # Blocks split a grid's rows only; the least (risk, i, j)
-                    # over them is the grid's row-major first minimum.
-                    found = (float(risks[i, j]), int(i), start + int(j))
-                    if p not in minima or found < minima[p]:
-                        minima[p] = found
+        # A view, so that network forms a tied row's rates once, not n times.
+        blocks = [(q0, np.broadcast_to(local, (len(local), n)) if tie else local)
+                  for _, q0, local in grids]
+        for block, start, rates in fusion_error_rates(model, costs, blocks):
+            for p in grids[block][0]:
+                risks = bayes_risk(pi0_values[p], costs, *rates)
+                evaluated[p] += risks.size
+                if not np.isfinite(risks).all():
+                    bad = int(np.argmin(np.isfinite(risks).all(axis=1)))
+                    first_bad[p] = min(first_bad.get(p, bad), bad)
+                i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
+                # Pieces split a grid's rows only; the least (risk, i, j)
+                # over them is the grid's row-major first minimum.
+                found = (float(risks[i, j]), int(i), start + int(j))
+                if p not in minima or found < minima[p]:
+                    minima[p] = found
         best = {}
         for priors, q0, local in grids:
             for p in priors:

@@ -800,9 +800,9 @@ class TestFusionErrorRates:
             blocks = [(rng.uniform(0.01, 0.99, int(rng.integers(1, 9))),
                        rng.uniform(0.01, 0.99, (int(rng.integers(1, 9)), n))) for _ in range(4)]
             together = list(fusion_error_rates(template.model, template.costs, blocks))
-            assert len(together) == len(blocks)
-            for (q0, q_local), rates in zip(blocks, together):
-                [alone] = fusion_error_rates(template.model, template.costs, [(q0, q_local)])
+            assert [piece[:2] for piece in together] == [(b, 0) for b in range(len(blocks))]
+            for (q0, q_local), (_, _, rates) in zip(blocks, together):
+                [(_, _, alone)] = fusion_error_rates(template.model, template.costs, [(q0, q_local)])
                 assert [r.tobytes() for r in rates] == [r.tobytes() for r in alone]
                 risks = bayes_risk(template.pi0, template.costs, *rates)
                 assert risks.tobytes() == batch_risk(template, q0, q_local).tobytes()
@@ -822,8 +822,8 @@ class TestFusionErrorRates:
         written = [(f, np.repeat(c, n, axis=1)) for f, c in zip(q0, columns)]
         got = list(fusion_error_rates(model, costs, views))
         expected = list(fusion_error_rates(model, costs, written))
-        assert [r.tobytes() for pair in got for r in pair] == [
-            r.tobytes() for pair in expected for r in pair]
+        assert [r.tobytes() for _, _, pair in got for r in pair] == [
+            r.tobytes() for _, _, pair in expected for r in pair]
 
     def test_tied_view_names_bad_belief(self):
         template = NetworkTemplate(0.5, CostPair(), ObservationModel(), 4)
@@ -855,8 +855,8 @@ class TestFusionErrorRates:
         """The rates mix the count pmfs with no prior: p_fa0 and p_md0 are
         exact_risk's at any prior."""
         template = NetworkTemplate(0.5, CostPair(), ObservationModel(sigma=0.8), 3)
-        [(p_fa0, p_md0)] = fusion_error_rates(template.model, template.costs,
-                                              [([0.6], [[0.3, 0.4, 0.5]])])
+        [(_, _, (p_fa0, p_md0))] = fusion_error_rates(template.model, template.costs,
+                                                      [([0.6], [[0.3, 0.4, 0.5]])])
         for pi0 in (0.1, 0.5, 0.9):
             report = exact_risk(NetworkConfig(pi0, template.costs, template.model, 0.6, (0.3, 0.4, 0.5)))
             assert p_fa0[0, 0] == pytest.approx(report.p_fa0, rel=1e-14)

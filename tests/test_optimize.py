@@ -128,16 +128,18 @@ class TestGridSearch:
     def test_tie_across_blocks_breaks_row_major(self, benchmark_template, monkeypatch, budget):
         """Two equal minima, at coarse rows (q0, q1) = (0.08, 0.82) and
         (0.22, 0.06): the smaller fusion-belief index wins, as an argmin over
-        the whole grid picks, also when 10-row blocks put it in a later block."""
+        the whole grid picks, also when 10-row pieces put it in a later piece."""
         def rates(model, costs, blocks):
-            for q0, q_local in blocks:
-                q0, q1 = np.asarray(q0)[:, None], np.asarray(q_local)[None, :, 0]
-                low = ((np.isclose(q0, 0.08) & np.isclose(q1, 0.82))
-                       | (np.isclose(q0, 0.22) & np.isclose(q1, 0.06)))
-                yield np.where(low, 0.0, 1.0), np.where(low, 0.0, 1.0)
+            for block, (q0, q_local) in enumerate(blocks):
+                step = max(1, network.BATCH_CHUNK_ROWS // len(q0))
+                for start in range(0, len(q_local), step):
+                    f, q1 = np.asarray(q0)[:, None], np.asarray(q_local)[None, start:start + step, 0]
+                    low = ((np.isclose(f, 0.08) & np.isclose(q1, 0.82))
+                           | (np.isclose(f, 0.22) & np.isclose(q1, 0.06)))
+                    yield block, start, (np.where(low, 0.0, 1.0), np.where(low, 0.0, 1.0))
 
         monkeypatch.setattr("starfuse.optimize.fusion_error_rates", rates)
-        monkeypatch.setattr("starfuse.optimize.BATCH_CHUNK_ROWS", budget)
+        monkeypatch.setattr("starfuse.network.BATCH_CHUNK_ROWS", budget)
         settings = OptimizerSettings(grid_resolution=0.02, tie_local_beliefs=True)
         assert grid_search(benchmark_template, settings).beliefs == (0.08, 0.82, 0.82)
 
@@ -1054,7 +1056,7 @@ class TestOptimalBeliefSweep:
         tied = OptimizerSettings(grid_resolution=2e-3, tie_local_beliefs=True)
         priors = [0.2, 0.5, 0.35]
         expected = grid_search(template, untied), optimal_belief_sweep(template, priors, tied)
-        monkeypatch.setattr("starfuse.optimize.BATCH_CHUNK_ROWS", 500)
+        monkeypatch.setattr("starfuse.network.BATCH_CHUNK_ROWS", 500)
         assert (grid_search(template, untied), optimal_belief_sweep(template, priors, tied)) == expected
 
     def test_priors_checked_before_any_search(self, benchmark_template, monkeypatch):
