@@ -237,7 +237,9 @@ def _axis(lo: float, hi: float, res: float) -> np.ndarray:
     return axis[axis <= GRID_HI]
 
 
-def _risk_not_finite(q0: float, sigma: float) -> FloatingPointError:
+def risk_not_finite(q0: float, sigma: float) -> FloatingPointError:
+    """The one error for a risk that is not finite at fusion belief ``q0``.
+    Public, not exported: ``prospect`` raises it too."""
     return FloatingPointError(f"fusion belief q0={q0!r} at sigma={sigma!r}: its risk is not finite")
 
 
@@ -246,7 +248,7 @@ def _finite_rows(risks: np.ndarray, q0, sigma: float) -> np.ndarray:
     ``FloatingPointError`` at the first row that is not finite."""
     if not np.isfinite(risks).all():
         finite = np.isfinite(risks).reshape(len(risks), -1).all(axis=1)
-        raise _risk_not_finite(float(q0[np.argmin(finite)]), sigma)
+        raise risk_not_finite(float(q0[np.argmin(finite)]), sigma)
     return risks
 
 
@@ -325,7 +327,7 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
         for priors, q0, local in grids:
             for p in priors:
                 if p in first_bad:
-                    failures[p] = _risk_not_finite(float(q0[first_bad[p]]), model.sigma)
+                    failures[p] = risk_not_finite(float(q0[first_bad[p]]), model.sigma)
                 else:
                     _, i, j = minima[p]
                     best[p] = np.concatenate(([q0[i]], local[j]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .network import NetworkTemplate, exact_risk
 from .observation import check_real, clamp
-from .optimize import FusionLineSearch, SweepPoint, nelder_mead
+from .optimize import FusionLineSearch, SweepPoint, nelder_mead, risk_not_finite
 
 Q0_STRATEGIES = ("keep-optimal-q0", "reoptimize-q0")
 
@@ -133,8 +133,7 @@ def prelec_risk_gap(template: NetworkTemplate, params: PrelecParams, q0_strategy
             q0_used = search.at_prior(item.pi0)((w,) * template.n_local)
         risk_prelec = exact_risk(local_template.tied(q0_used, w)).r0
         if not math.isfinite(risk_prelec):
-            raise FloatingPointError(f"fusion belief q0={q0_used!r} at "
-                                     f"sigma={template.model.sigma!r}: its risk is not finite")
+            raise risk_not_finite(q0_used, template.model.sigma)
         points.append(PrelecGapPoint(
             pi0=item.pi0,
             q1_opt=item.q1_opt,

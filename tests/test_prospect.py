@@ -188,3 +188,14 @@ class TestReoptimizedLineSearch:
         with pytest.raises(FloatingPointError) as got:
             prelec_risk_gap(template, IDENTITY_PARAMS, "reoptimize-q0", sweep)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_kept_q0_error_worded_as_optimize(self, sigma):
+        """A constrained risk that is not finite is refused in ``optimize``'s
+        words, naming the kept fusion belief."""
+        template = NetworkTemplate(0.5, CostPair(), ObservationModel(sigma=sigma), 2)
+        with pytest.raises(FloatingPointError) as got:
+            prelec_risk_gap(template, IDENTITY_PARAMS, "keep-optimal-q0",
+                            [SweepPoint(0.3, 0.6, 0.4, 0.2)])
+        assert str(got.value) == str(optimize.risk_not_finite(0.6, sigma))
+        assert str(got.value) == f"fusion belief q0=0.6 at sigma={sigma!r}: its risk is not finite"
