@@ -461,15 +461,15 @@ def test_every_cli_flag_is_read():
     assert _unread_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
 
 
-SIZE_CONSTANTS = ("PER_FLOAT_BELOW", "BINOMIAL_FROM")
+SIZE_CONSTANTS = ("PER_FLOAT_BELOW", "BINOMIAL_FROM", "BATCH_CHUNK_ROWS")
 
 
 def _size_switch_sites(source):
-    """(what, where) of each read of a size constant, ``PER_FLOAT_BELOW`` or
-    ``BINOMIAL_FROM`` (as a name, an attribute or an import), and each call
-    of ``einsum`` (as ``np.einsum`` or an imported name) in ``source``:
-    ``where`` is the name of the innermost function around it, or
-    ``"<module>"``. Binding the name is no read."""
+    """(what, where) of each read of a size constant, ``PER_FLOAT_BELOW``,
+    ``BINOMIAL_FROM`` or ``BATCH_CHUNK_ROWS`` (as a name, an attribute or an
+    import), and each call of ``einsum`` (as ``np.einsum`` or an imported
+    name) in ``source``: ``where`` is the name of the innermost function
+    around it, or ``"<module>"``. Binding the name is no read."""
     found = set()
 
     def visit(node, where):
@@ -508,7 +508,11 @@ def test_size_switch_sites_seen():
         == {("BINOMIAL_FROM", "f")}
     assert _size_switch_sites("from .network import BINOMIAL_FROM, einsum\n") \
         == {("BINOMIAL_FROM", "<module>"), ("einsum", "<module>")}
-    assert _size_switch_sites("PER_FLOAT_BELOW = 8\n") == set()
+    assert _size_switch_sites("from .network import BATCH_CHUNK_ROWS, mix\n") \
+        == {("BATCH_CHUNK_ROWS", "<module>")}
+    assert _size_switch_sites("def f(q0):\n    return network.BATCH_CHUNK_ROWS // len(q0)\n") \
+        == {("BATCH_CHUNK_ROWS", "f")}
+    assert _size_switch_sites("PER_FLOAT_BELOW = 8\nBATCH_CHUNK_ROWS = 200_000\n") == set()
     assert _size_switch_sites("'PER_FLOAT_BELOW and np.einsum in a docstring'\n") == set()
 
 
@@ -525,13 +529,16 @@ def test_size_switch_only_in_network(path):
     """Only ``network``'s three O(N^2) kernels choose between the per-float
     and array paths, and only ``count_distribution`` and
     ``tied_exact_risks`` between the count fold and the Binomial kernel, so
-    a change of either constant moves no other module and no helper; and no
-    module sums with ``np.einsum``, whose SIMD order no per-float path can
-    follow."""
+    a change of either constant moves no other module and no helper. Only
+    ``fusion_error_rates`` reads ``BATCH_CHUNK_ROWS``: it plans every pass
+    of the batch kernels, so no caller bounds their tables with a copy of
+    the rule. And no module sums with ``np.einsum``, whose SIMD order no
+    per-float path can follow."""
     expected = set()
     if path.name == "network.py":
         expected = ({("PER_FLOAT_BELOW", kernel) for kernel in SIZE_SWITCHES}
-                    | {("BINOMIAL_FROM", kernel) for kernel in BINOMIAL_SWITCHES})
+                    | {("BINOMIAL_FROM", kernel) for kernel in BINOMIAL_SWITCHES}
+                    | {("BATCH_CHUNK_ROWS", "fusion_error_rates")})
     assert _size_switch_sites(path.read_text()) == expected
 
 
