@@ -32,6 +32,7 @@ from .observation import (
     error_probs,
     fusion_log_factors,
     log_odds,
+    midpoint_rate_gap,
     per_float_rates,
 )
 
@@ -215,15 +216,15 @@ def optimal_exponent(model: ObservationModel, costs: CostPair | None = None) -> 
     and decisions); the optimum is lam* = 1/2 (Tsitsiklis 1988), where it is
     binary symmetric with crossover p = Q(1/(2 sigma)), and s* = 1/2
     (Chernoff 1952): beta* = -log(4 p (1 - p)) / 2. With 1 - 2p = erf(u),
-    u = 1/(2 sigma sqrt 2), that is -log1p(-erf(u)**2) / 2, exact to an ulp
-    for a small beta*; where erf(u) nears 1 it is the negated objective at
-    (1/2, 1/2), from ``log_ndtr`` tails; ``FloatingPointError`` where beta*
-    or the variance proxy sigma**2 overflows. The belief whose threshold is
-    1/2 is ``costs.neutral_belief``.
+    u = 1/(2 sigma sqrt 2) (``midpoint_rate_gap``), that is
+    -log1p(-erf(u)**2) / 2, exact to an ulp for a small beta*; where erf(u)
+    nears 1 it is the negated objective at (1/2, 1/2), from ``log_ndtr``
+    tails; ``FloatingPointError`` where beta* or the variance proxy sigma**2
+    overflows. The belief whose threshold is 1/2 is ``costs.neutral_belief``.
     """
     if costs is None:
         costs = CostPair()
-    gap = math.erf(0.5 / (model.sigma * math.sqrt(2.0)))
+    gap = midpoint_rate_gap(model)
     if gap < 0.5:
         beta_star = -0.5 * math.log1p(-gap * gap)
     else:

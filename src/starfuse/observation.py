@@ -1,7 +1,8 @@
 """Private-signal model: likelihood-ratio thresholds, the decision rates of
 threshold tests (``decision_tails``, each tail on its own side), the fusion
-log factors and ``simulate``'s inverse-transform test (``decides_one``);
-every other module takes its rates and Gaussian kernels from here.
+log factors, ``simulate``'s inverse-transform test (``decides_one``) and
+the rate gap of the optimal exponent's test (``midpoint_rate_gap``); every
+other module takes its rates and Gaussian kernels from here.
 
 A float's four rates come from ``per_float_rates`` alone; every function
 here that takes a Python float gives it the same double it gives that
@@ -221,6 +222,14 @@ def decision_tails(model: ObservationModel, lam):
     A float's four rates come from ``per_float_rates``, with these doubles."""
     x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
     return gaussian_q(np.stack((x0, x1, -x0, -x1)))  # one erfc call, same values
+
+
+def midpoint_rate_gap(model: ObservationModel) -> float:
+    """p(1|1) - p(1|0) of the threshold test at 1/2, the optimal local test
+    of ``asymptotics.optimal_exponent``: 1 - 2 Q(1/(2 sigma)), formed as
+    erf(1/(2 sigma sqrt 2)) so that a gap near 0 keeps its relative
+    precision."""
+    return math.erf(0.5 / (model.sigma * math.sqrt(2.0)))
 
 
 def decides_one(model: ObservationModel, h, u, lam):

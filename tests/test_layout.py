@@ -196,12 +196,12 @@ def test_only_cli_main_prints_or_writes():
     assert _output_sites((ROOT / "src" / "starfuse" / "cli.py").read_text()) == {"main"}
 
 
-_TAIL_KERNELS = {"erfc", "log_ndtr", "ndtr", "ndtri"}
+_TAIL_KERNELS = {"erf", "erfc", "log_ndtr", "ndtr", "ndtri"}
 
 
 def _tail_kernel_sites(source):
     """Names of the top-level definitions in ``source`` that name a Gaussian
-    tail kernel or its quantile (``erfc``, ``log_ndtr``, ``ndtr`` or
+    tail kernel or its quantile (``erf``, ``erfc``, ``log_ndtr``, ``ndtr`` or
     ``ndtri``, of any module) as an attribute, a bare name or an import;
     ``<module>`` for a module-level statement."""
     found = set()
@@ -223,8 +223,9 @@ def test_tail_kernel_sites_seen():
               "def c(x):\n    'erfc and log_ndtr in a docstring'\n    return math.exp(x)\n"
               "def d(x):\n    return log_ndtr(x)\n"
               "def e():\n    from scipy.special import ndtri\n"
-              "def f(u):\n    return special.ndtri(u)\n")
-    assert _tail_kernel_sites(source) == {"<module>", "a", "B", "d", "e", "f"}
+              "def f(u):\n    return special.ndtri(u)\n"
+              "def g(sigma):\n    return math.erf(0.5 / sigma)\n")
+    assert _tail_kernel_sites(source) == {"<module>", "a", "B", "d", "e", "f", "g"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "observation.py"],
@@ -233,9 +234,8 @@ def test_tail_kernels_only_in_observation(path):
     """Every Gaussian tail and quantile comes from ``observation``, which
     gives a float the same double as an array element, so a per-float path
     matches the array path bit for bit; the descent's scalar evaluator takes
-    its tails from there too, and ``simulate`` its inverse-transform test.
-    ``math.erf`` in ``optimal_exponent``'s closed form stays outside the
-    rule until the noise law is one module's concern (ROADMAP item 19)."""
+    its tails from there too, ``simulate`` its inverse-transform test and
+    ``optimal_exponent`` its closed form's rate gap."""
     assert _tail_kernel_sites(path.read_text()) == set()
 
 
