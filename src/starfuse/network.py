@@ -13,9 +13,11 @@ runs it for one network and ``fusion_error_rates`` for every pairing of
 many fusion beliefs with many rows of local beliefs, from one
 ``fusion_error_table`` of per-count fusion errors (which depends on no
 local belief, so ``optimize``'s line search keeps one for its scan) and one
-count pmf per local row (tied rows from one rate column each), mixed block
-by block in the same call (the line search's scan mixes the table with its
-own evaluator's count pmfs). Every array path mixes count pmfs with per-count
+count pmf per local row (tied rows from one rate column each) per pass,
+mixed piece by piece in the same call (the line search's scan mixes the
+table with its own evaluator's count pmfs). ``fusion_error_rates`` plans
+its own passes, bounded by ``BATCH_CHUNK_ROWS``, so ``batch_risk`` and
+each grid stage make one call however many rows they hold. Every array path mixes count pmfs with per-count
 fusion errors through one expression, ``mix``, a row sum of their products,
 so ``exact_risk``, ``tied_exact_risks``, ``batch_risk``, the line search's
 scan and the leave-one-out pass give a network's errors one double.

@@ -16,8 +16,9 @@ beliefs against rows of local beliefs (a grid's local rows are the product
 of its local axes, or one axis repeated when the locals are tied), and
 weight them with ``bayes_risk``: the true prior enters only that final
 weighting, so ``optimal_belief_sweep`` builds the coarse grid's tables once
-for every prior, and each finer stage builds many priors' windows in one
-call; ``grid_search`` is the one-prior case of the same stage loop.
+for every prior, and each finer stage passes every prior's window to one
+call, which ``network`` cuts into passes of bounded memory; ``grid_search``
+is the one-prior case of the same stage loop.
 The loops that move one belief at a time use ``_RiskEvaluator``, the
 per-float formula of ``observation.per_float_rates`` with memoized tails;
 tests pin it to ``exact_risk``. Its two steps, ``network.fold_agent`` of one
@@ -270,8 +271,8 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
 
     No prior enters ``fusion_error_rates``, so the coarse grid's rates are
     built once and each prior applies only its ``bayes_risk`` weights. A
-    finer stage's windows differ by prior; the rates of many priors' windows
-    come from one call. Each prior's stages, risks and first-minimum
+    finer stage's windows differ by prior; the rates of every prior's window
+    come from one call, none once every prior has failed. Each prior's stages, risks and first-minimum
     argmin are those of a search of its own. Raises the
     ``FloatingPointError`` of the first prior whose search meets a risk that
     is not finite.
