@@ -17,10 +17,11 @@ count pmf per local row (tied rows from one rate column each) per pass,
 mixed piece by piece in the same call (the line search's scan mixes the
 table with its own evaluator's count pmfs). ``fusion_error_rates`` plans
 its own passes, bounded by ``BATCH_CHUNK_ROWS``, so ``batch_risk`` and
-each grid stage make one call however many rows they hold. Every array path mixes count pmfs with per-count
-fusion errors through one expression, ``mix``, a row sum of their products,
-so ``exact_risk``, ``tied_exact_risks``, ``batch_risk``, the line search's
-scan and the leave-one-out pass give a network's errors one double.
+each grid stage make one call however many rows they hold. Every array
+path mixes count pmfs with per-count fusion errors through one expression,
+``mix``, a row sum of their products, so ``exact_risk``,
+``tied_exact_risks``, ``batch_risk``, the line search's scan and the
+leave-one-out pass give a network's errors one double.
 A tied network of ``BINOMIAL_FROM`` locals or more skips the fold: its
 count is Binomial, and ``_binomial_pmf`` gives the pmf in O(N) array work
 by Loader's saddle-point form, within a few ulp times the larger of N and

@@ -272,10 +272,10 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
     No prior enters ``fusion_error_rates``, so the coarse grid's rates are
     built once and each prior applies only its ``bayes_risk`` weights. A
     finer stage's windows differ by prior; the rates of every prior's window
-    come from one call, none once every prior has failed. Each prior's stages, risks and first-minimum
-    argmin are those of a search of its own. Raises the
-    ``FloatingPointError`` of the first prior whose search meets a risk that
-    is not finite.
+    come from one call, and none once every prior has failed. Each prior's
+    stages, risks and first-minimum argmin are those of a search of its own.
+    Raises the ``FloatingPointError`` of the first prior whose search meets a
+    risk that is not finite.
     """
     if 1.0 / settings.grid_resolution > 1e4:
         raise ValueError("grid_resolution finer than 1e-4 (more than 10^4 points per axis)")
