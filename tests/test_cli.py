@@ -83,6 +83,25 @@ class TestRiskCommand:
             main(["risk", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5", "--strict"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, out_digest, csv_digest", [
+        # The README command.
+        (["--pi0", "0.3", "--q0", "0.7372", "--q", "0.3960,0.3960"],
+         "2dc7139584af7a4d9c6b0664446c11d9d7d303cf929370f77f746552e8423ddf",
+         "1305f31020b97f71d0f87a7054693554573039ec32e5cd97d7cd4fc700d5399a"),
+        # Twelve heterogeneous locals, 0.25 to 0.69.
+        (["--pi0", "0.4", "--q0", "0.45", "--q", ",".join("%.2f" % (0.25 + 0.04 * i) for i in range(12)),
+          "--sigma", "1.3", "--cfa", "1.5"],
+         "a6f6665c94ac47b95aae317f4f5d4c0182159269d7bae49aba72682a7d9bf3ff",
+         "df52137f9ede0caa55a2e86c4b9bf5fddae5677d9cae67cd7f01bb963a68a9dc"),
+    ], ids=["two-locals", "twelve-locals"])
+    def test_output_bytes_pinned(self, capsys, tmp_path, argv, out_digest, csv_digest):
+        """The stdout and CSV bytes, one line and one row per count."""
+        path = tmp_path / "risk.csv"
+        code, out, _ = run_cli(capsys, "risk", *argv, "--csv", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_digest
+
     def test_non_finite_risk_exits_domain(self, capsys, tmp_path):
         # At sigma=1e-200 the fusion log factors are -inf and inf.
         path = tmp_path / "risk.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -413,6 +414,22 @@ class TestExactRisk:
         for k, belief, lam in per_count:
             assert (type(k), type(belief), type(lam)) == (int, float, float)
             assert belief == float(from_log_odds(fusion_log_odds(cfg, k)))
+
+    @pytest.mark.parametrize("config, digest", [
+        (NetworkConfig(0.3, CostPair(1.3, 0.8), ObservationModel(sigma=1.7), 0.45,
+                       (0.3, 0.55, 0.7)),
+         "7edc62ddd801b33fa9257e65c3ff9262f7321dd7c4327626d0d7768f48777259"),
+        (NetworkConfig(0.4, CostPair(1.0, 2.0), ObservationModel(sigma=0.9), 0.6,
+                       tuple(0.2 + 0.05 * i for i in range(12))),
+         "59089f3dd0750c58086a2d8b42471514e1ad2fbce365ca9100dc055fe6d171c8"),
+        (NetworkConfig(0.35, CostPair(), ObservationModel(sigma=1.2), 0.55, (0.42,) * 40),
+         "35eded9932499a8b9bce3791fe9c66f5df8c062efaa477d3eec2633e4ec7ac46"),
+    ], ids=["per-float", "array-fold", "binomial"])
+    def test_repr_pinned(self, config, digest):
+        """The whole report, per-count profile included, as ``repr`` prints
+        it, on each path: per float (N = 3), the array fold (N = 12,
+        heterogeneous) and the Binomial kernel (N = 40, tied)."""
+        assert hashlib.sha256(repr(exact_risk(config)).encode()).hexdigest() == digest
 
     def test_truthful_beliefs_benchmark(self, benchmark_template):
         report = exact_risk(benchmark_template.tied(0.3, 0.3))
