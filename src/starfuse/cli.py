@@ -154,12 +154,12 @@ def cmd_risk(args) -> Output:
     if not math.isfinite(report.r0):
         raise FloatingPointError(f"risk is not finite (R0={report.r0!r}) at sigma={args.sigma!r}: "
                                  f"its fusion log factors or thresholds are not finite")
+    per_count = report.per_count  # built on each read
     lines = [f"R0={report.r0:.10g}", f"p_fa0={report.p_fa0:.10g} p_md0={report.p_md0:.10g}"]
-    lines += [f"k={k} updated_belief={b:.10g} fusion_threshold={t:.10g}"
-              for k, b, t in report.per_count]
+    lines += [f"k={k} updated_belief={b:.10g} fusion_threshold={t:.10g}" for k, b, t in per_count]
     return Output(lines, _csv(
         args.csv, ["k", "updated_belief", "fusion_threshold", "r0", "p_fa0", "p_md0"],
-        ((k, b, t, report.r0, report.p_fa0, report.p_md0) for k, b, t in report.per_count)))
+        ((k, b, t, report.r0, report.p_fa0, report.p_md0) for k, b, t in per_count)))
 
 
 def cmd_grid(args) -> Output:

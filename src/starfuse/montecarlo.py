@@ -203,9 +203,8 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     if not math.isfinite(report.r0):
         raise FloatingPointError(f"exact risk is not finite (R0={report.r0!r}) at sigma={sigma!r}: "
                                  f"the fusion thresholds to simulate are not finite")
-    lam_fusion = np.array([lam for _, _, lam in report.per_count])
     cut_local = _uniform_cutoffs(cfg.model, lam_local)
-    cut_fusion = _uniform_cutoffs(cfg.model, lam_fusion)
+    cut_fusion = _uniform_cutoffs(cfg.model, report.thresholds)
 
     h1 = int(np.random.Generator(_stream(spec.seed, 0)).binomial(spec.trials, 1.0 - cfg.pi0))
     stride = n + 1

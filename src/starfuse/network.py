@@ -16,8 +16,8 @@ local belief, so ``optimize``'s line search keeps one for its scan) and one
 count pmf per local row (tied rows from one rate column each) per pass,
 mixed piece by piece in the same call (the line search's scan mixes the
 table with its own evaluator's count pmfs). ``fusion_error_rates`` plans
-its own passes, bounded by ``BATCH_CHUNK_ROWS``, so ``batch_risk`` and
-each grid stage make one call however many rows they hold. Every array
+its own passes, bounded by ``BATCH_CHUNK_ROWS`` at any N, so ``batch_risk``
+and each grid stage make one call however many rows they hold. Every array
 path mixes count pmfs with per-count fusion errors through one expression,
 ``mix``, a row sum of their products, so ``exact_risk``,
 ``tied_exact_risks``, ``batch_risk``, the line search's scan and the
@@ -29,8 +29,10 @@ the log of each entry. ``tied_exact_risks`` takes every size of an
 increasing ladder from there at or above the constant, all from one kernel
 call, and folds one tied local's rates on up to each smaller size in turn,
 so every size's ``exact_risk`` r0 comes from one fold of the largest such
-size. The true prior enters only the final weighting,
-``bayes_risk``, so those fusion error rates serve every prior:
+size. ``exact_risk``'s report keeps its per-count profile as two float
+arrays, the fusion log-odds and thresholds, and builds ``per_count``'s
+tuples from them only when it is read. The true prior enters only the
+final weighting, ``bayes_risk``, so those fusion error rates serve every prior:
 ``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
 leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``; each
 pass forms its locals' rates afresh.
@@ -87,8 +89,8 @@ from .observation import (
     threshold_from_log_odds,
 )
 
-# (fusion belief, local row) pairs per piece, and table entries per pass, of
-# fusion_error_rates; bounds its working memory.
+# (fusion belief, local row, count) triples per piece, and table entries per
+# pass, of fusion_error_rates; bounds its working memory.
 BATCH_CHUNK_ROWS = 200_000
 
 # Networks of fewer agents than this go one float at a time in the O(N^2)
@@ -130,7 +132,7 @@ class NetworkConfig:
     q_local: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q_local", tuple(float(q) for q in self.q_local))
+        object.__setattr__(self, "q_local", tuple(map(float, self.q_local)))
         if len(self.q_local) < 1:
             raise ValueError("q_local must contain at least one local belief (N >= 1)")
         object.__setattr__(self, "pi0", check_prior(self.pi0))
@@ -168,18 +170,43 @@ class NetworkTemplate:
         return self.config(q0, (q1,) * self.n_local)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RiskReport:
     """Exact fusion risk with its error decomposition and per-count profile.
 
-    ``per_count`` holds one (count, updated belief, fusion threshold) triple
-    for every possible number of local 1-decisions.
+    The profile is two read-only float64 arrays of N + 1 entries, entry k
+    after k local 1-decisions: ``log_odds``, the fusion agent's updated
+    log-odds, and ``thresholds``, its fusion threshold, 16 bytes a count.
+    ``per_count`` is built from them on each read: one (count, updated
+    belief, fusion threshold) triple of an int and two floats for every
+    possible number of local 1-decisions. ``repr``, ``==`` and ``hash`` see
+    a report as its r0, p_fa0, p_md0 and ``per_count``.
     """
 
     r0: float
     p_fa0: float
     p_md0: float
-    per_count: tuple[tuple[int, float, float], ...]
+    log_odds: np.ndarray
+    thresholds: np.ndarray
+
+    @property
+    def per_count(self) -> tuple[tuple[int, float, float], ...]:
+        return tuple(zip(range(len(self.thresholds)), from_log_odds(self.log_odds).tolist(),
+                         self.thresholds.tolist()))
+
+    def _key(self) -> tuple:
+        return self.r0, self.p_fa0, self.p_md0, self.per_count
+
+    def __repr__(self) -> str:
+        return "RiskReport(r0={!r}, p_fa0={!r}, p_md0={!r}, per_count={!r})".format(*self._key())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _rate_columns(model: ObservationModel, costs: CostPair, ell):
@@ -435,21 +462,24 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
 
     Mixes the per-count fusion error probabilities over the count pmf with
     ``mix``; the decomposition identity r0 = c_fa*pi0*p_fa0 +
-    c_md*(1-pi0)*p_md0 holds by construction. Below ``PER_FLOAT_BELOW`` agents the per-count fusion
-    errors go one float at a time, with the same doubles.
+    c_md*(1-pi0)*p_md0 holds by construction. Below ``PER_FLOAT_BELOW``
+    agents the per-count fusion errors go one float at a time, with the same
+    doubles. The report keeps the per-count fusion log-odds and thresholds
+    as two arrays of their own, so nothing else of the call stays alive, and
+    builds ``per_count`` from them only when it is read.
     """
     n, model, costs = config.n_local, config.model, config.costs
     pmf = count_distribution(config)
     ell0 = log_odds(config.q0)
     if n < PER_FLOAT_BELOW:
-        table = np.array(list(zip(*_count_error_rows(model, costs, ell0, n))))
+        fa, md, ell, lam = zip(*_count_error_rows(model, costs, ell0, n))
+        ell, lam = np.array(ell), np.array(lam)
     else:
-        table = np.array(_fusion_count_errors(model, costs, ell0, n))
-    p_fa0, p_md0 = mix(pmf, table[:2]).tolist()
-    ell, lam = table[2:]
-    per_count = tuple(zip(range(n + 1), from_log_odds(ell).tolist(), lam.tolist()))
+        fa, md, ell, lam = _fusion_count_errors(model, costs, ell0, n)
+    p_fa0, p_md0 = mix(pmf, np.array((fa, md))).tolist()
+    ell.flags.writeable = lam.flags.writeable = False
     return RiskReport(r0=bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
-                      p_fa0=p_fa0, p_md0=p_md0, per_count=per_count)
+                      p_fa0=p_fa0, p_md0=p_md0, log_odds=ell, thresholds=lam)
 
 
 def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: float, q1: float,
@@ -540,10 +570,12 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
     must be finite and strictly inside (0, 1), as ``clamp_belief`` requires.
 
     The working memory is bounded here: a piece holds at most
-    ``BATCH_CHUNK_ROWS`` (fusion belief, local row) pairs, and every block at
-    least one piece, so its fusion beliefs are checked even against no rows;
-    a pass takes pieces while their fusion beliefs and rows, N + 1 counts
-    each, hold at most ``BATCH_CHUNK_ROWS`` table entries. A pass is one
+    ``BATCH_CHUNK_ROWS`` (fusion belief, local row, count) triples, N + 1
+    counts a pair, so its count pmfs and its mix are bounded at any N (at
+    least one row, and every block at least one piece, so its fusion beliefs
+    are checked even against no rows); a pass takes pieces while their
+    fusion beliefs and rows, N + 1 counts each, hold at most
+    ``BATCH_CHUNK_ROWS`` table entries. A pass is one
     ``fusion_error_table`` of its pieces' fusion beliefs and the count pmfs
     of their rows from one ``_poisson_binomial_pmf`` call; each piece is then
     mixed on its own when it is yielded, one ``mix`` of (fusion beliefs,
@@ -566,7 +598,7 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
             raise ValueError(f"expected {n} local belief columns, got {r.shape[1]}")
     batch, size = [], 0
     for block, (fusion, local) in enumerate(zip(q0, rows)):
-        step = max(1, BATCH_CHUNK_ROWS // max(1, len(fusion)))
+        step = max(1, BATCH_CHUNK_ROWS // (max(1, len(fusion)) * (n + 1)))
         for start in range(0, max(1, len(local)), step):
             piece = local[start:start + step]
             cost = (len(fusion) + len(piece)) * (n + 1)

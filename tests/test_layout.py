@@ -610,3 +610,30 @@ def test_every_import_is_read(path):
     rule would check; the package ``__init__`` only re-exports, and
     ``test_public_api_is_pinned`` pins what it binds."""
     assert _unread_imports(path.read_text()) == []
+
+
+def _per_count_reads(source):
+    """Line numbers of each read of ``.per_count`` in ``source`` on anything
+    but ``self``: ``RiskReport``'s own ``repr``, ``==`` and ``hash`` read it
+    as ``self.per_count``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "per_count"
+                  and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+
+def test_per_count_reads_seen():
+    source = ("def f(report):\n    return report.per_count\n"
+              "x = [lam for _, _, lam in exact_risk(c).per_count]\n"
+              "def g(self):\n    return self.per_count\n"
+              "per_count = 1\n'report.per_count in a docstring'\n")
+    assert _per_count_reads(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_reads_per_count(path):
+    """``RiskReport.per_count`` builds N + 1 tuples on each read, so library
+    code reads the report's ``log_odds`` and ``thresholds`` arrays instead;
+    only the CLI, which prints every count, builds the tuple."""
+    assert _per_count_reads(path.read_text()) == []

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -431,6 +432,58 @@ class TestExactRisk:
         heterogeneous) and the Binomial kernel (N = 40, tied)."""
         assert hashlib.sha256(repr(exact_risk(config)).encode()).hexdigest() == digest
 
+    def test_report_keeps_two_arrays(self):
+        """A report keeps its profile as two arrays of N + 1 doubles, 32 KB at
+        N = 2000, and no tuple of per-count triples (about 140 bytes a count)."""
+        rng = np.random.default_rng(2000)
+        cfg = _config(q_local=tuple(rng.uniform(0.2, 0.8, 2000)))
+        exact_risk(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = exact_risk(cfg)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 64 * 1024
+        assert report.r0 > 0.0
+
+    @pytest.mark.parametrize("n", [PER_FLOAT_BELOW - 1, PER_FLOAT_BELOW, BINOMIAL_FROM])
+    def test_profile_arrays_read_only_and_own(self, n):
+        """Each profile array owns its N + 1 doubles, so it keeps no larger
+        table of the call alive, and neither can be written."""
+        report = exact_risk(_config(q_local=(0.3,) * n))
+        for values in (report.log_odds, report.thresholds):
+            assert values.shape == (n + 1,) and values.dtype == np.float64
+            assert values.base is None and not values.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e), c_fa=st.floats(0.3, 3.0),
+           c_md=st.floats(0.3, 3.0), q0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           n=st.sampled_from([1, PER_FLOAT_BELOW - 1, PER_FLOAT_BELOW, PER_FLOAT_BELOW + 1,
+                              BINOMIAL_FROM - 1, BINOMIAL_FROM, BINOMIAL_FROM + 1]),
+           tied=st.booleans(), data=st.data())
+    def test_per_count_matches_reference(self, sigma, c_fa, c_md, q0, n, tied, data):
+        """``per_count`` is rebuilt from the array path's per-count log-odds
+        and thresholds, the same ints and doubles on every path: per float
+        and array fold, tied and not, Binomial kernel included."""
+        belief = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        beliefs = data.draw(st.lists(belief, min_size=1 if tied else n, max_size=1 if tied else n))
+        model, costs = ObservationModel(sigma=sigma), CostPair(c_fa, c_md)
+        cfg = NetworkConfig(0.3, costs, model, q0, beliefs * n if tied else beliefs)
+        _, _, ell, lam = _fusion_count_errors(model, costs, clamped_log_odds(q0), n)
+        reference = tuple(zip(range(n + 1), from_log_odds(ell).tolist(), lam.tolist()))
+        assert repr(exact_risk(cfg).per_count) == repr(reference)
+
+    def test_equal_and_hash_see_the_profile(self):
+        """Two reports are equal, and hash alike, when their risks and
+        ``per_count`` are; a report of another fusion belief is not equal."""
+        first, second = (exact_risk(_config(q0=0.45, q_local=(0.3, 0.6))) for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        assert hash(first) == hash((first.r0, first.p_fa0, first.p_md0, first.per_count))
+        assert first != exact_risk(_config(q0=0.46, q_local=(0.3, 0.6)))
+        assert first != (first.r0, first.p_fa0, first.p_md0, first.per_count)
+
     def test_truthful_beliefs_benchmark(self, benchmark_template):
         report = exact_risk(benchmark_template.tied(0.3, 0.3))
         assert report.r0 == pytest.approx(0.1976, abs=5e-4)
@@ -823,6 +876,23 @@ class TestFusionErrorRates:
                 assert [r.tobytes() for r in rates] == [r.tobytes() for r in alone]
                 risks = bayes_risk(template.pi0, template.costs, *rates)
                 assert risks.tobytes() == batch_risk(template, q0, q_local).tobytes()
+
+    def test_count_pmfs_bounded(self):
+        """A piece's count pmfs, N + 1 entries a row, count against
+        ``BATCH_CHUNK_ROWS``: one fusion belief against 20,000 tied rows at
+        N = 100 (a broadcast view, so the input costs nothing) peaks near
+        10 MB, where pieces of (fusion belief, local row) pairs alone peaked
+        at 97 MB."""
+        template = NetworkTemplate(0.3, CostPair(), ObservationModel(), 100)
+        rows = np.broadcast_to(np.linspace(0.2, 0.8, 20_000)[:, None], (20_000, 100))
+        batch_risk(template, [0.5], rows[:10])
+        tracemalloc.start()
+        try:
+            batch_risk(template, [0.5], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize("case", range(12))
     def test_tied_view_bit_identical_to_rows_written_out(self, case):
