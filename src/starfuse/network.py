@@ -32,8 +32,8 @@ so every size's ``exact_risk`` r0 comes from one fold of the largest such
 size. ``exact_risk``'s report keeps its per-count profile as two float
 arrays, the fusion log-odds and thresholds, and builds ``per_count``'s
 tuples from them only when it is read. The true prior enters only the
-final weighting, ``bayes_risk``, so those fusion error rates serve every prior:
-``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
+final weighting, ``bayes_risk``, so those fusion error rates serve every
+prior: ``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
 leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``; each
 pass forms its locals' rates afresh.
 
