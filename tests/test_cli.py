@@ -231,6 +231,23 @@ class TestPbpoCommand:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "a3130ae498785b135cb7a03de86f8ef98d3eeb981abc129d0c6f8dd84625f0f1")
 
+    @pytest.mark.parametrize("argv, out_digest, csv_digest", [
+        (["--exact", "--pi0", "0.3", "--trace"],
+         "99deea402766324a74849a089a47607c1a78e5335b38676af1538bd40340cb1d",
+         "8bcb5472e5bc2d451ad0562e4b1d59115261a5fb12a3d0fda0fd1179ac68ae4e"),
+        (["--pi0", "0.3"],
+         "ef55eb0e907babb3534ed0bb5f9bf333d8d69e2bd5cebdd71eb8d49a2f4bbeb2",
+         "2755d0a1004c76c79a91fdacd365aeea470d95819c2ff892543e48fadf9e802f"),
+    ], ids=["exact-trace", "last-row"])
+    def test_output_bytes_pinned(self, capsys, tmp_path, argv, out_digest, csv_digest):
+        """The stdout and CSV bytes: every sweep's row with ``--trace``, the
+        last sweep's row without it."""
+        path = tmp_path / "pbpo.csv"
+        code, out, _ = run_cli(capsys, "pbpo", *argv, "--csv", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_digest
+
     def test_init_length_validated(self, capsys):
         code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--init", "0.5,0.5")
         assert code == 2

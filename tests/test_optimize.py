@@ -445,6 +445,29 @@ class TestPbpo:
         result = pbpo(template, OptimizerSettings(), init=(0.5,) * (n + 1))
         assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("pi0, costs, sigma, n, init, digest", [
+        (0.3, (1.0, 1.0), 1.0, 2, (0.5,) * 3,
+         "9196356a5cdbf444e020b63194f30fc418fac7d278745723441c140a750a6904"),
+        (0.6, (0.7, 1.6), 1.3, 3, (0.5,) * 4,
+         "8d879783ed800a92ef32673f93641104b7ff7e0563e27dc8cb3c4063f5e7ba6e"),
+        (0.3, (1.0, 1.0), 1.0, 2, None,
+         "f98a57fdc64ff42d5568fd96ae36aa22cf8c917ad256e47a6744d8b69b69d55e"),
+    ], ids=["headline", "n3", "multi-start"])
+    def test_exact_trajectory_digest(self, pi0, costs, sigma, n, init, digest):
+        """``pbpo_exact``'s whole result, every trace row included, as the
+        SHA-256 of its ``repr``, from the tied start 0.5 and from the seeded
+        restarts of ``init=None``."""
+        template = NetworkTemplate(pi0, CostPair(*costs), ObservationModel(sigma=sigma), n)
+        result = pbpo_exact(template, OptimizerSettings(), init=init)
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
+
+    def test_grid_result_repr_without_trace(self, benchmark_template):
+        """A grid result's ``repr`` ends in ``trace=None``, pinned by SHA-256."""
+        result = grid_search(benchmark_template, OptimizerSettings(tie_local_beliefs=True))
+        assert repr(result).endswith(", trace=None)") and result.trace is None
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == (
+            "95a67c05d46e14c7103f867970bf51dae9a48ac1a8a2dcb9f42806c601c7a503")
+
     @pytest.mark.parametrize("optimizer", [pbpo, pbpo_exact], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("n", [2, 3])
     def test_risk_is_last_trace_risk(self, optimizer, n):
