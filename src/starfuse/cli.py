@@ -207,8 +207,9 @@ def cmd_pbpo(args) -> Output:
     runner = pbpo_exact if args.exact else pbpo
     result = runner(template, settings, init=init, seed=args.seed)
     header = ["sweep", "q0"] + [f"q{i}" for i in range(1, args.n_local + 1)] + ["risk"]
-    rows = ((idx,) + row for idx, row in enumerate(result.trace)) if args.trace \
-        else [(result.iterations,) + result.trace[-1]]
+    trace = result.trace_array
+    rows = ([idx, *row] for idx, row in enumerate(trace.tolist())) if args.trace \
+        else [[result.iterations, *trace[-1].tolist()]]
     return Output([f"beliefs={','.join(_fmt(b) for b in result.beliefs)}",
                    f"risk={result.risk:.10g}",
                    f"sweeps={result.iterations} converged={result.converged}"],

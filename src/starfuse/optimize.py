@@ -121,10 +121,9 @@ class OptimizerSettings:
     def __post_init__(self):
         for name in ("step", "eps", "grid_resolution"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        for name in ("step", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         check_integer("max_iters", self.max_iters)
         check_integer("restarts", self.restarts)
         if self.max_iters < 1 or self.restarts < 1:
@@ -133,14 +132,49 @@ class OptimizerSettings:
             raise ValueError("grid_resolution must lie in (0, 0.5)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OptimizationResult:
+    """An optimizer's beliefs (fusion belief first), their exact risk, its
+    count of sweeps (of grid points for ``grid_search``), whether it met its
+    stopping rule, and the stationarity residual of the beliefs.
+
+    A descent keeps its per-sweep trace as ``trace_array``, one read-only
+    float64 array of shape (sweeps + 1, N + 2) that owns its data: row k
+    holds the beliefs after sweep k (row 0 the start), fusion belief first,
+    then their risk, 8 bytes a number. ``trace`` is built from it on each
+    read: one tuple of N + 2 floats a row, or None for ``grid_search``,
+    which keeps no trace. ``repr``, ``==`` and ``hash`` see a result as its
+    five scalar fields and ``trace``.
+    """
+
     beliefs: tuple[float, ...]
     risk: float
     iterations: int
     converged: bool
     stationarity_residual: float
-    trace: tuple[tuple[float, ...], ...] | None = None
+    trace_array: np.ndarray | None = None
+
+    @property
+    def trace(self) -> tuple[tuple[float, ...], ...] | None:
+        if self.trace_array is None:
+            return None
+        return tuple(map(tuple, self.trace_array.tolist()))
+
+    def _key(self) -> tuple:
+        return (self.beliefs, self.risk, self.iterations, self.converged,
+                self.stationarity_residual, self.trace)
+
+    def __repr__(self) -> str:
+        return ("OptimizationResult(beliefs={!r}, risk={!r}, iterations={!r}, converged={!r}, "
+                "stationarity_residual={!r}, trace={!r})".format(*self._key()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 class _RiskEvaluator:
@@ -610,11 +644,11 @@ def _pbpo_run(template, settings, init):
     prefix = evaluator.prefixes(q[1:n])
     last = tails.get(q[n]) or tails_of(q[n])
     risk = mix(prefix[-1], last, q[0])
-    trace = [tuple(q) + (risk,)]
+    trace = q + [risk]  # flat: each sweep's beliefs, then its risk
     converged = False
     sweeps = 0
     for sweeps in range(1, settings.max_iters + 1):
-        previous = q  # moves rebind q to a new list, never mutate it
+        previous, before = q, risk  # moves rebind q to a new list, never mutate it
         # The fusion belief: a probe is one mix of the current pmfs.
         up, down = min(q[0] + step, hi), max(q[0] - step, lo)
         r_up, r_down = mix(prefix[-1], last, up), mix(prefix[-1], last, down)
@@ -642,9 +676,10 @@ def _pbpo_run(template, settings, init):
         if min(r_up, r_down) < risk:
             value, risk, last = (up, r_up, tail_up) if r_up < r_down else (down, r_down, tail_down)
             q = q[:n] + [value]
-        trace.append(tuple(q) + (risk,))
-        if trace[-1][-1] > trace[-2][-1] + 1e-15:
+        if risk > before + 1e-15:
             raise AssertionError("risk increased across a sweep")
+        trace += q
+        trace.append(risk)
         if math.dist(q, previous) <= settings.eps:
             converged = True
             break
@@ -655,7 +690,7 @@ def _pbpo_exact_run(search, template, settings, init):
     risk_of = search.evaluator
     pi0 = template.pi0
     q = [float(x) for x in init]
-    trace = [tuple(q) + (risk_of(q),)]
+    trace = q + [risk_of(q)]  # flat, as in _pbpo_run
     converged = False
     sweeps = 0
 
@@ -666,7 +701,8 @@ def _pbpo_exact_run(search, template, settings, init):
         previous = list(q)
         q[0] = search(q[1:], settings.eps / 10.0)
         q[1:] = pinned_fusion_sweep(template.config(q[0], q[1:]), revise)
-        trace.append(tuple(q) + (risk_of(q),))
+        trace += q
+        trace.append(risk_of(q))
         if math.dist(q, previous) <= settings.eps:
             converged = True
             break
@@ -674,14 +710,18 @@ def _pbpo_exact_run(search, template, settings, init):
 
 
 def _finish(template, q, sweeps, converged, trace):
+    """The result of a descent's run, from its flat trace list: the copy
+    owns its rows, as ``OptimizationResult`` keeps them."""
     config = template.config(q[0], q[1:])
+    rows = np.array(trace).reshape(sweeps + 1, len(q) + 1).copy()
+    rows.flags.writeable = False
     return OptimizationResult(
         beliefs=tuple(float(x) for x in q),
         risk=exact_risk(config).r0,
         iterations=sweeps,
         converged=converged,
         stationarity_residual=stationarity_residual(config),
-        trace=tuple(trace),
+        trace_array=rows,
     )
 
 

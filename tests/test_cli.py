@@ -248,6 +248,20 @@ class TestPbpoCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
         assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_digest
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["pbpo", "exact"])
+    @pytest.mark.parametrize("flag, name, value", [
+        ("--delta", "step", "inf"), ("--delta", "step", "nan"), ("--eps", "eps", "inf"),
+    ], ids=["delta-inf", "delta-nan", "eps-inf"])
+    def test_non_finite_step_or_eps_exits_two(self, capsys, tmp_path, flag, name, value, exact):
+        """``--delta inf`` and ``--eps inf`` ran and reported converged=True;
+        each now exits 2 with one error line and writes no file."""
+        path = tmp_path / "pbpo.csv"
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *exact, flag, value,
+                                 "--csv", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must be positive and finite\n"
+        assert not path.exists()
+
     def test_init_length_validated(self, capsys):
         code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--init", "0.5,0.5")
         assert code == 2

@@ -205,7 +205,7 @@ def _reference_finish(template, q, sweeps, converged, trace):
     return OptimizationResult(
         beliefs=tuple(float(x) for x in q), risk=exact_risk(config).r0, iterations=sweeps,
         converged=converged, stationarity_residual=stationarity_residual(config),
-        trace=tuple(trace))
+        trace_array=np.array(trace))
 
 
 def _reference_pbpo_run(template, settings, init):

@@ -612,14 +612,20 @@ def test_every_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
 
 
+def _reads_off_self(source, attr):
+    """Line numbers of each read of ``.<attr>`` in ``source`` on anything
+    but ``self``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+
 def _per_count_reads(source):
     """Line numbers of each read of ``.per_count`` in ``source`` on anything
     but ``self``: ``RiskReport``'s own ``repr``, ``==`` and ``hash`` read it
     as ``self.per_count``."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == "per_count"
-                  and isinstance(node.ctx, ast.Load)
-                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+    return _reads_off_self(source, "per_count")
 
 
 def test_per_count_reads_seen():
@@ -637,3 +643,20 @@ def test_only_cli_reads_per_count(path):
     code reads the report's ``log_odds`` and ``thresholds`` arrays instead;
     only the CLI, which prints every count, builds the tuple."""
     assert _per_count_reads(path.read_text()) == []
+
+
+def test_trace_reads_seen():
+    source = ("def f(result):\n    return result.trace\n"
+              "last = res.trace[-1]\n"
+              "def g(self):\n    return self.trace\n"
+              "trace = 1\n'result.trace in a docstring'\n")
+    assert _reads_off_self(source, "trace") == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_reads_trace(path):
+    """``OptimizationResult.trace`` builds a tuple per sweep on each read,
+    so library code reads the result's ``trace_array`` instead; only the
+    CLI, which formats the rows, may build it."""
+    assert _reads_off_self(path.read_text(), "trace") == []

@@ -162,6 +162,15 @@ class TestGridSearch:
         assert pbpo_exact(benchmark_template, numpy_ints, seed=3) \
             == pbpo_exact(benchmark_template, OptimizerSettings(max_iters=40, restarts=2), seed=3)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-4])
+    @pytest.mark.parametrize("field", ["step", "eps"])
+    def test_settings_step_and_eps_positive_and_finite(self, field, value):
+        """``step=inf`` walked to the clamp edge in two sweeps and reported
+        ``converged=True``, and ``eps=inf`` stopped after one sweep; each is
+        refused, naming the field."""
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+            OptimizerSettings(**{field: value})
+
     def test_resolution_guard(self, benchmark_template):
         with pytest.raises(ValueError):
             grid_search(benchmark_template, OptimizerSettings(grid_resolution=5e-5,
@@ -527,6 +536,52 @@ class TestPbpo:
             assert a == pytest.approx(b, abs=2.0 * settings.step)
         assert exact.iterations < fixed.iterations
 
+
+class TestOptimizationResult:
+    def test_headline_result_keeps_one_array(self, benchmark_template):
+        """The headline run's result keeps its 476 trace rows as one array of
+        8 bytes a number, about 15 KB, not a tuple of row tuples of float
+        objects (42 KB in all)."""
+        settings = OptimizerSettings()
+        pbpo(benchmark_template, settings, init=(0.5,) * 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = pbpo(benchmark_template, settings, init=(0.5,) * 3)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 475
+        assert kept <= 24 * 1024
+
+    @pytest.mark.parametrize("optimizer", [pbpo, pbpo_exact], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trace_array_layout(self, optimizer, n):
+        """One read-only float64 row per sweep and the start, beliefs then
+        risk, owning its data; ``trace`` is its rows as tuples of floats."""
+        template = NetworkTemplate(0.4, CostPair(1.0, 1.4), ObservationModel(sigma=0.8), n)
+        result = optimizer(template, OptimizerSettings(max_iters=60), init=(0.5,) * (n + 1))
+        rows = result.trace_array
+        assert rows.dtype == np.float64 and rows.shape == (result.iterations + 1, n + 2)
+        assert rows.base is None and not rows.flags.writeable
+        assert result.trace == tuple(tuple(float(x) for x in row) for row in rows)
+        assert {type(x) for row in result.trace for x in row} == {float}
+        assert result.trace[0][:-1] == (0.5,) * (n + 1)
+        assert result.trace[-1][:-1] == result.beliefs
+
+    def test_equal_and_hash_see_the_trace(self, benchmark_template):
+        """Two runs alike are equal and hash alike, as their fields and
+        ``trace`` do; a result whose trace differs in one double is not equal."""
+        settings = OptimizerSettings(max_iters=30)
+        first, second = (pbpo(benchmark_template, settings, init=(0.5,) * 3) for _ in range(2))
+        fields = (first.beliefs, first.risk, first.iterations, first.converged,
+                  first.stationarity_residual, first.trace)
+        assert first == second and hash(first) == hash(second) == hash(fields)
+        altered = first.trace_array.copy()
+        altered[0, 0] = 0.25
+        other = dataclasses.replace(first, trace_array=altered)
+        assert first != other and hash(first) != hash(other)
+        assert first != fields
 
 class TestExactCoordinateUpdate:
     def test_symmetric_fixed_point(self, std_model):
