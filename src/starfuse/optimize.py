@@ -47,6 +47,11 @@ each loop redo only what a probe changes:
 - ``pbpo_exact`` updates every local of a sweep from one
   ``network.pinned_fusion_sweep``, O(N^2) per sweep.
 
+The descents build each run's trace as one flat list of floats, a sweep's
+beliefs and then its risk, and ``OptimizationResult`` keeps it as one
+read-only float64 array of a row per sweep, so a result holds no tuple per
+sweep until its ``trace`` is read.
+
 Every array mix of count pmfs with per-count fusion errors is
 ``network.mix``, so the scan's risks are ``batch_risk``'s and ``exact_risk``'s
 bit for bit. The evaluator's mix forms each count of the last local's
@@ -710,8 +715,9 @@ def _pbpo_exact_run(search, template, settings, init):
 
 
 def _finish(template, q, sweeps, converged, trace):
-    """The result of a descent's run, from its flat trace list: the copy
-    owns its rows, as ``OptimizationResult`` keeps them."""
+    """The result of a descent's run, from its flat trace list. ``reshape``
+    gives a view of the flat array, so the rows are copied into an array
+    that owns them, as ``OptimizationResult`` keeps its trace."""
     config = template.config(q[0], q[1:])
     rows = np.array(trace).reshape(sweeps + 1, len(q) + 1).copy()
     rows.flags.writeable = False
