@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import mpmath
@@ -405,6 +406,10 @@ class TestBinomialKernel:
             assert folds == [0, 1]  # the ladder fold stops at size 5
 
 
+_PINNED_BELIEFS = {"tied": lambda n: (0.35,) * n,
+                   "heterogeneous": lambda n: tuple(0.2 + 0.07 * i for i in range(n))}
+
+
 class TestExactRisk:
     def test_per_count_types_and_beliefs(self):
         rng = np.random.default_rng(12)
@@ -431,6 +436,54 @@ class TestExactRisk:
         it, on each path: per float (N = 3), the array fold (N = 12,
         heterogeneous) and the Binomial kernel (N = 40, tied)."""
         assert hashlib.sha256(repr(exact_risk(config)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("sigma, costs, beliefs, digest", [
+        (0.05, (1.0, 1.0), "tied", "943dfe5f8fb86a57be456bcb6f03f9edcc7a82b932f75f55c3bc7dd9a3c445a0"),
+        (0.05, (1.0, 1.0), "heterogeneous",
+         "e6604c16eab1faf18287f0db224835d8668ee77b968a3d48bf0117e185078563"),
+        (0.05, (1.0, 4.0), "tied", "bc03bda9b0aae1c52f6b33d8d0ddce7e6e4393f451262f37d8d353f40aab2706"),
+        (0.05, (1.0, 4.0), "heterogeneous",
+         "52557b7f4877daafcb25debacaef9e79edfea437a5884270359275353e45e5b2"),
+        (1.0, (1.0, 1.0), "tied", "29cdb5e7f4130f15c6f901b80921144aeefd15c61427b25ce6cff939f8a67575"),
+        (1.0, (1.0, 1.0), "heterogeneous",
+         "aeec9fdffb8a8b5f03e4065e8fe94ec07c02ca9ff555fd0ca4109e925d82e19a"),
+        (1.0, (1.0, 4.0), "tied", "8c6cb917d4327a898f51e1ba65071d2e911bfebd8816c08a6bb5582449cbe9c2"),
+        (1.0, (1.0, 4.0), "heterogeneous",
+         "3d480aff43c422e050ff606474b87d456800a03a1092f7cc59ea1650d544c841"),
+        (10.0, (1.0, 1.0), "tied", "47e0d096a10a51448aded284563f54095cb20e575df0d0aa644535a6e7fb9b9c"),
+        (10.0, (1.0, 1.0), "heterogeneous",
+         "ea69fa183e7648890d3545cf89b2f6994836900fa73f7bf02706264b85f612e9"),
+        (10.0, (1.0, 4.0), "tied", "20b58ed439e149b70a006d8334fb407cc708f08e37bdeaa629c6bf1e6856f87b"),
+        (10.0, (1.0, 4.0), "heterogeneous",
+         "a6067ffba7b47d47f4715dd58117406367224b20562e5bfe3063f5dd2fef8682"),
+    ])
+    def test_small_networks_pinned(self, sigma, costs, beliefs, digest):
+        """The report (its per-count log-odds and thresholds included) and
+        ``pinned_fusion_errors`` of every size from 1 to 9 locals, both sides
+        of ``PER_FLOAT_BELOW``, as one SHA-256 over their reprs and bytes."""
+        sha = hashlib.sha256()
+        for n in range(1, 10):
+            config = NetworkConfig(0.3, CostPair(*costs), ObservationModel(sigma=sigma), 0.45,
+                                   _PINNED_BELIEFS[beliefs](n))
+            sha.update(repr(exact_risk(config)).encode())
+            for errors in pinned_fusion_errors(config):
+                sha.update(errors.tobytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    @pytest.mark.parametrize("costs", [(1.0, 1.0), (1.0, 4.0)])
+    @pytest.mark.parametrize("beliefs", ["tied", "heterogeneous"])
+    def test_extreme_sigma_is_quiet_nan(self, sigma, costs, beliefs):
+        """At a sigma whose fusion log factors are not finite, a network of
+        up to 7 locals reports nan throughout, with no ``RuntimeWarning``."""
+        for n in range(1, 8):
+            config = NetworkConfig(0.3, CostPair(*costs), ObservationModel(sigma=sigma), 0.45,
+                                   _PINNED_BELIEFS[beliefs](n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = exact_risk(config)
+            counts = ", ".join(f"({k}, nan, nan)" for k in range(n + 1))
+            assert repr(report) == f"RiskReport(r0=nan, p_fa0=nan, p_md0=nan, per_count=({counts}))"
 
     def test_report_keeps_two_arrays(self):
         """A report keeps its profile as two arrays of N + 1 doubles, 32 KB at
