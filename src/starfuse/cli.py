@@ -199,6 +199,8 @@ def cmd_grid(args) -> Output:
 
 
 def cmd_pbpo(args) -> Output:
+    if args.trace and not args.csv:
+        raise ValueError("pbpo --trace needs --csv, where it writes every sweep's row")
     template = NetworkTemplate(args.pi0, *_costs_model(args), args.n_local)
     settings = OptimizerSettings(step=args.delta, eps=args.eps,
                                  max_iters=args.max_iters, restarts=args.restarts)

@@ -38,20 +38,22 @@ leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``; each
 pass forms its locals' rates afresh.
 
 One rule picks between a per-float and an array path: a network of fewer
-than ``PER_FLOAT_BELOW`` agents goes one float at a time in the three O(N^2)
-kernels, ``count_distribution``, ``exact_risk`` and ``pinned_fusion_sweep``,
-so it pays numpy's per-call cost once per kernel, not once per operation.
+than ``PER_FLOAT_BELOW`` agents goes one float at a time in the two O(N^2)
+kernels, ``count_distribution`` and ``pinned_fusion_sweep``, so it pays
+numpy's per-call cost once per kernel, not once per operation.
+``exact_risk`` takes its count pmf from ``count_distribution`` and its O(N)
+per-count fusion errors from ``_fusion_count_errors`` at every size.
 Each helper has one path: the array helpers (``_rate_columns``,
 ``_fusion_count_errors``, ``_fold_agents``) take arrays, and the scalar ones
-(``_local_tails``, ``_count_error_rows``, ``fold_agent``, ``_dot``) floats,
-with tails and errors from ``observation.per_float_rates``. It and
-``fold_agent``, the one scalar count fold, serve ``optimize``'s evaluator
-too, whose count pmfs its fusion line search scans. Both paths give the same
-doubles; the per-float mixes, fewer than ``PER_FLOAT_BELOW`` terms each, go
-left to right as ``mix`` sums such a short row (``_dot``), which no
-``np.einsum`` or matrix product would let them do. The evaluator's mix adds
-left to right too, so it is ``exact_risk``'s below 8 counts (N <= 6) and
-may differ in the last bit above. It takes the pmfs of N - 1 locals and the
+(``_local_tails``, ``fold_agent``, ``_dot``) floats, with tails and errors
+from ``observation.per_float_rates``. It and ``fold_agent``, the one scalar
+count fold, serve ``optimize``'s evaluator too, whose count pmfs its fusion
+line search scans. Both paths give the same doubles; the per-float mixes,
+fewer than ``PER_FLOAT_BELOW`` terms each, go left to right as ``mix``
+sums such a short row (``_dot``), which no ``np.einsum`` or matrix product
+would let them do. The evaluator's mix adds left to right too, so it is
+``exact_risk``'s below 8 counts (N <= 6) and may differ in the last bit
+above. It takes the pmfs of N - 1 locals and the
 last local's tails, and forms each count of that local's ``fold_agent`` as
 it mixes it, with the same operations in the same order, so a descent
 probe builds no pmf lists for the last local. Both paths start from one
@@ -94,8 +96,8 @@ from .observation import (
 BATCH_CHUNK_ROWS = 200_000
 
 # Networks of fewer agents than this go one float at a time in the O(N^2)
-# kernels (count_distribution, exact_risk and pinned_fusion_sweep), with the
-# array path's values; larger ones pay numpy's fixed cost per call once.
+# kernels (count_distribution and pinned_fusion_sweep), with the array
+# path's values; larger ones pay numpy's fixed cost per call once.
 # _dot's left-to-right row sum is np.add.reduce's only below 8 terms, so
 # the constant stays at most 8. Measured on a 2-core Xeon (numpy 2.4,
 # scipy 1.17): the per-float pipelines break even at about 7 local rates
@@ -404,15 +406,6 @@ def fold_agent(pmfs, tail):
     return new0, new1
 
 
-def _count_error_rows(model: ObservationModel, costs: CostPair, e0: float, n: int) -> list:
-    """``_fusion_count_errors`` of the float fusion log-odds ``e0`` at ``n``
-    local decisions, one float at a time: one (fa, md, ell, lam) tuple per
-    count 0..n, the array path's doubles, from ``per_float_rates``."""
-    rows = []
-    per_float_rates(model, costs)[1](e0, *fusion_log_factors(model, costs, e0), n, rows)
-    return rows
-
-
 def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     """Fusion (false-alarm, missed-detection) probability after each count
     0..n of local ones among ``n`` decisions, with the updated log-odds and
@@ -420,7 +413,8 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     arrays of shape (n + 1,); an array of them gives one row per entry. A
     list of sizes ``n`` puts the counts 0..n of each size after one another
     on the last axis, each entry the same double as at that size alone.
-    ``_count_error_rows`` gives the same doubles one float at a time."""
+    ``observation.per_float_rates``' ``count_errors`` gives the same
+    false-alarm and missed-detection doubles one float at a time."""
     ell0 = np.asarray(ell0)
     if isinstance(n, list):
         k = np.concatenate([np.arange(size + 1) for size in n])
@@ -462,21 +456,16 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
 
     Mixes the per-count fusion error probabilities over the count pmf with
     ``mix``; the decomposition identity r0 = c_fa*pi0*p_fa0 +
-    c_md*(1-pi0)*p_md0 holds by construction. Below ``PER_FLOAT_BELOW``
-    agents the per-count fusion errors go one float at a time, with the same
-    doubles. The report keeps the per-count fusion log-odds and thresholds
+    c_md*(1-pi0)*p_md0 holds by construction. The per-count fusion errors
+    are O(N) work, so they take the array path at every size; only the
+    count pmf, O(N^2), goes one float at a time below ``PER_FLOAT_BELOW``
+    agents. The report keeps the per-count fusion log-odds and thresholds
     as two arrays of their own, so nothing else of the call stays alive, and
     builds ``per_count`` from them only when it is read.
     """
-    n, model, costs = config.n_local, config.model, config.costs
-    pmf = count_distribution(config)
-    ell0 = log_odds(config.q0)
-    if n < PER_FLOAT_BELOW:
-        fa, md, ell, lam = zip(*_count_error_rows(model, costs, ell0, n))
-        ell, lam = np.array(ell), np.array(lam)
-    else:
-        fa, md, ell, lam = _fusion_count_errors(model, costs, ell0, n)
-    p_fa0, p_md0 = mix(pmf, np.array((fa, md))).tolist()
+    fa, md, ell, lam = _fusion_count_errors(config.model, config.costs, log_odds(config.q0),
+                                            config.n_local)
+    p_fa0, p_md0 = mix(count_distribution(config), np.array((fa, md))).tolist()
     ell.flags.writeable = lam.flags.writeable = False
     return RiskReport(r0=bayes_risk(config.pi0, config.costs, p_fa0, p_md0),
                       p_fa0=p_fa0, p_md0=p_md0, log_odds=ell, thresholds=lam)
@@ -716,7 +705,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise):
     ell0 = log_odds(config.q0)
     if n < PER_FLOAT_BELOW:
         tails = _local_tails(model, costs, beliefs)
-        fa, md, _, _ = zip(*_count_error_rows(model, costs, ell0, n))
+        fa, md = per_float_rates(model, costs)[1](ell0, *fusion_log_factors(model, costs, ell0), n)
         after = [None] * n
         after[n - 1] = fa, md
         for j in range(n - 1, 0, -1):

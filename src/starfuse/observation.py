@@ -268,7 +268,7 @@ def per_float_rates(model: ObservationModel, costs: CostPair):
     ``decision_tails`` at local log-odds ``ell``, and ``count_errors(ell0,
     l_zero, l_one, n)``, the ``error_probs`` lists after k = 0..n local ones
     at log-odds ell0 + (n - k) l_zero + k l_one (``fusion_log_factors`` of
-    ell0); given a list ``rows``, it also appends (fa, md, log-odds, lam)."""
+    ell0)."""
     s, v, logc, erfc = model.sigma, model.variance_proxy, costs.log_ratio, special.erfc
 
     def local_tails(ell):
@@ -277,15 +277,13 @@ def per_float_rates(model: ObservationModel, costs: CostPair):
         return (0.5 * float(erfc(x0)), 0.5 * float(erfc(x1)),
                 0.5 * float(erfc(-x0)), 0.5 * float(erfc(-x1)))
 
-    def count_errors(ell0, l_zero, l_one, n, rows=None):
+    def count_errors(ell0, l_zero, l_one, n):
         fa, md = [], []
         for k in range(n + 1):
             ell = ell0 + (n - k) * l_zero + k * l_one
             lam = 0.5 + v * (logc + ell)
             fa.append(0.5 * float(erfc(lam / s / _SQRT2)))
             md.append(0.5 * float(erfc(-(lam - 1.0) / s / _SQRT2)))
-            if rows is not None:
-                rows.append((fa[-1], md[-1], ell, lam))
         return fa, md
 
     return local_tails, count_errors

@@ -21,10 +21,12 @@ call, which ``network`` cuts into passes of bounded memory; ``grid_search``
 is the one-prior case of the same stage loop.
 The loops that move one belief at a time use ``_RiskEvaluator``, the
 per-float formula of ``observation.per_float_rates`` with memoized tails;
-tests pin it to ``exact_risk``. Its two steps, ``network.fold_agent`` of one
-local into the count pmfs and a mix that folds the last local into the pmfs
-of the others as it mixes them with a fusion belief's per-count errors, let
-each loop redo only what a probe changes:
+tests pin it to ``exact_risk``, and its per-count fusion errors to the
+doubles of ``network._fusion_count_errors``. Its two steps,
+``network.fold_agent`` of one local into the count pmfs and a mix that
+folds the last local into the pmfs of the others as it mixes them with a
+fusion belief's per-count errors, let each loop redo only what a probe
+changes:
 
 - ``pbpo`` keeps the prefix count pmfs of locals 1..N-1 of the current
   tuple and the last local's tails, with one evaluator per run. A probe of
@@ -129,6 +131,9 @@ class OptimizerSettings:
         for name in ("step", "eps"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        # From the default start of 0.5, a step of 0.5 or more probes only the clamp edges.
+        if self.step >= 0.5:
+            raise ValueError("step must be below 0.5")
         check_integer("max_iters", self.max_iters)
         check_integer("restarts", self.restarts)
         if self.max_iters < 1 or self.restarts < 1:
@@ -201,8 +206,8 @@ class _RiskEvaluator:
     belief, each local belief's four decision tails (``tails``, which
     ``tails_of`` fills) and each fusion belief's per-count fusion errors
     (``errors_of``), both from ``observation.per_float_rates`` as
-    ``network``'s per-float paths take them, and the loops keep the prefix
-    pmfs a probe does not change.
+    ``network``'s per-float leave-one-out pass takes them, and the loops
+    keep the prefix pmfs a probe does not change.
     A memo hit costs no Python call; a ``__missing__`` hook would cost one.
 
     ``mix`` raises ``FloatingPointError`` naming the fusion belief and sigma

@@ -64,12 +64,15 @@ def fit_prelec_minimax(pi0_values, q1_values) -> tuple[PrelecParams, float]:
     log-parameter space (``xatol`` 1e-7, ``fatol`` 1e-12, 4,000 iterations:
     scipy's Nelder-Mead with these options gives the same doubles). Returns
     the fitted parameters and the achieved sup error, both evaluated on the
-    given sample points only (no interpolation).
+    given sample points only (no interpolation). Fewer than 3 samples raise
+    ``ValueError``: the two parameters fit so few points whatever the curve.
     """
     x = np.asarray(pi0_values, dtype=float)
     y = np.asarray(q1_values, dtype=float)
     if x.size == 0 or x.shape != y.shape:
         raise ValueError("curve must supply matching, non-empty pi0 and belief samples")
+    if x.size < 3:
+        raise ValueError(f"a Prelec fit of 2 parameters needs at least 3 samples, got {x.size}")
 
     def objective(log_params):
         params = PrelecParams(math.exp(log_params[0]), math.exp(log_params[1]))

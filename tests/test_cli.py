@@ -262,6 +262,30 @@ class TestPbpoCommand:
         assert err == f"error: {name} must be positive and finite\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["pbpo", "exact"])
+    @pytest.mark.parametrize("delta", ["0.5", "0.9"])
+    def test_step_of_half_or_more_exits_two(self, capsys, tmp_path, delta, exact):
+        """``--delta 0.9`` and ``--delta 0.5`` probed only the clamp edges from
+        the start of 0.5 and reported converged=True; each now exits 2 with
+        one error line and writes no file."""
+        path = tmp_path / "pbpo.csv"
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *exact, "--delta", delta,
+                                 "--csv", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: step must be below 0.5\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["pbpo", "exact"])
+    def test_trace_without_csv_exits_two(self, capsys, tmp_path, monkeypatch, exact):
+        """``--trace`` only adds rows to the CSV; without ``--csv`` it printed
+        what the command prints without it, and now exits 2 before any
+        sweep, with one error line and no file."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *exact, "--trace")
+        assert code == 2 and out == ""
+        assert err == "error: pbpo --trace needs --csv, where it writes every sweep's row\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_init_length_validated(self, capsys):
         code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--init", "0.5,0.5")
         assert code == 2
@@ -297,6 +321,18 @@ class TestPbpoCommand:
 
 
 class TestPrelecCommand:
+    @pytest.mark.parametrize("sweep, count", [("0.5:0.5:0.1", 1), ("0.5:0.51:0.01", 2)])
+    def test_fewer_than_three_priors_exit_two(self, capsys, tmp_path, sweep, count):
+        """One prior gave alpha=0.6079102093 with linf=2.2e-16, and two gave
+        alpha=0.2391684083: two parameters fit so few points whatever the
+        curve. Each now exits 2 with one error line and writes no file."""
+        path = tmp_path / "prelec.csv"
+        code, out, err = run_cli(capsys, "prelec", "--sweep-pi0", sweep, "--csv", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: a Prelec fit of 2 parameters needs at least 3 samples, "
+                       f"got {count}\n")
+        assert not path.exists()
+
     def test_fit_from_computed_sweep(self, capsys, tmp_path):
         path = tmp_path / "prelec.csv"
         code, out, _ = run_cli(capsys, "prelec", "--sweep-pi0", "0.2:0.8:0.05",
@@ -352,8 +388,11 @@ class TestPrelecCommand:
         assert not path.exists()
 
     def test_zero_risk_sweep_input_accepted(self, capsys, tmp_path):
+        """A risk of 0 is a valid sweep cell; the sweep holds the 3 priors a
+        fit needs."""
         sweep = tmp_path / "sweep.csv"
-        sweep.write_text("pi0,q0_opt,q1_opt,risk_opt\n0.3,0.7372,0.396,0\n")
+        sweep.write_text("pi0,q0_opt,q1_opt,risk_opt\n0.2,0.26,0.22,0.15\n0.3,0.7372,0.396,0\n"
+                         "0.6,0.62,0.6,0.3\n")
         code, out, err = run_cli(capsys, "prelec", "--input", str(sweep))
         assert (code, err) == (0, "")
         assert "alpha=" in out

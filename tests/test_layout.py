@@ -518,7 +518,7 @@ def test_size_switch_sites_seen():
 
 # The O(N^2) kernels that choose between the per-float and array paths by
 # agent count; every helper they call has one path.
-SIZE_SWITCHES = {"count_distribution", "exact_risk", "pinned_fusion_sweep"}
+SIZE_SWITCHES = {"count_distribution", "pinned_fusion_sweep"}
 # The two that choose between the count fold and the Binomial kernel for
 # tied networks.
 BINOMIAL_SWITCHES = {"count_distribution", "tied_exact_risks"}
@@ -526,7 +526,7 @@ BINOMIAL_SWITCHES = {"count_distribution", "tied_exact_risks"}
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_size_switch_only_in_network(path):
-    """Only ``network``'s three O(N^2) kernels choose between the per-float
+    """Only ``network``'s two O(N^2) kernels choose between the per-float
     and array paths, and only ``count_distribution`` and
     ``tied_exact_risks`` between the count fold and the Binomial kernel, so
     a change of either constant moves no other module and no helper. Only

@@ -45,7 +45,7 @@ from starfuse.network import (
     pinned_fusion_sweep,
     tied_exact_risks,
 )
-from starfuse.observation import clamped_log_odds, per_float_rates
+from starfuse.observation import clamped_log_odds, fusion_log_factors, per_float_rates
 from conftest import random_config
 
 
@@ -640,14 +640,16 @@ def _per_float_rate_columns(model, costs, ell):
 
 
 def _per_float_count_errors(model, costs, ell0, n):
-    """``_fusion_count_errors`` one float at a time: the ``_count_error_rows``
-    of each fusion log-odds at each size, stacked by ``zip`` as
-    ``exact_risk`` stacks them."""
+    """The false alarms and missed detections of ``_fusion_count_errors``
+    one float at a time: ``per_float_rates``' ``count_errors`` of each
+    fusion log-odds at each size, in the array path's layout."""
     ell0 = np.asarray(ell0)
     sizes = n if isinstance(n, list) else [n]
-    rows = [row for e0 in ell0.ravel().tolist() for size in sizes
-            for row in network._count_error_rows(model, costs, e0, size)]
-    return tuple(np.array(list(zip(*rows))).reshape((4,) + ell0.shape + (-1,)))
+    count_errors = per_float_rates(model, costs)[1]
+    pairs = [count_errors(e0, *fusion_log_factors(model, costs, e0), size)
+             for e0 in ell0.ravel().tolist() for size in sizes]
+    return tuple(np.array([x for pair in pairs for x in pair[h]]).reshape(ell0.shape + (-1,))
+                 for h in (0, 1))
 
 
 def _both_paths(function, *args, per_float_below=math.inf):
@@ -745,8 +747,11 @@ class TestPerFloatPath:
                        st.lists(st.integers(1, PER_FLOAT_BELOW), min_size=1, max_size=3,
                                 unique=True).map(sorted)))
     def test_fusion_count_errors(self, sigma, c_fa, c_md, ell0, n):
+        """The per-count errors ``optimize``'s evaluator and the per-float
+        leave-one-out pass take; the log-odds and thresholds have no
+        per-float form, and ``TestExactRisk`` pins them."""
         model, costs = ObservationModel(sigma=sigma), CostPair(c_fa, c_md)
-        _assert_same_arrays(_fusion_count_errors(model, costs, ell0, n),
+        _assert_same_arrays(_fusion_count_errors(model, costs, ell0, n)[:2],
                             _per_float_count_errors(model, costs, ell0, n))
 
     @settings(max_examples=60, deadline=None)
@@ -816,18 +821,18 @@ class TestPerFloatPath:
             assert folded.tobytes() == array.tobytes()
 
     def test_default_path_by_size(self, benchmark_template):
-        """Each side of the constant takes its path unpatched."""
+        """Each side of the constant takes its path unpatched, and
+        ``exact_risk`` takes its per-count errors from the array path on
+        both."""
         model, costs = benchmark_template.model, benchmark_template.costs
-        paths = []
-        rows, arrays = network._count_error_rows, network._fusion_count_errors
-        with mock.patch.object(network, "_count_error_rows",
-                               lambda *a: paths.append("per float") or rows(*a)), \
-                mock.patch.object(network, "_fusion_count_errors",
-                                  lambda *a: paths.append("array") or arrays(*a)):
-            for n, path in ((PER_FLOAT_BELOW - 1, "per float"), (PER_FLOAT_BELOW, "array")):
-                paths.clear()
+        sizes = []
+        arrays = network._fusion_count_errors
+        with mock.patch.object(network, "_fusion_count_errors",
+                               lambda *a: sizes.append(a[3]) or arrays(*a)):
+            for n in (PER_FLOAT_BELOW - 1, PER_FLOAT_BELOW):
+                sizes.clear()
                 exact_risk(_config(q_local=(0.3,) * n))
-                assert paths == [path]
+                assert sizes == [n]
         folds = []
         fold = network.fold_agent
         with mock.patch.object(network, "fold_agent", lambda *a: folds.append(a) or fold(*a)):

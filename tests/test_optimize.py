@@ -171,6 +171,15 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
             OptimizerSettings(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.5, 0.9, 1e300])
+    def test_settings_step_below_half(self, value):
+        """From the default start of 0.5 a step of 0.5 or more probes only the
+        clamp edges (``--delta 0.9`` reported converged=True at the edge), so
+        it is refused as ``grid_resolution`` is; a step just below passes."""
+        with pytest.raises(ValueError, match=r"^step must be below 0\.5$"):
+            OptimizerSettings(step=value)
+        assert OptimizerSettings(step=math.nextafter(0.5, 0.0)).step < 0.5
+
     def test_resolution_guard(self, benchmark_template):
         with pytest.raises(ValueError):
             grid_search(benchmark_template, OptimizerSettings(grid_resolution=5e-5,
@@ -203,7 +212,8 @@ def _uncached_risk(template, beliefs):
     """Reference scalar risk: the evaluator's arithmetic with nothing memoized,
     every decision rate the Gaussian tail on its own side from scipy's
     ``erfc``, the fusion log factors from ``log_ndtr`` and each count's
-    log-odds summed as ``network._count_error_rows`` sums them."""
+    log-odds summed as ``observation.per_float_rates``' ``count_errors``
+    sums them."""
     model, costs = template.model, template.costs
     s = model.sigma
     v = model.variance_proxy
@@ -341,15 +351,16 @@ class TestRiskEvaluator:
                             min_size=2, max_size=10))
     def test_equals_network_per_float_path(self, sigma, costs, beliefs):
         """The evaluator's tails and per-count fusion errors are the doubles of
-        ``network._local_tails`` and ``network._count_error_rows``, beliefs
-        at and past the clamp included."""
+        ``network._local_tails`` and of the false alarms and missed
+        detections of ``network._fusion_count_errors``, which ``exact_risk``
+        mixes, beliefs at and past the clamp included."""
         n = len(beliefs) - 1
         model, costs = ObservationModel(sigma=sigma), CostPair(*costs)
         evaluator = _RiskEvaluator(NetworkTemplate(0.3, costs, model, n))
         assert [evaluator.tails_of(q) for q in beliefs] == network._local_tails(model, costs, beliefs)
         for q0 in beliefs:
-            fa, md, _, _ = zip(*network._count_error_rows(model, costs, log_odds(q0), n))
-            assert evaluator.errors_of(q0) == (list(fa), list(md))
+            fa, md = network._fusion_count_errors(model, costs, log_odds(q0), n)[:2]
+            assert evaluator.errors_of(q0) == (fa.tolist(), md.tolist())
 
     @hypothesis_settings(max_examples=120, deadline=None)
     @given(sigma=st.floats(-2.0, 1.5).map(lambda e: 10.0 ** e),

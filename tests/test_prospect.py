@@ -84,6 +84,17 @@ class TestMinimaxFit:
         with pytest.raises(ValueError):
             fit_prelec_minimax([], [])
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_samples_than_three_rejected(self, count):
+        """Two parameters fit one or two points whatever the curve, so such a
+        fit is refused; three points are fitted."""
+        x = [0.3, 0.5, 0.7][:count]
+        with pytest.raises(ValueError, match=f"^a Prelec fit of 2 parameters needs at least "
+                                             f"3 samples, got {count}$"):
+            fit_prelec_minimax(x, x)
+        params, linf = fit_prelec_minimax([0.3, 0.5, 0.7], [0.3, 0.5, 0.7])
+        assert linf <= 1e-5
+
     def test_mismatched_curve_rejected(self):
         with pytest.raises(ValueError, match="matching, non-empty"):
             fit_prelec_minimax([0.3, 0.5], [0.4])
