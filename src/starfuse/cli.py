@@ -47,6 +47,7 @@ from .montecarlo import SimulationSpec, estimate_exponent, simulate
 from .network import NetworkTemplate, exact_risk
 from .observation import CostPair, ObservationModel, check_prior
 from .optimize import (
+    RESTART_SEED,
     OptimizerSettings,
     SweepPoint,
     checked_risks,
@@ -202,12 +203,21 @@ def cmd_pbpo(args) -> Output:
     if args.trace and not args.csv:
         raise ValueError("pbpo --trace needs --csv, where it writes every sweep's row")
     template = NetworkTemplate(args.pi0, *_costs_model(args), args.n_local)
-    settings = OptimizerSettings(step=args.delta, eps=args.eps,
-                                 max_iters=args.max_iters, restarts=args.restarts)
+    settings = OptimizerSettings(
+        step=OptimizerSettings.step if args.delta is None else args.delta, eps=args.eps,
+        max_iters=args.max_iters,
+        restarts=OptimizerSettings.restarts if args.restarts is None else args.restarts)
+    # A flag that the run would not read is refused, once its value is checked.
+    if args.exact and args.delta is not None:
+        raise ValueError("pbpo --exact takes no --delta: it minimizes each coordinate exactly")
+    if not args.random_init and (args.restarts is not None or args.seed is not None):
+        raise ValueError("pbpo --restarts and --seed need --random-init: "
+                         "a run from --init or the default start has no restarts")
     init = None if args.random_init else \
         _parse_floats(args.init) if args.init is not None else (0.5,) * (args.n_local + 1)
     runner = pbpo_exact if args.exact else pbpo
-    result = runner(template, settings, init=init, seed=args.seed)
+    result = runner(template, settings, init=init,
+                    seed=RESTART_SEED if args.seed is None else args.seed)
     header = ["sweep", "q0"] + [f"q{i}" for i in range(1, args.n_local + 1)] + ["risk"]
     trace = result.trace_array
     rows = ([idx, *row] for idx, row in enumerate(trace.tolist())) if args.trace \
@@ -279,6 +289,9 @@ def cmd_phase(args) -> Output:
         axis = _unit_axis(args.grid, "--grid")
         if args.pi0 is not None:
             check_prior(args.pi0)
+        if args.q0 is not None or args.q1 is not None or args.strict:
+            raise ValueError("phase --grid maps every (q0, q1) and classifies no single point: "
+                             "it takes no --q0, --q1 or --strict")
         regions = phase_map(model, costs, axis, axis)
         # Each axis value and region name is formatted once, not once per cell.
         labels = [_fmt(v) for v in axis]
@@ -372,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pbpo", help="coordinate-descent belief optimization")
     p.add_argument("--pi0", type=float, required=True)
     p.add_argument("--n-local", type=int, default=2)
-    p.add_argument("--delta", type=float, default=5e-4, help="coordinate step size")
+    p.add_argument("--delta", type=float,
+                   help=f"coordinate step size (default {OptimizerSettings.step}; "
+                        f"not with --exact)")
     p.add_argument("--eps", type=float, default=1e-4, help="stopping threshold")
     p.add_argument("--max-iters", type=int, default=2000)
     start = p.add_mutually_exclusive_group()
@@ -380,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(default: all 0.5)")
     start.add_argument("--random-init", action="store_true",
                        help="seeded uniform-random restarts instead of --init")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--restarts", type=int,
+                   help=f"--random-init restarts (default {OptimizerSettings.restarts})")
+    p.add_argument("--seed", type=int, help=f"--random-init seed (default {RESTART_SEED})")
     p.add_argument("--trace", action="store_true", help="emit per-sweep rows to --csv")
     p.add_argument("--exact", action="store_true",
                    help="exact per-coordinate minimization instead of fixed steps")

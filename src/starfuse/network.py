@@ -37,18 +37,19 @@ prior: ``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
 leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``; each
 pass forms its locals' rates afresh.
 
-One rule picks between a per-float and an array path: a network of fewer
-than ``PER_FLOAT_BELOW`` agents goes one float at a time in the two O(N^2)
-kernels, ``count_distribution`` and ``pinned_fusion_sweep``, so it pays
-numpy's per-call cost once per kernel, not once per operation.
-``exact_risk`` takes its count pmf from ``count_distribution`` and its O(N)
-per-count fusion errors from ``_fusion_count_errors`` at every size.
-Each helper has one path: the array helpers (``_rate_columns``,
-``_fusion_count_errors``, ``_fold_agents``) take arrays, and the scalar ones
-(``_local_tails``, ``fold_agent``, ``_dot``) floats, with tails and errors
-from ``observation.per_float_rates``. It and ``fold_agent``, the one scalar
-count fold, serve ``optimize``'s evaluator too, whose count pmfs its fusion
-line search scans. Both paths give the same doubles; the per-float mixes,
+One rule picks between a per-float and an array path, in one kernel: a
+network of fewer than ``PER_FLOAT_BELOW`` agents goes one float at a time
+in the O(N^2) leave-one-out pass, ``pinned_fusion_sweep``, so it pays
+numpy's per-call cost once per pass, not once per operation.
+``exact_risk`` is array code at every size: its count pmf from
+``count_distribution`` and its O(N) per-count fusion errors from
+``_fusion_count_errors``. Each helper has one path: the array helpers
+(``_rate_columns``, ``_fusion_count_errors``, ``_fold_agents``) take
+arrays, and the scalar ones (``_local_tails``, ``fold_agent``, ``_dot``)
+floats, with tails and errors from ``observation.per_float_rates``. It and
+``fold_agent``, the one scalar count fold, serve ``optimize``'s evaluator
+too, whose count pmfs its fusion line search scans. Both paths give the
+same doubles; the per-float mixes,
 fewer than ``PER_FLOAT_BELOW`` terms each, go left to right as ``mix``
 sums such a short row (``_dot``), which no ``np.einsum`` or matrix product
 would let them do. The evaluator's mix adds left to right too, so it is
@@ -96,13 +97,12 @@ from .observation import (
 BATCH_CHUNK_ROWS = 200_000
 
 # Networks of fewer agents than this go one float at a time in the O(N^2)
-# kernels (count_distribution and pinned_fusion_sweep), with the array
-# path's values; larger ones pay numpy's fixed cost per call once.
-# _dot's left-to-right row sum is np.add.reduce's only below 8 terms, so
-# the constant stays at most 8. Measured on a 2-core Xeon (numpy 2.4,
-# scipy 1.17): the per-float pipelines break even at about 7 local rates
-# and 12 per-count fusion errors (7 and 11 agents), and are 1.6-3.3x faster
-# at 1-3 agents.
+# leave-one-out pass (pinned_fusion_sweep), with the array path's values;
+# larger ones pay numpy's fixed cost per call once. _dot's left-to-right
+# row sum is np.add.reduce's only below 8 terms, so the constant stays at
+# most 8. Measured on a 2-core Xeon (numpy 2.4, scipy 1.17): the per-float
+# pipelines break even at about 7 local rates and 12 per-count fusion
+# errors (7 and 11 agents), and are 1.6-3.3x faster at 1-3 agents.
 PER_FLOAT_BELOW = 8
 
 # Tied networks of at least this many locals take their Binomial count pmf
@@ -271,8 +271,8 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     step is pmf[c] * q + pmf[c - 1] * p, with decide-0 rate q and decide-1
     rate p. For a large network the time goes to that loop, one iteration of
     three array operations per agent; the O(N) belief check and log-odds
-    before it stay scalar Python. Below ``PER_FLOAT_BELOW`` agents the rates
-    and the fold go one float at a time, with the same doubles. A tied
+    before it stay scalar Python. ``fold_agent`` folds the same doubles one
+    float at a time for ``optimize``'s evaluator. A tied
     network (every belief equal) of ``BINOMIAL_FROM`` agents or more takes
     its Binomial pmf from ``_binomial_pmf`` in O(N) instead, not bit for bit
     the fold's but as close to the exact pmf, and past where the fold mixes
@@ -280,9 +280,6 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     4.5e-321) the kernel's entries round correctly to 0.
     """
     model, costs, beliefs = config.model, config.costs, config.q_local
-    if len(beliefs) < PER_FLOAT_BELOW:
-        return np.array(functools.reduce(fold_agent, _local_tails(model, costs, beliefs),
-                                         NO_AGENTS))
     if len(beliefs) >= BINOMIAL_FROM and beliefs == beliefs[:1] * len(beliefs):
         return _binomial_pmf(model, costs, beliefs[0], len(beliefs))
     return _poisson_binomial_pmf(*_local_rates(model, costs, beliefs))
@@ -456,12 +453,11 @@ def exact_risk(config: NetworkConfig) -> RiskReport:
 
     Mixes the per-count fusion error probabilities over the count pmf with
     ``mix``; the decomposition identity r0 = c_fa*pi0*p_fa0 +
-    c_md*(1-pi0)*p_md0 holds by construction. The per-count fusion errors
-    are O(N) work, so they take the array path at every size; only the
-    count pmf, O(N^2), goes one float at a time below ``PER_FLOAT_BELOW``
-    agents. The report keeps the per-count fusion log-odds and thresholds
-    as two arrays of their own, so nothing else of the call stays alive, and
-    builds ``per_count`` from them only when it is read.
+    c_md*(1-pi0)*p_md0 holds by construction. The count pmf and the
+    per-count fusion errors take the array path at every size. The report
+    keeps the per-count fusion log-odds and thresholds as two arrays of
+    their own, so nothing else of the call stays alive, and builds
+    ``per_count`` from them only when it is read.
     """
     fa, md, ell, lam = _fusion_count_errors(config.model, config.costs, log_odds(config.q0),
                                             config.n_local)

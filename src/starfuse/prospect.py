@@ -47,25 +47,35 @@ def prelec(p, params: PrelecParams):
     Endpoints by continuous extension: w(0) = 0, w(1) = 1. Strictly
     increasing in between.
     """
+    out = _prelec_weights(p, params.alpha, params.beta_w)
+    return float(out) if np.ndim(p) == 0 else out
+
+
+def _prelec_weights(p, alpha, beta_w):
+    """``prelec``'s w(p) as an array, with ``alpha`` and ``beta_w`` floats
+    or arrays that broadcast against ``p``: the one form of the formula, so
+    the fit's coarse grid gives each of its points ``prelec``'s doubles."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         neg_log = -np.log(arr)
-    out = np.exp(-params.beta_w * np.abs(neg_log) ** params.alpha)
-    return float(out) if np.ndim(p) == 0 else out
+    return np.exp(-beta_w * np.abs(neg_log) ** alpha)
 
 
 def fit_prelec_minimax(pi0_values, q1_values) -> tuple[PrelecParams, float]:
     """Sup-norm Prelec fit of a sampled belief curve.
 
-    A coarse log-spaced grid over (alpha, beta_w) in ``FIT_BOUNDS`` squared seeds
+    A coarse log-spaced grid over (alpha, beta_w) in ``FIT_BOUNDS`` squared,
+    evaluated in one array pass with the objective's doubles, seeds
     ``optimize.nelder_mead``'s refinement of the L-infinity objective in
     log-parameter space (``xatol`` 1e-7, ``fatol`` 1e-12, 4,000 iterations:
     scipy's Nelder-Mead with these options gives the same doubles). Returns
-    the fitted parameters and the achieved sup error, both evaluated on the
-    given sample points only (no interpolation). Fewer than 3 samples raise
-    ``ValueError``: the two parameters fit so few points whatever the curve.
+    the fitted parameters and their sup error, both evaluated on the given
+    sample points only (no interpolation), so the error is ``max
+    |prelec(pi0_values, params) - q1_values|`` to the last bit. Fewer than 3
+    samples raise ``ValueError``: the two parameters fit so few points
+    whatever the curve.
     """
     x = np.asarray(pi0_values, dtype=float)
     y = np.asarray(q1_values, dtype=float)
@@ -79,15 +89,18 @@ def fit_prelec_minimax(pi0_values, q1_values) -> tuple[PrelecParams, float]:
         return float(np.max(np.abs(prelec(x, params) - y)))
 
     log_grid = np.linspace(math.log(FIT_BOUNDS[0]), math.log(FIT_BOUNDS[1]), FIT_COARSE_POINTS)
-    best = None
-    for la in log_grid:
-        for lb in log_grid:
-            value = objective((la, lb))
-            if best is None or value < best[0]:
-                best = (value, la, lb)
-    x_best, sup_error = nelder_mead(objective, np.array([best[1], best[2]]),
+    grid = np.array([math.exp(v) for v in log_grid.tolist()])  # the objective's doubles
+    # The sup error of every (alpha, beta_w) of the grid, alpha on the first
+    # axis, over the samples 1,024 at a time, so a long curve holds at most
+    # 1,024 weights a grid point at once.
+    sup = np.zeros((FIT_COARSE_POINTS, FIT_COARSE_POINTS))
+    for start in range(0, x.size, 1024):
+        weights = _prelec_weights(x.flat[start:start + 1024], grid[:, None, None], grid[:, None])
+        sup = np.maximum(sup, np.max(np.abs(weights - y.flat[start:start + 1024]), axis=-1))
+    i, j = divmod(int(np.argmin(sup)), FIT_COARSE_POINTS)  # the first minimum, row by row
+    x_best, sup_error = nelder_mead(objective, log_grid[[i, j]],
                                     xatol=1e-7, fatol=1e-12, max_iters=4000)
-    params = PrelecParams(float(np.exp(x_best[0])), float(np.exp(x_best[1])))
+    params = PrelecParams(math.exp(x_best[0]), math.exp(x_best[1]))
     return params, float(sup_error)
 
 

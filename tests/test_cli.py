@@ -286,6 +286,37 @@ class TestPbpoCommand:
         assert err == "error: pbpo --trace needs --csv, where it writes every sweep's row\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--restarts", "3"], None), (["--seed", "7"], None),
+        (["--exact", "--init", "0.5,0.4,0.6", "--seed", "7"], None),
+        (["--restarts", "0"], "max_iters and restarts must be positive integers"),
+    ], ids=["restarts", "seed", "exact-init-seed", "restarts-0"])
+    def test_restarts_or_seed_without_random_init_exits_two(self, capsys, tmp_path, argv,
+                                                            message):
+        """A run from ``--init`` or the default start makes no restarts, so
+        ``--restarts`` and ``--seed`` changed nothing of it; each now exits 2
+        with one error line and no file, after an invalid value's own
+        message."""
+        path = tmp_path / "pbpo.csv"
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *argv, "--csv", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: {}\n".format(message or (
+            "pbpo --restarts and --seed need --random-init: "
+            "a run from --init or the default start has no restarts"))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("delta", ["0.0005", "0.01"])
+    def test_exact_with_delta_exits_two(self, capsys, tmp_path, delta):
+        """``pbpo_exact`` reads no step, so ``--exact --delta`` printed what
+        ``--exact`` prints alone; it now exits 2 with one error line and no
+        file."""
+        path = tmp_path / "pbpo.csv"
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--exact", "--delta", delta,
+                                 "--csv", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: pbpo --exact takes no --delta: it minimizes each coordinate exactly\n"
+        assert not path.exists()
+
     def test_init_length_validated(self, capsys):
         code, _, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--init", "0.5,0.5")
         assert code == 2
@@ -474,6 +505,20 @@ class TestPhaseCommand:
                                "--csv", str(path))
         assert code == 2
         assert "pi0" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [["--q0", "0.5"], ["--q1", "0.5"], ["--strict"],
+                                      ["--q0", "0.6", "--q1", "0.4", "--pi0", "0.3"]],
+                             ids=["q0", "q1", "strict", "point"])
+    def test_grid_with_a_point_flag_exits_two(self, capsys, tmp_path, argv):
+        """A map classifies no single point, so ``--grid`` with ``--q0``,
+        ``--q1`` or ``--strict`` printed the map alone; each now exits 2 with
+        one error line and no file."""
+        path = tmp_path / "map.csv"
+        code, out, err = run_cli(capsys, "phase", "--grid", "0.2", *argv, "--csv", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: phase --grid maps every (q0, q1) and classifies no single "
+                       "point: it takes no --q0, --q1 or --strict\n")
         assert not path.exists()
 
     @pytest.mark.parametrize("argv", [["--grid", "0.05"], ["--q0", "0.05", "--q1", "0.5"]])

@@ -516,9 +516,9 @@ def test_size_switch_sites_seen():
     assert _size_switch_sites("'PER_FLOAT_BELOW and np.einsum in a docstring'\n") == set()
 
 
-# The O(N^2) kernels that choose between the per-float and array paths by
-# agent count; every helper they call has one path.
-SIZE_SWITCHES = {"count_distribution", "pinned_fusion_sweep"}
+# The O(N^2) kernel that chooses between the per-float and array paths by
+# agent count; every helper it calls has one path.
+SIZE_SWITCHES = {"pinned_fusion_sweep"}
 # The two that choose between the count fold and the Binomial kernel for
 # tied networks.
 BINOMIAL_SWITCHES = {"count_distribution", "tied_exact_risks"}
@@ -526,7 +526,7 @@ BINOMIAL_SWITCHES = {"count_distribution", "tied_exact_risks"}
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_size_switch_only_in_network(path):
-    """Only ``network``'s two O(N^2) kernels choose between the per-float
+    """Only ``network``'s leave-one-out pass chooses between the per-float
     and array paths, and only ``count_distribution`` and
     ``tied_exact_risks`` between the count fold and the Binomial kernel, so
     a change of either constant moves no other module and no helper. Only

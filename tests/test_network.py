@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -45,7 +46,7 @@ from starfuse.network import (
     pinned_fusion_sweep,
     tied_exact_risks,
 )
-from starfuse.observation import clamped_log_odds, fusion_log_factors, per_float_rates
+from starfuse.observation import clamped_log_odds, fusion_log_factors, log_odds, per_float_rates
 from conftest import random_config
 
 
@@ -652,14 +653,12 @@ def _per_float_count_errors(model, costs, ell0, n):
                  for h in (0, 1))
 
 
-def _both_paths(function, *args, per_float_below=math.inf):
+def _both_paths(function, *args):
     """``function(*args)`` with every input on the array path, then with
-    every input below ``per_float_below`` agents on the per-float path."""
-    out = []
-    for below in (0, per_float_below):
-        with mock.patch.object(network, "PER_FLOAT_BELOW", below):
-            out.append(function(*args))
-    return out
+    the size rule as it stands."""
+    with mock.patch.object(network, "PER_FLOAT_BELOW", 0):
+        array_path = function(*args)
+    return array_path, function(*args)
 
 
 def _assert_same_arrays(array_path, per_float, layout=True):
@@ -708,7 +707,7 @@ def _two_passes(config, revised):
 
 class TestPerFloatPath:
     """Networks of fewer than ``PER_FLOAT_BELOW`` agents go one float at a
-    time in the O(N^2) kernels, with the array path's doubles; both are
+    time in the leave-one-out pass, with the array path's doubles; both are
     checked on sizes on both sides of the constant, and each scalar helper
     against its array twin with one and two leading axes."""
 
@@ -771,13 +770,30 @@ class TestPerFloatPath:
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks())
     def test_count_distribution(self, network_config):
-        _assert_same_arrays(*_both_paths(count_distribution, network_config))
+        """``fold_agent``, the evaluator's fold, folds a whole network to
+        ``count_distribution``'s array fold."""
+        model, costs, beliefs = network_config.model, network_config.costs, network_config.q_local
+        per_float = functools.reduce(network.fold_agent, _local_tails(model, costs, beliefs),
+                                     network.NO_AGENTS)
+        _assert_same_arrays(count_distribution(network_config), np.array(per_float))
 
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks())
     def test_exact_risk(self, network_config):
-        array_path, per_float = _both_paths(exact_risk, network_config)
-        assert repr(array_path) == repr(per_float)
+        """The per-float pipeline of ``optimize``'s evaluator, ``fold_agent``
+        pmfs mixed left to right (``_dot``) with ``count_errors``, gives
+        ``exact_risk``'s errors below 8 counts (N <= 6); ``mix`` of the same
+        floats gives them at every size."""
+        config = network_config
+        model, costs, n = config.model, config.costs, config.n_local
+        pmfs = functools.reduce(network.fold_agent, _local_tails(model, costs, config.q_local),
+                                network.NO_AGENTS)
+        errors = _per_float_count_errors(model, costs, log_odds(config.q0), n)
+        report = exact_risk(config)
+        got = [report.p_fa0, report.p_md0]
+        np.testing.assert_array_equal(got, network.mix(np.array(pmfs), np.array(errors)))
+        if n < 7:
+            np.testing.assert_array_equal(got, list(map(network._dot, pmfs, errors)))
 
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks())
@@ -785,8 +801,7 @@ class TestPerFloatPath:
         """The pass's per-float row sums keep ``np.add.reduce``'s order only
         below the constant (``test_row_sum_is_numpy_reduce``), so its
         per-float side takes the size rule as it stands."""
-        _assert_same_arrays(*_both_paths(pinned_fusion_errors, network_config,
-                                         per_float_below=PER_FLOAT_BELOW))
+        _assert_same_arrays(*_both_paths(pinned_fusion_errors, network_config))
 
     @settings(max_examples=60, deadline=None)
     @given(network_config=_small_networks(), data=st.data())
@@ -797,8 +812,7 @@ class TestPerFloatPath:
         n = network_config.n_local
         revised = data.draw(st.lists(st.one_of(st.none(), _BELIEFS), min_size=n, max_size=n))
         revised = [q if r is None else r for q, r in zip(network_config.q_local, revised)]
-        array_path, per_float = _both_paths(_two_passes, network_config, revised,
-                                            per_float_below=PER_FLOAT_BELOW)
+        array_path, per_float = _both_paths(_two_passes, network_config, revised)
         assert array_path[1:] == per_float[1:]
         np.testing.assert_array_equal(array_path[0], per_float[0])
 
@@ -821,28 +835,31 @@ class TestPerFloatPath:
             assert folded.tobytes() == array.tobytes()
 
     def test_default_path_by_size(self, benchmark_template):
-        """Each side of the constant takes its path unpatched, and
-        ``exact_risk`` takes its per-count errors from the array path on
-        both."""
+        """Each side of the constant takes its path unpatched in the
+        leave-one-out pass, and ``exact_risk`` takes its per-count errors and
+        its count pmf from the array path on both."""
         model, costs = benchmark_template.model, benchmark_template.costs
-        sizes = []
-        arrays = network._fusion_count_errors
+        sizes, agents = [], []
+        arrays, pmf = network._fusion_count_errors, network._poisson_binomial_pmf
         with mock.patch.object(network, "_fusion_count_errors",
-                               lambda *a: sizes.append(a[3]) or arrays(*a)):
+                               lambda *a: sizes.append(a[3]) or arrays(*a)), \
+                mock.patch.object(network, "_poisson_binomial_pmf",
+                                  lambda *a: agents.append(len(a[0])) or pmf(*a)):
             for n in (PER_FLOAT_BELOW - 1, PER_FLOAT_BELOW):
                 sizes.clear()
+                agents.clear()
                 exact_risk(_config(q_local=(0.3,) * n))
-                assert sizes == [n]
+                assert (sizes, agents) == ([n], [n])
         folds = []
         fold = network.fold_agent
         with mock.patch.object(network, "fold_agent", lambda *a: folds.append(a) or fold(*a)):
             for n, per_float in ((PER_FLOAT_BELOW - 1, True), (PER_FLOAT_BELOW, False)):
                 config = _config(q_local=(0.3,) * n)
-                for kernel in (lambda: count_distribution(config),
-                               lambda: pinned_fusion_errors(config)):
-                    folds.clear()
-                    kernel()
-                    assert bool(folds) == per_float
+                folds.clear()
+                count_distribution(config)
+                assert folds == []
+                pinned_fusion_errors(config)
+                assert bool(folds) == per_float
             # Two rows, or one row in each of two blocks, take the array path.
             for blocks in ([([0.5], [[0.3], [0.4]])], [([0.5], [[0.3]]), ([0.5], [[0.4]])]):
                 list(fusion_error_rates(model, costs, blocks))

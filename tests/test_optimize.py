@@ -395,8 +395,8 @@ class TestRiskEvaluator:
 
 class TestOneScalarFold:
     """The descent evaluator folds a local into its count pmfs only through
-    ``network.fold_agent``, the fold that ``network``'s small-network
-    kernels use, or, for the last local, inside its mix with that fold's
+    ``network.fold_agent``, the fold of ``network``'s small leave-one-out
+    pass, or, for the last local, inside its mix with that fold's
     operations; counting the calls changes no result."""
 
     def test_evaluator_pbpo_and_line_search_fold_through_fold_agent(self, monkeypatch):

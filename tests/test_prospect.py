@@ -18,8 +18,9 @@ from starfuse import (
     prelec,
     prelec_risk_gap,
 )
-from starfuse import optimize
+from starfuse import optimize, prospect
 from starfuse.observation import BELIEF_EPS
+from starfuse.prospect import FIT_BOUNDS, FIT_COARSE_POINTS
 
 IDENTITY_PARAMS = PrelecParams(alpha=1.0, beta_w=1.0)
 
@@ -112,6 +113,70 @@ class TestMinimaxFit:
         fit = fit_prelec_minimax([p.pi0 for p in sweep], [p.q1_opt for p in sweep])
         assert repr(fit) == ("(PrelecParams(alpha=0.6606363629562242, "
                              "beta_w=0.8997620642587586), 0.034466261234001164)")
+
+
+def _random_curves(count, seed):
+    """``count`` seeded curves of 3 to 59 samples: a Prelec curve of random
+    parameters in ``FIT_BOUNDS``, exact or with Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 60))
+        x = np.sort(rng.uniform(0.01, 0.99, n))
+        log_params = rng.uniform(math.log(FIT_BOUNDS[0]), math.log(FIT_BOUNDS[1]), 2)
+        y = prelec(x, PrelecParams(*np.exp(log_params).tolist()))
+        yield x, y + rng.normal(0.0, rng.choice([0.0, 1e-3, 3e-2]), n)
+
+
+def _loop_grid(x, y):
+    """The coarse grid as a loop of the fit's objective: every (alpha,
+    beta_w) point's sup error, row by row, and the log parameters of the
+    first least one."""
+    log_grid = np.linspace(math.log(FIT_BOUNDS[0]), math.log(FIT_BOUNDS[1]), FIT_COARSE_POINTS)
+    values, best = [], None
+    for la in log_grid:
+        for lb in log_grid:
+            params = PrelecParams(math.exp(la), math.exp(lb))
+            values.append(float(np.max(np.abs(prelec(x, params) - y))))
+            if best is None or values[-1] < best[0]:
+                best = (values[-1], la, lb)
+    return values, [best[1], best[2]]
+
+
+class TestCoarseGrid:
+    def test_sup_error_is_that_of_the_returned_parameters(self):
+        """The fit builds its parameters with the objective's ``math.exp``,
+        so the sup error it returns is theirs to the last bit."""
+        for x, y in _random_curves(150, 2024):
+            params, linf = fit_prelec_minimax(x, y)
+            assert linf == float(np.max(np.abs(prelec(x, params) - y)))
+
+    def test_grid_equals_the_loop(self, monkeypatch):
+        """Every point of the one array pass has the loop's sup error, and
+        the refinement starts from the loop's first least point, ties and
+        all-nan curves included."""
+        curves = [*_random_curves(40, 7), (np.array([0.0, 1.0, 1.0]), np.full(3, 0.5)),
+                  (np.array([0.2, 0.5, 0.8]), np.array([0.3, math.nan, 0.7]))]
+        seen = {}
+        weights, refine = prospect._prelec_weights, prospect.nelder_mead
+
+        def recording_weights(p, alpha, beta_w):
+            out = weights(p, alpha, beta_w)
+            if np.ndim(alpha):
+                seen["weights"] = out
+            return out
+
+        def recording_refine(f, x0, **options):
+            seen["start"] = x0.tolist()
+            return refine(f, x0, **options)
+
+        monkeypatch.setattr(prospect, "_prelec_weights", recording_weights)
+        monkeypatch.setattr(prospect, "nelder_mead", recording_refine)
+        for x, y in curves:
+            fit_prelec_minimax(x, y)
+            values, start = _loop_grid(x, y)
+            sup = np.max(np.abs(seen["weights"] - y), axis=-1).ravel().tolist()
+            assert np.array(sup).tobytes() == np.array(values).tobytes()
+            assert seen["start"] == start
 
 
 class TestRiskGap:
