@@ -49,19 +49,18 @@ arrays, and the scalar ones (``_local_tails``, ``fold_agent``, ``_dot``)
 floats, with tails and errors from ``observation.per_float_rates``. It and
 ``fold_agent``, the one scalar count fold, serve ``optimize``'s evaluator
 too, whose count pmfs its fusion line search scans. Both paths give the
-same doubles; the per-float mixes,
-fewer than ``PER_FLOAT_BELOW`` terms each, go left to right as ``mix``
-sums such a short row (``_dot``), which no ``np.einsum`` or matrix product
-would let them do. The evaluator's mix adds left to right too, so it is
-``exact_risk``'s below 8 counts (N <= 6) and may differ in the last bit
-above. It takes the pmfs of N - 1 locals and the
-last local's tails, and forms each count of that local's ``fold_agent`` as
-it mixes it, with the same operations in the same order, so a descent
-probe builds no pmf lists for the last local. Both paths start from one
-log-odds kernel, ``observation.clamped_log_odds``: the per-float helpers
-call it per belief, and ``_distinct_log_odds`` takes its array form over
-the distinct beliefs of an array, so ``batch_risk``, ``exact_risk`` and the
-evaluator give a belief one double.
+same doubles; the per-float mixes, fewer than ``PER_FLOAT_BELOW`` terms
+each, go left to right as ``mix`` sums such a short row (``_dot``), which
+no ``np.einsum`` or matrix product would let them do. The evaluator's mix
+adds left to right too, so it is ``exact_risk``'s below 8 counts (N <= 6)
+and may differ in the last bit above. It takes the pmfs of N - 1 locals
+and the last local's tails, and forms each count of that local's
+``fold_agent`` as it mixes it, with the same operations in the same order,
+so a descent probe builds no pmf lists for the last local. Both paths start
+from one log-odds kernel, ``observation.clamped_log_odds``: the per-float
+helpers call it per belief, and ``_distinct_log_odds`` takes its array form
+over the distinct beliefs of an array, so ``batch_risk``, ``exact_risk``
+and the evaluator give a belief one double.
 """
 
 import functools
@@ -272,12 +271,12 @@ def count_distribution(config: NetworkConfig) -> np.ndarray:
     rate p. For a large network the time goes to that loop, one iteration of
     three array operations per agent; the O(N) belief check and log-odds
     before it stay scalar Python. ``fold_agent`` folds the same doubles one
-    float at a time for ``optimize``'s evaluator. A tied
-    network (every belief equal) of ``BINOMIAL_FROM`` agents or more takes
-    its Binomial pmf from ``_binomial_pmf`` in O(N) instead, not bit for bit
-    the fold's but as close to the exact pmf, and past where the fold mixes
-    subnormal rounding noise (a risk of 4.2e-347 at N = 10^4 came out
-    4.5e-321) the kernel's entries round correctly to 0.
+    float at a time for ``optimize``'s evaluator. A tied network (every
+    belief equal) of ``BINOMIAL_FROM`` agents or more takes its Binomial
+    pmf from ``_binomial_pmf`` in O(N) instead, not bit for bit the fold's
+    but as close to the exact pmf, and past where the fold mixes subnormal
+    rounding noise (a risk of 4.2e-347 at N = 10^4 came out 4.5e-321) the
+    kernel's entries round correctly to 0.
     """
     model, costs, beliefs = config.model, config.costs, config.q_local
     if len(beliefs) >= BINOMIAL_FROM and beliefs == beliefs[:1] * len(beliefs):
