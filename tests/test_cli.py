@@ -238,7 +238,10 @@ class TestPbpoCommand:
         (["--pi0", "0.3"],
          "ef55eb0e907babb3534ed0bb5f9bf333d8d69e2bd5cebdd71eb8d49a2f4bbeb2",
          "2755d0a1004c76c79a91fdacd365aeea470d95819c2ff892543e48fadf9e802f"),
-    ], ids=["exact-trace", "last-row"])
+        (["--pi0", "0.3", "--random-init", "--restarts", "3", "--seed", "5", "--delta", "0.01"],
+         "7aaa7d89c4e9a14befceef1c46e45c9e30c9d0244ee847660b01f0990e93113d",
+         "d0a0651bc34e8cdae35a1a83686361556bca57da219ce1e2828636c00126a2fd"),
+    ], ids=["exact-trace", "last-row", "random-init"])
     def test_output_bytes_pinned(self, capsys, tmp_path, argv, out_digest, csv_digest):
         """The stdout and CSV bytes: every sweep's row with ``--trace``, the
         last sweep's row without it."""
@@ -498,6 +501,16 @@ class TestPhaseCommand:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "18bfe00cfcec57ef68c0b2abed425632a6e8aad965076a51652c71ec39053de4")
 
+    def test_benchmark_map_bytes_pinned(self, capsys, tmp_path):
+        """The map that perfbench's limits_cli workload draws: 39,601 points."""
+        path = tmp_path / "map.csv"
+        code, out, _ = run_cli(capsys, "phase", "--grid", "0.005", "--pi0", "0.3",
+                               "--csv", str(path))
+        assert code == 0
+        assert out == "map: 39601 points Case1=6691 Case2=16455 Case3=16455\n"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e8260ebcac92f19eea49739d62dd8af5a00ebc7542c481e82e26fdba20d14049")
+
     @pytest.mark.parametrize("pi0", ["0.0", "1.0", "-0.2", "1.5"])
     def test_region_map_degenerate_prior_writes_nothing(self, capsys, tmp_path, pi0):
         path = tmp_path / "map.csv"
@@ -562,6 +575,17 @@ class TestExponentCommand:
             "6a788343c0c1d8f28ea7ee3d202566e28c71227b6cee790d1e9defa0b623baa0")
         assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
             "f505e2537ea2f7811fe29062c8143bb45c37fbd9b55af20c47b47bfef0fba020")
+
+    def test_default_curve_bytes_pinned(self, capsys, tmp_path):
+        """The default model's report and its curve over the default
+        --lam-range, 7,001 thresholds."""
+        report, curve = tmp_path / "exponent.csv", tmp_path / "curve.csv"
+        code, _, _ = run_cli(capsys, "exponent", "--csv", str(report), "--curve-csv", str(curve))
+        assert code == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "0be415e1e6cee3f84fe2269d5e7fc56cd51334ad40d19d8be282a60766bb1c39")
+        assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
+            "3913a396564e04a3c75c712ce8582b14171fb47f23cf27bfc3c484ca833283fa")
 
     def test_small_exponent_headline(self, capsys):
         code, out, _ = run_cli(capsys, "exponent", "--sigma", "100")
@@ -816,6 +840,28 @@ def test_failing_last_call_emits_nothing(capsys, monkeypatch, tmp_path, mode):
     assert out == ""
     assert err == f"error: {name} failed\n"
     assert not path.exists() and not curve.exists()
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _LAST_CALLS.values()] +
+                         [["pbpo", "--exact", "--pi0", "0.3", "--trace"]],
+                         ids=[*_LAST_CALLS, "pbpo-trace"])
+def test_csv_rewrites_to_the_same_bytes(capsys, tmp_path, argv):
+    """Every CSV a command writes, read with ``csv.reader`` and written again
+    by a default ``csv.writer``, gives back its bytes: no cell needs quoting
+    and every line ends in \\r\\n."""
+    sweep, curve, path = (tmp_path / n for n in ("sweep.csv", "curve.csv", "out.csv"))
+    sweep.write_text(_SWEEP_CSV)
+    argv = [a.format(sweep=sweep, curve=curve) for a in argv]
+    code, _, _ = run_cli(capsys, *argv, "--csv", str(path))
+    assert code == 0
+    written = [p for p in (path, curve) if p.exists()]
+    assert path in written
+    for csv_path in written:
+        with csv_path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        again = io.StringIO(newline="")
+        csv.writer(again).writerows(rows)
+        assert again.getvalue().encode() == csv_path.read_bytes(), csv_path.name
 
 
 @pytest.mark.parametrize("argv", [
