@@ -15,16 +15,15 @@ about, or an overflowed z1 or beta*) or a boundary classification escalated
 by ``phase --strict``.
 
 One output path: each ``cmd_*`` only computes and returns an ``Output`` of
-its stdout lines and its files as text cells; ``main`` alone writes the files
-and then prints the lines. So a non-zero exit prints nothing to stdout and
-leaves no file the run created, except ``phase --strict``, which writes its
-output and then exits 3.
+its stdout lines and its files as finished CSV text; ``main`` alone writes
+the files, each with one ``write``, and then prints the lines. So a
+non-zero exit prints nothing to stdout and leaves no file the run created,
+except ``phase --strict``, which writes its output and then exits 3.
 
 ``main`` builds the argument parser once per process and reuses it.
 """
 
 import argparse
-import collections
 import contextlib
 import csv
 import dataclasses
@@ -72,26 +71,31 @@ MAX_RANGE_POINTS = 10**6
 MIN_AXIS_STEP = 1e-3
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.10g" % float(value)
-
-
 class Output(NamedTuple):
-    """A command's stdout lines, its files as ``{path: (header, text rows)}``,
-    and the stderr line with which ``phase --strict`` escalates to exit 3."""
+    """A command's stdout lines, its files as ``{path: CSV text}``, and the
+    stderr line with which ``phase --strict`` escalates to exit 3."""
 
     lines: list[str]
     files: dict
     escalation: str | None = None
 
 
-def _csv(path, header, rows) -> dict:
-    """``{path: (header, rows as text cells)}``, or ``{}`` when no path is given."""
-    return {path: (header, [[_fmt(v) for v in row] for row in rows])} if path else {}
+def _csv_text(header, lines) -> str:
+    """The CSV text of a header and of rows already rendered: no cell holds a
+    comma, quote or line break, so none is quoted, and every line ends in
+    \\r\\n, as ``csv.writer`` writes them."""
+    return "\r\n".join([",".join(header), *lines, ""])
+
+
+def _csv(path, header, kinds, rows) -> dict:
+    """``{path: CSV text}`` of ``rows``, or ``{}`` when no path is given. Each
+    row is a tuple whose cells are ``kinds``, one letter each: ``d`` an
+    integer, ``g`` a float at 10 significant digits, ``s`` text; one ``%``
+    template renders the whole row."""
+    if not path:
+        return {}
+    template = ",".join("%.10g" if kind == "g" else f"%{kind}" for kind in kinds)
+    return {path: _csv_text(header, [template % row for row in rows])}
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -159,7 +163,7 @@ def cmd_risk(args) -> Output:
     lines = [f"R0={report.r0:.10g}", f"p_fa0={report.p_fa0:.10g} p_md0={report.p_md0:.10g}"]
     lines += [f"k={k} updated_belief={b:.10g} fusion_threshold={t:.10g}" for k, b, t in per_count]
     return Output(lines, _csv(
-        args.csv, ["k", "updated_belief", "fusion_threshold", "r0", "p_fa0", "p_md0"],
+        args.csv, ["k", "updated_belief", "fusion_threshold", "r0", "p_fa0", "p_md0"], "dggggg",
         ((k, b, t, report.r0, report.p_fa0, report.p_md0) for k, b, t in per_count)))
 
 
@@ -177,7 +181,8 @@ def cmd_grid(args) -> Output:
         risks = checked_risks(template, [args.q0], rows)[0]
         return Output(
             [f"contour: {len(rows)} points at q0={args.q0:.10g}, min risk {risks.min():.10g}"],
-            _csv(args.csv, ["q1", "q2", "risk"], ((*row, risk) for row, risk in zip(rows, risks))))
+            _csv(args.csv, ["q1", "q2", "risk"], "ggg",
+                 zip(grid1.ravel().tolist(), grid2.ravel().tolist(), risks.tolist())))
 
     settings = OptimizerSettings(grid_resolution=args.grid_resolution,
                                  tie_local_beliefs=args.tie_locals)
@@ -187,16 +192,16 @@ def cmd_grid(args) -> Output:
         points = optimal_belief_sweep(template, pi0_values, settings)
         return Output([f"pi0={p.pi0:.10g} q0_opt={p.q0_opt:.10g} "
                        f"q1_opt={p.q1_opt:.10g} risk_opt={p.risk_opt:.10g}" for p in points],
-                      _csv(args.csv, ["pi0", "q0_opt", "q1_opt", "risk_opt"],
+                      _csv(args.csv, ["pi0", "q0_opt", "q1_opt", "risk_opt"], "gggg",
                            ((p.pi0, p.q0_opt, p.q1_opt, p.risk_opt) for p in points)))
 
     if args.pi0 is None:
         raise ValueError("grid needs --pi0 (or --sweep-pi0)")
     result = grid_search(NetworkTemplate(args.pi0, costs, model, args.n_local), settings)
     header = ["q0"] + [f"q{i}" for i in range(1, len(result.beliefs))] + ["risk"]
-    return Output([f"beliefs={','.join(_fmt(b) for b in result.beliefs)}",
+    return Output([f"beliefs={','.join(f'{b:.10g}' for b in result.beliefs)}",
                    f"risk={result.risk:.10g}"],
-                  _csv(args.csv, header, [tuple(result.beliefs) + (result.risk,)]))
+                  _csv(args.csv, header, "g" * len(header), [(*result.beliefs, result.risk)]))
 
 
 def cmd_pbpo(args) -> Output:
@@ -220,12 +225,12 @@ def cmd_pbpo(args) -> Output:
                     seed=RESTART_SEED if args.seed is None else args.seed)
     header = ["sweep", "q0"] + [f"q{i}" for i in range(1, args.n_local + 1)] + ["risk"]
     trace = result.trace_array
-    rows = ([idx, *row] for idx, row in enumerate(trace.tolist())) if args.trace \
-        else [[result.iterations, *trace[-1].tolist()]]
-    return Output([f"beliefs={','.join(_fmt(b) for b in result.beliefs)}",
+    rows = ((idx, *row) for idx, row in enumerate(trace.tolist())) if args.trace \
+        else [(result.iterations, *trace[-1].tolist())]
+    return Output([f"beliefs={','.join(f'{b:.10g}' for b in result.beliefs)}",
                    f"risk={result.risk:.10g}",
                    f"sweeps={result.iterations} converged={result.converged}"],
-                  _csv(args.csv, header, rows))
+                  _csv(args.csv, header, "d" + "g" * (len(header) - 1), rows))
 
 
 def _sweep_value(path: str, line: int, column: str, cell) -> float:
@@ -279,6 +284,7 @@ def cmd_prelec(args) -> Output:
                    f"max_gap={worst.gap:.10g} at pi0={worst.pi0:.10g}"],
                   _csv(args.csv,
                        ["pi0", "q1_opt", "prelec_belief", "risk_opt", "risk_prelec", "gap"],
+                       "gggggg",
                        ((p.pi0, p.q1_opt, p.q1_prelec, p.risk_opt, p.risk_prelec, p.gap)
                         for p in gap_points)))
 
@@ -293,14 +299,23 @@ def cmd_phase(args) -> Output:
             raise ValueError("phase --grid maps every (q0, q1) and classifies no single point: "
                              "it takes no --q0, --q1 or --strict")
         regions = phase_map(model, costs, axis, axis)
-        # Each axis value and region name is formatted once, not once per cell.
-        labels = [_fmt(v) for v in axis]
-        names = {region: region.value for region in PhaseRegion}
-        rows = [(q0, q1, names[region])
-                for q0, row in zip(labels, regions) for q1, region in zip(labels, row.tolist())]
-        counts = sorted(collections.Counter(region for _, _, region in rows).items())
-        return Output([f"map: {len(rows)} points " + " ".join(f"{k}={v}" for k, v in counts)],
-                      {args.csv: (["q0", "q1", "region"], rows)} if args.csv else {})
+        # Each point's index in PhaseRegion's order, found by comparing
+        # members, which hashes none.
+        order = list(PhaseRegion)
+        index = np.argmax(regions[..., None] == np.array(order, dtype=object), axis=-1)
+        counts = np.bincount(index.ravel(), minlength=len(order)).tolist()
+        summary = sorted((region.value, count) for region, count in zip(order, counts) if count)
+        lines = [f"map: {regions.size} points " + " ".join(f"{k}={v}" for k, v in summary)]
+        if not args.csv:
+            return Output(lines, {})
+        # Each axis label and each (q1, region) tail is formatted once; row i
+        # of the map is q0 label i joined to the tails of its regions.
+        labels = [f"{q:.10g}" for q in axis.tolist()]
+        tails = np.array([[f"{q1},{region.value}" for region in order] for q1 in labels],
+                         dtype=object)
+        cells = tails[np.arange(len(labels)), index]
+        return Output(lines, {args.csv: _csv_text(["q0", "q1", "region"], [
+            f"{q0}," + f"\r\n{q0},".join(row) for q0, row in zip(labels, cells)])})
 
     if args.q0 is None or args.q1 is None:
         raise ValueError("phase needs --q0 and --q1 (or --grid for a map)")
@@ -311,7 +326,7 @@ def cmd_phase(args) -> Output:
     strict = args.strict and cls.region is PhaseRegion.BOUNDARY
     return Output([f"region={cls.region.value} z1={cls.z1:.10g} z2={cls.z2:.10g} "
                    f"t0={cls.t0:.10g} t1={cls.t1:.10g}{limit}"],
-                  _csv(args.csv, ["q0", "q1", "region", "z1", "z2", "t0", "t1"],
+                  _csv(args.csv, ["q0", "q1", "region", "z1", "z2", "t0", "t1"], "ggsgggg",
                        [(args.q0, args.q1, cls.region.value, cls.z1, cls.z2, cls.t0, cls.t1)]),
                   "boundary classification escalated by --strict" if strict else None)
 
@@ -325,7 +340,7 @@ def cmd_exponent(args) -> Output:
         beta_hat, fit = estimate_exponent(args.pi0, costs, model, args.q0, args.q1, n_list)
         return Output([f"beta_hat={beta_hat:.10g} r_squared={fit.r_squared:.10g} "
                        f"region={fit.region.value} truncated={fit.truncated}"],
-                      _csv(args.csv, ["n", "risk", "excess"],
+                      _csv(args.csv, ["n", "risk", "excess"], "dgg",
                            ((n, r, abs(r - fit.limit)) for n, r in zip(n_list, fit.risks))))
 
     if args.csv and args.curve_csv and \
@@ -333,10 +348,10 @@ def cmd_exponent(args) -> Output:
         raise ValueError(f"--csv and --curve-csv name the same file {args.csv!r}")
     lam = _parse_range(args.lam_range) if args.curve_csv else None
     report = optimal_exponent(model, costs)
-    curve = zip(lam, exponent_curve(model, lam)) if args.curve_csv else ()
-    files = {**_csv(args.curve_csv, ["lambda", "g_min"], curve),
+    curve = zip(lam.tolist(), exponent_curve(model, lam).tolist()) if args.curve_csv else ()
+    files = {**_csv(args.curve_csv, ["lambda", "g_min"], "gg", curve),
              **_csv(args.csv, ["lambda_star", "s_star", "beta_star", "fa_at_opt", "md_at_opt",
-                               "q_star", "variance_proxy"],
+                               "q_star", "variance_proxy"], "ggggggg",
                     [(report.lambda_star, report.s_star, report.beta_star, report.fa_at_opt,
                       report.md_at_opt, report.q_star, report.variance_proxy)])}
     return Output([f"lambda_star={report.lambda_star:.10g} s_star={report.s_star:.10g} "
@@ -351,7 +366,7 @@ def cmd_simulate(args) -> Output:
         [f"empirical_risk={result.empirical_risk:.10g} std_error={result.std_error:.10g}",
          f"fa_count={result.fa_count} md_count={result.md_count} trials={result.trials}"],
         _csv(args.csv, ["empirical_risk", "std_error", "fa_count", "md_count",
-                        "trials", "h0_trials", "h1_trials"],
+                        "trials", "h0_trials", "h1_trials"], "ggddddd",
              [(result.empirical_risk, result.std_error, result.fa_count,
                result.md_count, result.trials, result.h0_trials, result.h1_trials)]))
 
@@ -414,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="many-agent limit classification")
     p.add_argument("--q0", type=float)
     p.add_argument("--q1", type=float)
-    p.add_argument("--pi0", type=float, help="fill in the numeric limit risk")
+    p.add_argument("--pi0", type=float,
+                   help="fill in the numeric limit risk of --q0, --q1; a map (--grid) "
+                        "only checks that it lies in (0, 1)")
     p.add_argument("--grid", type=float, help="emit a region map at this step")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the point is classified as boundary")
@@ -463,11 +480,9 @@ def main(argv=None) -> int:
         created = [path for path in out.files if not os.path.exists(path)]
         for path in out.files:  # every path opens, creating only the missing, before any truncates
             open(path, "a").close()
-        for path, (header, rows) in out.files.items():
+        for path, text in out.files.items():
             with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(header)
-                writer.writerows(rows)
+                handle.write(text)
     except (ValueError, IndexError, OSError, FloatingPointError) as exc:
         for path in created:
             with contextlib.suppress(OSError):

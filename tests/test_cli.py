@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -510,6 +511,22 @@ class TestPhaseCommand:
         assert out == "map: 39601 points Case1=6691 Case2=16455 Case3=16455\n"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "e8260ebcac92f19eea49739d62dd8af5a00ebc7542c481e82e26fdba20d14049")
+
+    def test_benchmark_map_peak_bounded(self, capsys, tmp_path):
+        """The 39,601-point map's CSV is one text block, built from labels and
+        (q1, region) tails formatted once: the run peaks near 2.5 MB, where a
+        tuple of text cells a row for ``csv.writer`` peaked at 3.1 MB."""
+        argv = ["phase", "--grid", "0.005", "--pi0", "0.3", "--csv", str(tmp_path / "map.csv")]
+        run_cli(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 2.8e6
 
     @pytest.mark.parametrize("pi0", ["0.0", "1.0", "-0.2", "1.5"])
     def test_region_map_degenerate_prior_writes_nothing(self, capsys, tmp_path, pi0):
@@ -1112,9 +1129,9 @@ _COMMANDS = {
                     ("--resolution", _number("0.05", "0.25"))],
                    [("--pi0", _number("0.3")), _N_LOCAL, ("--q0", _number("0.6")),
                     ("--sweep-pi0", _PRIOR_RANGE), *_MODEL], ["--tie-locals", "--contour"]),
-    "pbpo": _flags([("--pi0", _number("0.3", "0.6")), ("--max-iters", _number("1", "5", "20")),
-                    ("--restarts", _number("1", "3"))],
-                   [_N_LOCAL, ("--delta", _number("5e-4", "0.01")),
+    "pbpo": _flags([("--pi0", _number("0.3", "0.6")), ("--max-iters", _number("1", "5", "20"))],
+                   [_N_LOCAL, ("--restarts", _number("1", "3")),
+                    ("--delta", _number("5e-4", "0.01")),
                     ("--eps", _number("1e-4", "1e-3")), ("--init", _beliefs(4)),
                     ("--seed", _number("7")), *_MODEL],
                    ["--random-init", "--trace", "--exact"]),
