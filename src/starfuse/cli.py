@@ -98,6 +98,27 @@ def _csv(path, header, kinds, rows) -> dict:
     return {path: _csv_text(header, [template % row for row in rows])}
 
 
+def _axis_product_csv(path, header, axis, tails) -> dict:
+    """``{path: CSV text}`` of a map or surface over ``axis`` x ``axis``, or
+    ``{}`` when no path is given. Each point of ``axis`` is formatted once;
+    ``tails(labels)`` yields each label's row of line tails (the second
+    point's label, then the value), and a row's lines are joined as drawn."""
+    if not path:
+        return {}
+    labels = [f"{q:.10g}" for q in axis.tolist()]
+    return {path: _csv_text(header, (f"{label}," + f"\r\n{label},".join(row)
+                                     for label, row in zip(labels, tails(labels))))}
+
+
+def _result_output(result, path, rows, lead=(), extra=()) -> Output:
+    """An optimizer's ``beliefs=`` and ``risk=`` lines, then ``extra``, and the
+    CSV of ``rows`` under ``lead`` (integer columns), q0..qN and risk."""
+    header = [*lead, *(f"q{i}" for i in range(len(result.beliefs))), "risk"]
+    return Output([f"beliefs={','.join(f'{b:.10g}' for b in result.beliefs)}",
+                   f"risk={result.risk:.10g}", *extra],
+                  _csv(path, header, "d" * len(lead) + "g" * (len(header) - len(lead)), rows))
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     parts = [p for p in text.split(",") if p.strip() != ""]
     if not parts:
@@ -176,13 +197,12 @@ def cmd_grid(args) -> Output:
             raise ValueError("--contour draws a (q1, q2) surface and needs --n-local 2")
         template = NetworkTemplate(args.pi0, costs, model, 2)
         axis = _unit_axis(args.resolution, "--resolution")
-        grid1, grid2 = np.meshgrid(axis, axis, indexing="ij")
-        rows = np.column_stack([grid1.ravel(), grid2.ravel()])
-        risks = checked_risks(template, [args.q0], rows)[0]
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        risks = checked_risks(template, [args.q0], points)[0].reshape(len(axis), len(axis))
         return Output(
-            [f"contour: {len(rows)} points at q0={args.q0:.10g}, min risk {risks.min():.10g}"],
-            _csv(args.csv, ["q1", "q2", "risk"], "ggg",
-                 zip(grid1.ravel().tolist(), grid2.ravel().tolist(), risks.tolist())))
+            [f"contour: {risks.size} points at q0={args.q0:.10g}, min risk {risks.min():.10g}"],
+            _axis_product_csv(args.csv, ["q1", "q2", "risk"], axis, lambda labels: (
+                [f"{q2},{risk:.10g}" for q2, risk in zip(labels, row.tolist())] for row in risks)))
 
     settings = OptimizerSettings(grid_resolution=args.grid_resolution,
                                  tie_local_beliefs=args.tie_locals)
@@ -198,10 +218,7 @@ def cmd_grid(args) -> Output:
     if args.pi0 is None:
         raise ValueError("grid needs --pi0 (or --sweep-pi0)")
     result = grid_search(NetworkTemplate(args.pi0, costs, model, args.n_local), settings)
-    header = ["q0"] + [f"q{i}" for i in range(1, len(result.beliefs))] + ["risk"]
-    return Output([f"beliefs={','.join(f'{b:.10g}' for b in result.beliefs)}",
-                   f"risk={result.risk:.10g}"],
-                  _csv(args.csv, header, "g" * len(header), [(*result.beliefs, result.risk)]))
+    return _result_output(result, args.csv, [(*result.beliefs, result.risk)])
 
 
 def cmd_pbpo(args) -> Output:
@@ -223,14 +240,10 @@ def cmd_pbpo(args) -> Output:
     runner = pbpo_exact if args.exact else pbpo
     result = runner(template, settings, init=init,
                     seed=RESTART_SEED if args.seed is None else args.seed)
-    header = ["sweep", "q0"] + [f"q{i}" for i in range(1, args.n_local + 1)] + ["risk"]
-    trace = result.trace_array
-    rows = ((idx, *row) for idx, row in enumerate(trace.tolist())) if args.trace \
-        else [(result.iterations, *trace[-1].tolist())]
-    return Output([f"beliefs={','.join(f'{b:.10g}' for b in result.beliefs)}",
-                   f"risk={result.risk:.10g}",
-                   f"sweeps={result.iterations} converged={result.converged}"],
-                  _csv(args.csv, header, "d" + "g" * (len(header) - 1), rows))
+    first = 0 if args.trace else result.iterations  # the last sweep's row alone
+    rows = ((k, *row) for k, row in enumerate(result.trace_array[first:].tolist(), first))
+    return _result_output(result, args.csv, rows, ["sweep"],
+                          [f"sweeps={result.iterations} converged={result.converged}"])
 
 
 def _sweep_value(path: str, line: int, column: str, cell) -> float:
@@ -306,16 +319,11 @@ def cmd_phase(args) -> Output:
         counts = np.bincount(index.ravel(), minlength=len(order)).tolist()
         summary = sorted((region.value, count) for region, count in zip(order, counts) if count)
         lines = [f"map: {regions.size} points " + " ".join(f"{k}={v}" for k, v in summary)]
-        if not args.csv:
-            return Output(lines, {})
-        # Each axis label and each (q1, region) tail is formatted once; row i
-        # of the map is q0 label i joined to the tails of its regions.
-        labels = [f"{q:.10g}" for q in axis.tolist()]
-        tails = np.array([[f"{q1},{region.value}" for region in order] for q1 in labels],
-                         dtype=object)
-        cells = tails[np.arange(len(labels)), index]
-        return Output(lines, {args.csv: _csv_text(["q0", "q1", "region"], [
-            f"{q0}," + f"\r\n{q0},".join(row) for q0, row in zip(labels, cells)])})
+        # Each (q1, region) tail is formatted once; row i picks its regions' tails.
+        return Output(lines, _axis_product_csv(
+            args.csv, ["q0", "q1", "region"], axis, lambda labels: np.array(
+                [[f"{q1},{region.value}" for region in order] for q1 in labels],
+                dtype=object)[np.arange(len(labels)), index]))
 
     if args.q0 is None or args.q1 is None:
         raise ValueError("phase needs --q0 and --q1 (or --grid for a map)")

@@ -49,10 +49,10 @@ changes:
 - ``pbpo_exact`` updates every local of a sweep from one
   ``network.pinned_fusion_sweep``, O(N^2) per sweep.
 
-The descents build each run's trace as one flat list of floats, a sweep's
-beliefs and then its risk, and ``OptimizationResult`` keeps it as one
-read-only float64 array of a row per sweep, so a result holds no tuple per
-sweep until its ``trace`` is read.
+Every result is built by ``_finish``. The descents pass it each run's
+trace as one flat list of floats, a sweep's beliefs and then its risk, and
+``OptimizationResult`` keeps it as one read-only float64 array of a row per
+sweep, so a result holds no tuple per sweep until its ``trace`` is read.
 
 Every array mix of count pmfs with per-count fusion errors is
 ``network.mix``, so the scan's risks are ``batch_risk``'s and ``exact_risk``'s
@@ -302,16 +302,11 @@ def checked_risks(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     return _finite_rows(batch_risk(template, q0, q_local), q0, template.model.sigma)
 
 
-def _expand(row: np.ndarray, tie: bool, n_local: int) -> tuple[float, ...]:
-    if tie:
-        return (float(row[0]),) + (float(row[1]),) * n_local
-    return tuple(float(x) for x in row)
-
-
 def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: OptimizerSettings) -> list:
-    """``grid_search``'s best grid row (fusion belief, then the local axes)
-    and its count of grid points, for the template at each prior of
-    ``pi0_values``, with one stage loop for all of them.
+    """``grid_search``'s beliefs (fusion belief first, a tied local belief
+    repeated for every local) as a tuple of floats, and its count of grid
+    points, for the template at each prior of ``pi0_values``, with one stage
+    loop for all of them.
 
     No prior enters ``fusion_error_rates``, so the coarse grid's rates are
     built once and each prior applies only its ``bayes_risk`` weights. A
@@ -344,8 +339,8 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
             if not best:
                 break  # every prior has met a risk that is not finite
             window = 2.0 * resolutions[stage - 1]
-            searches = [((p,), [_axis(c - window, c + window, res) for c in row])
-                        for p, row in best.items()]
+            searches = [((p,), [_axis(c - window, c + window, res) for c in beliefs[:ndim]])
+                        for p, beliefs in best.items()]
         # Row-major over (q0, local axes...), so the first-minimum argmin
         # breaks ties as a scan of the full product grid would.
         grids = [(priors, axes[0],
@@ -375,7 +370,7 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
                     failures[p] = risk_not_finite(float(q0[first_bad[p]]), model.sigma)
                 else:
                     _, i, j = minima[p]
-                    best[p] = np.concatenate(([q0[i]], local[j]))
+                    best[p] = (float(q0[i]), *local[j].tolist() * (n if tie else 1))
     if failures:
         raise failures[min(failures)]
     return [(best[p], evaluated[p]) for p in range(len(pi0_values))]
@@ -396,16 +391,8 @@ def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> Optim
     searched, which is only allowed for N <= 3. Raises ``FloatingPointError``
     when a grid point's risk is not finite.
     """
-    [(row, evaluated)] = _grid_minima(template, [template.pi0], settings)
-    beliefs = _expand(row, settings.tie_local_beliefs, template.n_local)
-    config = template.config(beliefs[0], beliefs[1:])
-    return OptimizationResult(
-        beliefs=beliefs,
-        risk=exact_risk(config).r0,
-        iterations=evaluated,
-        converged=True,
-        stationarity_residual=stationarity_residual(config),
-    )
+    [(beliefs, evaluated)] = _grid_minima(template, [template.pi0], settings)
+    return _finish(template, beliefs, evaluated, True, None)
 
 
 def golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -720,12 +707,15 @@ def _pbpo_exact_run(search, template, settings, init):
 
 
 def _finish(template, q, sweeps, converged, trace):
-    """The result of a descent's run, from its flat trace list. ``reshape``
-    gives a view of the flat array, so the rows are copied into an array
-    that owns them, as ``OptimizationResult`` keeps its trace."""
+    """Every optimizer's result, from its beliefs and a descent's flat trace
+    list (``grid_search`` passes its count of grid points and no trace).
+    ``reshape`` gives a view of the flat array, so the rows are copied into
+    an array that owns them, as ``OptimizationResult`` keeps its trace."""
     config = template.config(q[0], q[1:])
-    rows = np.array(trace).reshape(sweeps + 1, len(q) + 1).copy()
-    rows.flags.writeable = False
+    rows = None
+    if trace is not None:
+        rows = np.array(trace).reshape(sweeps + 1, len(q) + 1).copy()
+        rows.flags.writeable = False
     return OptimizationResult(
         beliefs=tuple(float(x) for x in q),
         risk=exact_risk(config).r0,
@@ -830,8 +820,8 @@ def optimal_belief_sweep(template: NetworkTemplate, pi0_values,
     elif not settings.tie_local_beliefs:
         settings = dataclasses.replace(settings, tie_local_beliefs=True)
     points = []
-    for pi0, (row, _) in zip(pi0_values, _grid_minima(template, pi0_values, settings)):
-        q0, q1 = float(row[0]), float(row[1])
+    for pi0, (beliefs, _) in zip(pi0_values, _grid_minima(template, pi0_values, settings)):
+        q0, q1 = beliefs[:2]
         risk = exact_risk(dataclasses.replace(template, pi0=pi0).tied(q0, q1)).r0
         points.append(SweepPoint(pi0, q0, q1, risk))
     return points

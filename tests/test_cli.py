@@ -174,6 +174,27 @@ class TestGridCommand:
         risks = {(r["q1"], r["q2"]): float(r["risk"]) for r in rows}
         assert min(risks.values()) < 0.2
 
+    def test_contour_peak_bounded(self, capsys, tmp_path):
+        """The 249,001-point surface's CSV is joined a row at a time from axis
+        labels formatted once: the run peaks near 21 MB, where three columns
+        of Python floats and one string a line peaked at 54 MB. The bytes are
+        those that the column-and-line build wrote."""
+        path = tmp_path / "contour.csv"
+        argv = ["grid", "--contour", "--pi0", "0.3", "--q0", "0.7", "--resolution", "0.002",
+                "--csv", str(path)]
+        run_cli(capsys, *argv)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "aa66dd1b4fe85b61f700ceca208913209b9c5fec9ef217e79118ac1225574614")
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 35e6
+
     @pytest.mark.parametrize("q0", ["1.5", "-0.2", "nan", "0.0", "1.0"])
     def test_contour_degenerate_q0_writes_nothing(self, capsys, tmp_path, q0):
         path = tmp_path / "contour.csv"
@@ -1084,17 +1105,35 @@ def test_closed_stdout_keeps_code_and_files(tmp_path, argv, code, err):
     assert path.read_text().count("\n") >= 2
 
 
-# The argv fuzz: every numeric flag beside its valid values takes each of
-# these, and every range part too, so steps are zero, negative, reversed or
-# not finite. Costly knobs stay small: N <= 3, --max-iters <= 20, --restarts
+# The argv fuzz: an argv holds valid numbers only, or all but one of them,
+# which is one of these edges, in any numeric flag, range part or belief, so
+# steps are zero, negative, reversed or not finite. One edge at a time lets
+# the other flags pass their checks, so many argvs reach the work they ask
+# for. Costly knobs stay small: N <= 3, --max-iters <= 20, --restarts
 # <= 3, --trials <= 1000, map and contour steps >= 0.05.
 _EDGES = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324")
 _NUMBER_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 _FUZZ_DIR = "{dir}"  # replaced by the example's own temporary directory
+_MARK = "#"  # leads each drawn number until ``_one_edge`` places the edge
+_MARKED = re.compile(r"#([^:,#]*)")
 
 
 def _number(*valid):
-    return st.sampled_from(valid + _EDGES)
+    return st.sampled_from([_MARK + value for value in valid])
+
+
+def _one_edge(argv):
+    """``argv`` with its numbers unmarked: all valid, or, in about half the
+    draws, with one of them, picked uniformly, replaced by an edge."""
+    slots = sum(arg.count(_MARK) for arg in argv)
+
+    def place(pick):
+        numbers = iter(range(slots))
+        return [_MARKED.sub(lambda m: pick[1] if next(numbers) == pick[0] else m[1], arg)
+                for arg in argv]
+    edge = st.tuples(st.integers(0, slots - 1), st.sampled_from(_EDGES)) if slots \
+        else st.nothing()
+    return st.one_of(st.just((-1, None)), edge).map(place)
 
 
 def _range(ends, steps):
@@ -1105,22 +1144,37 @@ def _beliefs(max_size):
     return st.lists(_number("0.3", "0.45", "0.7"), max_size=max_size).map(",".join)
 
 
-def _flags(required=(), optional=(), switches=()):
-    """argv of ``(flag, values)`` pairs, each optional one present or not,
-    and of ``switches``, each set or not, in a drawn order."""
-    def pair(flag, values):
-        return values.map(lambda value: [f"{flag}={value}"])
+def _pair(flag, values):
+    return values.map(lambda value: [f"{flag}={value}"])
 
-    parts = [pair(*item) for item in required]
-    parts += [st.one_of(st.just([]), pair(*item)) for item in optional]
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), _pair(flag, values))
+
+
+def _flags(required=(), optional=(), switches=(), groups=()):
+    """argv of ``(flag, values)`` pairs, each optional one present or not,
+    of ``switches``, each set or not, and of the argv pieces ``groups``
+    draw, in a drawn order, with at most one edge."""
+    parts = [_pair(*item) for item in required]
+    parts += [_optional(*item) for item in optional]
     parts += [st.sampled_from([[], [switch]]) for switch in switches]
-    return st.tuples(*parts).flatmap(st.permutations).map(lambda groups: sum(groups, []))
+    return st.tuples(*parts, *groups).flatmap(st.permutations).map(
+        lambda pieces: sum(pieces, [])).flatmap(_one_edge)
 
 
 _MODEL = [("--sigma", _number("1.0", "0.6", "3")), ("--cfa", _number("1.0", "2")),
           ("--cmd", _number("1.0", "0.5"))]
 _N_LOCAL = ("--n-local", _number("1", "2", "3"))
 _PRIOR_RANGE = _range(("0.2", "0.5", "0.8"), ("0.1", "0.3"))
+# A descent starts from the default, from --init, or from --random-init with
+# the flags it alone reads, and takes fixed --delta steps or --exact ones
+# (tests above refuse each flag where the run would not read it).
+_PBPO_START = st.one_of(
+    st.just([]), _pair("--init", _beliefs(4)),
+    st.tuples(_optional("--restarts", _number("1", "3")), _optional("--seed", _number("7")))
+    .map(lambda pieces: ["--random-init", *pieces[0], *pieces[1]]))
+_PBPO_STEP = st.one_of(_optional("--delta", _number("5e-4", "0.01")), st.just(["--exact"]))
 
 _COMMANDS = {
     "risk": _flags([("--pi0", _number("0.3", "0.7")), ("--q0", _number("0.3", "0.7")),
@@ -1130,11 +1184,8 @@ _COMMANDS = {
                    [("--pi0", _number("0.3")), _N_LOCAL, ("--q0", _number("0.6")),
                     ("--sweep-pi0", _PRIOR_RANGE), *_MODEL], ["--tie-locals", "--contour"]),
     "pbpo": _flags([("--pi0", _number("0.3", "0.6")), ("--max-iters", _number("1", "5", "20"))],
-                   [_N_LOCAL, ("--restarts", _number("1", "3")),
-                    ("--delta", _number("5e-4", "0.01")),
-                    ("--eps", _number("1e-4", "1e-3")), ("--init", _beliefs(4)),
-                    ("--seed", _number("7")), *_MODEL],
-                   ["--random-init", "--trace", "--exact"]),
+                   [_N_LOCAL, ("--eps", _number("1e-4", "1e-3")), *_MODEL], ["--trace"],
+                   [_PBPO_START, _PBPO_STEP]),
     "prelec": _flags([], [_N_LOCAL, ("--sweep-pi0", _PRIOR_RANGE),
                           ("--input", st.sampled_from([f"{_FUZZ_DIR}/sweep.csv",
                                                        f"{_FUZZ_DIR}/missing.csv"])),

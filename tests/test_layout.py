@@ -196,6 +196,44 @@ def test_only_cli_main_prints_or_writes():
     assert _output_sites((ROOT / "src" / "starfuse" / "cli.py").read_text()) == {"main"}
 
 
+def _call_sites(source, name):
+    """Names of the top-level definitions in ``source`` that call ``name``,
+    bare or as an attribute."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_call_sites_seen():
+    source = ("def a():\n    return OptimizationResult(1)\n"
+              "def b():\n    return optimize.OptimizationResult(beliefs=())\n"
+              "class C:\n    def m(self):\n        return OptimizationResult\n"
+              "x = [OptimizationResult(2)]\n"
+              "'OptimizationResult() in a docstring'\n")
+    assert _call_sites(source, "OptimizationResult") == {"a", "b", "<module>"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_results_built_only_by_finish(path):
+    """Every optimizer's ``OptimizationResult`` comes from ``optimize._finish``,
+    so a field the result gains is filled in one place."""
+    expected = {"_finish"} if path.name == "optimize.py" else set()
+    assert _call_sites(path.read_text(), "OptimizationResult") == expected
+
+
+def test_csv_text_only_in_the_two_renderers():
+    """Every CLI file is rendered by ``_csv``, a template per row, or by
+    ``_axis_product_csv``, labels formatted once, for a map or surface."""
+    source = (ROOT / "src" / "starfuse" / "cli.py").read_text()
+    assert _call_sites(source, "_csv_text") == {"_csv", "_axis_product_csv"}
+
+
 _TAIL_KERNELS = {"erf", "erfc", "log_ndtr", "ndtr", "ndtri"}
 
 
