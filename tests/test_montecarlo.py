@@ -282,6 +282,26 @@ class TestHypothesisSplit:
         expected = (int(np.count_nonzero(decide_one & ~h)), int(np.count_nonzero(~decide_one & h)))
         assert _count_trials(77, 40, *_cutoffs(cfg), chunk_size, first, stop) == expected
 
+    @pytest.mark.parametrize("n, sigma", [(1, 1.0), (2, 1.0), (16, 2.0), (17, 2.0), (20, 2.0),
+                                          (200, 4.0)])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 64])
+    def test_slice_counts_equal_direct_draws_at_any_width(self, n, sigma, chunk_size):
+        """The counts of networks on both sides of ``_COLUMN_LOOP_MAX_N``, in
+        slices wholly on one side of the H=0/H=1 boundary at trial 200 and
+        straddling it, equal the direct draws; the whole range errs under
+        both hypotheses."""
+        cfg = _config(pi0=0.4, q0=0.5, q_local=tuple(0.45 + 0.1 * i / n for i in range(n)),
+                      sigma=sigma)
+        cuts = _cutoffs(cfg)
+        for first, stop in [(0, 400), (150, 250), (199, 201), (199, 200), (200, 201), (0, 200),
+                            (200, 400)]:
+            h, decide_one = _inverse_cdf_decisions(cfg, 77, 200, first, stop)
+            expected = (int(np.count_nonzero(decide_one & ~h)),
+                        int(np.count_nonzero(~decide_one & h)))
+            assert _count_trials(77, 200, *cuts, chunk_size, first, stop) == expected, (first, stop)
+            if (first, stop) == (0, 400):
+                assert min(expected) > 0
+
 
 class TestHypothesisRates:
     """The per-hypothesis error rates, pooled over seeds fixed before the
