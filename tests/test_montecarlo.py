@@ -282,8 +282,8 @@ class TestHypothesisSplit:
         expected = (int(np.count_nonzero(decide_one & ~h)), int(np.count_nonzero(~decide_one & h)))
         assert _count_trials(77, 40, *_cutoffs(cfg), chunk_size, first, stop) == expected
 
-    @pytest.mark.parametrize("n, sigma", [(1, 1.0), (2, 1.0), (16, 2.0), (17, 2.0), (20, 2.0),
-                                          (200, 4.0)])
+    @pytest.mark.parametrize("n, sigma", [(1, 1.0), (2, 1.0), (8, 1.5), (9, 1.5), (16, 2.0),
+                                          (17, 2.0), (20, 2.0), (200, 4.0)])
     @pytest.mark.parametrize("chunk_size", [1, 3, 64])
     def test_slice_counts_equal_direct_draws_at_any_width(self, n, sigma, chunk_size):
         """The counts of networks on both sides of ``_COLUMN_LOOP_MAX_N``, in
