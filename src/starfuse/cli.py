@@ -367,6 +367,9 @@ def cmd_exponent(args) -> Output:
 
 
 def cmd_simulate(args) -> Output:
+    if args.trials < 2:
+        raise ValueError(f"simulate --trials {args.trials} is below 2: "
+                         f"fewer than 2 trials have no standard error")
     q_local = _parse_floats(args.q)
     template = NetworkTemplate(args.pi0, *_costs_model(args), len(q_local))
     result = simulate(SimulationSpec(template.config(args.q0, q_local), args.trials, args.seed))

@@ -14,8 +14,10 @@ uniforms whatever the split, and the integer counts are summed at the end.
 Results are therefore identical for any number of cores and any chunk
 size. The workers share one budget of ``CHUNK_UNIFORMS`` doubles
 (``CHUNK_UNIFORMS`` * 8 bytes in all, each worker holding its share in one
-buffer) plus temporaries of about the same size, whatever the network size
-and the core count.
+buffer), plus a cutoff table of the same size and a one-byte mask per
+uniform, whatever the network size and the core count. Each worker
+compares a whole chunk with its tiled cutoffs in one call and counts each
+trial's local decide-ones without a wider integer type than N needs.
 """
 
 import math
@@ -63,12 +65,14 @@ class SimulationResult:
 # long as one trial's stride fits in a worker's share.
 CHUNK_UNIFORMS = 65_536
 
-# Widest network whose counts are summed one local column at a time; wider
-# ones compare all columns at once and sum along each row. Per chunk of
-# 32,768 or 65,536 uniforms the column loop is about 4x faster at N=2, the
-# two tie at N=16 and the row sum wins from N=20 on; a whole simulate runs
-# 3x faster with it at N=200 and 15x at N=2000 (numpy 2.4, x86-64).
-_COLUMN_LOOP_MAX_N = 16
+# Widest network whose counts add the chunk's mask one local column at a
+# time; wider ones write the mask locals-major and sum its N + 1 rows. At a
+# 2-worker chunk (32,768 uniforms) the count costs per trial, column loop
+# against row sum: 7 against 9 ns at N=5, within 1 ns of each other from
+# N=7 to 10, 16 against 15 ns at N=12 and 22-28 against 17 ns at N=16
+# (numpy 2.4, 2 shared x86-64 cores). The column loop's per-column calls
+# grow with N; the row sum's strided mask writes cost more at small N.
+_COLUMN_LOOP_MAX_N = 8
 
 # Bit pattern of 1.0. For non-negative doubles the int64 order of the bit
 # patterns is the float order.
@@ -132,27 +136,48 @@ def _count_trials(seed: int, h0_trials: int, cut_local: np.ndarray, cut_fusion: 
     partition of the trial range gives counts that sum to those of one pass.
     ``cut_local`` is the (2, N) and ``cut_fusion`` the (2, N + 1) cutoff
     table of ``_uniform_cutoffs``.
+
+    Each chunk is compared whole, in one call, with its hypothesis's cutoff
+    row tiled to the chunk; the fusion column's cutoff there is 1.0, which
+    no draw reaches, so a trial's ones are its local decide-ones. Up to
+    ``_COLUMN_LOOP_MAX_N`` locals the mask's byte columns are added into the
+    count; above it the mask is written locals-major and its rows summed.
+    The count has the smallest unsigned type that holds N, so neither sum
+    casts below 256 locals. Per trial, beyond its N + 1 draws at about
+    2.2 ns each, counting costs about 4 ns at N=2, 18-19 at N=16, 22-23 at
+    N=20 and 190-203 at N=200 (one thread, 2-worker chunks, numpy 2.4,
+    2 shared x86-64 cores).
     """
     n = cut_local.shape[1]
     stride = n + 1
     gen = np.random.Generator(_stream(seed, 1).advance(first * stride))
-    buf = np.empty((min(chunk_size, stop - first), stride))
+    rows = min(chunk_size, stop - first)
+    buf = np.empty((rows, stride))
+    cut_rows = np.empty((rows, stride))
+    column_loop = n <= _COLUMN_LOOP_MAX_N
+    mask = np.empty((rows, stride) if column_loop else (stride, rows), dtype=bool)
+    ones_mask = mask.view(np.uint8)
+    count = np.empty(rows, dtype=np.min_scalar_type(n))
     ones = [0, 0]  # fusion decide-ones under H=0 and under H=1
     # The slice holds at most one run of each hypothesis.
     for h, run_first, run_stop in ((0, first, min(stop, h0_trials)),
                                    (1, max(first, h0_trials), stop)):
-        cut, cut_f = cut_local[h], cut_fusion[h]
+        cut_rows[:, 0] = 1.0
+        cut_rows[:, 1:] = cut_local[h]
         for start in range(run_first, run_stop, chunk_size):
-            u = buf[:min(chunk_size, run_stop - start)]
+            size = min(chunk_size, run_stop - start)
+            u, c = buf[:size], count[:size]
             gen.random(out=u)
             # Each trial's count of local decide-ones indexes its fusion cutoff.
-            if n <= _COLUMN_LOOP_MAX_N:
-                count = np.zeros(len(u), dtype=np.intp)
-                for j in range(n):
-                    count += u[:, j + 1] >= cut[j]
+            if column_loop:
+                np.greater_equal(u, cut_rows[:size], out=mask[:size])
+                c.fill(0)
+                for j in range(1, stride):
+                    np.add(c, ones_mask[:size, j], out=c)
             else:
-                count = np.add.reduce(u[:, 1:] >= cut, axis=1, dtype=np.intp)
-            ones[h] += int(np.count_nonzero(u[:, 0] >= np.take(cut_f, count)))
+                np.greater_equal(u, cut_rows[:size], out=mask[:, :size].T)
+                np.add.reduce(ones_mask[:, :size], axis=0, out=c)
+            ones[h] += int(np.count_nonzero(u[:, 0] >= np.take(cut_fusion[h], c)))
     h1_trials = max(0, stop - max(first, h0_trials))
     return ones[0], h1_trials - ones[1]
 
@@ -172,8 +197,8 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     h + sigma*Phi^-1(u) > lam is decided as u >= u*, with the cutoff u* of
     every (hypothesis, threshold) pair from ``_uniform_cutoffs``, so the
     counts are those of that test on the inverse-CDF signal. A chunk holds
-    trials of one hypothesis and is compared with that hypothesis's one
-    row of cutoffs.
+    trials of one hypothesis and is compared, in one call, with that
+    hypothesis's row of cutoffs tiled to the chunk (``_count_trials``).
 
     Time is O(trials * N) after the one-off cutoff bisection. The trial range
     is cut into one contiguous slice per worker, one worker per usable CPU
@@ -184,9 +209,11 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     uniforms on any number of cores, and the integer counts are summed:
     results are identical for any core count and any chunking. Each of w
     workers draws chunks of ``CHUNK_UNIFORMS`` / w uniforms (at least one
-    trial) into one buffer, so the buffers total ``CHUNK_UNIFORMS`` * 8
-    bytes (512 KiB) and the working memory stays about 1.5 MB at any N and
-    any core count.
+    trial) into one buffer and compares them with a tiled cutoff table of
+    the same size, so the two total ``CHUNK_UNIFORMS`` * 16 bytes (1 MiB)
+    and the traced peak stays about 1.3 MB at any N and any core count
+    (1.1-1.3 MB for N from 2 to 2000 on 1, 2 and 16 workers; 1.4 MB at
+    N=2000 on 16).
 
     Raises ``FloatingPointError`` naming sigma, before any draw, when the
     network's ``exact_risk`` is not finite (only a sigma outside about

@@ -702,6 +702,23 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert not path.exists()
 
+    def test_one_trial_refused(self, capsys, tmp_path, monkeypatch):
+        """One trial has no standard error, so the command refuses it before
+        any draw; ``SimulationSpec`` still takes it, and two trials run."""
+        path = tmp_path / "sim.csv"
+        argv = ["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5", "--seed", "1",
+                "--csv", str(path)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "simulate", lambda spec: pytest.fail("drew"))
+            code, out, err = run_cli(capsys, *argv, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: simulate --trials 1 is below 2: "
+                       "fewer than 2 trials have no standard error\n")
+        assert not path.exists()
+        code, out, _ = run_cli(capsys, *argv, "--trials", "2")
+        assert code == 0
+        assert "std_error=0.5" in out
+
     def test_missing_seed_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5"])
@@ -1145,8 +1162,9 @@ def _range(ends, steps):
     return st.tuples(_number(*ends), _number(*ends), _number(*steps)).map(":".join)
 
 
-def _beliefs(max_size):
-    return st.lists(_number("0.3", "0.45", "0.7"), max_size=max_size).map(",".join)
+def _beliefs(max_size, min_size=0):
+    return st.lists(_number("0.3", "0.45", "0.7"), min_size=min_size,
+                    max_size=max_size).map(",".join)
 
 
 def _pair(flag, values):
@@ -1172,13 +1190,22 @@ _MODEL = [("--sigma", _number("1.0", "0.6", "3")), ("--cfa", _number("1.0", "2")
           ("--cmd", _number("1.0", "0.5"))]
 _N_LOCAL = ("--n-local", _number("1", "2", "3"))
 _PRIOR_RANGE = _range(("0.2", "0.5", "0.8"), ("0.1", "0.3"))
-# A descent starts from the default, from --init, or from --random-init with
-# the flags it alone reads, and takes fixed --delta steps or --exact ones
-# (tests above refuse each flag where the run would not read it).
-_PBPO_START = st.one_of(
-    st.just([]), _pair("--init", _beliefs(4)),
-    st.tuples(_optional("--restarts", _number("1", "3")), _optional("--seed", _number("7")))
-    .map(lambda pieces: ["--random-init", *pieces[0], *pieces[1]]))
+# A descent of N locals (--n-local, or its default 2) starts from the
+# default, from --init with a belief for the fusion agent and each local, or
+# from --random-init with the flags it alone reads, and takes fixed --delta
+# steps or --exact ones (tests above refuse each flag where the run would
+# not read it, and an --init of the wrong length).
+_PBPO_N = st.one_of(st.just((2, [])),
+                    st.integers(1, 3).map(lambda n: (n, [f"--n-local={_MARK}{n}"])))
+
+
+def _pbpo_start(n):
+    return st.one_of(
+        st.just([]), _pair("--init", _beliefs(n + 1, n + 1)),
+        st.tuples(_optional("--restarts", _number("1", "3")), _optional("--seed", _number("7")))
+        .map(lambda pieces: ["--random-init", *pieces[0], *pieces[1]]))
+
+
 _PBPO_STEP = st.one_of(_optional("--delta", _number("5e-4", "0.01")), st.just(["--exact"]))
 
 _COMMANDS = {
@@ -1188,9 +1215,10 @@ _COMMANDS = {
                     ("--resolution", _number("0.05", "0.25"))],
                    [("--pi0", _number("0.3")), _N_LOCAL, ("--q0", _number("0.6")),
                     ("--sweep-pi0", _PRIOR_RANGE), *_MODEL], ["--tie-locals", "--contour"]),
-    "pbpo": _flags([("--pi0", _number("0.3", "0.6")), ("--max-iters", _number("1", "5", "20"))],
-                   [_N_LOCAL, ("--eps", _number("1e-4", "1e-3")), *_MODEL], ["--trace"],
-                   [_PBPO_START, _PBPO_STEP]),
+    "pbpo": _PBPO_N.flatmap(lambda drawn: _flags(
+        [("--pi0", _number("0.3", "0.6")), ("--max-iters", _number("1", "5", "20"))],
+        [("--eps", _number("1e-4", "1e-3")), *_MODEL], ["--trace"],
+        [st.just(drawn[1]), _pbpo_start(drawn[0]), _PBPO_STEP])),
     "prelec": _flags([], [_N_LOCAL, ("--sweep-pi0", _PRIOR_RANGE),
                           ("--input", st.sampled_from([f"{_FUZZ_DIR}/sweep.csv",
                                                        f"{_FUZZ_DIR}/missing.csv"])),
@@ -1206,7 +1234,7 @@ _COMMANDS = {
                             ("--lam-range", _range(("-3", "0.5", "4"), ("0.25", "1"))),
                             *_MODEL], ["--estimate"]),
     "simulate": _flags([("--pi0", _number("0.3", "0.7")), ("--q0", _number("0.3", "0.7")),
-                        ("--q", _beliefs(3)), ("--trials", _number("1", "100", "1000")),
+                        ("--q", _beliefs(3)), ("--trials", _number("2", "100", "1000")),
                         ("--seed", _number("1", "7"))], _MODEL),
 }
 
