@@ -154,15 +154,15 @@ def _count_trials(seed: int, h0_trials: int, cut_local: np.ndarray, cut_fusion: 
     rows = min(chunk_size, stop - first)
     buf = np.empty((rows, stride))
     cut_rows = np.empty((rows, stride))
+    cut_rows[:, 0] = 1.0
     column_loop = n <= _COLUMN_LOOP_MAX_N
     mask = np.empty((rows, stride) if column_loop else (stride, rows), dtype=bool)
-    ones_mask = mask.view(np.uint8)
+    mask_bytes = mask.view(np.uint8)
     count = np.empty(rows, dtype=np.min_scalar_type(n))
     ones = [0, 0]  # fusion decide-ones under H=0 and under H=1
     # The slice holds at most one run of each hypothesis.
     for h, run_first, run_stop in ((0, first, min(stop, h0_trials)),
                                    (1, max(first, h0_trials), stop)):
-        cut_rows[:, 0] = 1.0
         cut_rows[:, 1:] = cut_local[h]
         for start in range(run_first, run_stop, chunk_size):
             size = min(chunk_size, run_stop - start)
@@ -173,10 +173,10 @@ def _count_trials(seed: int, h0_trials: int, cut_local: np.ndarray, cut_fusion: 
                 np.greater_equal(u, cut_rows[:size], out=mask[:size])
                 c.fill(0)
                 for j in range(1, stride):
-                    np.add(c, ones_mask[:size, j], out=c)
+                    np.add(c, mask_bytes[:size, j], out=c)
             else:
                 np.greater_equal(u, cut_rows[:size], out=mask[:, :size].T)
-                np.add.reduce(ones_mask[:, :size], axis=0, out=c)
+                np.add.reduce(mask_bytes[:, :size], axis=0, out=c)
             ones[h] += int(np.count_nonzero(u[:, 0] >= np.take(cut_fusion[h], c)))
     h1_trials = max(0, stop - max(first, h0_trials))
     return ones[0], h1_trials - ones[1]

@@ -743,7 +743,8 @@ class TestSimulateCommand:
          "578e9a2611f2abdf49a66ce1a2909f3785eef007019c4cf6c8d1bc173e47abc7"),
         # Two hundred heterogeneous locals, 0.48 to 0.5198: wider than any
         # column loop, and erring under both hypotheses.
-        (["--pi0", "0.35", "--q0", "0.5", "--q", ",".join("%.4f" % (0.48 + 0.0002 * i) for i in range(200)),
+        (["--pi0", "0.35", "--q0", "0.5",
+          "--q", ",".join("%.4f" % (0.48 + 0.0002 * i) for i in range(200)),
           "--sigma", "4", "--cfa", "1.2", "--trials", "50000", "--seed", "2200"],
          "2515b229d56f10990661464c5c63507babd6ca49619846e10464b8ce83057e65"),
     ], ids=["readme", "twenty-locals", "three-locals", "twenty-tied", "two-hundred-locals"])
