@@ -1133,7 +1133,8 @@ def test_closed_stdout_keeps_code_and_files(tmp_path, argv, code, err):
 # steps are zero, negative, reversed or not finite. One edge at a time lets
 # the other flags pass their checks, so many argvs reach the work they ask
 # for. Costly knobs stay small: N <= 3, --max-iters <= 20, --restarts
-# <= 3, --trials <= 1000, map and contour steps >= 0.05.
+# <= 3, --trials <= 1000, map and contour steps >= 0.05. A --q list holds
+# at least one belief (tests above refuse an empty one).
 _EDGES = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324")
 _NUMBER_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 _FUZZ_DIR = "{dir}"  # replaced by the example's own temporary directory
@@ -1211,7 +1212,7 @@ _PBPO_STEP = st.one_of(_optional("--delta", _number("5e-4", "0.01")), st.just(["
 
 _COMMANDS = {
     "risk": _flags([("--pi0", _number("0.3", "0.7")), ("--q0", _number("0.3", "0.7")),
-                    ("--q", _beliefs(3))], _MODEL),
+                    ("--q", _beliefs(3, 1))], _MODEL),
     "grid": _flags([("--grid-resolution", _number("0.1", "0.25")),
                     ("--resolution", _number("0.05", "0.25"))],
                    [("--pi0", _number("0.3")), _N_LOCAL, ("--q0", _number("0.6")),
@@ -1235,7 +1236,7 @@ _COMMANDS = {
                             ("--lam-range", _range(("-3", "0.5", "4"), ("0.25", "1"))),
                             *_MODEL], ["--estimate"]),
     "simulate": _flags([("--pi0", _number("0.3", "0.7")), ("--q0", _number("0.3", "0.7")),
-                        ("--q", _beliefs(3)), ("--trials", _number("2", "100", "1000")),
+                        ("--q", _beliefs(3, 1)), ("--trials", _number("2", "100", "1000")),
                         ("--seed", _number("1", "7"))], _MODEL),
 }
 
