@@ -283,12 +283,15 @@ class TestHypothesisSplit:
         assert _count_trials(77, 40, *_cutoffs(cfg), chunk_size, first, stop) == expected
 
     @pytest.mark.parametrize("n, sigma", [(1, 1.0), (2, 1.0), (8, 1.5), (9, 1.5), (16, 2.0),
-                                          (17, 2.0), (20, 2.0), (200, 4.0), (600, 8.0)])
+                                          (17, 2.0), (20, 2.0), (200, 4.0), (255, 4.0),
+                                          (256, 4.0), (600, 8.0)])
     @pytest.mark.parametrize("chunk_size", [1, 3, 64])
     def test_slice_counts_equal_direct_draws_at_any_width(self, n, sigma, chunk_size):
-        """The counts of networks on both sides of ``_COLUMN_LOOP_MAX_N``, and
-        of 600 locals, most of whose trials count more ones than a byte holds,
-        in slices wholly on one side of the H=0/H=1 boundary at trial 200 and
+        """The counts of networks on both sides of ``_COLUMN_LOOP_MAX_N``; of
+        255 and 256 locals, whose counts fill a byte and overflow it, on the
+        two sides of ``np.min_scalar_type``'s uint8/uint16 switch; and of 600
+        locals, most of whose trials count more ones than a byte holds, in
+        slices wholly on one side of the H=0/H=1 boundary at trial 200 and
         straddling it, equal the direct draws; the whole range errs under
         both hypotheses."""
         cfg = _config(pi0=0.4, q0=0.5, q_local=tuple(0.45 + 0.1 * i / n for i in range(n)),
