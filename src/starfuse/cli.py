@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
-Every command validates its flags before any computation, prints headline
-numbers to stdout, and can write its full output as RFC-4180 CSV with a
-header row. Numbers are serialized with 10 significant digits and all
+Every command validates its flags' values before any computation (a flag
+that its mode does not read, per ``_MODES``, is refused after it), prints
+headline numbers to stdout, and can write its full output as RFC-4180 CSV
+with a header row. Numbers are serialized with 10 significant digits and all
 computation is deterministic, so rerunning a command with identical flags
 produces byte-identical files. The numbers come from the library's public
 functions; ``grid --contour`` evaluates its surface with
@@ -69,6 +70,43 @@ EXIT_DOMAIN = 3
 # (``grid --contour --resolution``, ``phase --grid``), that a command accepts.
 MAX_RANGE_POINTS = 10**6
 MIN_AXIS_STEP = 1e-3
+
+# Each subcommand's modes as (command, mode, selector, reads, needs), flags
+# space-separated. A command's rows fall in runs, each ended by a mode with no
+# selector; a run picks its first mode whose selector is given, else its last.
+# ``main`` refuses a need not given before the work, and after it any given
+# flag but --sigma, --cfa, --cmd, --csv and the picked modes' reads.
+_MODES = (
+    ("risk", "", "", "--pi0 --q0 --q", ""),
+    ("grid", "contour", "--contour", "--contour --pi0 --q0 --n-local --resolution", "--pi0 --q0"),
+    # A sweep ties the locals anyway: --tie-locals states what it does.
+    ("grid", "sweep", "--sweep-pi0", "--sweep-pi0 --n-local --tie-locals --grid-resolution", ""),
+    ("grid", "search", "", "--pi0 --n-local --tie-locals --grid-resolution", "--pi0"),
+    ("pbpo", "", "", "--pi0 --n-local --eps --max-iters --trace", ""),
+    ("pbpo", "random-start", "--random-init", "--random-init --restarts --seed", ""),
+    ("pbpo", "init-start", "--init", "--init", ""),
+    ("pbpo", "default-start", "", "", ""),
+    ("pbpo", "exact-step", "--exact", "--exact", ""),
+    ("pbpo", "fixed-step", "", "--delta", ""),
+    ("prelec", "input", "--input", "--input --n-local --q0-strategy", ""),
+    ("prelec", "sweep", "", "--sweep-pi0 --n-local --q0-strategy", "--sweep-pi0"),
+    # A map only checks --pi0; the benchmark's map jobs pass it, so it stays until they do not.
+    ("phase", "map", "--grid", "--grid --pi0", ""),
+    ("phase", "point", "", "--q0 --q1 --pi0 --strict", "--q0 --q1"),
+    ("exponent", "estimate", "--estimate", "--estimate --pi0 --q0 --q1 --n", "--pi0 --q0 --q1"),
+    ("exponent", "curve", "--curve-csv", "--curve-csv --lam-range", ""),
+    ("exponent", "report", "", "", ""),
+    ("simulate", "", "", "--pi0 --q0 --q --trials --seed", ""))
+# The value that a picked mode fills in for a flag it reads, when not given.
+_DEFAULTS = (("--resolution", 0.02), ("--grid-resolution", 2e-4), ("--n", "5:60:5"),
+             ("--lam-range", "-3:4:0.001"))
+# Why a command refuses a flag, where naming the mode that does not read it is not enough.
+_REASONS = (
+    ("pbpo", "--delta", "pbpo --exact takes no --delta: it minimizes each coordinate exactly"),
+    ("pbpo", "--restarts --seed", "pbpo --restarts and --seed need --random-init: "
+                                  "a run from --init or the default start has no restarts"),
+    ("phase", "--q0 --q1 --strict", "phase --grid maps every (q0, q1) and classifies no "
+                                    "single point: it takes no --q0, --q1 or --strict"))
 
 
 class Output(NamedTuple):
@@ -160,6 +198,34 @@ def _unit_axis(step: float, flag: str) -> np.ndarray:
     return _parse_range(f"{step}:{1.0 - step}:{step}")
 
 
+def _check_modes(args) -> str | None:
+    """Pick the modes of ``args.command`` from ``_MODES``, fill in their
+    defaults and raise ``ValueError`` for a need not given. Return the
+    refusal of the first given flag that no picked mode reads, or None."""
+    given = {"--" + dest.replace("_", "-") for dest, value in vars(args).items()
+             if value is not None and value is not False}
+    refused, run = [], []
+    for row in (row for row in _MODES if row[0] == args.command):
+        run.append(row)
+        if row[2]:
+            continue
+        command, mode, selector, reads, needs = next(r for r in run if r[2] in given or not r[2])
+        label = f"{command} {mode} mode ({selector or 'no ' + ' or '.join(r[2] for r in run[:-1])})"
+        if not given.issuperset(needs.split()):
+            raise ValueError(f"{label} needs {' and '.join(needs.split())}")
+        refused += [(flag, label) for r in run for flag in r[3].split()
+                    if flag in given and flag not in reads.split()]
+        for flag, value in _DEFAULTS:
+            if flag in reads.split() and flag not in given:
+                setattr(args, flag[2:].replace("-", "_"), value)
+        run = []
+    for flag, label in refused[:1]:
+        return next((why for command, flags, why in _REASONS
+                     if command == args.command and flag in flags.split()),
+                    f"{label} does not read {flag}")
+    return None
+
+
 def _add_model_args(parser: argparse.ArgumentParser, func) -> None:
     """Add the flags every subcommand shares and the ``cmd_*`` that runs it."""
     parser.set_defaults(func=func)
@@ -191,8 +257,6 @@ def cmd_risk(args) -> Output:
 def cmd_grid(args) -> Output:
     costs, model = _costs_model(args)
     if args.contour:
-        if args.q0 is None or args.pi0 is None:
-            raise ValueError("--contour requires --pi0 and --q0")
         if args.n_local != 2:
             raise ValueError("--contour draws a (q1, q2) surface and needs --n-local 2")
         template = NetworkTemplate(args.pi0, costs, model, 2)
@@ -215,8 +279,6 @@ def cmd_grid(args) -> Output:
                       _csv(args.csv, ["pi0", "q0_opt", "q1_opt", "risk_opt"], "gggg",
                            ((p.pi0, p.q0_opt, p.q1_opt, p.risk_opt) for p in points)))
 
-    if args.pi0 is None:
-        raise ValueError("grid needs --pi0 (or --sweep-pi0)")
     result = grid_search(NetworkTemplate(args.pi0, costs, model, args.n_local), settings)
     return _result_output(result, args.csv, [(*result.beliefs, result.risk)])
 
@@ -229,12 +291,6 @@ def cmd_pbpo(args) -> Output:
         step=OptimizerSettings.step if args.delta is None else args.delta, eps=args.eps,
         max_iters=args.max_iters,
         restarts=OptimizerSettings.restarts if args.restarts is None else args.restarts)
-    # A flag that the run would not read is refused, once its value is checked.
-    if args.exact and args.delta is not None:
-        raise ValueError("pbpo --exact takes no --delta: it minimizes each coordinate exactly")
-    if not args.random_init and (args.restarts is not None or args.seed is not None):
-        raise ValueError("pbpo --restarts and --seed need --random-init: "
-                         "a run from --init or the default start has no restarts")
     init = None if args.random_init else \
         _parse_floats(args.init) if args.init is not None else (0.5,) * (args.n_local + 1)
     runner = pbpo_exact if args.exact else pbpo
@@ -285,10 +341,8 @@ def cmd_prelec(args) -> Output:
     template = NetworkTemplate(0.5, costs, model, args.n_local)
     if args.input:
         sweep = _read_sweep(args.input)
-    elif args.sweep_pi0:
-        sweep = optimal_belief_sweep(template, _parse_range(args.sweep_pi0))
     else:
-        raise ValueError("prelec needs sweep input: --input CSV or --sweep-pi0 range")
+        sweep = optimal_belief_sweep(template, _parse_range(args.sweep_pi0))
 
     params, linf = fit_prelec_minimax([p.pi0 for p in sweep], [p.q1_opt for p in sweep])
     gap_points = prelec_risk_gap(template, params, args.q0_strategy, sweep)
@@ -308,9 +362,6 @@ def cmd_phase(args) -> Output:
         axis = _unit_axis(args.grid, "--grid")
         if args.pi0 is not None:
             check_prior(args.pi0)
-        if args.q0 is not None or args.q1 is not None or args.strict:
-            raise ValueError("phase --grid maps every (q0, q1) and classifies no single point: "
-                             "it takes no --q0, --q1 or --strict")
         regions = phase_map(model, costs, axis, axis)
         # Each point's index in PhaseRegion's order, found by comparing
         # members, which hashes none.
@@ -325,8 +376,6 @@ def cmd_phase(args) -> Output:
                 [[f"{q1},{region.value}" for region in order] for q1 in labels],
                 dtype=object)[np.arange(len(labels)), index]))
 
-    if args.q0 is None or args.q1 is None:
-        raise ValueError("phase needs --q0 and --q1 (or --grid for a map)")
     cls = classify_phase(model, costs, args.q0, args.q1, pi0=args.pi0)
     if not math.isfinite(cls.z1):  # z2 < 1
         raise FloatingPointError(f"q0={args.q0!r} at sigma={args.sigma!r}: z1 overflows a double")
@@ -342,8 +391,6 @@ def cmd_phase(args) -> Output:
 def cmd_exponent(args) -> Output:
     costs, model = _costs_model(args)
     if args.estimate:
-        if args.q0 is None or args.q1 is None or args.pi0 is None:
-            raise ValueError("--estimate needs --pi0, --q0 and --q1")
         n_list = [int(round(v)) for v in _parse_range(args.n)]
         beta_hat, fit = estimate_exponent(args.pi0, costs, model, args.q0, args.q1, n_list)
         return Output([f"beta_hat={beta_hat:.10g} r_squared={fit.r_squared:.10g} "
@@ -396,67 +443,66 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, cmd_risk)
 
     p = sub.add_parser("grid", help="exhaustive risk minimization / sweeps")
-    p.add_argument("--pi0", type=float)
+    p.add_argument("--pi0", type=float, help="prior (search and contour modes)")
     p.add_argument("--n-local", type=int, default=2)
-    p.add_argument("--q0", type=float, help="fixed fusion belief for --contour")
-    p.add_argument("--tie-locals", action="store_true")
-    p.add_argument("--grid-resolution", type=float, default=2e-4)
-    p.add_argument("--resolution", type=float, default=0.02,
-                   help="contour grid step")
+    p.add_argument("--q0", type=float, help="fixed fusion belief (contour mode)")
+    p.add_argument("--tie-locals", action="store_true", help="tied locals (search, sweep modes)")
+    p.add_argument("--grid-resolution", type=float,
+                   help="finest search step (default 0.0002; search and sweep modes)")
+    p.add_argument("--resolution", type=float, help="surface step (default 0.02; contour mode)")
     p.add_argument("--contour", action="store_true",
-                   help="emit the (q1, q2) risk surface at fixed --q0")
-    p.add_argument("--sweep-pi0", help="start:stop:step sweep of the prior")
+                   help="contour mode: the (q1, q2) risk surface at fixed --q0")
+    p.add_argument("--sweep-pi0", help="sweep mode: start:stop:step sweep of the prior")
     _add_model_args(p, cmd_grid)
 
     p = sub.add_parser("pbpo", help="coordinate-descent belief optimization")
     p.add_argument("--pi0", type=float, required=True)
     p.add_argument("--n-local", type=int, default=2)
     p.add_argument("--delta", type=float,
-                   help=f"coordinate step size (default {OptimizerSettings.step}; "
-                        f"not with --exact)")
+                   help=f"coordinate step (default {OptimizerSettings.step}; fixed-step mode)")
     p.add_argument("--eps", type=float, default=1e-4, help="stopping threshold")
     p.add_argument("--max-iters", type=int, default=2000)
     start = p.add_mutually_exclusive_group()
-    start.add_argument("--init", help="comma-separated beliefs, fusion agent first "
-                                      "(default: all 0.5)")
+    start.add_argument("--init", help="init-start mode: comma-separated beliefs, fusion "
+                                      "agent first (default-start mode: all 0.5)")
     start.add_argument("--random-init", action="store_true",
-                       help="seeded uniform-random restarts instead of --init")
+                       help="random-start mode: seeded uniform-random restarts")
     p.add_argument("--restarts", type=int,
-                   help=f"--random-init restarts (default {OptimizerSettings.restarts})")
-    p.add_argument("--seed", type=int, help=f"--random-init seed (default {RESTART_SEED})")
+                   help=f"restarts (default {OptimizerSettings.restarts}; random-start mode)")
+    p.add_argument("--seed", type=int, help=f"seed (default {RESTART_SEED}; random-start mode)")
     p.add_argument("--trace", action="store_true", help="emit per-sweep rows to --csv")
     p.add_argument("--exact", action="store_true",
-                   help="exact per-coordinate minimization instead of fixed steps")
+                   help="exact-step mode: exact per-coordinate minimization")
     _add_model_args(p, cmd_pbpo)
 
     p = sub.add_parser("prelec", help="Prelec fit of the optimal local-belief curve")
     p.add_argument("--n-local", type=int, default=2)
-    p.add_argument("--sweep-pi0", help="start:stop:step prior sweep to compute")
-    p.add_argument("--input", help="CSV from `grid --sweep-pi0` to reuse")
+    p.add_argument("--sweep-pi0", help="sweep mode: start:stop:step prior sweep to compute")
+    p.add_argument("--input", help="input mode: CSV from `grid --sweep-pi0` to reuse")
     p.add_argument("--q0-strategy", choices=list(Q0_STRATEGIES),
                    default="keep-optimal-q0")
     _add_model_args(p, cmd_prelec)
 
     p = sub.add_parser("phase", help="many-agent limit classification")
-    p.add_argument("--q0", type=float)
-    p.add_argument("--q1", type=float)
+    p.add_argument("--q0", type=float, help="fusion belief (point mode)")
+    p.add_argument("--q1", type=float, help="tied local belief (point mode)")
     p.add_argument("--pi0", type=float,
                    help="fill in the numeric limit risk of --q0, --q1; a map (--grid) "
                         "only checks that it lies in (0, 1)")
-    p.add_argument("--grid", type=float, help="emit a region map at this step")
+    p.add_argument("--grid", type=float, help="map mode: emit a region map at this step")
     p.add_argument("--strict", action="store_true",
-                   help="exit 3 when the point is classified as boundary")
+                   help="exit 3 when the point is classified as boundary (point mode)")
     _add_model_args(p, cmd_phase)
 
     p = sub.add_parser("exponent", help="optimal risk exponent / exact decay fit")
-    p.add_argument("--estimate", action="store_true",
-                   help="fit the decay of the exact excess risk over network sizes up to 2000")
-    p.add_argument("--pi0", type=float)
-    p.add_argument("--q0", type=float)
-    p.add_argument("--q1", type=float)
-    p.add_argument("--n", default="5:60:5", help="network sizes start:stop:step")
-    p.add_argument("--curve-csv", help="write the per-threshold objective curve here")
-    p.add_argument("--lam-range", default="-3:4:0.001")
+    p.add_argument("--estimate", action="store_true", help="estimate mode: fit the decay "
+                   "of the exact excess risk over network sizes up to 2000")
+    p.add_argument("--pi0", type=float, help="prior (estimate mode)")
+    p.add_argument("--q0", type=float, help="fusion belief (estimate mode)")
+    p.add_argument("--q1", type=float, help="tied local belief (estimate mode)")
+    p.add_argument("--n", help="network sizes start:stop:step (default 5:60:5; estimate mode)")
+    p.add_argument("--curve-csv", help="curve mode: write the per-threshold objective curve here")
+    p.add_argument("--lam-range", help="thresholds (default -3:4:0.001; curve mode)")
     _add_model_args(p, cmd_exponent)
 
     p = sub.add_parser("simulate", help="seeded forward simulation")
@@ -487,7 +533,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     created = []
     try:
+        refusal = _check_modes(args)
         out = args.func(args)
+        if refusal:  # raised once the run has checked every value
+            raise ValueError(refusal)
         created = [path for path in out.files if not os.path.exists(path)]
         for path in out.files:  # every path opens, creating only the missing, before any truncates
             open(path, "a").close()

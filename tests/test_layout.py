@@ -414,10 +414,12 @@ def _dest(call):
     return next((n for n in names if n.startswith("--")), names[0]).lstrip("-").replace("-", "_")
 
 
-def _unread_flags(source):
-    """(subcommand, flag) of every flag that ``build_parser`` in ``source``
-    gives a subcommand and that no code reads as ``args.<flag>``: neither the
-    ``cmd_*`` that runs the subcommand nor a function it passes ``args`` to.
+def _subcommands(source):
+    """``{subcommand: (flags, shared, always, reads)}`` of the parser that
+    ``build_parser`` in ``source`` builds: the flags the subcommand adds
+    itself, those a module function adds for it, those always given (with a
+    ``default`` or ``required``), and the ``args`` attributes that its runner
+    reads, itself or through a function it passes ``args`` to.
 
     In ``build_parser`` a subcommand starts at ``... = sub.add_parser(name)``;
     its flags are the ``add_argument`` calls of the statements that follow,
@@ -449,27 +451,37 @@ def _unread_flags(source):
                         found |= reads(node.func.id, callee, seen)
         return found
 
-    commands = {}  # name -> [flags, runner]
+    def always(call):
+        return any(k.arg == "required" or k.arg == "default" and not (
+            isinstance(k.value, ast.Constant) and k.value.value is None) for k in call.keywords)
+
+    commands = {}  # name -> [flags, shared, always, runner]
     current = None
     for stmt in funcs["build_parser"].body:
         started = calls(stmt, "add_parser")
         if started:
-            current = commands.setdefault(started[0].args[0].value, [[], None])
+            current = commands.setdefault(started[0].args[0].value, [[], [], set(), None])
         if current is None:
             continue
         current[0] += [_dest(c) for c in calls(stmt, "add_argument")]
+        current[2] |= {_dest(c) for c in calls(stmt, "add_argument") if always(c)}
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and node.id in funcs:
                 if node.id.startswith("cmd_"):
-                    current[1] = node.id
+                    current[3] = node.id
                 else:
-                    current[0] += [_dest(c) for c in calls(funcs[node.id], "add_argument")]
-    unread = []
-    for command, (flags, runner) in commands.items():
-        param = funcs[runner].args.args[0].arg
-        known = reads(runner, param, set())
-        unread += [(command, flag) for flag in flags if flag not in known]
-    return unread
+                    current[1] += [_dest(c) for c in calls(funcs[node.id], "add_argument")]
+    return {command: (flags, shared, given, reads(runner, funcs[runner].args.args[0].arg, set()))
+            for command, (flags, shared, given, runner) in commands.items()}
+
+
+def _unread_flags(source):
+    """(subcommand, flag) of every flag that ``build_parser`` in ``source``
+    gives a subcommand and that no code reads as ``args.<flag>``: neither the
+    ``cmd_*`` that runs the subcommand nor a function it passes ``args`` to
+    (``_subcommands``)."""
+    return [(command, flag) for command, (flags, shared, _, known) in _subcommands(source).items()
+            for flag in flags + shared if flag not in known]
 
 
 def test_unread_flags_seen():
@@ -497,6 +509,63 @@ def test_unread_flags_seen():
 def test_every_cli_flag_is_read():
     """A flag that no command reads does nothing, so the parser offers none."""
     assert _unread_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
+
+
+def _untabled_flags(source):
+    """(subcommand, flag, why) of each flag of a subcommand that ``_MODES`` in
+    ``source`` does not account for: a flag that ``build_parser`` gives the
+    subcommand (``_subcommands``), other than a shared model flag, or an
+    ``args.<flag>`` that its runner reads, that no row of the subcommand
+    names; and a flag always given (with a default or required) that some
+    mode of a run naming it does not read, so that the mode would refuse
+    every run. A run is a subcommand's rows up to one with no selector."""
+    modes = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "_MODES")
+    untabled = []
+    for command, (flags, shared, given, known) in _subcommands(source).items():
+        rows = [row for row in modes if row[0] == command]
+        reads = [[flag[2:].replace("-", "_") for flag in row[3].split()] for row in rows]
+        tabled = {flag for row in reads for flag in row}
+        untabled += [(command, flag, "parser") for flag in flags if flag not in tabled]
+        untabled += [(command, flag, "read") for flag in sorted(known - tabled - set(shared))]
+        first = 0
+        for last, row in enumerate(rows):
+            if not row[2]:  # the last mode of a run
+                run = reads[first:last + 1]
+                untabled += [(command, flag, "always") for flag in sorted(given)
+                             if any(flag in r for r in run) and not all(flag in r for r in run)]
+                first = last + 1
+    return untabled
+
+
+def test_untabled_flags_seen():
+    source = ("_MODES = (('a', 'one', '--one', '--one --n-local', ''),\n"
+              "          ('a', 'two', '', '--seed', ''), ('b', '', '', '--seed', ''))\n"
+              "def _shared(p, func):\n"
+              "    p.set_defaults(func=func)\n"
+              "    p.add_argument('--sigma')\n"
+              "def cmd_a(args):\n    return args.sigma, args.one, args.n_local, args.trials\n"
+              "def cmd_b(args):\n    return args.seed\n"
+              "def build_parser():\n"
+              "    sub = object()\n"
+              "    p = sub.add_parser('a')\n"
+              "    p.add_argument('--one', action='store_true')\n"
+              "    p.add_argument('--n-local', type=int, default=2)\n"
+              "    p.add_argument('--seed', default=None)\n"
+              "    p.add_argument('--added')\n"
+              "    _shared(p, cmd_a)\n"
+              "    p = sub.add_parser('b')\n"
+              "    p.add_argument('--seed', required=True)\n"
+              "    _shared(p, cmd_b)\n")
+    assert _untabled_flags(source) == [("a", "added", "parser"), ("a", "trials", "read"),
+                                       ("a", "n_local", "always")]
+
+
+def test_every_cli_flag_is_tabled():
+    """Each flag a subcommand offers or reads is in a row of its mode table,
+    so the mode check refuses it wherever the run does not read it; and no
+    flag the parser always fills in is refused by a mode."""
+    assert _untabled_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
 
 
 SIZE_CONSTANTS = ("PER_FLOAT_BELOW", "BINOMIAL_FROM", "BATCH_CHUNK_ROWS")
