@@ -202,8 +202,9 @@ def _check_modes(args) -> str | None:
     """Pick the modes of ``args.command`` from ``_MODES``, fill in their
     defaults and raise ``ValueError`` for a need not given. Return the
     refusal of the first given flag that no picked mode reads, or None."""
+    # An empty path or range is not given: each command tests it for truth.
     given = {"--" + dest.replace("_", "-") for dest, value in vars(args).items()
-             if value is not None and value is not False}
+             if value is not None and value is not False and value != ""}
     refused, run = [], []
     for row in (row for row in _MODES if row[0] == args.command):
         run.append(row)

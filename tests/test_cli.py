@@ -1145,6 +1145,19 @@ def test_flag_the_mode_does_not_read_exits_two(capsys, tmp_path, argv, mode, fla
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["prelec", "--input", ""], 2, "error: prelec sweep mode (no --input) needs --sweep-pi0\n"),
+    (["grid", "--sweep-pi0", "", "--pi0", "0.3", "--grid-resolution", "0.01"], 0, ""),
+    (["exponent", "--curve-csv", "", "--lam-range", "0:1:0.5"], 2,
+     "error: exponent report mode (no --estimate or --curve-csv) does not read --lam-range\n"),
+], ids=["prelec-input", "grid-sweep", "exponent-curve"])
+def test_empty_value_picks_no_mode(capsys, argv, code, err):
+    """A command tests a path or range for truth, so an empty one is no
+    given flag: it picks no mode, and ``prelec --input ''`` exits 2 for
+    want of a sweep rather than with a traceback."""
+    assert run_cli(capsys, *argv)[::2] == (code, err)
+
+
 def _flag_helps(command):
     """``{flag: help}`` of the subcommand ``command``."""
     commands = next(action.choices for action in cli.build_parser()._actions if action.choices)
