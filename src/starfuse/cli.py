@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-Every command validates its flags' values before any computation (a flag
-that its mode does not read, per ``_MODES``, is refused after it), prints
-headline numbers to stdout, and can write its full output as RFC-4180 CSV
-with a header row. Numbers are serialized with 10 significant digits and all
+Every command refuses a flag that its modes do not read, per ``_MODES``,
+then validates its flags' values before any computation, prints headline
+numbers to stdout, and can write its full output as RFC-4180 CSV with a
+header row. Numbers are serialized with 10 significant digits and all
 computation is deterministic, so rerunning a command with identical flags
 produces byte-identical files. The numbers come from the library's public
 functions; ``grid --contour`` evaluates its surface with
@@ -74,8 +74,8 @@ MIN_AXIS_STEP = 1e-3
 # Each subcommand's modes as (command, mode, selector, reads, needs), flags
 # space-separated. A command's rows fall in runs, each ended by a mode with no
 # selector; a run picks its first mode whose selector is given, else its last.
-# ``main`` refuses a need not given before the work, and after it any given
-# flag but --sigma, --cfa, --cmd, --csv and the picked modes' reads.
+# ``main`` refuses a need not given, then any given flag but --sigma, --cfa,
+# --cmd, --csv and the picked modes' reads, before the values and the work.
 _MODES = (
     ("risk", "", "", "--pi0 --q0 --q", ""),
     ("grid", "contour", "--contour", "--contour --pi0 --q0 --n-local --resolution", "--pi0 --q0"),
@@ -130,7 +130,7 @@ def _csv(path, header, kinds, rows) -> dict:
     row is a tuple whose cells are ``kinds``, one letter each: ``d`` an
     integer, ``g`` a float at 10 significant digits, ``s`` text; one ``%``
     template renders the whole row."""
-    if not path:
+    if path is None:
         return {}
     template = ",".join("%.10g" if kind == "g" else f"%{kind}" for kind in kinds)
     return {path: _csv_text(header, [template % row for row in rows])}
@@ -141,7 +141,7 @@ def _axis_product_csv(path, header, axis, tails) -> dict:
     ``{}`` when no path is given. Each point of ``axis`` is formatted once;
     ``tails(labels)`` yields each label's row of line tails (the second
     point's label, then the value), and a row's lines are joined as drawn."""
-    if not path:
+    if path is None:
         return {}
     labels = [f"{q:.10g}" for q in axis.tolist()]
     return {path: _csv_text(header, (f"{label}," + f"\r\n{label},".join(row)
@@ -198,14 +198,14 @@ def _unit_axis(step: float, flag: str) -> np.ndarray:
     return _parse_range(f"{step}:{1.0 - step}:{step}")
 
 
-def _check_modes(args) -> str | None:
-    """Pick the modes of ``args.command`` from ``_MODES``, fill in their
-    defaults and raise ``ValueError`` for a need not given. Return the
-    refusal of the first given flag that no picked mode reads, or None."""
-    # An empty path or range is not given: each command tests it for truth.
+def _check_modes(args) -> None:
+    """Pick the modes of ``args.command`` from ``_MODES`` and fill in their
+    defaults. Raise ``ValueError`` for a need not given, then for the first
+    given flag that no picked mode reads."""
+    # An empty path or range picks no mode: each command tests a selector for truth.
     given = {"--" + dest.replace("_", "-") for dest, value in vars(args).items()
              if value is not None and value is not False and value != ""}
-    refused, run = [], []
+    run = []
     for row in (row for row in _MODES if row[0] == args.command):
         run.append(row)
         if row[2]:
@@ -214,17 +214,14 @@ def _check_modes(args) -> str | None:
         label = f"{command} {mode} mode ({selector or 'no ' + ' or '.join(r[2] for r in run[:-1])})"
         if not given.issuperset(needs.split()):
             raise ValueError(f"{label} needs {' and '.join(needs.split())}")
-        refused += [(flag, label) for r in run for flag in r[3].split()
-                    if flag in given and flag not in reads.split()]
+        for flag in (f for r in run for f in r[3].split() if f in given and f not in reads.split()):
+            raise ValueError(next((why for command, flags, why in _REASONS
+                                   if command == args.command and flag in flags.split()),
+                                  f"{label} does not read {flag}"))
         for flag, value in _DEFAULTS:
             if flag in reads.split() and flag not in given:
                 setattr(args, flag[2:].replace("-", "_"), value)
         run = []
-    for flag, label in refused[:1]:
-        return next((why for command, flags, why in _REASONS
-                     if command == args.command and flag in flags.split()),
-                    f"{label} does not read {flag}")
-    return None
 
 
 def _add_model_args(parser: argparse.ArgumentParser, func) -> None:
@@ -534,10 +531,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     created = []
     try:
-        refusal = _check_modes(args)
+        _check_modes(args)
         out = args.func(args)
-        if refusal:  # raised once the run has checked every value
-            raise ValueError(refusal)
         created = [path for path in out.files if not os.path.exists(path)]
         for path in out.files:  # every path opens, creating only the missing, before any truncates
             open(path, "a").close()

@@ -552,10 +552,13 @@ def minimize_fusion_belief(template: NetworkTemplate, q_local, tol: float = 1e-6
     bit for bit. Raises ``FloatingPointError``
     naming the first scan point whose risk is not finite, and
     ``ValueError``, worded as ``batch_risk``'s, for a local belief outside
-    (0, 1) or a wrong number of them, before anything is folded. A one-shot
-    ``FusionLineSearch``; callers that search the same network again and
-    again build one of those.
+    (0, 1) or a wrong number of them, before anything is folded, and for a
+    ``tol`` that is not finite, which would end the refinement unrun. A
+    one-shot ``FusionLineSearch``; callers that search the same network
+    again and again build one of those.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol={tol!r} must be finite")
     return FusionLineSearch(template)(q_local, tol)
 
 

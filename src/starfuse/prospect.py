@@ -75,7 +75,7 @@ def fit_prelec_minimax(pi0_values, q1_values) -> tuple[PrelecParams, float]:
     sample points only (no interpolation), so the error is ``max
     |prelec(pi0_values, params) - q1_values|`` to the last bit. Fewer than 3
     samples raise ``ValueError``: the two parameters fit so few points
-    whatever the curve.
+    whatever the curve; so does a sample that is not finite.
     """
     x = np.asarray(pi0_values, dtype=float)
     y = np.asarray(q1_values, dtype=float)
@@ -83,6 +83,8 @@ def fit_prelec_minimax(pi0_values, q1_values) -> tuple[PrelecParams, float]:
         raise ValueError("curve must supply matching, non-empty pi0 and belief samples")
     if x.size < 3:
         raise ValueError(f"a Prelec fit of 2 parameters needs at least 3 samples, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("a Prelec fit needs finite pi0 and belief samples")
 
     def objective(log_params):
         params = PrelecParams(math.exp(log_params[0]), math.exp(log_params[1]))

@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -273,11 +275,12 @@ class TestPbpoCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
         assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_digest
 
-    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["pbpo", "exact"])
-    @pytest.mark.parametrize("flag, name, value", [
-        ("--delta", "step", "inf"), ("--delta", "step", "nan"), ("--eps", "eps", "inf"),
-    ], ids=["delta-inf", "delta-nan", "eps-inf"])
-    def test_non_finite_step_or_eps_exits_two(self, capsys, tmp_path, flag, name, value, exact):
+    # ``--exact --delta`` is refused whatever the step: see test_exact_with_delta_exits_two.
+    @pytest.mark.parametrize("exact, flag, name, value", [
+        ([], "--delta", "step", "inf"), ([], "--delta", "step", "nan"),
+        ([], "--eps", "eps", "inf"), (["--exact"], "--eps", "eps", "inf"),
+    ], ids=["delta-inf-pbpo", "delta-nan-pbpo", "eps-inf-pbpo", "eps-inf-exact"])
+    def test_non_finite_step_or_eps_exits_two(self, capsys, tmp_path, exact, flag, name, value):
         """``--delta inf`` and ``--eps inf`` ran and reported converged=True;
         each now exits 2 with one error line and writes no file."""
         path = tmp_path / "pbpo.csv"
@@ -287,14 +290,13 @@ class TestPbpoCommand:
         assert err == f"error: {name} must be positive and finite\n"
         assert not path.exists()
 
-    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["pbpo", "exact"])
-    @pytest.mark.parametrize("delta", ["0.5", "0.9"])
-    def test_step_of_half_or_more_exits_two(self, capsys, tmp_path, delta, exact):
+    @pytest.mark.parametrize("delta", ["0.5", "0.9"], ids=["0.5-pbpo", "0.9-pbpo"])
+    def test_step_of_half_or_more_exits_two(self, capsys, tmp_path, delta):
         """``--delta 0.9`` and ``--delta 0.5`` probed only the clamp edges from
         the start of 0.5 and reported converged=True; each now exits 2 with
         one error line and writes no file."""
         path = tmp_path / "pbpo.csv"
-        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *exact, "--delta", delta,
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--delta", delta,
                                  "--csv", str(path))
         assert code == 2 and out == ""
         assert err == "error: step must be below 0.5\n"
@@ -311,30 +313,26 @@ class TestPbpoCommand:
         assert err == "error: pbpo --trace needs --csv, where it writes every sweep's row\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--restarts", "3"], None), (["--seed", "7"], None),
-        (["--exact", "--init", "0.5,0.4,0.6", "--seed", "7"], None),
-        (["--restarts", "0"], "max_iters and restarts must be positive integers"),
+    @pytest.mark.parametrize("argv", [
+        ["--restarts", "3"], ["--seed", "7"], ["--exact", "--init", "0.5,0.4,0.6", "--seed", "7"],
+        ["--restarts", "0"],
     ], ids=["restarts", "seed", "exact-init-seed", "restarts-0"])
-    def test_restarts_or_seed_without_random_init_exits_two(self, capsys, tmp_path, argv,
-                                                            message):
+    def test_restarts_or_seed_without_random_init_exits_two(self, capsys, tmp_path, argv):
         """A run from ``--init`` or the default start makes no restarts, so
         ``--restarts`` and ``--seed`` changed nothing of it; each now exits 2
-        with one error line and no file, after an invalid value's own
-        message."""
+        with one error line and no file, whatever its value."""
         path = tmp_path / "pbpo.csv"
         code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *argv, "--csv", str(path))
         assert code == 2 and out == ""
-        assert err == "error: {}\n".format(message or (
-            "pbpo --restarts and --seed need --random-init: "
-            "a run from --init or the default start has no restarts"))
+        assert err == ("error: pbpo --restarts and --seed need --random-init: "
+                       "a run from --init or the default start has no restarts\n")
         assert not path.exists()
 
-    @pytest.mark.parametrize("delta", ["0.0005", "0.01"])
+    @pytest.mark.parametrize("delta", ["0.0005", "0.01", "inf", "nan", "0.5", "0.9"])
     def test_exact_with_delta_exits_two(self, capsys, tmp_path, delta):
         """``pbpo_exact`` reads no step, so ``--exact --delta`` printed what
         ``--exact`` prints alone; it now exits 2 with one error line and no
-        file."""
+        file, whatever the step, a bad one included."""
         path = tmp_path / "pbpo.csv"
         code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", "--exact", "--delta", delta,
                                  "--csv", str(path))
@@ -1099,50 +1097,120 @@ def test_sweep_ties_locals_with_or_without_the_flag(capsys, tmp_path, extra):
     assert plain.read_bytes() == tied.read_bytes()
 
 
-_SEARCH = ["grid", "--pi0", "0.3", "--grid-resolution", "0.01"]
-_SWEEP = ["grid", "--sweep-pi0", "0.2:0.4:0.1", "--grid-resolution", "0.01"]
-_CONTOUR = ["grid", "--contour", "--pi0", "0.3", "--q0", "0.7", "--resolution", "0.1"]
-_ESTIMATE = ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5",
-             "--n", "5:30:5"]
+def _runs(command):
+    """The rows of ``command`` in ``cli._MODES``, split into runs, each ended
+    by a mode with no selector."""
+    runs, run = [], []
+    for row in cli._MODES:
+        if row[0] == command:
+            run.append(row)
+            if not row[2]:
+                runs, run = runs + [run], []
+    return runs
 
 
-# The 16 (mode, flag) pairs that exited 0 as if the flag were not given.
-_UNREAD = [
-    (_SEARCH + ["--q0", "0.5"], "grid search", "--q0"),
-    (_SEARCH + ["--resolution", "0.1"], "grid search", "--resolution"),
-    (_SWEEP + ["--pi0", "0.3"], "grid sweep", "--pi0"),
-    (_SWEEP + ["--q0", "0.5"], "grid sweep", "--q0"),
-    (_SWEEP + ["--resolution", "0.1"], "grid sweep", "--resolution"),
-    (_CONTOUR + ["--tie-locals"], "grid contour", "--tie-locals"),
-    (_CONTOUR + ["--grid-resolution", "0.01"], "grid contour", "--grid-resolution"),
-    (_CONTOUR + ["--sweep-pi0", "0.2:0.4:0.1"], "grid contour", "--sweep-pi0"),
-    (["exponent", "--pi0", "0.3"], "exponent report", "--pi0"),
-    (["exponent", "--q0", "0.5"], "exponent report", "--q0"),
-    (["exponent", "--q1", "0.5"], "exponent report", "--q1"),
-    (["exponent", "--n", "5:60:5"], "exponent report", "--n"),
-    (["exponent", "--lam-range=-3:4:0.001"], "exponent report", "--lam-range"),
-    (_ESTIMATE + ["--lam-range", "0:1:0.5"], "exponent estimate", "--lam-range"),
-    (_ESTIMATE + ["--curve-csv", "{curve}"], "exponent estimate", "--curve-csv"),
-    (["prelec", "--input", "{sweep}", "--sweep-pi0", "0.2:0.8:0.3"], "prelec input",
-     "--sweep-pi0"),
-]
+# A valid value of each flag that takes one, for the argvs built from the table.
+_TABLE_VALUES = {
+    "--pi0": "0.3", "--q0": "0.5", "--q1": "0.5", "--n-local": "2", "--resolution": "0.1",
+    "--grid-resolution": "0.01", "--sweep-pi0": "0.2:0.4:0.1", "--delta": "0.01",
+    "--eps": "1e-4", "--max-iters": "5", "--init": "0.5,0.5,0.5", "--restarts": "2",
+    "--seed": "7", "--input": "sweep.csv", "--q0-strategy": "reoptimize-q0", "--grid": "0.2",
+    "--n": "5:30:5", "--curve-csv": "curve.csv", "--lam-range": "0:1:0.5"}
+# Every function that computes, as ``cli`` imported it.
+_COMPUTING = ("grid_search", "optimal_belief_sweep", "checked_risks", "pbpo", "pbpo_exact",
+              "exact_risk", "simulate", "phase_map", "classify_phase", "optimal_exponent",
+              "exponent_curve", "estimate_exponent", "fit_prelec_minimax", "prelec_risk_gap")
 
 
-@pytest.mark.parametrize("argv, mode, flag", _UNREAD,
-                         ids=[f"{mode.split()[1]}-{flag[2:]}" for _, mode, flag in _UNREAD])
-def test_flag_the_mode_does_not_read_exits_two(capsys, tmp_path, argv, mode, flag):
-    """Each of these flags changed nothing: the run printed what it prints
-    without the flag, and ``exponent --estimate --curve-csv`` wrote no
-    curve. Each now exits 2 with one error line that names the flag and the
-    mode, nothing on stdout and no file."""
-    sweep, curve, path = (tmp_path / n for n in ("sweep.csv", "curve.csv", "out.csv"))
-    sweep.write_text(_SWEEP_CSV)
-    argv = [a.format(sweep=sweep, curve=curve) for a in argv]
-    code, out, err = run_cli(capsys, *argv, "--csv", str(path))
+def _picked(runs, given):
+    """The mode that the flags ``given`` pick from each run."""
+    return tuple(next(row for row in run if row[2] in given or not row[2]) for run in runs)
+
+
+def _unread_pairs():
+    """(argv, mode, flag) of every flag of a command that no mode picked by
+    ``argv`` reads and that, added to ``argv``, leaves the pick unchanged;
+    ``mode`` is the picked mode of the flag's run. ``argv`` gives the
+    selectors and needs of its modes, the flags argparse requires, and the
+    flag; a flag that argparse's exclusion refuses with one of them is left
+    out."""
+    commands = next(action.choices for action in cli.build_parser()._actions if action.choices)
+    for command in sorted({row[0] for row in cli._MODES}):
+        parser, runs = commands[command], _runs(command)
+        required = [a.option_strings[0] for a in parser._actions if a.required]
+        switches = {a.option_strings[0] for a in parser._actions if a.nargs == 0}
+        excluded = [{a.option_strings[0] for a in group._group_actions}
+                    for group in parser._mutually_exclusive_groups]
+        for modes in itertools.product(*runs):
+            given = required + [f for mode in modes for f in f"{mode[2]} {mode[4]}".split()]
+            assert _picked(runs, given) == modes
+            reads = {flag for mode in modes for flag in mode[3].split()}
+            for run, mode in zip(runs, modes):
+                for flag in sorted({f for row in run for f in row[3].split()} - reads):
+                    if _picked(runs, given + [flag]) != modes or \
+                            any(flag in group and group & set(given) for group in excluded):
+                        continue
+                    argv = [command] + [piece for f in given + [flag] for piece in
+                                        ([f] if f in switches else [f, _TABLE_VALUES[f]])]
+                    yield pytest.param(argv, f"{command} {mode[1]} mode", flag, id="-".join(
+                        [m[1] for m in modes if m[1]] + [flag[2:]]))
+
+
+_UNREAD = list(_unread_pairs())
+
+
+@pytest.mark.parametrize("argv, mode, flag", _UNREAD)
+def test_flag_the_mode_does_not_read_exits_two(capsys, monkeypatch, tmp_path, argv, mode, flag):
+    """Every flag that no picked mode reads changed nothing: the run printed
+    what it prints without the flag. Each now exits 2, before any function
+    that computes is called, with one error line that names the flag and the
+    mode (or gives the command's reason), nothing on stdout and no file."""
+    def computed(*args, **kwargs):
+        raise AssertionError("a refused run computed")
+
+    for name in _COMPUTING:
+        monkeypatch.setattr(cli, name, computed)
+    monkeypatch.chdir(tmp_path)
+    Path("sweep.csv").write_text(_SWEEP_CSV)
+    code, out, err = run_cli(capsys, *argv, "--csv", "out.csv")
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {mode} mode (") and err.endswith(f" does not read {flag}\n")
-    assert err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+    reason = next((why for command, flags, why in cli._REASONS
+                   if command == argv[0] and flag in flags.split()), None)
+    if reason:
+        assert err == f"error: {reason}\n"
+    else:
+        assert err.startswith(f"error: {mode} (") and err.endswith(f" does not read {flag}\n")
+        assert err.count("\n") == 1
+    assert os.listdir() == ["sweep.csv"]
+
+
+def test_unread_pairs_of_each_command():
+    """The table implies 34 pairs. risk and simulate have one mode, which
+    reads each of their flags; a pbpo random-start reads every flag of its
+    run that argparse lets it take."""
+    assert collections.Counter(pair.values[0][0] for pair in _UNREAD) == {
+        "grid": 8, "pbpo": 11, "prelec": 1, "phase": 3, "exponent": 11}
+    assert len({pair.id for pair in _UNREAD}) == len(_UNREAD)
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4", "--csv", ""],
+    ["grid", "--pi0", "0.3", "--grid-resolution", "0.1", "--csv", ""],
+    ["pbpo", "--pi0", "0.3", "--max-iters", "5", "--csv", ""],
+    ["prelec", "--sweep-pi0", "0.2:0.8:0.3", "--csv", ""],
+    ["phase", "--q0", "0.5", "--q1", "0.5", "--csv", ""],
+    ["exponent", "--csv", ""],
+    ["simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4", "--trials", "100",
+     "--seed", "1", "--csv", ""],
+    ["exponent", "--curve-csv", ""],
+], ids=["risk", "grid", "pbpo", "prelec", "phase", "exponent", "simulate", "exponent-curve"])
+def test_empty_output_path_exits_two(capsys, monkeypatch, tmp_path, argv):
+    """An empty ``--csv`` or ``--curve-csv`` printed the run's lines, exited
+    0 and wrote nothing; it now fails at its write, like any path that
+    cannot be written: exit 2, one error line, nothing on stdout, no file."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
+    assert os.listdir() == []
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -1297,18 +1365,6 @@ _DRAWN = {"risk": "--pi0 --q0 --q", "grid": "--grid-resolution --resolution",
           "pbpo": "--pi0 --max-iters", "simulate": "--pi0 --q0 --q --trials --seed"}
 
 
-def _runs(command):
-    """The rows of ``command`` in ``cli._MODES``, split into runs, each ended
-    by a mode with no selector."""
-    runs, run = [], []
-    for row in cli._MODES:
-        if row[0] == command:
-            run.append(row)
-            if not row[2]:
-                runs, run = runs + [run], []
-    return runs
-
-
 @st.composite
 def _fuzz_argv(draw, command):
     """``(argv, unread)``: one mode of each run of ``command``, drawn from
@@ -1368,9 +1424,8 @@ def test_argv_fuzz_is_finite_or_refused(drawn):
     RuntimeWarning). A non-zero exit prints nothing to stdout and leaves no
     new file; exit 0 prints no nan or inf, to stdout or to a CSV, and only
     when every flag is one that the run's modes read. A flag that they do
-    not read exits 2 with an error line that names it, or, since the refusal
-    comes after every value is checked, exits 2 on its edge value, or exits
-    exactly as the run without the flag, whose checks or work failed first."""
+    not read exits 2 with an error line that names it, or with argparse's own
+    ``error: argument`` line where argparse refuses a value first."""
     argv, unread = drawn
     with tempfile.TemporaryDirectory() as directory:
         Path(directory, "sweep.csv").write_text(_SWEEP_CSV)
@@ -1385,13 +1440,10 @@ def test_argv_fuzz_is_finite_or_refused(drawn):
             assert code in (2, 3), err
             assert out == ""
             assert files == ["sweep.csv"]
-        if unread is None or code == 2 and re.search(rf"{re.escape(unread)}(?![\w-])", err):
-            return
-        value = next(arg for arg in argv if arg.split("=")[0] == unread).partition("=")[2]
-        if code == 2 and set(re.split("[:,]", value)) & set(_EDGES):
-            return
-        kept = [arg for arg in argv if arg.split("=")[0] != unread]
-        assert _fuzz_run(kept, directory) == (code, out, err, files), (argv, unread)
+        if unread is not None:
+            assert code == 2, (argv, unread)
+            assert re.search(rf"^error: .*{re.escape(unread)}(?![\w-])", err, re.MULTILINE) \
+                or "error: argument " in err, (argv, unread, err)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -35,6 +35,26 @@ def test_no_private_names_imported_across_modules(path):
     assert _private_imports(path.read_text()) == []
 
 
+# The oldest Python that pyproject.toml's requires-python admits.
+PYTHON_FLOOR = (3, 10)
+
+
+def test_python_floor_declared():
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    with pytest.raises(SyntaxError):  # 3.11's except* is not 3.10 syntax
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=PYTHON_FLOOR)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")) +
+                         sorted((ROOT / "tests").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_at_the_python_floor(path):
+    """Every source and test file is Python 3.10 syntax, which the tests,
+    run on a newer Python, would not otherwise see."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
 def _traced_table():
     """The ``TRACED`` dict literal of the benchmark tracer."""
     source = (ROOT / "perfbench" / "tracing.py").read_text()

@@ -100,6 +100,17 @@ class TestMinimaxFit:
         with pytest.raises(ValueError, match="matching, non-empty"):
             fit_prelec_minimax([0.3, 0.5], [0.4])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("axis", ["pi0", "belief"])
+    def test_non_finite_sample_rejected(self, axis, value):
+        """A nan sample fitted to a nan sup error, and an inf one to an inf
+        error after numpy's invalid-value warning; each is now refused before
+        the coarse grid."""
+        curve, bad = [0.2, 0.3, 0.4], [0.1, 0.2, value]
+        args = (bad, curve) if axis == "pi0" else (curve, bad)
+        with pytest.raises(ValueError, match="^a Prelec fit needs finite pi0 and belief samples$"):
+            fit_prelec_minimax(*args)
+
     def test_benchmark_curve_overweights_small_priors(self, prior_sweep):
         pi0_values, sweep = prior_sweep
         params, linf = fit_prelec_minimax([p.pi0 for p in sweep],
@@ -152,10 +163,10 @@ class TestCoarseGrid:
 
     def test_grid_equals_the_loop(self, monkeypatch):
         """Every point of the one array pass has the loop's sup error, and
-        the refinement starts from the loop's first least point, ties and
-        all-nan curves included."""
-        curves = [*_random_curves(40, 7), (np.array([0.0, 1.0, 1.0]), np.full(3, 0.5)),
-                  (np.array([0.2, 0.5, 0.8]), np.array([0.3, math.nan, 0.7]))]
+        the refinement starts from the loop's first least point, ties
+        included. A curve holding a nan, whose grid was all nan, is refused
+        before the grid (``test_non_finite_sample_rejected``)."""
+        curves = [*_random_curves(40, 7), (np.array([0.0, 1.0, 1.0]), np.full(3, 0.5))]
         seen = {}
         weights, refine = prospect._prelec_weights, prospect.nelder_mead
 
