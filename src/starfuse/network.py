@@ -700,7 +700,7 @@ def pinned_fusion_sweep(config: NetworkConfig, revise):
     ell0 = log_odds(config.q0)
     if n < PER_FLOAT_BELOW:
         tails = _local_tails(model, costs, beliefs)
-        fa, md = per_float_rates(model, costs)[1](ell0, *fusion_log_factors(model, costs, ell0), n)
+        fa, md = per_float_rates(model, costs)[1](ell0, n)[2:]
         after = [None] * n
         after[n - 1] = fa, md
         for j in range(n - 1, 0, -1):

@@ -7,10 +7,14 @@ other module takes its rates and Gaussian kernels from here.
 A float's four rates come from ``per_float_rates`` alone; every function
 here that takes a Python float gives it the same double it gives that
 value as an element of an array: both go through the same scipy kernels
-(``special.erfc``, ``special.log_ndtr``, ``special.expit``) and the same
-IEEE operations in the same order. So a caller may evaluate a small input
-one float at a time, without numpy's per-call cost, and get the array
-path's values bit for bit.
+(``erfc``, ``log_ndtr``, ``expit``) and the same IEEE operations in the
+same order. An array goes through the ``scipy.special`` ufuncs; a float's
+Gaussian tails go through ``_erfc`` and ``_log_ndtr``, bound once below to
+``scipy.special.cython_special``'s ``double`` kernels, the compiled
+functions that the ufuncs' double loops call, so they return the ufuncs'
+doubles as Python floats without numpy's dispatch. So a caller may
+evaluate a small input one float at a time, without numpy's per-call
+cost, and get the array path's values bit for bit.
 
 The model is additive Gaussian noise: the signal equals the binary
 hypothesis value (0 or 1) plus centered Gaussian noise with scale ``sigma``.
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 # Beliefs are clamped into [BELIEF_EPS, 1 - BELIEF_EPS] before any log-odds
 # arithmetic, uniformly across the package, so results are deterministic and
@@ -30,6 +35,10 @@ from scipy import special
 BELIEF_EPS = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
+
+# The per-float Gaussian tails (see the module docstring).
+_erfc = cython_special.erfc["double"]
+_log_ndtr = cython_special.log_ndtr["double"]
 
 
 def check_real(name: str, value) -> float:
@@ -132,10 +141,11 @@ def gaussian_q(x):
 
     Computed from the complementary error function (monotone, accurate to a
     few ulp); never by quadrature. Accepts scalars or arrays; a scalar gives
-    a Python float, from the same ``special.erfc`` kernel as an array.
+    a Python float from ``_erfc``, with the double that an array's element
+    gets from the ufunc ``special.erfc``.
     """
     if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim is slow on a float
-        return 0.5 * float(special.erfc(float(x) / _SQRT2))
+        return 0.5 * _erfc(float(x) / _SQRT2)
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
@@ -245,12 +255,8 @@ def decision_one_log_tails(model: ObservationModel, lam):
     underflows a double. This is the one place a log Gaussian tail is
     formed. A float ``lam`` gives four floats, an array four arrays."""
     x0, x1 = lam / model.sigma, (lam - 1.0) / model.sigma
-    log_ndtr = special.log_ndtr
-    tails = log_ndtr(-x0), log_ndtr(-x1), log_ndtr(x0), log_ndtr(x1)
-    if type(lam) is not float:
-        return tails
-    lp10, lp11, lp00, lp01 = tails  # floats: inf - inf is a quiet nan; map() is 2x slower
-    return float(lp10), float(lp11), float(lp00), float(lp01)
+    log_ndtr = _log_ndtr if type(lam) is float else special.log_ndtr
+    return log_ndtr(-x0), log_ndtr(-x1), log_ndtr(x0), log_ndtr(x1)
 
 
 def fusion_log_factors(model: ObservationModel, costs: CostPair, ell0):
@@ -263,27 +269,30 @@ def fusion_log_factors(model: ObservationModel, costs: CostPair, ell0):
 
 
 def per_float_rates(model: ObservationModel, costs: CostPair):
-    """The one per-float form of the rates, with sigma, the costs and the
-    ``erfc`` kernel bound once: ``local_tails(ell)``, the four
+    """The one per-float form of the rates, with sigma and the costs bound
+    once and every tail from the bound ``double`` kernels (the ufuncs'
+    doubles, see the module docstring): ``local_tails(ell)``, the four
     ``decision_tails`` at local log-odds ``ell``, and ``count_errors(ell0,
-    l_zero, l_one, n)``, the ``error_probs`` lists after k = 0..n local ones
-    at log-odds ell0 + (n - k) l_zero + k l_one (``fusion_log_factors`` of
-    ell0)."""
-    s, v, logc, erfc = model.sigma, model.variance_proxy, costs.log_ratio, special.erfc
+    n)``, which returns ``(l_zero, l_one, fa, md)``: the
+    ``fusion_log_factors`` of fusion log-odds ``ell0``, from one
+    ``decision_one_log_tails`` call, and the ``error_probs`` lists after
+    k = 0..n local ones at log-odds ell0 + (n - k) l_zero + k l_one."""
+    s, v, logc = model.sigma, model.variance_proxy, costs.log_ratio
 
     def local_tails(ell):
         lam = 0.5 + v * (logc + ell)
         x0, x1 = lam / s / _SQRT2, (lam - 1.0) / s / _SQRT2  # Q(x) = erfc(x / sqrt2) / 2
-        return (0.5 * float(erfc(x0)), 0.5 * float(erfc(x1)),
-                0.5 * float(erfc(-x0)), 0.5 * float(erfc(-x1)))
+        return 0.5 * _erfc(x0), 0.5 * _erfc(x1), 0.5 * _erfc(-x0), 0.5 * _erfc(-x1)
 
-    def count_errors(ell0, l_zero, l_one, n):
+    def count_errors(ell0, n):
+        lp10, lp11, lp00, lp01 = decision_one_log_tails(model, 0.5 + v * (logc + ell0))
+        l_zero, l_one = lp00 - lp01, lp10 - lp11
         fa, md = [], []
         for k in range(n + 1):
             ell = ell0 + (n - k) * l_zero + k * l_one
             lam = 0.5 + v * (logc + ell)
-            fa.append(0.5 * float(erfc(lam / s / _SQRT2)))
-            md.append(0.5 * float(erfc(-(lam - 1.0) / s / _SQRT2)))
-        return fa, md
+            fa.append(0.5 * _erfc(lam / s / _SQRT2))
+            md.append(0.5 * _erfc(-(lam - 1.0) / s / _SQRT2))
+        return l_zero, l_one, fa, md
 
     return local_tails, count_errors

@@ -95,7 +95,6 @@ from .observation import (
     clamp,
     clamped_log_odds,
     from_log_odds,
-    fusion_log_factors,
     log_odds,
     per_float_rates,
 )
@@ -231,12 +230,11 @@ class _RiskEvaluator:
             return t
 
         def errors_of(q0):
-            ell0 = lodds(q0)
-            l_zero, l_one = fusion_log_factors(model, costs, ell0)
+            l_zero, l_one, fa, md = count_errors(lodds(q0), n)
             if not (math.isfinite(l_zero) and math.isfinite(l_one)):
                 raise FloatingPointError(f"fusion belief {q0!r} at sigma={sigma!r}: its fusion log "
                                          f"factors ({l_zero!r}, {l_one!r}) are not finite")
-            return count_errors(ell0, l_zero, l_one, n)
+            return fa, md
 
         def mix(pmfs, tail, q0):
             errors = fusion_errors.get(q0)

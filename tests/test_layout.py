@@ -306,6 +306,51 @@ def test_one_erfc_kernel():
                     and node.attr == "erfc" and getattr(node.value, "id", None) == "math"], path
 
 
+def _kernel_name(node):
+    """The tail kernel that ``node`` names as an attribute or a bare name, or None."""
+    name = getattr(node, "attr", getattr(node, "id", None))
+    return name if name in _TAIL_KERNELS else None
+
+
+def _slow_tail_sites(source):
+    """(line, what) of each per-float tail in ``source`` that pays numpy's
+    ufunc dispatch or is bound more than once: a ``float(...)`` of a call
+    to a tail kernel of any module or any bare name (``"float"``), and each
+    subscript of a tail kernel, such as ``cython_special.erfc["double"]``
+    (``"binds <kernel>"``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float" \
+                and node.args and isinstance(node.args[0], ast.Call) \
+                and _kernel_name(node.args[0].func):
+            found.add((node.lineno, "float"))
+        if isinstance(node, ast.Subscript) and _kernel_name(node.value):
+            found.add((node.lineno, f"binds {_kernel_name(node.value)}"))
+    return found
+
+
+def test_slow_tail_sites_seen():
+    source = ("def a(x):\n    return 0.5 * float(special.erfc(x))\n"
+              "def b(x):\n    erfc = special.erfc\n    return float(erfc(x))\n"
+              "def c(x):\n    return float(log_ndtr(x)) + float(special.expit(x))\n"
+              "_erfc = cython_special.erfc['double']\n"
+              "def d(x):\n    return 0.5 * _erfc(x) + float(x)\n"
+              "def e(x):\n    return cython_special.log_ndtr['double'](x)\n")
+    assert _slow_tail_sites(source) == {(2, "float"), (5, "float"), (7, "float"),
+                                        (8, "binds erfc"), (12, "binds log_ndtr")}
+
+
+def test_per_float_tails_bound_once():
+    """A float's Gaussian tails come from ``observation``'s one binding of
+    each of scipy's compiled ``double`` kernels, ``erfc`` and ``log_ndtr``:
+    no ufunc result is converted with ``float`` one value at a time, which
+    pays numpy's dispatch on every float, and no kernel is bound twice."""
+    sites = {path.name: sorted(what for _, what in _slow_tail_sites(path.read_text()))
+             for path in SOURCES}
+    assert {name: found for name, found in sites.items() if found} == {
+        "observation.py": ["binds erfc", "binds log_ndtr"]}
+
+
 def _log_odds_sites(source):
     """(line, what) of each log-odds site in ``source``: a difference whose
     left side names a ``log`` and whose right side names a ``log1p`` and

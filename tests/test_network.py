@@ -46,7 +46,7 @@ from starfuse.network import (
     pinned_fusion_sweep,
     tied_exact_risks,
 )
-from starfuse.observation import clamped_log_odds, fusion_log_factors, log_odds, per_float_rates
+from starfuse.observation import clamped_log_odds, log_odds, per_float_rates
 from conftest import random_config
 
 
@@ -647,8 +647,7 @@ def _per_float_count_errors(model, costs, ell0, n):
     ell0 = np.asarray(ell0)
     sizes = n if isinstance(n, list) else [n]
     count_errors = per_float_rates(model, costs)[1]
-    pairs = [count_errors(e0, *fusion_log_factors(model, costs, e0), size)
-             for e0 in ell0.ravel().tolist() for size in sizes]
+    pairs = [count_errors(e0, size)[2:] for e0 in ell0.ravel().tolist() for size in sizes]
     return tuple(np.array([x for pair in pairs for x in pair[h]]).reshape(ell0.shape + (-1,))
                  for h in (0, 1))
 

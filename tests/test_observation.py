@@ -4,8 +4,8 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy import integrate
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 from scipy.special import ndtr
 
 from starfuse import (
@@ -29,6 +29,7 @@ from starfuse import (
     threshold_from_belief,
     threshold_from_log_odds,
 )
+from starfuse import observation
 from starfuse.network import tied_exact_risks
 from starfuse.observation import (
     clamp,
@@ -374,3 +375,35 @@ class TestFloatMatchesArray:
         """The one clamp gives the doubles of the ``min``/``max`` form it
         replaced, nan included."""
         assert _same_double(clamp(q), min(max(q, BELIEF_EPS), 1.0 - BELIEF_EPS))
+
+
+_BOUND_KERNELS = [(observation._erfc, special.erfc), (observation._log_ndtr, special.log_ndtr)]
+_KERNEL_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                 27.0, -27.0, 38.0, -38.0]
+
+
+def _bits(values):
+    """The doubles of ``values`` as int64 bit patterns, every nan as one pattern."""
+    values = np.array(values, dtype=float)
+    values[np.isnan(values)] = np.nan
+    return values.view(np.int64)
+
+
+@pytest.mark.parametrize("bound, ufunc", _BOUND_KERNELS, ids=["erfc", "log_ndtr"])
+class TestBoundKernels:
+    """The per-float tails come from the ``double`` kernels that
+    ``observation`` binds from ``scipy.special.cython_special``: each
+    returns a Python float with its ufunc's double, bit for bit."""
+
+    def test_seeded_doubles_and_edges(self, bound, ufunc):
+        rng = np.random.default_rng(20261021)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 340_000), rng.uniform(-40.0, 40.0, 340_000),
+                            rng.uniform(-1e300, 1e300, 340_000), _KERNEL_EDGES])
+        got = list(map(bound, x.tolist()))
+        assert all(type(value) is float for value in got)
+        assert np.array_equal(_bits(got), _bits(ufunc(x)))
+
+    @settings(max_examples=500)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_double(self, bound, ufunc, x):
+        assert _bits([bound(x)]) == _bits(ufunc(np.array([x])))
