@@ -158,9 +158,13 @@ def _result_output(result, path, rows, lead=(), extra=()) -> Output:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
+    """The numbers of a comma-separated list, refused when it is blank or
+    has an empty field."""
+    if not text.strip():
         raise ValueError("expected a comma-separated list with at least one value (N >= 1)")
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"comma-separated list {text!r} has an empty field")
     return tuple(float(p) for p in parts)
 
 
@@ -282,7 +286,7 @@ def cmd_grid(args) -> Output:
 
 
 def cmd_pbpo(args) -> Output:
-    if args.trace and not args.csv:
+    if args.trace and args.csv is None:
         raise ValueError("pbpo --trace needs --csv, where it writes every sweep's row")
     template = NetworkTemplate(args.pi0, *_costs_model(args), args.n_local)
     settings = OptimizerSettings(

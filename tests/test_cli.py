@@ -1203,13 +1203,45 @@ def test_unread_pairs_of_each_command():
     ["simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4", "--trials", "100",
      "--seed", "1", "--csv", ""],
     ["exponent", "--curve-csv", ""],
-], ids=["risk", "grid", "pbpo", "prelec", "phase", "exponent", "simulate", "exponent-curve"])
+    ["pbpo", "--pi0", "0.3", "--max-iters", "5", "--trace", "--csv", ""],
+], ids=["risk", "grid", "pbpo", "prelec", "phase", "exponent", "simulate", "exponent-curve",
+        "pbpo-trace"])
 def test_empty_output_path_exits_two(capsys, monkeypatch, tmp_path, argv):
     """An empty ``--csv`` or ``--curve-csv`` printed the run's lines, exited
     0 and wrote nothing; it now fails at its write, like any path that
-    cannot be written: exit 2, one error line, nothing on stdout, no file."""
+    cannot be written: exit 2, one error line, nothing on stdout, no file.
+    ``pbpo --trace`` counts an empty ``--csv`` as given, so it does not
+    say that ``--csv`` is missing."""
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,,0.4"],
+    ["risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4,"],
+    ["risk", "--pi0", "0.3", "--q0", "0.7", "--q", ",0.4"],
+    ["risk", "--pi0", "0.3", "--q0", "0.7", "--q", ","],
+    ["simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4, ,0.4", "--trials", "100",
+     "--seed", "1"],
+    ["pbpo", "--pi0", "0.3", "--init", "0.5,,0.5,0.5"],
+    ["pbpo", "--pi0", "0.3", "--init", "0.5,0.5,0.5,"],
+], ids=["q-middle", "q-trailing", "q-leading", "q-comma", "simulate-q-blank",
+        "init-middle", "init-trailing"])
+def test_empty_list_field_exits_two(capsys, monkeypatch, tmp_path, argv):
+    """A list with an empty field ran on its other values (``--q 0.4,,0.4``
+    reported a 2-local network, ``--init 0.5,,0.5,0.5`` ran a descent); it
+    now exits 2 before any function that computes is called, with one error
+    line that quotes the list, nothing on stdout and no file."""
+    def computed(*args, **kwargs):
+        raise AssertionError("a refused run computed")
+
+    for name in _COMPUTING:
+        monkeypatch.setattr(cli, name, computed)
+    monkeypatch.chdir(tmp_path)
+    listed = argv[argv.index("--init" if "--init" in argv else "--q") + 1]
+    assert run_cli(capsys, *argv, "--csv", "out.csv") == (
+        2, "", f"error: comma-separated list {listed!r} has an empty field\n")
     assert os.listdir() == []
 
 
