@@ -257,6 +257,12 @@ def test_csv_text_only_in_the_two_renderers():
 _TAIL_KERNELS = {"erf", "erfc", "log_ndtr", "ndtr", "ndtri"}
 
 
+def _kernel_name(node):
+    """The tail kernel that ``node`` names as an attribute or a bare name, or None."""
+    name = getattr(node, "attr", getattr(node, "id", None))
+    return name if name in _TAIL_KERNELS else None
+
+
 def _tail_kernel_sites(source):
     """Names of the top-level definitions in ``source`` that name a Gaussian
     tail kernel or its quantile (``erf``, ``erfc``, ``log_ndtr``, ``ndtr`` or
@@ -265,10 +271,8 @@ def _tail_kernel_sites(source):
     found = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Attribute) and node.attr in _TAIL_KERNELS
-                    or isinstance(node, ast.Name) and node.id in _TAIL_KERNELS
-                    or isinstance(node, ast.alias)
-                    and node.name.rpartition(".")[2] in _TAIL_KERNELS):
+            if _kernel_name(node) or isinstance(node, ast.alias) \
+                    and node.name.rpartition(".")[2] in _TAIL_KERNELS:
                 found.add(getattr(top, "name", "<module>"))
     return found
 
@@ -304,12 +308,6 @@ def test_one_erfc_kernel():
         tree = ast.parse(path.read_text())
         assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                     and node.attr == "erfc" and getattr(node.value, "id", None) == "math"], path
-
-
-def _kernel_name(node):
-    """The tail kernel that ``node`` names as an attribute or a bare name, or None."""
-    name = getattr(node, "attr", getattr(node, "id", None))
-    return name if name in _TAIL_KERNELS else None
 
 
 def _slow_tail_sites(source):
