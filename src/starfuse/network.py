@@ -35,7 +35,10 @@ tuples from them only when it is read. The true prior enters only the
 final weighting, ``bayes_risk``, so those fusion error rates serve every
 prior: ``batch_risk`` weights them at one. ``pinned_fusion_sweep`` is the one
 leave-one-out pass behind ``pinned_fusion_errors`` and ``pbpo_exact``; each
-pass forms its locals' rates afresh.
+pass forms its locals' rates afresh. A tied network of more than
+``BINOMIAL_FROM`` locals skips the pass in ``pinned_fusion_errors``: every
+agent's pinned pair mixes the other N - 1 locals' Binomial pmf, one kernel
+call and two ``mix`` calls for all N agents.
 
 One rule picks between a per-float and an array path, in one kernel: a
 network of fewer than ``PER_FLOAT_BELOW`` agents goes one float at a time
@@ -106,7 +109,9 @@ PER_FLOAT_BELOW = 8
 
 # Tied networks of at least this many locals take their Binomial count pmf
 # from Loader's saddle-point form (_binomial_pmf, O(N) array work) in place
-# of the O(N^2) fold; only count_distribution and tied_exact_risks read it.
+# of the O(N^2) fold; only count_distribution, tied_exact_risks and
+# pinned_fusion_errors (whose tied pmf of the other N - 1 follows the same
+# rule) read it.
 # Measured on a 2-core Xeon (numpy 2.4), exact_risk of a tied network: the
 # kernel's fixed cost of about 70-100 us breaks even with the fold at 12-14
 # agents and is 1.3x faster at 20, where the constant sits so that timing
@@ -755,10 +760,28 @@ def pinned_fusion_errors(config: NetworkConfig):
 
     Returns ``(fa, md)``, each of shape (2, N): entry ``[d, j - 1]`` mixes
     the fusion error over the other agents' count distribution with agent
-    ``j``'s decision pinned to ``d``. One ``pinned_fusion_sweep`` that
-    revises no belief, so all N agents cost O(N^2) together.
+    ``j``'s decision pinned to ``d``.
+
+    A tied network whose other N - 1 locals number ``BINOMIAL_FROM`` or more
+    (the rule ``count_distribution`` applies to the pmf mixed here) gives
+    every agent the same pair in O(N): the Binomial(N - 1) pmf of
+    ``_binomial_pmf`` mixed with the network's per-count fusion errors
+    shifted by the pinned decision (counts 0..N - 1 for a pinned 0, 1..N
+    for a pinned 1), one ``mix`` each, repeated across the N columns. Each
+    entry is within a few ulp times the larger of N and its log of the
+    fold's, as the kernel's entries are. Any other network takes one
+    ``pinned_fusion_sweep`` that revises no belief, so all N agents cost
+    O(N^2) together.
     """
-    out = np.empty((2, 2, config.n_local))
+    n, beliefs = config.n_local, config.q_local
+    if n - 1 >= BINOMIAL_FROM and beliefs == beliefs[:1] * n:
+        model, costs = config.model, config.costs
+        pmf = _binomial_pmf(model, costs, beliefs[0], n - 1)
+        errors = np.array(_fusion_count_errors(model, costs, log_odds(config.q0), n)[:2])
+        pinned = np.stack((mix(pmf, errors[:, :-1]), mix(pmf, errors[:, 1:])), axis=1)
+        fa, md = np.repeat(pinned[..., None], n, axis=-1)  # pinned[h, d]: entry [h, d, j]
+        return fa, md
+    out = np.empty((2, 2, n))
 
     def record(j, pinned0, pinned1):
         out[:, 0, j - 1] = pinned0
@@ -775,8 +798,9 @@ def conditional_fusion_errors(config: NetworkConfig, j: int, pinned: int):
     ``j``'s decision pinned to ``pinned``; mixes over the remaining agents'
     count distribution.
 
-    One entry of ``pinned_fusion_errors``, so it costs O(N^2); callers that
-    need every agent should call that directly.
+    One entry of ``pinned_fusion_errors``, so it costs what that costs:
+    O(N^2), or O(N) for a tied network of more than ``BINOMIAL_FROM``
+    locals; callers that need every agent should call that directly.
     """
     if not 1 <= j <= config.n_local:
         raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")

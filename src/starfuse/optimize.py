@@ -49,7 +49,10 @@ changes:
 - ``pbpo_exact`` updates every local of a sweep from one
   ``network.pinned_fusion_sweep``, O(N^2) per sweep.
 
-Every result is built by ``_finish``. The descents pass it each run's
+Every result is built by ``_finish``, whose stationarity residual takes
+every local's pinned errors from one ``network.pinned_fusion_errors`` call:
+O(N) array work for a tied network of more than ``BINOMIAL_FROM`` locals,
+O(N^2) otherwise. The descents pass it each run's
 trace as one flat list of floats, a sweep's beliefs and then its risk, and
 ``OptimizationResult`` keeps it as one read-only float64 array of a row per
 sweep, so a result holds no tuple per sweep until its ``trace`` is read.
@@ -756,9 +759,10 @@ def exact_coordinate_update(config: NetworkConfig, j: int):
     The balance equates agent ``j``'s belief odds to the prior odds scaled by
     the ratio of fusion error-probability changes between the agent's two
     possible decisions; that ratio does not depend on ``q_j`` itself, so the
-    coordinate minimizer comes out in closed form. Costs one O(N^2)
-    ``pinned_fusion_errors`` call; ``pbpo_exact`` updates every agent of a
-    sweep from one ``pinned_fusion_sweep`` instead.
+    coordinate minimizer comes out in closed form. Costs one
+    ``pinned_fusion_errors`` call, O(N^2), or O(N) for a tied network of
+    more than ``BINOMIAL_FROM`` locals; ``pbpo_exact`` updates every agent
+    of a sweep from one ``pinned_fusion_sweep`` instead.
 
     Returns ``(belief, degenerate)``. ``degenerate`` is True when pinning the
     agent's decision cannot move the fusion outcome (a non-positive
@@ -779,7 +783,9 @@ def stationarity_residual(config: NetworkConfig) -> float:
     error-probability difference is non-positive (degenerate pinning);
     ``nan`` when some difference is not finite. Every agent's pinned fusion
     errors come from one ``pinned_fusion_errors`` call, so the whole
-    residual costs O(N^2).
+    residual costs O(N^2), and O(N) for a tied network of more than
+    ``BINOMIAL_FROM`` locals, whose agents share one pinned pair from the
+    Binomial kernel.
     """
     d_fa, d_md = _pinned_differences(config)
     if not (np.isfinite(d_fa).all() and np.isfinite(d_md).all()):

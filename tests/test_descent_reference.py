@@ -7,6 +7,7 @@ order, so every result, trace included, must be equal as doubles, and a run
 that raises must raise the same error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,13 @@ from starfuse import (
     stationarity_residual,
 )
 from starfuse import optimize
-from starfuse.network import _fold_agents, _fusion_count_errors, _local_rates
+from starfuse.network import (
+    BINOMIAL_FROM,
+    _fold_agents,
+    _fusion_count_errors,
+    _local_rates,
+    count_distribution,
+)
 from starfuse.optimize import (
     BELIEF_EPS,
     FUSION_SCAN_POINTS,
@@ -166,10 +173,19 @@ def _reference_minimize_fusion_belief(template, q_local, tol=1e-6):
 
 
 def _reference_pinned_fusion_errors(config):
-    """Every agent's pinned fusion errors by one backward and one forward pass."""
+    """Every agent's pinned fusion errors by one backward and one forward pass;
+    a tied network whose other N - 1 locals take ``count_distribution``'s
+    Binomial kernel mixes that pmf for every agent instead."""
     n = config.n_local
-    p_cols, q_cols = _local_rates(config.model, config.costs, config.q_local)
     fa, md, _, _ = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
+    if n - 1 >= BINOMIAL_FROM and len(set(config.q_local)) == 1:
+        pmf = count_distribution(dataclasses.replace(config, q_local=config.q_local[1:]))
+        errors = np.stack((fa, md))
+        pinned0 = np.add.reduce(pmf * errors[:, :-1], axis=-1)
+        pinned1 = np.add.reduce(pmf * errors[:, 1:], axis=-1)
+        out = np.stack((np.tile(pinned0, (n, 1)).T, np.tile(pinned1, (n, 1)).T), axis=1)
+        return out[0], out[1]
+    p_cols, q_cols = _local_rates(config.model, config.costs, config.q_local)
     after = [None] * n
     after[n - 1] = np.stack((fa, md))
     for j in range(n - 1, 0, -1):
@@ -361,6 +377,8 @@ class TestDescentMatchesReference:
         _assert_identical(_outcome(minimize_fusion_belief, template, init[1:], tol=tol),
                           _outcome(_reference_minimize_fusion_belief, template, init[1:], tol))
 
+    # A tied network of 25 locals, whose other 24 take the Binomial kernel.
+    @example(_pinned(0.3, (1.0, 1.5), 0.0, (0.7, 0.5), max_iters=1), [0.4] * 25)
     @given(_problems(max_iters=1), st.lists(st.floats(0.02, 0.98), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_pinned_fusion_errors(self, problem, q_local):

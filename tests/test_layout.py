@@ -689,17 +689,19 @@ def test_size_switch_sites_seen():
 # The O(N^2) kernel that chooses between the per-float and array paths by
 # agent count; every helper it calls has one path.
 SIZE_SWITCHES = {"pinned_fusion_sweep"}
-# The two that choose between the count fold and the Binomial kernel for
-# tied networks.
-BINOMIAL_SWITCHES = {"count_distribution", "tied_exact_risks"}
+# The three that choose between the count fold and the Binomial kernel for
+# tied networks: pinned_fusion_errors mixes the count pmf of the other N - 1
+# locals, so it applies count_distribution's rule to that pmf and gives every
+# agent the pinned pair of one kernel call.
+BINOMIAL_SWITCHES = {"count_distribution", "tied_exact_risks", "pinned_fusion_errors"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_size_switch_only_in_network(path):
     """Only ``network``'s leave-one-out pass chooses between the per-float
-    and array paths, and only ``count_distribution`` and
-    ``tied_exact_risks`` between the count fold and the Binomial kernel, so
-    a change of either constant moves no other module and no helper. Only
+    and array paths, and only ``count_distribution``, ``tied_exact_risks``
+    and ``pinned_fusion_errors`` between the count fold and the Binomial
+    kernel, so a change of either constant moves no other module and no helper. Only
     ``fusion_error_rates`` reads ``BATCH_CHUNK_ROWS``: it plans every pass
     of the batch kernels, so no caller bounds their tables with a copy of
     the rule. And no module sums with ``np.einsum``, whose SIMD order no

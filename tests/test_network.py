@@ -26,11 +26,12 @@ from starfuse import (
     fusion_log_odds,
     gaussian_q,
     pinned_fusion_errors,
+    stationarity_residual,
     threshold_from_belief,
     threshold_from_log_odds,
     update_belief_count,
 )
-from starfuse import network
+from starfuse import network, optimize
 from starfuse.network import (
     BINOMIAL_FROM,
     PER_FLOAT_BELOW,
@@ -405,6 +406,105 @@ class TestBinomialKernel:
             tied_exact_risks(0.3, CostPair(), ObservationModel(), 0.5, 0.3, [1, 5] + sizes)
             assert calls == [sizes]
             assert folds == [0, 1]  # the ladder fold stops at size 5
+
+
+def _fold_pinned_errors(config):
+    """``pinned_fusion_errors`` by the fold: one ``pinned_fusion_sweep`` that
+    revises no belief, at any size and tie."""
+    out = np.empty((2, 2, config.n_local))
+
+    def record(j, pinned0, pinned1):
+        out[:, :, j - 1] = np.transpose((pinned0, pinned1))
+        return config.q_local[j - 1]
+
+    pinned_fusion_sweep(config, record)
+    return out[0], out[1]
+
+
+# Tied (pi0, q0, q1, sigma) whose pinned differences are well conditioned at
+# every size below: each pinned pair differs by more than 1/25 of its larger
+# entry, so the residual's logs of those differences keep the pairs' accuracy.
+_TIED_PINNED = [(0.61, 0.86, 0.75, 3.0), (0.62, 0.51, 0.5, 1.0), (0.13, 0.54, 0.51, 2.0),
+                (0.84, 0.47, 0.54, 1.0)]
+
+
+class TestTiedPinnedErrors:
+    """A tied network whose other N - 1 locals number ``BINOMIAL_FROM`` or
+    more gives every agent one pinned pair, from the Binomial(N - 1) kernel,
+    in place of the O(N^2) fold."""
+
+    @pytest.mark.parametrize("n", [21, 40, 66, 300, 2000])
+    @pytest.mark.parametrize("pi0, q0, q1, sigma", _TIED_PINNED)
+    def test_agrees_with_the_fold(self, pi0, q0, q1, sigma, n, monkeypatch):
+        """Every pinned error is within 2 ulp times the larger of N and its
+        log of the fold's (0.44 measured), the kernel's own bound; the
+        stationarity residual is within 16 N ulp of the fold's (2.3 N
+        measured). Every agent's pair is the same."""
+        config = NetworkConfig(pi0, CostPair(), ObservationModel(sigma=sigma), q0, (q1,) * n)
+        kernel, fold = np.stack(pinned_fusion_errors(config)), np.stack(_fold_pinned_errors(config))
+        assert (kernel == kernel[..., :1]).all()
+        eps = np.finfo(float).eps
+        assert (abs(kernel - fold) <= 2 * eps * np.maximum(n, -np.log(fold)) * fold).all()
+        residual = stationarity_residual(config)
+        monkeypatch.setattr(optimize, "pinned_fusion_errors", _fold_pinned_errors)
+        folded = stationarity_residual(config)
+        assert 0.0 < folded < math.inf
+        assert abs(residual - folded) <= 16 * n * eps * folded
+
+    @pytest.mark.parametrize("n", [21, 40, 66, 300, 2000])
+    @pytest.mark.parametrize("pi0, q0, q1, sigma", _TIED_PINNED)
+    @pytest.mark.parametrize("costs", [(1.0, 1.0), (1.0, 1.5)])
+    def test_pinned_pairs_mix_to_the_risk(self, costs, pi0, q0, q1, sigma, n):
+        """For every agent j, t_h p_{h,1} + (1 - t_h) p_{h,0}, with t_h the
+        agent's decide-1 rate under H=h, is ``exact_risk``'s p_fa0 (h = 0)
+        and p_md0 (h = 1): one Binomial(N - 1) mix against one Binomial(N)
+        mix, within 4 ulp times the larger of N and the log of the value
+        (0.62 measured)."""
+        config = NetworkConfig(pi0, CostPair(*costs), ObservationModel(sigma=sigma), q0,
+                               (q1,) * n)
+        report = exact_risk(config)
+        [(t0, t1, s0, s1)] = _local_tails(config.model, config.costs, [q1])
+        fa, md = pinned_fusion_errors(config)
+        for mixed, value in ((t0 * fa[1] + s0 * fa[0], report.p_fa0),
+                             (t1 * md[1] + s1 * md[0], report.p_md0)):
+            assert value > 1e-300
+            ulp = 4 * max(n, -math.log(value)) * np.spacing(value)
+            assert (abs(mixed - value) <= ulp).all()
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    @pytest.mark.parametrize("n", [BINOMIAL_FROM + 1, 25, 300])
+    def test_extreme_sigma_is_quiet_nan(self, sigma, n):
+        """At a sigma whose fusion log factors are not finite, every pinned
+        error and the stationarity residual are nan, as the fold's are, with
+        no ``RuntimeWarning``."""
+        config = _config(pi0=0.3, q0=0.7, q_local=(0.4,) * n, sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            errors = np.stack(pinned_fusion_errors(config))
+            residual = stationarity_residual(config)
+        assert np.isnan(errors).all() and np.isnan(np.stack(_fold_pinned_errors(config))).all()
+        assert math.isnan(residual)
+
+    def test_path_by_size_and_tie(self):
+        """The kernel serves tied networks of ``BINOMIAL_FROM`` + 1 locals
+        or more, with no leave-one-out pass; a tied network of
+        ``BINOMIAL_FROM`` locals, whose other N - 1 fold, and one with a
+        differing belief take the pass and no kernel call."""
+        calls, sweeps = [], []
+        kernel, sweep = network._binomial_pmf, network.pinned_fusion_sweep
+        with mock.patch.object(network, "_binomial_pmf",
+                               lambda *a: calls.append(a[3]) or kernel(*a)), \
+                mock.patch.object(network, "pinned_fusion_sweep",
+                                  lambda *a: sweeps.append(a[0].n_local) or sweep(*a)):
+            for n in (BINOMIAL_FROM + 1, 3 * BINOMIAL_FROM):
+                pinned_fusion_errors(_config(q_local=(0.3,) * n))
+                assert (calls, sweeps) == ([n - 1], [])
+                calls.clear()
+            pinned_fusion_errors(_config(q_local=(0.3,) * BINOMIAL_FROM))
+            beliefs = [0.3] * (3 * BINOMIAL_FROM)
+            beliefs[BINOMIAL_FROM] = 0.30000000000000004
+            pinned_fusion_errors(_config(q_local=beliefs))
+        assert (calls, sweeps) == ([], [BINOMIAL_FROM, 3 * BINOMIAL_FROM])
 
 
 _PINNED_BELIEFS = {"tied": lambda n: (0.35,) * n,

@@ -514,6 +514,22 @@ class TestPbpo:
         assert result.iterations <= 2
         assert result.risk <= benchmark_optimum.risk + 1e-9
 
+    def test_exact_stops_at_a_move_of_exactly_eps(self, benchmark_template):
+        """``pbpo_exact`` stops, converged, at the sweep whose move is
+        exactly ``eps``. At eps 1e-4 the run from (0.5, 0.5, 0.5) stops at
+        sweep 8; rerun with eps that sweep's move (9.4e-5, which leaves every
+        line search's bracket count, and so the trajectory, unchanged), it
+        stops at the same sweep, where a strict test would go on."""
+        init = (0.5, 0.5, 0.5)
+        first = pbpo_exact(benchmark_template, OptimizerSettings(eps=1e-4), init=init)
+        rows = [row[:-1] for row in first.trace]
+        moves = [math.dist(a, b) for a, b in zip(rows[1:], rows)]
+        eps = moves[-1]
+        assert first.iterations == 8 and min(moves[:-1]) > eps
+        rerun = pbpo_exact(benchmark_template, OptimizerSettings(eps=eps), init=init)
+        assert rerun.converged and rerun.iterations == 8
+        assert rerun.trace == first.trace
+
     def test_non_convergence_reported_not_raised(self, benchmark_template):
         settings = OptimizerSettings(step=5e-4, eps=1e-4, max_iters=3)
         result = pbpo(benchmark_template, settings, init=(0.1, 0.9, 0.9))
@@ -665,6 +681,18 @@ class TestStationarity:
 
     def test_non_finite_differences_give_nan(self):
         assert np.isnan(stationarity_residual(_underflow_config()))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_difference_array_gives_nan(self, monkeypatch, side, bad):
+        """nan when only one of the two difference arrays holds a non-finite
+        entry, with every other entry positive: a check of that array alone
+        would read inf (an inf or -inf entry) or a finite residual (nan last,
+        which ``max`` passes over)."""
+        differences = [np.array([0.2, 0.3, 0.25]), np.array([0.1, 0.15, 0.4])]
+        differences[side][-1] = bad
+        monkeypatch.setattr(optimize, "_pinned_differences", lambda config: tuple(differences))
+        assert math.isnan(stationarity_residual(_underflow_config()))
 
 
 def monotone_rhs_check(config: NetworkConfig, j: int, i: int, grid=None) -> bool:
