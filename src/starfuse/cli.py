@@ -159,13 +159,20 @@ def _result_output(result, path, rows, lead=(), extra=()) -> Output:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     """The numbers of a comma-separated list, refused when it is blank or
-    has an empty field."""
+    has an empty field or one that is not a number."""
     if not text.strip():
         raise ValueError("expected a comma-separated list with at least one value (N >= 1)")
     parts = text.split(",")
     if not all(p.strip() for p in parts):
         raise ValueError(f"comma-separated list {text!r} has an empty field")
-    return tuple(float(p) for p in parts)
+    values = []
+    for p in parts:
+        try:
+            values.append(float(p))
+        except ValueError:
+            raise ValueError(f"comma-separated list {text!r} has a field {p!r} "
+                             f"that is not a number") from None
+    return tuple(values)
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -416,9 +423,6 @@ def cmd_exponent(args) -> Output:
 
 
 def cmd_simulate(args) -> Output:
-    if args.trials < 2:
-        raise ValueError(f"simulate --trials {args.trials} is below 2: "
-                         f"fewer than 2 trials have no standard error")
     q_local = _parse_floats(args.q)
     template = NetworkTemplate(args.pi0, *_costs_model(args), len(q_local))
     result = simulate(SimulationSpec(template.config(args.q0, q_local), args.trials, args.seed))

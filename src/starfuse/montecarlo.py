@@ -42,8 +42,9 @@ class SimulationSpec:
     def __post_init__(self):
         check_integer("trials", self.trials)
         check_integer("seed", self.seed)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if self.trials < 2:
+            raise ValueError(f"trials {self.trials} is below 2: "
+                             f"fewer than 2 trials have no standard error")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -255,11 +256,8 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     c_fa, c_md = cfg.costs.c_fa, cfg.costs.c_md
     cost_sum = c_fa * fa + c_md * md
     mean = cost_sum / spec.trials
-    if spec.trials > 1:
-        sq_sum = c_fa * c_fa * fa + c_md * c_md * md
-        var = max(0.0, (sq_sum - spec.trials * mean * mean) / (spec.trials - 1))
-    else:
-        var = 0.0
+    sq_sum = c_fa * c_fa * fa + c_md * c_md * md
+    var = max(0.0, (sq_sum - spec.trials * mean * mean) / (spec.trials - 1))
     return SimulationResult(
         empirical_risk=mean,
         fa_count=fa,

@@ -701,8 +701,8 @@ class TestSimulateCommand:
         assert not path.exists()
 
     def test_one_trial_refused(self, capsys, tmp_path, monkeypatch):
-        """One trial has no standard error, so the command refuses it before
-        any draw; ``SimulationSpec`` still takes it, and two trials run."""
+        """One trial has no standard error, so ``SimulationSpec`` refuses it
+        before any draw, and two trials run."""
         path = tmp_path / "sim.csv"
         argv = ["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5", "--seed", "1",
                 "--csv", str(path)]
@@ -710,8 +710,7 @@ class TestSimulateCommand:
             patch.setattr(cli, "simulate", lambda spec: pytest.fail("drew"))
             code, out, err = run_cli(capsys, *argv, "--trials", "1")
         assert (code, out) == (2, "")
-        assert err == ("error: simulate --trials 1 is below 2: "
-                       "fewer than 2 trials have no standard error\n")
+        assert err == "error: trials 1 is below 2: fewer than 2 trials have no standard error\n"
         assert not path.exists()
         code, out, _ = run_cli(capsys, *argv, "--trials", "2")
         assert code == 0
@@ -1242,6 +1241,31 @@ def test_empty_list_field_exits_two(capsys, monkeypatch, tmp_path, argv):
     listed = argv[argv.index("--init" if "--init" in argv else "--q") + 1]
     assert run_cli(capsys, *argv, "--csv", "out.csv") == (
         2, "", f"error: comma-separated list {listed!r} has an empty field\n")
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,abc"], "abc"),
+    (["risk", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4, 0.4x"], " 0.4x"),
+    (["simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0x10", "--trials", "100",
+      "--seed", "1"], "0x10"),
+    (["pbpo", "--pi0", "0.3", "--init", "0.5,0.5,half,0.5"], "half"),
+], ids=["q-word", "q-suffix", "simulate-q-hex", "init-word"])
+def test_non_number_list_field_exits_two(capsys, monkeypatch, tmp_path, argv, field):
+    """A list field that is not a number printed only ``float()``'s own
+    message, naming neither the list nor the field; it now exits 2 before
+    any function that computes is called, with one error line that quotes
+    both, nothing on stdout and no file."""
+    def computed(*args, **kwargs):
+        raise AssertionError("a refused run computed")
+
+    for name in _COMPUTING:
+        monkeypatch.setattr(cli, name, computed)
+    monkeypatch.chdir(tmp_path)
+    listed = argv[argv.index("--init" if "--init" in argv else "--q") + 1]
+    assert run_cli(capsys, *argv, "--csv", "out.csv") == (
+        2, "", f"error: comma-separated list {listed!r} has a field {field!r} "
+               f"that is not a number\n")
     assert os.listdir() == []
 
 

@@ -123,7 +123,7 @@ class TestUniformCutoffs:
     @given(n=st.integers(1, 40), sigma=st.floats(0.05, 20.0), pi0=st.floats(0.02, 0.98),
            q0=_BELIEFS, beliefs=st.lists(_BELIEFS, min_size=40, max_size=40),
            c_fa=st.floats(0.2, 5.0), seed=st.integers(0, 2**64 - 1),
-           trials=st.integers(1, 20_000), chunk_size=st.sampled_from([257, 1000, 7919, 65536]))
+           trials=st.integers(2, 20_000), chunk_size=st.sampled_from([257, 1000, 7919, 65536]))
     @settings(max_examples=100, deadline=None)
     def test_counts_equal_inverse_cdf_draws(self, n, sigma, pi0, q0, beliefs, c_fa, seed,
                                             trials, chunk_size):
@@ -260,9 +260,14 @@ class TestHypothesisSplit:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_trial(self, seed):
-        spec = SimulationSpec(_config(pi0=0.5, q0=0.6, q_local=(0.4, 0.7, 0.5)), trials=1, seed=seed)
-        result = self._every_split(spec, (1, 5))
-        assert result.fa_count + result.md_count <= 1
+        """One trial has no standard error, so the spec refuses it; two
+        trials, the fewest it takes, split as the direct draws do."""
+        config = _config(pi0=0.5, q0=0.6, q_local=(0.4, 0.7, 0.5))
+        with pytest.raises(ValueError, match="^trials 1 is below 2: fewer than 2 trials have no "
+                                             "standard error$"):
+            SimulationSpec(config, trials=1, seed=seed)
+        result = self._every_split(SimulationSpec(config, trials=2, seed=seed), (1, 2, 5))
+        assert result.fa_count + result.md_count <= 2
 
     def test_counts_over_workers_and_chunks(self):
         spec = SimulationSpec(_config(q0=0.7372, q_local=(0.396,) * 3), trials=2_001, seed=8)
@@ -419,8 +424,9 @@ class TestSimulate:
                 simulate(SimulationSpec(config, trials=1000, seed=1))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SimulationSpec(_config(), trials=0, seed=1)
+        for trials in (-1, 0, 1):
+            with pytest.raises(ValueError, match=f"^trials {trials} is below 2"):
+                SimulationSpec(_config(), trials=trials, seed=1)
         with pytest.raises(ValueError):
             SimulationSpec(_config(), trials=10, seed=-1)
 
