@@ -173,19 +173,10 @@ def _reference_minimize_fusion_belief(template, q_local, tol=1e-6):
 
 
 def _reference_pinned_fusion_errors(config):
-    """Every agent's pinned fusion errors by one backward and one forward pass;
-    a tied network whose other N - 1 locals take ``count_distribution``'s
-    Binomial kernel mixes that pmf for every agent instead."""
+    """Every agent's pinned fusion errors by one backward and one forward pass."""
     n = config.n_local
-    fa, md, _, _ = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
-    if n - 1 >= BINOMIAL_FROM and len(set(config.q_local)) == 1:
-        pmf = count_distribution(dataclasses.replace(config, q_local=config.q_local[1:]))
-        errors = np.stack((fa, md))
-        pinned0 = np.add.reduce(pmf * errors[:, :-1], axis=-1)
-        pinned1 = np.add.reduce(pmf * errors[:, 1:], axis=-1)
-        out = np.stack((np.tile(pinned0, (n, 1)).T, np.tile(pinned1, (n, 1)).T), axis=1)
-        return out[0], out[1]
     p_cols, q_cols = _local_rates(config.model, config.costs, config.q_local)
+    fa, md, _, _ = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
     after = [None] * n
     after[n - 1] = np.stack((fa, md))
     for j in range(n - 1, 0, -1):
@@ -200,6 +191,23 @@ def _reference_pinned_fusion_errors(config):
         out[:, 0, j] = np.add.reduce(prefix * g[:, :-1], axis=-1)
         out[:, 1, j] = np.add.reduce(prefix * g[:, 1:], axis=-1)
         _fold_agents(before, p_cols[j:j + 1], q_cols[j:j + 1], j)
+    return out[0], out[1]
+
+
+def _reference_all_pinned(config):
+    """``pinned_fusion_errors``' reference: the passes above, which
+    ``pbpo_exact``'s sweep also runs, except for a tied network whose other
+    N - 1 locals take ``count_distribution``'s Binomial kernel, which mixes
+    that pmf for every agent."""
+    n = config.n_local
+    if n - 1 < BINOMIAL_FROM or len(set(config.q_local)) > 1:
+        return _reference_pinned_fusion_errors(config)
+    fa, md, _, _ = _fusion_count_errors(config.model, config.costs, log_odds(config.q0), n)
+    errors = np.stack((fa, md))
+    pmf = count_distribution(dataclasses.replace(config, q_local=config.q_local[1:]))
+    out = np.empty((2, 2, n))
+    out[:, 0] = np.add.reduce(pmf * errors[:, :-1], axis=-1)[:, None]
+    out[:, 1] = np.add.reduce(pmf * errors[:, 1:], axis=-1)[:, None]
     return out[0], out[1]
 
 
@@ -385,7 +393,7 @@ class TestDescentMatchesReference:
         template, init, _ = problem
         config = NetworkConfig(template.pi0, template.costs, template.model, init[0], q_local)
         fa, md = pinned_fusion_errors(config)
-        ref_fa, ref_md = _reference_pinned_fusion_errors(config)
+        ref_fa, ref_md = _reference_all_pinned(config)
         assert fa.tobytes() == ref_fa.tobytes() and md.tobytes() == ref_md.tobytes()
 
 
