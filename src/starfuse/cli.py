@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
-Every command refuses a flag that its modes do not read, per ``_MODES``,
-then validates its flags' values before any computation, prints headline
-numbers to stdout, and can write its full output as RFC-4180 CSV with a
-header row. Numbers are serialized with 10 significant digits and all
+argparse only parses: it declares each flag's type, choices and help, and
+refuses an unknown flag or a value of the wrong type. Every other rule is
+in two tables: ``_MODES`` names the flags each mode of a command needs and
+reads, and ``_DEFAULTS`` the value a flag takes when not given. A command
+refuses a missing need, then a flag that its modes do not read, then
+validates its flags' values, all before any computation; it prints
+headline numbers to stdout, and can write its full output as RFC-4180 CSV
+with a header row. Numbers are serialized with 10 significant digits and all
 computation is deterministic, so rerunning a command with identical flags
 produces byte-identical files. The numbers come from the library's public
 functions; ``grid --contour`` evaluates its surface with
@@ -74,15 +78,18 @@ MIN_AXIS_STEP = 1e-3
 # Each subcommand's modes as (command, mode, selector, reads, needs), flags
 # space-separated. A command's rows fall in runs, each ended by a mode with no
 # selector; a run picks its first mode whose selector is given, else its last.
-# ``main`` refuses a need not given, then any given flag but --sigma, --cfa,
-# --cmd, --csv and the picked modes' reads, before the values and the work.
+# A run of one row, which names no mode, holds flags that the command always
+# reads. ``main`` refuses a need not given, then any given flag but --sigma,
+# --cfa, --cmd, --csv and the picked modes' reads, before the values and the work.
 _MODES = (
-    ("risk", "", "", "--pi0 --q0 --q", ""),
-    ("grid", "contour", "--contour", "--contour --pi0 --q0 --n-local --resolution", "--pi0 --q0"),
+    ("risk", "", "", "--pi0 --q0 --q", "--pi0 --q0 --q"),
+    ("grid", "contour", "--contour", "--contour --pi0 --q0 --resolution", "--pi0 --q0"),
     # A sweep ties the locals anyway: --tie-locals states what it does.
     ("grid", "sweep", "--sweep-pi0", "--sweep-pi0 --n-local --tie-locals --grid-resolution", ""),
     ("grid", "search", "", "--pi0 --n-local --tie-locals --grid-resolution", "--pi0"),
-    ("pbpo", "", "", "--pi0 --n-local --eps --max-iters --trace", ""),
+    ("pbpo", "", "", "--pi0 --n-local --eps --max-iters", "--pi0"),
+    ("pbpo", "trace", "--trace", "--trace", "--csv"),
+    ("pbpo", "last-row", "", "", ""),
     ("pbpo", "random-start", "--random-init", "--random-init --restarts --seed", ""),
     ("pbpo", "init-start", "--init", "--init", ""),
     ("pbpo", "default-start", "", "", ""),
@@ -96,10 +103,14 @@ _MODES = (
     ("exponent", "estimate", "--estimate", "--estimate --pi0 --q0 --q1 --n", "--pi0 --q0 --q1"),
     ("exponent", "curve", "--curve-csv", "--curve-csv --lam-range", ""),
     ("exponent", "report", "", "", ""),
-    ("simulate", "", "", "--pi0 --q0 --q --trials --seed", ""))
-# The value that a picked mode fills in for a flag it reads, when not given.
-_DEFAULTS = (("--resolution", 0.02), ("--grid-resolution", 2e-4), ("--n", "5:60:5"),
-             ("--lam-range", "-3:4:0.001"))
+    ("simulate", "", "", "--pi0 --q0 --q --trials --seed", "--pi0 --q0 --q --seed"))
+# The value of each of a command's flags not given, filled in once its modes
+# are checked; only a mode that reads the flag uses it.
+_DEFAULTS = (("--resolution", 0.02), ("--grid-resolution", OptimizerSettings.grid_resolution),
+             ("--n-local", 2), ("--delta", OptimizerSettings.step), ("--seed", RESTART_SEED),
+             ("--eps", OptimizerSettings.eps), ("--max-iters", OptimizerSettings.max_iters),
+             ("--restarts", OptimizerSettings.restarts), ("--q0-strategy", "keep-optimal-q0"),
+             ("--n", "5:60:5"), ("--lam-range", "-3:4:0.001"), ("--trials", 100_000))
 # Why a command refuses a flag, where naming the mode that does not read it is not enough.
 _REASONS = (
     ("pbpo", "--delta", "pbpo --exact takes no --delta: it minimizes each coordinate exactly"),
@@ -210,9 +221,9 @@ def _unit_axis(step: float, flag: str) -> np.ndarray:
 
 
 def _check_modes(args) -> None:
-    """Pick the modes of ``args.command`` from ``_MODES`` and fill in their
-    defaults. Raise ``ValueError`` for a need not given, then for the first
-    given flag that no picked mode reads."""
+    """Pick the modes of ``args.command`` from ``_MODES``, then fill in the
+    defaults of its flags not given. Raise ``ValueError`` for a need not
+    given, then for the first given flag that no picked mode reads."""
     # An empty path or range picks no mode: each command tests a selector for truth.
     given = {"--" + dest.replace("_", "-") for dest, value in vars(args).items()
              if value is not None and value is not False and value != ""}
@@ -222,17 +233,18 @@ def _check_modes(args) -> None:
         if row[2]:
             continue
         command, mode, selector, reads, needs = next(r for r in run if r[2] in given or not r[2])
-        label = f"{command} {mode} mode ({selector or 'no ' + ' or '.join(r[2] for r in run[:-1])})"
-        if not given.issuperset(needs.split()):
-            raise ValueError(f"{label} needs {' and '.join(needs.split())}")
+        label = command if not mode else \
+            f"{command} {mode} mode ({selector or 'no ' + ' or '.join(r[2] for r in run[:-1])})"
+        for flag in (f for f in needs.split() if f not in given):
+            raise ValueError(f"{label} needs {flag}")
         for flag in (f for r in run for f in r[3].split() if f in given and f not in reads.split()):
             raise ValueError(next((why for command, flags, why in _REASONS
                                    if command == args.command and flag in flags.split()),
                                   f"{label} does not read {flag}"))
-        for flag, value in _DEFAULTS:
-            if flag in reads.split() and flag not in given:
-                setattr(args, flag[2:].replace("-", "_"), value)
         run = []
+    for flag, value in _DEFAULTS:
+        if flag not in given and hasattr(args, dest := flag[2:].replace("-", "_")):
+            setattr(args, dest, value)
 
 
 def _add_model_args(parser: argparse.ArgumentParser, func) -> None:
@@ -266,8 +278,6 @@ def cmd_risk(args) -> Output:
 def cmd_grid(args) -> Output:
     costs, model = _costs_model(args)
     if args.contour:
-        if args.n_local != 2:
-            raise ValueError("--contour draws a (q1, q2) surface and needs --n-local 2")
         template = NetworkTemplate(args.pi0, costs, model, 2)
         axis = _unit_axis(args.resolution, "--resolution")
         points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -293,18 +303,13 @@ def cmd_grid(args) -> Output:
 
 
 def cmd_pbpo(args) -> Output:
-    if args.trace and args.csv is None:
-        raise ValueError("pbpo --trace needs --csv, where it writes every sweep's row")
     template = NetworkTemplate(args.pi0, *_costs_model(args), args.n_local)
-    settings = OptimizerSettings(
-        step=OptimizerSettings.step if args.delta is None else args.delta, eps=args.eps,
-        max_iters=args.max_iters,
-        restarts=OptimizerSettings.restarts if args.restarts is None else args.restarts)
+    settings = OptimizerSettings(step=args.delta, eps=args.eps, max_iters=args.max_iters,
+                                 restarts=args.restarts)
     init = None if args.random_init else \
         _parse_floats(args.init) if args.init is not None else (0.5,) * (args.n_local + 1)
     runner = pbpo_exact if args.exact else pbpo
-    result = runner(template, settings, init=init,
-                    seed=RESTART_SEED if args.seed is None else args.seed)
+    result = runner(template, settings, init=init, seed=args.seed)
     first = 0 if args.trace else result.iterations  # the last sweep's row alone
     rows = ((k, *row) for k, row in enumerate(result.trace_array[first:].tolist(), first))
     return _result_output(result, args.csv, rows, ["sweep"],
@@ -400,7 +405,10 @@ def cmd_phase(args) -> Output:
 def cmd_exponent(args) -> Output:
     costs, model = _costs_model(args)
     if args.estimate:
-        n_list = [int(round(v)) for v in _parse_range(args.n)]
+        sizes = _parse_range(args.n).tolist()
+        for n in (n for n in sizes if not n.is_integer()):
+            raise ValueError(f"--n {args.n!r} has a size {n!r} that is not a whole number")
+        n_list = [int(n) for n in sizes]
         beta_hat, fit = estimate_exponent(args.pi0, costs, model, args.q0, args.q1, n_list)
         return Output([f"beta_hat={beta_hat:.10g} r_squared={fit.r_squared:.10g} "
                        f"region={fit.region.value} truncated={fit.truncated}"],
@@ -436,6 +444,8 @@ def cmd_simulate(args) -> Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand's flags: their types, choices and help.
+    Needs, exclusions and defaults are the mode tables' (``_check_modes``)."""
     parser = argparse.ArgumentParser(
         prog="starfuse",
         description="Decision fusion in star networks with misperceived priors",
@@ -443,50 +453,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("risk", help="exact fusion risk of one belief tuple")
-    p.add_argument("--pi0", type=float, required=True)
-    p.add_argument("--q0", type=float, required=True)
-    p.add_argument("--q", required=True, help="comma-separated local beliefs")
+    p.add_argument("--pi0", type=float, help="prior (needed)")
+    p.add_argument("--q0", type=float, help="fusion belief (needed)")
+    p.add_argument("--q", help="comma-separated local beliefs (needed)")
     _add_model_args(p, cmd_risk)
 
     p = sub.add_parser("grid", help="exhaustive risk minimization / sweeps")
     p.add_argument("--pi0", type=float, help="prior (search and contour modes)")
-    p.add_argument("--n-local", type=int, default=2)
+    p.add_argument("--n-local", type=int, help="local agents (default 2; search and sweep modes)")
     p.add_argument("--q0", type=float, help="fixed fusion belief (contour mode)")
     p.add_argument("--tie-locals", action="store_true", help="tied locals (search, sweep modes)")
     p.add_argument("--grid-resolution", type=float,
                    help="finest search step (default 0.0002; search and sweep modes)")
     p.add_argument("--resolution", type=float, help="surface step (default 0.02; contour mode)")
     p.add_argument("--contour", action="store_true",
-                   help="contour mode: the (q1, q2) risk surface at fixed --q0")
+                   help="contour mode: the N = 2 (q1, q2) risk surface at fixed --q0")
     p.add_argument("--sweep-pi0", help="sweep mode: start:stop:step sweep of the prior")
     _add_model_args(p, cmd_grid)
 
     p = sub.add_parser("pbpo", help="coordinate-descent belief optimization")
-    p.add_argument("--pi0", type=float, required=True)
-    p.add_argument("--n-local", type=int, default=2)
-    p.add_argument("--delta", type=float,
-                   help=f"coordinate step (default {OptimizerSettings.step}; fixed-step mode)")
-    p.add_argument("--eps", type=float, default=1e-4, help="stopping threshold")
-    p.add_argument("--max-iters", type=int, default=2000)
-    start = p.add_mutually_exclusive_group()
-    start.add_argument("--init", help="init-start mode: comma-separated beliefs, fusion "
-                                      "agent first (default-start mode: all 0.5)")
-    start.add_argument("--random-init", action="store_true",
-                       help="random-start mode: seeded uniform-random restarts")
-    p.add_argument("--restarts", type=int,
-                   help=f"restarts (default {OptimizerSettings.restarts}; random-start mode)")
-    p.add_argument("--seed", type=int, help=f"seed (default {RESTART_SEED}; random-start mode)")
-    p.add_argument("--trace", action="store_true", help="emit per-sweep rows to --csv")
+    p.add_argument("--pi0", type=float, help="prior (needed)")
+    p.add_argument("--n-local", type=int, help="local agents (default 2; every mode)")
+    p.add_argument("--delta", type=float, help="coordinate step (default 0.0005; fixed-step mode)")
+    p.add_argument("--eps", type=float, help="stopping threshold (default 0.0001; every mode)")
+    p.add_argument("--max-iters", type=int, help="most sweeps (default 2000; every mode)")
+    p.add_argument("--init", help="init-start mode: comma-separated beliefs, fusion "
+                                  "agent first (default-start mode: all 0.5)")
+    p.add_argument("--random-init", action="store_true",
+                   help="random-start mode: seeded uniform-random restarts")
+    p.add_argument("--restarts", type=int, help="restarts (default 8; random-start mode)")
+    p.add_argument("--seed", type=int, help="seed (default 1729; random-start mode)")
+    p.add_argument("--trace", action="store_true", help="trace mode: every sweep's row to --csv")
     p.add_argument("--exact", action="store_true",
                    help="exact-step mode: exact per-coordinate minimization")
     _add_model_args(p, cmd_pbpo)
 
     p = sub.add_parser("prelec", help="Prelec fit of the optimal local-belief curve")
-    p.add_argument("--n-local", type=int, default=2)
+    p.add_argument("--n-local", type=int, help="local agents (default 2; every mode)")
     p.add_argument("--sweep-pi0", help="sweep mode: start:stop:step prior sweep to compute")
     p.add_argument("--input", help="input mode: CSV from `grid --sweep-pi0` to reuse")
     p.add_argument("--q0-strategy", choices=list(Q0_STRATEGIES),
-                   default="keep-optimal-q0")
+                   help="Prelec q0 (default keep-optimal-q0; every mode)")
     _add_model_args(p, cmd_prelec)
 
     p = sub.add_parser("phase", help="many-agent limit classification")
@@ -512,12 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, cmd_exponent)
 
     p = sub.add_parser("simulate", help="seeded forward simulation")
-    p.add_argument("--pi0", type=float, required=True)
-    p.add_argument("--q0", type=float, required=True)
-    p.add_argument("--q", required=True, help="comma-separated local beliefs")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, required=True,
-                   help="mandatory so runs are reproducible")
+    p.add_argument("--pi0", type=float, help="prior (needed)")
+    p.add_argument("--q0", type=float, help="fusion belief (needed)")
+    p.add_argument("--q", help="comma-separated local beliefs (needed)")
+    p.add_argument("--trials", type=int, help="trials (default 100000; every mode)")
+    p.add_argument("--seed", type=int, help="seed (needed, so that runs are reproducible)")
     _add_model_args(p, cmd_simulate)
 
     return parser

@@ -299,7 +299,12 @@ def estimate_exponent(pi0: float, costs: CostPair, model: ObservationModel,
     least squares; once that distance collapses to floating-point resolution
     the remaining sizes are dropped and the fit is flagged as truncated
     (fewer than 3 left: ``FloatingPointError``). Returns (slope, diagnostics).
+    A size that is not an ``int`` or a numpy integer (5.7, or even 5.0)
+    raises ``ValueError`` naming it, before any work.
     """
+    n_list = list(n_list)
+    for i, n in enumerate(n_list):
+        check_integer(f"n_list[{i}]", n)
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
         raise ValueError("n_list must hold at least 3 strictly increasing sizes >= 1")

@@ -485,9 +485,13 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
     size in turn, one fold of the largest such size. Each size mixes its own
     fusion errors as ``exact_risk`` does; those of every size come from one
     ``_fusion_count_errors`` call. Beliefs and the prior are checked as
-    ``NetworkConfig`` checks them.
+    ``NetworkConfig`` checks them, and each size as ``n_local`` is: one that
+    is not an ``int`` or a numpy integer raises ``ValueError`` naming it.
     """
     pi0 = NetworkConfig(pi0, costs, model, q0, (q1,)).pi0
+    sizes = list(sizes)
+    for i, n in enumerate(sizes):
+        check_integer(f"sizes[{i}]", n)
     sizes = [int(n) for n in sizes]
     if any(b <= a for a, b in zip([0] + sizes, sizes)):
         raise ValueError(f"sizes must be strictly increasing and at least 1, got {sizes}")

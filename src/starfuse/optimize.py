@@ -587,7 +587,9 @@ def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
     ``init`` is checked as ``NetworkConfig`` checks beliefs, before any sweep.
     With ``init=None`` the best of ``settings.restarts`` runs from seeded
     uniform-random initializations is returned; a restart that raises is
-    dropped, and the first restart's error is raised only if all do.
+    dropped, and the first restart's error is raised only if all do. The
+    ``seed`` is checked as ``SimulationSpec`` checks its own, before any run:
+    an integer from 0 to 2^64 - 1.
     """
     return _multi_start(_pbpo_run, template, settings, init, seed)
 
@@ -614,6 +616,9 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
 
 
 def _multi_start(run, template, settings, init, seed):
+    check_integer("seed", seed)  # as ``SimulationSpec`` checks it, before any run
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
     if init is not None:
         init = tuple(float(q) for q in init)
         if len(init) != template.n_local + 1:

@@ -53,7 +53,11 @@ class TestRiskCommand:
         assert out.startswith(headline)
 
     def test_empty_locals_rejected(self, capsys):
+        """An empty ``--q`` is no given flag, so the need refuses it; a blank
+        one is given and holds no value."""
         code, _, err = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.5", "--q", "")
+        assert (code, err) == (2, "error: risk needs --q\n")
+        code, _, err = run_cli(capsys, "risk", "--pi0", "0.3", "--q0", "0.5", "--q", " ")
         assert code == 2
         assert "N >= 1" in err
 
@@ -302,15 +306,20 @@ class TestPbpoCommand:
         assert err == "error: step must be below 0.5\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("csv_path", [[], ["--csv", ""]], ids=["no-csv", "empty-csv"])
     @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["pbpo", "exact"])
-    def test_trace_without_csv_exits_two(self, capsys, tmp_path, monkeypatch, exact):
+    def test_trace_without_csv_exits_two(self, capsys, tmp_path, monkeypatch, exact, csv_path):
         """``--trace`` only adds rows to the CSV; without ``--csv`` it printed
-        what the command prints without it, and now exits 2 before any
-        sweep, with one error line and no file."""
+        what the command prints without it, and an empty ``--csv`` ran the
+        whole descent before its write failed. The trace mode needs
+        ``--csv``: each exits 2 before any sweep, with one error line and no
+        file."""
+        monkeypatch.setattr(cli, "pbpo", lambda *args, **kwargs: pytest.fail("descended"))
+        monkeypatch.setattr(cli, "pbpo_exact", lambda *args, **kwargs: pytest.fail("descended"))
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *exact, "--trace")
+        code, out, err = run_cli(capsys, "pbpo", "--pi0", "0.3", *exact, "--trace", *csv_path)
         assert code == 2 and out == ""
-        assert err == "error: pbpo --trace needs --csv, where it writes every sweep's row\n"
+        assert err == "error: pbpo trace mode (--trace) needs --csv\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
@@ -338,6 +347,20 @@ class TestPbpoCommand:
                                  "--csv", str(path))
         assert code == 2 and out == ""
         assert err == "error: pbpo --exact takes no --delta: it minimizes each coordinate exactly\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["pbpo", "exact"])
+    def test_seed_outside_64_unsigned_bits_exits_two(self, capsys, monkeypatch, tmp_path,
+                                                     exact, seed):
+        """``--seed -1`` printed numpy's "expected non-negative integer",
+        naming no flag, and 2^64 ran; each now exits 2 with
+        ``SimulationSpec``'s words, before any restart, with no file."""
+        monkeypatch.setattr(optimize, "_pbpo_run", lambda *args: pytest.fail("ran"))
+        monkeypatch.setattr(optimize, "_pbpo_exact_run", lambda *args: pytest.fail("ran"))
+        path = tmp_path / "pbpo.csv"
+        assert run_cli(capsys, "pbpo", "--pi0", "0.3", *exact, "--random-init", "--seed", seed,
+                       "--csv", str(path)) == (2, "", "error: seed must fit in 64 unsigned bits\n")
         assert not path.exists()
 
     def test_init_length_validated(self, capsys):
@@ -665,6 +688,19 @@ class TestExponentCommand:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("sizes, size", [("5.5:60:5", "5.5"), ("5:60:2.5", "7.5"),
+                                             ("10:12:0.5", "10.5")])
+    def test_size_not_a_whole_number_exits_two(self, capsys, monkeypatch, tmp_path, sizes, size):
+        """Each point was rounded half to even, so 5.5:60:5 fit sizes 6, 10,
+        16, 20, ...; a point that is not a whole number now exits 2, naming
+        the range and the point, before the fit, with no file."""
+        monkeypatch.setattr(cli, "estimate_exponent", lambda *args: pytest.fail("fitted"))
+        path = tmp_path / "estimate.csv"
+        assert run_cli(capsys, "exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1",
+                       "0.5", "--n", sizes, "--csv", str(path)) == (
+            2, "", f"error: --n {sizes!r} has a size {size} that is not a whole number\n")
+        assert not path.exists()
+
     def test_estimate_to_600_is_exact(self, capsys, monkeypatch):
         """Sizes up to 600 need no simulation, and the fit is clean."""
         def no_simulation(spec):
@@ -717,9 +753,10 @@ class TestSimulateCommand:
         assert "std_error=0.5" in out
 
     def test_missing_seed_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5"])
-        assert exc.value.code == 2
+        """The table, not argparse, needs ``--seed``: exit 2 with one error
+        line, no usage dump."""
+        assert run_cli(capsys, "simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5") == (
+            2, "", "error: simulate needs --seed\n")
 
     @pytest.mark.parametrize("argv, digest", [
         # The README command.
@@ -789,8 +826,10 @@ def test_parser_reused_across_commands(capsys, tmp_path):
     assert code == 0
     code, _, err = run_cli(capsys, "risk", "--pi0", "1.0", "--q0", "0.5", "--q", "0.5")
     assert code == 2 and "pi0" in err
+    code, _, err = run_cli(capsys, "simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5")
+    assert code == 2 and err == "error: simulate needs --seed\n"
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5"])
+        main(["simulate", "--pi0", "0.3", "--q0", "0.5", "--q", "0.5,0.5", "--seed", "one"])
     assert exc.value.code == 2
     code, out, _ = run_cli(capsys, "phase", "--q0", "0.5", "--q1", "0.5", "--cfa", "2")
     assert code == 0 and "region=" in out
@@ -982,10 +1021,13 @@ def test_unwritable_second_file_keeps_the_first(capsys, tmp_path):
     ["phase", "--q0", "0.6247676238784019", "--q1", "0.5", "--pi0", "nan"],
     ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.6", "--q1", "0.5",
      "--n", "1000:3000:500"],
+    ["pbpo", "--pi0", "0.3", "--init", "0.9,0.9,0.9", "--random-init", "--restarts", "2",
+     "--max-iters", "5"],
 ], ids=["range-without-step", "contour-n-local", "grid-no-prior", "prelec-header-only",
         "phase-no-point", "estimate-no-prior", "grid-no-locals", "pbpo-delta", "pbpo-eps",
         "pbpo-max-iters", "pbpo-restarts", "pbpo-empty-init", "grid-resolution",
-        "phase-boundary-prior", "phase-boundary-nan-prior", "estimate-beyond-exact-bound"])
+        "phase-boundary-prior", "phase-boundary-nan-prior", "estimate-beyond-exact-bound",
+        "pbpo-init-and-random-init"])
 def test_invalid_arguments_exit_two(capsys, tmp_path, argv):
     """A bad argument exits 2 with one error line, nothing on stdout and no
     --csv file."""
@@ -1069,11 +1111,9 @@ def test_range_stops_at_stop(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["pbpo", "--pi0", "0.3", "--init", "0.9,0.9,0.9", "--random-init", "--restarts", "2",
-     "--max-iters", "5"],
     ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--trials", "5"],
     ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--seed", "5"],
-], ids=["pbpo-init-and-random-init", "exponent-trials", "exponent-seed"])
+], ids=["exponent-trials", "exponent-seed"])
 def test_rejected_by_the_parser(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -1114,7 +1154,8 @@ _TABLE_VALUES = {
     "--grid-resolution": "0.01", "--sweep-pi0": "0.2:0.4:0.1", "--delta": "0.01",
     "--eps": "1e-4", "--max-iters": "5", "--init": "0.5,0.5,0.5", "--restarts": "2",
     "--seed": "7", "--input": "sweep.csv", "--q0-strategy": "reoptimize-q0", "--grid": "0.2",
-    "--n": "5:30:5", "--curve-csv": "curve.csv", "--lam-range": "0:1:0.5"}
+    "--n": "5:30:5", "--curve-csv": "curve.csv", "--lam-range": "0:1:0.5", "--csv": "out.csv",
+    "--q": "0.5,0.5", "--trials": "100"}
 # Every function that computes, as ``cli`` imported it.
 _COMPUTING = ("grid_search", "optimal_belief_sweep", "checked_risks", "pbpo", "pbpo_exact",
               "exact_risk", "simulate", "phase_map", "classify_phase", "optimal_exponent",
@@ -1126,36 +1167,59 @@ def _picked(runs, given):
     return tuple(next(row for row in run if row[2] in given or not row[2]) for run in runs)
 
 
+def _argv(command, flags):
+    """``command`` with ``flags``, each switch alone and each other flag
+    with its ``_TABLE_VALUES`` value."""
+    commands = next(action.choices for action in cli.build_parser()._actions if action.choices)
+    switches = {a.option_strings[0] for a in commands[command]._actions if a.nargs == 0}
+    return [command] + [piece for f in flags
+                        for piece in ([f] if f in switches else [f, _TABLE_VALUES[f]])]
+
+
+def _table_modes():
+    """(command, runs, modes, given) of every pick of one mode from each run
+    of each command; ``given`` holds the selectors and needs of the modes."""
+    for command in sorted({row[0] for row in cli._MODES}):
+        runs = _runs(command)
+        for modes in itertools.product(*runs):
+            given = [f for mode in modes for f in f"{mode[2]} {mode[4]}".split()]
+            assert _picked(runs, given) == modes
+            yield command, runs, modes, given
+
+
 def _unread_pairs():
     """(argv, mode, flag) of every flag of a command that no mode picked by
     ``argv`` reads and that, added to ``argv``, leaves the pick unchanged;
     ``mode`` is the picked mode of the flag's run. ``argv`` gives the
-    selectors and needs of its modes, the flags argparse requires, and the
-    flag; a flag that argparse's exclusion refuses with one of them is left
-    out."""
-    commands = next(action.choices for action in cli.build_parser()._actions if action.choices)
-    for command in sorted({row[0] for row in cli._MODES}):
-        parser, runs = commands[command], _runs(command)
-        required = [a.option_strings[0] for a in parser._actions if a.required]
-        switches = {a.option_strings[0] for a in parser._actions if a.nargs == 0}
-        excluded = [{a.option_strings[0] for a in group._group_actions}
-                    for group in parser._mutually_exclusive_groups]
-        for modes in itertools.product(*runs):
-            given = required + [f for mode in modes for f in f"{mode[2]} {mode[4]}".split()]
-            assert _picked(runs, given) == modes
-            reads = {flag for mode in modes for flag in mode[3].split()}
-            for run, mode in zip(runs, modes):
-                for flag in sorted({f for row in run for f in row[3].split()} - reads):
-                    if _picked(runs, given + [flag]) != modes or \
-                            any(flag in group and group & set(given) for group in excluded):
-                        continue
-                    argv = [command] + [piece for f in given + [flag] for piece in
-                                        ([f] if f in switches else [f, _TABLE_VALUES[f]])]
-                    yield pytest.param(argv, f"{command} {mode[1]} mode", flag, id="-".join(
-                        [m[1] for m in modes if m[1]] + [flag[2:]]))
+    selectors and needs of its modes, and the flag."""
+    for command, runs, modes, given in _table_modes():
+        reads = {flag for mode in modes for flag in mode[3].split()}
+        for run, mode in zip(runs, modes):
+            for flag in sorted({f for row in run for f in row[3].split()} - reads):
+                if _picked(runs, given + [flag]) == modes:
+                    yield pytest.param(_argv(command, given + [flag]),
+                                       f"{command} {mode[1]} mode", flag,
+                                       id="-".join([m[1] for m in modes if m[1]] + [flag[2:]]))
+
+
+def _missing_needs():
+    """(argv, flag) of every need of every picked mode, ``argv`` giving the
+    selectors and needs of the modes but that one flag; a one-row run names
+    no mode. Each mode's needs are left out once, with the other runs at
+    their first pick that gives it."""
+    seen = set()
+    for command, runs, modes, given in _table_modes():
+        for mode in modes:
+            for flag in mode[4].split():
+                if (command, mode[1], flag) not in seen:
+                    seen.add((command, mode[1], flag))
+                    rest = [f for f in given if f != flag]
+                    yield pytest.param(_argv(command, rest), flag, id="-".join(
+                        [command] + [m[1] for m in modes if m[1]] + [flag[2:]]))
 
 
 _UNREAD = list(_unread_pairs())
+_MISSING = list(_missing_needs())
 
 
 @pytest.mark.parametrize("argv, mode, flag", _UNREAD)
@@ -1184,12 +1248,42 @@ def test_flag_the_mode_does_not_read_exits_two(capsys, monkeypatch, tmp_path, ar
 
 
 def test_unread_pairs_of_each_command():
-    """The table implies 34 pairs. risk and simulate have one mode, which
-    reads each of their flags; a pbpo random-start reads every flag of its
-    run that argparse lets it take."""
+    """The table implies 50 pairs. risk and simulate have one mode, which
+    reads each of their flags. grid --contour refuses --n-local. Each of
+    pbpo's 12 picks of a trace, start and step mode refuses the flags of
+    the start and step runs that it does not read, --init in a random start
+    included."""
     assert collections.Counter(pair.values[0][0] for pair in _UNREAD) == {
-        "grid": 8, "pbpo": 11, "prelec": 1, "phase": 3, "exponent": 11}
+        "grid": 9, "pbpo": 26, "prelec": 1, "phase": 3, "exponent": 11}
     assert len({pair.id for pair in _UNREAD}) == len(_UNREAD)
+
+
+@pytest.mark.parametrize("argv, flag", _MISSING)
+def test_missing_need_exits_two(capsys, monkeypatch, tmp_path, argv, flag):
+    """Every need of every mode is the table's: an argv without it returns 2
+    from ``main``, with no ``SystemExit`` and no usage dump, before any
+    function that computes is called, with one error line that names the
+    flag, nothing on stdout and no file."""
+    def computed(*args, **kwargs):
+        raise AssertionError("a refused run computed")
+
+    for name in _COMPUTING:
+        monkeypatch.setattr(cli, name, computed)
+    monkeypatch.chdir(tmp_path)
+    Path("sweep.csv").write_text(_SWEEP_CSV)
+    code, out, err = run_cli(capsys, *argv, *([] if flag == "--csv" else ["--csv", "out.csv"]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f" needs {flag}\n"), err
+    assert err.count("\n") == 1
+    assert os.listdir() == ["sweep.csv"]
+
+
+def test_missing_needs_of_each_command():
+    """Each need of each mode is left out once: 18 in all, among them the
+    3 of risk and the 4 of simulate, which argparse required before."""
+    assert collections.Counter(pair.values[0][0] for pair in _MISSING) == {
+        "risk": 3, "grid": 3, "pbpo": 2, "prelec": 1, "phase": 2, "exponent": 3, "simulate": 4}
+    assert len({pair.id for pair in _MISSING}) == len(_MISSING)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1202,15 +1296,13 @@ def test_unread_pairs_of_each_command():
     ["simulate", "--pi0", "0.3", "--q0", "0.7", "--q", "0.4,0.4", "--trials", "100",
      "--seed", "1", "--csv", ""],
     ["exponent", "--curve-csv", ""],
-    ["pbpo", "--pi0", "0.3", "--max-iters", "5", "--trace", "--csv", ""],
-], ids=["risk", "grid", "pbpo", "prelec", "phase", "exponent", "simulate", "exponent-curve",
-        "pbpo-trace"])
+], ids=["risk", "grid", "pbpo", "prelec", "phase", "exponent", "simulate", "exponent-curve"])
 def test_empty_output_path_exits_two(capsys, monkeypatch, tmp_path, argv):
     """An empty ``--csv`` or ``--curve-csv`` printed the run's lines, exited
     0 and wrote nothing; it now fails at its write, like any path that
     cannot be written: exit 2, one error line, nothing on stdout, no file.
-    ``pbpo --trace`` counts an empty ``--csv`` as given, so it does not
-    say that ``--csv`` is missing."""
+    ``pbpo --trace`` needs a non-empty ``--csv`` and refuses before any work
+    (``TestPbpoCommand.test_trace_without_csv_exits_two``)."""
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
     assert os.listdir() == []
@@ -1415,10 +1507,10 @@ _VALUES = {
                  "--q": _beliefs(3, 1), "--trials": _number("2", "100", "1000"),
                  "--seed": _number("1", "7")},
 }
-# The flags drawn whenever the modes read them: argparse requires them, or
-# their defaults cost too much for a fuzz.
-_DRAWN = {"risk": "--pi0 --q0 --q", "grid": "--grid-resolution --resolution",
-          "pbpo": "--pi0 --max-iters", "simulate": "--pi0 --q0 --q --trials --seed"}
+# The flags drawn whenever the modes read them, besides their needs: their
+# defaults cost too much for a fuzz.
+_DRAWN = {"grid": "--grid-resolution --resolution", "pbpo": "--max-iters",
+          "simulate": "--trials"}
 
 
 @st.composite
@@ -1467,7 +1559,8 @@ def _fuzz_run(argv, directory):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse refusing a flag
+        except SystemExit as exc:  # argparse refusing a value of the wrong type
+            assert "error: argument " in err.getvalue(), (argv, err.getvalue())
             code = exc.code
     return code, out.getvalue(), err.getvalue(), sorted(os.listdir(directory))
 

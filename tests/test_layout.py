@@ -631,6 +631,52 @@ def test_every_cli_flag_is_tabled():
     assert _untabled_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
 
 
+def _parser_rules(source):
+    """(line, what) of each rule that ``build_parser`` in ``source`` states
+    to argparse rather than to the mode tables: a ``required=`` (but the
+    subcommand's own, which argparse parses), an
+    ``add_mutually_exclusive_group``, or a ``default=`` or ``set_defaults``.
+    Only ``_add_model_args``, a function of its own, gives the shared model
+    flags their defaults."""
+    build = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    found = []
+    for call in (c for c in ast.walk(build) if isinstance(c, ast.Call)
+                 and isinstance(c.func, ast.Attribute)):
+        method = call.func.attr
+        if method in ("add_mutually_exclusive_group", "set_defaults"):
+            found.append((call.lineno, method))
+        found += [(call.lineno, f"{k.arg}=") for k in call.keywords if k.arg == "default"
+                  or k.arg == "required" and method != "add_subparsers"]
+    return sorted(found)
+
+
+def test_parser_rules_seen():
+    source = ("def _add_model_args(p, func):\n"
+              "    p.set_defaults(func=func)\n"
+              "    p.add_argument('--sigma', type=float, default=1.0)\n"
+              "def build_parser():\n"
+              "    sub = parser.add_subparsers(dest='command', required=True)\n"
+              "    p = sub.add_parser('a')\n"
+              "    p.add_argument('--pi0', type=float, required=True)\n"
+              "    p.add_argument('--n-local', type=int, default=2)\n"
+              "    group = p.add_mutually_exclusive_group()\n"
+              "    group.add_argument('--init', default=None)\n"
+              "    p.set_defaults(trials=10)\n"
+              "    p.add_argument('--q0-strategy', choices=['a', 'b'], help='(default a)')\n"
+              "    _add_model_args(p, cmd_a)\n")
+    assert _parser_rules(source) == [(7, "required="), (8, "default="),
+                                     (9, "add_mutually_exclusive_group"), (10, "default="),
+                                     (11, "set_defaults")]
+
+
+def test_parser_only_parses():
+    """``build_parser`` declares types, choices and help: every need,
+    exclusion and default of a mode flag is in ``cli._MODES`` and
+    ``cli._DEFAULTS``, so that each refusal is one error line and exit 2."""
+    assert _parser_rules((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
+
+
 SIZE_CONSTANTS = ("PER_FLOAT_BELOW", "BINOMIAL_FROM", "BATCH_CHUNK_ROWS")
 
 

@@ -537,6 +537,32 @@ class TestEstimateExponent:
         assert beta_hat == pytest.approx(0.003352023905, rel=1e-9)
         assert fit.n_used == tuple(ladder) and not fit.truncated
 
+    @pytest.mark.parametrize("n_list, message", [
+        ([5.7, 10, 15, 20], "n_list[0]=5.7 is not an integer"),
+        ((5, 10, 15.0), "n_list[2]=15.0 is not an integer"),
+        (np.array([5.0, 10.0, 15.0]), "n_list[0]=np.float64(5.0) is not an integer"),
+        ((5, True, 15), "n_list[1]=True is not an integer"),
+    ], ids=["fraction", "whole-float", "float-array", "bool"])
+    def test_non_integer_size_refused_before_any_work(self, std_model, equal_costs, n_list,
+                                                      message):
+        """5.7 was truncated to 5, so the fit reported ``n_used=(5, 10, 15,
+        20)``; a size that is not an integer now raises, naming it, before
+        the phase or any risk is computed."""
+        with mock.patch.object(montecarlo, "tied_exact_risks",
+                               side_effect=AssertionError("folded")), \
+                mock.patch.object(montecarlo, "classify_phase",
+                                  side_effect=AssertionError("classified")):
+            with pytest.raises(ValueError) as raised:
+                estimate_exponent(0.3, equal_costs, std_model, 0.5, 0.5, n_list)
+        assert str(raised.value) == message
+
+    def test_integer_sizes_of_any_kind(self, std_model, equal_costs):
+        """A generator, a range and a numpy integer array give the same fit."""
+        fits = [estimate_exponent(0.3, equal_costs, std_model, 0.6, 0.5, sizes)
+                for sizes in ((n for n in range(5, 31, 5)), range(5, 31, 5), np.arange(5, 31, 5))]
+        assert fits[0] == fits[1] == fits[2]
+        assert fits[0][1].n_used == (5, 10, 15, 20, 25, 30)
+
     def test_trials_and_seed_are_gone(self, std_model, equal_costs):
         for knob in ("trials", "seed"):
             with pytest.raises(TypeError):

@@ -1177,6 +1177,19 @@ class TestTiedExactRisks:
     def test_no_sizes(self):
         assert tied_exact_risks(0.3, CostPair(), ObservationModel(), 0.5, 0.5, []) == []
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([2.9], "sizes[0]=2.9 is not an integer"),
+        ([1, 2, 3.0], "sizes[2]=3.0 is not an integer"),
+        ([False, 1], "sizes[0]=False is not an integer"),
+    ], ids=["fraction", "whole-float", "bool"])
+    def test_non_integer_size_refused(self, monkeypatch, sizes, message):
+        """2.9 gave the risk of 2 locals; a size that is not an integer now
+        raises, naming it, before any rate is computed."""
+        monkeypatch.setattr(network, "_local_tails", lambda *args: pytest.fail("computed"))
+        with pytest.raises(ValueError) as raised:
+            tied_exact_risks(0.3, CostPair(), ObservationModel(), 0.5, 0.5, sizes)
+        assert str(raised.value) == message
+
 
 class TestConditionalFusionErrors:
     def test_single_agent_pinned(self):

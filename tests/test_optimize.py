@@ -564,6 +564,32 @@ class TestPbpo:
             assert a == pytest.approx(b, abs=2.0 * settings.step)
         assert exact.iterations < fixed.iterations
 
+    @pytest.mark.parametrize("init", [None, (0.5, 0.5, 0.5)], ids=["restarts", "init"])
+    @pytest.mark.parametrize("runner", [pbpo, pbpo_exact], ids=["pbpo", "exact"])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must fit in 64 unsigned bits"),
+        (2**64, "seed must fit in 64 unsigned bits"),
+        (1.5, "seed=1.5 is not an integer"),
+        (7.0, "seed=7.0 is not an integer"),
+        (True, "seed=True is not an integer"),
+        ("7", "seed='7' is not an integer"),
+    ], ids=["negative", "2^64", "fraction", "whole-float", "bool", "text"])
+    def test_seed_checked_as_simulation_spec_does(self, monkeypatch, benchmark_template, runner,
+                                                  init, seed, message):
+        """A seed that ``SimulationSpec`` refuses is refused with its words,
+        before any run: -1 gave numpy's "expected non-negative integer", 1.5
+        a ``TypeError`` and 2^64 ran."""
+        monkeypatch.setattr(optimize, "_pbpo_run", lambda *args: pytest.fail("ran"))
+        monkeypatch.setattr(optimize, "_pbpo_exact_run", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError) as raised:
+            runner(benchmark_template, OptimizerSettings(restarts=1), init=init, seed=seed)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)])
+    def test_seed_of_64_unsigned_bits_accepted(self, benchmark_template, seed):
+        result = pbpo(benchmark_template, OptimizerSettings(restarts=1, max_iters=3), seed=seed)
+        assert result.iterations == 3
+
 
 class TestOptimizationResult:
     def test_headline_result_keeps_one_array(self, benchmark_template):
