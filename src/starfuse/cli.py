@@ -222,8 +222,8 @@ def _unit_axis(step: float, flag: str) -> np.ndarray:
 
 def _check_modes(args) -> None:
     """Pick the modes of ``args.command`` from ``_MODES``, then fill in the
-    defaults of its flags not given. Raise ``ValueError`` for a need not
-    given, then for the first given flag that no picked mode reads."""
+    defaults of its flags left out (``None``). Raise ``ValueError`` for a
+    need not given, then for the first given flag that no picked mode reads."""
     # An empty path or range picks no mode: each command tests a selector for truth.
     given = {"--" + dest.replace("_", "-") for dest, value in vars(args).items()
              if value is not None and value is not False and value != ""}
@@ -243,7 +243,8 @@ def _check_modes(args) -> None:
                                   f"{label} does not read {flag}"))
         run = []
     for flag, value in _DEFAULTS:
-        if flag not in given and hasattr(args, dest := flag[2:].replace("-", "_")):
+        # Only a flag left out: a given empty value reaches its parser and is refused there.
+        if getattr(args, dest := flag[2:].replace("-", "_"), value) is None:
             setattr(args, dest, value)
 
 

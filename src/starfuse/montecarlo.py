@@ -29,8 +29,8 @@ import numpy as np
 
 from .asymptotics import PhaseRegion, classify_phase
 from .network import NetworkConfig, exact_risk, tied_exact_risks
-from .observation import (CostPair, ObservationModel, check_integer, decides_one,
-                          threshold_from_belief)
+from .observation import (CostPair, ObservationModel, check_integer, check_seed, check_sizes,
+                          decides_one, threshold_from_belief)
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,10 @@ class SimulationSpec:
 
     def __post_init__(self):
         check_integer("trials", self.trials)
-        check_integer("seed", self.seed)
         if self.trials < 2:
             raise ValueError(f"trials {self.trials} is below 2: "
                              f"fewer than 2 trials have no standard error")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -302,10 +300,7 @@ def estimate_exponent(pi0: float, costs: CostPair, model: ObservationModel,
     A size that is not an ``int`` or a numpy integer (5.7, or even 5.0)
     raises ``ValueError`` naming it, before any work.
     """
-    n_list = list(n_list)
-    for i, n in enumerate(n_list):
-        check_integer(f"n_list[{i}]", n)
-    n_list = [int(n) for n in n_list]
+    n_list = check_sizes("n_list", n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
         raise ValueError("n_list must hold at least 3 strictly increasing sizes >= 1")
     if n_list[-1] > exact_max_n:

@@ -77,9 +77,12 @@ import numpy as np
 from .observation import (
     CostPair,
     ObservationModel,
+    check_agent,
     check_beliefs,
     check_integer,
     check_prior,
+    check_sizes,
+    check_width,
     clamp,
     clamp_belief,
     clamped_log_odds,
@@ -489,10 +492,7 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
     is not an ``int`` or a numpy integer raises ``ValueError`` naming it.
     """
     pi0 = NetworkConfig(pi0, costs, model, q0, (q1,)).pi0
-    sizes = list(sizes)
-    for i, n in enumerate(sizes):
-        check_integer(f"sizes[{i}]", n)
-    sizes = [int(n) for n in sizes]
+    sizes = check_sizes("sizes", sizes)
     if any(b <= a for a, b in zip([0] + sizes, sizes)):
         raise ValueError(f"sizes must be strictly increasing and at least 1, got {sizes}")
     if not sizes:
@@ -587,8 +587,7 @@ def fusion_error_rates(model: ObservationModel, costs: CostPair, blocks):
                          "(N >= 1)")
     n = rows[0].shape[1]
     for r in rows:
-        if r.shape[1] != n:
-            raise ValueError(f"expected {n} local belief columns, got {r.shape[1]}")
+        check_width(n, r.shape[1])
     batch, size = [], 0
     for block, (fusion, local) in enumerate(zip(q0, rows)):
         step = max(1, BATCH_CHUNK_ROWS // (max(1, len(fusion)) * (n + 1)))
@@ -646,8 +645,7 @@ def batch_risk(template: NetworkTemplate, q0, q_local) -> np.ndarray:
     """
     n = template.n_local
     q_local = np.atleast_2d(np.asarray(q_local, dtype=float))
-    if q_local.shape[1] != n:
-        raise ValueError(f"expected {n} local belief columns, got {q_local.shape[1]}")
+    check_width(n, q_local.shape[1])
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     out = np.empty((q0.shape[0], q_local.shape[0]))
     for _, start, rates in fusion_error_rates(template.model, template.costs, [(q0, q_local)]):
@@ -806,8 +804,7 @@ def conditional_fusion_errors(config: NetworkConfig, j: int, pinned: int):
     O(N^2), or O(N) for a tied network of more than ``BINOMIAL_FROM``
     locals; callers that need every agent should call that directly.
     """
-    if not 1 <= j <= config.n_local:
-        raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")
+    check_agent(j, config.n_local)
     if pinned not in (0, 1):
         raise ValueError("pinned decision must be 0 or 1")
     fa, md = pinned_fusion_errors(config)

@@ -18,6 +18,12 @@ cost, and get the array path's values bit for bit.
 
 The model is additive Gaussian noise: the signal equals the binary
 hypothesis value (0 or 1) plus centered Gaussian noise with scale ``sigma``.
+
+The input checks that several modules share live here, each the one
+wording of its refusal: ``check_real``, ``check_integer``, ``check_prior``,
+``check_positive`` (costs, sigma, the Prelec parameters), ``check_seed``,
+``check_sizes`` (a ladder of network sizes), ``check_width`` (the local
+belief columns of a row) and ``check_agent`` (a 1-based local index).
 """
 
 import functools
@@ -67,6 +73,44 @@ def check_integer(name: str, value) -> None:
     or a numpy integer; a bool is no count."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name}={value!r} is not an integer")
+
+
+def check_positive(name: str, value) -> float:
+    """A value of the real field ``name`` as a float (``check_real``),
+    rejected unless it is strictly positive and finite."""
+    value = check_real(name, value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name}={value!r} must be strictly positive and finite")
+    return value
+
+
+def check_seed(seed) -> None:
+    """Reject a random seed that is not an integer from 0 to 2^64 - 1."""
+    check_integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+
+
+def check_sizes(name: str, sizes) -> list[int]:
+    """The network sizes of the iterable ``sizes`` as a list of ``int``,
+    each checked by ``check_integer`` as ``name[i]``; the caller checks
+    their order."""
+    sizes = list(sizes)
+    for i, n in enumerate(sizes):
+        check_integer(f"{name}[{i}]", n)
+    return [int(n) for n in sizes]
+
+
+def check_width(n: int, width: int) -> None:
+    """Reject rows of ``width`` local beliefs where a network has ``n`` locals."""
+    if width != n:
+        raise ValueError(f"expected {n} local belief columns, got {width}")
+
+
+def check_agent(j: int, n: int) -> None:
+    """Reject a local agent index ``j`` outside 1..``n`` with ``IndexError``."""
+    if not 1 <= j <= n:
+        raise IndexError(f"local agent index {j} out of range 1..{n}")
 
 
 def _checked_belief(q) -> float:
@@ -158,10 +202,7 @@ class CostPair:
 
     def __post_init__(self):
         for name in ("c_fa", "c_md"):
-            value = check_real(f"cost {name}", getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"cost {name}={value!r} must be strictly positive and finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_positive(f"cost {name}", getattr(self, name)))
 
     @functools.cached_property
     def log_ratio(self) -> float:
@@ -183,9 +224,7 @@ class ObservationModel:
     sigma: float = 1.0
 
     def __post_init__(self):
-        sigma = check_real("sigma", self.sigma)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ValueError(f"sigma={sigma!r} must be strictly positive and finite")
+        sigma = check_positive("sigma", self.sigma)
         if sigma < sys.float_info.min:
             raise ValueError(f"sigma={sigma!r} is subnormal: a threshold scaled by 1/sigma "
                              f"overflows a double")

@@ -18,7 +18,9 @@ weight them with ``bayes_risk``: the true prior enters only that final
 weighting, so ``optimal_belief_sweep`` builds the coarse grid's tables once
 for every prior, and each finer stage passes every prior's window to one
 call, which ``network`` cuts into passes of bounded memory; ``grid_search``
-is the one-prior case of the same stage loop.
+is the one-prior case of the same stage loop. Each piece's risks pass
+through ``_finite_rows``, as the line search's and ``checked_risks``' do,
+so the first stage that meets a risk that is not finite raises.
 The loops that move one belief at a time use ``_RiskEvaluator``, the
 per-float formula of ``observation.per_float_rates`` with memoized tails;
 tests pin it to ``exact_risk``, and its per-count fusion errors to the
@@ -91,10 +93,13 @@ from .network import (
 )
 from .observation import (
     BELIEF_EPS,
+    check_agent,
     check_beliefs,
     check_integer,
     check_prior,
     check_real,
+    check_seed,
+    check_width,
     clamp,
     clamped_log_odds,
     from_log_odds,
@@ -312,10 +317,11 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
     No prior enters ``fusion_error_rates``, so the coarse grid's rates are
     built once and each prior applies only its ``bayes_risk`` weights. A
     finer stage's windows differ by prior; the rates of every prior's window
-    come from one call, and none once every prior has failed. Each prior's
-    stages, risks and first-minimum argmin are those of a search of its own.
-    Raises the ``FloatingPointError`` of the first prior whose search meets a
-    risk that is not finite.
+    come from one call. Each prior's stages, risks and first-minimum argmin
+    are those of a search of its own. Every piece's risks at every prior
+    pass through ``_finite_rows``, so the first stage that meets a risk that
+    is not finite raises, at its first such piece (block by block, in row
+    order) and that piece's first such prior, ``_finite_rows``' error.
     """
     if 1.0 / settings.grid_resolution > 1e4:
         raise ValueError("grid_resolution finer than 1e-4 (more than 10^4 points per axis)")
@@ -334,47 +340,35 @@ def _grid_minima(template: NetworkTemplate, pi0_values: list, settings: Optimize
     # (priors, axes) per grid: the coarse grid serves every prior.
     searches = [(range(len(pi0_values)), [_axis(coarse, 1.0 - coarse, coarse)] * ndim)]
     evaluated = [0] * len(pi0_values)
-    failures = {}
     for stage, res in enumerate(resolutions):
         if stage > 0:
-            if not best:
-                break  # every prior has met a risk that is not finite
             window = 2.0 * resolutions[stage - 1]
             searches = [((p,), [_axis(c - window, c + window, res) for c in beliefs[:ndim]])
-                        for p, beliefs in best.items()]
+                        for p, beliefs in enumerate(best)]
         # Row-major over (q0, local axes...), so the first-minimum argmin
         # breaks ties as a scan of the full product grid would.
         grids = [(priors, axes[0],
                   np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=1))
                  for priors, axes in searches]
-        minima, first_bad = {}, {}  # per prior: (risk, i, j) and the first non-finite q0 row
+        minima = {}  # per prior: (risk, i, j)
         # A view, so that network forms a tied row's rates once, not n times.
         blocks = [(q0, np.broadcast_to(local, (len(local), n)) if tie else local)
                   for _, q0, local in grids]
         for block, start, rates in fusion_error_rates(model, costs, blocks):
-            for p in grids[block][0]:
-                risks = bayes_risk(pi0_values[p], costs, *rates)
+            priors, q0, _ = grids[block]
+            for p in priors:
+                risks = _finite_rows(bayes_risk(pi0_values[p], costs, *rates), q0, model.sigma)
                 evaluated[p] += risks.size
-                if not np.isfinite(risks).all():
-                    bad = int(np.argmin(np.isfinite(risks).all(axis=1)))
-                    first_bad[p] = min(first_bad.get(p, bad), bad)
                 i, j = np.unravel_index(int(np.argmin(risks)), risks.shape)
                 # Pieces split a grid's rows only; the least (risk, i, j)
                 # over them is the grid's row-major first minimum.
                 found = (float(risks[i, j]), int(i), start + int(j))
                 if p not in minima or found < minima[p]:
                     minima[p] = found
-        best = {}
-        for priors, q0, local in grids:
-            for p in priors:
-                if p in first_bad:
-                    failures[p] = risk_not_finite(float(q0[first_bad[p]]), model.sigma)
-                else:
-                    _, i, j = minima[p]
-                    best[p] = (float(q0[i]), *local[j].tolist() * (n if tie else 1))
-    if failures:
-        raise failures[min(failures)]
-    return [(best[p], evaluated[p]) for p in range(len(pi0_values))]
+        # Per prior, in order: a grid's priors follow those of the grids before it.
+        best = [(float(q0[minima[p][1]]), *local[minima[p][2]].tolist() * (n if tie else 1))
+                for priors, q0, local in grids for p in priors]
+    return list(zip(best, evaluated))
 
 
 def grid_search(template: NetworkTemplate, settings: OptimizerSettings) -> OptimizationResult:
@@ -524,9 +518,8 @@ class FusionLineSearch:
         q_local = tuple(q_local)
         template = self.template
         n = template.n_local
-        # batch_risk's refusals, word for word, before anything is folded.
-        if len(q_local) != n:
-            raise ValueError(f"expected {n} local belief columns, got {len(q_local)}")
+        # batch_risk's refusals, before anything is folded.
+        check_width(n, len(q_local))
         check_beliefs(q_local)
         evaluator = self.evaluator
         prefix = evaluator.prefixes(q_local)
@@ -588,8 +581,8 @@ def pbpo(template: NetworkTemplate, settings: OptimizerSettings,
     With ``init=None`` the best of ``settings.restarts`` runs from seeded
     uniform-random initializations is returned; a restart that raises is
     dropped, and the first restart's error is raised only if all do. The
-    ``seed`` is checked as ``SimulationSpec`` checks its own, before any run:
-    an integer from 0 to 2^64 - 1.
+    ``seed`` is checked by ``observation.check_seed``, as ``SimulationSpec``
+    checks its own, before any run: an integer from 0 to 2^64 - 1.
     """
     return _multi_start(_pbpo_run, template, settings, init, seed)
 
@@ -616,9 +609,7 @@ def pbpo_exact(template: NetworkTemplate, settings: OptimizerSettings,
 
 
 def _multi_start(run, template, settings, init, seed):
-    check_integer("seed", seed)  # as ``SimulationSpec`` checks it, before any run
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
+    check_seed(seed)
     if init is not None:
         init = tuple(float(q) for q in init)
         if len(init) != template.n_local + 1:
@@ -775,8 +766,7 @@ def exact_coordinate_update(config: NetworkConfig, j: int):
     ``ValueError`` when a bracketed difference is not finite (the fusion
     error probabilities underflowed), since no belief would be meaningful.
     """
-    if not 1 <= j <= config.n_local:
-        raise IndexError(f"local agent index {j} out of range 1..{config.n_local}")
+    check_agent(j, config.n_local)
     d_fa, d_md = (d[j - 1] for d in _pinned_differences(config))
     return _balance_update(config.pi0, config.q_local[j - 1], j, d_fa, d_md)
 
@@ -790,7 +780,8 @@ def stationarity_residual(config: NetworkConfig) -> float:
     errors come from one ``pinned_fusion_errors`` call, so the whole
     residual costs O(N^2), and O(N) for a tied network of more than
     ``BINOMIAL_FROM`` locals, whose agents share one pinned pair from the
-    Binomial kernel.
+    Binomial kernel. The violation is taken once per distinct (belief,
+    differences) triple, so the agents of a tied network cost one.
     """
     d_fa, d_md = _pinned_differences(config)
     if not (np.isfinite(d_fa).all() and np.isfinite(d_md).all()):
@@ -799,7 +790,7 @@ def stationarity_residual(config: NetworkConfig) -> float:
         return math.inf
     prior = log_odds(config.pi0)
     return max(abs(log_odds(q) - prior - (math.log(a) - math.log(b)))
-               for q, a, b in zip(config.q_local, d_fa, d_md))
+               for q, a, b in set(zip(config.q_local, d_fa.tolist(), d_md.tolist())))
 
 
 @dataclass(frozen=True)
@@ -820,9 +811,10 @@ def optimal_belief_sweep(template: NetworkTemplate, pi0_values,
     prior enters the fusion error rates, so the coarse grid's tables are
     built once for all of them and each finer stage builds every prior's
     window in a few calls. Each point holds the beliefs and risk of
-    ``grid_search`` at that prior, without its stationarity residual, and
-    the first prior whose search fails raises ``grid_search``'s
-    ``FloatingPointError``.
+    ``grid_search`` at that prior, without its stationarity residual. The
+    first stage that meets a risk that is not finite raises, at the first
+    prior of that stage to meet one (in prior order at a finer stage), the
+    ``FloatingPointError`` that ``grid_search`` raises at that prior.
     """
     pi0_values = [check_prior(pi0) for pi0 in pi0_values]
     if not pi0_values:

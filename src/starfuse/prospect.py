@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkTemplate, exact_risk
-from .observation import check_real, clamp
+from .observation import check_positive, clamp
 from .optimize import FusionLineSearch, SweepPoint, nelder_mead, risk_not_finite
 
 Q0_STRATEGIES = ("keep-optimal-q0", "reoptimize-q0")
@@ -35,10 +35,7 @@ class PrelecParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta_w"):
-            value = check_real(name, getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name}={value!r} must be strictly positive and finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
 
 
 def prelec(p, params: PrelecParams):

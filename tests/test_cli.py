@@ -1374,6 +1374,27 @@ def test_empty_value_picks_no_mode(capsys, argv, code, err):
     assert run_cli(capsys, *argv)[::2] == (code, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--estimate", "--pi0", "0.3", "--q0", "0.5", "--q1", "0.5", "--n", ""],
+    ["exponent", "--curve-csv", "curve.csv", "--lam-range", ""],
+], ids=["n", "lam-range"])
+def test_empty_read_range_exits_two(capsys, monkeypatch, tmp_path, argv):
+    """An empty range that its mode reads took the flag's default (the
+    ladder 5:60:5, the 7,001-point curve) and exited 0; a default now fills
+    in only a flag left out, so the empty range reaches its parser and exits
+    2 before any function that computes is called, with one error line,
+    nothing on stdout and no file."""
+    def computed(*args, **kwargs):
+        raise AssertionError("a refused run computed")
+
+    for name in _COMPUTING:
+        monkeypatch.setattr(cli, name, computed)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv, "--csv", "out.csv") == (
+        2, "", "error: range '' must look like start:stop:step\n")
+    assert os.listdir() == []
+
+
 def _flag_helps(command):
     """``{flag: help}`` of the subcommand ``command``."""
     commands = next(action.choices for action in cli.build_parser()._actions if action.choices)

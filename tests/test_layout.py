@@ -878,3 +878,61 @@ def test_only_cli_reads_trace(path):
     so library code reads the result's ``trace_array`` instead; only the
     CLI, which formats the rows, may build it."""
     assert _reads_off_self(path.read_text(), "trace") == []
+
+
+_RAISED = {"ValueError", "IndexError", "FloatingPointError", "AssertionError"}
+
+
+def _message_templates(source):
+    """(template, line) of each ``ValueError``, ``IndexError``,
+    ``FloatingPointError`` or ``AssertionError`` call in ``source`` whose
+    first argument is a string, in line order: the string, each f-string
+    field read as ``{}``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _RAISED and node.args):
+            continue
+        first = node.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            found.append((first.value, node.lineno))
+        elif isinstance(first, ast.JoinedStr):
+            found.append(("".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                  for part in first.values), node.lineno))
+    return sorted(found, key=lambda site: site[1])
+
+
+def _repeated_templates(sources):
+    """``{template: [(name, line), ...]}`` of each message template that the
+    ``{name: source}`` mapping ``sources`` raises at two sites or more."""
+    sites = {}
+    for name, source in sources.items():
+        for template, line in _message_templates(source):
+            sites.setdefault(template, []).append((name, line))
+    return {template: where for template, where in sites.items() if len(where) > 1}
+
+
+def test_repeated_templates_seen():
+    a = ("def f(n, w):\n    if w != n:\n"
+         "        raise ValueError(f'expected {n} columns, got {w!r}')\n"
+         "    raise IndexError('index out of range')\n")
+    b = ("def g(k, width):\n"
+         "    raise ValueError(f'expected {k} columns, ' f'got {width}')\n"
+         "def h(x):\n    error = FloatingPointError(f'{x} is not finite')\n"
+         "    raise AssertionError('index out of range')\n"
+         "def k(msg):\n    raise ValueError(msg)\n"
+         "'ValueError(\"index out of range\") in a docstring'\n")
+    assert _message_templates(a) == [("expected {} columns, got {}", 3),
+                                     ("index out of range", 4)]
+    assert _repeated_templates({"a": a, "b": b}) == {
+        "expected {} columns, got {}": [("a", 3), ("b", 2)],
+        "index out of range": [("a", 4), ("b", 5)]}
+    assert _repeated_templates({"a": a}) == {}
+
+
+def test_each_message_raised_at_one_site():
+    """Each exception message ``src`` raises has one home: a rule that two
+    sites refuse alike is one checker (``observation.check_width``,
+    ``check_agent``, ``check_seed`` and the like) that both call, so every
+    entry point words it the same way."""
+    assert _repeated_templates({path.name: path.read_text() for path in SOURCES}) == {}

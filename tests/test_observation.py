@@ -32,6 +32,11 @@ from starfuse import (
 from starfuse import observation
 from starfuse.network import tied_exact_risks
 from starfuse.observation import (
+    check_agent,
+    check_positive,
+    check_seed,
+    check_sizes,
+    check_width,
     clamp,
     clamped_log_odds,
     clamped_log_odds_array,
@@ -224,6 +229,49 @@ class TestValidation:
         assert clamp_belief(1e-300) == BELIEF_EPS
         with pytest.raises(ValueError):
             clamp_belief(0.0)
+
+
+class TestCheckers:
+    """The rules that several entry points share, each worded in one place."""
+
+    def test_check_positive(self):
+        assert check_positive("alpha", np.int64(2)) == 2.0
+        assert type(check_positive("alpha", np.float32(0.5))) is float
+        for value in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^cost c_fa={value!r} must be strictly "
+                                                 f"positive and finite$"):
+                check_positive("cost c_fa", value)
+        with pytest.raises(ValueError, match="^sigma=True is not a real number$"):
+            check_positive("sigma", True)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_check_seed_accepts(self, seed):
+        assert check_seed(seed) is None
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must fit in 64 unsigned bits"), (2**64, "seed must fit in 64 unsigned bits"),
+        (1.0, "seed=1.0 is not an integer"), (True, "seed=True is not an integer")])
+    def test_check_seed_refuses(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_seed(seed)
+
+    def test_check_sizes(self):
+        sizes = check_sizes("sizes", (n for n in (np.int32(3), 5, np.uint8(7))))
+        assert sizes == [3, 5, 7] and all(type(n) is int for n in sizes)
+        assert check_sizes("sizes", []) == []
+        with pytest.raises(ValueError, match=r"^n_list\[1\]=5\.0 is not an integer$"):
+            check_sizes("n_list", [3, 5.0])
+
+    def test_check_width(self):
+        assert check_width(3, 3) is None
+        with pytest.raises(ValueError, match="^expected 3 local belief columns, got 2$"):
+            check_width(3, 2)
+
+    @pytest.mark.parametrize("j", [0, 4, -1])
+    def test_check_agent(self, j):
+        assert check_agent(1, 3) is None and check_agent(3, 3) is None
+        with pytest.raises(IndexError, match=f"^local agent index {j} out of range 1..3$"):
+            check_agent(j, 3)
 
 
 def _risk(pi0=0.3, c_fa=1.0, c_md=1.0, sigma=0.7):

@@ -708,6 +708,39 @@ class TestStationarity:
     def test_non_finite_differences_give_nan(self):
         assert np.isnan(stationarity_residual(_underflow_config()))
 
+    def test_tied_agents_share_one_log_odds(self, monkeypatch):
+        """The agents of a tied network share one (belief, differences)
+        triple, so N = 2000 takes two log-odds, the prior's and the belief's
+        (2,001 when every agent took its own), with the maximum over every
+        agent's violation."""
+        config = NetworkTemplate(0.62, CostPair(), ObservationModel(), 2000).tied(0.51, 0.5)
+        d_fa, d_md = optimize._pinned_differences(config)
+        expected = max(abs(log_odds(q) - log_odds(config.pi0) - (math.log(a) - math.log(b)))
+                       for q, a, b in zip(config.q_local, d_fa, d_md))
+        calls = []
+        monkeypatch.setattr(optimize, "log_odds", lambda q: calls.append(q) or log_odds(q))
+        assert stationarity_residual(config) == expected
+        assert calls == [0.62, 0.5]
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_residual_is_the_largest_agent_violation(self, case):
+        """Over random tied and untied networks the residual is the largest
+        violation over every agent, to the bit."""
+        rng = np.random.default_rng([51, case])
+        n = int(rng.integers(1, 30))
+        template = NetworkTemplate(float(rng.uniform(0.05, 0.95)), CostPair(),
+                                   ObservationModel(sigma=float(rng.uniform(0.3, 3.0))), n)
+        q0 = float(rng.uniform(0.05, 0.95))
+        config = template.tied(q0, float(rng.uniform(0.05, 0.95))) if case % 2 else \
+            template.config(q0, tuple(float(q) for q in rng.uniform(0.05, 0.95, n)))
+        d_fa, d_md = optimize._pinned_differences(config)
+        if (d_fa <= 0.0).any() or (d_md <= 0.0).any():
+            assert stationarity_residual(config) == math.inf
+            return
+        assert stationarity_residual(config) == max(
+            abs(log_odds(q) - log_odds(config.pi0) - (math.log(a) - math.log(b)))
+            for q, a, b in zip(config.q_local, d_fa, d_md))
+
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_one_non_finite_difference_array_gives_nan(self, monkeypatch, side, bad):
@@ -1208,6 +1241,25 @@ class TestOptimalBeliefSweep:
             optimal_belief_sweep(template, [0.7, 0.3], settings)
         assert str(got.value) == str(expected.value)
         assert f"sigma={sigma!r}" in str(got.value)
+
+    def test_failure_after_the_coarse_stage(self):
+        """At this sigma every coarse risk is finite, but the first finer
+        window of the prior 0.3 is clipped at ``GRID_LO``, whose risk is not:
+        the sweep raises the error ``grid_search`` raises at 0.3, and the
+        prior 0.7, whose windows stay clear of it, is searched as before."""
+        model = ObservationModel(sigma=1.4013465446789451e153)
+        template = NetworkTemplate(0.5, CostPair(), model, 2)
+        settings = OptimizerSettings(tie_local_beliefs=True)
+        message = ("fusion belief q0=1e-06 at sigma=1.4013465446789451e+153: "
+                   "its risk is not finite")
+        with pytest.raises(FloatingPointError) as raised:
+            grid_search(dataclasses.replace(template, pi0=0.3), settings)
+        assert str(raised.value) == message
+        assert grid_search(dataclasses.replace(template, pi0=0.7), settings).beliefs == (
+            0.5002, 1e-06, 1e-06)
+        with pytest.raises(FloatingPointError) as raised:
+            optimal_belief_sweep(template, [0.7, 0.3], settings)
+        assert str(raised.value) == message
 
     def test_block_and_pass_sizes_do_not_change_result(self, std_model, monkeypatch):
         """Blocks that split a grid's rows, and passes that group blocks across
