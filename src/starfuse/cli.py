@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
-argparse only parses: it declares each flag's type, choices and help, and
-refuses an unknown flag or a value of the wrong type. Every other rule is
-in two tables: ``_MODES`` names the flags each mode of a command needs and
-reads, and ``_DEFAULTS`` the value a flag takes when not given. A command
-refuses a missing need, then a flag that its modes do not read, then
+argparse only parses: it refuses an unknown flag or a value of the wrong
+type. Every other rule is in two tables: ``_MODES`` names the flags each
+mode of a command needs and reads, and ``_DEFAULTS`` the value a flag takes
+when not given. They also build the parser: a command offers exactly the
+flags that its ``_MODES`` rows read, each parsed as its row of ``_FLAGS``
+says, and each flag's help is its ``_FLAGS`` text followed by what the two
+tables say of it (needed, or its default, and the modes that read it).
+A command refuses a missing need, then a flag that its modes do not read, then
 validates its flags' values, all before any computation; it prints
 headline numbers to stdout, and can write its full output as RFC-4180 CSV
 with a header row. Numbers are serialized with 10 significant digits and all
@@ -118,6 +121,42 @@ _REASONS = (
                                   "a run from --init or the default start has no restarts"),
     ("phase", "--q0 --q1 --strict", "phase --grid maps every (q0, q1) and classifies no "
                                     "single point: it takes no --q0, --q1 or --strict"))
+# Each mode flag as (flag, kind, help): the kind is the type that parses its
+# value, a tuple of its choices, or bool for a switch. A row of one command's
+# flag ("phase --pi0") comes before the flag's own row. A command's parser
+# offers the flags its ``_MODES`` rows read, and ``_flag_help`` adds to each
+# help what the tables say of the flag.
+_FLAGS = (
+    ("phase --pi0", float, "prior: a point fills in its numeric limit risk, "
+                           "a map only checks that it lies in (0, 1)"),
+    ("--pi0", float, "prior"),
+    ("--q0", float, "fusion belief"),
+    ("--q1", float, "tied local belief"),
+    ("--q", str, "comma-separated local beliefs"),
+    ("--n-local", int, "local agents"),
+    ("--tie-locals", bool, "tied locals"),
+    ("--grid-resolution", float, "finest search step"),
+    ("--resolution", float, "surface step"),
+    ("--contour", bool, "the N = 2 (q1, q2) risk surface at fixed --q0"),
+    ("--sweep-pi0", str, "start:stop:step sweep of the prior"),
+    ("--delta", float, "coordinate step"),
+    ("--eps", float, "stopping threshold"),
+    ("--max-iters", int, "most sweeps"),
+    ("--init", str, "comma-separated beliefs, fusion agent first (default-start mode: all 0.5)"),
+    ("--random-init", bool, "seeded uniform-random restarts"),
+    ("--restarts", int, "restarts"),
+    ("--seed", int, "seed, so that runs are reproducible"),
+    ("--trace", bool, "every sweep's row to --csv"),
+    ("--exact", bool, "exact per-coordinate minimization"),
+    ("--input", str, "CSV from `grid --sweep-pi0` to reuse"),
+    ("--q0-strategy", Q0_STRATEGIES, "Prelec q0"),
+    ("--grid", float, "emit a region map at this step"),
+    ("--strict", bool, "exit 3 when the point is classified as boundary"),
+    ("--estimate", bool, "fit the decay of the exact excess risk over network sizes up to 2000"),
+    ("--n", str, "network sizes start:stop:step"),
+    ("--curve-csv", str, "write the per-threshold objective curve here"),
+    ("--lam-range", str, "thresholds"),
+    ("--trials", int, "trials"))
 
 
 class Output(NamedTuple):
@@ -220,6 +259,16 @@ def _unit_axis(step: float, flag: str) -> np.ndarray:
     return _parse_range(f"{step}:{1.0 - step}:{step}")
 
 
+def _runs(command: str):
+    """The rows of ``command`` in ``_MODES``, one run at a time."""
+    run = []
+    for row in (row for row in _MODES if row[0] == command):
+        run.append(row)
+        if not row[2]:
+            yield run
+            run = []
+
+
 def _check_modes(args) -> None:
     """Pick the modes of ``args.command`` from ``_MODES``, then fill in the
     defaults of its flags left out (``None``). Raise ``ValueError`` for a
@@ -227,11 +276,7 @@ def _check_modes(args) -> None:
     # An empty path or range picks no mode: each command tests a selector for truth.
     given = {"--" + dest.replace("_", "-") for dest, value in vars(args).items()
              if value is not None and value is not False and value != ""}
-    run = []
-    for row in (row for row in _MODES if row[0] == args.command):
-        run.append(row)
-        if row[2]:
-            continue
+    for run in _runs(args.command):
         command, mode, selector, reads, needs = next(r for r in run if r[2] in given or not r[2])
         label = command if not mode else \
             f"{command} {mode} mode ({selector or 'no ' + ' or '.join(r[2] for r in run[:-1])})"
@@ -241,7 +286,6 @@ def _check_modes(args) -> None:
             raise ValueError(next((why for command, flags, why in _REASONS
                                    if command == args.command and flag in flags.split()),
                                   f"{label} does not read {flag}"))
-        run = []
     for flag, value in _DEFAULTS:
         # Only a flag left out: a given empty value reaches its parser and is refused there.
         if getattr(args, dest := flag[2:].replace("-", "_"), value) is None:
@@ -444,89 +488,52 @@ def cmd_simulate(args) -> Output:
                result.md_count, result.trials, result.h0_trials, result.h1_trials)]))
 
 
+# Each subcommand as (command, help, runner), in ``--help`` order.
+_COMMANDS = (
+    ("risk", "exact fusion risk of one belief tuple", cmd_risk),
+    ("grid", "exhaustive risk minimization / sweeps", cmd_grid),
+    ("pbpo", "coordinate-descent belief optimization", cmd_pbpo),
+    ("prelec", "Prelec fit of the optimal local-belief curve", cmd_prelec),
+    ("phase", "many-agent limit classification", cmd_phase),
+    ("exponent", "optimal risk exponent / exact decay fit", cmd_exponent),
+    ("simulate", "seeded forward simulation", cmd_simulate))
+
+
+def _flag_help(run, flag: str, base: str) -> str:
+    """``base`` and what the mode tables say of ``flag`` in its ``run`` of
+    ``_MODES`` rows: a selector's mode; else whether a mode needs the flag or
+    its default, and the modes that read it."""
+    selected = next((row[1] for row in run if row[2] == flag), None)
+    if selected:
+        return f"{selected} mode: {base}"
+    readers = [row[1] for row in run if flag in row[3].split()]
+    where = "every mode" if len(readers) == len(run) else \
+        f"{' and '.join(readers)} mode{'s' if len(readers) > 1 else ''}"
+    state = "needed; " if any(flag in row[4].split() for row in run) else \
+        next((f"default {value}; " for name, value in _DEFAULTS if name == flag), "")
+    return f"{base} ({state}{where})"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand's flags: their types, choices and help.
-    Needs, exclusions and defaults are the mode tables' (``_check_modes``)."""
+    """The parser of every subcommand: the flags its ``_MODES`` rows read,
+    each of its ``_FLAGS`` kind with help written from the tables, then the
+    model flags. Needs, exclusions and defaults are the mode tables'
+    (``_check_modes``)."""
     parser = argparse.ArgumentParser(
         prog="starfuse",
         description="Decision fusion in star networks with misperceived priors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("risk", help="exact fusion risk of one belief tuple")
-    p.add_argument("--pi0", type=float, help="prior (needed)")
-    p.add_argument("--q0", type=float, help="fusion belief (needed)")
-    p.add_argument("--q", help="comma-separated local beliefs (needed)")
-    _add_model_args(p, cmd_risk)
-
-    p = sub.add_parser("grid", help="exhaustive risk minimization / sweeps")
-    p.add_argument("--pi0", type=float, help="prior (search and contour modes)")
-    p.add_argument("--n-local", type=int, help="local agents (default 2; search and sweep modes)")
-    p.add_argument("--q0", type=float, help="fixed fusion belief (contour mode)")
-    p.add_argument("--tie-locals", action="store_true", help="tied locals (search, sweep modes)")
-    p.add_argument("--grid-resolution", type=float,
-                   help="finest search step (default 0.0002; search and sweep modes)")
-    p.add_argument("--resolution", type=float, help="surface step (default 0.02; contour mode)")
-    p.add_argument("--contour", action="store_true",
-                   help="contour mode: the N = 2 (q1, q2) risk surface at fixed --q0")
-    p.add_argument("--sweep-pi0", help="sweep mode: start:stop:step sweep of the prior")
-    _add_model_args(p, cmd_grid)
-
-    p = sub.add_parser("pbpo", help="coordinate-descent belief optimization")
-    p.add_argument("--pi0", type=float, help="prior (needed)")
-    p.add_argument("--n-local", type=int, help="local agents (default 2; every mode)")
-    p.add_argument("--delta", type=float, help="coordinate step (default 0.0005; fixed-step mode)")
-    p.add_argument("--eps", type=float, help="stopping threshold (default 0.0001; every mode)")
-    p.add_argument("--max-iters", type=int, help="most sweeps (default 2000; every mode)")
-    p.add_argument("--init", help="init-start mode: comma-separated beliefs, fusion "
-                                  "agent first (default-start mode: all 0.5)")
-    p.add_argument("--random-init", action="store_true",
-                   help="random-start mode: seeded uniform-random restarts")
-    p.add_argument("--restarts", type=int, help="restarts (default 8; random-start mode)")
-    p.add_argument("--seed", type=int, help="seed (default 1729; random-start mode)")
-    p.add_argument("--trace", action="store_true", help="trace mode: every sweep's row to --csv")
-    p.add_argument("--exact", action="store_true",
-                   help="exact-step mode: exact per-coordinate minimization")
-    _add_model_args(p, cmd_pbpo)
-
-    p = sub.add_parser("prelec", help="Prelec fit of the optimal local-belief curve")
-    p.add_argument("--n-local", type=int, help="local agents (default 2; every mode)")
-    p.add_argument("--sweep-pi0", help="sweep mode: start:stop:step prior sweep to compute")
-    p.add_argument("--input", help="input mode: CSV from `grid --sweep-pi0` to reuse")
-    p.add_argument("--q0-strategy", choices=list(Q0_STRATEGIES),
-                   help="Prelec q0 (default keep-optimal-q0; every mode)")
-    _add_model_args(p, cmd_prelec)
-
-    p = sub.add_parser("phase", help="many-agent limit classification")
-    p.add_argument("--q0", type=float, help="fusion belief (point mode)")
-    p.add_argument("--q1", type=float, help="tied local belief (point mode)")
-    p.add_argument("--pi0", type=float,
-                   help="fill in the numeric limit risk of --q0, --q1; a map (--grid) "
-                        "only checks that it lies in (0, 1)")
-    p.add_argument("--grid", type=float, help="map mode: emit a region map at this step")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 when the point is classified as boundary (point mode)")
-    _add_model_args(p, cmd_phase)
-
-    p = sub.add_parser("exponent", help="optimal risk exponent / exact decay fit")
-    p.add_argument("--estimate", action="store_true", help="estimate mode: fit the decay "
-                   "of the exact excess risk over network sizes up to 2000")
-    p.add_argument("--pi0", type=float, help="prior (estimate mode)")
-    p.add_argument("--q0", type=float, help="fusion belief (estimate mode)")
-    p.add_argument("--q1", type=float, help="tied local belief (estimate mode)")
-    p.add_argument("--n", help="network sizes start:stop:step (default 5:60:5; estimate mode)")
-    p.add_argument("--curve-csv", help="curve mode: write the per-threshold objective curve here")
-    p.add_argument("--lam-range", help="thresholds (default -3:4:0.001; curve mode)")
-    _add_model_args(p, cmd_exponent)
-
-    p = sub.add_parser("simulate", help="seeded forward simulation")
-    p.add_argument("--pi0", type=float, help="prior (needed)")
-    p.add_argument("--q0", type=float, help="fusion belief (needed)")
-    p.add_argument("--q", help="comma-separated local beliefs (needed)")
-    p.add_argument("--trials", type=int, help="trials (default 100000; every mode)")
-    p.add_argument("--seed", type=int, help="seed (needed, so that runs are reproducible)")
-    _add_model_args(p, cmd_simulate)
-
+    for command, text, runner in _COMMANDS:
+        p = sub.add_parser(command, help=text)
+        for run in _runs(command):
+            for flag in dict.fromkeys(flag for row in run for flag in row[3].split()):
+                names = (f"{command} {flag}", flag)
+                kind, base = next(row[1:] for row in _FLAGS if row[0] in names)
+                p.add_argument(flag, help=_flag_help(run, flag, base), **(
+                    {"action": "store_true"} if kind is bool else
+                    {"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
+        _add_model_args(p, runner)
     return parser
 
 

@@ -317,6 +317,15 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) < 0.1, near, x * np.log(x / m) - d)
 
 
+def _ladder(sizes: list):
+    """The size ladder of ``sizes``, the counts 0..N of each size N after one
+    another: (``k``, ``n``, ``bounds``), each entry's count and size, and the
+    offset of each size's first entry followed by the ladder's length."""
+    bounds = list(itertools.accumulate((size + 1 for size in sizes), initial=0))
+    k = np.concatenate([np.arange(size + 1) for size in sizes])
+    return k, np.repeat(sizes, np.diff(bounds)), bounds
+
+
 def _binomial_pmf(model: ObservationModel, costs: CostPair, q1: float, sizes):
     """Count pmfs of a tied network whose locals all hold ``q1``: the
     Binomial(N, p(1|h)) pmf under each hypothesis h, in ``count_distribution``'s
@@ -344,8 +353,7 @@ def _binomial_pmf(model: ObservationModel, costs: CostPair, q1: float, sizes):
     t0, t1, s0, s1 = per_float_rates(model, costs)[0](ell)
     lt0, lt1, ls0, ls1 = decision_one_log_tails(model, threshold_from_log_odds(model, costs, ell))
     sizes = sizes if isinstance(sizes, list) else [sizes]
-    k = np.concatenate([np.arange(size + 1) for size in sizes])
-    n = np.repeat(sizes, [size + 1 for size in sizes])
+    k, n, bounds = _ladder(sizes)
     stirlerr = _stirlerr(max(sizes))
     # (ones, zeros) by hypothesis: bd0(k, N t) and bd0(N - k, N (1 - t)) in one call.
     counts = np.stack((k, n - k))[:, None]
@@ -356,9 +364,8 @@ def _binomial_pmf(model: ObservationModel, costs: CostPair, q1: float, sizes):
         bd0 = _bd0(counts, means)
         lc = stirlerr[n] - stirlerr[k] - stirlerr[n - k] - bd0[0] - bd0[1]
         pmf = np.exp(lc) / np.sqrt(2 * math.pi * k * (n - k) / n)
-    first = list(itertools.accumulate((size + 1 for size in sizes[:-1]), initial=0))
-    pmf[:, first] = np.exp(np.multiply(sizes, [[ls0], [ls1]]))
-    pmf[:, [i + size for i, size in zip(first, sizes)]] = np.exp(np.multiply(sizes, [[lt0], [lt1]]))
+    pmf[:, bounds[:-1]] = np.exp(np.multiply(sizes, [[ls0], [ls1]]))
+    pmf[:, [end - 1 for end in bounds[1:]]] = np.exp(np.multiply(sizes, [[lt0], [lt1]]))
     return pmf
 
 
@@ -421,8 +428,7 @@ def _fusion_count_errors(model: ObservationModel, costs: CostPair, ell0, n):
     false-alarm and missed-detection doubles one float at a time."""
     ell0 = np.asarray(ell0)
     if isinstance(n, list):
-        k = np.concatenate([np.arange(size + 1) for size in n])
-        n = np.repeat(n, [size + 1 for size in n])
+        k, n, _ = _ladder(n)
     else:
         k = np.arange(n + 1)
     # inf - inf or 0 * inf at an extreme sigma: the nan risk is the caller's to report.
@@ -509,12 +515,12 @@ def tied_exact_risks(pi0: float, costs: CostPair, model: ObservationModel, q0: f
         pmfs.append(pmf[:, :n + 1].copy())  # the next sizes' folds write these entries
         done = n
     if large:
-        starts = list(itertools.accumulate(n + 1 for n in large[:-1]))
-        pmfs += np.split(_binomial_pmf(model, costs, q1, large), starts, axis=1)
+        pmfs.append(_binomial_pmf(model, costs, q1, large))
+    ladder = np.concatenate(pmfs, axis=1)  # every size's pmf, laid out as its errors
     errors = np.array(_fusion_count_errors(model, costs, log_odds(q0), sizes)[:2])
-    ends = list(itertools.accumulate((n + 1 for n in sizes), initial=0))  # each size's errors
-    return [bayes_risk(pi0, costs, *mix(pmf, errors[:, a:b]).tolist())
-            for pmf, a, b in zip(pmfs, ends, ends[1:])]
+    bounds = _ladder(sizes)[2]
+    return [bayes_risk(pi0, costs, *mix(ladder[:, a:b], errors[:, a:b]).tolist())
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _distinct_log_odds(q: np.ndarray):

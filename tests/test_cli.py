@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import csv
@@ -1424,6 +1425,81 @@ def test_help_names_the_modes_that_read_a_flag(command):
             if len(readers) < len(run):
                 assert all(re.search(rf"\b{mode}\b", helps[flag]) for mode in readers), \
                     (flag, readers, helps[flag])
+
+
+@pytest.mark.parametrize("command", sorted({row[0] for row in cli._MODES}))
+def test_help_states_what_the_tables_say(command):
+    """The help of each flag that a mode reads says what the tables say of
+    it: a selector's starts ``<mode> mode:``; it says ``needed`` where a mode
+    needs the flag, and states the flag's default where none needs it; and
+    in a run of several modes it names each mode that reads the flag, or
+    says ``every mode`` where all of them do."""
+    helps, defaults = _flag_helps(command), dict(cli._DEFAULTS)
+    wrong = []
+    for run in _runs(command):
+        for flag in dict.fromkeys(flag for row in run for flag in row[3].split()):
+            text = helps[flag]
+            readers = [row[1] for row in run if flag in row[3].split()]
+            said = [text.startswith(f"{row[1]} mode: ") for row in run if row[2] == flag]
+            if any(flag in row[4].split() for row in run):
+                said.append("needed" in text)
+            elif flag in defaults:
+                said.append(f"(default {defaults[flag]}" in text)
+            if len(readers) == len(run) > 1:
+                said.append("every mode" in text)
+            elif len(readers) < len(run):
+                said += [re.search(rf"\b{mode}\b", text) is not None for mode in readers]
+            if not all(said):
+                wrong.append((flag, text))
+    assert wrong == []
+
+
+# The argv language of each subcommand: each mode flag as a switch, a tuple
+# of choices or the name of the type that parses its value; then the model
+# flags that every subcommand shares, each (type, default). The order of the
+# flags, which only ``--help`` shows, is no part of it.
+_MODE_FLAGS = {
+    "risk": {"--pi0": "float", "--q0": "float", "--q": "str"},
+    "grid": {"--pi0": "float", "--n-local": "int", "--q0": "float", "--tie-locals": "switch",
+             "--grid-resolution": "float", "--resolution": "float", "--contour": "switch",
+             "--sweep-pi0": "str"},
+    "pbpo": {"--pi0": "float", "--n-local": "int", "--delta": "float", "--eps": "float",
+             "--max-iters": "int", "--init": "str", "--random-init": "switch",
+             "--restarts": "int", "--seed": "int", "--trace": "switch", "--exact": "switch"},
+    "prelec": {"--n-local": "int", "--sweep-pi0": "str", "--input": "str",
+               "--q0-strategy": ("keep-optimal-q0", "reoptimize-q0")},
+    "phase": {"--q0": "float", "--q1": "float", "--pi0": "float", "--grid": "float",
+              "--strict": "switch"},
+    "exponent": {"--estimate": "switch", "--pi0": "float", "--q0": "float", "--q1": "float",
+                 "--n": "str", "--curve-csv": "str", "--lam-range": "str"},
+    "simulate": {"--pi0": "float", "--q0": "float", "--q": "str", "--trials": "int",
+                 "--seed": "int"},
+}
+_MODEL_FLAGS = {"--sigma": ("float", 1.0), "--cfa": ("float", 1.0), "--cmd": ("float", 1.0),
+                "--csv": ("str", None)}
+
+
+def test_parser_offers_the_pinned_argv_language():
+    """Each subcommand offers exactly its pinned flags, each parsed as
+    pinned, and runs its own ``cmd_*``: so the parser accepts and refuses the
+    same argvs however it is built. A mode flag takes no argparse default (a
+    switch is off): the mode tables fill in defaults."""
+    commands = next(action.choices for action in cli.build_parser()._actions if action.choices)
+    assert list(commands) == list(_MODE_FLAGS)
+    for command, parser in commands.items():
+        assert parser.get_default("func") is getattr(cli, f"cmd_{command}")
+        offered, model = {}, {}
+        for action in (a for a in parser._actions if a.dest != "help"):
+            [flag] = action.option_strings
+            assert (action.dest, action.required) == (flag[2:].replace("-", "_"), False)
+            kind = "switch" if isinstance(action, argparse._StoreTrueAction) else \
+                tuple(action.choices) if action.choices else (action.type or str).__name__
+            if flag in _MODEL_FLAGS:
+                model[flag] = (kind, action.default)
+            else:
+                offered[flag] = kind
+                assert action.default is (False if kind == "switch" else None), flag
+        assert (offered, model) == (_MODE_FLAGS[command], _MODEL_FLAGS), command
 
 
 @pytest.mark.parametrize("argv, code, err", [

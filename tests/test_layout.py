@@ -1,5 +1,6 @@
 """Source-layout rules checked by parsing, not by running the code."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -477,23 +478,27 @@ def _dest(call):
     return next((n for n in names if n.startswith("--")), names[0]).lstrip("-").replace("-", "_")
 
 
-def _subcommands(source):
-    """``{subcommand: (flags, shared, always, reads)}`` of the parser that
-    ``build_parser`` in ``source`` builds: the flags the subcommand adds
-    itself, those a module function adds for it, those always given (with a
-    ``default`` or ``required``), and the ``args`` attributes that its runner
-    reads, itself or through a function it passes ``args`` to.
+def _attribute(flag):
+    """The ``args`` attribute of a flag: ``--n-local`` fills ``n_local``."""
+    return flag[2:].replace("-", "_")
 
-    In ``build_parser`` a subcommand starts at ``... = sub.add_parser(name)``;
-    its flags are the ``add_argument`` calls of the statements that follow,
-    and those of a module function such a statement calls. Its runner is the
-    ``cmd_*`` function named in those statements."""
+
+def _table(source, name):
+    """The AST of the value that ``source`` assigns to the module-level
+    ``name``."""
+    return next(node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == name)
+
+
+def _subcommands(source):
+    """``{subcommand: (shared, always, reads)}`` of each subcommand that
+    ``_COMMANDS`` in ``source`` names, as (command, help, runner) rows: the
+    flags that ``_add_model_args`` adds to every subcommand, those of them
+    always given (with a ``default`` or ``required``), and the ``args``
+    attributes that the runner reads, itself or through a function it passes
+    ``args`` to. A flag is named by its ``args`` attribute."""
     funcs = {node.name: node for node in ast.parse(source).body
              if isinstance(node, ast.FunctionDef)}
-
-    def calls(node, method):
-        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
-                and isinstance(c.func, ast.Attribute) and c.func.attr == method]
 
     def reads(name, param, seen):
         """Attributes that function ``name`` reads of its parameter ``param``,
@@ -518,53 +523,36 @@ def _subcommands(source):
         return any(k.arg == "required" or k.arg == "default" and not (
             isinstance(k.value, ast.Constant) and k.value.value is None) for k in call.keywords)
 
-    commands = {}  # name -> [flags, shared, always, runner]
-    current = None
-    for stmt in funcs["build_parser"].body:
-        started = calls(stmt, "add_parser")
-        if started:
-            current = commands.setdefault(started[0].args[0].value, [[], [], set(), None])
-        if current is None:
-            continue
-        current[0] += [_dest(c) for c in calls(stmt, "add_argument")]
-        current[2] |= {_dest(c) for c in calls(stmt, "add_argument") if always(c)}
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id in funcs:
-                if node.id.startswith("cmd_"):
-                    current[3] = node.id
-                else:
-                    current[1] += [_dest(c) for c in calls(funcs[node.id], "add_argument")]
-    return {command: (flags, shared, given, reads(runner, funcs[runner].args.args[0].arg, set()))
-            for command, (flags, shared, given, runner) in commands.items()}
+    model = [c for c in ast.walk(funcs["_add_model_args"]) if isinstance(c, ast.Call)
+             and isinstance(c.func, ast.Attribute) and c.func.attr == "add_argument"]
+    shared, given = [_dest(c) for c in model], {_dest(c) for c in model if always(c)}
+    runners = {row.elts[0].value: row.elts[2].id for row in _table(source, "_COMMANDS").elts}
+    return {command: (shared, given, reads(runner, funcs[runner].args.args[0].arg, set()))
+            for command, runner in runners.items()}
 
 
 def _unread_flags(source):
-    """(subcommand, flag) of every flag that ``build_parser`` in ``source``
-    gives a subcommand and that no code reads as ``args.<flag>``: neither the
-    ``cmd_*`` that runs the subcommand nor a function it passes ``args`` to
-    (``_subcommands``)."""
-    return [(command, flag) for command, (flags, shared, _, known) in _subcommands(source).items()
-            for flag in flags + shared if flag not in known]
+    """(subcommand, flag) of every flag that the ``_MODES`` rows of a
+    subcommand in ``source`` read, or that ``_add_model_args`` adds, and that
+    no code reads as ``args.<flag>``: neither the ``cmd_*`` that runs the
+    subcommand nor a function it passes ``args`` to (``_subcommands``)."""
+    modes = ast.literal_eval(_table(source, "_MODES"))
+    return [(command, flag) for command, (shared, _, known) in _subcommands(source).items()
+            for flag in dict.fromkeys([_attribute(f) for row in modes if row[0] == command
+                                       for f in row[3].split()] + shared)
+            if flag not in known]
 
 
 def test_unread_flags_seen():
-    source = ("def _shared(p, func):\n"
+    source = ("_MODES = (('a', '', '', '--n-local --trials', ''), ('b', '', '', '--seed', ''))\n"
+              "_COMMANDS = (('a', 'runs a', cmd_a), ('b', 'runs b', cmd_b))\n"
+              "def _add_model_args(p, func):\n"
               "    p.set_defaults(func=func)\n"
               "    p.add_argument('--sigma')\n"
               "    p.add_argument('--out-file', dest='target')\n"
               "def _model(a):\n    return a.sigma\n"
               "def cmd_a(args):\n    return _model(args), args.n_local\n"
-              "def cmd_b(args):\n    return args.target\n"
-              "def build_parser():\n"
-              "    sub = object()\n"
-              "    p = sub.add_parser('a')\n"
-              "    p.add_argument('--n-local')\n"
-              "    group = p.add_mutually_exclusive_group()\n"
-              "    group.add_argument('-t', '--trials')\n"
-              "    _shared(p, cmd_a)\n"
-              "    p = sub.add_parser('b')\n"
-              "    p.add_argument('--seed')\n"
-              "    _shared(p, cmd_b)\n")
+              "def cmd_b(args):\n    return args.target\n")
     assert _unread_flags(source) == [("a", "trials"), ("a", "target"), ("b", "seed"),
                                      ("b", "sigma")]
 
@@ -575,21 +563,22 @@ def test_every_cli_flag_is_read():
 
 
 def _untabled_flags(source):
-    """(subcommand, flag, why) of each flag of a subcommand that ``_MODES`` in
-    ``source`` does not account for: a flag that ``build_parser`` gives the
-    subcommand (``_subcommands``), other than a shared model flag, or an
-    ``args.<flag>`` that its runner reads, that no row of the subcommand
-    names; and a flag always given (with a default or required) that some
-    mode of a run naming it does not read, so that the mode would refuse
-    every run. A run is a subcommand's rows up to one with no selector."""
-    modes = next(ast.literal_eval(node.value) for node in ast.parse(source).body
-                 if isinstance(node, ast.Assign) and node.targets[0].id == "_MODES")
+    """(subcommand, flag, why) of each flag that the tables in ``source`` do
+    not account for: an ``args.<flag>`` that a subcommand's runner reads and
+    that no row of the subcommand in ``_MODES`` names, other than a shared
+    model flag (``read``); a flag always given (with a default or required)
+    that some mode of a run naming it does not read, so that the mode would
+    refuse every run (``always``); a row of ``_FLAGS``, a flag or a
+    ``"<command> <flag>"``, that no ``_MODES`` row (of that command) reads
+    (``flags``); and a subcommand that ``_COMMANDS`` and ``_MODES`` do not
+    both name (``commands``). A run is a subcommand's rows up to one with no
+    selector."""
+    modes = ast.literal_eval(_table(source, "_MODES"))
     untabled = []
-    for command, (flags, shared, given, known) in _subcommands(source).items():
+    for command, (shared, given, known) in _subcommands(source).items():
         rows = [row for row in modes if row[0] == command]
-        reads = [[flag[2:].replace("-", "_") for flag in row[3].split()] for row in rows]
+        reads = [[_attribute(flag) for flag in row[3].split()] for row in rows]
         tabled = {flag for row in reads for flag in row}
-        untabled += [(command, flag, "parser") for flag in flags if flag not in tabled]
         untabled += [(command, flag, "read") for flag in sorted(known - tabled - set(shared))]
         first = 0
         for last, row in enumerate(rows):
@@ -598,37 +587,57 @@ def _untabled_flags(source):
                 untabled += [(command, flag, "always") for flag in sorted(given)
                              if any(flag in r for r in run) and not all(flag in r for r in run)]
                 first = last + 1
+    for name in (row.elts[0].value for row in _table(source, "_FLAGS").elts):
+        command, _, flag = name.rpartition(" ")
+        if not any(flag in row[3].split() for row in modes if row[0] == command or not command):
+            untabled.append((command, flag, "flags"))
+    commands = {row.elts[0].value for row in _table(source, "_COMMANDS").elts}
+    untabled += [(command, "", "commands")
+                 for command in sorted(commands ^ {row[0] for row in modes})]
     return untabled
 
 
 def test_untabled_flags_seen():
-    source = ("_MODES = (('a', 'one', '--one', '--one --n-local', ''),\n"
+    source = ("_MODES = (('a', 'one', '--one', '--one --sigma', ''),\n"
               "          ('a', 'two', '', '--seed', ''), ('b', '', '', '--seed', ''))\n"
-              "def _shared(p, func):\n"
+              "_FLAGS = (('b --seed', int, 'seed'), ('b --one', bool, 'one'),\n"
+              "          ('--one', bool, 'one'), ('--seed', int, 'seed'), ('--added', int, 'x'))\n"
+              "_COMMANDS = (('a', 'runs a', cmd_a), ('c', 'runs c', cmd_c))\n"
+              "def _add_model_args(p, func):\n"
               "    p.set_defaults(func=func)\n"
-              "    p.add_argument('--sigma')\n"
-              "def cmd_a(args):\n    return args.sigma, args.one, args.n_local, args.trials\n"
-              "def cmd_b(args):\n    return args.seed\n"
-              "def build_parser():\n"
-              "    sub = object()\n"
-              "    p = sub.add_parser('a')\n"
-              "    p.add_argument('--one', action='store_true')\n"
-              "    p.add_argument('--n-local', type=int, default=2)\n"
-              "    p.add_argument('--seed', default=None)\n"
-              "    p.add_argument('--added')\n"
-              "    _shared(p, cmd_a)\n"
-              "    p = sub.add_parser('b')\n"
-              "    p.add_argument('--seed', required=True)\n"
-              "    _shared(p, cmd_b)\n")
-    assert _untabled_flags(source) == [("a", "added", "parser"), ("a", "trials", "read"),
-                                       ("a", "n_local", "always")]
+              "    p.add_argument('--sigma', type=float, default=1.0)\n"
+              "    p.add_argument('--csv')\n"
+              "def cmd_a(args):\n"
+              "    return args.sigma, args.csv, args.one, args.seed, args.trials\n"
+              "def cmd_c(args):\n    return args.csv\n")
+    assert _untabled_flags(source) == [("a", "trials", "read"), ("a", "sigma", "always"),
+                                       ("b", "--one", "flags"), ("", "--added", "flags"),
+                                       ("b", "", "commands"), ("c", "", "commands")]
 
 
 def test_every_cli_flag_is_tabled():
-    """Each flag a subcommand offers or reads is in a row of its mode table,
-    so the mode check refuses it wherever the run does not read it; and no
-    flag the parser always fills in is refused by a mode."""
+    """Each flag a subcommand reads is in a row of its mode table, so the
+    mode check refuses it wherever the run does not read it; no flag the
+    parser always fills in is refused by a mode; every ``_FLAGS`` row is read
+    by a mode; and ``_COMMANDS`` runs exactly the subcommands of ``_MODES``."""
     assert _untabled_flags((ROOT / "src" / "starfuse" / "cli.py").read_text()) == []
+
+
+def test_parser_offers_the_tabled_flags():
+    """Each subcommand offers exactly the flags that its ``_MODES`` rows read
+    and the model flags, and the parser offers exactly the subcommands of
+    ``_MODES``."""
+    from starfuse import cli
+
+    model = argparse.ArgumentParser()
+    cli._add_model_args(model, None)
+    shared = {flag for action in model._actions for flag in action.option_strings}
+    commands = next(action.choices for action in cli.build_parser()._actions if action.choices)
+    assert set(commands) == {row[0] for row in cli._MODES}
+    for command, parser in commands.items():
+        offered = {flag for action in parser._actions for flag in action.option_strings}
+        tabled = {flag for row in cli._MODES if row[0] == command for flag in row[3].split()}
+        assert offered == tabled | shared, command
 
 
 def _parser_rules(source):
